@@ -31,7 +31,7 @@ import numpy as np
 
 from .coeffs import Driver, ProblemSpec, eval_derivative
 from .errors import OrderingError, SolverError
-from .forward import MalliavinTableau, PathEnsemble, TimeGrid, _cumtrapz
+from .forward import MalliavinTableau, PathEnsemble, TimeGrid, _cumtrapz, _euler_lamperti
 from .lamperti import LampertiMap
 
 __all__ = [
@@ -41,10 +41,6 @@ __all__ = [
     "BackwardTableau",
     "girsanov_reduce",
     "solve_bsde",
-    "malliavin_first_Y",
-    "malliavin_second_Y",
-    "clark_ocone_Z",
-    "malliavin_first_Z",
 ]
 
 BASIS_KINDS = ("polynomial-in-x", "polynomial-in-xw")
@@ -795,31 +791,6 @@ class BackwardTableau:
         return fa + (ea_th + ea_t) * fbc + ea_th * ea_t * self._dz_inner(fd, fe, t_idx)
 
 
-# -- spec operations ----------------------------------------------------------
-
-
-def malliavin_first_Y(tab: BackwardTableau, path: int, theta_idx: int, t_idx: int) -> float:
-    """D_theta Y_t via the conditional-expectation representation."""
-    return float(tab.dy_all(theta_idx, t_idx)[path])
-
-
-def malliavin_second_Y(
-    tab: BackwardTableau, path: int, theta_idx: int, t_idx: int, s_idx: int
-) -> float:
-    """D2_{theta,t} Y_s; (theta, t) is canonicalized to (min, max)."""
-    return float(tab.d2y_all(theta_idx, t_idx, s_idx)[path])
-
-
-def clark_ocone_Z(tab: BackwardTableau, path: int, t_idx: int) -> float:
-    """Clark-Ocone representation of Z_t (independent of the solver's Z)."""
-    return float(tab.z_clark_all(t_idx)[path])
-
-
-def malliavin_first_Z(tab: BackwardTableau, path: int, theta_idx: int, t_idx: int) -> float:
-    """D_theta Z_t from the differentiated Clark-Ocone representation."""
-    return float(tab.dz_all(theta_idx, t_idx)[path])
-
-
 # ---------------------------------------------------------------------------
 # Replay pipeline for the Nourdin-Viens g-estimator
 # ---------------------------------------------------------------------------
@@ -835,34 +806,14 @@ def ensemble_from_increments(
 
     Used to replay the pipeline on Mehler-shifted increments: the output must
     stay aligned row-for-row with the unshifted ensemble, so escaping paths
-    are clamped to the working box instead of dropped.
+    are clamped to the working box instead of dropped; ``n_flagged`` counts
+    the clamp events.
     """
     lmap = lamperti_map or LampertiMap(problem.sigma, problem.b, problem.box)
     n_paths, n = increments.shape
     if n != grid.n_steps:
         raise SolverError("increment matrix does not match the grid")
-    dt = grid.dt
-    u0 = lmap.transform(problem.x0)
-    glo, ghi = lmap.g_range
-    margin = 1e-9 * (ghi - glo)
-    W = np.empty((n_paths, n + 1))
-    U = np.empty((n_paths, n + 1))
-    X = np.empty((n_paths, n + 1))
-    W[:, 0] = 0.0
-    U[:, 0] = u0
-    X[:, 0] = problem.x0
-    n_clamped = 0
-    for i in range(n):
-        drift = lmap.beta(X[:, i])
-        u_next = U[:, i] + drift * dt + increments[:, i]
-        lo_hit = u_next < glo + margin
-        hi_hit = u_next > ghi - margin
-        if lo_hit.any() or hi_hit.any():
-            n_clamped += int(lo_hit.sum() + hi_hit.sum())
-            u_next = np.clip(u_next, glo + margin, ghi - margin)
-        U[:, i + 1] = u_next
-        W[:, i + 1] = W[:, i] + increments[:, i]
-        X[:, i + 1] = lmap.inverse_transform(u_next)
+    W, U, X, hits = _euler_lamperti(problem, grid, increments, lmap)
     return PathEnsemble(
         grid=grid,
         n_paths=n_paths,
@@ -873,24 +824,28 @@ def ensemble_from_increments(
         U=U,
         X=X,
         path_ids=np.arange(n_paths, dtype=np.uint64),
-        n_flagged=n_clamped,
+        n_flagged=int(hits.sum()),
         n_requested=n_paths,
     )
 
 
-def make_y_phi_sampler(
+def make_phi_sampler(
     problem: ProblemSpec,
     grid: TimeGrid,
     basis: RegressionBasis,
     t_idx: int,
+    component: str,
     lamperti_map: LampertiMap | None = None,
 ):
-    """Sampler evaluating theta -> D_theta Y_t on arbitrary increment matrices.
+    """Sampler evaluating theta -> D_theta Y_t or D_theta Z_t on arbitrary
+    increment matrices; ``component`` is "Y" or "Z".
 
     Replays the forward simulation, the backward solve and the derivative
     tableau on the supplied increments; used as the Phi-sampler of the
     Nourdin-Viens g-estimator.
     """
+    if component not in ("Y", "Z"):
+        raise SolverError(f"component must be 'Y' or 'Z'; got {component!r}")
     lmap = lamperti_map or LampertiMap(problem.sigma, problem.b, problem.box)
 
     def sampler(increments: np.ndarray) -> np.ndarray:
@@ -898,26 +853,6 @@ def make_y_phi_sampler(
         sol = solve_bsde(ens, problem, basis)
         ftab = MalliavinTableau(ens, lmap, sol.reduced)
         btab = BackwardTableau(ens, sol, ftab)
-        return btab.dy_matrix(t_idx)
-
-    return sampler
-
-
-def make_z_phi_sampler(
-    problem: ProblemSpec,
-    grid: TimeGrid,
-    basis: RegressionBasis,
-    t_idx: int,
-    lamperti_map: LampertiMap | None = None,
-):
-    """Sampler evaluating theta -> D_theta Z_t on arbitrary increment matrices."""
-    lmap = lamperti_map or LampertiMap(problem.sigma, problem.b, problem.box)
-
-    def sampler(increments: np.ndarray) -> np.ndarray:
-        ens = ensemble_from_increments(problem, grid, increments, lmap)
-        sol = solve_bsde(ens, problem, basis)
-        ftab = MalliavinTableau(ens, lmap, sol.reduced)
-        btab = BackwardTableau(ens, sol, ftab)
-        return btab.dz_matrix(t_idx)
+        return btab.dy_matrix(t_idx) if component == "Y" else btab.dz_matrix(t_idx)
 
     return sampler

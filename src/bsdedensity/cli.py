@@ -3,16 +3,13 @@
 Pipeline: check -> simulate -> solve -> tableaux -> g/envelopes -> verify.
 Artifacts are plot-ready CSVs plus JSON reports; all floating-point output
 uses 17-significant-digit formatting, so identical configurations produce
-byte-identical files.  The ``BSDE_WORKERS`` environment variable (or
-``run.workers``) only chunks path-parallel sweeps with fixed-order merges and
-never changes results.
+byte-identical files.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -22,8 +19,7 @@ from . import __version__
 from .backward import (
     BackwardTableau,
     girsanov_reduce,
-    make_y_phi_sampler,
-    make_z_phi_sampler,
+    make_phi_sampler,
     solve_bsde,
 )
 from .config import ExperimentConfig, config_echo, parse_config
@@ -86,22 +82,16 @@ def _tag(t: float) -> str:
 class Experiment:
     """Stage-by-stage pipeline over one configuration.
 
-    Each stage persists its artifacts; a stage whose artifacts already exist
-    on disk is reloaded rather than recomputed, so later stages consume
-    persisted artifacts only.
+    Each stage persists its artifacts; in a staged run a stage whose
+    artifacts already exist on disk is reloaded rather than recomputed, so
+    later stages consume persisted artifacts only.
     """
 
     def __init__(self, cfg: ExperimentConfig, out_dir: str | None = None,
-                 seed: int | None = None, workers: int | None = None):
+                 seed: int | None = None):
         self.cfg = cfg
         self.out = Path(out_dir or cfg["output.dir"])
         self.seed = int(seed if seed is not None else cfg["mc.master_seed"])
-        env_workers = os.environ.get("BSDE_WORKERS")
-        self.workers = int(
-            workers if workers is not None
-            else env_workers if env_workers
-            else cfg["run.workers"]
-        )
         self.problem = cfg.problem()
         self.basis = cfg.basis()
         self.grid = TimeGrid(self.problem.T, cfg["grid.n_steps"])
@@ -153,8 +143,7 @@ class Experiment:
         cfg = self.cfg
         lmap = self._ensure_lamperti()
         self.ens = simulate_forward(
-            self.problem, self.grid, cfg["mc.n_paths"], self.seed,
-            lamperti_map=lmap, workers=self.workers,
+            self.problem, self.grid, cfg["mc.n_paths"], self.seed, lamperti_map=lmap
         )
         self.sol = solve_bsde(self.ens, self.problem, self.basis)
         self._build_tableaux()
@@ -317,9 +306,8 @@ class Experiment:
     def _g_estimate(self, name: str, t: float, t_idx: int, comp: dict) -> dict:
         cfg = self.cfg
         n_outer = min(cfg["gest.n_outer"], self.ens.n_paths)
-        maker = make_y_phi_sampler if name == "Y" else make_z_phi_sampler
-        phi_sampler = maker(self.problem, self.grid, self.basis, t_idx,
-                            lamperti_map=self._ensure_lamperti())
+        phi_sampler = make_phi_sampler(self.problem, self.grid, self.basis, t_idx, name,
+                                       lamperti_map=self._ensure_lamperti())
         values = self.sol.Y if name == "Y" else self.sol.Z
         samples = values[:n_outer, t_idx]
         deriv = (self.btab.dy_matrix(t_idx) if name == "Y"
@@ -448,7 +436,6 @@ class Experiment:
             "package_version": __version__,
             "numpy_version": np.__version__,
             "master_seed": self.seed,
-            "workers": self.workers,
             "ridge_used": self.sol.ridge_used if self.sol else None,
             "n_paths": self.ens.n_paths if self.ens else None,
             "n_flagged": self.ens.n_flagged if self.ens else None,
@@ -465,9 +452,10 @@ class Experiment:
     def run(self, upto: str = "verify") -> int:
         """Run the pipeline prefix ending at ``upto``.
 
-        Stages whose artifacts are already in the output directory are
-        reloaded instead of recomputed, so sequential ``--stage`` invocations
-        resume from persisted state.  A full run (upto = verify) keeps the
+        In a staged run (upto before verify), stages whose artifacts are
+        already in the output directory are reloaded instead of recomputed,
+        so sequential ``--stage`` invocations resume from persisted state.  A
+        full run (upto = verify) recomputes every stage, keeps the
         heavyweight intermediates in memory and persists only reports/CSVs
         unless ``run.dump_ensemble`` asks for the binary dump.
         """
@@ -480,7 +468,7 @@ class Experiment:
         last = STAGES.index(upto)
         staged = upto != "verify"
 
-        if not self._load_hypotheses():
+        if not (staged and self._load_hypotheses()):
             self.stage_hypotheses()
         if self.verdicts.get("hypotheses") == "fail":
             return 1
@@ -503,10 +491,9 @@ class Experiment:
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
-                   seed: int | None = None, stage: str = "verify",
-                   workers: int | None = None) -> int:
+                   seed: int | None = None, stage: str = "verify") -> int:
     """Run the pipeline up to ``stage``; returns the exit status (0 = all pass)."""
-    return Experiment(cfg, out_dir=out_dir, seed=seed, workers=workers).run(stage)
+    return Experiment(cfg, out_dir=out_dir, seed=seed).run(stage)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -526,7 +513,6 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("--stage", choices=STAGES, default="verify")
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--out", default=None)
-    p_run.add_argument("--workers", type=int, default=None)
 
     args = parser.parse_args(argv)
     try:
@@ -534,10 +520,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "check-hypotheses":
             status = run_experiment(cfg, out_dir=args.out, stage="hypotheses")
         else:
-            status = run_experiment(
-                cfg, out_dir=args.out, seed=args.seed,
-                stage=args.stage, workers=args.workers,
-            )
+            status = run_experiment(cfg, out_dir=args.out, seed=args.seed,
+                                    stage=args.stage)
     except BsdeDensityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

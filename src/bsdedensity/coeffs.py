@@ -31,6 +31,7 @@ __all__ = [
     "polynomial",
     "parse_family",
     "family_to_string",
+    "format_float",
     "eval_derivative",
     "lie_bracket",
     "iterated_bracket",
@@ -205,11 +206,17 @@ def polynomial(*coeffs: float) -> CoefficientFamily:
     return CoefficientFamily("polynomial", dict(zip(names, coeffs)))
 
 
+def format_float(v: float) -> str:
+    """``:g`` when it parses back to exactly ``v``, else the lossless ``repr``."""
+    short = f"{v:g}"
+    return short if float(short) == v else repr(v)
+
+
 def family_to_string(fam: CoefficientFamily) -> str:
     """Serialize as ``family-id(param=value, ...)``, omitting zero defaults."""
     defaults = _FAMILY_DEFAULTS[fam.family]
     parts = [
-        f"{k}={fam.params[k]:g}"
+        f"{k}={format_float(fam.params[k])}"
         for k in _FAMILY_PARAMS[fam.family]
         if fam.params[k] != defaults[k] or fam.family == "constant" and k == "c"
     ]

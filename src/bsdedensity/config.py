@@ -20,6 +20,7 @@ from .coeffs import (
     affine,
     constant,
     family_to_string,
+    format_float,
     parse_family,
 )
 from .errors import CoefficientError, ConfigError
@@ -116,7 +117,6 @@ _SCHEMA: dict[str, tuple] = {
     "verify.positivity_noise_floor": (_parse_float, 0.0),
     "verify.z_grid_points": (_parse_int, 321),
     "output.dir": (str, "out"),
-    "run.workers": (_parse_int, 1),
     "run.dump_ensemble": (_parse_bool, False),
 }
 
@@ -198,8 +198,6 @@ def _validate(cfg: ExperimentConfig) -> None:
                 "verify.z_grid_points"):
         if v[key] < 1:
             raise ConfigError(f"{key} must be >= 1")
-    if v["run.workers"] < 1:
-        raise ConfigError("run.workers must be >= 1")
     targets = {t.strip() for t in v["gest.targets"].split(",") if t.strip()}
     if not targets <= {"y", "z"}:
         raise ConfigError("gest.targets must be a comma list drawn from: y, z")
@@ -244,9 +242,9 @@ def _format_value(key: str, v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, tuple):
-        return ", ".join(f"{x:g}" for x in v)
+        return ", ".join(format_float(x) for x in v)
     if isinstance(v, float):
-        return f"{v:g}"
+        return format_float(v)
     return str(v)
 
 

@@ -42,10 +42,6 @@ __all__ = [
     "PathEnsemble",
     "MalliavinTableau",
     "simulate_forward",
-    "malliavin_first_U",
-    "malliavin_first_X",
-    "malliavin_second_U",
-    "malliavin_second_X",
     "dump_ensemble",
     "load_ensemble",
 ]
@@ -119,13 +115,44 @@ def _draw_increments(master_seed: int, n_paths: int, n_steps: int, dt: float) ->
     return rng.standard_normal((n_paths, n_steps)) * np.sqrt(dt)
 
 
+def _euler_lamperti(
+    problem: ProblemSpec, grid: TimeGrid, dW: np.ndarray, lmap: LampertiMap
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Euler-Maruyama on U = g(X) driven by the increments ``dW``.
+
+    Steps whose U would leave the image of the certified box are clamped just
+    inside it.  Returns W, U, X and the number of clamp events per path.
+    """
+    n_paths, n = dW.shape
+    dt = grid.dt
+    glo, ghi = lmap.g_range
+    margin = 1e-9 * (ghi - glo)
+    W = np.empty((n_paths, n + 1))
+    U = np.empty((n_paths, n + 1))
+    X = np.empty((n_paths, n + 1))
+    W[:, 0] = 0.0
+    U[:, 0] = lmap.transform(problem.x0)
+    X[:, 0] = problem.x0
+    hits = np.zeros(n_paths, dtype=np.int64)
+    for i in range(n):
+        drift = lmap.beta(X[:, i])
+        u_next = U[:, i] + drift * dt + dW[:, i]
+        out = (u_next < glo + margin) | (u_next > ghi - margin)
+        if out.any():
+            hits += out
+            u_next = np.clip(u_next, glo + margin, ghi - margin)
+        U[:, i + 1] = u_next
+        W[:, i + 1] = W[:, i] + dW[:, i]
+        X[:, i + 1] = lmap.inverse_transform(u_next)
+    return W, U, X, hits
+
+
 def simulate_forward(
     problem: ProblemSpec,
     grid: TimeGrid,
     n_paths: int,
     seed: int,
     lamperti_map: LampertiMap | None = None,
-    workers: int = 1,
     max_flagged_fraction: float = 0.01,
 ) -> PathEnsemble:
     """Simulate the forward diffusion by Euler-Maruyama on U = g(X).
@@ -133,49 +160,13 @@ def simulate_forward(
     Paths whose U leaves the image of the certified box are clamped, flagged
     and excluded from the returned ensemble; if more than
     ``max_flagged_fraction`` of paths are flagged the run fails.
-
-    ``workers`` only controls the chunking of the path-parallel sweep; chunks
-    are merged in fixed path order, so results are bit-identical for any
-    worker count.
     """
     if n_paths < 1:
         raise SimulationError("n_paths must be >= 1")
     lmap = lamperti_map or LampertiMap(problem.sigma, problem.b, problem.box)
-    n = grid.n_steps
-    dt = grid.dt
-    dW = _draw_increments(seed, n_paths, n, dt)
-
-    u0 = lmap.transform(problem.x0)
-    glo, ghi = lmap.g_range
-    margin = 1e-9 * (ghi - glo)
-
-    W = np.empty((n_paths, n + 1))
-    U = np.empty((n_paths, n + 1))
-    X = np.empty((n_paths, n + 1))
-    flagged = np.zeros(n_paths, dtype=bool)
-
-    workers = max(1, int(workers))
-    bounds = np.linspace(0, n_paths, workers + 1).astype(int)
-    for w in range(workers):
-        lo_row, hi_row = bounds[w], bounds[w + 1]
-        if hi_row == lo_row:
-            continue
-        rows = slice(lo_row, hi_row)
-        W[rows, 0] = 0.0
-        U[rows, 0] = u0
-        X[rows, 0] = problem.x0
-        dWc = dW[rows]
-        for i in range(n):
-            drift = lmap.beta(X[rows, i])
-            u_next = U[rows, i] + drift * dt + dWc[:, i]
-            out = (u_next < glo + margin) | (u_next > ghi - margin)
-            if out.any():
-                flagged[lo_row + np.nonzero(out)[0]] = True
-                u_next = np.clip(u_next, glo + margin, ghi - margin)
-            U[rows, i + 1] = u_next
-            W[rows, i + 1] = W[rows, i] + dWc[:, i]
-            X[rows, i + 1] = lmap.inverse_transform(u_next)
-
+    dW = _draw_increments(seed, n_paths, grid.n_steps, grid.dt)
+    W, U, X, hits = _euler_lamperti(problem, grid, dW, lmap)
+    flagged = hits > 0
     n_flagged = int(flagged.sum())
     if n_flagged > max_flagged_fraction * n_paths:
         raise SimulationError(
@@ -306,30 +297,6 @@ class MalliavinTableau:
         return self.sigX[:, t_idx] * np.exp(self.A[:, t_idx] - self.A[:, theta_idx])
 
 
-def malliavin_first_U(tab: MalliavinTableau, path: int, theta_idx: int, t_idx: int) -> float:
-    """D_theta U_t: exponential of the trapezoid quadrature of (beta o g^-1)'."""
-    return tab.first_u(path, theta_idx, t_idx)
-
-
-def malliavin_first_X(tab: MalliavinTableau, path: int, theta_idx: int, t_idx: int) -> float:
-    """D_theta X_t = sigma(X_t) D_theta U_t."""
-    return tab.first_x(path, theta_idx, t_idx)
-
-
-def malliavin_second_U(
-    tab: MalliavinTableau, path: int, theta_idx: int, t_idx: int, s_idx: int
-) -> float:
-    """D2_{theta,t} U_s; (theta, t) are canonicalized to (min, max)."""
-    return tab.second_u(path, theta_idx, t_idx, s_idx)
-
-
-def malliavin_second_X(
-    tab: MalliavinTableau, path: int, theta_idx: int, t_idx: int, s_idx: int
-) -> float:
-    """D2_{theta,t} X_s = (sigma' sigma)(X_s) DU DU + sigma(X_s) D2U."""
-    return tab.second_x(path, theta_idx, t_idx, s_idx)
-
-
 # ---------------------------------------------------------------------------
 # Binary ensemble dump (little-endian, layout documented in the README)
 # ---------------------------------------------------------------------------
@@ -358,19 +325,27 @@ def dump_ensemble(ens: PathEnsemble, path: str | Path) -> None:
 
 def load_ensemble(path: str | Path) -> PathEnsemble:
     """Read an ensemble written by :func:`dump_ensemble`."""
-    with open(path, "rb") as fh:
-        head = fh.read(struct.calcsize(_HEADER_FMT))
-        magic, version, n_steps, n_paths, n_requested, T, x0, seed, n_flagged = (
-            struct.unpack(_HEADER_FMT, head)
+    raw = Path(path).read_bytes()
+    head_size = struct.calcsize(_HEADER_FMT)
+    if len(raw) < head_size:
+        raise SimulationError(f"{path} is shorter than an ensemble dump header")
+    magic, version, n_steps, n_paths, n_requested, T, x0, seed, n_flagged = (
+        struct.unpack_from(_HEADER_FMT, raw)
+    )
+    if magic != _MAGIC or version != _VERSION:
+        raise SimulationError(f"{path} is not a version-{_VERSION} ensemble dump")
+    n = n_steps
+    width = n + 3 * (n + 1)
+    expected = head_size + 8 * n_paths * (1 + width)
+    if len(raw) != expected:
+        raise SimulationError(
+            f"{path} holds {len(raw)} bytes; a dump of {n_paths} paths x "
+            f"{n_steps} steps needs {expected}"
         )
-        if magic != _MAGIC or version != _VERSION:
-            raise SimulationError(f"{path} is not a version-{_VERSION} ensemble dump")
-        path_ids = np.frombuffer(fh.read(8 * n_paths), dtype="<u8")
-        n = n_steps
-        width = n + 3 * (n + 1)
-        data = np.frombuffer(fh.read(8 * n_paths * width), dtype="<f8").reshape(
-            n_paths, width
-        )
+    path_ids = np.frombuffer(raw, dtype="<u8", count=n_paths, offset=head_size)
+    data = np.frombuffer(raw, dtype="<f8", offset=head_size + 8 * n_paths).reshape(
+        n_paths, width
+    )
     grid = TimeGrid(T, n_steps)
     return PathEnsemble(
         grid=grid,

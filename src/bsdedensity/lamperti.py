@@ -20,14 +20,7 @@ import numpy as np
 from .coeffs import CoefficientFamily, eval_derivative, lie_bracket, iterated_bracket
 from .errors import DomainError
 
-__all__ = [
-    "LampertiMap",
-    "transform",
-    "inverse_transform",
-    "beta",
-    "beta_prime_sigma",
-    "beta_comp_second",
-]
+__all__ = ["LampertiMap"]
 
 
 class LampertiMap:
@@ -237,22 +230,3 @@ class LampertiMap:
         s3 = eval_derivative(self.sigma, 3, x)
         return iterated_bracket(self.sigma, self.b, x) / s - 0.5 * (s3 * s + s2 * s1) * s
 
-
-def transform(lmap: LampertiMap, x):
-    return lmap.transform(x)
-
-
-def inverse_transform(lmap: LampertiMap, u):
-    return lmap.inverse_transform(u)
-
-
-def beta(lmap: LampertiMap, x):
-    return lmap.beta(x)
-
-
-def beta_prime_sigma(lmap: LampertiMap, x):
-    return lmap.beta_prime_sigma(x)
-
-
-def beta_comp_second(lmap: LampertiMap, x):
-    return lmap.beta_comp_second(x)

@@ -285,8 +285,10 @@ def gaussian_envelopes(
     """Build the density envelopes from the estimated constants.
 
     lower(z) <= upper(z) everywhere is an exact algebraic consequence of
-    gamma_min^2 <= gamma_max^2 and is asserted at construction.
+    gamma_min^2 <= gamma_max^2 and is checked at construction.
     """
+    if not np.all(np.isfinite([mean, abs_moment, gamma_min_sq, gamma_max_sq])):
+        raise DomainError("envelope mean, E|F - EF| and constants must be finite")
     if gamma_min_sq <= 0 or gamma_max_sq <= 0:
         raise DomainError("envelope constants must be positive")
     if abs_moment <= 0:
@@ -310,5 +312,6 @@ def gaussian_envelopes(
         alt_lower=alt_lower,
         alt_upper=alt_upper,
     )
-    assert np.all(env.lower <= env.upper * (1 + 1e-15))
+    if not np.all(env.lower <= env.upper * (1 + 1e-15)):
+        raise DomainError("lower envelope exceeds the upper envelope")
     return env

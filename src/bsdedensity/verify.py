@@ -153,7 +153,9 @@ def envelope_check(
     scale-free across problems and tol = 0 already tolerates pure estimation
     error.  Violation magnitudes are reported relative to the upper envelope.
     The verdict passes iff the violation fraction on each side is at most
-    ``max_violation_fraction``.
+    ``max_violation_fraction``.  A NaN tol, or a non-finite KDE value,
+    envelope value or KDE error budget in the comparison range, raises
+    DomainError; tol = inf (accept everything) is allowed.
     """
     if not 0 < quantile_range < 1:
         raise DomainError("quantile_range must lie in (0, 1)")
@@ -168,11 +170,11 @@ def envelope_check(
     dens = kde_est.density[mask]
     lower = env.lower[mask]
     upper = env.upper[mask]
-    slack = (
-        tol * upper
-        + 3.0 * kde_est.standard_error()[mask]
-        + kde_est.bias_estimate()[mask]
-    )
+    se = kde_est.standard_error()[mask]
+    bias = kde_est.bias_estimate()[mask]
+    if np.isnan(tol) or not all(np.isfinite(a).all() for a in (dens, lower, upper, se, bias)):
+        raise DomainError("non-finite KDE, envelope or slack in the comparison range")
+    slack = tol * upper + 3.0 * se + bias
 
     low_excess = (lower - slack) - dens
     high_excess = dens - (upper + slack)

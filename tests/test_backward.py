@@ -12,11 +12,7 @@ from bsdedensity.coeffs import (
 from bsdedensity.backward import (
     BackwardTableau,
     RegressionBasis,
-    clark_ocone_Z,
     girsanov_reduce,
-    malliavin_first_Y,
-    malliavin_first_Z,
-    malliavin_second_Y,
     solve_bsde,
 )
 from bsdedensity.errors import OrderingError, SolverError
@@ -67,11 +63,11 @@ def test_martingale_case(ens, lmap):
     assert abs(sol.Z[:, i].mean() - 1.0) < 0.02
     # D xi = 1 and the driver vanishes: every representation is exact
     assert np.abs(tab.dy_all(GRID.index_of(0.2), i) - 1.0).max() < 1e-10
-    assert abs(malliavin_first_Y(tab, 3, GRID.index_of(0.2), i) - 1.0) < 1e-10
+    assert abs(tab.dy_all(GRID.index_of(0.2), i)[3] - 1.0) < 1e-10
     assert np.abs(tab.z_clark_all(i) - 1.0).max() < 1e-10
     assert np.abs(tab.dz_all(GRID.index_of(0.2), i)).max() < 1e-10
-    assert abs(clark_ocone_Z(tab, 5, i) - 1.0) < 1e-10
-    assert abs(malliavin_first_Z(tab, 5, GRID.index_of(0.2), i)) < 1e-10
+    assert abs(tab.z_clark_all(i)[5] - 1.0) < 1e-10
+    assert abs(tab.dz_all(GRID.index_of(0.2), i)[5]) < 1e-10
 
 
 def test_constant_terminal(ens):
@@ -104,8 +100,8 @@ def test_quadratic_terminal_second_order(ens, lmap):
     i = GRID.index_of(0.5)
     d2 = tab.d2y_all(GRID.index_of(0.2), GRID.index_of(0.4), GRID.index_of(0.6))
     assert np.abs(d2 - 1.0).max() < 1e-10
-    assert abs(malliavin_second_Y(tab, 7, GRID.index_of(0.2), GRID.index_of(0.4),
-                                  GRID.index_of(0.6)) - 1.0) < 1e-10
+    assert abs(tab.d2y_all(GRID.index_of(0.2), GRID.index_of(0.4),
+                           GRID.index_of(0.6))[7] - 1.0) < 1e-10
     dz = tab.dz_all(GRID.index_of(0.2), i)
     assert np.abs(dz - 1.0).max() < 1e-10
     # solver Z and Clark-Ocone Z both track W_t

@@ -108,15 +108,14 @@ def test_determinism_bytes(tmp_path):
             assert a == b, name
 
 
-def test_worker_count_invariance(tmp_path):
-    cfg_path = _write(tmp_path, SMALL_CFG)
-    main(["run", str(cfg_path), "--out", str(tmp_path / "w1"), "--workers", "1"])
-    main(["run", str(cfg_path), "--out", str(tmp_path / "w4"), "--workers", "4"])
-    for name in os.listdir(tmp_path / "w1"):
-        if name.endswith(".csv"):
-            assert (tmp_path / "w1" / name).read_bytes() == (
-                tmp_path / "w4" / name
-            ).read_bytes(), name
+def test_full_run_ignores_stale_hypothesis_report(tmp_path):
+    out = str(tmp_path / "o")
+    bad = _write(tmp_path, "model.sigma = affine(b=1)\n", "bad.txt")
+    assert main(["run", str(bad), "--out", out]) == 1
+    good = _write(tmp_path, SMALL_CFG)
+    assert main(["run", str(good), "--out", out]) == 0
+    rep = json.loads((tmp_path / "o" / "hypothesis_report.json").read_text())
+    assert rep["checks"]["H3"]["status"] == "pass"
 
 
 def test_staged_execution_matches_full(tmp_path):
@@ -201,3 +200,22 @@ def test_basis_kind_spellings(tmp_path):
     assert cfg["basis.kind"] == "polynomial-in-xw"
     cfg2 = parse_config(_write(tmp_path, "basis.kind = polynomial-in-xw\n", "c2.txt"))
     assert cfg2["basis.kind"] == "polynomial-in-xw"
+
+
+def test_config_echo_round_trip(tmp_path):
+    cfg = parse_config(_write(
+        tmp_path, "model.sigma = constant(c=1.00000123)\nverify.tol = 0.1234567891\n"
+    ))
+    echo = config_echo(cfg)
+    assert "model.sigma = constant(c=1.00000123)\n" in echo
+    assert "verify.tol = 0.1234567891\n" in echo
+    again = parse_config(_write(tmp_path, echo, "echo.txt"))
+    assert again.values == cfg.values
+    assert config_echo(again) == echo
+
+
+def test_workers_key_is_unknown(tmp_path):
+    cfg_path = _write(tmp_path, "run.workers = 1\n")
+    with pytest.raises(ConfigError, match="unknown key"):
+        parse_config(cfg_path)
+    assert main(["run", str(cfg_path)]) == 2

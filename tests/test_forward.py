@@ -8,10 +8,6 @@ from bsdedensity.forward import (
     TimeGrid,
     dump_ensemble,
     load_ensemble,
-    malliavin_first_U,
-    malliavin_first_X,
-    malliavin_second_U,
-    malliavin_second_X,
     simulate_forward,
 )
 from bsdedensity.lamperti import LampertiMap
@@ -54,13 +50,11 @@ def test_constant_drift_mean(driftless):
     assert abs(m - 1.0) < 3 * 2.0 / np.sqrt(ens.n_paths)
 
 
-def test_determinism_and_worker_invariance(driftless):
+def test_determinism(driftless):
     prob, grid, ens = driftless
     again = simulate_forward(prob, grid, 20000, seed=7)
     assert np.array_equal(ens.X, again.X)
     assert np.array_equal(ens.dW, again.dW)
-    chunked = simulate_forward(prob, grid, 20000, seed=7, workers=5)
-    assert np.array_equal(ens.X, chunked.X)
 
 
 def test_tableau_ou_exact():
@@ -71,9 +65,9 @@ def test_tableau_ou_exact():
     tab = MalliavinTableau(ens, lmap, prob)
     th, ti = grid.index_of(0.2), grid.index_of(1.0)
     # (beta' sigma) = -kappa exactly, so the tableau quadrature is exact
-    assert malliavin_first_U(tab, 0, th, ti) == pytest.approx(np.exp(-0.4), abs=1e-12)
-    assert malliavin_first_X(tab, 3, th, ti) == pytest.approx(np.exp(-0.4), abs=1e-12)
-    assert malliavin_first_U(tab, 0, 300, 300) == 1.0
+    assert tab.first_u(0, th, ti) == pytest.approx(np.exp(-0.4), abs=1e-12)
+    assert tab.first_x(3, th, ti) == pytest.approx(np.exp(-0.4), abs=1e-12)
+    assert tab.first_u(0, 300, 300) == 1.0
 
 
 def test_tableau_constant_coefficients(driftless):
@@ -82,10 +76,10 @@ def test_tableau_constant_coefficients(driftless):
     ens = simulate_forward(prob, grid, 30, seed=5)
     lmap = LampertiMap(prob.sigma, prob.b, prob.box)
     tab = MalliavinTableau(ens, lmap, prob)
-    assert malliavin_first_U(tab, 0, 10, 40) == 1.0
-    assert malliavin_first_X(tab, 0, 10, 40) == 2.0
-    assert malliavin_second_U(tab, 0, 5, 20, 45) == 0.0
-    assert malliavin_second_X(tab, 0, 5, 20, 45) == 0.0
+    assert tab.first_u(0, 10, 40) == 1.0
+    assert tab.first_x(0, 10, 40) == 2.0
+    assert tab.second_u(0, 5, 20, 45) == 0.0
+    assert tab.second_x(0, 5, 20, 45) == 0.0
 
 
 def test_du_positive_and_log_additive():
@@ -97,9 +91,9 @@ def test_du_positive_and_log_additive():
     mat = tab.first_u_matrix(grid.n_steps)
     assert np.all(mat > 0)
     for p in (0, 17):
-        a = malliavin_first_U(tab, p, 20, 80)
-        b = malliavin_first_U(tab, p, 80, 150)
-        c = malliavin_first_U(tab, p, 20, 150)
+        a = tab.first_u(p, 20, 80)
+        b = tab.first_u(p, 80, 150)
+        c = tab.first_u(p, 20, 150)
         assert a * b == pytest.approx(c, rel=1e-12)
 
 
@@ -108,11 +102,11 @@ def test_triangularity_errors(driftless):
     lmap = LampertiMap(prob.sigma, prob.b, prob.box)
     tab = MalliavinTableau(ens, lmap, prob)
     with pytest.raises(OrderingError):
-        malliavin_first_U(tab, 0, 10, 5)
+        tab.first_u(0, 10, 5)
     with pytest.raises(OrderingError):
-        malliavin_second_U(tab, 0, 50, 100, 80)  # s < max(theta, t)
+        tab.second_u(0, 50, 100, 80)  # s < max(theta, t)
     with pytest.raises(OrderingError):
-        malliavin_first_X(tab, 0, 0, grid.n_steps + 1)
+        tab.first_x(0, 0, grid.n_steps + 1)
 
 
 def test_second_order_zero_cases(driftless):
@@ -120,7 +114,7 @@ def test_second_order_zero_cases(driftless):
     lmap = LampertiMap(prob.sigma, prob.b, prob.box)
     tab = MalliavinTableau(ens, lmap, prob)
     # t = s gives an empty integral
-    assert malliavin_second_U(tab, 0, 10, 50, 50) == 0.0
+    assert tab.second_u(0, 10, 50, 50) == 0.0
 
 
 def test_second_order_symmetry_under_swap():
@@ -129,8 +123,8 @@ def test_second_order_symmetry_under_swap():
     ens = simulate_forward(prob, grid, 10, seed=123)
     lmap = LampertiMap(prob.sigma, prob.b, prob.box)
     tab = MalliavinTableau(ens, lmap, prob)
-    a = malliavin_second_X(tab, 2, 40, 100, 180)
-    b = malliavin_second_X(tab, 2, 100, 40, 180)
+    a = tab.second_x(2, 40, 100, 180)
+    b = tab.second_x(2, 100, 40, 180)
     assert a == b
 
 
@@ -151,7 +145,7 @@ def test_second_order_finite_difference_oracle():
             dw[tti - 1] += s2 * eps
             vals[(s1, s2)] = euler_u_flow(dw, lmap, prob.x0, grid.dt)[ssi]
     fd = (vals[(1, 1)] - vals[(1, -1)] - vals[(-1, 1)] + vals[(-1, -1)]) / (4 * eps**2)
-    ana = malliavin_second_U(tab, p, thi, tti, ssi)
+    ana = tab.second_u(p, thi, tti, ssi)
     assert fd != 0
     assert abs(ana - fd) / abs(fd) < 0.05
 
@@ -181,8 +175,8 @@ def test_second_order_nonnegative_under_h6():
         th, tt = sorted(rng.integers(0, 100, 2))
         s = int(rng.integers(tt, 101))
         p = int(rng.integers(0, 20))
-        assert malliavin_second_U(tab, p, th, tt, s) >= -eps
-        assert malliavin_second_X(tab, p, th, tt, s) >= -eps
+        assert tab.second_u(p, th, tt, s) >= -eps
+        assert tab.second_x(p, th, tt, s) >= -eps
 
 
 def test_flagged_paths_excluded_and_error():
@@ -212,6 +206,18 @@ def test_dump_load_roundtrip(tmp_path, driftless):
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b"NOTMAGIC" + b"\0" * 64)
         load_ensemble(bad)
+
+
+def test_truncated_dump_rejected(tmp_path):
+    prob = _problem(constant(0), constant(1))
+    ens = simulate_forward(prob, TimeGrid(1.0, 30), 50, seed=99)
+    path = tmp_path / "ens.bin"
+    dump_ensemble(ens, path)
+    raw = path.read_bytes()
+    for cut in (raw[:-100], raw[:20], raw + b"\0" * 8):
+        path.write_bytes(cut)
+        with pytest.raises(SimulationError):
+            load_ensemble(path)
 
 
 def test_time_grid():

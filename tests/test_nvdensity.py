@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from bsdedensity.coeffs import Driver, ProblemSpec, affine, constant
-from bsdedensity.backward import RegressionBasis, make_y_phi_sampler
-from bsdedensity.errors import DomainError
+from bsdedensity.backward import RegressionBasis, make_phi_sampler
+from bsdedensity.errors import DomainError, SolverError
 from bsdedensity.forward import TimeGrid, _draw_increments
 from bsdedensity.nvdensity import (
     derivative_bound_constants,
@@ -66,7 +66,7 @@ def test_estimate_g_pipeline_reduction():
     grid = TimeGrid(1.0, 50)
     t_idx = grid.index_of(0.5)
     basis = RegressionBasis("polynomial-in-x", 3)
-    sampler = make_y_phi_sampler(prob, grid, basis, t_idx)
+    sampler = make_phi_sampler(prob, grid, basis, t_idx, "Y")
     incs = _draw_increments(5, 3000, 50, grid.dt)
     theta_w = np.full(t_idx + 1, grid.dt)
     theta_w[0] = theta_w[-1] = 0.5 * grid.dt
@@ -77,6 +77,13 @@ def test_estimate_g_pipeline_reduction():
                      wprime_seed=11)
     ok = est.reliable
     assert np.abs(est.g_values[ok] - 0.5).max() < 0.02
+
+
+def test_phi_sampler_component_validation():
+    prob = ProblemSpec(0.0, 1.0, constant(0), constant(1), Driver(),
+                       "phi-of-wt", affine(a=0, b=1), box=(-12, 12))
+    with pytest.raises(SolverError, match="component"):
+        make_phi_sampler(prob, TimeGrid(1.0, 10), RegressionBasis("polynomial-in-x", 3), 5, "X")
 
 
 def _smooth_phi_case(n_outer=3000, n_steps=40):
@@ -188,6 +195,23 @@ def test_gaussian_envelopes_contract_violations():
         gaussian_envelopes(0.0, 0.0, 1.0, 1.0, z)
     with pytest.raises(DomainError):
         gaussian_envelopes(0.0, 0.5, 2.0, 1.0, z)
+
+
+def test_gaussian_envelopes_non_finite_inputs():
+    z = np.linspace(-1, 1, 11)
+    for args in [
+        (0.0, 0.5, np.nan, 1.0),
+        (0.0, 0.5, 0.5, np.nan),
+        (0.0, 0.5, 0.5, np.inf),
+        (np.nan, 0.5, 1.0, 1.0),
+        (0.0, np.nan, 1.0, 1.0),
+        (0.0, np.inf, 1.0, 1.0),
+    ]:
+        with pytest.raises(DomainError):
+            gaussian_envelopes(*args, z)
+    # a NaN grid point fails the lower <= upper check
+    with pytest.raises(DomainError):
+        gaussian_envelopes(0.0, 0.5, 1.0, 1.0, np.array([0.0, np.nan]))
 
 
 def test_silverman_bandwidth():

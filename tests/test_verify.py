@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.stats import norm
@@ -95,6 +97,18 @@ def test_envelope_check_grid_mismatch():
                               env.z_grid[:-1])
     with pytest.raises(DomainError):
         envelope_check(est, env2)
+
+
+def test_envelope_check_rejects_nan():
+    est, env = _matched_case(n=5000)
+    nan_kde = replace(est, density=np.full_like(est.density, np.nan))
+    with pytest.raises(DomainError, match="non-finite"):
+        envelope_check(nan_kde, env)
+    nan_env = replace(env, upper=np.full_like(env.upper, np.nan))
+    with pytest.raises(DomainError, match="non-finite"):
+        envelope_check(est, nan_env)
+    with pytest.raises(DomainError, match="non-finite"):
+        envelope_check(est, env, tol=np.nan)
 
 
 def test_positivity_report():
