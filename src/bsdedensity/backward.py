@@ -69,52 +69,80 @@ class RegressionBasis:
 
 
 class _StepDesign:
-    """Design matrix at one time step: standardized centered monomials."""
+    """Design matrix at one time step: standardized centered monomials.
+
+    The standardization (``meta``) and the column means are kept, so fitted
+    coefficients can be evaluated on states other than the fitting sample.
+    """
 
     def __init__(self, basis: RegressionBasis, x: np.ndarray,
                  w: np.ndarray | None, ridge: float, step: int):
         self.step = step
         self.ridge = ridge
-        cols = [np.ones_like(x)]
-        self.meta: dict[str, float] = {}
-
-        def standardized(v: np.ndarray, tag: str) -> np.ndarray:
-            mu = float(v.mean())
-            sd = float(v.std())
-            self.meta[f"{tag}_mean"] = mu
-            self.meta[f"{tag}_std"] = sd
-            return (v - mu) / sd if sd > 0 else np.zeros_like(v)
-
-        xs = standardized(x, "x")
         if basis.kind == "polynomial-in-x":
-            powers = [(p, 0) for p in range(1, basis.degree + 1)]
-            ws = None
+            self.powers = [(p, 0) for p in range(1, basis.degree + 1)]
+            w = None
         else:
             if w is None:
                 raise SolverError("polynomial-in-xw basis needs the W path")
-            ws = standardized(w, "w")
-            powers = [
+            self.powers = [
                 (p, q)
                 for total in range(1, basis.degree + 1)
                 for p in range(total + 1)
                 if (q := total - p) >= 0
             ]
-        col_means = []
-        for p, q in powers:
-            col = xs**p if p else np.ones_like(xs)
-            if q:
-                col = col * ws**q
-            m = float(col.mean())
-            col_means.append(m)
-            cols.append(col - m)  # centered: the intercept reproduces constants exactly
-        self.powers = powers
-        self.col_means = col_means
+        self.meta: dict[str, float] = {}
+        for tag, v in (("x", x), ("w", w)):
+            if v is not None:
+                self.meta[f"{tag}_mean"] = float(v.mean())
+                self.meta[f"{tag}_std"] = float(v.std())
+        cols, self.col_means = self._columns(x, w)
         self.D = np.column_stack(cols)
         gram = self.D.T @ self.D
         p = gram.shape[0]
         pen = np.zeros(p)
         pen[1:] = ridge
         self.gram = gram + np.diag(pen)
+
+    def _standardized(self, v: np.ndarray, tag: str) -> np.ndarray:
+        mu = self.meta[f"{tag}_mean"]
+        sd = self.meta[f"{tag}_std"]
+        return (v - mu) / sd if sd > 0 else np.zeros_like(v)
+
+    def _columns(self, x: np.ndarray, w: np.ndarray | None,
+                 col_means: list[float] | None = None) -> tuple[list[np.ndarray], list[float]]:
+        """Intercept and centered monomial columns at the states (x, w).
+
+        The column means are taken from these states unless ``col_means``
+        supplies the fitting sample's.  ``w`` is ignored by a basis in x only.
+        """
+        xs = self._standardized(x, "x")
+        ws = self._standardized(w, "w") if "w_std" in self.meta else None
+        cols = [np.ones_like(x)]
+        means = []
+        for k, (p, q) in enumerate(self.powers):
+            col = xs**p if p else np.ones_like(xs)
+            if q:
+                col = col * ws**q
+            m = float(col.mean()) if col_means is None else col_means[k]
+            means.append(m)
+            cols.append(col - m)  # centered: the intercept reproduces constants exactly
+        return cols, means
+
+    def evaluate(self, coeffs: np.ndarray, x: np.ndarray,
+                 w: np.ndarray | None) -> np.ndarray:
+        """The fitted function with coefficients ``coeffs`` ((p,) or (p, k))
+        at new states, through the fitting sample's standardization.
+
+        The columns are accumulated by elementwise products, so each output
+        row depends on its own state only; a BLAS matrix product may change
+        its summation order with the number of rows.
+        """
+        cols, _ = self._columns(x, w, self.col_means)
+        out = 0.0
+        for col, c in zip(cols, coeffs):
+            out = out + np.multiply.outer(col, c)
+        return out
 
     def fit(self, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Least squares of targets on the design; returns (fitted, coeffs).
@@ -414,12 +442,12 @@ class BackwardTableau:
             )
         return self._designs[t_idx]
 
-    def _fit(self, t_idx: int, target: np.ndarray) -> np.ndarray:
+    def _fit(self, t_idx: int, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(fitted, coeffs) of the measure-weighted regression at step t_idx."""
         lam = self.shift.weight_to_horizon(self.ens, t_idx)
         if lam is not None:
-            target = target * lam
-        fitted, _ = self._design(t_idx).fit(target)
-        return fitted
+            target = target * (lam[:, None] if target.ndim == 2 else lam)
+        return self._design(t_idx).fit(target)
 
     def _exp_E_tail(self, t_idx: int) -> np.ndarray | float:
         """exp(int_t^T f_y ds) per path (1.0 when the driver has no y-part)."""
@@ -443,9 +471,13 @@ class BackwardTableau:
     # -- D_theta Y_t ------------------------------------------------------------
 
     def dy_fits(self, t_idx: int) -> tuple[np.ndarray, np.ndarray]:
-        """Fitted pair (c1, c2) with D_theta Y_t = c1 + exp(-A_theta) c2."""
+        """Fitted pair (c1, c2) with D_theta Y_t = c1 + exp(-A_theta) c2.
+
+        The cache also keeps the regression coefficients of the pair as one
+        (p, 2) array (None at the terminal node, where nothing is fitted).
+        """
         if t_idx in self._dy_fits:
-            return self._dy_fits[t_idx]
+            return self._dy_fits[t_idx][0]
         ens, ftab = self.ens, self.ftab
         n = self.n
         exp_tail = self._exp_E_tail(t_idx)
@@ -474,16 +506,22 @@ class BackwardTableau:
             # conditioning on F_T is the identity
             c1 = c1_target if c1_target is not None else np.zeros(N)
             c2 = c2_target if c2_target is not None else np.zeros(N)
+            coeffs = None
         else:
-            c1 = self._fit(t_idx, c1_target) if c1_target is not None else np.zeros(N)
-            c2 = self._fit(t_idx, c2_target) if c2_target is not None else np.zeros(N)
-        self._dy_fits[t_idx] = (c1, c2)
+            # separate c1 and c2 solves: a fused two-column solve moves the
+            # fitted values at the ulp level
+            coeffs = np.zeros((self._design(t_idx).gram.shape[0], 2))
+            c1, c2 = np.zeros(N), np.zeros(N)
+            if c1_target is not None:
+                c1, coeffs[:, 0] = self._fit(t_idx, c1_target)
+            if c2_target is not None:
+                c2, coeffs[:, 1] = self._fit(t_idx, c2_target)
+        self._dy_fits[t_idx] = ((c1, c2), coeffs)
         return c1, c2
 
     def dy_matrix(self, t_idx: int) -> np.ndarray:
         """D_theta Y_t for all theta <= t: shape (n_paths, t_idx + 1)."""
-        c1, c2 = self.dy_fits(t_idx)
-        return c1[:, None] + np.exp(-self.ftab.A[:, : t_idx + 1]) * c2[:, None]
+        return _dy_row(*self.dy_fits(t_idx), self.ftab.A, t_idx)
 
     def dy_all(self, theta_idx: int, t_idx: int) -> np.ndarray:
         self._check_row(theta_idx, t_idx)
@@ -691,9 +729,9 @@ class BackwardTableau:
             dep = dep + tail("x_dx")
             free = free + tail("y_g1")
             dep = dep + tail("y_g2")
-            out = self._fit(t_idx, free) + np.exp(-ftab.A[:, t_idx]) * self._fit(
+            out = self._fit(t_idx, free)[0] + np.exp(-ftab.A[:, t_idx]) * self._fit(
                 t_idx, dep
-            )
+            )[0]
         else:
             out = free + np.exp(-ftab.A[:, n]) * dep
         self._z_clark[t_idx] = out
@@ -720,10 +758,11 @@ class BackwardTableau:
                         + e^{-A_theta - A_t} (d - B_t e).
 
         The structure mirrors :meth:`d2y_fits`: every F_t-measurable history
-        factor multiplies its fitted component pathwise.
+        factor multiplies its fitted component pathwise.  The cache also keeps
+        the (p, 4) regression coefficients (None at the terminal node).
         """
         if t_idx in self._dz_fits:
-            return self._dz_fits[t_idx]
+            return self._dz_fits[t_idx][0]
         ens, ftab = self.ens, self.ftab
         n = self.n
         N = ens.n_paths
@@ -760,14 +799,11 @@ class BackwardTableau:
 
         if t_idx == n:
             fits = (ta, tbc, td, te)
+            coeffs = None
         else:
-            targets = np.column_stack([ta, tbc, td, te])
-            lam = self.shift.weight_to_horizon(ens, t_idx)
-            if lam is not None:
-                targets = targets * lam[:, None]
-            fitted, _ = self._design(t_idx).fit(targets)
+            fitted, coeffs = self._fit(t_idx, np.column_stack([ta, tbc, td, te]))
             fits = (fitted[:, 0], fitted[:, 1], fitted[:, 2], fitted[:, 3])
-        self._dz_fits[t_idx] = fits
+        self._dz_fits[t_idx] = (fits, coeffs)
         return fits
 
     def _dz_inner(self, fd: np.ndarray, fe: np.ndarray, t_idx: int) -> np.ndarray:
@@ -778,10 +814,7 @@ class BackwardTableau:
     def dz_matrix(self, t_idx: int) -> np.ndarray:
         """D_theta Z_t for all theta <= t: shape (n_paths, t_idx + 1)."""
         fa, fbc, fd, fe = self.dz_fits(t_idx)
-        ea_th = np.exp(-self.ftab.A[:, : t_idx + 1])
-        ea_t = np.exp(-self.ftab.A[:, t_idx])[:, None]
-        inner = self._dz_inner(fd, fe, t_idx)[:, None]
-        return fa[:, None] + (ea_th + ea_t) * fbc[:, None] + ea_th * ea_t * inner
+        return _dz_row(fa, fbc, self._dz_inner(fd, fe, t_idx), self.ftab.A, t_idx)
 
     def dz_all(self, theta_idx: int, t_idx: int) -> np.ndarray:
         self._check_row(theta_idx, t_idx)
@@ -789,6 +822,20 @@ class BackwardTableau:
         ea_th = np.exp(-self.ftab.A[:, theta_idx])
         ea_t = np.exp(-self.ftab.A[:, t_idx])
         return fa + (ea_th + ea_t) * fbc + ea_th * ea_t * self._dz_inner(fd, fe, t_idx)
+
+
+def _dy_row(c1: np.ndarray, c2: np.ndarray, A: np.ndarray, t_idx: int) -> np.ndarray:
+    """D_theta Y_t = c1 + e^{-A_theta} c2 for all theta <= t."""
+    return c1[:, None] + np.exp(-A[:, : t_idx + 1]) * c2[:, None]
+
+
+def _dz_row(fa: np.ndarray, fbc: np.ndarray, inner: np.ndarray, A: np.ndarray,
+            t_idx: int) -> np.ndarray:
+    """D_theta Z_t = a + (e^{-A_theta} + e^{-A_t}) bc + e^{-A_theta - A_t} inner
+    for all theta <= t, where inner = d - B_t e."""
+    ea_th = np.exp(-A[:, : t_idx + 1])
+    ea_t = np.exp(-A[:, t_idx])[:, None]
+    return fa[:, None] + (ea_th + ea_t) * fbc[:, None] + ea_th * ea_t * inner[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -829,30 +876,52 @@ def ensemble_from_increments(
     )
 
 
-def make_phi_sampler(
-    problem: ProblemSpec,
-    grid: TimeGrid,
-    basis: RegressionBasis,
-    t_idx: int,
-    component: str,
-    lamperti_map: LampertiMap | None = None,
-):
+def make_phi_sampler(btab: BackwardTableau, t_idx: int, component: str):
     """Sampler evaluating theta -> D_theta Y_t or D_theta Z_t on arbitrary
     increment matrices; ``component`` is "Y" or "Z".
 
-    Replays the forward simulation, the backward solve and the derivative
-    tableau on the supplied increments; used as the Phi-sampler of the
-    Nourdin-Viens g-estimator.
+    By the Markov property the coefficients of the row (c1, c2 for Y, the
+    quadruple for Z) are deterministic functions of the time-t state, and
+    ``btab`` has fitted them on the whole main-run ensemble.  A call runs the
+    forward sweep on the supplied increments, builds the forward tableau's
+    A (and B_t only when the fitted e-coefficients are non-zero), evaluates
+    the frozen fits at the new time-t states and assembles the row with the
+    main run's formula.  Output row i depends on increment row i only.  The
+    Girsanov weights of a linear z-driver are already inside the fits.
+
+    The sampler's ``n_clamped`` attribute counts the clamp events of all its
+    forward sweeps.  The terminal node has no regression to freeze and is
+    refused with a SolverError.
     """
     if component not in ("Y", "Z"):
         raise SolverError(f"component must be 'Y' or 'Z'; got {component!r}")
-    lmap = lamperti_map or LampertiMap(problem.sigma, problem.b, problem.box)
+    grid = btab.ens.grid
+    if t_idx == btab.n:
+        raise SolverError(
+            f"t index {t_idx} is the terminal node t = {t_idx * grid.dt:g}, where "
+            f"D_theta {component}_t has no fitted regression to evaluate; the "
+            "g-estimator needs an eval time that snaps below T"
+        )
+    if component == "Y":
+        btab.dy_fits(t_idx)
+        coeffs = btab._dy_fits[t_idx][1]
+    else:
+        btab.dz_fits(t_idx)
+        coeffs = btab._dz_fits[t_idx][1]
+    design = btab._design(t_idx)
+    problem, lmap = btab.problem, btab.ftab.lmap
 
     def sampler(increments: np.ndarray) -> np.ndarray:
         ens = ensemble_from_increments(problem, grid, increments, lmap)
-        sol = solve_bsde(ens, problem, basis)
-        ftab = MalliavinTableau(ens, lmap, sol.reduced)
-        btab = BackwardTableau(ens, sol, ftab)
-        return btab.dy_matrix(t_idx) if component == "Y" else btab.dz_matrix(t_idx)
+        sampler.n_clamped += ens.n_flagged
+        ftab = MalliavinTableau(ens, lmap, problem)
+        fits = design.evaluate(coeffs, ens.X[:, t_idx], ens.W[:, t_idx])
+        if component == "Y":
+            return _dy_row(fits[:, 0], fits[:, 1], ftab.A, t_idx)
+        inner = fits[:, 2]
+        if coeffs[:, 3].any():  # B is built only when the e-fit is non-zero
+            inner = inner - ftab.B[:, t_idx] * fits[:, 3]
+        return _dz_row(fits[:, 0], fits[:, 1], inner, ftab.A, t_idx)
 
+    sampler.n_clamped = 0
     return sampler

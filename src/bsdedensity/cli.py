@@ -24,7 +24,7 @@ from .backward import (
 )
 from .config import ExperimentConfig, config_echo, parse_config
 from .coeffs import check_hypotheses
-from .errors import BsdeDensityError, StageError
+from .errors import BsdeDensityError, SolverError, StageError
 from .forward import (
     MalliavinTableau,
     TimeGrid,
@@ -306,22 +306,15 @@ class Experiment:
     def _g_estimate(self, name: str, t: float, t_idx: int, comp: dict) -> dict:
         cfg = self.cfg
         n_outer = min(cfg["gest.n_outer"], self.ens.n_paths)
-        phi_sampler = make_phi_sampler(self.problem, self.grid, self.basis, t_idx, name,
-                                       lamperti_map=self._ensure_lamperti())
+        try:
+            phi_sampler = make_phi_sampler(self.btab, t_idx, name)
+        except SolverError as exc:
+            raise SolverError(f"g-estimate at eval time {t:g}: {exc}") from exc
         values = self.sol.Y if name == "Y" else self.sol.Z
         samples = values[:n_outer, t_idx]
-        deriv = (self.btab.dy_matrix(t_idx) if name == "Y"
-                 else self.btab.dz_matrix(t_idx))[:n_outer]
-        base = self.ens.dW[:n_outer]
 
         def f_sampler(incs):
             return samples
-
-        def phi_of(incs):
-            # the unshifted call reuses the full-accuracy main-run derivative row
-            if incs is base:
-                return deriv
-            return phi_sampler(incs)
 
         spread = float(samples.std())
         x_grid = np.linspace(-2.0 * spread, 2.0 * spread, cfg["gest.n_x_grid"])
@@ -329,11 +322,11 @@ class Experiment:
         theta_w[0] = theta_w[-1] = 0.5 * self.grid.dt
         est = estimate_g(
             f_sampler,
-            phi_of,
+            phi_sampler,
             x_grid,
             n_outer,
             cfg["gest.n_inner"],
-            base_increments=base,
+            base_increments=self.ens.dW[:n_outer],
             increment_scale=np.sqrt(self.grid.dt),
             theta_weights=theta_w,
             wprime_seed=self.seed + 0x5754,
@@ -359,6 +352,7 @@ class Experiment:
             "n_inner": est.n_inner,
             "bandwidth": est.bandwidth,
             "n_reliable": int(reliable.sum()),
+            "n_replay_clamped": phi_sampler.n_clamped,
             "band_check": "pass" if bool(within) else "fail",
         }
 

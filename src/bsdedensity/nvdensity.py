@@ -139,8 +139,8 @@ def estimate_g(
         raise DomainError("n_outer must be at least the number of batches")
     if base_increments.shape[0] < n_outer:
         raise DomainError("base_increments has fewer rows than n_outer")
-    # keep the caller's array object when it already has n_outer rows, so
-    # samplers can recognize the unshifted pass by identity
+    # keep the caller's array object when it already has n_outer rows: the
+    # perfbench tracer tells the unshifted pass from the replays by identity
     W = (
         base_increments
         if base_increments.shape[0] == n_outer

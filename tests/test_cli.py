@@ -79,6 +79,11 @@ def test_run_y_oracle_exit_zero(tmp_path):
     meta = json.loads((out / "run_metadata.json").read_text())
     assert meta["verdicts"]["density_Y_t0.5"] == "pass"
     assert meta["verdicts"]["density_Z_t0.5"] == "not-applicable"
+    # unit diffusion: the replays never leave the working box
+    gest = json.loads((out / "density_meta.json").read_text())["per_t"]["0.5"]["Y"]["gest"]
+    assert type(gest["n_replay_clamped"]) is int
+    assert gest["n_replay_clamped"] == 0
+    assert meta["per_t"]["0.5"]["Y"]["gest"] == gest
     summary_header = (out / "tableaux_summary.csv").read_text().splitlines()[0]
     assert summary_header.startswith("t,theta,dx_mean")
 
@@ -219,3 +224,13 @@ def test_workers_key_is_unknown(tmp_path):
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config(cfg_path)
     assert main(["run", str(cfg_path)]) == 2
+
+
+def test_gest_at_terminal_node_exits_2(tmp_path, capsys):
+    # t = 0.9 snaps to the terminal node t = 1 of a two-step grid
+    text = "mc.n_paths = 4000\ngest.n_outer = 1000\ngrid.n_steps = 2\neval.times = 0.9\n"
+    cfg_path = _write(tmp_path, text)
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "eval time 0.9" in err and "terminal node t = 1" in err
+    assert not (tmp_path / "o" / "run_metadata.json").exists()

@@ -1,10 +1,17 @@
 import numpy as np
 import pytest
 
-from bsdedensity.coeffs import Driver, ProblemSpec, affine, constant
-from bsdedensity.backward import RegressionBasis, make_phi_sampler
+from bsdedensity.coeffs import Driver, ProblemSpec, affine, constant, quadratic, trig_affine
+from bsdedensity.backward import (
+    BackwardTableau,
+    RegressionBasis,
+    ensemble_from_increments,
+    make_phi_sampler,
+    solve_bsde,
+)
 from bsdedensity.errors import DomainError, SolverError
-from bsdedensity.forward import TimeGrid, _draw_increments
+from bsdedensity.forward import MalliavinTableau, TimeGrid, _draw_increments, simulate_forward
+from bsdedensity.lamperti import LampertiMap
 from bsdedensity.nvdensity import (
     derivative_bound_constants,
     estimate_g,
@@ -59,15 +66,25 @@ def test_estimate_g_flat_phi_exact():
     assert est.n_effective.max() <= 4000
 
 
-def test_estimate_g_pipeline_reduction():
-    # F = Y_t for the zero-driver W_T terminal: Phi is identically 1 on [0, t]
+def _tableau(prob, ens, basis):
+    lmap = LampertiMap(prob.sigma, prob.b, prob.box)
+    sol = solve_bsde(ens, prob, basis)
+    return BackwardTableau(ens, sol, MalliavinTableau(ens, lmap, sol.reduced))
+
+
+def _brownian_tableau(incs, grid):
     prob = ProblemSpec(0.0, 1.0, constant(0), constant(1), Driver(),
                        "phi-of-wt", affine(a=0, b=1), box=(-12, 12))
+    ens = ensemble_from_increments(prob, grid, incs)
+    return _tableau(prob, ens, RegressionBasis("polynomial-in-x", 3))
+
+
+def test_estimate_g_pipeline_reduction():
+    # F = Y_t for the zero-driver W_T terminal: Phi is identically 1 on [0, t]
     grid = TimeGrid(1.0, 50)
     t_idx = grid.index_of(0.5)
-    basis = RegressionBasis("polynomial-in-x", 3)
-    sampler = make_phi_sampler(prob, grid, basis, t_idx, "Y")
     incs = _draw_increments(5, 3000, 50, grid.dt)
+    sampler = make_phi_sampler(_brownian_tableau(incs, grid), t_idx, "Y")
     theta_w = np.full(t_idx + 1, grid.dt)
     theta_w[0] = theta_w[-1] = 0.5 * grid.dt
     f = lambda w: w[:, :t_idx].sum(axis=1)  # noqa: E731
@@ -80,10 +97,68 @@ def test_estimate_g_pipeline_reduction():
 
 
 def test_phi_sampler_component_validation():
-    prob = ProblemSpec(0.0, 1.0, constant(0), constant(1), Driver(),
-                       "phi-of-wt", affine(a=0, b=1), box=(-12, 12))
+    grid = TimeGrid(1.0, 10)
+    btab = _brownian_tableau(_draw_increments(5, 200, 10, grid.dt), grid)
     with pytest.raises(SolverError, match="component"):
-        make_phi_sampler(prob, TimeGrid(1.0, 10), RegressionBasis("polynomial-in-x", 3), 5, "X")
+        make_phi_sampler(btab, 5, "X")
+    # the terminal node has no fitted regression to freeze
+    for comp in ("Y", "Z"):
+        with pytest.raises(SolverError, match="terminal node t = 1"):
+            make_phi_sampler(btab, 10, comp)
+
+
+def _s2_problem(alpha=0.0):
+    return ProblemSpec(
+        x0=0.0, T=1.0, b=trig_affine(c=0.3), sigma=trig_affine(a=2, b=0.5),
+        driver=Driver(f_of_x=affine(b=0.1), f_of_y=trig_affine(c=0.2), alpha=alpha),
+        terminal="phi-of-xt", phi=trig_affine(c=0.1, d=1), box=(-12, 12),
+    )
+
+
+FROZEN_CASES = {
+    # nonlinear f(x, y) and sigma: the D_theta Z row needs B_t
+    "s2": (_s2_problem(), RegressionBasis("polynomial-in-x", 4)),
+    # linear z-term: Girsanov weights inside the fitted coefficients
+    "s2-alpha": (_s2_problem(alpha=0.3), RegressionBasis("polynomial-in-x", 4)),
+    # xi = W_T^2 / 2 on the (x, w) basis
+    "xw": (
+        ProblemSpec(0.0, 1.0, constant(0), constant(1), Driver(), "phi-of-wt",
+                    quadratic(c=0.5), box=(-12, 12)),
+        RegressionBasis("polynomial-in-xw", 4),
+    ),
+}
+FROZEN_GRID = TimeGrid(1.0, 20)
+
+
+@pytest.fixture(scope="module", params=sorted(FROZEN_CASES))
+def frozen_case(request):
+    prob, basis = FROZEN_CASES[request.param]
+    ens = simulate_forward(prob, FROZEN_GRID, 4000, 3)
+    return ens, _tableau(prob, ens, basis)
+
+
+@pytest.mark.parametrize("component", ["Y", "Z"])
+def test_frozen_sampler_reproduces_main_run_rows(frozen_case, component):
+    ens, btab = frozen_case
+    t_idx = FROZEN_GRID.index_of(0.5)
+    m = 500
+    sampler = make_phi_sampler(btab, t_idx, component)
+    ref = (btab.dy_matrix if component == "Y" else btab.dz_matrix)(t_idx)[:m]
+    got = sampler(ens.dW[:m])
+    assert got.shape == ref.shape
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("component", ["Y", "Z"])
+def test_frozen_sampler_is_row_wise(frozen_case, component):
+    ens, btab = frozen_case
+    m = 500
+    rng = np.random.default_rng(8)
+    incs = mehler_shift(ens.dW[:m], rng.standard_normal((m, FROZEN_GRID.n_steps))
+                        * np.sqrt(FROZEN_GRID.dt), 0.7)
+    rows = np.array([3, 17, 5, 400, 0, 499, 250])
+    sampler = make_phi_sampler(btab, FROZEN_GRID.index_of(0.5), component)
+    assert np.array_equal(sampler(incs[rows]), sampler(incs)[rows])
 
 
 def _smooth_phi_case(n_outer=3000, n_steps=40):
