@@ -25,13 +25,14 @@ number of regressions independent of theta.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, replace, field
 
 import numpy as np
 
 from .coeffs import Driver, ProblemSpec, eval_derivative
 from .errors import OrderingError, SolverError
-from .forward import MalliavinTableau, PathEnsemble, TimeGrid, _cumtrapz, _euler_lamperti
+from .forward import MalliavinTableau, PathEnsemble, TimeGrid, _euler_lamperti
 from .lamperti import LampertiMap
 
 __all__ = [
@@ -68,6 +69,11 @@ class RegressionBasis:
             raise SolverError("ridge must be >= 0")
 
 
+def _require_finite(values, what: str, step: int) -> None:
+    if not np.isfinite(values).all():
+        raise SolverError(f"non-finite {what} at time step {step}")
+
+
 class _StepDesign:
     """Design matrix at one time step: standardized centered monomials.
 
@@ -94,6 +100,7 @@ class _StepDesign:
         self.meta: dict[str, float] = {}
         for tag, v in (("x", x), ("w", w)):
             if v is not None:
+                _require_finite(v, f"{tag} state entering the regression", step)
                 self.meta[f"{tag}_mean"] = float(v.mean())
                 self.meta[f"{tag}_std"] = float(v.std())
         cols, self.col_means = self._columns(x, w)
@@ -301,6 +308,8 @@ def solve_bsde(
     Z = np.empty((N, n + 1))
     Y[:, n] = terminal_values(reduced, ens)
     Z[:, n] = _terminal_z(reduced, ens)
+    _require_finite(Y[:, n], "terminal value Y_T", n)
+    _require_finite(Z[:, n], "terminal value Z_T", n)
 
     lam = shift.step_weights(ens)
     dW_tilde = shift.shifted_increments(ens)
@@ -340,6 +349,8 @@ def solve_bsde(
                 if delta <= picard_tol:
                     break
         Y[:, i] = y
+        _require_finite(y, "Y", i)
+        _require_finite(zfit, "Z", i)
         records[i] = {
             "step": i,
             "coeffs_y": coef_y,
@@ -365,13 +376,52 @@ def solve_bsde(
 # ---------------------------------------------------------------------------
 
 
-class BackwardTableau:
-    """D_theta Y, D2_{theta,t} Y, Clark-Ocone Z and D_theta Z along the ensemble.
+@dataclass(frozen=True)
+class _Row:
+    """The fits the tableau keeps at one declared time index.
 
-    All representations are conditional expectations estimated on the same
-    regression basis as the solver.  Results are cached per time index; a
-    cached row yields the entries for every theta at once because each target
-    is affine in exp(-A_theta).
+    ``design`` and the coefficient arrays are None at the terminal node,
+    where conditioning on F_T is the identity and nothing is fitted.
+    """
+
+    design: _StepDesign | None
+    dy: tuple[np.ndarray, np.ndarray]
+    dy_coeffs: np.ndarray | None
+    d2y: tuple[np.ndarray, ...]
+    z_clark: np.ndarray
+    dz: tuple[np.ndarray, ...]
+    dz_coeffs: np.ndarray | None
+
+
+class BackwardTableau:
+    """D_theta Y, D2_{theta,t} Y, Clark-Ocone Z and D_theta Z at declared times.
+
+    Each representation is a conditional expectation of a tail integral
+    int_t^T of path integrands, estimated on the solver's regression basis.
+    With G = (c1, c2) the D_theta Y fits, F the D2Y fits and
+
+        h = (f_yy G1^2,  f_xy se G1 + f_yy G1 G2,
+             2 f_xy se G2 + f_yy G2^2 + f_xx se^2 + f_x sigma' sigma e^{2A}
+             + f_x se B,  f_x se),                    se = sigma e^A,
+
+    one backward pass from T down to the smallest declared index carries
+    three running trapezoid tails, O(n_paths) state each:
+
+    * the tail of h discounted by exp(int f_y): the D2Y targets, and in its
+      last column the D_theta Y integral;
+    * the plain tail of h + f_y F: the D_theta Z targets;
+    * the plain tail of (f_y G1, f_x se + f_y G2): the Clark-Ocone Z targets.
+
+    A tail obeys T_s = d_s (T_{s+1} + dt/2 h_{s+1}) + dt/2 h_s with the local
+    discount d_s = exp(dt/2 (f_y(s) + f_y(s+1))) (d_s = 1 for plain tails),
+    so no cumulative path matrix is formed.  G and F are fitted at undeclared
+    steps only when f_y is present, since only the f_y terms carry them to
+    earlier times.
+
+    Only the rows at ``t_indices`` are kept; a row yields the entries for
+    every theta <= t at once because each target is affine in exp(-A_theta).
+    An undeclared index raises OrderingError, a non-finite kept row
+    SolverError.
     """
 
     def __init__(
@@ -379,86 +429,173 @@ class BackwardTableau:
         ens: PathEnsemble,
         sol: BackwardSolution,
         forward_tab: MalliavinTableau,
+        t_indices: Iterable[int],
     ):
         self.ens = ens
         self.sol = sol
         self.ftab = forward_tab
-        self.problem = sol.reduced
+        self.problem = problem = sol.reduced
         self.shift = sol.shift
         self.basis = sol.basis
-        grid = ens.grid
-        self.n = grid.n_steps
-        self.dt = grid.dt
+        self.n = n = ens.grid.n_steps
+        self.dt = ens.grid.dt
+        declared = {int(t) for t in t_indices}
+        if not declared or min(declared) < 0 or max(declared) > n:
+            raise OrderingError(
+                f"declared t indices {sorted(declared)} must be a non-empty subset of 0..{n}"
+            )
+        self._rows: dict[int, _Row] = {}
 
-        driver = self.problem.driver
-        X, Y = ens.X, sol.Y
-        self._has_fy = driver.f_of_y is not None or driver.cross_x is not None
-        self._has_fx = driver.f_of_x is not None or driver.cross_x is not None
-        self._driver = driver
-        self.fy = driver.fy(X, Y) if self._has_fy else None
-        self.Ecum = _cumtrapz(self.fy, self.dt) if self.fy is not None else None
-        self._expA: np.ndarray | None = None
+        drv = problem.driver
+        has_fy = drv.f_of_y is not None or drv.cross_x is not None
+        has_fx = drv.f_of_x is not None or drv.cross_x is not None
+        ftab, X, Y, A = forward_tab, ens.X, sol.Y, forward_tab.A
+        need_w = self.basis.kind == "polynomial-in-xw"
+        N = ens.n_paths
+        half = 0.5 * self.dt
+        zero = np.zeros(N)
 
-        # terminal data
-        phi = self.problem.phi
-        if self.problem.terminal == "phi-of-wt":
-            self.phi1_T = eval_derivative(phi, 1, ens.W[:, -1])
-            self.phi2_T = eval_derivative(phi, 2, ens.W[:, -1])
+        # terminal data, undiscounted: D_T xi as the (free, exp(-A_theta))
+        # pair, D2 xi as the (a, bc, d, e) quadruple
+        wt = problem.terminal == "phi-of-wt"
+        if wt:
+            phi1 = eval_derivative(problem.phi, 1, ens.W[:, n])
+            dxi = (phi1, zero)
+            d2xi = np.stack([eval_derivative(problem.phi, 2, ens.W[:, n]), zero, zero, zero])
         else:
-            self.phi1_T = eval_derivative(phi, 1, ens.X[:, -1])
-            self.phi2_T = eval_derivative(phi, 2, ens.X[:, -1])
+            xT = X[:, n]
+            phi1 = eval_derivative(problem.phi, 1, xT)
+            sig, eA = ftab.sigX[:, n], np.exp(A[:, n])
+            sA = sig * eA
+            sig1 = eval_derivative(problem.sigma, 1, xT)
+            dxi = (zero, phi1 * sig * eA)
+            d2xi = np.stack([
+                zero,
+                zero,
+                eval_derivative(problem.phi, 2, xT) * sA**2
+                + phi1 * sig1 * sig * eA**2 + phi1 * sA * ftab.B[:, n],
+                phi1 * sA,
+            ])
 
-        self._designs: dict[int, _StepDesign] = {}
-        self._dy_fits: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._d2y_fits: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
-        self._dz_fits: dict[int, tuple[np.ndarray, ...]] = {}
-        self._z_clark: dict[int, np.ndarray] = {}
-        self._dy_int_cum: np.ndarray | None = None
-        self._G: tuple[np.ndarray, np.ndarray] | None = None
-        self._d2y_cums: dict[str, np.ndarray] | None = None
-        self._plain_cums: dict[str, np.ndarray] | None = None
-        self._plain_has_second = False
-        self._F: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
+        d2y_tail = np.zeros((4, N))  # discounted tail of h
+        dz_tail = np.zeros((4, N))   # plain tail of h + f_y F
+        z_tail = np.zeros((2, N))    # plain tail of (f_y G1, f_x se + f_y G2)
+        discount = 1.0               # exp(int_s^T f_y)
+        active = not drv.is_zero     # a zero driver keeps every tail zero
+        for s in range(n, min(declared) - 1, -1):
+            keep = s in declared
+            if not (keep or active):
+                continue
+            carry = active and s < n
+            x, y = X[:, s], Y[:, s]
+            design = None
+            if s < n and (keep or has_fy):
+                w = ens.W[:, s] if need_w else None
+                design = _StepDesign(self.basis, x, w, sol.ridge_used, s)
+            fy = drv.fy(x, y) if has_fy else None
+            h = np.zeros((4, N))
+            if has_fx:
+                fx = drv.fx(x, y)
+                sig, eA = ftab.sigX[:, s], np.exp(A[:, s])
+                se = sig * eA
+                h[3] = fx * se
+                h[2] = drv.fxx(x, y) * se**2
+                if fx.any():  # B is built only when f_x is non-zero
+                    sig1 = eval_derivative(problem.sigma, 1, x)
+                    h[2] += h[3] * (sig1 * eA + ftab.B[:, s])
+            if carry:
+                d = np.exp(half * (fy + fy_next)) if has_fy else 1.0
+                discount = d * discount
+                carried = d * (d2y_tail + half * h_next)
+
+            G = None
+            if keep or has_fy:
+                c1_t = discount * phi1 if wt else None
+                c2_t = None if wt else discount * dxi[1]
+                if has_fx:
+                    integral = carried[3] + half * h[3] if carry else zero
+                    c2_t = integral if c2_t is None else c2_t + integral
+                G, dy_coeffs = self._fit_pair(design, s, c1_t, c2_t)
+            if has_fy:
+                g1, g2 = G
+                fyy = drv.fyy(x, y)
+                h[0] = fyy * g1 * g1
+                h[1] = fyy * g1 * g2
+                h[2] += fyy * g2 * g2
+                if drv.cross_x is not None:
+                    fxy_se = drv.fxy(x, y) * se
+                    h[1] += fxy_se * g1
+                    h[2] += 2.0 * fxy_se * g2
+            if carry:
+                d2y_tail = carried + half * h
+
+            if keep or has_fy:
+                F, _ = self._fit_rows(design, s, discount * d2xi + d2y_tail)
+            if active:
+                p = h + fy * F if has_fy else h
+                c = np.stack([fy * g1, h[3] + fy * g2]) if has_fy else np.stack([zero, h[3]])
+                if carry:
+                    dz_tail = dz_tail + half * (p_next + p)
+                    z_tail = z_tail + half * (c_next + c)
+                fy_next, h_next, p_next, c_next = fy, h, p, c
+
+            if keep:
+                dz, dz_coeffs = self._fit_rows(design, s, d2xi + dz_tail)
+                free, dep = dxi[0] + z_tail[0], dxi[1] + z_tail[1]
+                if design is None:
+                    zc = free + np.exp(-A[:, n]) * dep
+                else:
+                    zc = (self._fit(design, s, free)[0]
+                          + np.exp(-A[:, s]) * self._fit(design, s, dep)[0])
+                for name, v in (("D_theta Y", G), ("D2 Y", F), ("Clark-Ocone Z", zc),
+                                ("D_theta Z", dz)):
+                    _require_finite(v, f"{name} row", s)
+                self._rows[s] = _Row(design, G, dy_coeffs, tuple(F), zc, tuple(dz), dz_coeffs)
 
     # -- plumbing -------------------------------------------------------------
 
-    @property
-    def expA(self) -> np.ndarray:
-        # only needed when DX rows enter a target; skip the allocation for
-        # zero-driver W_T-terminal problems
-        if self._expA is None:
-            self._expA = np.exp(self.ftab.A)
-        return self._expA
-
-    def _design(self, t_idx: int) -> _StepDesign:
-        if t_idx not in self._designs:
-            need_w = self.basis.kind == "polynomial-in-xw"
-            self._designs[t_idx] = _StepDesign(
-                self.basis,
-                self.ens.X[:, t_idx],
-                self.ens.W[:, t_idx] if need_w else None,
-                self.sol.ridge_used,
-                t_idx,
-            )
-        return self._designs[t_idx]
-
-    def _fit(self, t_idx: int, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(fitted, coeffs) of the measure-weighted regression at step t_idx."""
-        lam = self.shift.weight_to_horizon(self.ens, t_idx)
+    def _fit(self, design: _StepDesign, s: int,
+             target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(fitted, coeffs) of the measure-weighted regression at step s."""
+        lam = self.shift.weight_to_horizon(self.ens, s)
         if lam is not None:
             target = target * (lam[:, None] if target.ndim == 2 else lam)
-        return self._design(t_idx).fit(target)
+        return design.fit(target)
 
-    def _exp_E_tail(self, t_idx: int) -> np.ndarray | float:
-        """exp(int_t^T f_y ds) per path (1.0 when the driver has no y-part)."""
-        if self.Ecum is None:
-            return 1.0
-        return np.exp(self.Ecum[:, self.n] - self.Ecum[:, t_idx])
+    def _fit_pair(self, design: _StepDesign | None, s: int, c1_t: np.ndarray | None,
+                  c2_t: np.ndarray | None) -> tuple[tuple[np.ndarray, np.ndarray],
+                                                    np.ndarray | None]:
+        """The D_theta Y pair (c1, c2) and its (p, 2) coefficients; a missing
+        target is identically zero and is not fitted."""
+        zero = np.zeros(self.ens.n_paths)
+        if design is None:  # conditioning on F_T is the identity
+            return (zero if c1_t is None else c1_t, zero if c2_t is None else c2_t), None
+        # separate c1 and c2 solves: a fused two-column solve moves the
+        # fitted values at the ulp level
+        coeffs = np.zeros((design.gram.shape[0], 2))
+        c1, c2 = zero, zero
+        if c1_t is not None:
+            c1, coeffs[:, 0] = self._fit(design, s, c1_t)
+        if c2_t is not None:
+            c2, coeffs[:, 1] = self._fit(design, s, c2_t)
+        return (c1, c2), coeffs
 
-    def _exp_E_minus(self, t_idx: int) -> np.ndarray | float:
-        if self.Ecum is None:
-            return 1.0
-        return np.exp(-self.Ecum[:, t_idx])
+    def _fit_rows(self, design: _StepDesign | None, s: int,
+                  targets: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """One simultaneous fit of the (k, n_paths) targets: ((k, n_paths)
+        fitted values, (p, k) coefficients)."""
+        if design is None:
+            return targets, None
+        fitted, coeffs = self._fit(design, s, np.column_stack(targets))
+        return fitted.T, coeffs
+
+    def _row(self, t_idx: int) -> _Row:
+        try:
+            return self._rows[t_idx]
+        except KeyError:
+            raise OrderingError(
+                f"t index {t_idx} was not declared; this tableau keeps {sorted(self._rows)}"
+            ) from None
 
     def _check_row(self, theta_idx: int, t_idx: int) -> None:
         if not (0 <= theta_idx <= self.n and 0 <= t_idx <= self.n):
@@ -471,53 +608,8 @@ class BackwardTableau:
     # -- D_theta Y_t ------------------------------------------------------------
 
     def dy_fits(self, t_idx: int) -> tuple[np.ndarray, np.ndarray]:
-        """Fitted pair (c1, c2) with D_theta Y_t = c1 + exp(-A_theta) c2.
-
-        The cache also keeps the regression coefficients of the pair as one
-        (p, 2) array (None at the terminal node, where nothing is fitted).
-        """
-        if t_idx in self._dy_fits:
-            return self._dy_fits[t_idx][0]
-        ens, ftab = self.ens, self.ftab
-        n = self.n
-        exp_tail = self._exp_E_tail(t_idx)
-
-        if self._has_fx:
-            if self._dy_int_cum is None:
-                fx = self._driver.fx(ens.X, self.sol.Y)
-                expE = np.exp(self.Ecum) if self.Ecum is not None else 1.0
-                self._dy_int_cum = _cumtrapz(expE * fx * ftab.sigX * self.expA, self.dt)
-            integral = (
-                self._dy_int_cum[:, n] - self._dy_int_cum[:, t_idx]
-            ) * self._exp_E_minus(t_idx)
-        else:
-            integral = None
-
-        if self.problem.terminal == "phi-of-wt":
-            c1_target = exp_tail * self.phi1_T
-            c2_target = integral
-        else:
-            c1_target = None
-            xi_part = exp_tail * self.phi1_T * ftab.sigX[:, n] * self.expA[:, n]
-            c2_target = xi_part if integral is None else xi_part + integral
-
-        N = ens.n_paths
-        if t_idx == n:
-            # conditioning on F_T is the identity
-            c1 = c1_target if c1_target is not None else np.zeros(N)
-            c2 = c2_target if c2_target is not None else np.zeros(N)
-            coeffs = None
-        else:
-            # separate c1 and c2 solves: a fused two-column solve moves the
-            # fitted values at the ulp level
-            coeffs = np.zeros((self._design(t_idx).gram.shape[0], 2))
-            c1, c2 = np.zeros(N), np.zeros(N)
-            if c1_target is not None:
-                c1, coeffs[:, 0] = self._fit(t_idx, c1_target)
-            if c2_target is not None:
-                c2, coeffs[:, 1] = self._fit(t_idx, c2_target)
-        self._dy_fits[t_idx] = ((c1, c2), coeffs)
-        return c1, c2
+        """Fitted pair (c1, c2) with D_theta Y_t = c1 + exp(-A_theta) c2."""
+        return self._row(t_idx).dy
 
     def dy_matrix(self, t_idx: int) -> np.ndarray:
         """D_theta Y_t for all theta <= t: shape (n_paths, t_idx + 1)."""
@@ -530,106 +622,13 @@ class BackwardTableau:
 
     # -- D2_{theta,t} Y_s ---------------------------------------------------------
 
-    def _g_matrices(self) -> tuple[np.ndarray, np.ndarray]:
-        """Path matrices G1[:, r], G2[:, r] of the D_theta Y_r fit pairs."""
-        if self._G is None:
-            N = self.ens.n_paths
-            G1 = np.empty((N, self.n + 1))
-            G2 = np.empty((N, self.n + 1))
-            for r in range(self.n + 1):
-                c1, c2 = self.dy_fits(r)
-                G1[:, r] = c1
-                G2[:, r] = c2
-            self._G = (G1, G2)
-        return self._G
-
-    def _d2y_cumulatives(self) -> dict[str, np.ndarray]:
-        """Cumulative trapezoids of every r-integrand in the D2Y representation."""
-        if self._d2y_cums is not None:
-            return self._d2y_cums
-        ens, ftab = self.ens, self.ftab
-        X, Y = ens.X, self.sol.Y
-        drv = self._driver
-        expE = np.exp(self.Ecum) if self.Ecum is not None else np.ones_like(X)
-        cums: dict[str, np.ndarray] = {}
-
-        def cum(tag: str, integrand: np.ndarray) -> None:
-            cums[tag] = _cumtrapz(expE * integrand, self.dt)
-
-        fyy = drv.fyy(X, Y) if self._has_fy else None
-        fyx = drv.fxy(X, Y) if (drv.cross_x is not None) else None
-        fxx = drv.fxx(X, Y) if self._has_fx else None
-        fx = drv.fx(X, Y) if self._has_fx else None
-        if fyy is not None and np.any(fyy):
-            G1, G2 = self._g_matrices()
-            cum("yy00", fyy * G1 * G1)
-            cum("yy01", fyy * G1 * G2)
-            cum("yy11", fyy * G2 * G2)
-        if fyx is not None and np.any(fyx):
-            G1, G2 = self._g_matrices()
-            se = ftab.sigX * self.expA
-            cum("yx1", fyx * se * G1)
-            cum("yx2", fyx * se * G2)
-        if fxx is not None and np.any(fxx):
-            cum("xx", fxx * ftab.sigX**2 * self.expA**2)
-        if fx is not None and np.any(fx):
-            cum("xa", fx * ftab.sig1X * ftab.sigX * self.expA**2)
-            cum("xb", fx * ftab.sigX * self.expA * ftab.B)
-            cum("xc", fx * ftab.sigX * self.expA)
-        self._d2y_cums = cums
-        return cums
-
-    def d2y_fits(self, s_idx: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def d2y_fits(self, s_idx: int) -> tuple[np.ndarray, ...]:
         """Fitted quadruple (f0, f12, f3, f4) with
 
         D2_{theta,t} Y_s = f0 + (e^{-A_theta} + e^{-A_t}) f12
                            + e^{-A_theta - A_t} f3 - B_t e^{-A_theta - A_t} f4.
         """
-        if s_idx in self._d2y_fits:
-            return self._d2y_fits[s_idx]
-        ens, ftab = self.ens, self.ftab
-        n = self.n
-        N = ens.n_paths
-        exp_tail = self._exp_E_tail(s_idx)
-        exp_minus = self._exp_E_minus(s_idx)
-        cums = self._d2y_cumulatives()
-
-        def tail(tag: str) -> np.ndarray | float:
-            if tag not in cums:
-                return 0.0
-            return (cums[tag][:, n] - cums[tag][:, s_idx]) * exp_minus
-
-        zero = np.zeros(N)
-        t0 = zero.copy()
-        t12 = zero.copy()
-        t3 = zero.copy()
-        t4 = zero.copy()
-        if self.problem.terminal == "phi-of-wt":
-            t0 = t0 + exp_tail * self.phi2_T
-        else:
-            sA = ftab.sigX[:, n] * self.expA[:, n]
-            t3 = t3 + exp_tail * (
-                self.phi2_T * sA**2
-                + self.phi1_T * ftab.sig1X[:, n] * ftab.sigX[:, n] * self.expA[:, n] ** 2
-                + self.phi1_T * sA * ftab.B[:, n]
-            )
-            t4 = t4 + exp_tail * self.phi1_T * sA
-        t0 = t0 + tail("yy00")
-        t12 = t12 + tail("yx1") + tail("yy01")
-        t3 = t3 + 2.0 * tail("yx2") + tail("yy11") + tail("xx") + tail("xa") + tail("xb")
-        t4 = t4 + tail("xc")
-
-        if s_idx == n:
-            fits = (t0, t12, t3, t4)
-        else:
-            targets = np.column_stack([t0, t12, t3, t4])
-            lam = self.shift.weight_to_horizon(ens, s_idx)
-            if lam is not None:
-                targets = targets * lam[:, None]
-            fitted, _ = self._design(s_idx).fit(targets)
-            fits = (fitted[:, 0], fitted[:, 1], fitted[:, 2], fitted[:, 3])
-        self._d2y_fits[s_idx] = fits
-        return fits
+        return self._row(s_idx).d2y
 
     def d2y_all(self, theta_idx: int, t_idx: int, s_idx: int) -> np.ndarray:
         lo, hi = min(theta_idx, t_idx), max(theta_idx, t_idx)
@@ -648,58 +647,6 @@ class BackwardTableau:
 
     # -- Clark-Ocone Z ------------------------------------------------------------
 
-    def _plain_cumulatives(self, with_second: bool = False) -> dict[str, np.ndarray]:
-        """Cumulative trapezoids of the unweighted s-integrands shared by the
-        Clark-Ocone Z and the D_theta Z representation.
-
-        The second-order tags (everything a D_theta Z row needs beyond
-        Clark-Ocone) are filled on first request because they pull in the
-        whole D2Y fit table."""
-        ens, ftab = self.ens, self.ftab
-        X, Y = ens.X, self.sol.Y
-        drv = self._driver
-        if self._plain_cums is None:
-            cums: dict[str, np.ndarray] = {}
-            if self._has_fx:
-                cums["x_dx"] = _cumtrapz(drv.fx(X, Y) * ftab.sigX * self.expA, self.dt)
-            if self._has_fy:
-                G1, G2 = self._g_matrices()
-                cums["y_g1"] = _cumtrapz(self.fy * G1, self.dt)
-                cums["y_g2"] = _cumtrapz(self.fy * G2, self.dt)
-            self._plain_cums = cums
-        cums = self._plain_cums
-        if with_second and not self._plain_has_second:
-            def cum(tag: str, integrand: np.ndarray) -> None:
-                cums[tag] = _cumtrapz(integrand, self.dt)
-
-            if self._has_fx:
-                fx = drv.fx(X, Y)
-                cum("x_d2a", fx * ftab.sig1X * ftab.sigX * self.expA**2)
-                cum("x_d2b", fx * ftab.sigX * self.expA * ftab.B)
-                fxx = drv.fxx(X, Y)
-                if np.any(fxx):
-                    cum("xx", fxx * ftab.sigX**2 * self.expA**2)
-            if self._has_fy:
-                G1, G2 = self._g_matrices()
-                F0, F12, F3, F4 = self._f_matrices()
-                cum("y_f0", self.fy * F0)
-                cum("y_f12", self.fy * F12)
-                cum("y_f3", self.fy * F3)
-                cum("y_f4", self.fy * F4)
-                fyy = drv.fyy(X, Y)
-                if np.any(fyy):
-                    cum("yy_11", fyy * G1 * G1)
-                    cum("yy_12", fyy * G1 * G2)
-                    cum("yy_22", fyy * G2 * G2)
-            if drv.cross_x is not None:
-                fyx = drv.fxy(X, Y)
-                G1, G2 = self._g_matrices()
-                se = ftab.sigX * self.expA
-                cum("yx_1", fyx * se * G1)
-                cum("yx_2", fyx * se * G2)
-            self._plain_has_second = True
-        return cums
-
     def z_clark_all(self, t_idx: int) -> np.ndarray:
         """Z_t = E~(D_t xi + int_t^T {f_x D_t X_s + f_y D_t Y_s} ds | F_t).
 
@@ -707,104 +654,20 @@ class BackwardTableau:
         component pathwise; only the genuinely conditional parts are
         regressed.
         """
-        if t_idx in self._z_clark:
-            return self._z_clark[t_idx]
-        ens, ftab = self.ens, self.ftab
-        n = self.n
-        N = ens.n_paths
-        free = np.zeros(N)
-        dep = np.zeros(N)
-        if self.problem.terminal == "phi-of-wt":
-            free = free + self.phi1_T
-        else:
-            dep = dep + self.phi1_T * ftab.sigX[:, n] * self.expA[:, n]
-        if t_idx < n:
-            cums = self._plain_cumulatives()
-
-            def tail(tag: str):
-                if tag not in cums:
-                    return 0.0
-                return cums[tag][:, n] - cums[tag][:, t_idx]
-
-            dep = dep + tail("x_dx")
-            free = free + tail("y_g1")
-            dep = dep + tail("y_g2")
-            out = self._fit(t_idx, free)[0] + np.exp(-ftab.A[:, t_idx]) * self._fit(
-                t_idx, dep
-            )[0]
-        else:
-            out = free + np.exp(-ftab.A[:, n]) * dep
-        self._z_clark[t_idx] = out
-        return out
+        return self._row(t_idx).z_clark
 
     # -- D_theta Z_t ----------------------------------------------------------------
 
-    def _f_matrices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Path matrices of the D2Y fit quadruple over s (used when f_y != 0)."""
-        if self._F is None:
-            N = self.ens.n_paths
-            mats = tuple(np.empty((N, self.n + 1)) for _ in range(4))
-            for s in range(self.n + 1):
-                fits = self.d2y_fits(s)
-                for m, fvals in zip(mats, fits):
-                    m[:, s] = fvals
-            self._F = mats  # type: ignore[assignment]
-        return self._F  # type: ignore[return-value]
-
-    def dz_fits(self, t_idx: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def dz_fits(self, t_idx: int) -> tuple[np.ndarray, ...]:
         """Fitted quadruple (a, bc, d, e) with
 
         D_theta Z_t = a + (e^{-A_theta} + e^{-A_t}) bc
                         + e^{-A_theta - A_t} (d - B_t e).
 
         The structure mirrors :meth:`d2y_fits`: every F_t-measurable history
-        factor multiplies its fitted component pathwise.  The cache also keeps
-        the (p, 4) regression coefficients (None at the terminal node).
+        factor multiplies its fitted component pathwise.
         """
-        if t_idx in self._dz_fits:
-            return self._dz_fits[t_idx][0]
-        ens, ftab = self.ens, self.ftab
-        n = self.n
-        N = ens.n_paths
-        zero = np.zeros(N)
-        ta, tbc, td, te = zero.copy(), zero.copy(), zero.copy(), zero.copy()
-
-        # terminal second derivative D2_{theta,t} xi (no exponential weight)
-        if self.problem.terminal == "phi-of-wt":
-            ta = ta + self.phi2_T
-        else:
-            sA = ftab.sigX[:, n] * self.expA[:, n]
-            td = td + (
-                self.phi2_T * sA**2
-                + self.phi1_T * ftab.sig1X[:, n] * ftab.sigX[:, n] * self.expA[:, n] ** 2
-                + self.phi1_T * sA * ftab.B[:, n]
-            )
-            te = te + self.phi1_T * sA
-
-        if t_idx < n and not self._driver.is_zero:
-            cums = self._plain_cumulatives(with_second=True)
-
-            def tail(tag: str):
-                if tag not in cums:
-                    return 0.0
-                return cums[tag][:, n] - cums[tag][:, t_idx]
-
-            ta = ta + tail("yy_11") + tail("y_f0")
-            tbc = tbc + tail("yx_1") + tail("yy_12") + tail("y_f12")
-            td = td + (
-                2.0 * tail("yx_2") + tail("yy_22") + tail("xx")
-                + tail("x_d2a") + tail("x_d2b") + tail("y_f3")
-            )
-            te = te + tail("x_dx") + tail("y_f4")
-
-        if t_idx == n:
-            fits = (ta, tbc, td, te)
-            coeffs = None
-        else:
-            fitted, coeffs = self._fit(t_idx, np.column_stack([ta, tbc, td, te]))
-            fits = (fitted[:, 0], fitted[:, 1], fitted[:, 2], fitted[:, 3])
-        self._dz_fits[t_idx] = (fits, coeffs)
-        return fits
+        return self._row(t_idx).dz
 
     def _dz_inner(self, fd: np.ndarray, fe: np.ndarray, t_idx: int) -> np.ndarray:
         if fe.any():  # building B is expensive; fe == 0 whenever f_x vanishes
@@ -902,13 +765,9 @@ def make_phi_sampler(btab: BackwardTableau, t_idx: int, component: str):
             f"D_theta {component}_t has no fitted regression to evaluate; the "
             "g-estimator needs an eval time that snaps below T"
         )
-    if component == "Y":
-        btab.dy_fits(t_idx)
-        coeffs = btab._dy_fits[t_idx][1]
-    else:
-        btab.dz_fits(t_idx)
-        coeffs = btab._dz_fits[t_idx][1]
-    design = btab._design(t_idx)
+    row = btab._row(t_idx)
+    design = row.design
+    coeffs = row.dy_coeffs if component == "Y" else row.dz_coeffs
     problem, lmap = btab.problem, btab.ftab.lmap
 
     def sampler(increments: np.ndarray) -> np.ndarray:

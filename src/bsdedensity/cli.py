@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +38,10 @@ from .nvdensity import derivative_bound_constants, estimate_g, gaussian_envelope
 from .verify import envelope_check, kde, positivity_report
 
 STAGES = ("hypotheses", "simulate", "density", "verify")
+# what a staged run reloads instead of recomputing
+RELOADED_ARTIFACTS = (
+    "hypothesis_report.json", "ensemble.bin", "solution.npz", "density_meta.json",
+)
 
 _DEGENERATE_STD = 1e-9
 
@@ -79,6 +84,13 @@ def _tag(t: float) -> str:
     return f"{t:g}".replace(".", "p").replace("-", "m")
 
 
+def _first_differing_key(old: str, new: str) -> str:
+    for a, b in zip(old.splitlines(), new.splitlines()):
+        if a != b:
+            return a.partition("=")[0].strip()
+    return "the key list"
+
+
 class Experiment:
     """Stage-by-stage pipeline over one configuration.
 
@@ -89,9 +101,10 @@ class Experiment:
 
     def __init__(self, cfg: ExperimentConfig, out_dir: str | None = None,
                  seed: int | None = None):
-        self.cfg = cfg
-        self.out = Path(out_dir or cfg["output.dir"])
         self.seed = int(seed if seed is not None else cfg["mc.master_seed"])
+        # the echo must reproduce the run, so it carries the effective seed
+        self.cfg = replace(cfg, values={**cfg.values, "mc.master_seed": self.seed})
+        self.out = Path(out_dir or cfg["output.dir"])
         self.problem = cfg.problem()
         self.basis = cfg.basis()
         self.grid = TimeGrid(self.problem.T, cfg["grid.n_steps"])
@@ -160,7 +173,8 @@ class Experiment:
     def _build_tableaux(self) -> None:
         lmap = self._ensure_lamperti()
         self.ftab = MalliavinTableau(self.ens, lmap, self.sol.reduced)
-        self.btab = BackwardTableau(self.ens, self.sol, self.ftab)
+        t_indices = [self.grid.index_of(t) for t in self.cfg["eval.times"]]
+        self.btab = BackwardTableau(self.ens, self.sol, self.ftab, t_indices)
 
     def _load_simulate(self) -> bool:
         ens_path = self.out / "ensemble.bin"
@@ -234,7 +248,10 @@ class Experiment:
         }
         for t in cfg["eval.times"]:
             t_idx = self.grid.index_of(t)
-            entry: dict = {"t": t, "t_index": t_idx}
+            # samples and derivative rows live on the grid node; the
+            # envelope constants must use the same time
+            t_snapped = t_idx * self.grid.T / self.grid.n_steps
+            entry: dict = {"t": t, "t_index": t_idx, "t_snapped": t_snapped}
             for name in ("Y", "Z"):
                 if not applicable[name]:
                     entry[name] = {"status": "hypotheses-not-met"}
@@ -248,7 +265,7 @@ class Experiment:
                     entry[name] = comp
                     continue
                 comp["status"] = "ok"
-                consts = derivative_bound_constants(deriv, t)
+                consts = derivative_bound_constants(deriv, t_snapped)
                 comp["constants"] = {
                     "c_hat": consts.c_hat,
                     "C_hat": consts.C_hat,
@@ -455,12 +472,24 @@ class Experiment:
         """
         if upto not in STAGES:
             raise StageError(f"unknown stage {upto!r}; choose from {STAGES}")
-        self.out.mkdir(parents=True, exist_ok=True)
-        (self.out / "effective_config.txt").write_text(
-            config_echo(self.cfg), encoding="utf-8"
-        )
         last = STAGES.index(upto)
         staged = upto != "verify"
+        self.out.mkdir(parents=True, exist_ok=True)
+        echo_path = self.out / "effective_config.txt"
+        echo = config_echo(self.cfg)
+        old = echo_path.read_text(encoding="utf-8") if echo_path.exists() else echo
+        if old != echo:
+            if staged:
+                raise StageError(
+                    f"{self.out} holds artifacts of another run: "
+                    f"{_first_differing_key(old, echo)} differs from its "
+                    "effective_config.txt; use a fresh --out"
+                )
+            # a full run recomputes every stage; drop what a later staged run
+            # would otherwise reload under the new echo
+            for name in RELOADED_ARTIFACTS:
+                (self.out / name).unlink(missing_ok=True)
+        echo_path.write_text(echo, encoding="utf-8")
 
         if not (staged and self._load_hypotheses()):
             self.stage_hypotheses()

@@ -83,8 +83,8 @@ def test_criterion_01_brownian_oracle(big_ens, unit_lmap):
     prob = _unit_problem(affine(a=0, b=1))
     sol = solve_bsde(big_ens, prob, RegressionBasis("polynomial-in-x", 4))
     ftab = MalliavinTableau(big_ens, unit_lmap, sol.reduced)
-    btab = BackwardTableau(big_ens, sol, ftab)
     i = BIG_GRID.index_of(0.5)
+    btab = BackwardTableau(big_ens, sol, ftab, [i])
     samples = sol.Y[:, i]
     grid = np.linspace(samples.min() - 0.1, samples.max() + 0.1, 321)
     est = kde(samples, grid)
@@ -170,7 +170,7 @@ def test_criterion_05_linear_driver(unit_lmap):
     ens = simulate_forward(prob, grid, 100000, seed=MASTER_SEED)
     sol = solve_bsde(ens, prob, RegressionBasis("polynomial-in-x", 4))
     ftab = MalliavinTableau(ens, unit_lmap, sol.reduced)
-    btab = BackwardTableau(ens, sol, ftab)
+    btab = BackwardTableau(ens, sol, ftab, [grid.index_of(t) for t in (0.25, 0.5, 0.75)])
     var_errs = []
     dy_errs = []
     for t in (0.25, 0.5, 0.75):
@@ -191,8 +191,8 @@ def test_criterion_06_clark_ocone_oracle(big_ens, unit_lmap):
     prob = _unit_problem(trig_affine(c=1))
     sol = solve_bsde(big_ens, prob, RegressionBasis("polynomial-in-x", 6))
     ftab = MalliavinTableau(big_ens, unit_lmap, sol.reduced)
-    btab = BackwardTableau(big_ens, sol, ftab)
     j = BIG_GRID.index_of(0.5)
+    btab = BackwardTableau(big_ens, sol, ftab, [j])
     z = btab.z_clark_all(j)
     oracle = np.cos(big_ens.W[:, j]) * np.exp(-0.25)
     rmse = float(np.sqrt(((z - oracle) ** 2).mean()))
@@ -222,8 +222,9 @@ def test_criterion_08_z_pipeline(big_ens, unit_lmap):
     prob = _unit_problem(quadratic(c=0.5))
     sol = solve_bsde(big_ens, prob, RegressionBasis("polynomial-in-x", 4))
     ftab = MalliavinTableau(big_ens, unit_lmap, sol.reduced)
-    btab = BackwardTableau(big_ens, sol, ftab)
     i = BIG_GRID.index_of(0.5)
+    rows = [BIG_GRID.index_of(t) for t in (0.25, 0.5, 0.75)]
+    btab = BackwardTableau(big_ens, sol, ftab, rows)
 
     dz_err = 0.0
     pool = []

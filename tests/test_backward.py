@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,17 +8,25 @@ from bsdedensity.coeffs import (
     ProblemSpec,
     affine,
     constant,
+    eval_derivative,
     quadratic,
     trig_affine,
 )
 from bsdedensity.backward import (
     BackwardTableau,
     RegressionBasis,
+    _StepDesign,
     girsanov_reduce,
     solve_bsde,
 )
 from bsdedensity.errors import OrderingError, SolverError
-from bsdedensity.forward import MalliavinTableau, PathEnsemble, TimeGrid, simulate_forward
+from bsdedensity.forward import (
+    MalliavinTableau,
+    PathEnsemble,
+    TimeGrid,
+    _cumtrapz,
+    simulate_forward,
+)
 from bsdedensity.lamperti import LampertiMap
 
 N_PATHS = 20000
@@ -42,10 +52,10 @@ def lmap():
     return LampertiMap(constant(1), constant(0), (-12, 12))
 
 
-def _tableau(ens, lmap, prob, basis=BASIS, **kw):
+def _tableau(ens, lmap, prob, t_indices, basis=BASIS, **kw):
     sol = solve_bsde(ens, prob, basis, **kw)
     ftab = MalliavinTableau(ens, lmap, sol.reduced)
-    return sol, BackwardTableau(ens, sol, ftab)
+    return sol, BackwardTableau(ens, sol, ftab, t_indices)
 
 
 def test_terminal_exactness_bitwise(ens):
@@ -56,8 +66,8 @@ def test_terminal_exactness_bitwise(ens):
 
 def test_martingale_case(ens, lmap):
     prob = _problem(affine(a=0, b=1))
-    sol, tab = _tableau(ens, lmap, prob)
     i = GRID.index_of(0.5)
+    sol, tab = _tableau(ens, lmap, prob, [i])
     err = sol.Y[:, i] - ens.W[:, i]
     assert np.sqrt((err**2).mean()) < 0.02 * ens.W[:, i].std()
     assert abs(sol.Z[:, i].mean() - 1.0) < 0.02
@@ -80,7 +90,7 @@ def test_constant_terminal(ens):
 def test_linear_driver_closed_form(ens, lmap):
     a = 0.5
     prob = _problem(affine(a=0, b=1), driver=Driver(f_of_y=affine(b=a)))
-    sol, tab = _tableau(ens, lmap, prob)
+    sol, tab = _tableau(ens, lmap, prob, [GRID.index_of(0.5), GRID.index_of(0.7)])
     for t in (0.25, 0.5, 0.75):
         j = GRID.index_of(t)
         target = t * np.exp(2 * a * (1 - t))
@@ -96,8 +106,8 @@ def test_linear_driver_closed_form(ens, lmap):
 
 def test_quadratic_terminal_second_order(ens, lmap):
     prob = _problem(quadratic(c=0.5))  # xi = W_T^2 / 2
-    sol, tab = _tableau(ens, lmap, prob)
     i = GRID.index_of(0.5)
+    sol, tab = _tableau(ens, lmap, prob, [i, GRID.index_of(0.6)])
     d2 = tab.d2y_all(GRID.index_of(0.2), GRID.index_of(0.4), GRID.index_of(0.6))
     assert np.abs(d2 - 1.0).max() < 1e-10
     assert abs(tab.d2y_all(GRID.index_of(0.2), GRID.index_of(0.4),
@@ -137,8 +147,9 @@ def test_girsanov_solution(ens):
 
 def test_clark_ocone_sin_terminal(ens, lmap):
     prob = _problem(trig_affine(c=1))
-    sol, tab = _tableau(ens, lmap, prob, basis=RegressionBasis("polynomial-in-x", 6))
     j = GRID.index_of(0.5)
+    sol, tab = _tableau(ens, lmap, prob, [j, GRID.n_steps],
+                        basis=RegressionBasis("polynomial-in-x", 6))
     oracle = np.cos(ens.W[:, j]) * np.exp(-0.25)
     zc = tab.z_clark_all(j)
     assert np.sqrt(((zc - oracle) ** 2).mean()) < 0.03 * oracle.std()
@@ -153,8 +164,8 @@ def test_cross_estimator_agreement(ens, lmap):
         (_problem(affine(a=0, b=1), driver=Driver(f_of_y=affine(b=0.5))),
          np.exp(0.5 * 0.5)),
     ):
-        sol, tab = _tableau(ens, lmap, prob)
         j = GRID.index_of(0.5)
+        sol, tab = _tableau(ens, lmap, prob, [j])
         diff = tab.z_clark_all(j) - sol.Z[:, j]
         assert np.sqrt((diff**2).mean()) < 0.03 * scale
 
@@ -162,8 +173,8 @@ def test_cross_estimator_agreement(ens, lmap):
 def test_dy_bounds_invariant(ens, lmap):
     a = 0.5
     prob = _problem(affine(a=0, b=1), driver=Driver(f_of_y=affine(b=a)))
-    _, tab = _tableau(ens, lmap, prob)
     j = GRID.index_of(0.5)
+    _, tab = _tableau(ens, lmap, prob, [j])
     dym = tab.dy_matrix(j)
     c_hat = np.exp(-a * 1.0) * 1.0          # e^{-sup|f_y| T} c_xi
     C_hat = np.exp(a * 1.0) * (1.0 + 0.0)   # e^{sup|f_y| T} (C_xi + T sup|f_x| C_X)
@@ -173,8 +184,8 @@ def test_dy_bounds_invariant(ens, lmap):
 
 def test_dz_convex_terminal_chain_bounds(ens, lmap):
     prob = _problem(quadratic(c=0.5))
-    _, tab = _tableau(ens, lmap, prob)
     j = GRID.index_of(0.5)
+    _, tab = _tableau(ens, lmap, prob, [j])
     dzm = tab.dz_matrix(j)
     # phi'' = 1, f = 0: the envelope constants collapse to c = C = 1
     assert np.abs(dzm - 1.0).max() < 1e-9
@@ -236,13 +247,75 @@ def test_xw_basis_runs(ens, lmap):
 
 def test_ordering_errors(ens, lmap):
     prob = _problem(affine(a=0, b=1))
-    _, tab = _tableau(ens, lmap, prob)
+    sol, tab = _tableau(ens, lmap, prob, [20, 30, 40])
     with pytest.raises(OrderingError):
         tab.dy_all(50, 20)
     with pytest.raises(OrderingError):
         tab.d2y_all(10, 60, 40)
     with pytest.raises(OrderingError):
         tab.dz_all(80, 30)
+    # only declared rows are kept
+    for row in (tab.dy_matrix, tab.d2y_fits, tab.z_clark_all, tab.dz_matrix):
+        with pytest.raises(OrderingError, match="not declared"):
+            row(21)
+    with pytest.raises(OrderingError, match="not declared"):
+        tab.dy_all(10, 21)
+    for bad in ([], [GRID.n_steps + 1], [-1, 20]):
+        with pytest.raises(OrderingError, match="declared t indices"):
+            BackwardTableau(ens, sol, tab.ftab, bad)
+
+
+def test_non_finite_values_fail_loud(lmap):
+    prob = _problem(affine(a=0, b=1), driver=Driver(f_of_y=affine(b=0.5)))
+    grid = TimeGrid(1.0, 10)
+    small = simulate_forward(prob, grid, 500, seed=1)
+    # a NaN state must not become an all-zero regression column
+    X = small.X.copy()
+    X[7, 4] = np.nan
+    bad = PathEnsemble(
+        grid=grid, n_paths=small.n_paths, master_seed=small.master_seed,
+        x0=small.x0, dW=small.dW, W=small.W, U=small.U, X=X,
+        path_ids=small.path_ids, n_flagged=0, n_requested=small.n_requested,
+    )
+    with pytest.raises(SolverError, match="non-finite x state .* time step 4"):
+        solve_bsde(bad, prob, BASIS)
+    # an overflowing driver
+    huge = _problem(affine(a=0, b=1), driver=Driver(f_of_y=affine(b=1e308)))
+    with pytest.raises(SolverError, match="non-finite Y at time step 9"), \
+            np.errstate(over="ignore", invalid="ignore"):
+        solve_bsde(small, huge, BASIS)
+    # a NaN reaching a kept tableau row through f_y(x, y)
+    curved = _problem(affine(a=0, b=1), driver=Driver(f_of_y=trig_affine(c=0.2)))
+    sol = solve_bsde(small, curved, BASIS)
+    sol.Y[3, 5] = np.nan
+    ftab = MalliavinTableau(small, lmap, sol.reduced)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(SolverError, match="non-finite D_theta Y row at time step 2"):
+            BackwardTableau(small, sol, ftab, [2])
+        BackwardTableau(small, sol, ftab, [6])  # rows after the NaN stay clean
+
+
+def test_tableau_memory_stays_linear_in_paths():
+    """The backward pass keeps O(n_paths) running state and the declared
+    rows; of the path matrices only the forward tableau's B is built."""
+    prob = ProblemSpec(
+        x0=0.0, T=1.0, b=trig_affine(c=0.3), sigma=trig_affine(a=2, b=0.5),
+        driver=Driver(f_of_x=affine(b=0.1), f_of_y=trig_affine(c=0.2)),
+        terminal="phi-of-xt", phi=trig_affine(c=0.1, d=1), box=(-12, 12),
+    )
+    ens = simulate_forward(prob, GRID, 4000, seed=5)
+    sol = solve_bsde(ens, prob, BASIS)
+    ftab = MalliavinTableau(ens, LampertiMap(prob.sigma, prob.b, prob.box), sol.reduced)
+    rows = [GRID.index_of(t) for t in (0.25, 0.5, 0.75)]
+    tracemalloc.start()
+    try:
+        tab = BackwardTableau(ens, sol, ftab, rows)
+        for i in rows:
+            tab.dy_matrix(i), tab.d2y_fits(i), tab.z_clark_all(i), tab.dz_matrix(i)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained < 4 * ens.X.nbytes
 
 
 def test_terminal_phi_of_xt(lmap):
@@ -255,8 +328,8 @@ def test_terminal_phi_of_xt(lmap):
     e = simulate_forward(prob, TimeGrid(1.0, 100), 5000, seed=11)
     sol = solve_bsde(e, prob, BASIS)
     ftab = MalliavinTableau(e, pmap, sol.reduced)
-    tab = BackwardTableau(e, sol, ftab)
     n = e.grid.n_steps
+    tab = BackwardTableau(e, sol, ftab, [n])
     # at t = T the row is the exact pathwise derivative
     dy_T = tab.dy_all(GRID.index_of(0.3), n)
     expect = (1 + 0.2 * e.X[:, -1]) * ftab.first_x_all(GRID.index_of(0.3), n)
@@ -272,8 +345,20 @@ def _fit_at(tab, t, target):
     lam = tab.shift.weight_to_horizon(tab.ens, t)
     if lam is not None:
         target = target * lam
-    fitted, _ = tab._design(t).fit(target)
+    w = tab.ens.W[:, t] if tab.basis.kind == "polynomial-in-xw" else None
+    design = _StepDesign(tab.basis, tab.ens.X[:, t], w, tab.sol.ridge_used, t)
+    fitted, _ = design.fit(target)
     return fitted
+
+
+def _phi_T(tab, order):
+    arg = tab.ens.W[:, -1] if tab.problem.terminal == "phi-of-wt" else tab.ens.X[:, -1]
+    return eval_derivative(tab.problem.phi, order, arg)
+
+
+def _int_fy(tab):
+    """Cumulative trapezoid E_s = int_0^s f_y per path."""
+    return _cumtrapz(tab.problem.driver.fy(tab.ens.X, tab.sol.Y), tab.dt)
 
 
 def _direct_dy(tab, theta, t):
@@ -285,18 +370,19 @@ def _direct_dy(tab, theta, t):
     cumulative differences, so it cross-checks the factorization algebra."""
     ens, ftab = tab.ens, tab.ftab
     n, dt = tab.n, tab.dt
-    E = tab.Ecum if tab.Ecum is not None else np.zeros_like(ens.X)
-    fx = tab._driver.fx(ens.X, tab.sol.Y)
+    E = _int_fy(tab)
+    fx = tab.problem.driver.fx(ens.X, tab.sol.Y)
     dx_free = ftab.sigX * np.exp(ftab.A)  # DX(theta, s) = dx_free * e^{-A_theta}
     integrand = np.exp(E - E[:, t][:, None]) * fx * dx_free
     w = np.full(n + 1 - t, dt)
     w[0] = w[-1] = 0.5 * dt
     part2 = integrand[:, t:] @ w
+    phi1 = _phi_T(tab, 1)
     if tab.problem.terminal == "phi-of-wt":
-        part1 = np.exp(E[:, n] - E[:, t]) * tab.phi1_T
+        part1 = np.exp(E[:, n] - E[:, t]) * phi1
     else:
         part1 = np.zeros(ens.n_paths)
-        part2 = part2 + np.exp(E[:, n] - E[:, t]) * tab.phi1_T * dx_free[:, n]
+        part2 = part2 + np.exp(E[:, n] - E[:, t]) * phi1 * dx_free[:, n]
     return _fit_at(tab, t, part1) + np.exp(-ftab.A[:, theta]) * _fit_at(tab, t, part2)
 
 
@@ -309,9 +395,9 @@ def _direct_d2y(tab, theta, t, s):
     ens, ftab = tab.ens, tab.ftab
     n, dt = tab.n, tab.dt
     X, Y = ens.X, tab.sol.Y
-    drv = tab._driver
+    drv = tab.problem.driver
     N = ens.n_paths
-    E = tab.Ecum if tab.Ecum is not None else np.zeros_like(X)
+    E = _int_fy(tab)
     A, B = ftab.A, ftab.B
     ea_th = np.exp(-A[:, theta])
     ea_t = np.exp(-A[:, t])
@@ -343,15 +429,16 @@ def _direct_d2y(tab, theta, t, s):
     )
     h4 = integ(fx * ftab.sigX * np.exp(A))
     tail = np.exp(E[:, n] - E[:, s])
+    phi1, phi2 = _phi_T(tab, 1), _phi_T(tab, 2)
     if tab.problem.terminal == "phi-of-wt":
-        h0 = h0 + tail * tab.phi2_T
+        h0 = h0 + tail * phi2
     else:
         h3 = h3 + tail * (
-            tab.phi2_T * dx_free[:, n] ** 2
-            + tab.phi1_T * ftab.sig1X[:, n] * ftab.sigX[:, n] * np.exp(2 * A[:, n])
-            + tab.phi1_T * dx_free[:, n] * B[:, n]
+            phi2 * dx_free[:, n] ** 2
+            + phi1 * ftab.sig1X[:, n] * ftab.sigX[:, n] * np.exp(2 * A[:, n])
+            + phi1 * dx_free[:, n] * B[:, n]
         )
-        h4 = h4 + tail * tab.phi1_T * dx_free[:, n]
+        h4 = h4 + tail * phi1 * dx_free[:, n]
     if s == n:
         f0, f12, f3, f4 = h0, h12, h3, h4
     else:
@@ -362,11 +449,10 @@ def _direct_d2y(tab, theta, t, s):
     return f0 + (ea_th + ea_t) * f12 + ea_th * ea_t * f3 - Bt * ea_th * ea_t * f4
 
 
-def test_factorized_rows_match_direct_assembly():
-    """The affine-in-exp(-A_theta) row factorization must agree with a direct
-    per-theta assembly of the same conditional-expectation targets, on a
-    problem exercising every term (non-constant sigma, x/y/cross driver
-    parts, X_T terminal)."""
+def _oracle_tableau(alpha):
+    """Every index declared, on a problem exercising every term: non-constant
+    sigma, x/y/cross driver parts, X_T terminal and, for alpha != 0, the
+    Girsanov weights."""
     prob = ProblemSpec(
         x0=0.3, T=0.5,
         b=trig_affine(c=0.3),
@@ -376,6 +462,7 @@ def test_factorized_rows_match_direct_assembly():
             f_of_y=quadratic(a=0, b=0.2, c=0.1),
             cross_x=affine(a=0, b=0.2),
             cross_y=affine(a=0, b=0.3),
+            alpha=alpha,
         ),
         terminal="phi-of-xt",
         phi=quadratic(a=0, b=1, c=0.2),
@@ -386,87 +473,76 @@ def test_factorized_rows_match_direct_assembly():
     lmap = LampertiMap(prob.sigma, prob.b, prob.box)
     sol = solve_bsde(ens, prob, RegressionBasis("polynomial-in-x", 3))
     ftab = MalliavinTableau(ens, lmap, sol.reduced)
-    tab = BackwardTableau(ens, sol, ftab)
+    return BackwardTableau(ens, sol, ftab, range(grid.n_steps + 1))
 
-    for theta, t in ((4, 12), (10, 25), (0, 30)):
-        fact = tab.dy_all(theta, t)
-        direct = _direct_dy(tab, theta, t)
-        assert np.allclose(fact, direct, rtol=1e-9, atol=1e-12)
 
-    for theta, t, s in ((4, 12, 20), (10, 25, 32), (5, 18, 40)):
-        fact = tab.d2y_all(theta, t, s)
-        direct = _direct_d2y(tab, theta, t, s)
-        assert np.allclose(fact, direct, rtol=1e-8, atol=1e-10)
+def test_factorized_rows_match_direct_assembly():
+    """The affine-in-exp(-A_theta) row factorization must agree with a direct
+    per-theta assembly of the same conditional-expectation targets."""
+    for alpha in (0.0, 0.3):
+        tab = _oracle_tableau(alpha)
+        for theta, t in ((4, 12), (10, 25), (0, 30)):
+            fact = tab.dy_all(theta, t)
+            direct = _direct_dy(tab, theta, t)
+            assert np.allclose(fact, direct, rtol=1e-9, atol=1e-12)
+
+        for theta, t, s in ((4, 12, 20), (10, 25, 32), (5, 18, 40)):
+            fact = tab.d2y_all(theta, t, s)
+            direct = _direct_d2y(tab, theta, t, s)
+            assert np.allclose(fact, direct, rtol=1e-8, atol=1e-10)
 
 
 def test_dz_factorization_matches_direct_assembly():
-    """D_theta Z_t via the cached fit pair vs a one-shot direct regression."""
-    prob = ProblemSpec(
-        x0=0.3, T=0.5,
-        b=trig_affine(c=0.3),
-        sigma=trig_affine(a=2, b=1),
-        driver=Driver(
-            f_of_x=quadratic(a=0, b=0.1, c=0.05),
-            f_of_y=quadratic(a=0, b=0.2, c=0.1),
-            cross_x=affine(a=0, b=0.2),
-            cross_y=affine(a=0, b=0.3),
-        ),
-        terminal="phi-of-xt",
-        phi=quadratic(a=0, b=1, c=0.2),
-        box=(-6, 6),
-    )
-    grid = TimeGrid(0.5, 40)
-    ens = simulate_forward(prob, grid, 800, seed=17)
-    lmap = LampertiMap(prob.sigma, prob.b, prob.box)
-    sol = solve_bsde(ens, prob, RegressionBasis("polynomial-in-x", 3))
-    ftab = MalliavinTableau(ens, lmap, sol.reduced)
-    tab = BackwardTableau(ens, sol, ftab)
-    n, dt = tab.n, tab.dt
-    X, Y = ens.X, sol.Y
-    drv = tab._driver
-    A, B = ftab.A, ftab.B
-    E = tab.Ecum
-    fy = tab.fy
+    """D_theta Z_t via the kept fit quadruple vs a one-shot direct regression."""
+    for alpha in (0.0, 0.3):
+        tab = _oracle_tableau(alpha)
+        ftab = tab.ftab
+        n, dt = tab.n, tab.dt
+        X, Y = tab.ens.X, tab.sol.Y
+        drv = tab.problem.driver
+        A, B = ftab.A, ftab.B
+        fy = drv.fy(X, Y)
+        phi1, phi2 = _phi_T(tab, 1), _phi_T(tab, 2)
 
-    dx_free = ftab.sigX * np.exp(A)
-    g1 = np.column_stack([tab.dy_fits(r)[0] for r in range(n + 1)])
-    g2 = np.column_stack([tab.dy_fits(r)[1] for r in range(n + 1)])
-    F = [np.column_stack([tab.d2y_fits(r)[k] for r in range(n + 1)]) for k in range(4)]
+        dx_free = ftab.sigX * np.exp(A)
+        g1 = np.column_stack([tab.dy_fits(r)[0] for r in range(n + 1)])
+        g2 = np.column_stack([tab.dy_fits(r)[1] for r in range(n + 1)])
+        F = [np.column_stack([tab.d2y_fits(r)[k] for r in range(n + 1)]) for k in range(4)]
 
-    for theta, t in ((4, 12), (10, 25)):
-        w = np.full(n + 1 - t, dt)
-        w[0] = w[-1] = 0.5 * dt
+        for theta, t in ((4, 12), (10, 25)):
+            w = np.full(n + 1 - t, dt)
+            w[0] = w[-1] = 0.5 * dt
 
-        def integ(rows):
-            return rows[:, t:] @ w
+            def integ(rows):
+                return rows[:, t:] @ w
 
-        ta = integ(drv.fyy(X, Y) * g1 * g1 + fy * F[0])
-        tbc = integ(drv.fxy(X, Y) * dx_free * g1 + drv.fyy(X, Y) * g1 * g2 + fy * F[1])
-        td = integ(
-            2 * drv.fxy(X, Y) * dx_free * g2
-            + drv.fyy(X, Y) * g2 * g2
-            + drv.fxx(X, Y) * dx_free**2
-            + drv.fx(X, Y) * ftab.sig1X * ftab.sigX * np.exp(2 * A)
-            + drv.fx(X, Y) * ftab.sigX * np.exp(A) * B
-            + fy * F[2]
-        )
-        te = integ(drv.fx(X, Y) * ftab.sigX * np.exp(A) + fy * F[3])
-        td = td + (
-            tab.phi2_T * dx_free[:, n] ** 2
-            + tab.phi1_T * ftab.sig1X[:, n] * ftab.sigX[:, n] * np.exp(2 * A[:, n])
-            + tab.phi1_T * dx_free[:, n] * B[:, n]
-        )
-        te = te + tab.phi1_T * dx_free[:, n]
-        fits = [_fit_at(tab, t, tt) for tt in (ta, tbc, td, te)]
-        ea_th = np.exp(-A[:, theta])
-        ea_t = np.exp(-A[:, t])
-        direct = (
-            fits[0]
-            + (ea_th + ea_t) * fits[1]
-            + ea_th * ea_t * (fits[2] - B[:, t] * fits[3])
-        )
-        fact = tab.dz_all(theta, t)
-        assert np.allclose(fact, direct, rtol=1e-8, atol=1e-10)
+            ta = integ(drv.fyy(X, Y) * g1 * g1 + fy * F[0])
+            tbc = integ(drv.fxy(X, Y) * dx_free * g1 + drv.fyy(X, Y) * g1 * g2 + fy * F[1])
+            td = integ(
+                2 * drv.fxy(X, Y) * dx_free * g2
+                + drv.fyy(X, Y) * g2 * g2
+                + drv.fxx(X, Y) * dx_free**2
+                + drv.fx(X, Y) * ftab.sig1X * ftab.sigX * np.exp(2 * A)
+                + drv.fx(X, Y) * ftab.sigX * np.exp(A) * B
+                + fy * F[2]
+            )
+            te = integ(drv.fx(X, Y) * ftab.sigX * np.exp(A) + fy * F[3])
+            td = td + (
+                phi2 * dx_free[:, n] ** 2
+                + phi1 * ftab.sig1X[:, n] * ftab.sigX[:, n] * np.exp(2 * A[:, n])
+                + phi1 * dx_free[:, n] * B[:, n]
+            )
+            te = te + phi1 * dx_free[:, n]
+            fits = [_fit_at(tab, t, tt) for tt in (ta, tbc, td, te)]
+            ea_th = np.exp(-A[:, theta])
+            ea_t = np.exp(-A[:, t])
+            direct = (
+                fits[0]
+                + (ea_th + ea_t) * fits[1]
+                + ea_th * ea_t * (fits[2] - B[:, t] * fits[3])
+            )
+            fact = tab.dz_all(theta, t)
+            assert np.allclose(fact, direct, rtol=1e-8, atol=1e-10)
 
 
 def test_girsanov_derivative_representations(ens, lmap):
@@ -474,8 +550,8 @@ def test_girsanov_derivative_representations(ens, lmap):
     prob = _problem(quadratic(c=0.5), driver=Driver(alpha=0.3))
     sol = solve_bsde(ens, prob, BASIS)
     ftab = MalliavinTableau(ens, lmap, sol.reduced)
-    tab = BackwardTableau(ens, sol, ftab)
     j = GRID.index_of(0.5)
+    tab = BackwardTableau(ens, sol, ftab, [j])
     dz = tab.dz_all(GRID.index_of(0.2), j)
     # D2 xi = 1 deterministic, but the weighted regression adds MC noise
     assert abs(dz.mean() - 1.0) < 0.01

@@ -234,3 +234,41 @@ def test_gest_at_terminal_node_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "eval time 0.9" in err and "terminal node t = 1" in err
     assert not (tmp_path / "o" / "run_metadata.json").exists()
+
+
+def test_staged_run_refuses_another_runs_artifacts(tmp_path, capsys):
+    cfg_path = _write(tmp_path, SMALL_CFG)
+    out = tmp_path / "o"
+    args = ["run", str(cfg_path), "--out", str(out)]
+    assert main(args + ["--stage", "simulate", "--seed", "1"]) == 0
+    assert "mc.master_seed = 1\n" in (out / "effective_config.txt").read_text()
+    assert main(args + ["--stage", "density", "--seed", "2"]) == 2
+    assert "mc.master_seed differs" in capsys.readouterr().err
+    # a full run recomputes every stage and drops what a staged run would reload
+    assert main(args + ["--seed", "2"]) == 0
+    assert "mc.master_seed = 2\n" in (out / "effective_config.txt").read_text()
+    assert not (out / "ensemble.bin").exists()
+    assert json.loads((out / "run_metadata.json").read_text())["master_seed"] == 2
+    assert main(args + ["--stage", "density", "--seed", "2"]) == 0
+
+
+def test_envelope_constants_use_snapped_time(tmp_path):
+    # t = 0.25 snaps to node 12 of a 50-step grid, t = 0.24
+    text = SMALL_CFG.replace("grid.n_steps = 40", "grid.n_steps = 50")
+    text = text.replace("eval.times = 0.5", "eval.times = 0.25")
+    out = tmp_path / "o"
+    assert main(["run", str(_write(tmp_path, text)), "--out", str(out)]) == 0
+    meta = json.loads((out / "run_metadata.json").read_text())
+    entry = meta["per_t"]["0.25"]
+    assert entry["t_index"] == 12
+    assert entry["t_snapped"] == 0.24
+    assert entry["Y"]["constants"]["gamma_min_sq"] == pytest.approx(0.24, rel=1e-12)
+    assert meta["verdicts"]["gband_Y_t0.25"] == "pass"
+
+
+def test_overflowing_payoff_exits_2(tmp_path, capsys):
+    text = SMALL_CFG.replace("model.phi = affine(a=0, b=1)", "model.phi = affine(a=0, b=1e308)")
+    with np.errstate(over="ignore"):
+        rc = main(["run", str(_write(tmp_path, text)), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "non-finite terminal value Y_T at time step 40" in capsys.readouterr().err

@@ -66,17 +66,17 @@ def test_estimate_g_flat_phi_exact():
     assert est.n_effective.max() <= 4000
 
 
-def _tableau(prob, ens, basis):
+def _tableau(prob, ens, basis, t_indices):
     lmap = LampertiMap(prob.sigma, prob.b, prob.box)
     sol = solve_bsde(ens, prob, basis)
-    return BackwardTableau(ens, sol, MalliavinTableau(ens, lmap, sol.reduced))
+    return BackwardTableau(ens, sol, MalliavinTableau(ens, lmap, sol.reduced), t_indices)
 
 
-def _brownian_tableau(incs, grid):
+def _brownian_tableau(incs, grid, t_indices):
     prob = ProblemSpec(0.0, 1.0, constant(0), constant(1), Driver(),
                        "phi-of-wt", affine(a=0, b=1), box=(-12, 12))
     ens = ensemble_from_increments(prob, grid, incs)
-    return _tableau(prob, ens, RegressionBasis("polynomial-in-x", 3))
+    return _tableau(prob, ens, RegressionBasis("polynomial-in-x", 3), t_indices)
 
 
 def test_estimate_g_pipeline_reduction():
@@ -84,7 +84,7 @@ def test_estimate_g_pipeline_reduction():
     grid = TimeGrid(1.0, 50)
     t_idx = grid.index_of(0.5)
     incs = _draw_increments(5, 3000, 50, grid.dt)
-    sampler = make_phi_sampler(_brownian_tableau(incs, grid), t_idx, "Y")
+    sampler = make_phi_sampler(_brownian_tableau(incs, grid, [t_idx]), t_idx, "Y")
     theta_w = np.full(t_idx + 1, grid.dt)
     theta_w[0] = theta_w[-1] = 0.5 * grid.dt
     f = lambda w: w[:, :t_idx].sum(axis=1)  # noqa: E731
@@ -98,7 +98,7 @@ def test_estimate_g_pipeline_reduction():
 
 def test_phi_sampler_component_validation():
     grid = TimeGrid(1.0, 10)
-    btab = _brownian_tableau(_draw_increments(5, 200, 10, grid.dt), grid)
+    btab = _brownian_tableau(_draw_increments(5, 200, 10, grid.dt), grid, [5, 10])
     with pytest.raises(SolverError, match="component"):
         make_phi_sampler(btab, 5, "X")
     # the terminal node has no fitted regression to freeze
@@ -128,13 +128,30 @@ FROZEN_CASES = {
     ),
 }
 FROZEN_GRID = TimeGrid(1.0, 20)
+FROZEN_ROWS = [5, 10, 15]
 
 
 @pytest.fixture(scope="module", params=sorted(FROZEN_CASES))
 def frozen_case(request):
     prob, basis = FROZEN_CASES[request.param]
     ens = simulate_forward(prob, FROZEN_GRID, 4000, 3)
-    return ens, _tableau(prob, ens, basis)
+    return ens, _tableau(prob, ens, basis, FROZEN_ROWS)
+
+
+def test_kept_row_independent_of_declared_set(frozen_case):
+    # the backward pass does the same arithmetic down to a row whatever else
+    # is declared, so a row declared alone is bitwise the same
+    _, btab = frozen_case
+    for t_idx in FROZEN_ROWS:
+        alone = BackwardTableau(btab.ens, btab.sol, btab.ftab, [t_idx])
+        assert list(alone._rows) == [t_idx]
+        for method in ("dy_fits", "d2y_fits", "dz_fits"):
+            for a, b in zip(getattr(alone, method)(t_idx), getattr(btab, method)(t_idx)):
+                assert np.array_equal(a, b)
+        assert np.array_equal(alone.z_clark_all(t_idx), btab.z_clark_all(t_idx))
+        a, b = alone._row(t_idx), btab._row(t_idx)
+        assert np.array_equal(a.dy_coeffs, b.dy_coeffs)
+        assert np.array_equal(a.dz_coeffs, b.dz_coeffs)
 
 
 @pytest.mark.parametrize("component", ["Y", "Z"])
