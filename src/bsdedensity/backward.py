@@ -243,7 +243,8 @@ def girsanov_reduce(problem: ProblemSpec) -> tuple[ProblemSpec, DriftShift]:
 
 @dataclass
 class BackwardSolution:
-    """LSMC solution of the backward equation on a simulated ensemble."""
+    """LSMC solution of the backward equation on a simulated ensemble, with
+    the Y/Z tableau of the same sweep when it was given a forward tableau."""
 
     problem: ProblemSpec
     reduced: ProblemSpec
@@ -253,9 +254,7 @@ class BackwardSolution:
     Y: np.ndarray
     Z: np.ndarray
     records: list[dict] = field(default_factory=list)
-
-    def coefficients(self, t_idx: int) -> dict:
-        return self.records[t_idx]
+    tableau: BackwardTableau | None = None
 
 
 def terminal_values(problem: ProblemSpec, ens: PathEnsemble) -> np.ndarray:
@@ -280,6 +279,8 @@ def solve_bsde(
     max_picard: int = 5,
     picard_tol: float = 1e-10,
     z_control_variate: bool = True,
+    forward_tab: MalliavinTableau | None = None,
+    t_indices: Iterable[int] = (),
 ) -> BackwardSolution:
     """Backward sweep with implicit-in-Y regression Monte Carlo.
 
@@ -295,7 +296,13 @@ def solve_bsde(
     zero and removes the O(dt) Brownian variance of the target; without it
     the Y_0 estimator degrades to the raw Monte Carlo average of the
     (weighted) terminal payoff.
+
+    Given ``forward_tab``, the sweep also builds the Y/Z tableau (returned
+    as ``tableau``) keeping the rows at ``t_indices``: once Y_i is known,
+    step i advances it on the same design, down to the smallest index.
     """
+    if forward_tab is None and tuple(t_indices):
+        raise OrderingError("declared t indices need the forward tableau")
     reduced, shift = girsanov_reduce(problem)
     grid = ens.grid
     n = grid.n_steps
@@ -310,6 +317,10 @@ def solve_bsde(
     Z[:, n] = _terminal_z(reduced, ens)
     _require_finite(Y[:, n], "terminal value Y_T", n)
     _require_finite(Z[:, n], "terminal value Z_T", n)
+    tab = None
+    if forward_tab is not None:
+        tab = BackwardTableau(ens, reduced, shift, basis, forward_tab, t_indices)
+        tab.step(n, None, Y[:, n])
 
     lam = shift.step_weights(ens)
     dW_tilde = shift.shifted_increments(ens)
@@ -358,6 +369,8 @@ def solve_bsde(
             "picard_iterations": iters,
             **design.meta,
         }
+        if tab is not None and i >= tab.lowest:
+            tab.step(i, design, Y[:, i])
 
     return BackwardSolution(
         problem=problem,
@@ -368,6 +381,7 @@ def solve_bsde(
         Y=Y,
         Z=Z,
         records=records,  # type: ignore[arg-type]
+        tableau=tab,
     )
 
 
@@ -404,8 +418,8 @@ class BackwardTableau:
              2 f_xy se G2 + f_yy G2^2 + f_xx se^2 + f_x sigma' sigma e^{2A}
              + f_x se B,  f_x se),                    se = sigma e^A,
 
-    one backward pass from T down to the smallest declared index carries
-    three running trapezoid tails, O(n_paths) state each:
+    the pass from T down to the smallest declared index carries three running
+    trapezoid tails, O(n_paths) state each:
 
     * the tail of h discounted by exp(int f_y): the D2Y targets, and in its
       last column the D_theta Y integral;
@@ -418,25 +432,27 @@ class BackwardTableau:
     steps only when f_y is present, since only the f_y terms carry them to
     earlier times.
 
-    Only the rows at ``t_indices`` are kept; a row yields the entries for
-    every theta <= t at once because each target is affine in exp(-A_theta).
-    An undeclared index raises OrderingError, a non-finite kept row
-    SolverError.
+    :func:`solve_bsde` builds the tableau and calls :meth:`step` on each of
+    its steps down to the smallest declared index.  Only the rows at
+    ``t_indices`` are kept; a row yields the entries for every theta <= t at
+    once because each target is affine in exp(-A_theta).  An undeclared
+    index raises OrderingError, a non-finite kept row SolverError.
     """
 
     def __init__(
         self,
         ens: PathEnsemble,
-        sol: BackwardSolution,
+        problem: ProblemSpec,
+        shift: DriftShift,
+        basis: RegressionBasis,
         forward_tab: MalliavinTableau,
         t_indices: Iterable[int],
     ):
         self.ens = ens
-        self.sol = sol
-        self.ftab = forward_tab
-        self.problem = problem = sol.reduced
-        self.shift = sol.shift
-        self.basis = sol.basis
+        self.ftab = ftab = forward_tab
+        self.problem = problem
+        self.shift = shift
+        self.basis = basis
         self.n = n = ens.grid.n_steps
         self.dt = ens.grid.dt
         declared = {int(t) for t in t_indices}
@@ -444,28 +460,26 @@ class BackwardTableau:
             raise OrderingError(
                 f"declared t indices {sorted(declared)} must be a non-empty subset of 0..{n}"
             )
+        self._declared = declared
+        self.lowest = min(declared)
         self._rows: dict[int, _Row] = {}
-
         drv = problem.driver
-        has_fy = drv.f_of_y is not None or drv.cross_x is not None
-        has_fx = drv.f_of_x is not None or drv.cross_x is not None
-        ftab, X, Y, A = forward_tab, ens.X, sol.Y, forward_tab.A
-        need_w = self.basis.kind == "polynomial-in-xw"
-        N = ens.n_paths
-        half = 0.5 * self.dt
-        zero = np.zeros(N)
+        self._has_fy = drv.f_of_y is not None or drv.cross_x is not None
+        self._has_fx = drv.f_of_x is not None or drv.cross_x is not None
+        self._active = not drv.is_zero  # a zero driver keeps every tail zero
 
         # terminal data, undiscounted: D_T xi as the (free, exp(-A_theta))
         # pair, D2 xi as the (a, bc, d, e) quadruple
-        wt = problem.terminal == "phi-of-wt"
-        if wt:
-            phi1 = eval_derivative(problem.phi, 1, ens.W[:, n])
-            dxi = (phi1, zero)
-            d2xi = np.stack([eval_derivative(problem.phi, 2, ens.W[:, n]), zero, zero, zero])
+        N = ens.n_paths
+        zero = np.zeros(N)
+        if problem.terminal == "phi-of-wt":
+            wT = ens.W[:, n]
+            dxi = (eval_derivative(problem.phi, 1, wT), zero)
+            d2xi = np.stack([eval_derivative(problem.phi, 2, wT), zero, zero, zero])
         else:
-            xT = X[:, n]
+            xT = ens.X[:, n]
             phi1 = eval_derivative(problem.phi, 1, xT)
-            sig, eA = ftab.sigX[:, n], np.exp(A[:, n])
+            sig, eA = ftab.sigX[:, n], np.exp(ftab.A[:, n])
             sA = sig * eA
             sig1 = eval_derivative(problem.sigma, 1, xT)
             dxi = (zero, phi1 * sig * eA)
@@ -476,118 +490,95 @@ class BackwardTableau:
                 + phi1 * sig1 * sig * eA**2 + phi1 * sA * ftab.B[:, n],
                 phi1 * sA,
             ])
+        # running state between two steps, O(n_paths) each; _above holds
+        # (f_y, h, h + f_y F, Clark-Ocone integrand) of step s + 1
+        self._dxi, self._d2xi, self._above = dxi, d2xi, None
+        self._d2y_tail = np.zeros((4, N))  # discounted tail of h
+        self._dz_tail = np.zeros((4, N))   # plain tail of h + f_y F
+        self._z_tail = np.zeros((2, N))    # plain tail of (f_y G1, f_x se + f_y G2)
+        self._discount = 1.0               # exp(int_s^T f_y)
 
-        d2y_tail = np.zeros((4, N))  # discounted tail of h
-        dz_tail = np.zeros((4, N))   # plain tail of h + f_y F
-        z_tail = np.zeros((2, N))    # plain tail of (f_y G1, f_x se + f_y G2)
-        discount = 1.0               # exp(int_s^T f_y)
-        active = not drv.is_zero     # a zero driver keeps every tail zero
-        for s in range(n, min(declared) - 1, -1):
-            keep = s in declared
-            if not (keep or active):
-                continue
-            carry = active and s < n
-            x, y = X[:, s], Y[:, s]
-            design = None
-            if s < n and (keep or has_fy):
-                w = ens.W[:, s] if need_w else None
-                design = _StepDesign(self.basis, x, w, sol.ridge_used, s)
-            fy = drv.fy(x, y) if has_fy else None
-            h = np.zeros((4, N))
+    def step(self, s: int, design: _StepDesign | None, y: np.ndarray) -> None:
+        """Advance the pass from s + 1 to s, given Y_s and the solver's design
+        at s (None at s = n, where nothing is fitted)."""
+        keep = s in self._declared
+        if not (keep or self._active):
+            return
+        drv, ftab, A = self.problem.driver, self.ftab, self.ftab.A
+        has_fy, has_fx = self._has_fy, self._has_fx
+        wt = self.problem.terminal == "phi-of-wt"
+        N = self.ens.n_paths
+        half = 0.5 * self.dt
+        zero = np.zeros(N)
+        x = self.ens.X[:, s]
+        fitted = keep or has_fy
+        carry = self._active and s < self.n
+        lam = (self.shift.weight_to_horizon(self.ens, s)
+               if fitted and design is not None else None)
+
+        fy = drv.fy(x, y) if has_fy else None
+        h = np.zeros((4, N))
+        if has_fx:
+            fx = drv.fx(x, y)
+            sig, eA = ftab.sigX[:, s], np.exp(A[:, s])
+            se = sig * eA
+            h[3] = fx * se
+            h[2] = drv.fxx(x, y) * se**2
+            if fx.any():  # B is built only when f_x is non-zero
+                sig1 = eval_derivative(self.problem.sigma, 1, x)
+                h[2] += h[3] * (sig1 * eA + ftab.B[:, s])
+        if carry:
+            fy_above, h_above, p_above, c_above = self._above
+            d = np.exp(half * (fy + fy_above)) if has_fy else 1.0
+            self._discount = d * self._discount
+            carried = d * (self._d2y_tail + half * h_above)
+
+        G = None
+        if fitted:
+            c1_t = self._discount * self._dxi[0] if wt else None
+            c2_t = None if wt else self._discount * self._dxi[1]
             if has_fx:
-                fx = drv.fx(x, y)
-                sig, eA = ftab.sigX[:, s], np.exp(A[:, s])
-                se = sig * eA
-                h[3] = fx * se
-                h[2] = drv.fxx(x, y) * se**2
-                if fx.any():  # B is built only when f_x is non-zero
-                    sig1 = eval_derivative(problem.sigma, 1, x)
-                    h[2] += h[3] * (sig1 * eA + ftab.B[:, s])
+                integral = carried[3] + half * h[3] if carry else zero
+                c2_t = integral if c2_t is None else c2_t + integral
+            G, dy_coeffs = _fit_pair(design, lam, c1_t, c2_t, zero)
+        if has_fy:
+            g1, g2 = G
+            fyy = drv.fyy(x, y)
+            h[0] = fyy * g1 * g1
+            h[1] = fyy * g1 * g2
+            h[2] += fyy * g2 * g2
+            if drv.cross_x is not None:
+                fxy_se = drv.fxy(x, y) * se
+                h[1] += fxy_se * g1
+                h[2] += 2.0 * fxy_se * g2
+        if carry:
+            self._d2y_tail = carried + half * h
+
+        if fitted:
+            F, _ = _fit_rows(design, lam, self._discount * self._d2xi + self._d2y_tail)
+        if self._active:
+            p = h + fy * F if has_fy else h
+            c = np.stack([fy * g1, h[3] + fy * g2]) if has_fy else np.stack([zero, h[3]])
             if carry:
-                d = np.exp(half * (fy + fy_next)) if has_fy else 1.0
-                discount = d * discount
-                carried = d * (d2y_tail + half * h_next)
+                self._dz_tail = self._dz_tail + half * (p_above + p)
+                self._z_tail = self._z_tail + half * (c_above + c)
+            self._above = (fy, h, p, c)
 
-            G = None
-            if keep or has_fy:
-                c1_t = discount * phi1 if wt else None
-                c2_t = None if wt else discount * dxi[1]
-                if has_fx:
-                    integral = carried[3] + half * h[3] if carry else zero
-                    c2_t = integral if c2_t is None else c2_t + integral
-                G, dy_coeffs = self._fit_pair(design, s, c1_t, c2_t)
-            if has_fy:
-                g1, g2 = G
-                fyy = drv.fyy(x, y)
-                h[0] = fyy * g1 * g1
-                h[1] = fyy * g1 * g2
-                h[2] += fyy * g2 * g2
-                if drv.cross_x is not None:
-                    fxy_se = drv.fxy(x, y) * se
-                    h[1] += fxy_se * g1
-                    h[2] += 2.0 * fxy_se * g2
-            if carry:
-                d2y_tail = carried + half * h
-
-            if keep or has_fy:
-                F, _ = self._fit_rows(design, s, discount * d2xi + d2y_tail)
-            if active:
-                p = h + fy * F if has_fy else h
-                c = np.stack([fy * g1, h[3] + fy * g2]) if has_fy else np.stack([zero, h[3]])
-                if carry:
-                    dz_tail = dz_tail + half * (p_next + p)
-                    z_tail = z_tail + half * (c_next + c)
-                fy_next, h_next, p_next, c_next = fy, h, p, c
-
-            if keep:
-                dz, dz_coeffs = self._fit_rows(design, s, d2xi + dz_tail)
-                free, dep = dxi[0] + z_tail[0], dxi[1] + z_tail[1]
-                if design is None:
-                    zc = free + np.exp(-A[:, n]) * dep
-                else:
-                    zc = (self._fit(design, s, free)[0]
-                          + np.exp(-A[:, s]) * self._fit(design, s, dep)[0])
-                for name, v in (("D_theta Y", G), ("D2 Y", F), ("Clark-Ocone Z", zc),
-                                ("D_theta Z", dz)):
-                    _require_finite(v, f"{name} row", s)
-                self._rows[s] = _Row(design, G, dy_coeffs, tuple(F), zc, tuple(dz), dz_coeffs)
-
-    # -- plumbing -------------------------------------------------------------
-
-    def _fit(self, design: _StepDesign, s: int,
-             target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(fitted, coeffs) of the measure-weighted regression at step s."""
-        lam = self.shift.weight_to_horizon(self.ens, s)
-        if lam is not None:
-            target = target * (lam[:, None] if target.ndim == 2 else lam)
-        return design.fit(target)
-
-    def _fit_pair(self, design: _StepDesign | None, s: int, c1_t: np.ndarray | None,
-                  c2_t: np.ndarray | None) -> tuple[tuple[np.ndarray, np.ndarray],
-                                                    np.ndarray | None]:
-        """The D_theta Y pair (c1, c2) and its (p, 2) coefficients; a missing
-        target is identically zero and is not fitted."""
-        zero = np.zeros(self.ens.n_paths)
-        if design is None:  # conditioning on F_T is the identity
-            return (zero if c1_t is None else c1_t, zero if c2_t is None else c2_t), None
-        # separate c1 and c2 solves: a fused two-column solve moves the
-        # fitted values at the ulp level
-        coeffs = np.zeros((design.gram.shape[0], 2))
-        c1, c2 = zero, zero
-        if c1_t is not None:
-            c1, coeffs[:, 0] = self._fit(design, s, c1_t)
-        if c2_t is not None:
-            c2, coeffs[:, 1] = self._fit(design, s, c2_t)
-        return (c1, c2), coeffs
-
-    def _fit_rows(self, design: _StepDesign | None, s: int,
-                  targets: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        """One simultaneous fit of the (k, n_paths) targets: ((k, n_paths)
-        fitted values, (p, k) coefficients)."""
-        if design is None:
-            return targets, None
-        fitted, coeffs = self._fit(design, s, np.column_stack(targets))
-        return fitted.T, coeffs
+        if keep:
+            dz, dz_coeffs = _fit_rows(design, lam, self._d2xi + self._dz_tail)
+            free, dep = self._dxi[0] + self._z_tail[0], self._dxi[1] + self._z_tail[1]
+            if design is None:
+                zc = free + np.exp(-A[:, s]) * dep
+            else:
+                zc = (_fit(design, lam, free)[0]
+                      + np.exp(-A[:, s]) * _fit(design, lam, dep)[0])
+            for name, v in (("D_theta Y", G), ("D2 Y", F), ("Clark-Ocone Z", zc),
+                            ("D_theta Z", dz)):
+                _require_finite(v, f"{name} row", s)
+            self._rows[s] = _Row(design, G, dy_coeffs, tuple(F), zc, tuple(dz), dz_coeffs)
+        if s == self.lowest:  # the pass is complete: drop its running state
+            del self._dxi, self._d2xi, self._above, self._discount
+            del self._d2y_tail, self._dz_tail, self._z_tail
 
     def _row(self, t_idx: int) -> _Row:
         try:
@@ -685,6 +676,43 @@ class BackwardTableau:
         ea_th = np.exp(-self.ftab.A[:, theta_idx])
         ea_t = np.exp(-self.ftab.A[:, t_idx])
         return fa + (ea_th + ea_t) * fbc + ea_th * ea_t * self._dz_inner(fd, fe, t_idx)
+
+
+def _fit(design: _StepDesign, lam: np.ndarray | None,
+         target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(fitted, coeffs) of the regression weighted by the Girsanov density
+    factor ``lam`` over [t, T] (None: unweighted)."""
+    if lam is not None:
+        target = target * (lam[:, None] if target.ndim == 2 else lam)
+    return design.fit(target)
+
+
+def _fit_pair(design: _StepDesign | None, lam: np.ndarray | None,
+              c1_t: np.ndarray | None, c2_t: np.ndarray | None,
+              zero: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray | None]:
+    """The D_theta Y pair (c1, c2) and its (p, 2) coefficients; a missing
+    target is identically zero and is not fitted."""
+    if design is None:  # conditioning on F_T is the identity
+        return (zero if c1_t is None else c1_t, zero if c2_t is None else c2_t), None
+    # separate c1 and c2 solves: a fused two-column solve moves the
+    # fitted values at the ulp level
+    coeffs = np.zeros((design.gram.shape[0], 2))
+    c1, c2 = zero, zero
+    if c1_t is not None:
+        c1, coeffs[:, 0] = _fit(design, lam, c1_t)
+    if c2_t is not None:
+        c2, coeffs[:, 1] = _fit(design, lam, c2_t)
+    return (c1, c2), coeffs
+
+
+def _fit_rows(design: _StepDesign | None, lam: np.ndarray | None,
+              targets: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """One simultaneous fit of the (k, n_paths) targets: ((k, n_paths)
+    fitted values, (p, k) coefficients)."""
+    if design is None:
+        return targets, None
+    fitted, coeffs = _fit(design, lam, np.column_stack(targets))
+    return fitted.T, coeffs
 
 
 def _dy_row(c1: np.ndarray, c2: np.ndarray, A: np.ndarray, t_idx: int) -> np.ndarray:

@@ -17,12 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .backward import (
-    BackwardTableau,
-    girsanov_reduce,
-    make_phi_sampler,
-    solve_bsde,
-)
+from .backward import make_phi_sampler, solve_bsde
 from .config import ExperimentConfig, config_echo, parse_config
 from .coeffs import check_hypotheses
 from .errors import BsdeDensityError, SolverError, StageError
@@ -35,13 +30,11 @@ from .forward import (
 )
 from .lamperti import LampertiMap
 from .nvdensity import derivative_bound_constants, estimate_g, gaussian_envelopes
-from .verify import envelope_check, kde, positivity_report
+from .verify import PositivityCounts, envelope_check, kde, positivity_report
 
 STAGES = ("hypotheses", "simulate", "density", "verify")
 # what a staged run reloads instead of recomputing
-RELOADED_ARTIFACTS = (
-    "hypothesis_report.json", "ensemble.bin", "solution.npz", "density_meta.json",
-)
+RELOADED_ARTIFACTS = ("hypothesis_report.json", "ensemble.bin", "density_meta.json")
 
 _DEGENERATE_STD = 1e-9
 
@@ -96,7 +89,8 @@ class Experiment:
 
     Each stage persists its artifacts; in a staged run a stage whose
     artifacts already exist on disk is reloaded rather than recomputed, so
-    later stages consume persisted artifacts only.
+    later stages consume persisted artifacts only (the simulate stage's
+    ensemble is reloaded and the deterministic backward sweep re-run on it).
     """
 
     def __init__(self, cfg: ExperimentConfig, out_dir: str | None = None,
@@ -112,9 +106,11 @@ class Experiment:
         self.report = None
         self.ens = None
         self.sol = None
-        self.ftab = None
         self.btab = None
         self.density_meta: dict | None = None
+        # per eval-time key: each checked component's (KDE, envelope) and the
+        # positivity counts of its D_theta Z row, kept for the verify stage
+        self.density_checks: dict[str, dict] | None = None
         self.verdicts: dict[str, str] = {}
         self.pipelines: dict[str, bool] = {}
 
@@ -158,45 +154,24 @@ class Experiment:
         self.ens = simulate_forward(
             self.problem, self.grid, cfg["mc.n_paths"], self.seed, lamperti_map=lmap
         )
-        self.sol = solve_bsde(self.ens, self.problem, self.basis)
-        self._build_tableaux()
+        self._solve()
         if persist or cfg["run.dump_ensemble"]:
             dump_ensemble(self.ens, self.out / "ensemble.bin")
-        if persist:
-            np.savez(
-                self.out / "solution.npz",
-                Y=self.sol.Y,
-                Z=self.sol.Z,
-                ridge_used=self.sol.ridge_used,
-            )
 
-    def _build_tableaux(self) -> None:
-        lmap = self._ensure_lamperti()
-        self.ftab = MalliavinTableau(self.ens, lmap, self.sol.reduced)
+    def _solve(self) -> None:
+        """The deterministic backward sweep: solution and tableau rows."""
+        ftab = MalliavinTableau(self.ens, self._ensure_lamperti(), self.problem)
         t_indices = [self.grid.index_of(t) for t in self.cfg["eval.times"]]
-        self.btab = BackwardTableau(self.ens, self.sol, self.ftab, t_indices)
+        self.sol = solve_bsde(self.ens, self.problem, self.basis,
+                              forward_tab=ftab, t_indices=t_indices)
+        self.btab = self.sol.tableau
 
     def _load_simulate(self) -> bool:
         ens_path = self.out / "ensemble.bin"
-        sol_path = self.out / "solution.npz"
-        if not (ens_path.exists() and sol_path.exists()):
+        if not ens_path.exists():
             return False
         self.ens = load_ensemble(ens_path)
-        data = np.load(sol_path)
-        reduced, shift = girsanov_reduce(self.problem)
-        from .backward import BackwardSolution
-
-        self.sol = BackwardSolution(
-            problem=self.problem,
-            reduced=reduced,
-            shift=shift,
-            basis=self.basis,
-            ridge_used=float(data["ridge_used"]),
-            Y=data["Y"],
-            Z=data["Z"],
-            records=[],
-        )
-        self._build_tableaux()
+        self._solve()
         return True
 
     # -- stage: density ----------------------------------------------------------
@@ -206,8 +181,8 @@ class Experiment:
         pad = 0.05 * (hi - lo + 1e-300)
         return np.linspace(lo - pad, hi + pad, self.cfg["verify.z_grid_points"])
 
-    def _component(self, name: str, t: float):
-        t_idx = self.grid.index_of(t)
+    def _component(self, name: str, t_idx: int):
+        """(samples, D_theta row) of component ``name`` at step ``t_idx``."""
         if name == "Y":
             samples = self.sol.Y[:, t_idx]
             deriv = self.btab.dy_matrix(t_idx)
@@ -217,7 +192,7 @@ class Experiment:
             # for cross-checks
             samples = self.btab.z_clark_all(t_idx)
             deriv = self.btab.dz_matrix(t_idx)
-        return t_idx, samples, deriv
+        return samples, deriv
 
     @staticmethod
     def _is_degenerate(samples: np.ndarray, deriv: np.ndarray, dt: float) -> bool:
@@ -246,7 +221,10 @@ class Experiment:
             "Z": self.pipelines.get("z_envelope", False)
             or self.pipelines.get("z_existence", False),
         }
+        self.density_checks = {}
         for t in cfg["eval.times"]:
+            key = f"{t:g}"
+            checks = self.density_checks[key] = {}
             t_idx = self.grid.index_of(t)
             # samples and derivative rows live on the grid node; the
             # envelope constants must use the same time
@@ -256,7 +234,7 @@ class Experiment:
                 if not applicable[name]:
                     entry[name] = {"status": "hypotheses-not-met"}
                     continue
-                _, samples, deriv = self._component(name, t)
+                samples, deriv = self._component(name, t_idx)
                 comp: dict = {}
                 comp["mean"] = float(samples.mean())
                 comp["std"] = float(samples.std())
@@ -266,6 +244,9 @@ class Experiment:
                     continue
                 comp["status"] = "ok"
                 consts = derivative_bound_constants(deriv, t_snapped)
+                if name == "Z":
+                    checks["positivity"] = PositivityCounts.of(deriv)
+                del deriv
                 comp["constants"] = {
                     "c_hat": consts.c_hat,
                     "C_hat": consts.C_hat,
@@ -290,16 +271,15 @@ class Experiment:
                 )
                 comp["kde_bandwidth"] = est.bandwidth
                 entry[name] = comp
+                checks[name] = (est, env)
             # tableau summary rows over a fixed theta sub-grid
-            dxm = self.ftab.first_x_matrix(t_idx)
-            dym = self.btab.dy_matrix(t_idx)
-            dzm = self.btab.dz_matrix(t_idx)
             theta_picks = sorted({0, t_idx // 4, t_idx // 2, (3 * t_idx) // 4, t_idx})
             for th in theta_picks:
                 summary_rows["t"].append(t)
                 summary_rows["theta"].append(th * self.grid.dt)
-                for label, mat in (("dx", dxm), ("dy", dym), ("dz", dzm)):
-                    col = mat[:, th]
+                for label, col in (("dx", self.btab.ftab.first_x_all(th, t_idx)),
+                                   ("dy", self.btab.dy_all(th, t_idx)),
+                                   ("dz", self.btab.dz_all(th, t_idx))):
                     summary_rows[f"{label}_mean"].append(float(col.mean()))
                     summary_rows[f"{label}_min"].append(float(col.min()))
                     summary_rows[f"{label}_max"].append(float(col.max()))
@@ -311,7 +291,7 @@ class Experiment:
                         continue
                     gres = self._g_estimate(name, t, t_idx, entry[name])
                     entry[name]["gest"] = gres
-            meta["per_t"][f"{t:g}"] = entry
+            meta["per_t"][key] = entry
         _write_csv(
             self.out / "tableaux_summary.csv",
             list(summary_rows.keys()),
@@ -384,9 +364,9 @@ class Experiment:
 
     def stage_verify(self) -> None:
         cfg = self.cfg
-        meta = self.density_meta
-        if meta is None:
-            raise StageError("verify stage needs the density stage artifacts")
+        meta, checks = self.density_meta, self.density_checks
+        if meta is None or checks is None:
+            raise StageError("verify stage needs the density stage of the same run")
         dz_pool = []
         per_t_verdicts: dict = {}
         envelope_ok = {
@@ -394,23 +374,13 @@ class Experiment:
             "Z": self.pipelines.get("z_envelope", False),
         }
         for key, entry in meta["per_t"].items():
-            t = entry["t"]
-            t_idx = entry["t_index"]
             tv: dict = {}
             for name in ("Y", "Z"):
                 comp = entry[name]
                 if comp["status"] != "ok" or not envelope_ok[name]:
                     tv[name] = "not-applicable"
                     continue
-                _, samples, _ = self._component(name, t)
-                grid_z = self._z_grid(samples)
-                env = gaussian_envelopes(
-                    comp["mean"], comp["abs_moment"],
-                    comp["constants"]["gamma_min_sq"],
-                    comp["constants"]["gamma_max_sq"],
-                    grid_z,
-                )
-                est = kde(samples, grid_z)
+                est, env = checks[key][name]
                 rep = envelope_check(
                     est, env,
                     quantile_range=cfg["verify.quantile_range"],
@@ -420,12 +390,12 @@ class Experiment:
                 tv[name] = rep.verdict
                 tv[f"{name}_report"] = rep.to_dict()
             if entry["Z"]["status"] == "ok":
-                dz_pool.append(self.btab.dz_matrix(t_idx).ravel())
+                dz_pool.append(checks[key]["positivity"])
             per_t_verdicts[key] = tv
 
         if dz_pool:
             pos = positivity_report(
-                np.concatenate(dz_pool), cfg["verify.positivity_noise_floor"]
+                sum(dz_pool[1:], dz_pool[0]), cfg["verify.positivity_noise_floor"]
             )
             _write_json(self.out / "positivity_report.json", pos.to_dict())
             self.verdicts["positivity"] = pos.verdict

@@ -8,6 +8,7 @@ are self-describing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -163,6 +164,9 @@ class ExperimentConfig:
 
 def _validate(cfg: ExperimentConfig) -> None:
     v = cfg.values
+    for key in ("model.x0", "model.T", "model.alpha"):
+        if not math.isfinite(v[key]):
+            raise ConfigError(f"{key} must be finite")
     if v["model.T"] <= 0:
         raise ConfigError("model.T must be positive")
     if v["model.terminal"] not in TERMINAL_KINDS:
@@ -194,6 +198,11 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("model.cross_x and model.cross_y must be given together")
     if not 0 < v["verify.quantile_range"] < 1:
         raise ConfigError("verify.quantile_range must lie in (0, 1)")
+    if not v["verify.tol"] >= 0:  # NaN fails the comparison; inf accepts everything
+        raise ConfigError("verify.tol must be >= 0")
+    for key in ("verify.max_violation_fraction", "verify.positivity_noise_floor"):
+        if not 0 <= v[key] <= 1:
+            raise ConfigError(f"{key} must lie in [0, 1]")
     for key in ("gest.n_outer", "gest.n_inner", "gest.n_u_nodes", "gest.n_x_grid",
                 "verify.z_grid_points"):
         if v[key] < 1:

@@ -21,6 +21,7 @@ __all__ = [
     "DensityEstimate",
     "DensityReport",
     "BouleauHirschReport",
+    "PositivityCounts",
     "kde",
     "envelope_check",
     "positivity_report",
@@ -28,6 +29,7 @@ __all__ = [
 
 _GAUSS_NORM = 1.0 / np.sqrt(2.0 * np.pi)
 _ROUGHNESS = 1.0 / (2.0 * np.sqrt(np.pi))  # integral of the squared Gaussian kernel
+_N_WITNESSES = 20
 
 
 @dataclass
@@ -228,24 +230,57 @@ class BouleauHirschReport:
         }
 
 
-def positivity_report(dz_samples: np.ndarray, noise_floor: float = 0.0) -> BouleauHirschReport:
-    """Report extrema and the non-positive fraction of the sampled D_theta Z_t.
+@dataclass(frozen=True)
+class PositivityCounts:
+    """What the positivity report needs of a D_theta Z sample: its size, its
+    non-positive count and minimum and the first non-positive positions.
+
+    ``a + b`` describes the samples of ``a`` followed by those of ``b``, so a
+    pool of rows is reported on without keeping the rows.
+    """
+
+    n_samples: int
+    n_nonpositive: int
+    min_value: float
+    witness_indices: tuple[int, ...]
+
+    @classmethod
+    def of(cls, samples: np.ndarray) -> PositivityCounts:
+        flat = np.asarray(samples, dtype=float).ravel()
+        nonpos = flat <= 0.0
+        witnesses = np.nonzero(nonpos)[0][:_N_WITNESSES]
+        return cls(int(flat.size), int(nonpos.sum()), float(flat.min(initial=np.inf)),
+                   tuple(int(i) for i in witnesses))
+
+    def __add__(self, other: PositivityCounts) -> PositivityCounts:
+        shifted = tuple(self.n_samples + i for i in other.witness_indices)
+        return PositivityCounts(
+            self.n_samples + other.n_samples,
+            self.n_nonpositive + other.n_nonpositive,
+            float(np.minimum(self.min_value, other.min_value)),
+            (self.witness_indices + shifted)[:_N_WITNESSES],
+        )
+
+
+def positivity_report(dz_samples: np.ndarray | PositivityCounts,
+                      noise_floor: float = 0.0) -> BouleauHirschReport:
+    """Report extrema and the non-positive fraction of the sampled D_theta Z_t,
+    given as samples or as their :class:`PositivityCounts`.
 
     Almost-sure positivity of the derivative makes the law of Z_t absolutely
     continuous, so the verdict passes iff the non-positive fraction does not
     exceed the declared Monte Carlo noise floor.
     """
-    flat = np.asarray(dz_samples, dtype=float).ravel()
-    if flat.size == 0:
+    counts = (dz_samples if isinstance(dz_samples, PositivityCounts)
+              else PositivityCounts.of(dz_samples))
+    if counts.n_samples == 0:
         raise DomainError("positivity report needs a non-empty sample set")
-    nonpos = flat <= 0.0
-    frac = float(nonpos.mean())
-    witnesses = np.nonzero(nonpos)[0][:20]
+    frac = counts.n_nonpositive / counts.n_samples
     return BouleauHirschReport(
-        min_value=float(flat.min()),
+        min_value=counts.min_value,
         nonpositive_fraction=frac,
         verdict="pass" if frac <= noise_floor else "fail",
-        witness_indices=[int(i) for i in witnesses],
-        n_samples=int(flat.size),
+        witness_indices=list(counts.witness_indices),
+        n_samples=counts.n_samples,
         noise_floor=noise_floor,
     )

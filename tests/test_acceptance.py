@@ -26,7 +26,6 @@ from bsdedensity.coeffs import (
     trig_affine,
 )
 from bsdedensity.backward import (
-    BackwardTableau,
     RegressionBasis,
     solve_bsde,
 )
@@ -81,10 +80,11 @@ def unit_lmap():
 def test_criterion_01_brownian_oracle(big_ens, unit_lmap):
     """KDE of Y_0.5 vs N(0, 0.5); envelope check from tableau constants."""
     prob = _unit_problem(affine(a=0, b=1))
-    sol = solve_bsde(big_ens, prob, RegressionBasis("polynomial-in-x", 4))
-    ftab = MalliavinTableau(big_ens, unit_lmap, sol.reduced)
+    ftab = MalliavinTableau(big_ens, unit_lmap, prob)
     i = BIG_GRID.index_of(0.5)
-    btab = BackwardTableau(big_ens, sol, ftab, [i])
+    sol = solve_bsde(big_ens, prob, RegressionBasis("polynomial-in-x", 4),
+                     forward_tab=ftab, t_indices=[i])
+    btab = sol.tableau
     samples = sol.Y[:, i]
     grid = np.linspace(samples.min() - 0.1, samples.max() + 0.1, 321)
     est = kde(samples, grid)
@@ -168,9 +168,10 @@ def test_criterion_05_linear_driver(unit_lmap):
     prob = _unit_problem(affine(a=0, b=1), driver=Driver(f_of_y=affine(b=a)))
     grid = TimeGrid(1.0, 200)
     ens = simulate_forward(prob, grid, 100000, seed=MASTER_SEED)
-    sol = solve_bsde(ens, prob, RegressionBasis("polynomial-in-x", 4))
-    ftab = MalliavinTableau(ens, unit_lmap, sol.reduced)
-    btab = BackwardTableau(ens, sol, ftab, [grid.index_of(t) for t in (0.25, 0.5, 0.75)])
+    ftab = MalliavinTableau(ens, unit_lmap, prob)
+    sol = solve_bsde(ens, prob, RegressionBasis("polynomial-in-x", 4), forward_tab=ftab,
+                     t_indices=[grid.index_of(t) for t in (0.25, 0.5, 0.75)])
+    btab = sol.tableau
     var_errs = []
     dy_errs = []
     for t in (0.25, 0.5, 0.75):
@@ -189,10 +190,11 @@ def test_criterion_05_linear_driver(unit_lmap):
 def test_criterion_06_clark_ocone_oracle(big_ens, unit_lmap):
     """Z_0.5 for xi = sin W_T vs cos(W_0.5) e^{-0.25}, degree-6 basis."""
     prob = _unit_problem(trig_affine(c=1))
-    sol = solve_bsde(big_ens, prob, RegressionBasis("polynomial-in-x", 6))
-    ftab = MalliavinTableau(big_ens, unit_lmap, sol.reduced)
+    ftab = MalliavinTableau(big_ens, unit_lmap, prob)
     j = BIG_GRID.index_of(0.5)
-    btab = BackwardTableau(big_ens, sol, ftab, [j])
+    sol = solve_bsde(big_ens, prob, RegressionBasis("polynomial-in-x", 6),
+                     forward_tab=ftab, t_indices=[j])
+    btab = sol.tableau
     z = btab.z_clark_all(j)
     oracle = np.cos(big_ens.W[:, j]) * np.exp(-0.25)
     rmse = float(np.sqrt(((z - oracle) ** 2).mean()))
@@ -220,11 +222,12 @@ def test_criterion_07_girsanov_reduction():
 def test_criterion_08_z_pipeline(big_ens, unit_lmap):
     """Convex terminal phi = w^2/2: DZ == 1, positivity, Z-envelope."""
     prob = _unit_problem(quadratic(c=0.5))
-    sol = solve_bsde(big_ens, prob, RegressionBasis("polynomial-in-x", 4))
-    ftab = MalliavinTableau(big_ens, unit_lmap, sol.reduced)
+    ftab = MalliavinTableau(big_ens, unit_lmap, prob)
     i = BIG_GRID.index_of(0.5)
     rows = [BIG_GRID.index_of(t) for t in (0.25, 0.5, 0.75)]
-    btab = BackwardTableau(big_ens, sol, ftab, rows)
+    sol = solve_bsde(big_ens, prob, RegressionBasis("polynomial-in-x", 4),
+                     forward_tab=ftab, t_indices=rows)
+    btab = sol.tableau
 
     dz_err = 0.0
     pool = []

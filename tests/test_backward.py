@@ -12,8 +12,8 @@ from bsdedensity.coeffs import (
     quadratic,
     trig_affine,
 )
+from bsdedensity import backward
 from bsdedensity.backward import (
-    BackwardTableau,
     RegressionBasis,
     _StepDesign,
     girsanov_reduce,
@@ -53,9 +53,9 @@ def lmap():
 
 
 def _tableau(ens, lmap, prob, t_indices, basis=BASIS, **kw):
-    sol = solve_bsde(ens, prob, basis, **kw)
-    ftab = MalliavinTableau(ens, lmap, sol.reduced)
-    return sol, BackwardTableau(ens, sol, ftab, t_indices)
+    sol = solve_bsde(ens, prob, basis, forward_tab=MalliavinTableau(ens, lmap, prob),
+                     t_indices=t_indices, **kw)
+    return sol, sol.tableau
 
 
 def test_terminal_exactness_bitwise(ens):
@@ -262,7 +262,7 @@ def test_ordering_errors(ens, lmap):
         tab.dy_all(10, 21)
     for bad in ([], [GRID.n_steps + 1], [-1, 20]):
         with pytest.raises(OrderingError, match="declared t indices"):
-            BackwardTableau(ens, sol, tab.ftab, bad)
+            solve_bsde(ens, prob, BASIS, forward_tab=tab.ftab, t_indices=bad)
 
 
 def test_non_finite_values_fail_loud(lmap):
@@ -284,38 +284,62 @@ def test_non_finite_values_fail_loud(lmap):
     with pytest.raises(SolverError, match="non-finite Y at time step 9"), \
             np.errstate(over="ignore", invalid="ignore"):
         solve_bsde(small, huge, BASIS)
-    # a NaN reaching a kept tableau row through f_y(x, y)
-    curved = _problem(affine(a=0, b=1), driver=Driver(f_of_y=trig_affine(c=0.2)))
-    sol = solve_bsde(small, curved, BASIS)
-    sol.Y[3, 5] = np.nan
-    ftab = MalliavinTableau(small, lmap, sol.reduced)
+    # a NaN reaching a kept tableau row through the f_x integrand at step 5
+    curved = _problem(affine(a=0, b=1),
+                      driver=Driver(f_of_x=affine(b=0.1), f_of_y=trig_affine(c=0.2)))
+    ftab = MalliavinTableau(small, lmap, curved)
+    ftab.sigX[3, 5] = np.nan
     with np.errstate(invalid="ignore"):
         with pytest.raises(SolverError, match="non-finite D_theta Y row at time step 2"):
-            BackwardTableau(small, sol, ftab, [2])
-        BackwardTableau(small, sol, ftab, [6])  # rows after the NaN stay clean
+            solve_bsde(small, curved, BASIS, forward_tab=ftab, t_indices=[2])
+        # rows after the NaN stay clean
+        solve_bsde(small, curved, BASIS, forward_tab=ftab, t_indices=[6])
 
 
-def test_tableau_memory_stays_linear_in_paths():
-    """The backward pass keeps O(n_paths) running state and the declared
-    rows; of the path matrices only the forward tableau's B is built."""
-    prob = ProblemSpec(
+def _s2_problem():
+    return ProblemSpec(
         x0=0.0, T=1.0, b=trig_affine(c=0.3), sigma=trig_affine(a=2, b=0.5),
         driver=Driver(f_of_x=affine(b=0.1), f_of_y=trig_affine(c=0.2)),
         terminal="phi-of-xt", phi=trig_affine(c=0.1, d=1), box=(-12, 12),
     )
+
+
+def test_tableau_memory_stays_linear_in_paths():
+    """Beyond its Y/Z outputs the sweep keeps O(n_paths) running state and the
+    declared rows; of the path matrices only the forward tableau's B is built."""
+    prob = _s2_problem()
     ens = simulate_forward(prob, GRID, 4000, seed=5)
-    sol = solve_bsde(ens, prob, BASIS)
-    ftab = MalliavinTableau(ens, LampertiMap(prob.sigma, prob.b, prob.box), sol.reduced)
+    ftab = MalliavinTableau(ens, LampertiMap(prob.sigma, prob.b, prob.box), prob)
     rows = [GRID.index_of(t) for t in (0.25, 0.5, 0.75)]
     tracemalloc.start()
     try:
-        tab = BackwardTableau(ens, sol, ftab, rows)
+        sol = solve_bsde(ens, prob, BASIS, forward_tab=ftab, t_indices=rows)
+        tab = sol.tableau
         for i in rows:
             tab.dy_matrix(i), tab.d2y_fits(i), tab.z_clark_all(i), tab.dz_matrix(i)
         retained, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert retained < 4 * ens.X.nbytes
+    assert retained - sol.Y.nbytes - sol.Z.nbytes < 4 * ens.X.nbytes
+
+
+def test_one_design_per_step(monkeypatch):
+    """The solver and the tableau share each step's regression design."""
+    built = []
+
+    class CountingDesign(_StepDesign):
+        def __init__(self, *args, **kwargs):
+            built.append(args[-1])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(backward, "_StepDesign", CountingDesign)
+    prob = _s2_problem()
+    grid = TimeGrid(1.0, 40)
+    ens = simulate_forward(prob, grid, 2000, seed=5)
+    ftab = MalliavinTableau(ens, LampertiMap(prob.sigma, prob.b, prob.box), prob)
+    sol = solve_bsde(ens, prob, BASIS, forward_tab=ftab, t_indices=[10, 20, 30])
+    assert len(built) == grid.n_steps
+    assert sorted(sol.tableau._rows) == [10, 20, 30]
 
 
 def test_terminal_phi_of_xt(lmap):
@@ -326,10 +350,9 @@ def test_terminal_phi_of_xt(lmap):
     )
     pmap = LampertiMap(prob.sigma, prob.b, prob.box)
     e = simulate_forward(prob, TimeGrid(1.0, 100), 5000, seed=11)
-    sol = solve_bsde(e, prob, BASIS)
-    ftab = MalliavinTableau(e, pmap, sol.reduced)
+    ftab = MalliavinTableau(e, pmap, prob)
     n = e.grid.n_steps
-    tab = BackwardTableau(e, sol, ftab, [n])
+    tab = solve_bsde(e, prob, BASIS, forward_tab=ftab, t_indices=[n]).tableau
     # at t = T the row is the exact pathwise derivative
     dy_T = tab.dy_all(GRID.index_of(0.3), n)
     expect = (1 + 0.2 * e.X[:, -1]) * ftab.first_x_all(GRID.index_of(0.3), n)
@@ -341,12 +364,13 @@ def test_terminal_phi_of_xt(lmap):
 # ---------------------------------------------------------------------------
 
 
-def _fit_at(tab, t, target):
+def _fit_at(sol, t, target):
+    tab = sol.tableau
     lam = tab.shift.weight_to_horizon(tab.ens, t)
     if lam is not None:
         target = target * lam
     w = tab.ens.W[:, t] if tab.basis.kind == "polynomial-in-xw" else None
-    design = _StepDesign(tab.basis, tab.ens.X[:, t], w, tab.sol.ridge_used, t)
+    design = _StepDesign(tab.basis, tab.ens.X[:, t], w, sol.ridge_used, t)
     fitted, _ = design.fit(target)
     return fitted
 
@@ -356,22 +380,24 @@ def _phi_T(tab, order):
     return eval_derivative(tab.problem.phi, order, arg)
 
 
-def _int_fy(tab):
+def _int_fy(sol):
     """Cumulative trapezoid E_s = int_0^s f_y per path."""
-    return _cumtrapz(tab.problem.driver.fy(tab.ens.X, tab.sol.Y), tab.dt)
+    tab = sol.tableau
+    return _cumtrapz(tab.problem.driver.fy(tab.ens.X, sol.Y), tab.dt)
 
 
-def _direct_dy(tab, theta, t):
+def _direct_dy(sol, theta, t):
     """Direct per-theta assembly of the two DY conditional parts.
 
     The history factor exp(-A_theta) is F_t-measurable and multiplies
     pathwise after the regression, exactly as in the true conditional
     expectation; the assembly here uses explicit trapezoids instead of
     cumulative differences, so it cross-checks the factorization algebra."""
+    tab = sol.tableau
     ens, ftab = tab.ens, tab.ftab
     n, dt = tab.n, tab.dt
-    E = _int_fy(tab)
-    fx = tab.problem.driver.fx(ens.X, tab.sol.Y)
+    E = _int_fy(sol)
+    fx = tab.problem.driver.fx(ens.X, sol.Y)
     dx_free = ftab.sigX * np.exp(ftab.A)  # DX(theta, s) = dx_free * e^{-A_theta}
     integrand = np.exp(E - E[:, t][:, None]) * fx * dx_free
     w = np.full(n + 1 - t, dt)
@@ -383,21 +409,22 @@ def _direct_dy(tab, theta, t):
     else:
         part1 = np.zeros(ens.n_paths)
         part2 = part2 + np.exp(E[:, n] - E[:, t]) * phi1 * dx_free[:, n]
-    return _fit_at(tab, t, part1) + np.exp(-ftab.A[:, theta]) * _fit_at(tab, t, part2)
+    return _fit_at(sol, t, part1) + np.exp(-ftab.A[:, theta]) * _fit_at(sol, t, part2)
 
 
-def _direct_d2y(tab, theta, t, s):
+def _direct_d2y(sol, theta, t, s):
     """Direct assembly of the D2Y conditional parts for fixed (theta, t).
 
     The F_s-measurable multipliers (exp(-A_theta), exp(-A_t), B_t) are pulled
     out of each regression pathwise; the theta/t-free targets are assembled
     by explicit trapezoids."""
+    tab = sol.tableau
     ens, ftab = tab.ens, tab.ftab
     n, dt = tab.n, tab.dt
-    X, Y = ens.X, tab.sol.Y
+    X, Y = ens.X, sol.Y
     drv = tab.problem.driver
     N = ens.n_paths
-    E = _int_fy(tab)
+    E = _int_fy(sol)
     A, B = ftab.A, ftab.B
     ea_th = np.exp(-A[:, theta])
     ea_t = np.exp(-A[:, t])
@@ -442,10 +469,10 @@ def _direct_d2y(tab, theta, t, s):
     if s == n:
         f0, f12, f3, f4 = h0, h12, h3, h4
     else:
-        f0 = _fit_at(tab, s, h0)
-        f12 = _fit_at(tab, s, h12)
-        f3 = _fit_at(tab, s, h3)
-        f4 = _fit_at(tab, s, h4)
+        f0 = _fit_at(sol, s, h0)
+        f12 = _fit_at(sol, s, h12)
+        f3 = _fit_at(sol, s, h3)
+        f4 = _fit_at(sol, s, h4)
     return f0 + (ea_th + ea_t) * f12 + ea_th * ea_t * f3 - Bt * ea_th * ea_t * f4
 
 
@@ -470,35 +497,36 @@ def _oracle_tableau(alpha):
     )
     grid = TimeGrid(0.5, 40)
     ens = simulate_forward(prob, grid, 800, seed=17)
-    lmap = LampertiMap(prob.sigma, prob.b, prob.box)
-    sol = solve_bsde(ens, prob, RegressionBasis("polynomial-in-x", 3))
-    ftab = MalliavinTableau(ens, lmap, sol.reduced)
-    return BackwardTableau(ens, sol, ftab, range(grid.n_steps + 1))
+    ftab = MalliavinTableau(ens, LampertiMap(prob.sigma, prob.b, prob.box), prob)
+    return solve_bsde(ens, prob, RegressionBasis("polynomial-in-x", 3),
+                      forward_tab=ftab, t_indices=range(grid.n_steps + 1))
 
 
 def test_factorized_rows_match_direct_assembly():
     """The affine-in-exp(-A_theta) row factorization must agree with a direct
     per-theta assembly of the same conditional-expectation targets."""
     for alpha in (0.0, 0.3):
-        tab = _oracle_tableau(alpha)
+        sol = _oracle_tableau(alpha)
+        tab = sol.tableau
         for theta, t in ((4, 12), (10, 25), (0, 30)):
             fact = tab.dy_all(theta, t)
-            direct = _direct_dy(tab, theta, t)
+            direct = _direct_dy(sol, theta, t)
             assert np.allclose(fact, direct, rtol=1e-9, atol=1e-12)
 
         for theta, t, s in ((4, 12, 20), (10, 25, 32), (5, 18, 40)):
             fact = tab.d2y_all(theta, t, s)
-            direct = _direct_d2y(tab, theta, t, s)
+            direct = _direct_d2y(sol, theta, t, s)
             assert np.allclose(fact, direct, rtol=1e-8, atol=1e-10)
 
 
 def test_dz_factorization_matches_direct_assembly():
     """D_theta Z_t via the kept fit quadruple vs a one-shot direct regression."""
     for alpha in (0.0, 0.3):
-        tab = _oracle_tableau(alpha)
+        sol = _oracle_tableau(alpha)
+        tab = sol.tableau
         ftab = tab.ftab
         n, dt = tab.n, tab.dt
-        X, Y = tab.ens.X, tab.sol.Y
+        X, Y = tab.ens.X, sol.Y
         drv = tab.problem.driver
         A, B = ftab.A, ftab.B
         fy = drv.fy(X, Y)
@@ -533,7 +561,7 @@ def test_dz_factorization_matches_direct_assembly():
                 + phi1 * dx_free[:, n] * B[:, n]
             )
             te = te + phi1 * dx_free[:, n]
-            fits = [_fit_at(tab, t, tt) for tt in (ta, tbc, td, te)]
+            fits = [_fit_at(sol, t, tt) for tt in (ta, tbc, td, te)]
             ea_th = np.exp(-A[:, theta])
             ea_t = np.exp(-A[:, t])
             direct = (
@@ -548,10 +576,8 @@ def test_dz_factorization_matches_direct_assembly():
 def test_girsanov_derivative_representations(ens, lmap):
     """Constant targets stay correct under the measure-shift weights."""
     prob = _problem(quadratic(c=0.5), driver=Driver(alpha=0.3))
-    sol = solve_bsde(ens, prob, BASIS)
-    ftab = MalliavinTableau(ens, lmap, sol.reduced)
     j = GRID.index_of(0.5)
-    tab = BackwardTableau(ens, sol, ftab, [j])
+    _, tab = _tableau(ens, lmap, prob, [j])
     dz = tab.dz_all(GRID.index_of(0.2), j)
     # D2 xi = 1 deterministic, but the weighted regression adds MC noise
     assert abs(dz.mean() - 1.0) < 0.01

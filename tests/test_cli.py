@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +20,19 @@ basis.degree = 3
 eval.times = 0.5
 gest.n_outer = 1500
 gest.n_x_grid = 9
+"""
+
+# the S2 model (non-constant sigma, nonlinear f(x, y), X_T terminal) at a small size
+S2_CFG = """\
+model.terminal = phi-of-xt
+model.sigma = trig-affine(a=2, b=0.5)
+model.b = trig-affine(c=0.3)
+model.f_of_x = affine(b=0.1)
+model.f_of_y = trig-affine(c=0.2)
+model.phi = trig-affine(c=0.1, d=1)
+gest.enabled = false
+grid.n_steps = 40
+mc.n_paths = 4000
 """
 
 
@@ -124,18 +138,49 @@ def test_full_run_ignores_stale_hypothesis_report(tmp_path):
 
 
 def test_staged_execution_matches_full(tmp_path):
-    cfg_path = _write(tmp_path, SMALL_CFG)
-    full = tmp_path / "full"
-    staged = tmp_path / "staged"
-    main(["run", str(cfg_path), "--out", str(full)])
-    for stage in ("hypotheses", "simulate", "density", "verify"):
-        rc = main(["run", str(cfg_path), "--out", str(staged), "--stage", stage])
-        assert rc == 0
-    assert (staged / "ensemble.bin").exists()
-    assert (staged / "solution.npz").exists()
-    for name in os.listdir(full):
-        if name.endswith(".csv"):
-            assert (full / name).read_bytes() == (staged / name).read_bytes(), name
+    # the density stage of a staged run re-runs the backward sweep on the
+    # reloaded ensemble; its outputs match the full run's byte for byte
+    for label, text in (("unit", SMALL_CFG), ("s2", S2_CFG)):
+        cfg_path = _write(tmp_path, text, f"{label}.txt")
+        full = tmp_path / f"{label}-full"
+        staged = tmp_path / f"{label}-staged"
+        main(["run", str(cfg_path), "--out", str(full)])
+        for stage in ("hypotheses", "simulate", "density"):
+            rc = main(["run", str(cfg_path), "--out", str(staged), "--stage", stage])
+            assert rc == 0
+        assert (staged / "ensemble.bin").exists()
+        assert not (staged / "solution.npz").exists()
+        names = [n for n in os.listdir(full)
+                 if n.startswith(("density_", "gest_")) or n == "tableaux_summary.csv"]
+        assert "density_meta.json" in names and "tableaux_summary.csv" in names
+        for name in names:
+            assert (full / name).read_bytes() == (staged / name).read_bytes(), (label, name)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("verify.tol", "nan"),
+    ("verify.tol", "-5"),
+    ("verify.max_violation_fraction", "nan"),
+    ("verify.max_violation_fraction", "-1"),
+    ("verify.max_violation_fraction", "1.5"),
+    ("verify.positivity_noise_floor", "nan"),
+    ("verify.positivity_noise_floor", "-0.1"),
+    ("model.x0", "inf"),
+    ("model.T", "nan"),
+    ("model.T", "inf"),
+    ("model.alpha", "nan"),
+])
+def test_bad_numeric_value_exits_2(tmp_path, key, value):
+    cfg_path = _write(tmp_path, SMALL_CFG + f"{key} = {value}\n")
+    with pytest.raises(ConfigError, match=re.escape(key) + " must"):
+        parse_config(cfg_path)
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_infinite_verify_tol_accepted(tmp_path):
+    # tol = inf is "accept everything", not bad input
+    cfg = parse_config(_write(tmp_path, "verify.tol = inf\n"))
+    assert cfg["verify.tol"] == float("inf")
 
 
 def test_seed_override_changes_outputs(tmp_path):

@@ -3,7 +3,6 @@ import pytest
 
 from bsdedensity.coeffs import Driver, ProblemSpec, affine, constant, quadratic, trig_affine
 from bsdedensity.backward import (
-    BackwardTableau,
     RegressionBasis,
     ensemble_from_increments,
     make_phi_sampler,
@@ -66,17 +65,16 @@ def test_estimate_g_flat_phi_exact():
     assert est.n_effective.max() <= 4000
 
 
-def _tableau(prob, ens, basis, t_indices):
-    lmap = LampertiMap(prob.sigma, prob.b, prob.box)
-    sol = solve_bsde(ens, prob, basis)
-    return BackwardTableau(ens, sol, MalliavinTableau(ens, lmap, sol.reduced), t_indices)
+def _solve(prob, ens, basis, t_indices):
+    ftab = MalliavinTableau(ens, LampertiMap(prob.sigma, prob.b, prob.box), prob)
+    return solve_bsde(ens, prob, basis, forward_tab=ftab, t_indices=t_indices)
 
 
 def _brownian_tableau(incs, grid, t_indices):
     prob = ProblemSpec(0.0, 1.0, constant(0), constant(1), Driver(),
                        "phi-of-wt", affine(a=0, b=1), box=(-12, 12))
     ens = ensemble_from_increments(prob, grid, incs)
-    return _tableau(prob, ens, RegressionBasis("polynomial-in-x", 3), t_indices)
+    return _solve(prob, ens, RegressionBasis("polynomial-in-x", 3), t_indices).tableau
 
 
 def test_estimate_g_pipeline_reduction():
@@ -135,15 +133,17 @@ FROZEN_ROWS = [5, 10, 15]
 def frozen_case(request):
     prob, basis = FROZEN_CASES[request.param]
     ens = simulate_forward(prob, FROZEN_GRID, 4000, 3)
-    return ens, _tableau(prob, ens, basis, FROZEN_ROWS)
+    return ens, _solve(prob, ens, basis, FROZEN_ROWS)
 
 
 def test_kept_row_independent_of_declared_set(frozen_case):
     # the backward pass does the same arithmetic down to a row whatever else
     # is declared, so a row declared alone is bitwise the same
-    _, btab = frozen_case
+    ens, sol = frozen_case
+    btab = sol.tableau
     for t_idx in FROZEN_ROWS:
-        alone = BackwardTableau(btab.ens, btab.sol, btab.ftab, [t_idx])
+        alone = solve_bsde(ens, sol.problem, sol.basis, forward_tab=btab.ftab,
+                           t_indices=[t_idx]).tableau
         assert list(alone._rows) == [t_idx]
         for method in ("dy_fits", "d2y_fits", "dz_fits"):
             for a, b in zip(getattr(alone, method)(t_idx), getattr(btab, method)(t_idx)):
@@ -156,7 +156,8 @@ def test_kept_row_independent_of_declared_set(frozen_case):
 
 @pytest.mark.parametrize("component", ["Y", "Z"])
 def test_frozen_sampler_reproduces_main_run_rows(frozen_case, component):
-    ens, btab = frozen_case
+    ens, sol = frozen_case
+    btab = sol.tableau
     t_idx = FROZEN_GRID.index_of(0.5)
     m = 500
     sampler = make_phi_sampler(btab, t_idx, component)
@@ -168,7 +169,8 @@ def test_frozen_sampler_reproduces_main_run_rows(frozen_case, component):
 
 @pytest.mark.parametrize("component", ["Y", "Z"])
 def test_frozen_sampler_is_row_wise(frozen_case, component):
-    ens, btab = frozen_case
+    ens, sol = frozen_case
+    btab = sol.tableau
     m = 500
     rng = np.random.default_rng(8)
     incs = mehler_shift(ens.dW[:m], rng.standard_normal((m, FROZEN_GRID.n_steps))

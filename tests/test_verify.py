@@ -6,7 +6,7 @@ from scipy.stats import norm
 
 from bsdedensity.errors import DomainError
 from bsdedensity.nvdensity import gaussian_envelopes
-from bsdedensity.verify import envelope_check, kde, positivity_report
+from bsdedensity.verify import PositivityCounts, envelope_check, kde, positivity_report
 
 
 @pytest.fixture(scope="module")
@@ -137,3 +137,21 @@ def test_positivity_noise_floor():
     samples[:5] = -1e-6
     assert positivity_report(samples).verdict == "fail"
     assert positivity_report(samples, noise_floor=1e-3).verdict == "pass"
+
+
+def test_positivity_counts_pool_rows_in_order():
+    # summed per-row counts report on the pool as on the concatenated rows:
+    # witnesses are offset into the pooled order and cut at 20 across rows
+    rng = np.random.default_rng(3)
+    rows = [rng.standard_normal((50, 4)) + 1.5, rng.standard_normal((30, 7)) + 2.0,
+            np.full((10, 2), 0.1), rng.standard_normal((40, 3))]
+    counts = [PositivityCounts.of(r) for r in rows]
+    rep = positivity_report(sum(counts[1:], counts[0]), noise_floor=0.01)
+    flat = np.concatenate([r.ravel() for r in rows])
+    nonpos = flat <= 0.0
+    assert counts[0].n_nonpositive < 20 < counts[0].n_nonpositive + counts[3].n_nonpositive
+    assert rep.witness_indices == [int(i) for i in np.nonzero(nonpos)[0][:20]]
+    assert rep.n_samples == flat.size
+    assert rep.nonpositive_fraction == float(nonpos.mean())
+    assert rep.min_value == float(flat.min())
+    assert rep.verdict == "fail"
