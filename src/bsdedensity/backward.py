@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace, field
 
 import numpy as np
 
-from .coeffs import Driver, ProblemSpec, eval_derivative
+from .coeffs import Driver, Points, ProblemSpec, eval_derivative
 from .errors import OrderingError, SolverError
 from .forward import MalliavinTableau, PathEnsemble, TimeGrid, _euler_lamperti
 from .lamperti import LampertiMap
@@ -353,8 +353,9 @@ def solve_bsde(
             iters = 0
         else:
             y = cfit
+            x_i = Points(ens.X[:, i])
             for iters in range(1, max_picard + 1):
-                y_new = cfit + driver.f(ens.X[:, i], y) * dt
+                y_new = cfit + driver.f(x_i, y) * dt
                 delta = float(np.max(np.abs(y_new - y)))
                 y = y_new
                 if delta <= picard_tol:
@@ -477,7 +478,7 @@ class BackwardTableau:
             dxi = (eval_derivative(problem.phi, 1, wT), zero)
             d2xi = np.stack([eval_derivative(problem.phi, 2, wT), zero, zero, zero])
         else:
-            xT = ens.X[:, n]
+            xT = Points(ens.X[:, n])
             phi1 = eval_derivative(problem.phi, 1, xT)
             sig, eA = ftab.sigX[:, n], np.exp(ftab.A[:, n])
             sA = sig * eA
@@ -510,7 +511,8 @@ class BackwardTableau:
         N = self.ens.n_paths
         half = 0.5 * self.dt
         zero = np.zeros(N)
-        x = self.ens.X[:, s]
+        # the driver partials and sigma' share each transcendental of X_s, Y_s
+        x, y = Points(self.ens.X[:, s]), Points(y)
         fitted = keep or has_fy
         carry = self._active and s < self.n
         lam = (self.shift.weight_to_horizon(self.ens, s)

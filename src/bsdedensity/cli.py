@@ -90,7 +90,8 @@ class Experiment:
     Each stage persists its artifacts; in a staged run a stage whose
     artifacts already exist on disk is reloaded rather than recomputed, so
     later stages consume persisted artifacts only (the simulate stage's
-    ensemble is reloaded and the deterministic backward sweep re-run on it).
+    ensemble is reloaded and the deterministic backward sweep re-run on it;
+    the sweep runs only in an invocation that goes on to the density stage).
     """
 
     def __init__(self, cfg: ExperimentConfig, out_dir: str | None = None,
@@ -148,13 +149,17 @@ class Experiment:
             self.lmap = LampertiMap(self.problem.sigma, self.problem.b, self.problem.box)
         return self.lmap
 
-    def stage_simulate(self, persist: bool) -> None:
+    def stage_simulate(self, persist: bool, solve: bool) -> None:
+        """Forward sweep, then (if ``solve``) the backward sweep.  Nothing of
+        the backward sweep is persisted, so a staged run that stops here
+        skips it."""
         cfg = self.cfg
         lmap = self._ensure_lamperti()
         self.ens = simulate_forward(
             self.problem, self.grid, cfg["mc.n_paths"], self.seed, lamperti_map=lmap
         )
-        self._solve()
+        if solve:
+            self._solve()
         if persist or cfg["run.dump_ensemble"]:
             dump_ensemble(self.ens, self.out / "ensemble.bin")
 
@@ -171,7 +176,6 @@ class Experiment:
         if not ens_path.exists():
             return False
         self.ens = load_ensemble(ens_path)
-        self._solve()
         return True
 
     # -- stage: density ----------------------------------------------------------
@@ -469,9 +473,11 @@ class Experiment:
             return 0
 
         if not (staged and self._load_simulate()):
-            self.stage_simulate(persist=staged)
+            self.stage_simulate(persist=staged, solve=last >= 2)
         if last < 2:
             return 0
+        if self.sol is None:  # reloaded ensemble: re-run the backward sweep
+            self._solve()
 
         if not (staged and self._load_density()):
             self.stage_density()

@@ -19,6 +19,7 @@ from .errors import CoefficientError, GlobalDomainError
 
 __all__ = [
     "CoefficientFamily",
+    "Points",
     "Driver",
     "ProblemSpec",
     "HypothesisCheck",
@@ -72,34 +73,76 @@ def _logistic(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _eval_constant(p: dict[str, float], order: int, x: np.ndarray) -> np.ndarray:
-    if order == 0:
-        return np.full_like(x, p["c"], dtype=float)
-    return np.zeros_like(x, dtype=float)
+class Points:
+    """Evaluation points whose transcendentals are computed once.
+
+    ``sin(x)``, ``cos(x)`` and the logistic of ``k*x`` are computed on first
+    use and kept, so every derivative order, bracket factor and driver
+    partial evaluated on the same points shares them.  The cache holds
+    arrays the size of ``x``: wrap the points for one computation and never
+    keep a Points on a long-lived object.
+    """
+
+    __slots__ = ("x", "scalar", "_sin", "_cos", "_logistic")
+
+    def __init__(self, x) -> None:
+        self.x = np.asarray(x, dtype=float)
+        self.scalar = self.x.ndim == 0
+        self._sin: np.ndarray | None = None
+        self._cos: np.ndarray | None = None
+        self._logistic: dict[float, np.ndarray] = {}
+
+    def sin(self) -> np.ndarray:
+        if self._sin is None:
+            self._sin = np.sin(self.x)
+        return self._sin
+
+    def cos(self) -> np.ndarray:
+        if self._cos is None:
+            self._cos = np.cos(self.x)
+        return self._cos
+
+    def logistic(self, k: float) -> np.ndarray:
+        """1 / (1 + exp(-k x))."""
+        s = self._logistic.get(k)
+        if s is None:
+            s = self._logistic[k] = _logistic(k * self.x)
+        return s
 
 
-def _eval_affine(p: dict[str, float], order: int, x: np.ndarray) -> np.ndarray:
+def as_points(x) -> Points:
+    """``x`` itself if it is a :class:`Points`, else the points of ``x``."""
+    return x if isinstance(x, Points) else Points(x)
+
+
+def _eval_constant(p: dict[str, float], order: int, pts: Points) -> np.ndarray:
     if order == 0:
-        return p["a"] + p["b"] * x
+        return np.full_like(pts.x, p["c"], dtype=float)
+    return np.zeros_like(pts.x, dtype=float)
+
+
+def _eval_affine(p: dict[str, float], order: int, pts: Points) -> np.ndarray:
+    if order == 0:
+        return p["a"] + p["b"] * pts.x
     if order == 1:
-        return np.full_like(x, p["b"], dtype=float)
-    return np.zeros_like(x, dtype=float)
+        return np.full_like(pts.x, p["b"], dtype=float)
+    return np.zeros_like(pts.x, dtype=float)
 
 
-def _eval_trig_affine(p: dict[str, float], order: int, x: np.ndarray) -> np.ndarray:
+def _eval_trig_affine(p: dict[str, float], order: int, pts: Points) -> np.ndarray:
     a, b, c, d = p["a"], p["b"], p["c"], p["d"]
     if order == 0:
-        return a + b * np.cos(x) + c * np.sin(x) + d * x
+        return a + b * pts.cos() + c * pts.sin() + d * pts.x
     if order == 1:
-        return -b * np.sin(x) + c * np.cos(x) + d
+        return -b * pts.sin() + c * pts.cos() + d
     if order == 2:
-        return -b * np.cos(x) - c * np.sin(x)
-    return b * np.sin(x) - c * np.cos(x)
+        return -b * pts.cos() - c * pts.sin()
+    return b * pts.sin() - c * pts.cos()
 
 
-def _eval_scaled_sigmoid(p: dict[str, float], order: int, x: np.ndarray) -> np.ndarray:
+def _eval_scaled_sigmoid(p: dict[str, float], order: int, pts: Points) -> np.ndarray:
     a, k, b = p["a"], p["k"], p["b"]
-    s = _logistic(k * np.asarray(x, dtype=float))
+    s = pts.logistic(k)
     if order == 0:
         return a * s + b
     s1 = s * (1.0 - s)
@@ -110,8 +153,9 @@ def _eval_scaled_sigmoid(p: dict[str, float], order: int, x: np.ndarray) -> np.n
     return a * k**3 * s1 * (1.0 - 6.0 * s + 6.0 * s * s)
 
 
-def _eval_quadratic(p: dict[str, float], order: int, x: np.ndarray) -> np.ndarray:
+def _eval_quadratic(p: dict[str, float], order: int, pts: Points) -> np.ndarray:
     a, b, c = p["a"], p["b"], p["c"]
+    x = pts.x
     if order == 0:
         return a + x * (b + c * x)
     if order == 1:
@@ -121,7 +165,8 @@ def _eval_quadratic(p: dict[str, float], order: int, x: np.ndarray) -> np.ndarra
     return np.zeros_like(x, dtype=float)
 
 
-def _eval_polynomial(p: dict[str, float], order: int, x: np.ndarray) -> np.ndarray:
+def _eval_polynomial(p: dict[str, float], order: int, pts: Points) -> np.ndarray:
+    x = pts.x
     coefs = [p["c0"], p["c1"], p["c2"], p["c3"], p["c4"]]
     for _ in range(order):
         coefs = [i * coefs[i] for i in range(1, len(coefs))]
@@ -133,7 +178,7 @@ def _eval_polynomial(p: dict[str, float], order: int, x: np.ndarray) -> np.ndarr
     return out
 
 
-_EVALUATORS: dict[str, Callable[[dict[str, float], int, np.ndarray], np.ndarray]] = {
+_EVALUATORS: dict[str, Callable[[dict[str, float], int, Points], np.ndarray]] = {
     "constant": _eval_constant,
     "affine": _eval_affine,
     "trig-affine": _eval_trig_affine,
@@ -166,6 +211,11 @@ class CoefficientFamily:
                 )
         merged = dict(_FAMILY_DEFAULTS[self.family])
         merged.update({k: float(v) for k, v in self.params.items()})
+        for name, v in merged.items():
+            if not math.isfinite(v):
+                raise CoefficientError(
+                    f"family {self.family!r}: parameter {name!r} = {v} is not finite"
+                )
         object.__setattr__(self, "params", merged)
         if self.max_derivative_order < MAX_ORDER:
             raise CoefficientError("max_derivative_order must be at least 3")
@@ -251,21 +301,21 @@ def parse_family(text: str) -> CoefficientFamily:
 def eval_derivative(fam: CoefficientFamily, order: int, x):
     """Exact analytic derivative of ``fam`` of the given order at ``x``.
 
-    Accepts scalars or arrays; the result matches the input shape.
+    Accepts scalars, arrays or :class:`Points`; the result matches the
+    input shape, and a scalar input gives a float.
     """
     if not 0 <= order <= fam.max_derivative_order:
         raise CoefficientError(
             f"derivative order {order} outside contract 0..{fam.max_derivative_order}"
         )
-    arr = np.asarray(x, dtype=float)
-    out = _EVALUATORS[fam.family](fam.params, order, arr)
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(out)
-    return out
+    pts = as_points(x)
+    out = _EVALUATORS[fam.family](fam.params, order, pts)
+    return float(out) if pts.scalar else out
 
 
 def lie_bracket(h: CoefficientFamily, g: CoefficientFamily, x):
     """Lie bracket [h, g](x) = h(x) g'(x) - g(x) h'(x)."""
+    x = as_points(x)
     return eval_derivative(h, 0, x) * eval_derivative(g, 1, x) - eval_derivative(
         g, 0, x
     ) * eval_derivative(h, 1, x)
@@ -277,6 +327,7 @@ def iterated_bracket(sigma: CoefficientFamily, b: CoefficientFamily, x):
     Expanded with analytic derivatives: [sigma,b]' = sigma b'' - b sigma'',
     so [sigma,[sigma,b]] = sigma (sigma b'' - b sigma'') - [sigma,b] sigma'.
     """
+    x = as_points(x)
     s0 = eval_derivative(sigma, 0, x)
     s1 = eval_derivative(sigma, 1, x)
     s2 = eval_derivative(sigma, 2, x)
@@ -326,16 +377,17 @@ class Driver:
     def is_zero(self) -> bool:
         return self.f_of_x is None and self.f_of_y is None and self.cross_x is None
 
-    def _part(self, fam: CoefficientFamily | None, order: int, v):
+    def _part(self, fam: CoefficientFamily | None, order: int, v: Points):
         if fam is None:
-            return np.zeros_like(np.asarray(v, dtype=float))
+            return np.zeros_like(v.x)
         return eval_derivative(fam, order, v)
 
     def partial(self, dx: int, dy: int, x, y):
-        """Exact partial derivative d^(dx+dy) f / dx^dx dy^dy at (x, y)."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        out = np.zeros(np.broadcast(x, y).shape)
+        """Exact partial derivative d^(dx+dy) f / dx^dx dy^dy at (x, y);
+        ``x`` and ``y`` may be arrays or :class:`Points`."""
+        x = as_points(x)
+        y = as_points(y)
+        out = np.zeros(np.broadcast(x.x, y.x).shape)
         if dy == 0:
             out = out + self._part(self.f_of_x, dx, x)
         if dx == 0:
@@ -493,9 +545,10 @@ def check_hypotheses(
         raise CoefficientError("n_grid must be at least 2")
 
     grid = np.linspace(lo, hi, n_grid)
+    pts = Points(grid)  # every family below shares sin/cos(grid)
     sigma = problem.sigma
     sign_normalized = False
-    sig_vals = eval_derivative(sigma, 0, grid)
+    sig_vals = eval_derivative(sigma, 0, pts)
     if np.max(sig_vals) < 0.0:
         # Remark-style sign normalization: flip sigma and recheck.
         sigma = CoefficientFamily(
@@ -507,15 +560,15 @@ def check_hypotheses(
                 "sign normalization is not available for scaled-sigmoid sigma"
             )
         sign_normalized = True
-        sig_vals = eval_derivative(sigma, 0, grid)
+        sig_vals = eval_derivative(sigma, 0, pts)
 
     b = problem.b
     drv = problem.driver
     phi = problem.phi
     checks: dict[str, HypothesisCheck] = {}
 
-    phi1 = eval_derivative(phi, 1, grid)
-    phi2 = eval_derivative(phi, 2, grid)
+    phi1 = eval_derivative(phi, 1, pts)
+    phi2 = eval_derivative(phi, 2, pts)
 
     # --- H1: 0 < c <= D_theta xi <= C ------------------------------------
     # phi-of-WT: D_theta xi = phi'(W_T); phi-of-XT: phi'(X_T) * D_theta X_T
@@ -534,8 +587,9 @@ def check_hypotheses(
 
     # --- H2: f in C_b^1 and 0 <= f_x <= C ---------------------------------
     gx, gy = np.meshgrid(grid, grid, indexing="ij")
-    fxv = drv.fx(gx, gy)
-    fyv = drv.fy(gx, gy)
+    px, py = Points(gx), Points(gy)
+    fxv = drv.fx(px, py)
+    fyv = drv.fy(px, py)
     fxmin = float(fxv.min())
     fxmax = float(fxv.max())
     if fxmin >= 0:
@@ -553,7 +607,7 @@ def check_hypotheses(
     # --- H3: 0 <= sigma <= C and |[b, sigma]| <= M sigma -------------------
     smin, wsig = _grid_min(sig_vals, grid)
     smax, _ = _grid_max(sig_vals, grid)
-    bracket = np.abs(lie_bracket(b, sigma, grid))
+    bracket = np.abs(lie_bracket(b, sigma, pts))
     if smin < 0:
         checks["H3"] = HypothesisCheck(
             "H3", "fail", witness=wsig, inequality="sigma(x) >= 0", value=smin,
@@ -601,9 +655,9 @@ def check_hypotheses(
     for label, vals in (
         ("f_x", fxv),
         ("f_y", fyv),
-        ("f_xy", drv.fxy(gx, gy)),
-        ("f_xx", drv.fxx(gx, gy)),
-        ("f_yy", drv.fyy(gx, gy)),
+        ("f_xy", drv.fxy(px, py)),
+        ("f_xx", drv.fxx(px, py)),
+        ("f_yy", drv.fyy(px, py)),
     ):
         vmin = float(vals.min())
         if vmin < 0:
@@ -622,10 +676,10 @@ def check_hypotheses(
     h6_fail = None
     for label, vals in (
         ("sigma", sig_vals),
-        ("sigma'", eval_derivative(sigma, 1, grid)),
-        ("-sigma''", -eval_derivative(sigma, 2, grid)),
-        ("-sigma'''", -eval_derivative(sigma, 3, grid)),
-        ("[sigma,[sigma,b]]", iterated_bracket(sigma, b, grid)),
+        ("sigma'", eval_derivative(sigma, 1, pts)),
+        ("-sigma''", -eval_derivative(sigma, 2, pts)),
+        ("-sigma'''", -eval_derivative(sigma, 3, pts)),
+        ("[sigma,[sigma,b]]", iterated_bracket(sigma, b, pts)),
     ):
         vmin, wit = _grid_min(np.asarray(vals), grid)
         if vmin < 0:
@@ -658,8 +712,8 @@ def check_hypotheses(
         if fam is None:
             checks["H8"] = HypothesisCheck("H8", "pass", constants={"sup|f'|": 0.0})
         else:
-            d1 = eval_derivative(fam, 1, grid)
-            d2 = eval_derivative(fam, 2, grid)
+            d1 = eval_derivative(fam, 1, pts)
+            d2 = eval_derivative(fam, 2, pts)
             v1min, wv1 = _grid_min(d1, grid)
             v2min, wv2 = _grid_min(d2, grid)
             if v1min >= 0 and v2min >= 0:

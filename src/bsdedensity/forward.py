@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .coeffs import ProblemSpec, eval_derivative
+from .coeffs import Points, ProblemSpec, eval_derivative
 from .errors import OrderingError, SimulationError
 from .lamperti import LampertiMap
 
@@ -212,8 +212,9 @@ class MalliavinTableau:
         self.lmap = lmap
         self.problem = problem
         dt = ens.grid.dt
-        self.sigX = eval_derivative(problem.sigma, 0, ens.X)
-        self.A = _cumtrapz(lmap.beta_prime_sigma(ens.X), dt)
+        pts = Points(ens.X)  # sigma(X) and the A integrand share sin/cos(X)
+        self.sigX = eval_derivative(problem.sigma, 0, pts)
+        self.A = _cumtrapz(lmap.beta_prime_sigma(pts), dt)
         self._B: np.ndarray | None = None
         self._sig1X: np.ndarray | None = None
 

@@ -17,7 +17,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .coeffs import CoefficientFamily, eval_derivative, lie_bracket, iterated_bracket
+from .coeffs import (
+    CoefficientFamily,
+    Points,
+    as_points,
+    eval_derivative,
+    iterated_bracket,
+    lie_bracket,
+)
 from .errors import DomainError
 
 __all__ = ["LampertiMap"]
@@ -87,10 +94,10 @@ class LampertiMap:
     # -- internals ---------------------------------------------------------
 
     def _certify_positive(self, values: np.ndarray, points: np.ndarray) -> None:
-        bad = np.argmin(values)
-        if values[bad] <= 0.0:
+        bad = np.argmin(values)  # the first NaN if there is one
+        if not values[bad] > 0.0:
             raise DomainError(
-                f"sigma({points[bad]:.6g}) = {values[bad]:.6g} <= 0; the Lamperti "
+                f"sigma({points[bad]:.6g}) = {values[bad]:.6g} is not positive; the Lamperti "
                 "transform requires sigma > 0 on the working interval"
             )
 
@@ -174,22 +181,32 @@ class LampertiMap:
         if self._const_sigma is not None:
             out = arr * self._const_sigma
             return float(out[0]) if scalar else out
-        k = np.clip(np.searchsorted(self._g, arr, side="right") - 1, 0,
-                    len(self._g) - 2)
-        blo = self._nodes[k].copy()
-        bhi = self._nodes[k + 1].copy()
+        nodes, g = self._nodes, self._g
+        last = len(nodes) - 2
+        k = np.clip(np.searchsorted(g, arr, side="right") - 1, 0, last)
+        blo = nodes[k].copy()
+        bhi = nodes[k + 1].copy()
         # secant initial guess inside the bracketing cell
-        span = self._g[k + 1] - self._g[k]
-        frac = np.where(span > 0, (arr - self._g[k]) / np.where(span > 0, span, 1.0), 0.5)
+        span = g[k + 1] - g[k]
+        frac = np.where(span > 0, (arr - g[k]) / np.where(span > 0, span, 1.0), 0.5)
         x = blo + frac * (bhi - blo)
         for _ in range(100):
-            r = self.transform(x) - arr
+            # transform(x) without its lattice search: the iterate stays in
+            # the bracket [nodes[k], nodes[k + 1]] (up to one ulp), so its
+            # cell is k or k + 1, and the Simpson end-point 1/sigma(x) shares
+            # sigma(x) with the Newton slope
+            kx = np.minimum(k + (x >= nodes[k + 1]), last)
+            a = nodes[kx]
+            sx = eval_derivative(self.sigma, 0, x)
+            fm = 1.0 / eval_derivative(self.sigma, 0, 0.5 * (a + x))
+            simpson = (x - a) / 6.0 * (self._inv_sigma_nodes[kx] + 4.0 * fm + 1.0 / sx)
+            r = g[kx] + simpson - arr
             if np.max(np.abs(r)) <= self.root_tolerance:
                 break
             above = r > 0
             bhi = np.where(above, x, bhi)
             blo = np.where(above, blo, x)
-            step = r * eval_derivative(self.sigma, 0, x)
+            step = r * sx
             xn = x - step
             outside = (xn <= blo) | (xn >= bhi)
             x = np.where(outside, 0.5 * (blo + bhi), xn)
@@ -197,11 +214,11 @@ class LampertiMap:
             raise DomainError("inverse Lamperti iteration failed to converge")
         return float(x[0]) if scalar else x
 
-    def _sigma_guard(self, x: np.ndarray) -> np.ndarray:
+    def _sigma_guard(self, x: Points) -> np.ndarray:
         s = eval_derivative(self.sigma, 0, x)
         smin = np.min(s)
         if smin <= 0.0:
-            arr = np.atleast_1d(np.asarray(x, dtype=float))
+            arr = np.atleast_1d(x.x)
             sv = np.atleast_1d(np.asarray(s))
             bad = float(arr[np.argmin(sv)])
             raise DomainError(f"sigma({bad:.6g}) <= 0")
@@ -209,11 +226,13 @@ class LampertiMap:
 
     def beta(self, x):
         """b/sigma - sigma'/2 evaluated at x."""
+        x = as_points(x)
         s = self._sigma_guard(x)
         return eval_derivative(self.b, 0, x) / s - 0.5 * eval_derivative(self.sigma, 1, x)
 
     def beta_prime_sigma(self, x):
         """(beta o g^-1)'(g(x)) = [sigma,b](x)/sigma(x) - (sigma sigma'')(x)/2."""
+        x = as_points(x)
         s = self._sigma_guard(x)
         return lie_bracket(self.sigma, self.b, x) / s - 0.5 * s * eval_derivative(
             self.sigma, 2, x
@@ -224,9 +243,9 @@ class LampertiMap:
 
         Parameterized by x in state space; callers compose with X_r, not U_r.
         """
+        x = as_points(x)
         s = self._sigma_guard(x)
         s1 = eval_derivative(self.sigma, 1, x)
         s2 = eval_derivative(self.sigma, 2, x)
         s3 = eval_derivative(self.sigma, 3, x)
         return iterated_bracket(self.sigma, self.b, x) / s - 0.5 * (s3 * s + s2 * s1) * s
-

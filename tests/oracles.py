@@ -2,7 +2,9 @@
 
 These deliberately avoid the production code paths: finite differences for
 derivatives, scipy quadrature for integrals, and a plain Euler scheme for the
-pathwise flow map.
+pathwise flow map.  The reference evaluators at the end restate the
+coefficient formulas with every transcendental computed afresh, as bitwise
+references for the production code that shares them.
 """
 
 import numpy as np
@@ -43,3 +45,133 @@ def euler_u_flow(dw_row: np.ndarray, lmap, x0: float, dt: float) -> np.ndarray:
         u[i + 1] = u[i] + lmap.beta(x[i]) * dt + dw_row[i]
         x[i + 1] = lmap.inverse_transform(u[i + 1])
     return u
+
+
+# ---------------------------------------------------------------------------
+# Reference evaluators: every derivative order recomputes its own
+# transcendentals.  The production code computes each sin/cos/logistic once
+# per point set and must agree with these bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def _ref_logistic(x):
+    out = np.empty_like(x, dtype=float)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def _ref_family(family, p, order, x):
+    if family == "constant":
+        if order == 0:
+            return np.full_like(x, p["c"], dtype=float)
+        return np.zeros_like(x, dtype=float)
+    if family == "affine":
+        if order == 0:
+            return p["a"] + p["b"] * x
+        if order == 1:
+            return np.full_like(x, p["b"], dtype=float)
+        return np.zeros_like(x, dtype=float)
+    if family == "trig-affine":
+        a, b, c, d = p["a"], p["b"], p["c"], p["d"]
+        if order == 0:
+            return a + b * np.cos(x) + c * np.sin(x) + d * x
+        if order == 1:
+            return -b * np.sin(x) + c * np.cos(x) + d
+        if order == 2:
+            return -b * np.cos(x) - c * np.sin(x)
+        return b * np.sin(x) - c * np.cos(x)
+    if family == "scaled-sigmoid":
+        a, k, b = p["a"], p["k"], p["b"]
+        s = _ref_logistic(k * np.asarray(x, dtype=float))
+        if order == 0:
+            return a * s + b
+        s1 = s * (1.0 - s)
+        if order == 1:
+            return a * k * s1
+        if order == 2:
+            return a * k * k * s1 * (1.0 - 2.0 * s)
+        return a * k**3 * s1 * (1.0 - 6.0 * s + 6.0 * s * s)
+    if family == "quadratic":
+        a, b, c = p["a"], p["b"], p["c"]
+        if order == 0:
+            return a + x * (b + c * x)
+        if order == 1:
+            return b + 2.0 * c * x
+        if order == 2:
+            return np.full_like(x, 2.0 * c, dtype=float)
+        return np.zeros_like(x, dtype=float)
+    coefs = [p["c0"], p["c1"], p["c2"], p["c3"], p["c4"]]
+    for _ in range(order):
+        coefs = [i * coefs[i] for i in range(1, len(coefs))]
+    if not coefs:
+        return np.zeros_like(x, dtype=float)
+    out = np.full_like(x, coefs[-1], dtype=float)
+    for c in reversed(coefs[:-1]):
+        out = out * x + c
+    return out
+
+
+def reference_derivative(fam, order: int, x):
+    """Derivative of the given order of a coefficient family, computed from
+    scratch; a scalar input gives a float."""
+    out = _ref_family(fam.family, fam.params, order, np.asarray(x, dtype=float))
+    if np.isscalar(x) or np.ndim(x) == 0:
+        return float(out)
+    return out
+
+
+def reference_drifts(lmap, x):
+    """(beta, beta_prime_sigma, beta_comp_second) of a Lamperti map at x,
+    each factor evaluated by :func:`reference_derivative`."""
+    sig, b = lmap.sigma, lmap.b
+    s0, s1, s2, s3 = (reference_derivative(sig, k, x) for k in range(4))
+    b0, b1, b2 = (reference_derivative(b, k, x) for k in range(3))
+    beta = b0 / s0 - 0.5 * s1
+    bracket = s0 * b1 - b0 * s1
+    prime = bracket / s0 - 0.5 * s0 * s2
+    inner = s0 * b1 - b0 * s1
+    iterated = s0 * (s0 * b2 - b0 * s2) - inner * s1
+    second = iterated / s0 - 0.5 * (s3 * s0 + s2 * s1) * s0
+    return beta, prime, second
+
+
+def reference_transform(lmap, x):
+    """g(x) on the map's lattice: a search for the cell, then Simpson from
+    its left node with three fresh sigma evaluations."""
+    nodes, g = lmap._nodes, lmap._g
+    k = np.clip(np.searchsorted(nodes, x, side="right") - 1, 0, len(nodes) - 2)
+    a = nodes[k]
+    mid = 0.5 * (a + x)
+    fa = 1.0 / reference_derivative(lmap.sigma, 0, a)
+    fm = 1.0 / reference_derivative(lmap.sigma, 0, mid)
+    fb = 1.0 / reference_derivative(lmap.sigma, 0, x)
+    return g[k] + (x - a) / 6.0 * (fa + 4.0 * fm + fb)
+
+
+def reference_inverse_transform(lmap, u):
+    """g^-1(u) by bracketed Newton where every iteration runs the full
+    :func:`reference_transform`."""
+    arr = np.atleast_1d(np.asarray(u, dtype=float)).astype(float)
+    nodes, g = lmap._nodes, lmap._g
+    k = np.clip(np.searchsorted(g, arr, side="right") - 1, 0, len(g) - 2)
+    blo = nodes[k].copy()
+    bhi = nodes[k + 1].copy()
+    span = g[k + 1] - g[k]
+    frac = np.where(span > 0, (arr - g[k]) / np.where(span > 0, span, 1.0), 0.5)
+    x = blo + frac * (bhi - blo)
+    for _ in range(100):
+        r = reference_transform(lmap, x) - arr
+        if np.max(np.abs(r)) <= lmap.root_tolerance:
+            break
+        above = r > 0
+        bhi = np.where(above, x, bhi)
+        blo = np.where(above, blo, x)
+        xn = x - r * reference_derivative(lmap.sigma, 0, x)
+        outside = (xn <= blo) | (xn >= bhi)
+        x = np.where(outside, 0.5 * (blo + bhi), xn)
+    else:
+        raise RuntimeError("reference inverse did not converge")
+    return x

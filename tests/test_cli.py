@@ -317,3 +317,39 @@ def test_overflowing_payoff_exits_2(tmp_path, capsys):
         rc = main(["run", str(_write(tmp_path, text)), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "non-finite terminal value Y_T at time step 40" in capsys.readouterr().err
+
+
+def test_non_finite_family_parameter_exits_2(tmp_path, capsys):
+    text = SMALL_CFG.replace("model.phi = affine(a=0, b=1)",
+                             "model.phi = trig-affine(c=nan, d=1)")
+    assert main(["run", str(_write(tmp_path, text)), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "model.phi" in err and "'c'" in err and "not finite" in err
+
+
+def test_staged_simulate_skips_backward_sweep(tmp_path, monkeypatch, capsys):
+    import bsdedensity.cli as cli
+
+    calls = []
+    solve = cli.solve_bsde
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_bsde", counted)
+    args = ["run", str(_write(tmp_path, SMALL_CFG)), "--out", str(tmp_path / "o")]
+    # the second simulate invocation reloads the ensemble; neither solves
+    for stage, solves in (("hypotheses", 0), ("simulate", 0), ("simulate", 0),
+                          ("density", 1)):
+        assert main(args + ["--stage", stage]) == 0
+        assert len(calls) == solves, stage
+    assert main(["run", args[1], "--out", str(tmp_path / "full")]) == 0
+    assert len(calls) == 2
+    # a solver failure therefore surfaces in the density invocation
+    text = SMALL_CFG.replace("model.phi = affine(a=0, b=1)", "model.phi = affine(a=0, b=1e308)")
+    args = ["run", str(_write(tmp_path, text, "big.txt")), "--out", str(tmp_path / "big")]
+    with np.errstate(over="ignore"):
+        assert main(args + ["--stage", "simulate"]) == 0
+        assert main(args + ["--stage", "density"]) == 2
+    assert "non-finite terminal value Y_T" in capsys.readouterr().err

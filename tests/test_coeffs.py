@@ -4,6 +4,7 @@ import pytest
 from bsdedensity.coeffs import (
     CoefficientFamily,
     Driver,
+    Points,
     ProblemSpec,
     affine,
     check_hypotheses,
@@ -20,7 +21,7 @@ from bsdedensity.coeffs import (
 )
 from bsdedensity.errors import CoefficientError, GlobalDomainError
 
-from oracles import FD_STEPS, central_diff
+from oracles import FD_STEPS, central_diff, reference_derivative
 
 ALL_FAMILIES = [
     constant(2.5),
@@ -74,6 +75,79 @@ def test_derivatives_match_finite_differences(fam, order):
         num = central_diff(f0, float(x), order, FD_STEPS[order])
         worst = max(worst, abs(ana - num) / (1.0 + abs(ana)))
     assert worst < 1e-6
+
+
+def _evaluation_inputs():
+    rng = np.random.default_rng(7)
+    mat = rng.uniform(-6.0, 6.0, (64, 9))
+    return {
+        "contiguous": rng.uniform(-6.0, 6.0, 257),
+        "strided column": mat[:, 3],
+        "matrix": mat,
+        "0-d array": np.array(0.73),
+        "float": -1.9,
+    }
+
+
+def _assert_same(got, ref, scalar):
+    if scalar:
+        assert type(got) is float and got == ref
+    else:
+        assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize(
+    "fam", ALL_FAMILIES + [scaled_sigmoid(a=-1.5, k=-2.0, b=0.3)], ids=lambda f: str(f)
+)
+def test_evaluators_bitwise_equal_reference(fam):
+    # one Points serves every order (shared transcendentals), in any order
+    for x in _evaluation_inputs().values():
+        pts = Points(x)
+        scalar = np.ndim(x) == 0
+        for order in (3, 0, 2, 1):
+            ref = reference_derivative(fam, order, x)
+            _assert_same(eval_derivative(fam, order, x), ref, scalar)
+            _assert_same(eval_derivative(fam, order, pts), ref, scalar)
+
+
+def test_brackets_and_driver_on_points_bitwise():
+    ref = reference_derivative
+    drv = Driver(
+        f_of_x=trig_affine(a=0.1, b=0.3, c=-0.2, d=0.5),
+        f_of_y=scaled_sigmoid(a=1.2, k=0.7),
+        cross_x=quadratic(a=0.5, c=0.25),
+        cross_y=trig_affine(b=0.4, c=0.9),
+    )
+    for x in _evaluation_inputs().values():
+        scalar = np.ndim(x) == 0
+        y = np.cos(x) * 2.0 if not scalar else 0.4
+        pts, ypts = Points(x), Points(y)
+        for h, g in ((ALL_FAMILIES[3], ALL_FAMILIES[4]), (ALL_FAMILIES[2], ALL_FAMILIES[6])):
+            lie = ref(h, 0, x) * ref(g, 1, x) - ref(g, 0, x) * ref(h, 1, x)
+            _assert_same(lie_bracket(h, g, pts), lie, scalar)
+            prime = ref(h, 0, x) * ref(g, 2, x) - ref(g, 0, x) * ref(h, 2, x)
+            it = ref(h, 0, x) * prime - lie * ref(h, 1, x)
+            _assert_same(iterated_bracket(h, g, pts), it, scalar)
+        for dx, dy in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)):
+            out = np.zeros(np.broadcast(np.asarray(x), np.asarray(y)).shape)
+            if dy == 0:
+                out = out + ref(drv.f_of_x, dx, x)
+            if dx == 0:
+                out = out + ref(drv.f_of_y, dy, y)
+            out = out + ref(drv.cross_x, dx, x) * ref(drv.cross_y, dy, y)
+            assert np.array_equal(drv.partial(dx, dy, pts, ypts), out)
+
+
+def test_non_finite_parameters_rejected():
+    for text, family, name in (
+        ("trig-affine(a=nan)", "trig-affine", "a"),
+        ("affine(b=inf)", "affine", "b"),
+        ("scaled-sigmoid(k=-inf)", "scaled-sigmoid", "k"),
+    ):
+        with pytest.raises(CoefficientError, match=f"'{family}'.*'{name}'.*not finite"):
+            parse_family(text)
+    with pytest.raises(CoefficientError, match="not finite"):
+        polynomial(0.0, float("nan"))
 
 
 def test_lie_bracket_examples():

@@ -2,13 +2,19 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from bsdedensity.coeffs import affine, constant, polynomial, trig_affine
+from bsdedensity.coeffs import affine, constant, polynomial, scaled_sigmoid, trig_affine
 from bsdedensity.errors import DomainError
 from bsdedensity.lamperti import LampertiMap
 
-from oracles import central_diff
+from oracles import (
+    central_diff,
+    reference_drifts,
+    reference_inverse_transform,
+)
 
 SIG_TRIG = trig_affine(a=2, b=1)  # 2 + cos x
+# sigma and b of the S2 model, on the default working box
+S2_SIGMA, S2_B, S2_BOX = trig_affine(a=2, b=0.5), trig_affine(c=0.3), (-12.0, 12.0)
 
 
 def test_transform_constant_sigma():
@@ -105,3 +111,66 @@ def test_quadrature_accuracy_contract():
     coarse = LampertiMap(SIG_TRIG, constant(0), (-4, 4), quadrature_step=5e-2)
     oracle, _ = quad(lambda u: 1.0 / (2.0 + np.cos(u)), 0.0, 3.7)
     assert abs(coarse.transform(3.7) - oracle) < 5e-2**2
+
+
+def test_sigma_nan_rejected_by_certification():
+    m = LampertiMap(SIG_TRIG, constant(0), (-4, 4))
+    for values in ([1.0, np.nan], [np.nan, 1.0], [2.0, -1.0]):
+        with pytest.raises(DomainError):
+            m._certify_positive(np.array(values), np.array([0.5, 1.5]))
+    m._certify_positive(np.array([1.0, 2.0]), np.array([0.5, 1.5]))
+
+
+def test_inverse_transform_bitwise_equal_reference():
+    m = LampertiMap(S2_SIGMA, S2_B, S2_BOX)
+    nodes, g = m._nodes, m._g
+    glo, ghi = m.g_range
+    rng = np.random.default_rng(11)
+    u_random = rng.uniform(glo, ghi, 5000)
+    u_lattice = np.concatenate([g[::37], g[-1:]])
+    # a u just below g_{k+1} whose secant guess rounds onto nodes[k + 1]
+    k = np.arange(len(g) - 1)
+    u_top = np.nextafter(g[k + 1], -np.inf)
+    frac = (u_top - g[k]) / (g[k + 1] - g[k])
+    guess = nodes[k] + frac * (nodes[k + 1] - nodes[k])
+    u_edge = u_top[guess >= nodes[k + 1]]
+    assert u_edge.size > 0
+    for u in (u_random, u_lattice, u_edge, u_random.reshape(50, 100)[:, 7]):
+        assert np.array_equal(m.inverse_transform(u), reference_inverse_transform(m, u))
+    for u in (0.37, float(g[5000]), float(u_edge[0])):
+        got = m.inverse_transform(u)
+        assert type(got) is float and got == reference_inverse_transform(m, u)[0]
+
+
+@pytest.mark.parametrize(
+    "sigma,b,box",
+    [
+        (S2_SIGMA, S2_B, S2_BOX),
+        (trig_affine(a=3, c=0.5), polynomial(0, 0.5, 0.1), (-4, 4)),
+        (scaled_sigmoid(a=2.0, k=1.5, b=0.5), trig_affine(a=0.2, b=-0.4, d=0.1), (-4, 4)),
+    ],
+)
+def test_drift_functions_bitwise_equal_reference(sigma, b, box):
+    m = LampertiMap(sigma, b, box)
+    mat = np.random.default_rng(5).uniform(-3.5, 3.5, (40, 13))
+    for x in (mat, mat[:, 4], np.ascontiguousarray(mat[:, 4]), 0.81):
+        beta, prime, second = reference_drifts(m, x)
+        for got, ref in ((m.beta(x), beta), (m.beta_prime_sigma(x), prime),
+                         (m.beta_comp_second(x), second)):
+            if np.ndim(x) == 0:
+                assert type(got) is float and got == ref
+            else:
+                assert np.array_equal(got, ref)
+
+
+def test_beta_comp_second_computes_sin_and_cos_once(monkeypatch):
+    m = LampertiMap(S2_SIGMA, S2_B, S2_BOX)
+    X = np.random.default_rng(3).uniform(-3.0, 3.0, (200, 41))
+    calls = {"sin": 0, "cos": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(np, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np, name, counted)
+    m.beta_comp_second(X)
+    assert calls == {"sin": 1, "cos": 1}
