@@ -29,6 +29,7 @@ from .backward import (
 )
 from .nvdensity import (
     GEstimate,
+    GTarget,
     Envelope,
     mehler_shift,
     estimate_g,

@@ -32,7 +32,14 @@ import numpy as np
 
 from .coeffs import Driver, Points, ProblemSpec, eval_derivative
 from .errors import OrderingError, SolverError
-from .forward import MalliavinTableau, PathEnsemble, TimeGrid, _euler_lamperti
+from .forward import (
+    MalliavinTableau,
+    PathEnsemble,
+    TimeGrid,
+    _euler_lamperti,
+    log_derivative_integral,
+    second_order_integral,
+)
 from .lamperti import LampertiMap
 
 __all__ = [
@@ -40,7 +47,10 @@ __all__ = [
     "DriftShift",
     "BackwardSolution",
     "BackwardTableau",
+    "ReplaySweep",
     "girsanov_reduce",
+    "make_phi_row",
+    "make_replay_sweep",
     "solve_bsde",
 ]
 
@@ -606,7 +616,7 @@ class BackwardTableau:
 
     def dy_matrix(self, t_idx: int) -> np.ndarray:
         """D_theta Y_t for all theta <= t: shape (n_paths, t_idx + 1)."""
-        return _dy_row(*self.dy_fits(t_idx), self.ftab.A, t_idx)
+        return _dy_row(*self.dy_fits(t_idx), np.exp(-self.ftab.A[:, : t_idx + 1]))
 
     def dy_all(self, theta_idx: int, t_idx: int) -> np.ndarray:
         self._check_row(theta_idx, t_idx)
@@ -670,7 +680,9 @@ class BackwardTableau:
     def dz_matrix(self, t_idx: int) -> np.ndarray:
         """D_theta Z_t for all theta <= t: shape (n_paths, t_idx + 1)."""
         fa, fbc, fd, fe = self.dz_fits(t_idx)
-        return _dz_row(fa, fbc, self._dz_inner(fd, fe, t_idx), self.ftab.A, t_idx)
+        A = self.ftab.A
+        return _dz_row(fa, fbc, self._dz_inner(fd, fe, t_idx),
+                       np.exp(-A[:, : t_idx + 1]), np.exp(-A[:, t_idx]))
 
     def dz_all(self, theta_idx: int, t_idx: int) -> np.ndarray:
         self._check_row(theta_idx, t_idx)
@@ -717,17 +729,19 @@ def _fit_rows(design: _StepDesign | None, lam: np.ndarray | None,
     return fitted.T, coeffs
 
 
-def _dy_row(c1: np.ndarray, c2: np.ndarray, A: np.ndarray, t_idx: int) -> np.ndarray:
-    """D_theta Y_t = c1 + e^{-A_theta} c2 for all theta <= t."""
-    return c1[:, None] + np.exp(-A[:, : t_idx + 1]) * c2[:, None]
+def _dy_row(c1: np.ndarray, c2: np.ndarray, ea_th: np.ndarray) -> np.ndarray:
+    """D_theta Y_t = c1 + e^{-A_theta} c2 for the theta columns of ``ea_th``."""
+    # in place: the caller still holds ea_th, so only one more row is built
+    out = ea_th * c2[:, None]
+    out += c1[:, None]
+    return out
 
 
-def _dz_row(fa: np.ndarray, fbc: np.ndarray, inner: np.ndarray, A: np.ndarray,
-            t_idx: int) -> np.ndarray:
+def _dz_row(fa: np.ndarray, fbc: np.ndarray, inner: np.ndarray, ea_th: np.ndarray,
+            ea_t: np.ndarray) -> np.ndarray:
     """D_theta Z_t = a + (e^{-A_theta} + e^{-A_t}) bc + e^{-A_theta - A_t} inner
-    for all theta <= t, where inner = d - B_t e."""
-    ea_th = np.exp(-A[:, : t_idx + 1])
-    ea_t = np.exp(-A[:, t_idx])[:, None]
+    for the theta columns of ``ea_th``, where inner = d - B_t e."""
+    ea_t = ea_t[:, None]
     return fa[:, None] + (ea_th + ea_t) * fbc[:, None] + ea_th * ea_t * inner[:, None]
 
 
@@ -736,81 +750,84 @@ def _dz_row(fa: np.ndarray, fbc: np.ndarray, inner: np.ndarray, A: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def ensemble_from_increments(
-    problem: ProblemSpec,
-    grid: TimeGrid,
-    increments: np.ndarray,
-    lamperti_map: LampertiMap | None = None,
-) -> PathEnsemble:
-    """Build an ensemble from given Brownian increments (no path exclusion).
+class ReplaySweep:
+    """The forward sweep of one increment matrix up to step ``t_max``: the
+    state every Phi row of the g-estimator reads.
 
-    Used to replay the pipeline on Mehler-shifted increments: the output must
-    stay aligned row-for-row with the unshifted ensemble, so escaping paths
-    are clamped to the working box instead of dropped; ``n_flagged`` counts
-    the clamp events.
+    Escaping paths are clamped to the working box instead of dropped, so the
+    rows stay aligned with the unshifted ensemble; ``n_clamped`` counts the
+    clamp events up to ``t_max``.  ``exp_neg_A`` = e^{-A} is computed once on
+    the whole contiguous matrix and sliced by each row; B is built on first
+    use.
     """
-    lmap = lamperti_map or LampertiMap(problem.sigma, problem.b, problem.box)
-    n_paths, n = increments.shape
-    if n != grid.n_steps:
-        raise SolverError("increment matrix does not match the grid")
-    W, U, X, hits = _euler_lamperti(problem, grid, increments, lmap)
-    return PathEnsemble(
-        grid=grid,
-        n_paths=n_paths,
-        master_seed=-1,
-        x0=problem.x0,
-        dW=np.ascontiguousarray(increments),
-        W=W,
-        U=U,
-        X=X,
-        path_ids=np.arange(n_paths, dtype=np.uint64),
-        n_flagged=int(hits.sum()),
-        n_requested=n_paths,
-    )
+
+    def __init__(self, problem: ProblemSpec, grid: TimeGrid, lmap: LampertiMap,
+                 increments: np.ndarray, t_max: int):
+        self.W, _, self.X, hits = _euler_lamperti(
+            problem, grid, increments[:, :t_max], lmap
+        )
+        self.n_clamped = int(hits.sum())
+        self.lmap, self.dt = lmap, grid.dt
+        self.A, _ = log_derivative_integral(lmap, self.X, grid.dt)
+        self.exp_neg_A = np.exp(-self.A)
+        self._B: np.ndarray | None = None
+
+    @property
+    def B(self) -> np.ndarray:
+        if self._B is None:
+            self._B = second_order_integral(self.lmap, self.X, self.A, self.dt)
+        return self._B
 
 
-def make_phi_sampler(btab: BackwardTableau, t_idx: int, component: str):
-    """Sampler evaluating theta -> D_theta Y_t or D_theta Z_t on arbitrary
-    increment matrices; ``component`` is "Y" or "Z".
+def make_replay_sweep(btab: BackwardTableau, t_max: int):
+    """``sweep(increments) -> ReplaySweep`` on the main run's forward model,
+    cut at step ``t_max``; its ``n_clamped`` attribute sums the clamp events
+    of all its sweeps."""
+
+    def sweep(increments: np.ndarray) -> ReplaySweep:
+        state = ReplaySweep(btab.problem, btab.ens.grid, btab.ftab.lmap, increments, t_max)
+        sweep.n_clamped += state.n_clamped
+        return state
+
+    sweep.n_clamped = 0
+    return sweep
+
+
+def make_phi_row(btab: BackwardTableau, t_idx: int, component: str):
+    """``phi(state)``: theta -> D_theta Y_t or D_theta Z_t on the paths of a
+    :class:`ReplaySweep` that reaches ``t_idx``; ``component`` is "Y" or "Z".
 
     By the Markov property the coefficients of the row (c1, c2 for Y, the
     quadruple for Z) are deterministic functions of the time-t state, and
-    ``btab`` has fitted them on the whole main-run ensemble.  A call runs the
-    forward sweep on the supplied increments, builds the forward tableau's
-    A (and B_t only when the fitted e-coefficients are non-zero), evaluates
-    the frozen fits at the new time-t states and assembles the row with the
-    main run's formula.  Output row i depends on increment row i only.  The
-    Girsanov weights of a linear z-driver are already inside the fits.
-
-    The sampler's ``n_clamped`` attribute counts the clamp events of all its
-    forward sweeps.  The terminal node has no regression to freeze and is
-    refused with a SolverError.
+    ``btab`` has fitted them on the whole main-run ensemble.  The row
+    evaluates the frozen fits at the sweep's time-t states and assembles
+    itself with the main run's formula, reading B_t only when the fitted
+    e-coefficients are non-zero.  Output row i depends on increment row i
+    only.  The Girsanov weights of a linear z-driver are already inside the
+    fits.  The terminal node has no regression to freeze and is refused with
+    a SolverError.
     """
     if component not in ("Y", "Z"):
         raise SolverError(f"component must be 'Y' or 'Z'; got {component!r}")
-    grid = btab.ens.grid
     if t_idx == btab.n:
         raise SolverError(
-            f"t index {t_idx} is the terminal node t = {t_idx * grid.dt:g}, where "
+            f"t index {t_idx} is the terminal node t = {t_idx * btab.dt:g}, where "
             f"D_theta {component}_t has no fitted regression to evaluate; the "
             "g-estimator needs an eval time that snaps below T"
         )
     row = btab._row(t_idx)
     design = row.design
     coeffs = row.dy_coeffs if component == "Y" else row.dz_coeffs
-    problem, lmap = btab.problem, btab.ftab.lmap
+    uses_b = component == "Z" and bool(coeffs[:, 3].any())
 
-    def sampler(increments: np.ndarray) -> np.ndarray:
-        ens = ensemble_from_increments(problem, grid, increments, lmap)
-        sampler.n_clamped += ens.n_flagged
-        ftab = MalliavinTableau(ens, lmap, problem)
-        fits = design.evaluate(coeffs, ens.X[:, t_idx], ens.W[:, t_idx])
+    def phi(state: ReplaySweep) -> np.ndarray:
+        fits = design.evaluate(coeffs, state.X[:, t_idx], state.W[:, t_idx])
+        ea_th = state.exp_neg_A[:, : t_idx + 1]
         if component == "Y":
-            return _dy_row(fits[:, 0], fits[:, 1], ftab.A, t_idx)
+            return _dy_row(fits[:, 0], fits[:, 1], ea_th)
         inner = fits[:, 2]
-        if coeffs[:, 3].any():  # B is built only when the e-fit is non-zero
-            inner = inner - ftab.B[:, t_idx] * fits[:, 3]
-        return _dz_row(fits[:, 0], fits[:, 1], inner, ftab.A, t_idx)
+        if uses_b:
+            inner = inner - state.B[:, t_idx] * fits[:, 3]
+        return _dz_row(fits[:, 0], fits[:, 1], inner, ea_th, state.exp_neg_A[:, t_idx])
 
-    sampler.n_clamped = 0
-    return sampler
+    return phi

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .backward import make_phi_sampler, solve_bsde
+from .backward import make_phi_row, make_replay_sweep, solve_bsde
 from .config import ExperimentConfig, config_echo, parse_config
 from .coeffs import check_hypotheses
 from .errors import BsdeDensityError, SolverError, StageError
@@ -29,7 +29,12 @@ from .forward import (
     simulate_forward,
 )
 from .lamperti import LampertiMap
-from .nvdensity import derivative_bound_constants, estimate_g, gaussian_envelopes
+from .nvdensity import (
+    GTarget,
+    derivative_bound_constants,
+    estimate_g,
+    gaussian_envelopes,
+)
 from .verify import PositivityCounts, envelope_check, kde, positivity_report
 
 STAGES = ("hypotheses", "simulate", "density", "verify")
@@ -226,6 +231,8 @@ class Experiment:
             or self.pipelines.get("z_existence", False),
         }
         self.density_checks = {}
+        # (eval time, its index, component, the component's entry, g-target)
+        gest_jobs: list[tuple[float, int, str, dict, GTarget]] = []
         for t in cfg["eval.times"]:
             key = f"{t:g}"
             checks = self.density_checks[key] = {}
@@ -293,9 +300,12 @@ class Experiment:
                         continue
                     if entry[name]["status"] != "ok":
                         continue
-                    gres = self._g_estimate(name, t, t_idx, entry[name])
-                    entry[name]["gest"] = gres
+                    gest_jobs.append(
+                        (t, t_idx, name, entry[name], self._g_target(name, t, t_idx))
+                    )
             meta["per_t"][key] = entry
+        if gest_jobs:
+            self._g_estimate(gest_jobs)
         _write_csv(
             self.out / "tableaux_summary.csv",
             list(summary_rows.keys()),
@@ -304,58 +314,65 @@ class Experiment:
         self.density_meta = meta
         _write_json(self.out / "density_meta.json", meta)
 
-    def _g_estimate(self, name: str, t: float, t_idx: int, comp: dict) -> dict:
-        cfg = self.cfg
-        n_outer = min(cfg["gest.n_outer"], self.ens.n_paths)
+    def _n_outer(self) -> int:
+        return min(self.cfg["gest.n_outer"], self.ens.n_paths)
+
+    def _g_target(self, name: str, t: float, t_idx: int) -> GTarget:
+        """The g-estimator target of component ``name`` at step ``t_idx``."""
+        n_outer = self._n_outer()
         try:
-            phi_sampler = make_phi_sampler(self.btab, t_idx, name)
+            phi = make_phi_row(self.btab, t_idx, name)
         except SolverError as exc:
             raise SolverError(f"g-estimate at eval time {t:g}: {exc}") from exc
         values = self.sol.Y if name == "Y" else self.sol.Z
         samples = values[:n_outer, t_idx]
-
-        def f_sampler(incs):
-            return samples
-
         spread = float(samples.std())
-        x_grid = np.linspace(-2.0 * spread, 2.0 * spread, cfg["gest.n_x_grid"])
+        x_grid = np.linspace(-2.0 * spread, 2.0 * spread, self.cfg["gest.n_x_grid"])
         theta_w = np.full(t_idx + 1, self.grid.dt)
         theta_w[0] = theta_w[-1] = 0.5 * self.grid.dt
-        est = estimate_g(
-            f_sampler,
-            phi_sampler,
-            x_grid,
+        return GTarget(samples, phi, x_grid, theta_w,
+                       mean_f=float(values[:, t_idx].mean()))
+
+    def _g_estimate(self, jobs: list[tuple[float, int, str, dict, GTarget]]) -> None:
+        """Estimate every target's g from one set of replay sweeps, cut at
+        the last eval time a target reads; write each gest CSV and record
+        each band check in its component's entry."""
+        cfg = self.cfg
+        n_outer = self._n_outer()
+        sweep = make_replay_sweep(self.btab, max(t_idx for _, t_idx, *_ in jobs))
+        estimates = estimate_g(
+            [target for *_, target in jobs],
+            sweep,
             n_outer,
             cfg["gest.n_inner"],
             base_increments=self.ens.dW[:n_outer],
             increment_scale=np.sqrt(self.grid.dt),
-            theta_weights=theta_w,
             wprime_seed=self.seed + 0x5754,
             n_u_nodes=cfg["gest.n_u_nodes"],
-            mean_f=float(values[:, t_idx].mean()),
         )
-        _write_csv(
-            self.out / f"gest_{name}_t{_tag(t)}.csv",
-            ["x", "g", "se"],
-            [est.x_grid, est.g_values, est.standard_errors],
-        )
-        reliable = est.reliable
-        ok = reliable & np.isfinite(est.g_values)
-        band_lo = comp["constants"]["gamma_min_sq"]
-        band_hi = comp["constants"]["gamma_max_sq"]
-        eps = 1e-9 * max(1.0, band_hi)
-        within = np.all(
-            (est.g_values[ok] >= band_lo - 3 * est.standard_errors[ok] - eps)
-            & (est.g_values[ok] <= band_hi + 3 * est.standard_errors[ok] + eps)
-        )
-        return {
-            "n_outer": est.n_outer,
-            "n_inner": est.n_inner,
-            "bandwidth": est.bandwidth,
-            "n_reliable": int(reliable.sum()),
-            "n_replay_clamped": phi_sampler.n_clamped,
-            "band_check": "pass" if bool(within) else "fail",
-        }
+        for (t, _, name, comp, _), est in zip(jobs, estimates):
+            _write_csv(
+                self.out / f"gest_{name}_t{_tag(t)}.csv",
+                ["x", "g", "se"],
+                [est.x_grid, est.g_values, est.standard_errors],
+            )
+            reliable = est.reliable
+            ok = reliable & np.isfinite(est.g_values)
+            band_lo = comp["constants"]["gamma_min_sq"]
+            band_hi = comp["constants"]["gamma_max_sq"]
+            eps = 1e-9 * max(1.0, band_hi)
+            within = np.all(
+                (est.g_values[ok] >= band_lo - 3 * est.standard_errors[ok] - eps)
+                & (est.g_values[ok] <= band_hi + 3 * est.standard_errors[ok] + eps)
+            )
+            comp["gest"] = {
+                "n_outer": est.n_outer,
+                "n_inner": est.n_inner,
+                "bandwidth": est.bandwidth,
+                "n_reliable": int(reliable.sum()),
+                "n_replay_clamped": sweep.n_clamped,
+                "band_check": "pass" if bool(within) else "fail",
+            }
 
     def _load_density(self) -> bool:
         path = self.out / "density_meta.json"

@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .coeffs import Points, ProblemSpec, eval_derivative
+from .coeffs import CoefficientFamily, Points, ProblemSpec, eval_derivative
 from .errors import OrderingError, SimulationError
 from .lamperti import LampertiMap
 
@@ -41,6 +41,8 @@ __all__ = [
     "TimeGrid",
     "PathEnsemble",
     "MalliavinTableau",
+    "log_derivative_integral",
+    "second_order_integral",
     "simulate_forward",
     "dump_ensemble",
     "load_ensemble",
@@ -197,6 +199,48 @@ def _cumtrapz(values: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
+# paths per block when a path matrix goes through the coefficient functions:
+# the transcendentals a block shares stay block-sized, and a row block of a
+# C-ordered matrix is contiguous, so every value is bitwise the one a
+# whole-matrix evaluation gives
+_ROW_BLOCK = 4096
+
+
+def _row_blocks(n_rows: int):
+    return (slice(lo, lo + _ROW_BLOCK) for lo in range(0, n_rows, _ROW_BLOCK))
+
+
+def log_derivative_integral(
+    lmap: LampertiMap, X: np.ndarray, dt: float,
+    sigma: CoefficientFamily | None = None,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """A, the cumulative trapezoid of (beta o g^-1)'(X) along each path of
+    ``X``, and sigma(X) when ``sigma`` is given (sharing each sin/cos).
+
+    Built in blocks of paths; the cumulative sum runs along each path, so a
+    prefix of the columns of X gives the same prefix of A.
+    """
+    A = np.empty_like(X)
+    sigX = None if sigma is None else np.empty_like(X)
+    for rows in _row_blocks(len(X)):
+        pts = Points(X[rows])
+        if sigX is not None:
+            sigX[rows] = eval_derivative(sigma, 0, pts)
+        A[rows] = _cumtrapz(lmap.beta_prime_sigma(pts), dt)
+    return A, sigX
+
+
+def second_order_integral(
+    lmap: LampertiMap, X: np.ndarray, A: np.ndarray, dt: float
+) -> np.ndarray:
+    """B, the cumulative trapezoid of (beta o g^-1)''(X) e^A along each path,
+    built in blocks of paths like :func:`log_derivative_integral`."""
+    B = np.empty_like(X)
+    for rows in _row_blocks(len(X)):
+        B[rows] = _cumtrapz(lmap.beta_comp_second(X[rows]) * np.exp(A[rows]), dt)
+    return B
+
+
 class MalliavinTableau:
     """First and second order Malliavin derivatives of U and X along paths.
 
@@ -211,10 +255,9 @@ class MalliavinTableau:
         self.ens = ens
         self.lmap = lmap
         self.problem = problem
-        dt = ens.grid.dt
-        pts = Points(ens.X)  # sigma(X) and the A integrand share sin/cos(X)
-        self.sigX = eval_derivative(problem.sigma, 0, pts)
-        self.A = _cumtrapz(lmap.beta_prime_sigma(pts), dt)
+        self.A, self.sigX = log_derivative_integral(
+            lmap, ens.X, ens.grid.dt, problem.sigma
+        )
         self._B: np.ndarray | None = None
         self._sig1X: np.ndarray | None = None
 
@@ -223,8 +266,8 @@ class MalliavinTableau:
     @property
     def B(self) -> np.ndarray:
         if self._B is None:
-            psi2 = self.lmap.beta_comp_second(self.ens.X)
-            self._B = _cumtrapz(psi2 * np.exp(self.A), self.ens.grid.dt)
+            self._B = second_order_integral(self.lmap, self.ens.X, self.A,
+                                            self.ens.grid.dt)
         return self._B
 
     @property

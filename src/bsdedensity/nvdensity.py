@@ -20,6 +20,7 @@ Nadaraya-Watson regression for the conditioning on F - EF = x.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,7 @@ from .errors import DomainError
 
 __all__ = [
     "GEstimate",
+    "GTarget",
     "Envelope",
     "BoundConstants",
     "mehler_shift",
@@ -106,39 +108,66 @@ def _nadaraya_watson(
     return vals, mass, n_eff
 
 
+@dataclass
+class GTarget:
+    """One functional F whose g-function is estimated.
+
+    ``samples`` holds F on the n_outer unshifted paths and ``phi(state)`` its
+    Malliavin derivative path on the paths of a sweep state (rows Phi_theta,
+    one column per theta node, matching ``theta_weights``).  ``mean_f`` is EF;
+    None takes the mean of ``samples``.
+    """
+
+    samples: np.ndarray
+    phi: Callable
+    x_grid: np.ndarray
+    theta_weights: np.ndarray
+    mean_f: float | None = None
+
+
+def _check_targets(targets: list[GTarget], n_outer: int, n_batches: int,
+                   n_rows: int) -> None:
+    if n_outer < n_batches:
+        raise DomainError("n_outer must be at least the number of batches")
+    if n_rows < n_outer:
+        raise DomainError("base_increments has fewer rows than n_outer")
+    for target in targets:
+        grid = np.asarray(target.x_grid, dtype=float)
+        if grid.ndim != 1 or np.any(np.diff(grid) <= 0):
+            raise DomainError("x_grid must be strictly increasing")
+        if np.ndim(target.theta_weights) != 1 or len(target.theta_weights) == 0:
+            raise DomainError("theta_weights must be a non-empty vector")
+        if np.shape(target.samples) != (n_outer,):
+            raise DomainError("a target needs one F sample per outer path")
+
+
 def estimate_g(
-    f_sampler,
-    phi_sampler,
-    x_grid: np.ndarray,
+    targets: list[GTarget],
+    sweep: Callable,
     n_outer: int,
     n_inner: int,
     *,
     base_increments: np.ndarray,
     increment_scale: float,
-    theta_weights: np.ndarray,
     wprime_seed: int,
     n_u_nodes: int = 16,
-    mean_f: float | None = None,
     min_effective: int = 30,
     n_batches: int = 20,
-) -> GEstimate:
-    """Monte Carlo estimate of the Nourdin-Viens g-function on a grid.
+) -> list[GEstimate]:
+    """Monte Carlo estimates of the Nourdin-Viens g-function, one per target.
 
-    ``f_sampler(increments)`` returns the functional F per path and
-    ``phi_sampler(increments)`` its Malliavin derivative path (rows Phi_theta,
-    one column per theta node, matching ``theta_weights``).  The outer samples
-    are the first ``n_outer`` rows of ``base_increments``; each of the
-    ``n_inner`` independent copies W' is seeded from (wprime_seed, copy index)
-    and shared across the u-quadrature nodes, so refining the u-grid isolates
-    pure quadrature error.
+    ``sweep(increments)`` returns the state that every target's ``phi`` reads;
+    it runs once on the unshifted paths and once per (copy, u-node) pair,
+    whatever the number of targets.  The outer samples are the first
+    ``n_outer`` rows of ``base_increments``; each of the ``n_inner``
+    independent copies W' is seeded from (wprime_seed, copy index) and shared
+    across the u-quadrature nodes, so refining the u-grid isolates pure
+    quadrature error.  Every input is checked before the first sweep.
 
     Grid points whose kernel window holds fewer than ``min_effective``
     effective samples are flagged unreliable.
     """
-    if n_outer < n_batches:
-        raise DomainError("n_outer must be at least the number of batches")
-    if base_increments.shape[0] < n_outer:
-        raise DomainError("base_increments has fewer rows than n_outer")
+    _check_targets(targets, n_outer, n_batches, base_increments.shape[0])
     # keep the caller's array object when it already has n_outer rows: the
     # perfbench tracer tells the unshifted pass from the replays by identity
     W = (
@@ -146,26 +175,44 @@ def estimate_g(
         if base_increments.shape[0] == n_outer
         else base_increments[:n_outer]
     )
-    F = np.asarray(f_sampler(W), dtype=float)
-    phi = np.asarray(phi_sampler(W), dtype=float)
-    if phi.shape[0] != n_outer or phi.shape[1] != len(theta_weights):
-        raise DomainError("phi_sampler output does not match theta_weights")
+    state = sweep(W)
+    phis = []
+    for target in targets:
+        phi = np.asarray(target.phi(state), dtype=float)
+        if phi.shape != (n_outer, len(target.theta_weights)):
+            raise DomainError("a target's phi does not match its theta_weights")
+        phis.append(phi)
+    del state
 
     u_nodes, u_weights = np.polynomial.laguerre.laggauss(n_u_nodes)
-    P = np.zeros(n_outer)
+    P = [np.zeros(n_outer) for _ in targets]
     for k in range(n_inner):
         rng = np.random.default_rng(np.random.SeedSequence([wprime_seed, k]))
         Wp = rng.standard_normal(W.shape) * increment_scale
         for u, wq in zip(u_nodes, u_weights):
-            phi_u = np.asarray(phi_sampler(mehler_shift(W, Wp, u)), dtype=float)
-            P += (wq / n_inner) * ((phi * phi_u) @ theta_weights)
+            state = sweep(mehler_shift(W, Wp, u))
+            for target, phi, p in zip(targets, phis, P):
+                phi_u = np.asarray(target.phi(state), dtype=float)
+                p += (wq / n_inner) * ((phi * phi_u) @ target.theta_weights)
+            del state  # one sweep state alive at a time
 
-    ef = float(F.mean()) if mean_f is None else float(mean_f)
+    return [
+        _g_estimate(target, p, u_nodes, u_weights, n_inner, min_effective, n_batches)
+        for target, p in zip(targets, P)
+    ]
+
+
+def _g_estimate(target: GTarget, P: np.ndarray, u_nodes: np.ndarray,
+                u_weights: np.ndarray, n_inner: int, min_effective: int,
+                n_batches: int) -> GEstimate:
+    """Kernel regression of the accumulated inner products P on F - EF, with
+    batch-means standard errors."""
+    F = np.asarray(target.samples, dtype=float)
+    n_outer = len(F)
+    ef = float(F.mean()) if target.mean_f is None else float(target.mean_f)
     x = F - ef
     h = silverman_bandwidth(x)
-    grid = np.asarray(x_grid, dtype=float)
-    if grid.ndim != 1 or np.any(np.diff(grid) <= 0):
-        raise DomainError("x_grid must be strictly increasing")
+    grid = np.asarray(target.x_grid, dtype=float)
 
     g_vals, _, n_eff = _nadaraya_watson(x, P, grid, h)
 

@@ -48,19 +48,23 @@ class DensityEstimate:
             np.maximum(self.density, 0.0) * _ROUGHNESS / (self.n_samples * self.bandwidth)
         )
 
-    def bias_estimate(self) -> np.ndarray:
-        """Leading-order smoothing bias h^2 |rho''| / 2.
+    def bias_estimate(self, mask: np.ndarray | None = None) -> np.ndarray:
+        """Leading-order smoothing bias h^2 |rho''| / 2 on the grid, or on
+        the grid points selected by the boolean ``mask``.
 
         rho'' is the exact second derivative of the kernel estimate
         (mean of Gaussian-kernel second derivatives), which tracks the
-        curvature of the underlying density to O(h^2)."""
+        curvature of the underlying density to O(h^2).  Each point's mean
+        runs over the same sorted samples, so a masked value is bitwise the
+        unmasked one."""
         h = self.bandwidth
         x = self.samples_sorted
         n = self.n_samples
-        d2 = np.empty_like(self.z_grid)
+        z = self.z_grid if mask is None else self.z_grid[mask]
+        d2 = np.empty_like(z)
         chunk = max(1, int(4e6 // max(n, 1)))
-        for start in range(0, len(self.z_grid), chunk):
-            zz = self.z_grid[start : start + chunk, None]
+        for start in range(0, len(z), chunk):
+            zz = z[start : start + chunk, None]
             u = (zz - x[None, :]) / h
             d2[start : start + chunk] = (
                 (u * u - 1.0) * np.exp(-0.5 * u * u)
@@ -173,7 +177,7 @@ def envelope_check(
     lower = env.lower[mask]
     upper = env.upper[mask]
     se = kde_est.standard_error()[mask]
-    bias = kde_est.bias_estimate()[mask]
+    bias = kde_est.bias_estimate(mask)
     if np.isnan(tol) or not all(np.isfinite(a).all() for a in (dens, lower, upper, se, bias)):
         raise DomainError("non-finite KDE, envelope or slack in the comparison range")
     slack = tol * upper + 3.0 * se + bias

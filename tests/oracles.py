@@ -9,6 +9,11 @@ references for the production code that shares them.
 
 import numpy as np
 
+from bsdedensity.coeffs import Points, eval_derivative
+from bsdedensity.forward import PathEnsemble, _cumtrapz, _euler_lamperti
+from bsdedensity.lamperti import LampertiMap
+from bsdedensity.nvdensity import mehler_shift, silverman_bandwidth
+
 # roundoff/truncation balanced steps per derivative order
 FD_STEPS = {1: 1e-5, 2: 6e-4, 3: 2e-2}
 
@@ -175,3 +180,116 @@ def reference_inverse_transform(lmap, u):
     else:
         raise RuntimeError("reference inverse did not converge")
     return x
+
+
+# ---------------------------------------------------------------------------
+# Reference tableau integrals and the single-target g-estimator: whole-matrix
+# evaluations, and one target whose Phi-sampler re-runs the forward sweep over
+# the whole horizon on every call.  The production code builds A and B in
+# blocks of paths and shares one sweep per u-node between all targets, cut at
+# the last eval time; it must agree with these bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def reference_tableau_integrals(lmap, X, dt):
+    """(sigma(X), A, B) of the forward tableau, each from one evaluation on
+    the whole path matrix."""
+    pts = Points(X)
+    sigX = eval_derivative(lmap.sigma, 0, pts)
+    A = _cumtrapz(lmap.beta_prime_sigma(pts), dt)
+    B = _cumtrapz(lmap.beta_comp_second(X) * np.exp(A), dt)
+    return sigX, A, B
+
+
+def ensemble_from_increments(problem, grid, increments, lamperti_map=None):
+    """An ensemble built from given Brownian increments over the whole grid,
+    with escaping paths clamped instead of dropped (``n_flagged`` counts the
+    clamp events), so its rows stay aligned with the increment rows."""
+    lmap = lamperti_map or LampertiMap(problem.sigma, problem.b, problem.box)
+    n_paths, n = increments.shape
+    assert n == grid.n_steps, "increment matrix does not match the grid"
+    W, U, X, hits = _euler_lamperti(problem, grid, increments, lmap)
+    return PathEnsemble(
+        grid=grid,
+        n_paths=n_paths,
+        master_seed=-1,
+        x0=problem.x0,
+        dW=np.ascontiguousarray(increments),
+        W=W,
+        U=U,
+        X=X,
+        path_ids=np.arange(n_paths, dtype=np.uint64),
+        n_flagged=int(hits.sum()),
+        n_requested=n_paths,
+    )
+
+
+def reference_phi_sampler(btab, t_idx, component):
+    """theta -> D_theta Y_t or D_theta Z_t (``component`` "Y" or "Z") on any
+    increment matrix: a full-horizon forward sweep, the main run's frozen
+    fits at the new time-t states and whole-matrix A and B.  ``n_clamped``
+    sums the clamp events of all calls."""
+    grid, lmap, problem = btab.ens.grid, btab.ftab.lmap, btab.problem
+    row = btab._row(t_idx)
+    coeffs = row.dy_coeffs if component == "Y" else row.dz_coeffs
+
+    def sampler(increments):
+        ens = ensemble_from_increments(problem, grid, increments, lmap)
+        sampler.n_clamped += ens.n_flagged
+        _, A, B = reference_tableau_integrals(lmap, ens.X, grid.dt)
+        fits = row.design.evaluate(coeffs, ens.X[:, t_idx], ens.W[:, t_idx])
+        ea_th = np.exp(-A[:, : t_idx + 1])
+        if component == "Y":
+            return fits[:, 0][:, None] + ea_th * fits[:, 1][:, None]
+        inner = fits[:, 2]
+        if coeffs[:, 3].any():
+            inner = inner - B[:, t_idx] * fits[:, 3]
+        ea_t = np.exp(-A[:, t_idx])[:, None]
+        return (fits[:, 0][:, None] + (ea_th + ea_t) * fits[:, 1][:, None]
+                + ea_th * ea_t * inner[:, None])
+
+    sampler.n_clamped = 0
+    return sampler
+
+
+def _reference_nadaraya_watson(x, p, grid, h):
+    z = (x[None, :] - grid[:, None]) / h
+    k = np.exp(-0.5 * z * z)
+    mass = k.sum(axis=1)
+    ksq = (k * k).sum(axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        vals = (k @ p) / mass
+        n_eff = np.where(ksq > 0, mass * mass / ksq, 0.0)
+    return vals, n_eff
+
+
+def reference_estimate_g(f_sampler, phi_sampler, x_grid, n_outer, n_inner, *,
+                         base_increments, increment_scale, theta_weights,
+                         wprime_seed, n_u_nodes=16, mean_f=None, n_batches=20):
+    """The single-target g-estimator: F and Phi from samplers of increment
+    matrices, every u-node replaying ``phi_sampler``.  Returns
+    (g_values, standard_errors, n_effective)."""
+    W = base_increments[:n_outer]
+    F = np.asarray(f_sampler(W), dtype=float)
+    phi = np.asarray(phi_sampler(W), dtype=float)
+    u_nodes, u_weights = np.polynomial.laguerre.laggauss(n_u_nodes)
+    P = np.zeros(n_outer)
+    for k in range(n_inner):
+        rng = np.random.default_rng(np.random.SeedSequence([wprime_seed, k]))
+        Wp = rng.standard_normal(W.shape) * increment_scale
+        for u, wq in zip(u_nodes, u_weights):
+            phi_u = np.asarray(phi_sampler(mehler_shift(W, Wp, u)), dtype=float)
+            P += (wq / n_inner) * ((phi * phi_u) @ theta_weights)
+    ef = float(F.mean()) if mean_f is None else float(mean_f)
+    x = F - ef
+    h = silverman_bandwidth(x)
+    grid = np.asarray(x_grid, dtype=float)
+    g_vals, n_eff = _reference_nadaraya_watson(x, P, grid, h)
+    edges = np.linspace(0, n_outer, n_batches + 1).astype(int)
+    batch_vals = np.empty((n_batches, len(grid)))
+    for bidx in range(n_batches):
+        sl = slice(edges[bidx], edges[bidx + 1])
+        batch_vals[bidx], _ = _reference_nadaraya_watson(x[sl], P[sl], grid, h)
+    with np.errstate(invalid="ignore"):
+        se = np.nanstd(batch_vals, axis=0, ddof=1) / np.sqrt(n_batches)
+    return g_vals, se, n_eff

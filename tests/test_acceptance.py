@@ -38,6 +38,7 @@ from bsdedensity.forward import (
 )
 from bsdedensity.lamperti import LampertiMap
 from bsdedensity.nvdensity import (
+    GTarget,
     derivative_bound_constants,
     estimate_g,
     gaussian_envelopes,
@@ -128,12 +129,12 @@ def test_criterion_03_g_estimator_calibration():
     incs = _draw_increments(MASTER_SEED, n_outer, n_steps, 1.0 / n_steps)
     theta_w = np.full(n_steps + 1, 1.0 / n_steps)
     theta_w[0] = theta_w[-1] = 0.5 / n_steps
-    est = estimate_g(
-        lambda w: w.sum(axis=1),
-        lambda w: np.ones((w.shape[0], n_steps + 1)),
-        np.linspace(-2, 2, 21), n_outer, 1,
+    target = GTarget(incs.sum(axis=1), lambda w: np.ones((w.shape[0], n_steps + 1)),
+                     np.linspace(-2, 2, 21), theta_w)
+    (est,) = estimate_g(
+        [target], lambda w: w, n_outer, 1,
         base_increments=incs, increment_scale=np.sqrt(1.0 / n_steps),
-        theta_weights=theta_w, wprime_seed=MASTER_SEED + 1,
+        wprime_seed=MASTER_SEED + 1,
     )
     err = float(np.abs(est.g_values - 1.0).max())
     ok = err < 0.05

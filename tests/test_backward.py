@@ -323,6 +323,25 @@ def test_tableau_memory_stays_linear_in_paths():
     assert retained - sol.Y.nbytes - sol.Z.nbytes < 4 * ens.X.nbytes
 
 
+def test_dy_row_peak_is_two_rows():
+    """dy_matrix holds e^{-A} and its output row, nothing more: the density
+    stage's peak on the default configuration is set by this row."""
+    prob = _s2_problem()
+    ens = simulate_forward(prob, GRID, 4000, seed=5)
+    ftab = MalliavinTableau(ens, LampertiMap(prob.sigma, prob.b, prob.box), prob)
+    t_idx = GRID.index_of(0.75)
+    tab = solve_bsde(ens, prob, BASIS, forward_tab=ftab, t_indices=[t_idx]).tableau
+    row_bytes = ens.n_paths * (t_idx + 1) * 8
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tab.dy_matrix(t_idx)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 2.1 * row_bytes
+
+
 def test_one_design_per_step(monkeypatch):
     """The solver and the tableau share each step's regression design."""
     built = []

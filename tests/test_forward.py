@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from bsdedensity.coeffs import Driver, ProblemSpec, affine, constant, polynomial
+from bsdedensity.coeffs import Driver, ProblemSpec, affine, constant, polynomial, trig_affine
 from bsdedensity.errors import OrderingError, SimulationError
 from bsdedensity.forward import (
+    _ROW_BLOCK,
     MalliavinTableau,
     TimeGrid,
     dump_ensemble,
@@ -12,7 +13,7 @@ from bsdedensity.forward import (
 )
 from bsdedensity.lamperti import LampertiMap
 
-from oracles import euler_u_flow
+from oracles import euler_u_flow, reference_tableau_integrals
 
 
 def _problem(b, sigma, box=(-12, 12), T=1.0):
@@ -229,3 +230,21 @@ def test_time_grid():
         TimeGrid(0.0, 5)
     with pytest.raises(ValueError):
         g.index_of(3.0)
+
+
+def test_tableau_integrals_in_path_blocks_match_whole_matrix():
+    # A, B and sigma(X) are built in blocks of paths; a row block is
+    # contiguous, so every value is bitwise the whole-matrix one, also in a
+    # last block shorter than the others; S2's sigma and b
+    prob = _problem(trig_affine(c=0.3), trig_affine(a=2, b=0.5))
+    grid = TimeGrid(1.0, 8)
+    n_paths = 2 * _ROW_BLOCK + 37
+    ens = simulate_forward(prob, grid, n_paths, seed=5)
+    assert ens.n_paths % _ROW_BLOCK and ens.n_paths > _ROW_BLOCK
+    lmap = LampertiMap(prob.sigma, prob.b, prob.box)
+    tab = MalliavinTableau(ens, lmap, prob)
+    sigX, A, B = reference_tableau_integrals(lmap, ens.X, grid.dt)
+    assert np.array_equal(tab.sigX, sigX)
+    assert np.array_equal(tab.A, A)
+    assert np.array_equal(tab.B, B)
+    assert np.abs(B).max() > 0

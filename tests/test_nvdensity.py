@@ -4,20 +4,24 @@ import pytest
 from bsdedensity.coeffs import Driver, ProblemSpec, affine, constant, quadratic, trig_affine
 from bsdedensity.backward import (
     RegressionBasis,
-    ensemble_from_increments,
-    make_phi_sampler,
+    ReplaySweep,
+    make_phi_row,
+    make_replay_sweep,
     solve_bsde,
 )
 from bsdedensity.errors import DomainError, SolverError
 from bsdedensity.forward import MalliavinTableau, TimeGrid, _draw_increments, simulate_forward
 from bsdedensity.lamperti import LampertiMap
 from bsdedensity.nvdensity import (
+    GTarget,
     derivative_bound_constants,
     estimate_g,
     gaussian_envelopes,
     mehler_shift,
     silverman_bandwidth,
 )
+
+from oracles import ensemble_from_increments, reference_estimate_g, reference_phi_sampler
 
 
 def test_mehler_endpoints():
@@ -44,6 +48,15 @@ def test_mehler_preserves_marginal_variance():
         assert np.all(np.abs(ratio - 1) < 4 * np.sqrt(2.0 / 40000))
 
 
+def _estimate_one(f, phi, x_grid, n_outer, n_inner, *, base_increments,
+                  theta_weights, **kw):
+    """One target whose F and Phi are functions of the increment matrix: the
+    sweep state is the increment matrix itself."""
+    target = GTarget(f(base_increments[:n_outer]), phi, x_grid, theta_weights)
+    return estimate_g([target], lambda w: w, n_outer, n_inner,
+                      base_increments=base_increments, **kw)[0]
+
+
 def _flat_phi_case(n_outer=4000, n_steps=50):
     incs = _draw_increments(123, n_outer, n_steps, 1.0 / n_steps)
     theta_w = np.full(n_steps + 1, 1.0 / n_steps)
@@ -56,9 +69,9 @@ def _flat_phi_case(n_outer=4000, n_steps=50):
 def test_estimate_g_flat_phi_exact():
     incs, theta_w, f, phi = _flat_phi_case()
     grid = np.linspace(-2, 2, 21)
-    est = estimate_g(f, phi, grid, 4000, 1, base_increments=incs,
-                     increment_scale=np.sqrt(1 / 50), theta_weights=theta_w,
-                     wprime_seed=7)
+    est = _estimate_one(f, phi, grid, 4000, 1, base_increments=incs,
+                        increment_scale=np.sqrt(1 / 50), theta_weights=theta_w,
+                        wprime_seed=7)
     assert np.abs(est.g_values - 1.0).max() < 1e-10
     assert np.all(est.standard_errors[est.reliable] < 1e-10)
     assert est.reliable.sum() >= 15
@@ -82,14 +95,14 @@ def test_estimate_g_pipeline_reduction():
     grid = TimeGrid(1.0, 50)
     t_idx = grid.index_of(0.5)
     incs = _draw_increments(5, 3000, 50, grid.dt)
-    sampler = make_phi_sampler(_brownian_tableau(incs, grid, [t_idx]), t_idx, "Y")
+    btab = _brownian_tableau(incs, grid, [t_idx])
     theta_w = np.full(t_idx + 1, grid.dt)
     theta_w[0] = theta_w[-1] = 0.5 * grid.dt
-    f = lambda w: w[:, :t_idx].sum(axis=1)  # noqa: E731
     xg = np.linspace(-1.2, 1.2, 11)
-    est = estimate_g(f, sampler, xg, 3000, 1, base_increments=incs,
-                     increment_scale=np.sqrt(grid.dt), theta_weights=theta_w,
-                     wprime_seed=11)
+    target = GTarget(incs[:, :t_idx].sum(axis=1), make_phi_row(btab, t_idx, "Y"), xg, theta_w)
+    (est,) = estimate_g([target], make_replay_sweep(btab, t_idx), 3000, 1,
+                        base_increments=incs, increment_scale=np.sqrt(grid.dt),
+                        wprime_seed=11)
     ok = est.reliable
     assert np.abs(est.g_values[ok] - 0.5).max() < 0.02
 
@@ -98,11 +111,11 @@ def test_phi_sampler_component_validation():
     grid = TimeGrid(1.0, 10)
     btab = _brownian_tableau(_draw_increments(5, 200, 10, grid.dt), grid, [5, 10])
     with pytest.raises(SolverError, match="component"):
-        make_phi_sampler(btab, 5, "X")
+        make_phi_row(btab, 5, "X")
     # the terminal node has no fitted regression to freeze
     for comp in ("Y", "Z"):
         with pytest.raises(SolverError, match="terminal node t = 1"):
-            make_phi_sampler(btab, 10, comp)
+            make_phi_row(btab, 10, comp)
 
 
 def _s2_problem(alpha=0.0):
@@ -160,9 +173,9 @@ def test_frozen_sampler_reproduces_main_run_rows(frozen_case, component):
     btab = sol.tableau
     t_idx = FROZEN_GRID.index_of(0.5)
     m = 500
-    sampler = make_phi_sampler(btab, t_idx, component)
+    phi = make_phi_row(btab, t_idx, component)
     ref = (btab.dy_matrix if component == "Y" else btab.dz_matrix)(t_idx)[:m]
-    got = sampler(ens.dW[:m])
+    got = phi(make_replay_sweep(btab, t_idx)(ens.dW[:m]))
     assert got.shape == ref.shape
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -176,8 +189,115 @@ def test_frozen_sampler_is_row_wise(frozen_case, component):
     incs = mehler_shift(ens.dW[:m], rng.standard_normal((m, FROZEN_GRID.n_steps))
                         * np.sqrt(FROZEN_GRID.dt), 0.7)
     rows = np.array([3, 17, 5, 400, 0, 499, 250])
-    sampler = make_phi_sampler(btab, FROZEN_GRID.index_of(0.5), component)
-    assert np.array_equal(sampler(incs[rows]), sampler(incs)[rows])
+    t_idx = FROZEN_GRID.index_of(0.5)
+    phi, sweep = make_phi_row(btab, t_idx, component), make_replay_sweep(btab, t_idx)
+    assert np.array_equal(phi(sweep(incs[rows])), phi(sweep(incs))[rows])
+
+
+def _cli_targets(sol, n_outer):
+    """Y and Z targets at every frozen row, built as the CLI builds them,
+    each with its single-target reference sampler."""
+    btab, dt = sol.tableau, FROZEN_GRID.dt
+    out = []
+    for t_idx in FROZEN_ROWS:
+        theta_w = np.full(t_idx + 1, dt)
+        theta_w[0] = theta_w[-1] = 0.5 * dt
+        for comp, values in (("Y", sol.Y), ("Z", sol.Z)):
+            samples = values[:n_outer, t_idx]
+            spread = float(samples.std())
+            target = GTarget(samples, make_phi_row(btab, t_idx, comp),
+                             np.linspace(-2 * spread, 2 * spread, 9), theta_w,
+                             mean_f=float(values[:, t_idx].mean()))
+            out.append((target, reference_phi_sampler(btab, t_idx, comp)))
+    return out
+
+
+def test_shared_sweep_matches_single_target_reference(frozen_case):
+    # every target reads its Phi rows from one sweep per (copy, u-node), cut
+    # at the last eval time, and reproduces the single-target estimator that
+    # replays the whole horizon per target bit for bit
+    ens, sol = frozen_case
+    n_outer, n_inner, n_nodes = 400, 2, 6
+    pairs = _cli_targets(sol, n_outer)
+    sweep = make_replay_sweep(sol.tableau, max(FROZEN_ROWS))
+    states = []
+
+    def counted(incs):
+        states.append(sweep(incs))
+        return states[-1]
+
+    kw = dict(base_increments=ens.dW[:n_outer], increment_scale=np.sqrt(FROZEN_GRID.dt),
+              wprime_seed=77, n_u_nodes=n_nodes)
+    got = estimate_g([t for t, _ in pairs], counted, n_outer, n_inner, **kw)
+    assert len(states) == 1 + n_inner * n_nodes  # whatever the number of targets
+    for est, (target, ref_sampler) in zip(got, pairs):
+        g, se, n_eff = reference_estimate_g(
+            lambda w, target=target: target.samples, ref_sampler, target.x_grid,
+            n_outer, n_inner, theta_weights=target.theta_weights,
+            mean_f=target.mean_f, **kw,
+        )
+        assert np.array_equal(est.g_values, g)
+        assert np.array_equal(est.standard_errors, se)
+        assert np.array_equal(est.n_effective, n_eff)
+    # B is built exactly when some Z row has a non-zero e-coefficient (S2)
+    uses_b = any(sol.tableau._row(t).dz_coeffs[:, 3].any() for t in FROZEN_ROWS)
+    assert uses_b == (sol.problem.sigma.family != "constant")
+    assert all((st._B is not None) == uses_b for st in states)
+
+
+def test_replay_sweep_cut_at_t_max():
+    # the state is a prefix of the full-horizon sweep, bit for bit, and the
+    # clamp count covers the steps up to t_max only
+    prob = _s2_problem()
+    grid = TimeGrid(1.0, 20)
+    lmap = LampertiMap(prob.sigma, prob.b, prob.box)
+    incs = _draw_increments(9, 300, 20, grid.dt)
+    full = ReplaySweep(prob, grid, lmap, incs, 20)
+    cut = ReplaySweep(prob, grid, lmap, incs, 12)
+    for name in ("W", "X", "A", "exp_neg_A", "B"):
+        assert np.array_equal(getattr(cut, name), getattr(full, name)[:, :13])
+    # a box barely wider than the paths' reach makes clamps happen late
+    tight = ProblemSpec(0.0, 1.0, constant(0), constant(1), Driver(), "phi-of-wt",
+                        affine(a=0, b=1), box=(-1.5, 1.5))
+    tl = LampertiMap(tight.sigma, tight.b, tight.box)
+    wide = 3.0 * incs
+    early, late = (ReplaySweep(tight, grid, tl, wide, t).n_clamped for t in (5, 20))
+    assert 0 < early < late
+    assert late == ensemble_from_increments(tight, grid, wide, tl).n_flagged
+
+
+def test_estimate_g_validates_before_the_first_sweep():
+    incs, theta_w, f, phi = _flat_phi_case(200, 10)
+    calls = []
+
+    def sweep(w):
+        calls.append(1)
+        return w
+
+    def run(n_outer=200, **changes):
+        fields = dict(samples=f(incs[:n_outer]), phi=phi, x_grid=np.linspace(-1, 1, 5),
+                      theta_weights=theta_w)
+        good = GTarget(**fields)
+        bad = GTarget(**{**fields, **changes})
+        estimate_g([good, bad], sweep, n_outer, 1, base_increments=incs,
+                   increment_scale=0.3, wprime_seed=1, n_u_nodes=2)
+
+    for n_outer, changes in [
+        (200, dict(x_grid=np.array([0.0, -1.0]))),
+        (200, dict(x_grid=np.zeros((2, 2)))),
+        (200, dict(theta_weights=np.ones((11, 1)))),
+        (200, dict(samples=np.zeros(150))),
+        (10, {}),  # fewer outer paths than batches
+        (500, {}),  # more outer paths than base rows
+    ]:
+        with pytest.raises(DomainError):
+            run(n_outer, **changes)
+        assert calls == []
+    # a phi whose width does not match theta_weights fails on the unshifted
+    # sweep, before any replay
+    with pytest.raises(DomainError, match="theta_weights"):
+        run(theta_weights=theta_w[:-1])
+    assert calls == [1]
 
 
 def _smooth_phi_case(n_outer=3000, n_steps=40):
@@ -197,9 +317,9 @@ def _smooth_phi_case(n_outer=3000, n_steps=40):
 def test_estimate_g_bounded_phi_band():
     incs, theta_w, f, phi = _smooth_phi_case()
     grid = np.linspace(-1.5, 1.5, 13)
-    est = estimate_g(f, phi, grid, 3000, 1, base_increments=incs,
-                     increment_scale=np.sqrt(1 / 40), theta_weights=theta_w,
-                     wprime_seed=3)
+    est = _estimate_one(f, phi, grid, 3000, 1, base_increments=incs,
+                        increment_scale=np.sqrt(1 / 40), theta_weights=theta_w,
+                        wprime_seed=3)
     ok = est.reliable
     lo, hi = 0.5**2 * 1.0, 1.5**2 * 1.0
     assert np.all(est.g_values[ok] >= lo - 3 * est.standard_errors[ok] - 1e-9)
@@ -211,8 +331,8 @@ def test_u_quadrature_doubling():
     grid = np.linspace(-1.0, 1.0, 9)
     kw = dict(base_increments=incs, increment_scale=np.sqrt(1 / 40),
               theta_weights=theta_w, wprime_seed=3)
-    a = estimate_g(f, phi, grid, 3000, 1, n_u_nodes=16, **kw)
-    b = estimate_g(f, phi, grid, 3000, 1, n_u_nodes=32, **kw)
+    a = _estimate_one(f, phi, grid, 3000, 1, n_u_nodes=16, **kw)
+    b = _estimate_one(f, phi, grid, 3000, 1, n_u_nodes=32, **kw)
     ok = a.reliable & b.reliable
     rel = np.abs(a.g_values[ok] - b.g_values[ok]) / np.abs(b.g_values[ok])
     assert rel.max() < 0.005
@@ -221,11 +341,11 @@ def test_u_quadrature_doubling():
 def test_estimate_g_validation():
     incs, theta_w, f, phi = _flat_phi_case(200, 10)
     with pytest.raises(DomainError):
-        estimate_g(f, phi, np.array([0.0, -1.0]), 200, 1, base_increments=incs,
-                   increment_scale=0.3, theta_weights=theta_w, wprime_seed=1)
+        _estimate_one(f, phi, np.array([0.0, -1.0]), 200, 1, base_increments=incs,
+                      increment_scale=0.3, theta_weights=theta_w, wprime_seed=1)
     with pytest.raises(DomainError):
-        estimate_g(f, phi, np.linspace(-1, 1, 5), 500, 1, base_increments=incs,
-                   increment_scale=0.3, theta_weights=theta_w, wprime_seed=1)
+        _estimate_one(f, phi, np.linspace(-1, 1, 5), 500, 1, base_increments=incs,
+                      increment_scale=0.3, theta_weights=theta_w, wprime_seed=1)
 
 
 def test_derivative_bound_constants_examples():

@@ -155,3 +155,13 @@ def test_positivity_counts_pool_rows_in_order():
     assert rep.nonpositive_fraction == float(nonpos.mean())
     assert rep.min_value == float(flat.min())
     assert rep.verdict == "fail"
+
+
+def test_bias_estimate_on_the_mask_only(normal_samples):
+    # the masked bias is computed on the selected grid points alone, in
+    # chunks that start elsewhere, and is bitwise the unmasked one there
+    grid = np.linspace(-5, 5, 321)
+    est = kde(normal_samples, grid)
+    for mask in (np.abs(grid) <= 2.5, grid > 1.0, np.zeros(321, dtype=bool),
+                 np.arange(321) % 7 == 3):
+        assert np.array_equal(est.bias_estimate(mask), est.bias_estimate()[mask])
