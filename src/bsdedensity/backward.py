@@ -272,14 +272,12 @@ def terminal_values(problem: ProblemSpec, ens: PathEnsemble) -> np.ndarray:
     return eval_derivative(problem.phi, 0, arg)
 
 
-def _terminal_z(problem: ProblemSpec, ens: PathEnsemble,
-                sigX_T: np.ndarray | None = None) -> np.ndarray:
+def _terminal_z(problem: ProblemSpec, ens: PathEnsemble) -> np.ndarray:
     """D_T xi: phi'(W_T), or phi'(X_T) sigma(X_T) via D_T X_T = sigma(X_T)."""
     if problem.terminal == "phi-of-wt":
         return eval_derivative(problem.phi, 1, ens.W[:, -1])
-    if sigX_T is None:
-        sigX_T = eval_derivative(problem.sigma, 0, ens.X[:, -1])
-    return eval_derivative(problem.phi, 1, ens.X[:, -1]) * sigX_T
+    xT = Points(ens.X[:, -1])
+    return eval_derivative(problem.phi, 1, xT) * eval_derivative(problem.sigma, 0, xT)
 
 
 def solve_bsde(
@@ -490,7 +488,7 @@ class BackwardTableau:
         else:
             xT = Points(ens.X[:, n])
             phi1 = eval_derivative(problem.phi, 1, xT)
-            sig, eA = ftab.sigX[:, n], np.exp(ftab.A[:, n])
+            sig, eA = eval_derivative(problem.sigma, 0, xT), np.exp(ftab.A[:, n])
             sA = sig * eA
             sig1 = eval_derivative(problem.sigma, 1, xT)
             dxi = (zero, phi1 * sig * eA)
@@ -521,7 +519,7 @@ class BackwardTableau:
         N = self.ens.n_paths
         half = 0.5 * self.dt
         zero = np.zeros(N)
-        # the driver partials and sigma' share each transcendental of X_s, Y_s
+        # the driver partials, sigma and sigma' share each transcendental of X_s, Y_s
         x, y = Points(self.ens.X[:, s]), Points(y)
         fitted = keep or has_fy
         carry = self._active and s < self.n
@@ -532,7 +530,7 @@ class BackwardTableau:
         h = np.zeros((4, N))
         if has_fx:
             fx = drv.fx(x, y)
-            sig, eA = ftab.sigX[:, s], np.exp(A[:, s])
+            sig, eA = eval_derivative(self.problem.sigma, 0, x), np.exp(A[:, s])
             se = sig * eA
             h[3] = fx * se
             h[2] = drv.fxx(x, y) * se**2
@@ -741,8 +739,15 @@ def _dz_row(fa: np.ndarray, fbc: np.ndarray, inner: np.ndarray, ea_th: np.ndarra
             ea_t: np.ndarray) -> np.ndarray:
     """D_theta Z_t = a + (e^{-A_theta} + e^{-A_t}) bc + e^{-A_theta - A_t} inner
     for the theta columns of ``ea_th``, where inner = d - B_t e."""
+    # in place: besides the caller's ea_th, only the output and one product row
     ea_t = ea_t[:, None]
-    return fa[:, None] + (ea_th + ea_t) * fbc[:, None] + ea_th * ea_t * inner[:, None]
+    out = ea_th + ea_t
+    out *= fbc[:, None]
+    out += fa[:, None]
+    prod = ea_th * ea_t
+    prod *= inner[:, None]
+    out += prod
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -763,12 +768,12 @@ class ReplaySweep:
 
     def __init__(self, problem: ProblemSpec, grid: TimeGrid, lmap: LampertiMap,
                  increments: np.ndarray, t_max: int):
-        self.W, _, self.X, hits = _euler_lamperti(
+        self.W, self.X, hits = _euler_lamperti(
             problem, grid, increments[:, :t_max], lmap
         )
         self.n_clamped = int(hits.sum())
         self.lmap, self.dt = lmap, grid.dt
-        self.A, _ = log_derivative_integral(lmap, self.X, grid.dt)
+        self.A = log_derivative_integral(lmap, self.X, grid.dt)
         self.exp_neg_A = np.exp(-self.A)
         self._B: np.ndarray | None = None
 

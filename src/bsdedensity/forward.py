@@ -3,7 +3,7 @@
 The forward equation is simulated in Lamperti coordinates: U = g(X) has unit
 diffusion, so Euler-Maruyama on U adds the Brownian increments exactly and the
 only discretization error sits in the drift.  X is recovered per step through
-g^-1.
+g^-1; U itself is carried as a running vector and not stored.
 
 Malliavin derivatives along a simulated path reduce to one-dimensional
 quadratures of state functions:
@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .coeffs import CoefficientFamily, Points, ProblemSpec, eval_derivative
+from .coeffs import Points, ProblemSpec, eval_derivative
 from .errors import OrderingError, SimulationError
 from .lamperti import LampertiMap
 
@@ -49,7 +49,7 @@ __all__ = [
 ]
 
 _MAGIC = b"BSDENS01"
-_VERSION = 1
+_VERSION = 2
 _HEADER_FMT = "<8sIIIIddQI4x"
 
 
@@ -86,7 +86,7 @@ class TimeGrid:
 class PathEnsemble:
     """Seeded Brownian / Lamperti / state paths, one row per surviving path.
 
-    ``dW`` has shape (n_paths, n_steps); W, U, X have shape
+    ``dW`` has shape (n_paths, n_steps); W and X have shape
     (n_paths, n_steps + 1).  Row i of the increment matrix is a pure function
     of (master_seed, path_id): increments are drawn row-major from a single
     PCG64 stream, so a row's values depend only on its original index.
@@ -100,7 +100,6 @@ class PathEnsemble:
     x0: float
     dW: np.ndarray
     W: np.ndarray
-    U: np.ndarray
     X: np.ndarray
     path_ids: np.ndarray
     n_flagged: int
@@ -119,34 +118,32 @@ def _draw_increments(master_seed: int, n_paths: int, n_steps: int, dt: float) ->
 
 def _euler_lamperti(
     problem: ProblemSpec, grid: TimeGrid, dW: np.ndarray, lmap: LampertiMap
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Euler-Maruyama on U = g(X) driven by the increments ``dW``.
 
     Steps whose U would leave the image of the certified box are clamped just
-    inside it.  Returns W, U, X and the number of clamp events per path.
+    inside it.  Returns W, X and the number of clamp events per path.
     """
     n_paths, n = dW.shape
     dt = grid.dt
     glo, ghi = lmap.g_range
     margin = 1e-9 * (ghi - glo)
     W = np.empty((n_paths, n + 1))
-    U = np.empty((n_paths, n + 1))
     X = np.empty((n_paths, n + 1))
     W[:, 0] = 0.0
-    U[:, 0] = lmap.transform(problem.x0)
+    u = np.full(n_paths, lmap.transform(problem.x0))
     X[:, 0] = problem.x0
     hits = np.zeros(n_paths, dtype=np.int64)
     for i in range(n):
         drift = lmap.beta(X[:, i])
-        u_next = U[:, i] + drift * dt + dW[:, i]
-        out = (u_next < glo + margin) | (u_next > ghi - margin)
+        u = u + drift * dt + dW[:, i]
+        out = (u < glo + margin) | (u > ghi - margin)
         if out.any():
             hits += out
-            u_next = np.clip(u_next, glo + margin, ghi - margin)
-        U[:, i + 1] = u_next
+            u = np.clip(u, glo + margin, ghi - margin)
         W[:, i + 1] = W[:, i] + dW[:, i]
-        X[:, i + 1] = lmap.inverse_transform(u_next)
-    return W, U, X, hits
+        X[:, i + 1] = lmap.inverse_transform(u)
+    return W, X, hits
 
 
 def simulate_forward(
@@ -167,7 +164,7 @@ def simulate_forward(
         raise SimulationError("n_paths must be >= 1")
     lmap = lamperti_map or LampertiMap(problem.sigma, problem.b, problem.box)
     dW = _draw_increments(seed, n_paths, grid.n_steps, grid.dt)
-    W, U, X, hits = _euler_lamperti(problem, grid, dW, lmap)
+    W, X, hits = _euler_lamperti(problem, grid, dW, lmap)
     flagged = hits > 0
     n_flagged = int(flagged.sum())
     if n_flagged > max_flagged_fraction * n_paths:
@@ -184,7 +181,6 @@ def simulate_forward(
         x0=problem.x0,
         dW=dW[keep],
         W=W[keep],
-        U=U[keep],
         X=X[keep],
         path_ids=np.nonzero(keep)[0].astype(np.uint64),
         n_flagged=n_flagged,
@@ -210,24 +206,16 @@ def _row_blocks(n_rows: int):
     return (slice(lo, lo + _ROW_BLOCK) for lo in range(0, n_rows, _ROW_BLOCK))
 
 
-def log_derivative_integral(
-    lmap: LampertiMap, X: np.ndarray, dt: float,
-    sigma: CoefficientFamily | None = None,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """A, the cumulative trapezoid of (beta o g^-1)'(X) along each path of
-    ``X``, and sigma(X) when ``sigma`` is given (sharing each sin/cos).
+def log_derivative_integral(lmap: LampertiMap, X: np.ndarray, dt: float) -> np.ndarray:
+    """A, the cumulative trapezoid of (beta o g^-1)'(X) along each path of ``X``.
 
     Built in blocks of paths; the cumulative sum runs along each path, so a
     prefix of the columns of X gives the same prefix of A.
     """
     A = np.empty_like(X)
-    sigX = None if sigma is None else np.empty_like(X)
     for rows in _row_blocks(len(X)):
-        pts = Points(X[rows])
-        if sigX is not None:
-            sigX[rows] = eval_derivative(sigma, 0, pts)
-        A[rows] = _cumtrapz(lmap.beta_prime_sigma(pts), dt)
-    return A, sigX
+        A[rows] = _cumtrapz(lmap.beta_prime_sigma(Points(X[rows])), dt)
+    return A
 
 
 def second_order_integral(
@@ -248,18 +236,16 @@ class MalliavinTableau:
     per path, with second-order slices indexed by (theta, t, s); physically
     everything derives from the cumulative integrals A and B described in the
     module docstring.  theta arguments snap to grid nodes; accessors reject
-    theta > t.
+    theta > t.  sigma and sigma' are evaluated at the states an accessor
+    reads, never stored as path matrices.
     """
 
     def __init__(self, ens: PathEnsemble, lmap: LampertiMap, problem: ProblemSpec):
         self.ens = ens
         self.lmap = lmap
         self.problem = problem
-        self.A, self.sigX = log_derivative_integral(
-            lmap, ens.X, ens.grid.dt, problem.sigma
-        )
+        self.A = log_derivative_integral(lmap, ens.X, ens.grid.dt)
         self._B: np.ndarray | None = None
-        self._sig1X: np.ndarray | None = None
 
     # -- lazy second-order machinery ----------------------------------------
 
@@ -270,11 +256,8 @@ class MalliavinTableau:
                                             self.ens.grid.dt)
         return self._B
 
-    @property
-    def sig1X(self) -> np.ndarray:
-        if self._sig1X is None:
-            self._sig1X = eval_derivative(self.problem.sigma, 1, self.ens.X)
-        return self._sig1X
+    def _sigma(self, order: int, path: int, idx: int) -> float:
+        return eval_derivative(self.problem.sigma, order, self.ens.X[path, idx])
 
     # -- guards --------------------------------------------------------------
 
@@ -306,7 +289,7 @@ class MalliavinTableau:
 
     def first_x(self, path: int, theta_idx: int, t_idx: int) -> float:
         self._check_pair(theta_idx, t_idx)
-        return float(self.sigX[path, t_idx]) * self.first_u(path, theta_idx, t_idx)
+        return self._sigma(0, path, t_idx) * self.first_u(path, theta_idx, t_idx)
 
     def second_u(self, path: int, theta_idx: int, t_idx: int, s_idx: int) -> float:
         lo, hi = self._canon_second(theta_idx, t_idx, s_idx)
@@ -320,25 +303,16 @@ class MalliavinTableau:
         a = self.A[path]
         du_prod = np.exp(2.0 * a[s_idx] - a[hi] - a[lo])
         d2u = np.exp(a[s_idx] - a[hi] - a[lo]) * (self.B[path, s_idx] - self.B[path, hi])
-        return float(
-            self.sig1X[path, s_idx] * self.sigX[path, s_idx] * du_prod
-            + self.sigX[path, s_idx] * d2u
-        )
+        sig = self._sigma(0, path, s_idx)
+        return float(self._sigma(1, path, s_idx) * sig * du_prod + sig * d2u)
 
-    # -- vector accessors used by the backward machinery ---------------------
-
-    def first_u_matrix(self, t_idx: int) -> np.ndarray:
-        """DU[theta][t] for all theta <= t, shape (n_paths, t_idx + 1)."""
-        self._check_pair(0, t_idx)
-        return np.exp(self.A[:, t_idx : t_idx + 1] - self.A[:, : t_idx + 1])
-
-    def first_x_matrix(self, t_idx: int) -> np.ndarray:
-        return self.sigX[:, t_idx : t_idx + 1] * self.first_u_matrix(t_idx)
+    # -- vector accessor -----------------------------------------------------
 
     def first_x_all(self, theta_idx: int, t_idx: int) -> np.ndarray:
         """D_theta X_t across paths, shape (n_paths,)."""
         self._check_pair(theta_idx, t_idx)
-        return self.sigX[:, t_idx] * np.exp(self.A[:, t_idx] - self.A[:, theta_idx])
+        sig = eval_derivative(self.problem.sigma, 0, self.ens.X[:, t_idx])
+        return sig * np.exp(self.A[:, t_idx] - self.A[:, theta_idx])
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +337,7 @@ def dump_ensemble(ens: PathEnsemble, path: str | Path) -> None:
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(np.ascontiguousarray(ens.path_ids, dtype="<u8").tobytes())
-        per_path = np.concatenate([ens.dW, ens.W, ens.U, ens.X], axis=1)
+        per_path = np.concatenate([ens.dW, ens.W, ens.X], axis=1)
         fh.write(np.ascontiguousarray(per_path, dtype="<f8").tobytes())
 
 
@@ -376,10 +350,15 @@ def load_ensemble(path: str | Path) -> PathEnsemble:
     magic, version, n_steps, n_paths, n_requested, T, x0, seed, n_flagged = (
         struct.unpack_from(_HEADER_FMT, raw)
     )
-    if magic != _MAGIC or version != _VERSION:
-        raise SimulationError(f"{path} is not a version-{_VERSION} ensemble dump")
+    if magic != _MAGIC:
+        raise SimulationError(f"{path} is not an ensemble dump")
+    if version != _VERSION:
+        raise SimulationError(
+            f"{path} is a version-{version} ensemble dump; this version reads "
+            f"version {_VERSION} only, so re-run --stage simulate"
+        )
     n = n_steps
-    width = n + 3 * (n + 1)
+    width = n + 2 * (n + 1)
     expected = head_size + 8 * n_paths * (1 + width)
     if len(raw) != expected:
         raise SimulationError(
@@ -398,8 +377,7 @@ def load_ensemble(path: str | Path) -> PathEnsemble:
         x0=x0,
         dW=data[:, :n].copy(),
         W=data[:, n : 2 * n + 1].copy(),
-        U=data[:, 2 * n + 1 : 3 * n + 2].copy(),
-        X=data[:, 3 * n + 2 :].copy(),
+        X=data[:, 2 * n + 1 :].copy(),
         path_ids=path_ids.copy(),
         n_flagged=n_flagged,
         n_requested=n_requested,

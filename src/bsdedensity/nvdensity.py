@@ -297,9 +297,9 @@ class Envelope:
     """Gaussian lower/upper density envelopes with their constants.
 
     ``lower``/``upper`` follow the convention in which the upper bound's
-    prefactor carries gamma_min^2; ``alt_lower``/``alt_upper`` carry the
-    transposed convention (prefactor constants swapped) so reports can print
-    both variants side by side.
+    prefactor carries gamma_min^2; :meth:`prefactors` also gives those of
+    the transposed convention (prefactor constants swapped) so reports can
+    print both variants side by side.
     """
 
     gamma_min_sq: float
@@ -309,8 +309,6 @@ class Envelope:
     z_grid: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-    alt_lower: np.ndarray
-    alt_upper: np.ndarray
 
     def prefactors(self) -> dict[str, float]:
         m = self.abs_moment
@@ -346,8 +344,6 @@ def gaussian_envelopes(
     d2 = (z - mean) ** 2
     lower = abs_moment / (2.0 * gamma_max_sq) * np.exp(-d2 / (2.0 * gamma_min_sq))
     upper = abs_moment / (2.0 * gamma_min_sq) * np.exp(-d2 / (2.0 * gamma_max_sq))
-    alt_lower = abs_moment / (2.0 * gamma_min_sq) * np.exp(-d2 / (2.0 * gamma_max_sq))
-    alt_upper = abs_moment / (2.0 * gamma_max_sq) * np.exp(-d2 / (2.0 * gamma_min_sq))
     env = Envelope(
         gamma_min_sq=gamma_min_sq,
         gamma_max_sq=gamma_max_sq,
@@ -356,8 +352,6 @@ def gaussian_envelopes(
         z_grid=z,
         lower=lower,
         upper=upper,
-        alt_lower=alt_lower,
-        alt_upper=alt_upper,
     )
     if not np.all(env.lower <= env.upper * (1 + 1e-15)):
         raise DomainError("lower envelope exceeds the upper envelope")

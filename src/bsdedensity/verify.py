@@ -30,6 +30,22 @@ __all__ = [
 _GAUSS_NORM = 1.0 / np.sqrt(2.0 * np.pi)
 _ROUGHNESS = 1.0 / (2.0 * np.sqrt(np.pi))  # integral of the squared Gaussian kernel
 _N_WITNESSES = 20
+# elements of one (grid points x samples) kernel block: 2 MiB per temporary
+_KERNEL_BLOCK = 1 << 18
+
+
+def _kernel_means(z: np.ndarray, x: np.ndarray, h: float, kernel) -> np.ndarray:
+    """Mean over the samples ``x`` of ``kernel((z_j - x) / h)`` at each grid
+    point z_j, evaluated a block of grid points at a time.
+
+    Each point's mean runs over its own row, so the values do not depend on
+    the block size."""
+    out = np.empty_like(z)
+    chunk = max(1, _KERNEL_BLOCK // max(x.size, 1))
+    for start in range(0, len(z), chunk):
+        u = (z[start : start + chunk, None] - x[None, :]) / h
+        out[start : start + chunk] = kernel(u).mean(axis=1)
+    return out
 
 
 @dataclass
@@ -59,16 +75,8 @@ class DensityEstimate:
         unmasked one."""
         h = self.bandwidth
         x = self.samples_sorted
-        n = self.n_samples
         z = self.z_grid if mask is None else self.z_grid[mask]
-        d2 = np.empty_like(z)
-        chunk = max(1, int(4e6 // max(n, 1)))
-        for start in range(0, len(z), chunk):
-            zz = z[start : start + chunk, None]
-            u = (zz - x[None, :]) / h
-            d2[start : start + chunk] = (
-                (u * u - 1.0) * np.exp(-0.5 * u * u)
-            ).mean(axis=1)
+        d2 = _kernel_means(z, x, h, lambda u: (u * u - 1.0) * np.exp(-0.5 * u * u))
         d2 *= _GAUSS_NORM / h**3
         return 0.5 * h * h * np.abs(d2)
 
@@ -97,12 +105,7 @@ def kde(samples: np.ndarray, grid: np.ndarray, bandwidth: float | None = None) -
         bandwidth = 1.06 * sd * n ** (-0.2)
     if bandwidth <= 0:
         raise DomainError("bandwidth must be positive")
-    dens = np.empty_like(z)
-    chunk = max(1, int(4e6 // max(n, 1)))
-    for start in range(0, len(z), chunk):
-        zz = z[start : start + chunk, None]
-        u = (zz - x[None, :]) / bandwidth
-        dens[start : start + chunk] = np.exp(-0.5 * u * u).mean(axis=1)
+    dens = _kernel_means(z, x, bandwidth, lambda u: np.exp(-0.5 * u * u))
     dens *= _GAUSS_NORM / bandwidth
     return DensityEstimate(
         z_grid=z,

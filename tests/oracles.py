@@ -208,7 +208,7 @@ def ensemble_from_increments(problem, grid, increments, lamperti_map=None):
     lmap = lamperti_map or LampertiMap(problem.sigma, problem.b, problem.box)
     n_paths, n = increments.shape
     assert n == grid.n_steps, "increment matrix does not match the grid"
-    W, U, X, hits = _euler_lamperti(problem, grid, increments, lmap)
+    W, X, hits = _euler_lamperti(problem, grid, increments, lmap)
     return PathEnsemble(
         grid=grid,
         n_paths=n_paths,
@@ -216,7 +216,6 @@ def ensemble_from_increments(problem, grid, increments, lamperti_map=None):
         x0=problem.x0,
         dW=np.ascontiguousarray(increments),
         W=W,
-        U=U,
         X=X,
         path_ids=np.arange(n_paths, dtype=np.uint64),
         n_flagged=int(hits.sum()),

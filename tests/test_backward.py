@@ -214,7 +214,7 @@ def test_adaptedness_future_shuffle(ens, lmap):
     dW2[:, i_cut:] = dW2[perm, i_cut:]
     tampered = PathEnsemble(
         grid=ens.grid, n_paths=ens.n_paths, master_seed=ens.master_seed,
-        x0=ens.x0, dW=dW2, W=ens.W, U=ens.U, X=ens.X,
+        x0=ens.x0, dW=dW2, W=ens.W, X=ens.X,
         path_ids=ens.path_ids, n_flagged=0, n_requested=ens.n_requested,
     )
     shuffled = solve_bsde(tampered, prob, BASIS, z_control_variate=False)
@@ -274,7 +274,7 @@ def test_non_finite_values_fail_loud(lmap):
     X[7, 4] = np.nan
     bad = PathEnsemble(
         grid=grid, n_paths=small.n_paths, master_seed=small.master_seed,
-        x0=small.x0, dW=small.dW, W=small.W, U=small.U, X=X,
+        x0=small.x0, dW=small.dW, W=small.W, X=X,
         path_ids=small.path_ids, n_flagged=0, n_requested=small.n_requested,
     )
     with pytest.raises(SolverError, match="non-finite x state .* time step 4"):
@@ -288,7 +288,8 @@ def test_non_finite_values_fail_loud(lmap):
     curved = _problem(affine(a=0, b=1),
                       driver=Driver(f_of_x=affine(b=0.1), f_of_y=trig_affine(c=0.2)))
     ftab = MalliavinTableau(small, lmap, curved)
-    ftab.sigX[3, 5] = np.nan
+    ftab.B  # built first: B integrates e^A, so it would carry the NaN to later steps
+    ftab.A[3, 5] = np.nan
     with np.errstate(invalid="ignore"):
         with pytest.raises(SolverError, match="non-finite D_theta Y row at time step 2"):
             solve_bsde(small, curved, BASIS, forward_tab=ftab, t_indices=[2])
@@ -340,6 +341,27 @@ def test_dy_row_peak_is_two_rows():
     finally:
         tracemalloc.stop()
     assert peak - before < 2.1 * row_bytes
+
+
+def test_dz_row_allocates_two_rows():
+    """_dz_row accumulates in place: its output row and one product row, with
+    the bits of the plain expression."""
+    rng = np.random.default_rng(3)
+    n_paths, width = 20000, 151
+    ea_th = np.exp(-rng.random((n_paths, width)))
+    fa, fbc, inner, ea_t = rng.standard_normal((4, n_paths))
+    row_bytes = ea_th.nbytes
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        out = backward._dz_row(fa, fbc, inner, ea_th, ea_t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before <= 2.1 * row_bytes
+    e = ea_t[:, None]
+    expect = fa[:, None] + (ea_th + e) * fbc[:, None] + ea_th * e * inner[:, None]
+    assert np.array_equal(out, expect)
 
 
 def test_one_design_per_step(monkeypatch):
@@ -417,7 +439,8 @@ def _direct_dy(sol, theta, t):
     n, dt = tab.n, tab.dt
     E = _int_fy(sol)
     fx = tab.problem.driver.fx(ens.X, sol.Y)
-    dx_free = ftab.sigX * np.exp(ftab.A)  # DX(theta, s) = dx_free * e^{-A_theta}
+    sigX = eval_derivative(tab.problem.sigma, 0, ens.X)
+    dx_free = sigX * np.exp(ftab.A)  # DX(theta, s) = dx_free * e^{-A_theta}
     integrand = np.exp(E - E[:, t][:, None]) * fx * dx_free
     w = np.full(n + 1 - t, dt)
     w[0] = w[-1] = 0.5 * dt
@@ -449,7 +472,9 @@ def _direct_d2y(sol, theta, t, s):
     ea_t = np.exp(-A[:, t])
     Bt = B[:, t]
     expE = np.exp(E - E[:, s][:, None])
-    dx_free = ftab.sigX * np.exp(A)
+    sigX = eval_derivative(tab.problem.sigma, 0, X)
+    sig1X = eval_derivative(tab.problem.sigma, 1, X)
+    dx_free = sigX * np.exp(A)
     g1 = np.column_stack([tab.dy_fits(r)[0] for r in range(n + 1)])
     g2 = np.column_stack([tab.dy_fits(r)[1] for r in range(n + 1)])
     w = np.full(n + 1 - s, dt)
@@ -470,10 +495,10 @@ def _direct_d2y(sol, theta, t, s):
         2 * fyx * dx_free * g2
         + fyy * g2 * g2
         + fxx * dx_free**2
-        + fx * ftab.sig1X * ftab.sigX * np.exp(2 * A)
-        + fx * ftab.sigX * np.exp(A) * B
+        + fx * sig1X * sigX * np.exp(2 * A)
+        + fx * sigX * np.exp(A) * B
     )
-    h4 = integ(fx * ftab.sigX * np.exp(A))
+    h4 = integ(fx * sigX * np.exp(A))
     tail = np.exp(E[:, n] - E[:, s])
     phi1, phi2 = _phi_T(tab, 1), _phi_T(tab, 2)
     if tab.problem.terminal == "phi-of-wt":
@@ -481,7 +506,7 @@ def _direct_d2y(sol, theta, t, s):
     else:
         h3 = h3 + tail * (
             phi2 * dx_free[:, n] ** 2
-            + phi1 * ftab.sig1X[:, n] * ftab.sigX[:, n] * np.exp(2 * A[:, n])
+            + phi1 * sig1X[:, n] * sigX[:, n] * np.exp(2 * A[:, n])
             + phi1 * dx_free[:, n] * B[:, n]
         )
         h4 = h4 + tail * phi1 * dx_free[:, n]
@@ -551,7 +576,9 @@ def test_dz_factorization_matches_direct_assembly():
         fy = drv.fy(X, Y)
         phi1, phi2 = _phi_T(tab, 1), _phi_T(tab, 2)
 
-        dx_free = ftab.sigX * np.exp(A)
+        sigX = eval_derivative(tab.problem.sigma, 0, X)
+        sig1X = eval_derivative(tab.problem.sigma, 1, X)
+        dx_free = sigX * np.exp(A)
         g1 = np.column_stack([tab.dy_fits(r)[0] for r in range(n + 1)])
         g2 = np.column_stack([tab.dy_fits(r)[1] for r in range(n + 1)])
         F = [np.column_stack([tab.d2y_fits(r)[k] for r in range(n + 1)]) for k in range(4)]
@@ -569,14 +596,14 @@ def test_dz_factorization_matches_direct_assembly():
                 2 * drv.fxy(X, Y) * dx_free * g2
                 + drv.fyy(X, Y) * g2 * g2
                 + drv.fxx(X, Y) * dx_free**2
-                + drv.fx(X, Y) * ftab.sig1X * ftab.sigX * np.exp(2 * A)
-                + drv.fx(X, Y) * ftab.sigX * np.exp(A) * B
+                + drv.fx(X, Y) * sig1X * sigX * np.exp(2 * A)
+                + drv.fx(X, Y) * sigX * np.exp(A) * B
                 + fy * F[2]
             )
-            te = integ(drv.fx(X, Y) * ftab.sigX * np.exp(A) + fy * F[3])
+            te = integ(drv.fx(X, Y) * sigX * np.exp(A) + fy * F[3])
             td = td + (
                 phi2 * dx_free[:, n] ** 2
-                + phi1 * ftab.sig1X[:, n] * ftab.sigX[:, n] * np.exp(2 * A[:, n])
+                + phi1 * sig1X[:, n] * sigX[:, n] * np.exp(2 * A[:, n])
                 + phi1 * dx_free[:, n] * B[:, n]
             )
             te = te + phi1 * dx_free[:, n]

@@ -353,3 +353,19 @@ def test_staged_simulate_skips_backward_sweep(tmp_path, monkeypatch, capsys):
         assert main(args + ["--stage", "simulate"]) == 0
         assert main(args + ["--stage", "density"]) == 2
     assert "non-finite terminal value Y_T" in capsys.readouterr().err
+
+
+def test_staged_run_refuses_version_1_dump(tmp_path, capsys):
+    cfg_path = _write(tmp_path, SMALL_CFG)
+    out = tmp_path / "o"
+    args = ["run", str(cfg_path), "--out", str(out)]
+    assert main(args + ["--stage", "simulate"]) == 0
+    dump = out / "ensemble.bin"
+    raw = bytearray(dump.read_bytes())
+    raw[8:12] = (1).to_bytes(4, "little")  # the header's version field
+    dump.write_bytes(bytes(raw))
+    capsys.readouterr()
+    assert main(args + ["--stage", "density"]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "version-1 ensemble dump" in err
+    assert "Traceback" not in err

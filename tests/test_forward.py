@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -89,7 +91,8 @@ def test_du_positive_and_log_additive():
     ens = simulate_forward(prob, grid, 40, seed=9)
     lmap = LampertiMap(prob.sigma, prob.b, prob.box)
     tab = MalliavinTableau(ens, lmap, prob)
-    mat = tab.first_u_matrix(grid.n_steps)
+    n = grid.n_steps
+    mat = np.exp(tab.A[:, n : n + 1] - tab.A)  # D_theta U_T for every theta
     assert np.all(mat > 0)
     for p in (0, 17):
         a = tab.first_u(p, 20, 80)
@@ -159,7 +162,7 @@ def test_dx_bounds_under_h3():
     tab = MalliavinTableau(ens, lmap, prob)
     cap = 1.0 * np.exp(0.5 * 1.0)  # (max sigma) * exp(max|beta' sigma| T)
     for t_idx in (25, 50, 100):
-        mat = tab.first_x_matrix(t_idx)
+        mat = np.column_stack([tab.first_x_all(th, t_idx) for th in range(t_idx + 1)])
         assert mat.min() >= 0.0
         assert mat.max() <= cap + 1e-12
 
@@ -198,7 +201,7 @@ def test_dump_load_roundtrip(tmp_path, driftless):
     path = tmp_path / "ens.bin"
     dump_ensemble(small, path)
     back = load_ensemble(path)
-    for field in ("dW", "W", "U", "X"):
+    for field in ("dW", "W", "X"):
         assert np.array_equal(getattr(back, field), getattr(small, field))
     assert np.array_equal(back.path_ids, small.path_ids)
     assert back.master_seed == small.master_seed
@@ -207,6 +210,16 @@ def test_dump_load_roundtrip(tmp_path, driftless):
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b"NOTMAGIC" + b"\0" * 64)
         load_ensemble(bad)
+    # a version-1 dump (dW, W, U, X per path; U = X for unit sigma) is
+    # refused, not misread
+    head = bytearray(path.read_bytes()[:56])
+    head[8:12] = struct.pack("<I", 1)
+    old = tmp_path / "v1.bin"
+    per_path = np.concatenate([small.dW, small.W, small.X, small.X], axis=1)
+    old.write_bytes(bytes(head) + small.path_ids.astype("<u8").tobytes()
+                    + per_path.astype("<f8").tobytes())
+    with pytest.raises(SimulationError, match="version-1 ensemble dump"):
+        load_ensemble(old)
 
 
 def test_truncated_dump_rejected(tmp_path):
@@ -233,9 +246,10 @@ def test_time_grid():
 
 
 def test_tableau_integrals_in_path_blocks_match_whole_matrix():
-    # A, B and sigma(X) are built in blocks of paths; a row block is
-    # contiguous, so every value is bitwise the whole-matrix one, also in a
-    # last block shorter than the others; S2's sigma and b
+    # A and B are built in blocks of paths; a row block is contiguous, so
+    # every value is bitwise the whole-matrix one, also in a last block
+    # shorter than the others; sigma(X) on one column is bitwise its
+    # whole-matrix value too; S2's sigma and b
     prob = _problem(trig_affine(c=0.3), trig_affine(a=2, b=0.5))
     grid = TimeGrid(1.0, 8)
     n_paths = 2 * _ROW_BLOCK + 37
@@ -244,7 +258,9 @@ def test_tableau_integrals_in_path_blocks_match_whole_matrix():
     lmap = LampertiMap(prob.sigma, prob.b, prob.box)
     tab = MalliavinTableau(ens, lmap, prob)
     sigX, A, B = reference_tableau_integrals(lmap, ens.X, grid.dt)
-    assert np.array_equal(tab.sigX, sigX)
+    for t_idx in (3, grid.n_steps):
+        expect = sigX[:, t_idx] * np.exp(A[:, t_idx] - A[:, 2])
+        assert np.array_equal(tab.first_x_all(2, t_idx), expect)
     assert np.array_equal(tab.A, A)
     assert np.array_equal(tab.B, B)
     assert np.abs(B).max() > 0

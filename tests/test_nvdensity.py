@@ -398,7 +398,7 @@ def test_gaussian_envelopes_ordering_and_symmetry():
     # both curves integrable (finite trapezoid mass)
     assert 0 < np.trapezoid(env.lower, z) <= np.trapezoid(env.upper, z) < np.inf
     # the transposed-prefactor variant is exposed for reports
-    assert env.alt_upper[mid] == pytest.approx(0.5 / (2 * 1.4))
+    assert env.prefactors()["alt_upper"] == pytest.approx(0.5 / (2 * 1.4))
 
 
 def test_gaussian_envelopes_contract_violations():

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -165,3 +166,27 @@ def test_bias_estimate_on_the_mask_only(normal_samples):
     for mask in (np.abs(grid) <= 2.5, grid > 1.0, np.zeros(321, dtype=bool),
                  np.arange(321) % 7 == 3):
         assert np.array_equal(est.bias_estimate(mask), est.bias_estimate()[mask])
+
+
+def test_kernel_blocks_bound_memory_and_keep_values(normal_samples):
+    """kde and bias_estimate evaluate the kernel a bounded block of grid
+    points at a time, with per-point means bitwise those of one
+    whole-matrix evaluation."""
+    x = normal_samples[:20000]
+    grid = np.linspace(-4, 4, 321)
+    tracemalloc.start()
+    try:
+        est = kde(x, grid)
+        bias = est.bias_estimate()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    h = est.bandwidth
+    u = (grid[::8, None] - x[None, :]) / h
+    dens = np.exp(-0.5 * u * u).mean(axis=1) * (1.0 / np.sqrt(2.0 * np.pi) / h)
+    assert np.array_equal(est.density[::8], dens)
+    u = (grid[::8, None] - est.samples_sorted[None, :]) / h
+    d2 = ((u * u - 1.0) * np.exp(-0.5 * u * u)).mean(axis=1)
+    d2 *= 1.0 / np.sqrt(2.0 * np.pi) / h**3
+    assert np.array_equal(bias[::8], 0.5 * h * h * np.abs(d2))
