@@ -183,21 +183,21 @@ class _StepDesign:
         cross-fitted function of time-i regressors is exactly uncorrelated
         with the path's time-i increment (used by the control variate).
         """
-        n = self.D.shape[0]
-        even = np.arange(n) % 2 == 0
-        out = np.empty(n)
-        for fold in (even, ~even):
-            D_f = self.D[fold]
-            pen = np.zeros(self.gram.shape[0])
-            pen[1:] = self.ridge * 0.5
+        # the folds are the even and odd rows, copied so that every BLAS
+        # product runs on contiguous operands
+        halves = [(self.D[k::2].copy(), targets[k::2].copy()) for k in (0, 1)]
+        pen = np.zeros(self.gram.shape[0])
+        pen[1:] = self.ridge * 0.5
+        out = np.empty(self.D.shape[0])
+        for k, (D_f, t_f) in enumerate(halves):
             gram_f = D_f.T @ D_f + np.diag(pen)
             try:
-                coeffs = np.linalg.solve(gram_f, D_f.T @ targets[fold])
+                coeffs = np.linalg.solve(gram_f, D_f.T @ t_f)
             except np.linalg.LinAlgError as exc:
                 raise SolverError(
                     f"rank-deficient cross-fit at time step {self.step}"
                 ) from exc
-            out[~fold] = self.D[~fold] @ coeffs
+            out[1 - k :: 2] = halves[1 - k][0] @ coeffs
         return out
 
 

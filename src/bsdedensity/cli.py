@@ -44,22 +44,6 @@ RELOADED_ARTIFACTS = ("hypothesis_report.json", "ensemble.bin", "density_meta.js
 _DEGENERATE_STD = 1e-9
 
 
-def _pipelines_from_status(status: dict[str, str]) -> dict[str, bool]:
-    """Which theorem pipelines the checked hypotheses justify.
-
-    H1-H3 back the Y-density envelopes, H4-H6 the existence of a density for
-    Z (positivity report), H7-H8 the Z-density envelopes for the univariate
-    driver with a W_T terminal.  A run proceeds if any pipeline applies;
-    checks whose hypotheses fail are reported not-applicable rather than
-    gating the exit status.
-    """
-    ok = lambda k: status.get(k) == "pass"  # noqa: E731
-    y_ok = ok("H1") and ok("H2") and ok("H3")
-    z_exist = ok("H4") and ok("H5") and ok("H6")
-    z_env = ok("H7") and ok("H8")
-    return {"y_envelope": y_ok, "z_existence": z_exist, "z_envelope": z_env}
-
-
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
@@ -109,7 +93,6 @@ class Experiment:
         self.basis = cfg.basis()
         self.grid = TimeGrid(self.problem.T, cfg["grid.n_steps"])
         self.lmap: LampertiMap | None = None
-        self.report = None
         self.ens = None
         self.sol = None
         self.btab = None
@@ -124,16 +107,10 @@ class Experiment:
 
     def stage_hypotheses(self) -> None:
         cfg = self.cfg
-        self.report = check_hypotheses(
+        payload = check_hypotheses(
             self.problem, cfg["hypotheses.box"], cfg["hypotheses.n_grid"]
-        )
-        payload = self.report.to_dict()
-        status = {k: c.status for k, c in self.report.checks.items()}
-        payload["pipelines"] = _pipelines_from_status(status)
+        ).to_dict()
         self.pipelines = payload["pipelines"]
-        self.verdicts["hypotheses"] = (
-            "pass" if any(self.pipelines.values()) else "fail"
-        )
         _write_json(self.out / "hypothesis_report.json", payload)
 
     def _load_hypotheses(self) -> bool:
@@ -142,9 +119,6 @@ class Experiment:
             return False
         payload = json.loads(path.read_text(encoding="utf-8"))
         self.pipelines = payload["pipelines"]
-        self.verdicts["hypotheses"] = (
-            "pass" if any(self.pipelines.values()) else "fail"
-        )
         return True
 
     # -- stage: simulate (simulate + solve) ------------------------------------
@@ -484,7 +458,9 @@ class Experiment:
 
         if not (staged and self._load_hypotheses()):
             self.stage_hypotheses()
-        if self.verdicts.get("hypotheses") == "fail":
+        # a run proceeds when any theorem pipeline applies
+        self.verdicts["hypotheses"] = "pass" if any(self.pipelines.values()) else "fail"
+        if self.verdicts["hypotheses"] == "fail":
             return 1
         if last < 1:
             return 0

@@ -10,7 +10,7 @@ about these derivatives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -194,7 +194,6 @@ class CoefficientFamily:
 
     family: str
     params: dict[str, float] = field(default_factory=dict)
-    max_derivative_order: int = MAX_ORDER
 
     def __post_init__(self) -> None:
         if self.family not in _FAMILY_PARAMS:
@@ -217,8 +216,6 @@ class CoefficientFamily:
                     f"family {self.family!r}: parameter {name!r} = {v} is not finite"
                 )
         object.__setattr__(self, "params", merged)
-        if self.max_derivative_order < MAX_ORDER:
-            raise CoefficientError("max_derivative_order must be at least 3")
 
     def __call__(self, x, order: int = 0):
         return eval_derivative(self, order, x)
@@ -304,9 +301,9 @@ def eval_derivative(fam: CoefficientFamily, order: int, x):
     Accepts scalars, arrays or :class:`Points`; the result matches the
     input shape, and a scalar input gives a float.
     """
-    if not 0 <= order <= fam.max_derivative_order:
+    if not 0 <= order <= MAX_ORDER:
         raise CoefficientError(
-            f"derivative order {order} outside contract 0..{fam.max_derivative_order}"
+            f"derivative order {order} outside contract 0..{MAX_ORDER}"
         )
     pts = as_points(x)
     out = _EVALUATORS[fam.family](fam.params, order, pts)
@@ -472,14 +469,19 @@ class HypothesisCheck:
     constants: dict[str, float] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "status": self.status,
-            "witness": self.witness,
-            "inequality": self.inequality,
-            "value": self.value,
-            "constants": self.constants,
-        }
+        return asdict(self)
+
+
+# the hypotheses each theorem pipeline needs: H1-H3 back the Y-density
+# envelopes, H4-H6 the existence of a density for Z (positivity report), H7-H8
+# the Z-density envelopes for the univariate driver with a W_T terminal.  A
+# run proceeds when any pipeline applies; the checks of the others are
+# reported not-applicable instead of gating the exit status.
+PIPELINES: dict[str, tuple[str, ...]] = {
+    "y_envelope": ("H1", "H2", "H3"),
+    "z_existence": ("H4", "H5", "H6"),
+    "z_envelope": ("H7", "H8"),
+}
 
 
 @dataclass
@@ -494,9 +496,6 @@ class HypothesisReport:
     def all_pass(self) -> bool:
         return all(c.status != "fail" for c in self.checks.values())
 
-    def failed(self) -> list[str]:
-        return [k for k, c in self.checks.items() if c.status == "fail"]
-
     def to_dict(self) -> dict:
         return {
             "box": list(self.box),
@@ -505,19 +504,50 @@ class HypothesisReport:
             "all_pass": self.all_pass,
             "caveats": self.caveats,
             "checks": {k: c.to_dict() for k, c in sorted(self.checks.items())},
+            "pipelines": {
+                p: all(self.checks[h].status == "pass" for h in hs)
+                for p, hs in PIPELINES.items()
+            },
         }
 
 
-def _grid_min(values: np.ndarray, grid: np.ndarray) -> tuple[float, float]:
-    i = int(np.argmin(values))
-    return float(values[i]), float(grid[i])
+def _finite(quantity: str, values: np.ndarray, witness_at) -> np.ndarray:
+    """``values``, once every entry is finite: an overflowing coefficient
+    must not turn into a pass, so the first non-finite entry raises."""
+    ok = np.isfinite(values)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise CoefficientError(
+            f"hypothesis check: {quantity} = {values.flat[i]} is not finite at "
+            f"grid point {witness_at(i)}; shrink the box or the coefficients"
+        )
+    return values
 
 
-def _grid_max(values: np.ndarray, grid: np.ndarray) -> tuple[float, float]:
-    i = int(np.argmax(values))
-    return float(values[i]), float(grid[i])
+def _first_violation(conditions, witness_at):
+    """The first broken one of ``(inequality, values, strict)`` conditions.
+
+    Each condition asks ``values > 0`` (strict) or ``values >= 0`` on the
+    whole grid.  Returns ``(inequality, witness, value)`` with the grid
+    minimum as the value, or None when every condition holds; ``witness_at``
+    maps a flat grid index to its point (or its ``(x, y)`` pair).
+    """
+    for inequality, values, strict in conditions:
+        i = int(np.argmin(values))
+        value = float(values.flat[i])
+        if value < 0 or strict and value == 0:
+            return inequality, witness_at(i), value
+    return None
 
 
+def _verdict(name, violation, constants=None, fail_constants=None) -> HypothesisCheck:
+    if violation is None:
+        return HypothesisCheck(name, "pass", constants=constants or {})
+    inequality, witness, value = violation
+    return HypothesisCheck(name, "fail", witness, inequality, value, fail_constants or {})
+
+
+@np.errstate(all="ignore")  # every non-finite value read is raised by _finite
 def check_hypotheses(
     problem: ProblemSpec, box: tuple[float, float], n_grid: int
 ) -> HypothesisReport:
@@ -528,16 +558,17 @@ def check_hypotheses(
     :func:`iterated_bracket`.  When the terminal is phi-of-WT the conditions
     on the terminal data reduce to conditions on phi' and phi''.  Hypotheses
     whose setting does not match the problem (e.g. H7 with an X_T terminal)
-    are reported as not-applicable.
+    are reported as not-applicable.  A non-finite value of any checked
+    quantity raises :class:`CoefficientError`.
 
     If sigma < 0 on the whole box, the (sigma, W, Z) -> (-sigma, -W, -Z)
     normalization is applied before checking and the report is flagged.
     """
     lo, hi = float(box[0]), float(box[1])
-    if not (math.isfinite(lo) and math.isfinite(hi)):
+    if not math.isfinite(hi - lo):  # also a finite box too wide for a grid
         raise GlobalDomainError(
             "hypothesis checking is grid-based and restricted to compact domains; "
-            f"received unbounded box ({box[0]}, {box[1]}). Supply finite bounds."
+            f"received box ({box[0]}, {box[1]}) of unbounded width. Supply finite bounds."
         )
     if not lo < hi:
         raise CoefficientError("hypothesis box must satisfy lo < hi")
@@ -545,11 +576,23 @@ def check_hypotheses(
         raise CoefficientError("n_grid must be at least 2")
 
     grid = np.linspace(lo, hi, n_grid)
+    gx, gy = np.meshgrid(grid, grid, indexing="ij")
+
+    def at(i: int) -> float:
+        return float(grid[i])
+
+    def at_xy(i: int) -> tuple[float, float]:
+        return float(gx.flat[i]), float(gy.flat[i])
+
+    def ends(values: np.ndarray) -> tuple[float, float]:
+        # the entries at argmin/argmax keep the sign of a zero extremum
+        return float(values[values.argmin()]), float(values[values.argmax()])
+
     pts = Points(grid)  # every family below shares sin/cos(grid)
+    px, py = Points(gx), Points(gy)
     sigma = problem.sigma
     sign_normalized = False
-    sig_vals = eval_derivative(sigma, 0, pts)
-    if np.max(sig_vals) < 0.0:
+    if np.max(eval_derivative(sigma, 0, pts)) < 0.0:
         # Remark-style sign normalization: flip sigma and recheck.
         sigma = CoefficientFamily(
             sigma.family, {k: -v for k, v in sigma.params.items()}
@@ -560,178 +603,91 @@ def check_hypotheses(
                 "sign normalization is not available for scaled-sigmoid sigma"
             )
         sign_normalized = True
-        sig_vals = eval_derivative(sigma, 0, pts)
 
-    b = problem.b
-    drv = problem.driver
-    phi = problem.phi
-    checks: dict[str, HypothesisCheck] = {}
-
-    phi1 = eval_derivative(phi, 1, pts)
-    phi2 = eval_derivative(phi, 2, pts)
-
-    # --- H1: 0 < c <= D_theta xi <= C ------------------------------------
-    # phi-of-WT: D_theta xi = phi'(W_T); phi-of-XT: phi'(X_T) * D_theta X_T
-    # with D_theta X_T >= 0 under H3, so the checkable content is phi' > 0.
-    p1min, w1 = _grid_min(phi1, grid)
-    p1max, _ = _grid_max(phi1, grid)
-    if p1min > 0:
-        checks["H1"] = HypothesisCheck(
-            "H1", "pass", constants={"c": p1min, "C": p1max}
-        )
-    else:
-        checks["H1"] = HypothesisCheck(
-            "H1", "fail", witness=w1, inequality="phi'(x) > 0", value=p1min,
-            constants={"c": p1min, "C": p1max},
-        )
-
-    # --- H2: f in C_b^1 and 0 <= f_x <= C ---------------------------------
-    gx, gy = np.meshgrid(grid, grid, indexing="ij")
-    px, py = Points(gx), Points(gy)
-    fxv = drv.fx(px, py)
-    fyv = drv.fy(px, py)
-    fxmin = float(fxv.min())
-    fxmax = float(fxv.max())
-    if fxmin >= 0:
-        checks["H2"] = HypothesisCheck(
-            "H2", "pass",
-            constants={"C": fxmax, "sup|f_y|": float(np.abs(fyv).max())},
-        )
-    else:
-        i = np.unravel_index(int(np.argmin(fxv)), fxv.shape)
-        checks["H2"] = HypothesisCheck(
-            "H2", "fail", witness=(float(gx[i]), float(gy[i])),
-            inequality="f_x(x, y) >= 0", value=fxmin,
-        )
-
-    # --- H3: 0 <= sigma <= C and |[b, sigma]| <= M sigma -------------------
-    smin, wsig = _grid_min(sig_vals, grid)
-    smax, _ = _grid_max(sig_vals, grid)
-    bracket = np.abs(lie_bracket(b, sigma, pts))
-    if smin < 0:
-        checks["H3"] = HypothesisCheck(
-            "H3", "fail", witness=wsig, inequality="sigma(x) >= 0", value=smin,
-            constants={"sigma_min": smin, "sigma_max": smax},
-        )
-    elif smin == 0 and float(bracket.max()) > 0:
-        checks["H3"] = HypothesisCheck(
-            "H3", "fail", witness=wsig,
-            inequality="|[b,sigma]| <= M sigma with sigma(x) = 0", value=float(bracket.max()),
-            constants={"sigma_min": smin, "sigma_max": smax},
-        )
-    else:
-        # conservative certified constant: sup |[b,sigma]| / inf sigma
-        m_hat = float(bracket.max()) / smin if smin > 0 else 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(sig_vals > 0, bracket / sig_vals, 0.0)
-        checks["H3"] = HypothesisCheck(
-            "H3", "pass",
-            constants={
-                "M": m_hat,
-                "M_pointwise": float(ratio.max()),
-                "sigma_min": smin,
-                "sigma_max": smax,
-            },
-        )
-
-    # --- H4: D_theta xi >= 0 and D^2 xi > 0 --------------------------------
-    p2min, w2 = _grid_min(phi2, grid)
-    p2max, _ = _grid_max(phi2, grid)
-    if p1min >= 0 and p2min > 0:
-        checks["H4"] = HypothesisCheck(
-            "H4", "pass", constants={"phi''_min": p2min, "phi''_max": p2max}
-        )
-    elif p1min < 0:
-        checks["H4"] = HypothesisCheck(
-            "H4", "fail", witness=w1, inequality="phi'(x) >= 0", value=p1min
-        )
-    else:
-        checks["H4"] = HypothesisCheck(
-            "H4", "fail", witness=w2, inequality="phi''(x) > 0", value=p2min
-        )
-
-    # --- H5: f_x, f_y, f_xy, f_xx, f_yy >= 0 --------------------------------
-    h5_fail = None
-    for label, vals in (
-        ("f_x", fxv),
-        ("f_y", fyv),
-        ("f_xy", drv.fxy(px, py)),
-        ("f_xx", drv.fxx(px, py)),
-        ("f_yy", drv.fyy(px, py)),
-    ):
-        vmin = float(vals.min())
-        if vmin < 0:
-            i = np.unravel_index(int(np.argmin(vals)), vals.shape)
-            h5_fail = (label, (float(gx[i]), float(gy[i])), vmin)
-            break
-    if h5_fail is None:
-        checks["H5"] = HypothesisCheck("H5", "pass")
-    else:
-        label, wit, vmin = h5_fail
-        checks["H5"] = HypothesisCheck(
-            "H5", "fail", witness=wit, inequality=f"{label}(x, y) >= 0", value=vmin
-        )
-
-    # --- H6: sigma, sigma', -sigma'', -sigma''' >= 0 and [s,[s,b]] >= 0 -----
-    h6_fail = None
-    for label, vals in (
-        ("sigma", sig_vals),
+    b, drv, phi = problem.b, problem.driver, problem.phi
+    g = {q: _finite(q, values, at) for q, values in (
+        ("phi'", eval_derivative(phi, 1, pts)),
+        ("phi''", eval_derivative(phi, 2, pts)),
+        ("sigma", eval_derivative(sigma, 0, pts)),
         ("sigma'", eval_derivative(sigma, 1, pts)),
         ("-sigma''", -eval_derivative(sigma, 2, pts)),
         ("-sigma'''", -eval_derivative(sigma, 3, pts)),
+        ("[b,sigma]", lie_bracket(b, sigma, pts)),
         ("[sigma,[sigma,b]]", iterated_bracket(sigma, b, pts)),
-    ):
-        vmin, wit = _grid_min(np.asarray(vals), grid)
-        if vmin < 0:
-            h6_fail = (label, wit, vmin)
-            break
-    if h6_fail is None:
-        checks["H6"] = HypothesisCheck("H6", "pass")
-    else:
-        label, wit, vmin = h6_fail
-        checks["H6"] = HypothesisCheck(
-            "H6", "fail", witness=wit, inequality=f"{label}(x) >= 0", value=vmin
-        )
+    )}
+    f = {q: _finite(q, drv.partial(dx, dy, px, py), at_xy) for q, dx, dy in (
+        ("f_x", 1, 0), ("f_y", 0, 1), ("f_xy", 1, 1), ("f_xx", 2, 0), ("f_yy", 0, 2),
+    )}
+    phi1, phi2, sig = g["phi'"], g["phi''"], g["sigma"]
+    p1min, p1max = ends(phi1)
+    p2min, p2max = ends(phi2)
+    checks: dict[str, HypothesisCheck] = {}
 
-    # --- H7: phi in C_b^2 and phi'' >= c > 0 (phi-of-WT models only) --------
+    # H1: 0 < c <= D_theta xi <= C.  phi-of-WT: D_theta xi = phi'(W_T);
+    # phi-of-XT: phi'(X_T) * D_theta X_T with D_theta X_T >= 0 under H3, so
+    # the checkable content is phi' > 0.
+    h1 = {"c": p1min, "C": p1max}
+    checks["H1"] = _verdict(
+        "H1", _first_violation([("phi'(x) > 0", phi1, True)], at), h1, h1
+    )
+
+    # H2: f in C_b^1 and 0 <= f_x <= C
+    checks["H2"] = _verdict(
+        "H2", _first_violation([("f_x(x, y) >= 0", f["f_x"], False)], at_xy),
+        {"C": float(f["f_x"].max()), "sup|f_y|": float(np.abs(f["f_y"]).max())},
+    )
+
+    # H3: 0 <= sigma <= C and |[b, sigma]| <= M sigma
+    smin, smax = ends(sig)
+    bracket = np.abs(g["[b,sigma]"])
+    h3 = {"sigma_min": smin, "sigma_max": smax}
+    violation = _first_violation([("sigma(x) >= 0", sig, False)], at)
+    if smin == 0 and bracket.max() > 0:
+        violation = ("|[b,sigma]| <= M sigma with sigma(x) = 0",
+                     at(sig.argmin()), float(bracket.max()))
+    if violation is None:
+        # conservative certified constant: sup |[b,sigma]| / inf sigma
+        ratio = np.where(sig > 0, bracket / sig, 0.0)
+        h3["M"] = float(_finite("M", bracket / smin, at).max()) if smin > 0 else 0.0
+        h3["M_pointwise"] = float(_finite("M_pointwise", ratio, at).max())
+    checks["H3"] = _verdict("H3", violation, h3, h3)
+
+    # H4: D_theta xi >= 0 and D^2 xi > 0
+    checks["H4"] = _verdict("H4", _first_violation(
+        [("phi'(x) >= 0", phi1, False), ("phi''(x) > 0", phi2, True)], at
+    ), {"phi''_min": p2min, "phi''_max": p2max})
+
+    # H5: f_x, f_y, f_xy, f_xx, f_yy >= 0
+    checks["H5"] = _verdict("H5", _first_violation(
+        [(f"{q}(x, y) >= 0", values, False) for q, values in f.items()], at_xy
+    ))
+
+    # H6: sigma, sigma', -sigma'', -sigma''' >= 0 and [s,[s,b]] >= 0
+    checks["H6"] = _verdict("H6", _first_violation([
+        (f"{q}(x) >= 0", g[q], False)
+        for q in ("sigma", "sigma'", "-sigma''", "-sigma'''", "[sigma,[sigma,b]]")
+    ], at))
+
+    # H7: phi in C_b^2 and phi'' >= c > 0 (phi-of-WT models only)
     if problem.terminal == "phi-of-wt":
-        if p2min > 0:
-            checks["H7"] = HypothesisCheck(
-                "H7", "pass", constants={"c": p2min, "C": p2max}
-            )
-        else:
-            checks["H7"] = HypothesisCheck(
-                "H7", "fail", witness=w2, inequality="phi''(w) >= c > 0", value=p2min
-            )
+        checks["H7"] = _verdict(
+            "H7", _first_violation([("phi''(w) >= c > 0", phi2, True)], at),
+            {"c": p2min, "C": p2max},
+        )
     else:
         checks["H7"] = HypothesisCheck("H7", "not-applicable")
 
-    # --- H8: univariate driver with f', f'' >= 0 -----------------------------
-    if drv.univariate_in_y:
-        fam = drv.f_of_y
-        if fam is None:
-            checks["H8"] = HypothesisCheck("H8", "pass", constants={"sup|f'|": 0.0})
-        else:
-            d1 = eval_derivative(fam, 1, pts)
-            d2 = eval_derivative(fam, 2, pts)
-            v1min, wv1 = _grid_min(d1, grid)
-            v2min, wv2 = _grid_min(d2, grid)
-            if v1min >= 0 and v2min >= 0:
-                checks["H8"] = HypothesisCheck(
-                    "H8", "pass",
-                    constants={"sup|f'|": float(np.abs(d1).max()),
-                               "sup|f''|": float(np.abs(d2).max())},
-                )
-            elif v1min < 0:
-                checks["H8"] = HypothesisCheck(
-                    "H8", "fail", witness=wv1, inequality="f'(y) >= 0", value=v1min
-                )
-            else:
-                checks["H8"] = HypothesisCheck(
-                    "H8", "fail", witness=wv2, inequality="f''(y) >= 0", value=v2min
-                )
-    else:
+    # H8: univariate driver with f', f'' >= 0
+    if not drv.univariate_in_y:
         checks["H8"] = HypothesisCheck("H8", "not-applicable")
+    elif drv.f_of_y is None:
+        checks["H8"] = HypothesisCheck("H8", "pass", constants={"sup|f'|": 0.0})
+    else:
+        d1 = _finite("f'", eval_derivative(drv.f_of_y, 1, pts), at)
+        d2 = _finite("f''", eval_derivative(drv.f_of_y, 2, pts), at)
+        checks["H8"] = _verdict("H8", _first_violation(
+            [("f'(y) >= 0", d1, False), ("f''(y) >= 0", d2, False)], at
+        ), {"sup|f'|": float(np.abs(d1).max()), "sup|f''|": float(np.abs(d2).max())})
 
     return HypothesisReport(
         checks=checks,

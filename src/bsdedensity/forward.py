@@ -321,7 +321,7 @@ class MalliavinTableau:
 
 
 def dump_ensemble(ens: PathEnsemble, path: str | Path) -> None:
-    """Write the ensemble in the documented binary layout."""
+    """Write the ensemble in the documented binary layout, block by block."""
     header = struct.pack(
         _HEADER_FMT,
         _MAGIC,
@@ -336,49 +336,55 @@ def dump_ensemble(ens: PathEnsemble, path: str | Path) -> None:
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(ens.path_ids, dtype="<u8").tobytes())
-        per_path = np.concatenate([ens.dW, ens.W, ens.X], axis=1)
-        fh.write(np.ascontiguousarray(per_path, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(ens.path_ids, dtype="<u8"))
+        for rows in _row_blocks(ens.n_paths):
+            fh.write(np.concatenate([ens.dW[rows], ens.W[rows], ens.X[rows]], axis=1,
+                                    dtype="<f8"))
 
 
 def load_ensemble(path: str | Path) -> PathEnsemble:
-    """Read an ensemble written by :func:`dump_ensemble`."""
-    raw = Path(path).read_bytes()
+    """Read an ensemble written by :func:`dump_ensemble`, block by block."""
     head_size = struct.calcsize(_HEADER_FMT)
-    if len(raw) < head_size:
+    size = Path(path).stat().st_size
+    if size < head_size:
         raise SimulationError(f"{path} is shorter than an ensemble dump header")
-    magic, version, n_steps, n_paths, n_requested, T, x0, seed, n_flagged = (
-        struct.unpack_from(_HEADER_FMT, raw)
-    )
-    if magic != _MAGIC:
-        raise SimulationError(f"{path} is not an ensemble dump")
-    if version != _VERSION:
-        raise SimulationError(
-            f"{path} is a version-{version} ensemble dump; this version reads "
-            f"version {_VERSION} only, so re-run --stage simulate"
+    with open(path, "rb") as fh:
+        magic, version, n_steps, n_paths, n_requested, T, x0, seed, n_flagged = (
+            struct.unpack(_HEADER_FMT, fh.read(head_size))
         )
-    n = n_steps
-    width = n + 2 * (n + 1)
-    expected = head_size + 8 * n_paths * (1 + width)
-    if len(raw) != expected:
-        raise SimulationError(
-            f"{path} holds {len(raw)} bytes; a dump of {n_paths} paths x "
-            f"{n_steps} steps needs {expected}"
-        )
-    path_ids = np.frombuffer(raw, dtype="<u8", count=n_paths, offset=head_size)
-    data = np.frombuffer(raw, dtype="<f8", offset=head_size + 8 * n_paths).reshape(
-        n_paths, width
-    )
-    grid = TimeGrid(T, n_steps)
+        if magic != _MAGIC:
+            raise SimulationError(f"{path} is not an ensemble dump")
+        if version != _VERSION:
+            raise SimulationError(
+                f"{path} is a version-{version} ensemble dump; this version reads "
+                f"version {_VERSION} only, so re-run --stage simulate"
+            )
+        n = n_steps
+        width = n + 2 * (n + 1)
+        expected = head_size + 8 * n_paths * (1 + width)
+        if size != expected:
+            raise SimulationError(
+                f"{path} holds {size} bytes; a dump of {n_paths} paths x "
+                f"{n_steps} steps needs {expected}"
+            )
+        path_ids = np.empty(n_paths, dtype="<u8")
+        fh.readinto(path_ids)
+        dW = np.empty((n_paths, n))
+        W, X = np.empty((n_paths, n + 1)), np.empty((n_paths, n + 1))
+        block = np.empty((min(n_paths, _ROW_BLOCK), width), dtype="<f8")
+        for rows in _row_blocks(n_paths):
+            part = block[: len(dW[rows])]
+            fh.readinto(part)
+            dW[rows], W[rows], X[rows] = np.split(part, [n, 2 * n + 1], axis=1)
     return PathEnsemble(
-        grid=grid,
+        grid=TimeGrid(T, n_steps),
         n_paths=n_paths,
         master_seed=int(seed),
         x0=x0,
-        dW=data[:, :n].copy(),
-        W=data[:, n : 2 * n + 1].copy(),
-        X=data[:, 2 * n + 1 :].copy(),
-        path_ids=path_ids.copy(),
+        dW=dW,
+        W=W,
+        X=X,
+        path_ids=path_ids,
         n_flagged=n_flagged,
         n_requested=n_requested,
     )

@@ -7,9 +7,21 @@ coefficient formulas with every transcendental computed afresh, as bitwise
 references for the production code that shares them.
 """
 
+import math
+
 import numpy as np
 
-from bsdedensity.coeffs import Points, eval_derivative
+from bsdedensity.coeffs import (
+    GRID_CAVEAT,
+    H7_COMPACT_BOX_CAVEAT,
+    CoefficientFamily,
+    HypothesisCheck,
+    Points,
+    eval_derivative,
+    iterated_bracket,
+    lie_bracket,
+)
+from bsdedensity.errors import CoefficientError, GlobalDomainError
 from bsdedensity.forward import PathEnsemble, _cumtrapz, _euler_lamperti
 from bsdedensity.lamperti import LampertiMap
 from bsdedensity.nvdensity import mehler_shift, silverman_bandwidth
@@ -292,3 +304,241 @@ def reference_estimate_g(f_sampler, phi_sampler, x_grid, n_outer, n_inner, *,
     with np.errstate(invalid="ignore"):
         se = np.nanstd(batch_vals, axis=0, ddof=1) / np.sqrt(n_batches)
     return g_vals, se, n_eff
+
+
+# ---------------------------------------------------------------------------
+# Reference hypothesis checker: H1..H8 as eight hand-written blocks, each with
+# its own grid minimum, witness and inequality string.  The production checker
+# evaluates the same rules as a condition table and must write the same report.
+# ---------------------------------------------------------------------------
+
+
+def _ref_grid_min(values: np.ndarray, grid: np.ndarray) -> tuple[float, float]:
+    i = int(np.argmin(values))
+    return float(values[i]), float(grid[i])
+
+
+def _ref_grid_max(values: np.ndarray, grid: np.ndarray) -> tuple[float, float]:
+    i = int(np.argmax(values))
+    return float(values[i]), float(grid[i])
+
+
+def reference_check_hypotheses(problem, box, n_grid) -> dict:
+    """The hypothesis report payload as the checker wrote it with one
+    hand-written pass/fail block per hypothesis: ``to_dict()`` of the report
+    plus its ``pipelines``."""
+    lo, hi = float(box[0]), float(box[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise GlobalDomainError(
+            "hypothesis checking is grid-based and restricted to compact domains; "
+            f"received unbounded box ({box[0]}, {box[1]}). Supply finite bounds."
+        )
+    if not lo < hi:
+        raise CoefficientError("hypothesis box must satisfy lo < hi")
+    if n_grid < 2:
+        raise CoefficientError("n_grid must be at least 2")
+
+    grid = np.linspace(lo, hi, n_grid)
+    pts = Points(grid)  # every family below shares sin/cos(grid)
+    sigma = problem.sigma
+    sign_normalized = False
+    sig_vals = eval_derivative(sigma, 0, pts)
+    if np.max(sig_vals) < 0.0:
+        # Remark-style sign normalization: flip sigma and recheck.
+        sigma = CoefficientFamily(
+            sigma.family, {k: -v for k, v in sigma.params.items()}
+        )
+        if sigma.family == "scaled-sigmoid":
+            # sigmoid params do not negate term-wise; fall back to polynomial forms
+            raise CoefficientError(
+                "sign normalization is not available for scaled-sigmoid sigma"
+            )
+        sign_normalized = True
+        sig_vals = eval_derivative(sigma, 0, pts)
+
+    b = problem.b
+    drv = problem.driver
+    phi = problem.phi
+    checks: dict[str, HypothesisCheck] = {}
+
+    phi1 = eval_derivative(phi, 1, pts)
+    phi2 = eval_derivative(phi, 2, pts)
+
+    # --- H1: 0 < c <= D_theta xi <= C ------------------------------------
+    # phi-of-WT: D_theta xi = phi'(W_T); phi-of-XT: phi'(X_T) * D_theta X_T
+    # with D_theta X_T >= 0 under H3, so the checkable content is phi' > 0.
+    p1min, w1 = _ref_grid_min(phi1, grid)
+    p1max, _ = _ref_grid_max(phi1, grid)
+    if p1min > 0:
+        checks["H1"] = HypothesisCheck(
+            "H1", "pass", constants={"c": p1min, "C": p1max}
+        )
+    else:
+        checks["H1"] = HypothesisCheck(
+            "H1", "fail", witness=w1, inequality="phi'(x) > 0", value=p1min,
+            constants={"c": p1min, "C": p1max},
+        )
+
+    # --- H2: f in C_b^1 and 0 <= f_x <= C ---------------------------------
+    gx, gy = np.meshgrid(grid, grid, indexing="ij")
+    px, py = Points(gx), Points(gy)
+    fxv = drv.fx(px, py)
+    fyv = drv.fy(px, py)
+    fxmin = float(fxv.min())
+    fxmax = float(fxv.max())
+    if fxmin >= 0:
+        checks["H2"] = HypothesisCheck(
+            "H2", "pass",
+            constants={"C": fxmax, "sup|f_y|": float(np.abs(fyv).max())},
+        )
+    else:
+        i = np.unravel_index(int(np.argmin(fxv)), fxv.shape)
+        checks["H2"] = HypothesisCheck(
+            "H2", "fail", witness=(float(gx[i]), float(gy[i])),
+            inequality="f_x(x, y) >= 0", value=fxmin,
+        )
+
+    # --- H3: 0 <= sigma <= C and |[b, sigma]| <= M sigma -------------------
+    smin, wsig = _ref_grid_min(sig_vals, grid)
+    smax, _ = _ref_grid_max(sig_vals, grid)
+    bracket = np.abs(lie_bracket(b, sigma, pts))
+    if smin < 0:
+        checks["H3"] = HypothesisCheck(
+            "H3", "fail", witness=wsig, inequality="sigma(x) >= 0", value=smin,
+            constants={"sigma_min": smin, "sigma_max": smax},
+        )
+    elif smin == 0 and float(bracket.max()) > 0:
+        checks["H3"] = HypothesisCheck(
+            "H3", "fail", witness=wsig,
+            inequality="|[b,sigma]| <= M sigma with sigma(x) = 0", value=float(bracket.max()),
+            constants={"sigma_min": smin, "sigma_max": smax},
+        )
+    else:
+        # conservative certified constant: sup |[b,sigma]| / inf sigma
+        m_hat = float(bracket.max()) / smin if smin > 0 else 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(sig_vals > 0, bracket / sig_vals, 0.0)
+        checks["H3"] = HypothesisCheck(
+            "H3", "pass",
+            constants={
+                "M": m_hat,
+                "M_pointwise": float(ratio.max()),
+                "sigma_min": smin,
+                "sigma_max": smax,
+            },
+        )
+
+    # --- H4: D_theta xi >= 0 and D^2 xi > 0 --------------------------------
+    p2min, w2 = _ref_grid_min(phi2, grid)
+    p2max, _ = _ref_grid_max(phi2, grid)
+    if p1min >= 0 and p2min > 0:
+        checks["H4"] = HypothesisCheck(
+            "H4", "pass", constants={"phi''_min": p2min, "phi''_max": p2max}
+        )
+    elif p1min < 0:
+        checks["H4"] = HypothesisCheck(
+            "H4", "fail", witness=w1, inequality="phi'(x) >= 0", value=p1min
+        )
+    else:
+        checks["H4"] = HypothesisCheck(
+            "H4", "fail", witness=w2, inequality="phi''(x) > 0", value=p2min
+        )
+
+    # --- H5: f_x, f_y, f_xy, f_xx, f_yy >= 0 --------------------------------
+    h5_fail = None
+    for label, vals in (
+        ("f_x", fxv),
+        ("f_y", fyv),
+        ("f_xy", drv.fxy(px, py)),
+        ("f_xx", drv.fxx(px, py)),
+        ("f_yy", drv.fyy(px, py)),
+    ):
+        vmin = float(vals.min())
+        if vmin < 0:
+            i = np.unravel_index(int(np.argmin(vals)), vals.shape)
+            h5_fail = (label, (float(gx[i]), float(gy[i])), vmin)
+            break
+    if h5_fail is None:
+        checks["H5"] = HypothesisCheck("H5", "pass")
+    else:
+        label, wit, vmin = h5_fail
+        checks["H5"] = HypothesisCheck(
+            "H5", "fail", witness=wit, inequality=f"{label}(x, y) >= 0", value=vmin
+        )
+
+    # --- H6: sigma, sigma', -sigma'', -sigma''' >= 0 and [s,[s,b]] >= 0 -----
+    h6_fail = None
+    for label, vals in (
+        ("sigma", sig_vals),
+        ("sigma'", eval_derivative(sigma, 1, pts)),
+        ("-sigma''", -eval_derivative(sigma, 2, pts)),
+        ("-sigma'''", -eval_derivative(sigma, 3, pts)),
+        ("[sigma,[sigma,b]]", iterated_bracket(sigma, b, pts)),
+    ):
+        vmin, wit = _ref_grid_min(np.asarray(vals), grid)
+        if vmin < 0:
+            h6_fail = (label, wit, vmin)
+            break
+    if h6_fail is None:
+        checks["H6"] = HypothesisCheck("H6", "pass")
+    else:
+        label, wit, vmin = h6_fail
+        checks["H6"] = HypothesisCheck(
+            "H6", "fail", witness=wit, inequality=f"{label}(x) >= 0", value=vmin
+        )
+
+    # --- H7: phi in C_b^2 and phi'' >= c > 0 (phi-of-WT models only) --------
+    if problem.terminal == "phi-of-wt":
+        if p2min > 0:
+            checks["H7"] = HypothesisCheck(
+                "H7", "pass", constants={"c": p2min, "C": p2max}
+            )
+        else:
+            checks["H7"] = HypothesisCheck(
+                "H7", "fail", witness=w2, inequality="phi''(w) >= c > 0", value=p2min
+            )
+    else:
+        checks["H7"] = HypothesisCheck("H7", "not-applicable")
+
+    # --- H8: univariate driver with f', f'' >= 0 -----------------------------
+    if drv.univariate_in_y:
+        fam = drv.f_of_y
+        if fam is None:
+            checks["H8"] = HypothesisCheck("H8", "pass", constants={"sup|f'|": 0.0})
+        else:
+            d1 = eval_derivative(fam, 1, pts)
+            d2 = eval_derivative(fam, 2, pts)
+            v1min, wv1 = _ref_grid_min(d1, grid)
+            v2min, wv2 = _ref_grid_min(d2, grid)
+            if v1min >= 0 and v2min >= 0:
+                checks["H8"] = HypothesisCheck(
+                    "H8", "pass",
+                    constants={"sup|f'|": float(np.abs(d1).max()),
+                               "sup|f''|": float(np.abs(d2).max())},
+                )
+            elif v1min < 0:
+                checks["H8"] = HypothesisCheck(
+                    "H8", "fail", witness=wv1, inequality="f'(y) >= 0", value=v1min
+                )
+            else:
+                checks["H8"] = HypothesisCheck(
+                    "H8", "fail", witness=wv2, inequality="f''(y) >= 0", value=v2min
+                )
+    else:
+        checks["H8"] = HypothesisCheck("H8", "not-applicable")
+
+    status = {k: c.status for k, c in checks.items()}
+    ok = lambda k: status.get(k) == "pass"  # noqa: E731
+    return {
+        "box": [lo, hi],
+        "n_grid": n_grid,
+        "sign_normalized": sign_normalized,
+        "all_pass": all(c.status != "fail" for c in checks.values()),
+        "caveats": [GRID_CAVEAT, H7_COMPACT_BOX_CAVEAT],
+        "checks": {k: c.to_dict() for k, c in sorted(checks.items())},
+        "pipelines": {
+            "y_envelope": ok("H1") and ok("H2") and ok("H3"),
+            "z_existence": ok("H4") and ok("H5") and ok("H6"),
+            "z_envelope": ok("H7") and ok("H8"),
+        },
+    }

@@ -193,10 +193,30 @@ def test_seed_override_changes_outputs(tmp_path):
 
 
 def test_unbounded_hypothesis_box_refused(tmp_path):
-    text = SMALL_CFG + "hypotheses.box = -inf, inf\n"
-    cfg_path = _write(tmp_path, text)
-    rc = main(["check-hypotheses", str(cfg_path), "--out", str(tmp_path / "g")])
-    assert rc == 2  # documented refusal surfaces as a CLI error
+    # a finite box whose width overflows has no grid either: no NaN witness
+    for box in ("-inf, inf", "-1e308, 1e308"):
+        text = SMALL_CFG + f"hypotheses.box = {box}\n"
+        cfg_path = _write(tmp_path, text)
+        out = tmp_path / "g"
+        rc = main(["check-hypotheses", str(cfg_path), "--out", str(out)])
+        assert rc == 2  # documented refusal surfaces as a CLI error
+        assert not (out / "hypothesis_report.json").exists()
+
+
+def test_overflowing_coefficient_exits_2(tmp_path, capsys):
+    # sigma = 1 + x^2 + x^4 overflows on this box; H3 must not pass with M = NaN
+    text = SMALL_CFG.replace("model.sigma = constant(c=1)",
+                             "model.sigma = polynomial(c0=1, c2=1, c4=1)")
+    cfg_path = _write(tmp_path, text + "hypotheses.box = -1e90, 1e90\n")
+    out = tmp_path / "o"
+    rc = main(["check-hypotheses", str(cfg_path), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "error:" in err and "sigma = inf is not finite" in err
+    assert "Traceback" not in err
+    for path in out.glob("*.json"):
+        text = path.read_text(encoding="utf-8")
+        assert "NaN" not in text and "Infinity" not in text, path
 
 
 def test_check_hypotheses_command(tmp_path):

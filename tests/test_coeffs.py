@@ -1,7 +1,11 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
 from bsdedensity.coeffs import (
+    _FAMILY_PARAMS,
     CoefficientFamily,
     Driver,
     Points,
@@ -21,7 +25,12 @@ from bsdedensity.coeffs import (
 )
 from bsdedensity.errors import CoefficientError, GlobalDomainError
 
-from oracles import FD_STEPS, central_diff, reference_derivative
+from oracles import (
+    FD_STEPS,
+    central_diff,
+    reference_check_hypotheses,
+    reference_derivative,
+)
 
 ALL_FAMILIES = [
     constant(2.5),
@@ -52,9 +61,11 @@ def test_eval_vectorized_matches_scalar():
 
 def test_order_out_of_range():
     with pytest.raises(CoefficientError):
-        eval_derivative(affine(a=1, b=1), 4, 0.0)
-    with pytest.raises(CoefficientError):
         eval_derivative(affine(a=1, b=1), -1, 0.0)
+    # order 4 is refused by every family, not folded into the order-3 branch
+    for fam in ALL_FAMILIES:
+        with pytest.raises(CoefficientError, match="outside contract 0..3"):
+            eval_derivative(fam, 4, 0.3)
 
 
 def test_unknown_family_and_params():
@@ -312,3 +323,135 @@ def test_h8_univariate_only():
 def test_report_caveats_present():
     rep = check_hypotheses(_problem(constant(0), constant(1)), (-1, 1), 11)
     assert any("compact box" in c for c in rep.caveats)
+
+
+def _report_json(payload: dict) -> str:
+    # the bytes hypothesis_report.json gets: signed zeros and key order count
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def _random_family(rng, positive=False):
+    if positive:  # a sigma that stays positive, so H3 reaches its constants
+        return trig_affine(a=2.0 + float(rng.random()), b=float(rng.uniform(-1, 1)),
+                           c=float(rng.uniform(-0.5, 0.5)))
+    name = str(rng.choice(sorted(_FAMILY_PARAMS)))
+    return CoefficientFamily(name, {
+        k: 0.0 if rng.random() < 0.3 else round(float(rng.uniform(-2.0, 2.0)), 2)
+        for k in _FAMILY_PARAMS[name]
+    })
+
+
+def _random_driver(rng):
+    shape = int(rng.integers(4))
+    if shape == 0:
+        return Driver()
+    if shape == 1:
+        return Driver(f_of_y=_random_family(rng))
+    if shape == 2:
+        return Driver(f_of_x=_random_family(rng), f_of_y=_random_family(rng))
+    return Driver(f_of_x=_random_family(rng), cross_x=_random_family(rng),
+                  cross_y=_random_family(rng))
+
+
+def test_check_hypotheses_matches_reference_on_random_models():
+    """The condition-table checker writes the report of the hand-written
+    reference checker, byte for byte, on 320 seeded random models."""
+    seen = set()
+    for seed in range(320):
+        rng = np.random.default_rng(seed)
+        lo = round(float(rng.uniform(-6.0, 3.0)), 2)
+        box = (lo, lo + round(float(rng.uniform(0.1, 8.0)), 2))
+        prob = ProblemSpec(
+            x0=0.0, T=1.0, b=_random_family(rng),
+            sigma=_random_family(rng, positive=rng.random() < 0.4),
+            driver=_random_driver(rng),
+            terminal=str(rng.choice(["phi-of-wt", "phi-of-xt"])),
+            phi=_random_family(rng), box=(-8.0, 8.0),
+        )
+        n_grid = int(rng.integers(2, 301))
+        try:
+            ref = reference_check_hypotheses(prob, box, n_grid)
+        except CoefficientError as exc:  # the scaled-sigmoid sign refusal
+            with pytest.raises(CoefficientError, match=re.escape(str(exc))):
+                check_hypotheses(prob, box, n_grid)
+            seen.add("refused")
+            continue
+        assert _report_json(check_hypotheses(prob, box, n_grid).to_dict()) == (
+            _report_json(ref)
+        ), seed
+        seen.update((k, c["status"]) for k, c in ref["checks"].items())
+        seen.update(c["inequality"] for c in ref["checks"].values())
+    for h in ("H1", "H2", "H3", "H4", "H5", "H6", "H7", "H8"):
+        assert {(h, "pass"), (h, "fail")} <= seen, h
+    assert {("H7", "not-applicable"), ("H8", "not-applicable"), "refused"} <= seen
+
+
+_S = constant(0), constant(1)  # b, sigma of cases that only vary phi or the driver
+
+
+@pytest.mark.parametrize("check, inequality, b, sigma, phi, driver, box, n_grid", [
+    ("H1", "phi'(x) > 0", *_S, affine(b=-1), None, (-1, 1), 11),
+    ("H2", "f_x(x, y) >= 0", *_S, None, Driver(f_of_x=affine(b=-1)), (-1, 1), 11),
+    ("H3", "sigma(x) >= 0", constant(0), affine(b=1), None, None, (-1, 1), 11),
+    # sigma = x^2 is 0 at the middle grid point, where |[b, sigma]| = |2x| is
+    # not 0 on the rest of the grid: no finite M
+    ("H3", "|[b,sigma]| <= M sigma with sigma(x) = 0",
+     affine(a=1), quadratic(c=1), None, None, (-1, 1), 21),
+    ("H4", "phi'(x) >= 0", *_S, affine(b=-1), None, (-1, 1), 11),
+    ("H4", "phi''(x) > 0", *_S, affine(b=1), None, (-1, 1), 11),
+    ("H5", "f_x(x, y) >= 0", *_S, None, Driver(f_of_x=affine(b=-1)), (-1, 1), 11),
+    ("H5", "f_y(x, y) >= 0", *_S, None, Driver(f_of_y=affine(b=-1)), (-1, 1), 11),
+    ("H5", "f_xy(x, y) >= 0", *_S, None,
+     Driver(cross_x=affine(a=-10, b=1), cross_y=affine(a=10, b=-1)), (0.5, 2), 11),
+    ("H5", "f_xx(x, y) >= 0", *_S, None, Driver(f_of_x=quadratic(b=5, c=-1)), (0.5, 2), 11),
+    ("H5", "f_yy(x, y) >= 0", *_S, None, Driver(f_of_y=quadratic(b=5, c=-1)), (0.5, 2), 11),
+    ("H6", "sigma(x) >= 0", constant(0), affine(b=1), None, None, (-1, 1), 11),
+    ("H6", "sigma'(x) >= 0", constant(0), trig_affine(a=2, b=1), None, None, (-2, 2), 41),
+    ("H6", "-sigma''(x) >= 0", constant(0), quadratic(a=1, b=1, c=1), None, None, (0, 1), 11),
+    ("H6", "-sigma'''(x) >= 0",
+     constant(0), polynomial(10, 1, -0.5, 0.01), None, None, (0, 1), 11),
+    ("H6", "[sigma,[sigma,b]](x) >= 0",
+     quadratic(c=-1), constant(2), None, None, (-1, 1), 11),
+    ("H7", "phi''(w) >= c > 0", *_S, trig_affine(c=0.1, d=1), None, (-3, 3), 61),
+    ("H8", "f'(y) >= 0", *_S, None, Driver(f_of_y=affine(b=-1)), (0.1, 3), 11),
+    ("H8", "f''(y) >= 0", *_S, None, Driver(f_of_y=scaled_sigmoid(a=1, k=1)), (0.1, 3), 11),
+])
+def test_every_inequality_matches_reference(check, inequality, b, sigma, phi, driver,
+                                            box, n_grid):
+    prob = _problem(b, sigma, phi=phi, driver=driver)
+    rep = check_hypotheses(prob, box, n_grid)
+    assert rep.checks[check].status == "fail"
+    assert rep.checks[check].inequality == inequality
+    assert _report_json(rep.to_dict()) == _report_json(
+        reference_check_hypotheses(prob, box, n_grid)
+    )
+
+
+def test_special_cases_match_reference():
+    flipped = _problem(trig_affine(c=1), trig_affine(a=-2, b=-1))
+    x_terminal = _problem(constant(0), constant(1), terminal="phi-of-xt",
+                          driver=Driver(f_of_x=affine(b=1), f_of_y=affine(b=1)))
+    # sigma = -0 + 0 cos x + ... is -0.0 on (-pi, -pi/2) and +0.0 elsewhere:
+    # sigma_min and sigma_max are the entries at argmin/argmax, signs kept
+    signed_zero = _problem(constant(1), trig_affine(a=-0.0))
+    for prob in (flipped, x_terminal, signed_zero):
+        rep = check_hypotheses(prob, (-3, 3), 61)
+        assert _report_json(rep.to_dict()) == _report_json(
+            reference_check_hypotheses(prob, (-3, 3), 61)
+        )
+    rep = check_hypotheses(signed_zero, (-3, 3), 61)
+    assert '"sigma_max": -0.0' in _report_json(rep.to_dict())
+    assert check_hypotheses(flipped, (-3, 3), 61).sign_normalized
+    rep = check_hypotheses(x_terminal, (-1, 1), 11)
+    assert rep.checks["H7"].status == rep.checks["H8"].status == "not-applicable"
+    sigmoid = _problem(constant(0), scaled_sigmoid(a=-1, b=-0.5))
+    for checker in (check_hypotheses, reference_check_hypotheses):
+        with pytest.raises(CoefficientError, match="scaled-sigmoid"):
+            checker(sigmoid, (-1, 1), 11)
+
+
+def test_overflowing_coefficient_fails_loudly():
+    # sigma = 1 + x^2 + x^4 overflows on the box: no pass with M = NaN
+    prob = _problem(constant(0), polynomial(1, 0, 1, 0, 1))
+    with pytest.raises(CoefficientError, match=r"sigma = inf is not finite at grid point -1e\+90"):
+        check_hypotheses(prob, (-1e90, 1e90), 101)

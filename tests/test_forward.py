@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -197,15 +198,23 @@ def test_flagged_paths_excluded_and_error():
 
 def test_dump_load_roundtrip(tmp_path, driftless):
     prob, grid, ens = driftless
-    small = simulate_forward(prob, TimeGrid(1.0, 30), 50, seed=99)
-    path = tmp_path / "ens.bin"
-    dump_ensemble(small, path)
-    back = load_ensemble(path)
-    for field in ("dW", "W", "X"):
-        assert np.array_equal(getattr(back, field), getattr(small, field))
-    assert np.array_equal(back.path_ids, small.path_ids)
-    assert back.master_seed == small.master_seed
-    assert back.grid == small.grid
+    # the dump goes out and comes back in blocks of paths: a last block
+    # shorter than the others keeps the one-shot layout byte for byte
+    for n_paths in (50, 2 * _ROW_BLOCK + 37):
+        small = simulate_forward(prob, TimeGrid(1.0, 30), n_paths, seed=99)
+        assert small.n_paths == n_paths
+        path = tmp_path / "ens.bin"
+        dump_ensemble(small, path)
+        per_path = np.concatenate([small.dW, small.W, small.X], axis=1)
+        assert path.read_bytes()[56:] == (
+            small.path_ids.astype("<u8").tobytes() + per_path.astype("<f8").tobytes()
+        )
+        back = load_ensemble(path)
+        for field in ("dW", "W", "X"):
+            assert np.array_equal(getattr(back, field), getattr(small, field))
+        assert np.array_equal(back.path_ids, small.path_ids)
+        assert back.master_seed == small.master_seed
+        assert back.grid == small.grid
     with pytest.raises(SimulationError):
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b"NOTMAGIC" + b"\0" * 64)
@@ -220,6 +229,27 @@ def test_dump_load_roundtrip(tmp_path, driftless):
                     + per_path.astype("<f8").tobytes())
     with pytest.raises(SimulationError, match="version-1 ensemble dump"):
         load_ensemble(old)
+
+
+def test_dump_and_load_peak_below_one_path_matrix(tmp_path, driftless):
+    """Dump and load go through one block of paths at a time: beyond what
+    each call returns, neither holds a whole-ensemble temporary."""
+    _, _, ens = driftless
+    path = tmp_path / "ens.bin"
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        dump_ensemble(ens, path)
+        _, dump_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        back = load_ensemble(path)
+        _, load_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    returned = back.dW.nbytes + back.W.nbytes + back.X.nbytes + back.path_ids.nbytes
+    assert dump_peak - before <= ens.X.nbytes
+    assert load_peak - before - returned <= ens.X.nbytes
+    assert ens.X.shape == (20000, 201)
 
 
 def test_truncated_dump_rejected(tmp_path):
