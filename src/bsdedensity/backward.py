@@ -56,6 +56,11 @@ __all__ = [
 
 BASIS_KINDS = ("polynomial-in-x", "polynomial-in-xw")
 
+# the implicit-in-Y fixed point: at most this many Picard iterations per
+# step, stopping once no path's update exceeds the tolerance
+_MAX_PICARD = 5
+_PICARD_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class RegressionBasis:
@@ -284,8 +289,6 @@ def solve_bsde(
     ens: PathEnsemble,
     problem: ProblemSpec,
     basis: RegressionBasis,
-    max_picard: int = 5,
-    picard_tol: float = 1e-10,
     z_control_variate: bool = True,
     forward_tab: MalliavinTableau | None = None,
     t_indices: Iterable[int] = (),
@@ -362,11 +365,11 @@ def solve_bsde(
         else:
             y = cfit
             x_i = Points(ens.X[:, i])
-            for iters in range(1, max_picard + 1):
+            for iters in range(1, _MAX_PICARD + 1):
                 y_new = cfit + driver.f(x_i, y) * dt
                 delta = float(np.max(np.abs(y_new - y)))
                 y = y_new
-                if delta <= picard_tol:
+                if delta <= _PICARD_TOL:
                     break
         Y[:, i] = y
         _require_finite(y, "Y", i)

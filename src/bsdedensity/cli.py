@@ -20,7 +20,7 @@ from . import __version__
 from .backward import make_phi_row, make_replay_sweep, solve_bsde
 from .config import ExperimentConfig, config_echo, parse_config
 from .coeffs import check_hypotheses
-from .errors import BsdeDensityError, SolverError, StageError
+from .errors import BsdeDensityError, ConfigError, SolverError, StageError
 from .forward import (
     MalliavinTableau,
     TimeGrid,
@@ -38,8 +38,6 @@ from .nvdensity import (
 from .verify import PositivityCounts, envelope_check, kde, positivity_report
 
 STAGES = ("hypotheses", "simulate", "density", "verify")
-# what a staged run reloads instead of recomputing
-RELOADED_ARTIFACTS = ("hypothesis_report.json", "ensemble.bin", "density_meta.json")
 
 _DEGENERATE_STD = 1e-9
 
@@ -76,16 +74,17 @@ def _first_differing_key(old: str, new: str) -> str:
 class Experiment:
     """Stage-by-stage pipeline over one configuration.
 
-    Each stage persists its artifacts; in a staged run a stage whose
-    artifacts already exist on disk is reloaded rather than recomputed, so
-    later stages consume persisted artifacts only (the simulate stage's
-    ensemble is reloaded and the deterministic backward sweep re-run on it;
-    the sweep runs only in an invocation that goes on to the density stage).
+    Each stage persists its artifacts.  A staged run is a full run that stops
+    early; the one artifact it reuses is the simulate stage's ensemble, which
+    must match the config and seed.  Every other stage is deterministic and
+    recomputed, the backward sweep at the start of the density stage.
     """
 
     def __init__(self, cfg: ExperimentConfig, out_dir: str | None = None,
                  seed: int | None = None):
         self.seed = int(seed if seed is not None else cfg["mc.master_seed"])
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"--seed must lie in [0, 2**64); got {self.seed}")
         # the echo must reproduce the run, so it carries the effective seed
         self.cfg = replace(cfg, values={**cfg.values, "mc.master_seed": self.seed})
         self.out = Path(out_dir or cfg["output.dir"])
@@ -113,48 +112,39 @@ class Experiment:
         self.pipelines = payload["pipelines"]
         _write_json(self.out / "hypothesis_report.json", payload)
 
-    def _load_hypotheses(self) -> bool:
-        path = self.out / "hypothesis_report.json"
-        if not path.exists():
-            return False
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        self.pipelines = payload["pipelines"]
-        return True
-
-    # -- stage: simulate (simulate + solve) ------------------------------------
+    # -- stage: simulate ---------------------------------------------------------
 
     def _ensure_lamperti(self) -> LampertiMap:
         if self.lmap is None:
             self.lmap = LampertiMap(self.problem.sigma, self.problem.b, self.problem.box)
         return self.lmap
 
-    def stage_simulate(self, persist: bool, solve: bool) -> None:
-        """Forward sweep, then (if ``solve``) the backward sweep.  Nothing of
-        the backward sweep is persisted, so a staged run that stops here
-        skips it."""
+    def stage_simulate(self, persist: bool) -> None:
+        """The forward sweep, dumped when ``persist`` or the config asks."""
         cfg = self.cfg
         lmap = self._ensure_lamperti()
         self.ens = simulate_forward(
             self.problem, self.grid, cfg["mc.n_paths"], self.seed, lamperti_map=lmap
         )
-        if solve:
-            self._solve()
         if persist or cfg["run.dump_ensemble"]:
             dump_ensemble(self.ens, self.out / "ensemble.bin")
 
-    def _solve(self) -> None:
-        """The deterministic backward sweep: solution and tableau rows."""
-        ftab = MalliavinTableau(self.ens, self._ensure_lamperti(), self.problem)
-        t_indices = [self.grid.index_of(t) for t in self.cfg["eval.times"]]
-        self.sol = solve_bsde(self.ens, self.problem, self.basis,
-                              forward_tab=ftab, t_indices=t_indices)
-        self.btab = self.sol.tableau
-
     def _load_simulate(self) -> bool:
+        """Reuse the output directory's ensemble dump, if there is one; its
+        header must match this run's config and seed."""
         ens_path = self.out / "ensemble.bin"
         if not ens_path.exists():
             return False
-        self.ens = load_ensemble(ens_path)
+        ens = load_ensemble(ens_path)
+        for key, dumped in (("grid.n_steps", ens.grid.n_steps), ("model.T", ens.grid.T),
+                            ("model.x0", ens.x0), ("mc.master_seed", ens.master_seed),
+                            ("mc.n_paths", ens.n_requested)):
+            if dumped != self.cfg[key]:
+                raise StageError(
+                    f"{ens_path} was simulated with {key} = {dumped}, not "
+                    f"{self.cfg[key]}; re-run --stage simulate in a fresh --out"
+                )
+        self.ens = ens
         return True
 
     # -- stage: density ----------------------------------------------------------
@@ -191,6 +181,12 @@ class Experiment:
 
     def stage_density(self) -> None:
         cfg = self.cfg
+        # the deterministic backward sweep: solution and tableau rows
+        ftab = MalliavinTableau(self.ens, self._ensure_lamperti(), self.problem)
+        t_indices = [self.grid.index_of(t) for t in cfg["eval.times"]]
+        self.sol = solve_bsde(self.ens, self.problem, self.basis,
+                              forward_tab=ftab, t_indices=t_indices)
+        self.btab = self.sol.tableau
         meta: dict = {"per_t": {}}
         summary_rows: dict[str, list] = {
             "t": [], "theta": [],
@@ -200,9 +196,8 @@ class Experiment:
         }
         gest_targets = {s.strip() for s in cfg["gest.targets"].split(",") if s.strip()}
         applicable = {
-            "Y": self.pipelines.get("y_envelope", True),
-            "Z": self.pipelines.get("z_envelope", False)
-            or self.pipelines.get("z_existence", False),
+            "Y": self.pipelines["y_envelope"],
+            "Z": self.pipelines["z_envelope"] or self.pipelines["z_existence"],
         }
         self.density_checks = {}
         # (eval time, its index, component, the component's entry, g-target)
@@ -348,26 +343,14 @@ class Experiment:
                 "band_check": "pass" if bool(within) else "fail",
             }
 
-    def _load_density(self) -> bool:
-        path = self.out / "density_meta.json"
-        if not path.exists():
-            return False
-        self.density_meta = json.loads(path.read_text(encoding="utf-8"))
-        return True
-
     # -- stage: verify -------------------------------------------------------------
 
     def stage_verify(self) -> None:
         cfg = self.cfg
         meta, checks = self.density_meta, self.density_checks
-        if meta is None or checks is None:
-            raise StageError("verify stage needs the density stage of the same run")
         dz_pool = []
         per_t_verdicts: dict = {}
-        envelope_ok = {
-            "Y": self.pipelines.get("y_envelope", True),
-            "Z": self.pipelines.get("z_envelope", False),
-        }
+        envelope_ok = {"Y": self.pipelines["y_envelope"], "Z": self.pipelines["z_envelope"]}
         for key, entry in meta["per_t"].items():
             tv: dict = {}
             for name in ("Y", "Z"):
@@ -412,9 +395,9 @@ class Experiment:
             "package_version": __version__,
             "numpy_version": np.__version__,
             "master_seed": self.seed,
-            "ridge_used": self.sol.ridge_used if self.sol else None,
-            "n_paths": self.ens.n_paths if self.ens else None,
-            "n_flagged": self.ens.n_flagged if self.ens else None,
+            "ridge_used": self.sol.ridge_used,
+            "n_paths": self.ens.n_paths,
+            "n_flagged": self.ens.n_flagged,
             "verdicts": dict(sorted(self.verdicts.items())),
             "failed": failed,
             "per_t": meta["per_t"],
@@ -428,12 +411,11 @@ class Experiment:
     def run(self, upto: str = "verify") -> int:
         """Run the pipeline prefix ending at ``upto``.
 
-        In a staged run (upto before verify), stages whose artifacts are
-        already in the output directory are reloaded instead of recomputed,
-        so sequential ``--stage`` invocations resume from persisted state.  A
-        full run (upto = verify) recomputes every stage, keeps the
-        heavyweight intermediates in memory and persists only reports/CSVs
-        unless ``run.dump_ensemble`` asks for the binary dump.
+        A staged run (upto before verify) dumps the ensemble, or reuses the
+        dump already in the output directory, and recomputes every other
+        stage it reaches.  A full run (upto = verify) recomputes every stage
+        and persists only reports/CSVs unless ``run.dump_ensemble`` asks for
+        the binary dump.
         """
         if upto not in STAGES:
             raise StageError(f"unknown stage {upto!r}; choose from {STAGES}")
@@ -450,14 +432,12 @@ class Experiment:
                     f"{_first_differing_key(old, echo)} differs from its "
                     "effective_config.txt; use a fresh --out"
                 )
-            # a full run recomputes every stage; drop what a later staged run
-            # would otherwise reload under the new echo
-            for name in RELOADED_ARTIFACTS:
-                (self.out / name).unlink(missing_ok=True)
+            # a full run recomputes every stage; drop the ensemble a later
+            # staged run would otherwise reuse under the new echo
+            (self.out / "ensemble.bin").unlink(missing_ok=True)
         echo_path.write_text(echo, encoding="utf-8")
 
-        if not (staged and self._load_hypotheses()):
-            self.stage_hypotheses()
+        self.stage_hypotheses()
         # a run proceeds when any theorem pipeline applies
         self.verdicts["hypotheses"] = "pass" if any(self.pipelines.values()) else "fail"
         if self.verdicts["hypotheses"] == "fail":
@@ -466,26 +446,17 @@ class Experiment:
             return 0
 
         if not (staged and self._load_simulate()):
-            self.stage_simulate(persist=staged, solve=last >= 2)
+            self.stage_simulate(persist=staged)
         if last < 2:
             return 0
-        if self.sol is None:  # reloaded ensemble: re-run the backward sweep
-            self._solve()
 
-        if not (staged and self._load_density()):
-            self.stage_density()
+        self.stage_density()
         if last < 3:
             return 0
 
         self.stage_verify()
         failed = [k for k, v in self.verdicts.items() if v == "fail"]
         return 1 if failed else 0
-
-
-def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
-                   seed: int | None = None, stage: str = "verify") -> int:
-    """Run the pipeline up to ``stage``; returns the exit status (0 = all pass)."""
-    return Experiment(cfg, out_dir=out_dir, seed=seed).run(stage)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -499,6 +470,7 @@ def main(argv: list[str] | None = None) -> int:
     p_check = sub.add_parser("check-hypotheses", help="run the hypothesis checker only")
     p_check.add_argument("config")
     p_check.add_argument("--out", default=None)
+    p_check.set_defaults(seed=None, stage="hypotheses")
 
     p_run = sub.add_parser("run", help="run the experiment pipeline")
     p_run.add_argument("config")
@@ -509,11 +481,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = parse_config(args.config)
-        if args.command == "check-hypotheses":
-            status = run_experiment(cfg, out_dir=args.out, stage="hypotheses")
-        else:
-            status = run_experiment(cfg, out_dir=args.out, seed=args.seed,
-                                    stage=args.stage)
+        status = Experiment(cfg, out_dir=args.out, seed=args.seed).run(args.stage)
     except BsdeDensityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

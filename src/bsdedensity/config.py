@@ -181,6 +181,8 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("grid.n_steps must be >= 1")
     if v["mc.n_paths"] < 1:
         raise ConfigError("mc.n_paths must be >= 1")
+    if not 0 <= v["mc.master_seed"] < 2**64:
+        raise ConfigError("mc.master_seed must lie in [0, 2**64)")
     if not v["eval.times"]:
         raise ConfigError("eval.times must list at least one time")
     for t in v["eval.times"]:

@@ -52,6 +52,9 @@ _MAGIC = b"BSDENS01"
 _VERSION = 2
 _HEADER_FMT = "<8sIIIIddQI4x"
 
+# the share of flagged paths above which a simulation fails
+_MAX_FLAGGED_FRACTION = 0.01
+
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -152,13 +155,12 @@ def simulate_forward(
     n_paths: int,
     seed: int,
     lamperti_map: LampertiMap | None = None,
-    max_flagged_fraction: float = 0.01,
 ) -> PathEnsemble:
     """Simulate the forward diffusion by Euler-Maruyama on U = g(X).
 
     Paths whose U leaves the image of the certified box are clamped, flagged
-    and excluded from the returned ensemble; if more than
-    ``max_flagged_fraction`` of paths are flagged the run fails.
+    and excluded from the returned ensemble; if more than 1% of paths are
+    flagged the run fails.
     """
     if n_paths < 1:
         raise SimulationError("n_paths must be >= 1")
@@ -167,10 +169,10 @@ def simulate_forward(
     W, X, hits = _euler_lamperti(problem, grid, dW, lmap)
     flagged = hits > 0
     n_flagged = int(flagged.sum())
-    if n_flagged > max_flagged_fraction * n_paths:
+    if n_flagged > _MAX_FLAGGED_FRACTION * n_paths:
         raise SimulationError(
             f"{n_flagged} of {n_paths} paths left the certified box "
-            f"[{problem.box[0]}, {problem.box[1]}] (> {max_flagged_fraction:.1%}); "
+            f"[{problem.box[0]}, {problem.box[1]}] (> {_MAX_FLAGGED_FRACTION:.1%}); "
             "enlarge the working box or shorten the horizon"
         )
     keep = ~flagged
@@ -235,9 +237,9 @@ class MalliavinTableau:
     Logical layout is the lower-triangular grid DU[theta_i][t_j] (theta <= t)
     per path, with second-order slices indexed by (theta, t, s); physically
     everything derives from the cumulative integrals A and B described in the
-    module docstring.  theta arguments snap to grid nodes; accessors reject
-    theta > t.  sigma and sigma' are evaluated at the states an accessor
-    reads, never stored as path matrices.
+    module docstring.  The accessor reads grid indices and rejects
+    theta > t; sigma is evaluated at the states it reads, never stored as a
+    path matrix.
     """
 
     def __init__(self, ens: PathEnsemble, lmap: LampertiMap, problem: ProblemSpec):
@@ -256,9 +258,6 @@ class MalliavinTableau:
                                             self.ens.grid.dt)
         return self._B
 
-    def _sigma(self, order: int, path: int, idx: int) -> float:
-        return eval_derivative(self.problem.sigma, order, self.ens.X[path, idx])
-
     # -- guards --------------------------------------------------------------
 
     def _check_pair(self, theta_idx: int, t_idx: int) -> None:
@@ -269,42 +268,6 @@ class MalliavinTableau:
             raise OrderingError(
                 f"tableau is triangular: theta index {theta_idx} > t index {t_idx}"
             )
-
-    def _canon_second(self, theta_idx: int, t_idx: int, s_idx: int) -> tuple[int, int]:
-        lo, hi = min(theta_idx, t_idx), max(theta_idx, t_idx)
-        n = self.ens.grid.n_steps
-        if not (0 <= lo and s_idx <= n):
-            raise OrderingError("second-order indices outside the grid")
-        if s_idx < hi:
-            raise OrderingError(
-                f"second-order slice needs max(theta, t) <= s; got s index {s_idx} < {hi}"
-            )
-        return lo, hi
-
-    # -- scalar accessors (per spec operations) ------------------------------
-
-    def first_u(self, path: int, theta_idx: int, t_idx: int) -> float:
-        self._check_pair(theta_idx, t_idx)
-        return float(np.exp(self.A[path, t_idx] - self.A[path, theta_idx]))
-
-    def first_x(self, path: int, theta_idx: int, t_idx: int) -> float:
-        self._check_pair(theta_idx, t_idx)
-        return self._sigma(0, path, t_idx) * self.first_u(path, theta_idx, t_idx)
-
-    def second_u(self, path: int, theta_idx: int, t_idx: int, s_idx: int) -> float:
-        lo, hi = self._canon_second(theta_idx, t_idx, s_idx)
-        a = self.A[path]
-        return float(
-            np.exp(a[s_idx] - a[hi] - a[lo]) * (self.B[path, s_idx] - self.B[path, hi])
-        )
-
-    def second_x(self, path: int, theta_idx: int, t_idx: int, s_idx: int) -> float:
-        lo, hi = self._canon_second(theta_idx, t_idx, s_idx)
-        a = self.A[path]
-        du_prod = np.exp(2.0 * a[s_idx] - a[hi] - a[lo])
-        d2u = np.exp(a[s_idx] - a[hi] - a[lo]) * (self.B[path, s_idx] - self.B[path, hi])
-        sig = self._sigma(0, path, s_idx)
-        return float(self._sigma(1, path, s_idx) * sig * du_prod + sig * d2u)
 
     # -- vector accessor -----------------------------------------------------
 
@@ -331,7 +294,7 @@ def dump_ensemble(ens: PathEnsemble, path: str | Path) -> None:
         ens.n_requested,
         ens.grid.T,
         ens.x0,
-        ens.master_seed & 0xFFFFFFFFFFFFFFFF,
+        ens.master_seed,
         ens.n_flagged,
     )
     with open(path, "wb") as fh:

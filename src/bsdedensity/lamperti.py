@@ -29,6 +29,9 @@ from .errors import DomainError
 
 __all__ = ["LampertiMap"]
 
+# the inverse's Newton iteration stops once every |g(x) - u| is at most this
+_ROOT_TOLERANCE = 1e-12
+
 
 class LampertiMap:
     """Cached evaluator for g, g^-1 and the derived drift functions.
@@ -45,15 +48,13 @@ class LampertiMap:
         b: CoefficientFamily,
         box: tuple[float, float],
         quadrature_step: float = 1e-3,
-        root_tolerance: float = 1e-12,
     ) -> None:
-        if quadrature_step <= 0 or root_tolerance <= 0:
-            raise DomainError("quadrature_step and root_tolerance must be positive")
+        if quadrature_step <= 0:
+            raise DomainError("quadrature_step must be positive")
         self.sigma = sigma
         self.b = b
         self.box = (float(box[0]), float(box[1]))
         self.quadrature_step = float(quadrature_step)
-        self.root_tolerance = float(root_tolerance)
 
         lo = min(self.box[0], 0.0)
         hi = max(self.box[1], 0.0)
@@ -201,7 +202,7 @@ class LampertiMap:
             fm = 1.0 / eval_derivative(self.sigma, 0, 0.5 * (a + x))
             simpson = (x - a) / 6.0 * (self._inv_sigma_nodes[kx] + 4.0 * fm + 1.0 / sx)
             r = g[kx] + simpson - arr
-            if np.max(np.abs(r)) <= self.root_tolerance:
+            if np.max(np.abs(r)) <= _ROOT_TOLERANCE:
                 break
             above = r > 0
             bhi = np.where(above, x, bhi)

@@ -40,6 +40,10 @@ __all__ = [
 ]
 
 _U_CAP = 40.0
+# g-estimator grid points with fewer effective samples are unreliable; the
+# standard errors come from this many batch means
+_MIN_EFFECTIVE = 30
+_N_BATCHES = 20
 
 
 def mehler_shift(increments: np.ndarray, increments_prime: np.ndarray, u: float) -> np.ndarray:
@@ -125,9 +129,8 @@ class GTarget:
     mean_f: float | None = None
 
 
-def _check_targets(targets: list[GTarget], n_outer: int, n_batches: int,
-                   n_rows: int) -> None:
-    if n_outer < n_batches:
+def _check_targets(targets: list[GTarget], n_outer: int, n_rows: int) -> None:
+    if n_outer < _N_BATCHES:
         raise DomainError("n_outer must be at least the number of batches")
     if n_rows < n_outer:
         raise DomainError("base_increments has fewer rows than n_outer")
@@ -151,8 +154,6 @@ def estimate_g(
     increment_scale: float,
     wprime_seed: int,
     n_u_nodes: int = 16,
-    min_effective: int = 30,
-    n_batches: int = 20,
 ) -> list[GEstimate]:
     """Monte Carlo estimates of the Nourdin-Viens g-function, one per target.
 
@@ -164,10 +165,10 @@ def estimate_g(
     across the u-quadrature nodes, so refining the u-grid isolates pure
     quadrature error.  Every input is checked before the first sweep.
 
-    Grid points whose kernel window holds fewer than ``min_effective``
-    effective samples are flagged unreliable.
+    Grid points whose kernel window holds fewer than 30 effective samples
+    are flagged unreliable.
     """
-    _check_targets(targets, n_outer, n_batches, base_increments.shape[0])
+    _check_targets(targets, n_outer, base_increments.shape[0])
     # keep the caller's array object when it already has n_outer rows: the
     # perfbench tracer tells the unshifted pass from the replays by identity
     W = (
@@ -197,14 +198,13 @@ def estimate_g(
             del state  # one sweep state alive at a time
 
     return [
-        _g_estimate(target, p, u_nodes, u_weights, n_inner, min_effective, n_batches)
+        _g_estimate(target, p, u_nodes, u_weights, n_inner)
         for target, p in zip(targets, P)
     ]
 
 
 def _g_estimate(target: GTarget, P: np.ndarray, u_nodes: np.ndarray,
-                u_weights: np.ndarray, n_inner: int, min_effective: int,
-                n_batches: int) -> GEstimate:
+                u_weights: np.ndarray, n_inner: int) -> GEstimate:
     """Kernel regression of the accumulated inner products P on F - EF, with
     batch-means standard errors."""
     F = np.asarray(target.samples, dtype=float)
@@ -217,19 +217,19 @@ def _g_estimate(target: GTarget, P: np.ndarray, u_nodes: np.ndarray,
     g_vals, _, n_eff = _nadaraya_watson(x, P, grid, h)
 
     # batch-means standard errors
-    edges = np.linspace(0, n_outer, n_batches + 1).astype(int)
-    batch_vals = np.empty((n_batches, len(grid)))
-    for bidx in range(n_batches):
+    edges = np.linspace(0, n_outer, _N_BATCHES + 1).astype(int)
+    batch_vals = np.empty((_N_BATCHES, len(grid)))
+    for bidx in range(_N_BATCHES):
         sl = slice(edges[bidx], edges[bidx + 1])
         batch_vals[bidx], _, _ = _nadaraya_watson(x[sl], P[sl], grid, h)
     with np.errstate(invalid="ignore"):
-        se = np.nanstd(batch_vals, axis=0, ddof=1) / np.sqrt(n_batches)
+        se = np.nanstd(batch_vals, axis=0, ddof=1) / np.sqrt(_N_BATCHES)
 
     return GEstimate(
         x_grid=grid,
         g_values=g_vals,
         standard_errors=se,
-        reliable=n_eff >= min_effective,
+        reliable=n_eff >= _MIN_EFFECTIVE,
         n_effective=n_eff,
         u_nodes=u_nodes,
         u_weights=u_weights,

@@ -21,9 +21,9 @@ from bsdedensity.coeffs import (
     iterated_bracket,
     lie_bracket,
 )
-from bsdedensity.errors import CoefficientError, GlobalDomainError
+from bsdedensity.errors import CoefficientError, GlobalDomainError, OrderingError
 from bsdedensity.forward import PathEnsemble, _cumtrapz, _euler_lamperti
-from bsdedensity.lamperti import LampertiMap
+from bsdedensity.lamperti import _ROOT_TOLERANCE, LampertiMap
 from bsdedensity.nvdensity import mehler_shift, silverman_bandwidth
 
 # roundoff/truncation balanced steps per derivative order
@@ -181,7 +181,7 @@ def reference_inverse_transform(lmap, u):
     x = blo + frac * (bhi - blo)
     for _ in range(100):
         r = reference_transform(lmap, x) - arr
-        if np.max(np.abs(r)) <= lmap.root_tolerance:
+        if np.max(np.abs(r)) <= _ROOT_TOLERANCE:
             break
         above = r > 0
         bhi = np.where(above, x, bhi)
@@ -211,6 +211,61 @@ def reference_tableau_integrals(lmap, X, dt):
     A = _cumtrapz(lmap.beta_prime_sigma(pts), dt)
     B = _cumtrapz(lmap.beta_comp_second(X) * np.exp(A), dt)
     return sigX, A, B
+
+
+# Scalar tableau entries on one path, from the integrals A and B, the path
+# matrix X and sigma; sigma and sigma' are evaluated at the one state read.
+# The production tableau builds whole rows from the same integrals.
+
+
+def _check_pair(A, theta_idx, t_idx):
+    n = A.shape[1] - 1
+    if not (0 <= theta_idx <= n and 0 <= t_idx <= n):
+        raise OrderingError(f"indices ({theta_idx}, {t_idx}) outside 0..{n}")
+    if theta_idx > t_idx:
+        raise OrderingError(
+            f"tableau is triangular: theta index {theta_idx} > t index {t_idx}"
+        )
+
+
+def _canon_second(A, theta_idx, t_idx, s_idx):
+    lo, hi = min(theta_idx, t_idx), max(theta_idx, t_idx)
+    if not (0 <= lo and s_idx <= A.shape[1] - 1):
+        raise OrderingError("second-order indices outside the grid")
+    if s_idx < hi:
+        raise OrderingError(
+            f"second-order slice needs max(theta, t) <= s; got s index {s_idx} < {hi}"
+        )
+    return lo, hi
+
+
+def first_u(A, path, theta_idx, t_idx):
+    """D_theta U_t = exp(A_t - A_theta)."""
+    _check_pair(A, theta_idx, t_idx)
+    return float(np.exp(A[path, t_idx] - A[path, theta_idx]))
+
+
+def first_x(A, X, sigma, path, theta_idx, t_idx):
+    """D_theta X_t = sigma(X_t) D_theta U_t."""
+    _check_pair(A, theta_idx, t_idx)
+    return eval_derivative(sigma, 0, X[path, t_idx]) * first_u(A, path, theta_idx, t_idx)
+
+
+def second_u(A, B, path, theta_idx, t_idx, s_idx):
+    """D2_{theta,t} U_s = exp(A_s - A_t - A_theta) (B_s - B_t), theta <= t."""
+    lo, hi = _canon_second(A, theta_idx, t_idx, s_idx)
+    a = A[path]
+    return float(np.exp(a[s_idx] - a[hi] - a[lo]) * (B[path, s_idx] - B[path, hi]))
+
+
+def second_x(A, B, X, sigma, path, theta_idx, t_idx, s_idx):
+    """D2_{theta,t} X_s = (sigma' sigma)(X_s) D_theta U_s D_t U_s + sigma(X_s) D2 U_s."""
+    lo, hi = _canon_second(A, theta_idx, t_idx, s_idx)
+    a = A[path]
+    du_prod = np.exp(2.0 * a[s_idx] - a[hi] - a[lo])
+    d2u = np.exp(a[s_idx] - a[hi] - a[lo]) * (B[path, s_idx] - B[path, hi])
+    sig = eval_derivative(sigma, 0, X[path, s_idx])
+    return float(eval_derivative(sigma, 1, X[path, s_idx]) * sig * du_prod + sig * d2u)
 
 
 def ensemble_from_increments(problem, grid, increments, lamperti_map=None):

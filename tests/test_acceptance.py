@@ -45,7 +45,7 @@ from bsdedensity.nvdensity import (
 )
 from bsdedensity.verify import envelope_check, kde, positivity_report
 
-from oracles import FD_STEPS, central_diff, euler_u_flow
+from oracles import FD_STEPS, central_diff, euler_u_flow, second_u
 
 MASTER_SEED = 20240801
 BIG_N = 200000
@@ -309,7 +309,7 @@ def test_criterion_10_second_order_consistency():
         fd = (vals[(1, 1)] - vals[(1, -1)] - vals[(-1, 1)] + vals[(-1, -1)]) / (
             4 * eps * eps
         )
-        ana = tab.second_u(0, thi, tti, ssi)
+        ana = second_u(tab.A, tab.B, 0, thi, tti, ssi)
         worst = max(worst, abs(ana - fd) / abs(fd))
     ok = worst < 0.05
     _report(10, ok, f"max rel diff vs pathwise FD = {worst:.4f} < 0.05")

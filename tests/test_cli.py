@@ -1,11 +1,12 @@
 import json
 import os
 import re
+import shutil
 
 import numpy as np
 import pytest
 
-from bsdedensity.cli import main, run_experiment
+from bsdedensity.cli import Experiment, main
 from bsdedensity.config import config_echo, parse_config
 from bsdedensity.errors import ConfigError
 
@@ -75,7 +76,7 @@ def test_validation_messages(tmp_path):
 def test_run_y_oracle_exit_zero(tmp_path):
     cfg = parse_config(_write(tmp_path, SMALL_CFG))
     out = tmp_path / "out"
-    status = run_experiment(cfg, out_dir=str(out))
+    status = Experiment(cfg, out_dir=str(out)).run()
     assert status == 0
     for name in (
         "hypothesis_report.json",
@@ -107,7 +108,7 @@ def test_run_h3_failure_exits_nonzero(tmp_path):
     text += "hypotheses.box = -1, 1\n"
     cfg = parse_config(_write(tmp_path, text))
     out = tmp_path / "bad"
-    status = run_experiment(cfg, out_dir=str(out))
+    status = Experiment(cfg, out_dir=str(out)).run()
     assert status == 1
     rep = json.loads((out / "hypothesis_report.json").read_text())
     assert rep["checks"]["H3"]["status"] == "fail"
@@ -233,7 +234,7 @@ def test_convex_terminal_z_pipeline(tmp_path):
     text += "gest.targets = y,z\n"
     cfg = parse_config(_write(tmp_path, text))
     out = tmp_path / "z42"
-    status = run_experiment(cfg, out_dir=str(out))
+    status = Experiment(cfg, out_dir=str(out)).run()
     meta = json.loads((out / "run_metadata.json").read_text())
     assert meta["verdicts"]["density_Y_t0.5"] == "not-applicable"
     assert meta["verdicts"]["positivity"] == "pass"
@@ -249,7 +250,7 @@ def test_y_oracle_passes_at_three_times(tmp_path):
     text = SMALL_CFG.replace("eval.times = 0.5", "eval.times = 0.25, 0.5, 0.75")
     cfg = parse_config(_write(tmp_path, text))
     out = tmp_path / "three"
-    status = run_experiment(cfg, out_dir=str(out))
+    status = Experiment(cfg, out_dir=str(out)).run()
     assert status == 0
     meta = json.loads((out / "run_metadata.json").read_text())
     for t in ("0.25", "0.5", "0.75"):
@@ -309,7 +310,7 @@ def test_staged_run_refuses_another_runs_artifacts(tmp_path, capsys):
     assert "mc.master_seed = 1\n" in (out / "effective_config.txt").read_text()
     assert main(args + ["--stage", "density", "--seed", "2"]) == 2
     assert "mc.master_seed differs" in capsys.readouterr().err
-    # a full run recomputes every stage and drops what a staged run would reload
+    # a full run recomputes every stage and drops the ensemble a staged run would reuse
     assert main(args + ["--seed", "2"]) == 0
     assert "mc.master_seed = 2\n" in (out / "effective_config.txt").read_text()
     assert not (out / "ensemble.bin").exists()
@@ -358,14 +359,25 @@ def test_staged_simulate_skips_backward_sweep(tmp_path, monkeypatch, capsys):
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(cli, "solve_bsde", counted)
-    args = ["run", str(_write(tmp_path, SMALL_CFG)), "--out", str(tmp_path / "o")]
-    # the second simulate invocation reloads the ensemble; neither solves
+    out = tmp_path / "o"
+    args = ["run", str(_write(tmp_path, SMALL_CFG)), "--out", str(out)]
+    # the second simulate invocation reuses the ensemble; neither solves
     for stage, solves in (("hypotheses", 0), ("simulate", 0), ("simulate", 0),
                           ("density", 1)):
         assert main(args + ["--stage", stage]) == 0
         assert len(calls) == solves, stage
-    assert main(["run", args[1], "--out", str(tmp_path / "full")]) == 0
+    # a repeated density invocation solves again and rewrites the same bytes
+    csvs = {p: p.read_bytes() for p in out.glob("*.csv")}
+    assert len(csvs) == 3
+    for path in csvs:
+        os.utime(path, (0, 0))
+    assert main(args + ["--stage", "density"]) == 0
     assert len(calls) == 2
+    for path, data in csvs.items():
+        assert path.stat().st_mtime != 0, path.name
+        assert path.read_bytes() == data, path.name
+    assert main(["run", args[1], "--out", str(tmp_path / "full")]) == 0
+    assert len(calls) == 3
     # a solver failure therefore surfaces in the density invocation
     text = SMALL_CFG.replace("model.phi = affine(a=0, b=1)", "model.phi = affine(a=0, b=1e308)")
     args = ["run", str(_write(tmp_path, text, "big.txt")), "--out", str(tmp_path / "big")]
@@ -389,3 +401,62 @@ def test_staged_run_refuses_version_1_dump(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error:" in err and "version-1 ensemble dump" in err
     assert "Traceback" not in err
+
+
+def test_staged_run_overwrites_corrupted_reports(tmp_path, capsys):
+    # a staged run recomputes the reports instead of reading them back
+    cfg_path = _write(tmp_path, SMALL_CFG)
+    full, staged = tmp_path / "full", tmp_path / "staged"
+    assert main(["run", str(cfg_path), "--out", str(full)]) == 0
+    args = ["run", str(cfg_path), "--out", str(staged)]
+    for stage in ("simulate", "density"):
+        assert main(args + ["--stage", stage]) == 0
+    reports = ("hypothesis_report.json", "density_meta.json")
+    for name in reports:
+        (staged / name).write_text('{"pipelines": {', encoding="utf-8")
+    capsys.readouterr()
+    assert main(args + ["--stage", "density"]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    for name in reports + ("density_Y_t0p5.csv", "gest_Y_t0p5.csv"):
+        assert (staged / name).read_bytes() == (full / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("key, line", [
+    ("mc.master_seed", "mc.master_seed = 1"),
+    ("grid.n_steps", "grid.n_steps = 20"),
+    ("model.T", "model.T = 2"),
+    ("model.x0", "model.x0 = 0.5"),
+    ("mc.n_paths", "mc.n_paths = 3000"),
+])
+def test_staged_run_refuses_copied_ensemble(tmp_path, capsys, key, line):
+    # another run's dump copied into this run's directory passes the echo
+    # check; its header does not match the config
+    text = "".join(l for l in SMALL_CFG.splitlines(True) if not l.startswith(key + " "))
+    other = _write(tmp_path, text + line + "\n", "other.txt")
+    assert main(["run", str(other), "--out", str(tmp_path / "a"), "--stage", "simulate"]) == 0
+    args = ["run", str(_write(tmp_path, SMALL_CFG)), "--out", str(tmp_path / "b")]
+    assert main(args + ["--stage", "hypotheses"]) == 0
+    shutil.copy(tmp_path / "a" / "ensemble.bin", tmp_path / "b" / "ensemble.bin")
+    capsys.readouterr()
+    assert main(args + ["--stage", "density"]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and f"simulated with {key} = " in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "b" / "density_meta.json").exists()
+
+
+@pytest.mark.parametrize("line, flags", [
+    ("mc.master_seed = -3", []),
+    ("mc.master_seed = 18446744073709551616", []),
+    ("mc.master_seed = 42", ["--seed", "-1"]),
+    ("mc.master_seed = 42", ["--seed", "18446744073709551616"]),
+])
+def test_seed_outside_64_bits_exits_2(tmp_path, capsys, line, flags):
+    text = SMALL_CFG.replace("mc.master_seed = 42", line)
+    out = tmp_path / "o"
+    assert main(["run", str(_write(tmp_path, text)), "--out", str(out), *flags]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+    assert ("--seed" if flags else "mc.master_seed") + " must lie in [0, 2**64)" in err
+    assert not (out / "hypothesis_report.json").exists()
+

@@ -16,7 +16,14 @@ from bsdedensity.forward import (
 )
 from bsdedensity.lamperti import LampertiMap
 
-from oracles import euler_u_flow, reference_tableau_integrals
+from oracles import (
+    euler_u_flow,
+    first_u,
+    first_x,
+    reference_tableau_integrals,
+    second_u,
+    second_x,
+)
 
 
 def _problem(b, sigma, box=(-12, 12), T=1.0):
@@ -69,9 +76,10 @@ def test_tableau_ou_exact():
     tab = MalliavinTableau(ens, lmap, prob)
     th, ti = grid.index_of(0.2), grid.index_of(1.0)
     # (beta' sigma) = -kappa exactly, so the tableau quadrature is exact
-    assert tab.first_u(0, th, ti) == pytest.approx(np.exp(-0.4), abs=1e-12)
-    assert tab.first_x(3, th, ti) == pytest.approx(np.exp(-0.4), abs=1e-12)
-    assert tab.first_u(0, 300, 300) == 1.0
+    assert first_u(tab.A, 0, th, ti) == pytest.approx(np.exp(-0.4), abs=1e-12)
+    dx = first_x(tab.A, ens.X, prob.sigma, 3, th, ti)
+    assert dx == pytest.approx(np.exp(-0.4), abs=1e-12)
+    assert first_u(tab.A, 0, 300, 300) == 1.0
 
 
 def test_tableau_constant_coefficients(driftless):
@@ -80,10 +88,10 @@ def test_tableau_constant_coefficients(driftless):
     ens = simulate_forward(prob, grid, 30, seed=5)
     lmap = LampertiMap(prob.sigma, prob.b, prob.box)
     tab = MalliavinTableau(ens, lmap, prob)
-    assert tab.first_u(0, 10, 40) == 1.0
-    assert tab.first_x(0, 10, 40) == 2.0
-    assert tab.second_u(0, 5, 20, 45) == 0.0
-    assert tab.second_x(0, 5, 20, 45) == 0.0
+    assert first_u(tab.A, 0, 10, 40) == 1.0
+    assert first_x(tab.A, ens.X, prob.sigma, 0, 10, 40) == 2.0
+    assert second_u(tab.A, tab.B, 0, 5, 20, 45) == 0.0
+    assert second_x(tab.A, tab.B, ens.X, prob.sigma, 0, 5, 20, 45) == 0.0
 
 
 def test_du_positive_and_log_additive():
@@ -96,9 +104,9 @@ def test_du_positive_and_log_additive():
     mat = np.exp(tab.A[:, n : n + 1] - tab.A)  # D_theta U_T for every theta
     assert np.all(mat > 0)
     for p in (0, 17):
-        a = tab.first_u(p, 20, 80)
-        b = tab.first_u(p, 80, 150)
-        c = tab.first_u(p, 20, 150)
+        a = first_u(tab.A, p, 20, 80)
+        b = first_u(tab.A, p, 80, 150)
+        c = first_u(tab.A, p, 20, 150)
         assert a * b == pytest.approx(c, rel=1e-12)
 
 
@@ -107,11 +115,11 @@ def test_triangularity_errors(driftless):
     lmap = LampertiMap(prob.sigma, prob.b, prob.box)
     tab = MalliavinTableau(ens, lmap, prob)
     with pytest.raises(OrderingError):
-        tab.first_u(0, 10, 5)
+        first_u(tab.A, 0, 10, 5)
     with pytest.raises(OrderingError):
-        tab.second_u(0, 50, 100, 80)  # s < max(theta, t)
+        second_u(tab.A, tab.B, 0, 50, 100, 80)  # s < max(theta, t)
     with pytest.raises(OrderingError):
-        tab.first_x(0, 0, grid.n_steps + 1)
+        first_x(tab.A, ens.X, prob.sigma, 0, 0, grid.n_steps + 1)
 
 
 def test_second_order_zero_cases(driftless):
@@ -119,7 +127,7 @@ def test_second_order_zero_cases(driftless):
     lmap = LampertiMap(prob.sigma, prob.b, prob.box)
     tab = MalliavinTableau(ens, lmap, prob)
     # t = s gives an empty integral
-    assert tab.second_u(0, 10, 50, 50) == 0.0
+    assert second_u(tab.A, tab.B, 0, 10, 50, 50) == 0.0
 
 
 def test_second_order_symmetry_under_swap():
@@ -128,8 +136,8 @@ def test_second_order_symmetry_under_swap():
     ens = simulate_forward(prob, grid, 10, seed=123)
     lmap = LampertiMap(prob.sigma, prob.b, prob.box)
     tab = MalliavinTableau(ens, lmap, prob)
-    a = tab.second_x(2, 40, 100, 180)
-    b = tab.second_x(2, 100, 40, 180)
+    a = second_x(tab.A, tab.B, ens.X, prob.sigma, 2, 40, 100, 180)
+    b = second_x(tab.A, tab.B, ens.X, prob.sigma, 2, 100, 40, 180)
     assert a == b
 
 
@@ -150,7 +158,7 @@ def test_second_order_finite_difference_oracle():
             dw[tti - 1] += s2 * eps
             vals[(s1, s2)] = euler_u_flow(dw, lmap, prob.x0, grid.dt)[ssi]
     fd = (vals[(1, 1)] - vals[(1, -1)] - vals[(-1, 1)] + vals[(-1, -1)]) / (4 * eps**2)
-    ana = tab.second_u(p, thi, tti, ssi)
+    ana = second_u(tab.A, tab.B, p, thi, tti, ssi)
     assert fd != 0
     assert abs(ana - fd) / abs(fd) < 0.05
 
@@ -180,8 +188,8 @@ def test_second_order_nonnegative_under_h6():
         th, tt = sorted(rng.integers(0, 100, 2))
         s = int(rng.integers(tt, 101))
         p = int(rng.integers(0, 20))
-        assert tab.second_u(p, th, tt, s) >= -eps
-        assert tab.second_x(p, th, tt, s) >= -eps
+        assert second_u(tab.A, tab.B, p, th, tt, s) >= -eps
+        assert second_x(tab.A, tab.B, ens.X, prob.sigma, p, th, tt, s) >= -eps
 
 
 def test_flagged_paths_excluded_and_error():
