@@ -364,9 +364,9 @@ def solve_bsde(
             iters = 0
         else:
             y = cfit
-            x_i = Points(ens.X[:, i])
+            f_i = driver.f_given_x(ens.X[:, i])
             for iters in range(1, _MAX_PICARD + 1):
-                y_new = cfit + driver.f(x_i, y) * dt
+                y_new = cfit + f_i(y) * dt
                 delta = float(np.max(np.abs(y_new - y)))
                 y = y_new
                 if delta <= _PICARD_TOL:

@@ -129,7 +129,7 @@ def _eval_affine(p: dict[str, float], order: int, pts: Points) -> np.ndarray:
     return np.zeros_like(pts.x, dtype=float)
 
 
-def _eval_trig_affine(p: dict[str, float], order: int, pts: Points) -> np.ndarray:
+def _trig_affine_full(p: dict[str, float], order: int, pts: Points) -> np.ndarray:
     a, b, c, d = p["a"], p["b"], p["c"], p["d"]
     if order == 0:
         return a + b * pts.cos() + c * pts.sin() + d * pts.x
@@ -138,6 +138,44 @@ def _eval_trig_affine(p: dict[str, float], order: int, pts: Points) -> np.ndarra
     if order == 2:
         return -b * pts.cos() - c * pts.sin()
     return b * pts.sin() - c * pts.cos()
+
+
+def _eval_trig_affine(p: dict[str, float], order: int, pts: Points) -> np.ndarray:
+    """The terms of :func:`_trig_affine_full` whose coefficient is non-zero,
+    summed in the same order, so sin or cos is computed only when a term
+    reads it.
+
+    At a finite point a skipped term is a signed zero, which can change only
+    the sign of a zero sum; where the sum is zero, the full formula is
+    evaluated on those points.  The bits are therefore those of
+    :func:`_trig_affine_full` at every finite point, whatever the signs of
+    the zero coefficients.
+    """
+    a, b, c, d = p["a"], p["b"], p["c"], p["d"]
+    x = lambda: pts.x  # noqa: E731
+    # (coefficient, factor) pairs, the factor None for the constant; u - c*v
+    # is written u + (-c)*v, which is the same in floating point
+    terms = (
+        [(a, None), (b, pts.cos), (c, pts.sin), (d, x)],
+        [(-b, pts.sin), (c, pts.cos), (d, None)],
+        [(-b, pts.cos), (-c, pts.sin)],
+        [(b, pts.sin), (-c, pts.cos)],
+    )[order]
+    kept = [(k, f) for k, f in terms if k != 0.0]
+    if not kept or len(kept) == len(terms):
+        return _trig_affine_full(p, order, pts)
+    if len(kept) == 1 and kept[0][1] is None:  # a non-zero constant
+        return np.full_like(pts.x, kept[0][0], dtype=float)
+    out = None
+    for k, f in kept:
+        v = k if f is None else k * f()
+        out = v if out is None else out + v
+    zero = out == 0.0
+    if pts.scalar:
+        return _trig_affine_full(p, order, pts) if zero else out
+    if zero.any():
+        out[zero] = _trig_affine_full(p, order, Points(pts.x[zero]))
+    return out
 
 
 def _eval_scaled_sigmoid(p: dict[str, float], order: int, pts: Points) -> np.ndarray:
@@ -382,6 +420,8 @@ class Driver:
     def partial(self, dx: int, dy: int, x, y):
         """Exact partial derivative d^(dx+dy) f / dx^dx dy^dy at (x, y);
         ``x`` and ``y`` may be arrays or :class:`Points`."""
+        if dx == dy == 0:
+            return self.f_given_x(x)(y)
         x = as_points(x)
         y = as_points(y)
         out = np.zeros(np.broadcast(x.x, y.x).shape)
@@ -392,6 +432,24 @@ class Driver:
         if self.cross_x is not None:
             out = out + self._part(self.cross_x, dx, x) * self._part(self.cross_y, dy, y)
         return out
+
+    def f_given_x(self, x):
+        """``y -> f(x, y)`` for arrays or :class:`Points` ``y``: the x-parts
+        are evaluated once, and each call adds the y-parts to them.  This is
+        the one place that fixes the order of the value sum; :meth:`f` and
+        ``partial(0, 0, ...)`` call it."""
+        x = as_points(x)
+        base = np.zeros(x.x.shape) + self._part(self.f_of_x, 0, x)
+        cx = None if self.cross_x is None else self._part(self.cross_x, 0, x)
+
+        def f(y):
+            y = as_points(y)
+            out = base + self._part(self.f_of_y, 0, y)
+            if cx is not None:
+                out = out + cx * self._part(self.cross_y, 0, y)
+            return out
+
+        return f
 
     def f(self, x, y):
         return self.partial(0, 0, x, y)

@@ -31,6 +31,11 @@ __all__ = ["LampertiMap"]
 
 # the inverse's Newton iteration stops once every |g(x) - u| is at most this
 _ROOT_TOLERANCE = 1e-12
+# the inverse's cell search makes at most this many passes from the bucket's
+# cell, then hands what is left to a binary search
+_CELL_STEPS = 3
+# the bucket table holds at most this many buckets per lattice cell
+_MAX_BUCKETS_PER_CELL = 4
 
 
 class LampertiMap:
@@ -91,6 +96,21 @@ class LampertiMap:
         self._const_sigma = (
             float(sigma.params["c"]) if sigma.family == "constant" else None
         )
+        if self._const_sigma is None:
+            # even buckets over [g_0, g_N], each holding the cell of its left
+            # edge: the start of the inverse's cell search.  A bucket no wider
+            # than the narrowest cell ends at most one cell past its edge's;
+            # the table is capped, so a steep sigma can leave wider buckets
+            n_cells = len(g) - 1
+            span = g[-1] - g[0]
+            cap = _MAX_BUCKETS_PER_CELL * n_cells
+            narrowest = float(np.min(np.diff(g)))
+            n_buckets = cap if narrowest * cap <= span else int(np.ceil(span / narrowest))
+            self._bucket_scale = n_buckets / span
+            edges = g[0] + np.arange(n_buckets) / self._bucket_scale
+            self._bucket_cell = np.clip(
+                np.searchsorted(g, edges, side="right") - 1, 0, n_cells - 1
+            )
 
     # -- internals ---------------------------------------------------------
 
@@ -137,14 +157,39 @@ class LampertiMap:
             coarse = np.concatenate([left[keep], right[keep]])
         raise DomainError("quadrature for g did not converge on the lattice")
 
-    def _domain_check(self, x: np.ndarray) -> None:
-        lo, hi = self._nodes[0], self._nodes[-1]
-        if x.size and (x.min() < lo or x.max() > hi):
-            bad = float(x[np.argmax((x < lo) | (x > hi))])
-            raise DomainError(
-                f"x = {bad:.6g} is outside the certified interval "
-                f"[{lo:.6g}, {hi:.6g}] of this Lamperti map"
-            )
+    @staticmethod
+    def _range_check(v: np.ndarray, lo: float, hi: float, name: str, what: str) -> None:
+        """Raise unless every entry of ``v`` lies in [lo, hi], ``what`` in
+        the message; the test is written so that a NaN fails it without an
+        extra pass."""
+        if v.size and not (v.min() >= lo and v.max() <= hi):
+            bad = float(v[np.argmin((v >= lo) & (v <= hi))])
+            if not np.isfinite(bad):
+                raise DomainError(f"{name} = {bad} is not finite")
+            raise DomainError(f"{name} = {bad:.6g} is outside [{lo:.6g}, {hi:.6g}], {what}")
+
+    def _cell(self, u: np.ndarray) -> np.ndarray:
+        """The lattice cell k with g[k] <= u < g[k + 1], the last cell for
+        u = g_N: ``searchsorted(g, u, side="right") - 1`` clipped to the
+        cells.  The search starts at the cell of u's bucket and moves one
+        cell per pass, for at most ``_CELL_STEPS`` passes; a binary search
+        places the entries still off their cell, which only a bucket wider
+        than the narrowest cell leaves.  The cell holding u is unique, so it
+        is the same k."""
+        g = self._g
+        last = len(g) - 2
+        j = ((u - g[0]) * self._bucket_scale).astype(np.intp)
+        k = self._bucket_cell[np.minimum(j, len(self._bucket_cell) - 1, out=j)]
+        for _ in range(_CELL_STEPS):
+            up = g[k + 1] <= u
+            up &= k < last
+            down = g[k] > u
+            if not (up.any() or down.any()):
+                return k
+            k = k + up - down
+        off = (g[k] > u) | ((g[k + 1] <= u) & (k < last))
+        k[off] = np.clip(np.searchsorted(g, u[off], side="right") - 1, 0, last)
+        return k
 
     # -- public API ---------------------------------------------------------
 
@@ -158,7 +203,8 @@ class LampertiMap:
         arr = np.asarray(x, dtype=float)
         scalar = arr.ndim == 0
         arr = np.atleast_1d(arr)
-        self._domain_check(arr)
+        self._range_check(arr, self._nodes[0], self._nodes[-1], "x",
+                          "the certified interval of this Lamperti map")
         if self._const_sigma is not None:
             out = arr / self._const_sigma
         else:
@@ -172,19 +218,14 @@ class LampertiMap:
         arr = np.asarray(u, dtype=float)
         scalar = arr.ndim == 0
         arr = np.atleast_1d(arr).astype(float)
-        glo, ghi = self.g_range
-        if arr.size and (arr.min() < glo or arr.max() > ghi):
-            bad = float(arr[np.argmax((arr < glo) | (arr > ghi))])
-            raise DomainError(
-                f"u = {bad:.6g} is outside the image [{glo:.6g}, {ghi:.6g}] of the "
-                "certified interval under g"
-            )
+        self._range_check(arr, self._g[0], self._g[-1], "u",
+                          "the image of the certified interval under g")
         if self._const_sigma is not None:
             out = arr * self._const_sigma
             return float(out[0]) if scalar else out
         nodes, g = self._nodes, self._g
         last = len(nodes) - 2
-        k = np.clip(np.searchsorted(g, arr, side="right") - 1, 0, last)
+        k = self._cell(arr)
         blo = nodes[k].copy()
         bhi = nodes[k + 1].copy()
         # secant initial guess inside the bracketing cell

@@ -30,21 +30,44 @@ __all__ = [
 _GAUSS_NORM = 1.0 / np.sqrt(2.0 * np.pi)
 _ROUGHNESS = 1.0 / (2.0 * np.sqrt(np.pi))  # integral of the squared Gaussian kernel
 _N_WITNESSES = 20
-# elements of one (grid points x samples) kernel block: 2 MiB per temporary
-_KERNEL_BLOCK = 1 << 18
+# elements of one (grid points x samples) kernel block: 512 KiB per buffer
+_KERNEL_BLOCK = 1 << 16
+
+
+def _gauss(u: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """exp(-0.5 * u * u), written into ``e``."""
+    np.multiply(u, -0.5, out=e)
+    e *= u
+    return np.exp(e, out=e)
+
+
+def _gauss_second(u: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """(u * u - 1) * exp(-0.5 * u * u), written into ``u`` (``e`` is work)."""
+    _gauss(u, e)
+    u *= u
+    u -= 1.0
+    u *= e
+    return u
 
 
 def _kernel_means(z: np.ndarray, x: np.ndarray, h: float, kernel) -> np.ndarray:
-    """Mean over the samples ``x`` of ``kernel((z_j - x) / h)`` at each grid
-    point z_j, evaluated a block of grid points at a time.
+    """Mean over the samples ``x`` of the kernel of (z_j - x) / h at each grid
+    point z_j, evaluated a block of grid points at a time in two
+    preallocated buffers; ``kernel(u, e)`` is :func:`_gauss` or
+    :func:`_gauss_second`.
 
     Each point's mean runs over its own row, so the values do not depend on
     the block size."""
     out = np.empty_like(z)
     chunk = max(1, _KERNEL_BLOCK // max(x.size, 1))
+    u_buf = np.empty((min(chunk, len(z)), x.size))
+    e_buf = np.empty_like(u_buf)
     for start in range(0, len(z), chunk):
-        u = (z[start : start + chunk, None] - x[None, :]) / h
-        out[start : start + chunk] = kernel(u).mean(axis=1)
+        zb = z[start : start + chunk, None]
+        u, e = u_buf[: len(zb)], e_buf[: len(zb)]
+        np.subtract(zb, x[None, :], out=u)
+        u /= h
+        out[start : start + chunk] = kernel(u, e).mean(axis=1)
     return out
 
 
@@ -76,7 +99,7 @@ class DensityEstimate:
         h = self.bandwidth
         x = self.samples_sorted
         z = self.z_grid if mask is None else self.z_grid[mask]
-        d2 = _kernel_means(z, x, h, lambda u: (u * u - 1.0) * np.exp(-0.5 * u * u))
+        d2 = _kernel_means(z, x, h, _gauss_second)
         d2 *= _GAUSS_NORM / h**3
         return 0.5 * h * h * np.abs(d2)
 
@@ -88,11 +111,18 @@ def kde(samples: np.ndarray, grid: np.ndarray, bandwidth: float | None = None) -
     """Gaussian-kernel estimate; default bandwidth 1.06 sigma n^{-1/5}.
 
     The default rule needs at least 1000 samples; pass an explicit bandwidth
-    for smaller sets.  Degenerate (zero-variance) samples are rejected.
+    for smaller sets.  An empty, non-finite or degenerate (zero-variance)
+    sample and a bandwidth that is not finite and positive are rejected.
     """
     x = np.asarray(samples, dtype=float).ravel()
     z = np.asarray(grid, dtype=float)
     n = x.size
+    if n == 0:
+        raise DomainError("kde needs a non-empty sample")
+    finite = np.isfinite(x)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise DomainError(f"sample {i} = {x[i]} is not finite; no density estimate")
     sd = float(x.std())
     if sd == 0.0:
         raise DomainError("samples are degenerate (zero variance); no density exists")
@@ -103,9 +133,9 @@ def kde(samples: np.ndarray, grid: np.ndarray, bandwidth: float | None = None) -
                 "pass bandwidth explicitly"
             )
         bandwidth = 1.06 * sd * n ** (-0.2)
-    if bandwidth <= 0:
-        raise DomainError("bandwidth must be positive")
-    dens = _kernel_means(z, x, bandwidth, lambda u: np.exp(-0.5 * u * u))
+    if not (np.isfinite(bandwidth) and bandwidth > 0):
+        raise DomainError(f"bandwidth = {bandwidth} must be finite and positive")
+    dens = _kernel_means(z, x, bandwidth, _gauss)
     dens *= _GAUSS_NORM / bandwidth
     return DensityEstimate(
         z_grid=z,

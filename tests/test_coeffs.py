@@ -121,6 +121,66 @@ def test_evaluators_bitwise_equal_reference(fam):
             _assert_same(eval_derivative(fam, order, pts), ref, scalar)
 
 
+def _bits(v):
+    return np.asarray(v, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+@pytest.mark.parametrize("pattern", range(16))
+def test_trig_affine_zero_terms_bitwise_equal_full_formula(pattern, zero):
+    # every zero pattern of (a, b, c, d), with zeros of either sign: the
+    # evaluator skips the zero terms, the reference builds all four; the
+    # bits agree, signed zeros included, on finite points that hit
+    # sin = +-0 and x = +-0
+    values = {"a": 0.3, "b": -1.2, "c": 0.7, "d": 0.4}
+    params = {k: (v if pattern >> i & 1 else zero) for i, (k, v) in enumerate(values.items())}
+    fam = trig_affine(**params)
+    x = np.concatenate([
+        np.random.default_rng(9).uniform(-7.0, 7.0, 300),
+        [0.0, -0.0, np.pi, -np.pi, 0.5 * np.pi, -0.5 * np.pi, 2 * np.pi, 1e-300, -1e-300],
+    ])
+    for order in range(4):
+        ref = reference_derivative(fam, order, x)
+        assert np.array_equal(_bits(eval_derivative(fam, order, Points(x))), _bits(ref))
+        for xi in (0.0, -0.0, 1.3):
+            got = eval_derivative(fam, order, xi)
+            assert type(got) is float
+            assert _bits(got) == _bits(reference_derivative(fam, order, xi))
+
+
+def test_trig_affine_computes_only_the_transcendentals_it_reads():
+    # sigma = 2 + 0.5 cos x reads no sin at order 0; b = 0.3 sin x no cos
+    pts = Points(np.linspace(-3.0, 3.0, 11))
+    eval_derivative(trig_affine(a=2, b=0.5), 0, pts)
+    assert pts._sin is None and pts._cos is not None
+    pts = Points(np.linspace(-3.0, 3.0, 11))
+    eval_derivative(trig_affine(c=0.3), 0, pts)
+    eval_derivative(trig_affine(c=0.3), 2, pts)
+    assert pts._cos is None and pts._sin is not None
+
+
+def test_driver_f_given_x_bitwise_equal_f():
+    x = np.random.default_rng(4).uniform(-3.0, 3.0, 200)
+    ys = [np.cos(x) * 2.0, np.linspace(-1.0, 1.0, 200)]
+    for drv in (
+        Driver(f_of_x=affine(b=0.1), f_of_y=trig_affine(c=0.2)),
+        Driver(f_of_y=scaled_sigmoid(a=1.2, k=0.7)),
+        Driver(f_of_x=trig_affine(a=0.1, b=0.3), cross_x=quadratic(a=0.5, c=0.25),
+               cross_y=trig_affine(b=0.4, c=0.9)),
+    ):
+        def part(fam, v):
+            return np.zeros_like(v) if fam is None else reference_derivative(fam, 0, v)
+
+        f = drv.f_given_x(x)
+        for y in ys:
+            # the value sum of f in the order of the other partials
+            ref = np.zeros(x.shape) + part(drv.f_of_x, x) + part(drv.f_of_y, y)
+            if drv.cross_x is not None:
+                ref = ref + part(drv.cross_x, x) * part(drv.cross_y, y)
+            for got in (f(y), f(Points(y)), drv.f(x, y), drv.partial(0, 0, Points(x), y)):
+                assert np.array_equal(_bits(got), _bits(ref))
+
+
 def test_brackets_and_driver_on_points_bitwise():
     ref = reference_derivative
     drv = Driver(

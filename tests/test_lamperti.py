@@ -4,6 +4,7 @@ from scipy.integrate import quad
 
 from bsdedensity.coeffs import affine, constant, polynomial, scaled_sigmoid, trig_affine
 from bsdedensity.errors import DomainError
+from bsdedensity import lamperti
 from bsdedensity.lamperti import LampertiMap
 
 from oracles import (
@@ -174,3 +175,81 @@ def test_beta_comp_second_computes_sin_and_cos_once(monkeypatch):
         monkeypatch.setattr(np, name, counted)
     m.beta_comp_second(X)
     assert calls == {"sin": 1, "cos": 1}
+
+
+def _cell_queries(g):
+    inside = lambda u: u[(u >= g[0]) & (u <= g[-1])]  # noqa: E731
+    return (
+        np.random.default_rng(8).uniform(g[0], g[-1], 20000),
+        g,
+        inside(np.nextafter(g, -np.inf)),
+        inside(np.nextafter(g, np.inf)),
+        np.array([g[0], g[-1]]),
+    )
+
+
+# 1.001 + cos x has sigma_max / sigma_min near 2000: its narrowest cell is
+# far narrower than a bucket of the capped table
+STEEP_SIGMA = trig_affine(a=1.001, b=1)
+
+
+@pytest.mark.parametrize(
+    "sigma,box",
+    [(S2_SIGMA, S2_BOX), (scaled_sigmoid(a=2.0, k=1.5, b=0.5), (-4, 4)),
+     (STEEP_SIGMA, (-4, 4))],
+)
+@pytest.mark.parametrize("steps", [0, lamperti._CELL_STEPS])
+def test_bucket_cell_search_equals_searchsorted(sigma, box, steps, monkeypatch):
+    # with no passes the binary search places every entry
+    m = LampertiMap(sigma, constant(0), box)
+    monkeypatch.setattr(lamperti, "_CELL_STEPS", steps)
+    g = m._g
+    last = len(g) - 2
+    for u in _cell_queries(g):
+        ref = np.clip(np.searchsorted(g, u, side="right") - 1, 0, last)
+        assert np.array_equal(m._cell(u), ref)
+
+
+@pytest.mark.parametrize(
+    "sigma,box",
+    [(S2_SIGMA, S2_BOX), (scaled_sigmoid(a=2.0, k=1.5, b=0.5), (-4, 4)),
+     (trig_affine(a=1.5, b=1), (-4, 4))],
+)
+def test_bucket_cell_search_steps_are_bounded(sigma, box, monkeypatch):
+    # buckets no wider than the narrowest cell: each query is on its cell
+    # after at most two moves, so no entry reaches the binary search, and
+    # a steeper sigma (1.5 + cos x, sigma ratio 5) costs no more passes
+    m = LampertiMap(sigma, constant(0), box)
+    g = m._g
+    assert len(m._bucket_cell) * float(np.min(np.diff(g))) >= g[-1] - g[0]
+    queries = _cell_queries(g)
+    refs = [np.clip(np.searchsorted(g, u, side="right") - 1, 0, len(g) - 2)
+            for u in queries]
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("the cell search fell back to searchsorted")
+
+    monkeypatch.setattr(np, "searchsorted", no_search)
+    for u, ref in zip(queries, refs):
+        assert np.array_equal(m._cell(u), ref)
+
+
+def test_steep_sigma_caps_the_bucket_table():
+    m = LampertiMap(STEEP_SIGMA, constant(0), (-4, 4))
+    n_cells = len(m._g) - 1
+    assert len(m._bucket_cell) == lamperti._MAX_BUCKETS_PER_CELL * n_cells
+
+
+@pytest.mark.parametrize("sigma", [constant(2), S2_SIGMA])
+def test_non_finite_input_names_the_value(sigma):
+    m = LampertiMap(sigma, constant(0), (-4, 4))
+    for bad in (np.nan, np.inf, -np.inf):
+        for v in (bad, np.array([0.1, bad, 0.2])):
+            with pytest.raises(DomainError, match=f"= {bad} is not finite"):
+                m.transform(v)
+            with pytest.raises(DomainError, match=f"= {bad} is not finite"):
+                m.inverse_transform(v)
+    with pytest.raises(DomainError, match="= 1e\\+06 is outside .*, the image"):
+        m.inverse_transform(np.array([0.1, 1e6]))
+    with pytest.raises(DomainError, match="= -1e\\+06 is outside .*, the certified interval"):
+        m.transform(-1e6)

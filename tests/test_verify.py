@@ -7,6 +7,7 @@ from scipy.stats import norm
 
 from bsdedensity.errors import DomainError
 from bsdedensity.nvdensity import gaussian_envelopes
+from bsdedensity import verify
 from bsdedensity.verify import PositivityCounts, envelope_check, kde, positivity_report
 
 
@@ -48,6 +49,28 @@ def test_kde_contract_errors():
     est = kde(np.random.default_rng(0).standard_normal(100),
               np.linspace(-1, 1, 5), bandwidth=0.3)
     assert np.all(est.density >= 0)
+
+
+@pytest.mark.parametrize("bandwidth", [np.nan, np.inf])
+def test_kde_rejects_a_bandwidth_not_finite_and_positive(bandwidth):
+    x = np.random.default_rng(0).standard_normal(100)
+    with pytest.raises(DomainError, match="finite and positive"):
+        kde(x, np.linspace(-1, 1, 5), bandwidth=bandwidth)
+
+
+def test_kde_rejects_an_empty_sample():
+    for bandwidth in (None, 0.3):
+        with pytest.raises(DomainError, match="non-empty"):
+            kde(np.array([]), np.linspace(-1, 1, 5), bandwidth=bandwidth)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_kde_rejects_a_non_finite_sample(bad):
+    x = np.random.default_rng(0).standard_normal(2000)
+    x[17] = bad
+    for bandwidth in (None, 0.3):
+        with pytest.raises(DomainError, match=f"sample 17 = {bad} is not finite"):
+            kde(x, np.linspace(-1, 1, 5), bandwidth=bandwidth)
 
 
 def _matched_case(n=100000, t=1.0, seed=5):
@@ -190,3 +213,21 @@ def test_kernel_blocks_bound_memory_and_keep_values(normal_samples):
     d2 = ((u * u - 1.0) * np.exp(-0.5 * u * u)).mean(axis=1)
     d2 *= 1.0 / np.sqrt(2.0 * np.pi) / h**3
     assert np.array_equal(bias[::8], 0.5 * h * h * np.abs(d2))
+
+
+@pytest.mark.parametrize("block", [1, 3 * 5000, 1 << 16, 1 << 30])
+def test_kernel_means_bitwise_equal_whole_matrix(block, monkeypatch):
+    # blocks of one row, of three rows with a shorter last block, the
+    # default block and one block for the whole grid
+    monkeypatch.setattr(verify, "_KERNEL_BLOCK", block)
+    x = np.random.default_rng(6).standard_normal(5000)
+    z = np.linspace(-4.0, 4.0, 41)
+    h = 0.21
+    u = (z[:, None] - x[None, :]) / h
+    refs = {
+        verify._gauss: np.exp(-0.5 * u * u).mean(axis=1),
+        verify._gauss_second: ((u * u - 1.0) * np.exp(-0.5 * u * u)).mean(axis=1),
+    }
+    for kernel, ref in refs.items():
+        got = verify._kernel_means(z, x, h, kernel)
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
