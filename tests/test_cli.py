@@ -460,3 +460,151 @@ def test_seed_outside_64_bits_exits_2(tmp_path, capsys, line, flags):
     assert ("--seed" if flags else "mc.master_seed") + " must lie in [0, 2**64)" in err
     assert not (out / "hypothesis_report.json").exists()
 
+
+
+# tiny versions of the reference configurations: the package defaults (the
+# gest-default workload differs from them only in size, so at this size the
+# two are one run), nonlinear-xt, z-convex and nonlinear-xt with Y and Z
+# g-targets
+_TINY = "mc.n_paths = 2000\ngrid.n_steps = 8\ngest.n_outer = 200\n"
+_NONLINEAR_XT = """\
+model.terminal = phi-of-xt
+model.sigma = trig-affine(a=2, b=0.5)
+model.b = trig-affine(c=0.3)
+model.f_of_x = affine(b=0.1)
+model.f_of_y = trig-affine(c=0.2)
+model.phi = trig-affine(c=0.1, d=1)
+"""
+PINNED_CONFIGS = {
+    "defaults": ("", "verify"),
+    "nonlinear-xt": (_NONLINEAR_XT + "gest.enabled = false\n", "verify"),
+    "z-convex": ("model.phi = quadratic(c=0.5)\ngest.targets = y, z\n", "verify"),
+    "nonlinear-xt-gest-yz": (_NONLINEAR_XT + "gest.targets = y, z\n", "verify"),
+    "nonlinear-xt-simulate": (_NONLINEAR_XT + "gest.enabled = false\n", "simulate"),
+}
+# sha256 of each artifact, generated by this test's runs
+PINNED_SHA256 = {
+    "defaults": {
+        "density_Y_t0p25.csv":
+            "63bafa104b71027eaa4c6a565d5fae912e6a48647b02e1ed6bd754fe19d0f88f",
+        "density_Y_t0p5.csv":
+            "97f90cccb9472db441fcb8132453c15b8cd1ad13776bf80ba04b5c202d5fbfc0",
+        "density_Y_t0p75.csv":
+            "454a10233023a7559e86464efcc6e41047431bfbeb1a95f866c4a2b99bff2304",
+        "density_meta.json":
+            "170c52ae00784180fc008ff1737a732f37a6d2acf6f477760d14a4edb629554f",
+        "effective_config.txt":
+            "4aea12c2dd31fecb88a593a14e6b34aeab664d3ab909b0a0e6a8a9ec97983c20",
+        "gest_Y_t0p25.csv":
+            "9ff7e40c472c0db9c4bf29ccc8fe8fc3b2b5ae07c7649bfc33bf26901616d11b",
+        "gest_Y_t0p5.csv":
+            "2e539b03ccb66eda420eeac194d4b12af963c969b9c4cb42ecfd21e4087de62d",
+        "gest_Y_t0p75.csv":
+            "edfb8b0bee4eb2e4588eea6270094fdcdd4b2363458ba42727015d638e44226e",
+        "hypothesis_report.json":
+            "e32c65345eb69fe445f8993a7b1e41aa491cbbd56bab4149d5a38f056f78da85",
+        "run_metadata.json":
+            "869ad90e4c9e22d4adac0594e168320d125c4a3d6b21c6ff91fd0d17b0d9a717",
+        "tableaux_summary.csv":
+            "1d95fa551aaa67e973b35c27ccb289f80fe4cb0bf1e72dc80f9dd33de732a89d",
+    },
+    "nonlinear-xt": {
+        "density_Y_t0p25.csv":
+            "deae53cef13079b5139209bf27b875b79b9029dfece971d080ae75da92cea4b5",
+        "density_Y_t0p5.csv":
+            "0b1b1806fd176f42a9463897567b3948f18deb309d198e4ad97645fbe0f9eeb5",
+        "density_Y_t0p75.csv":
+            "b41e7ef1c22375376dcd3ab3a8706d52a2558450e4ad8691e90d61a81e81424b",
+        "density_meta.json":
+            "6a49a859c253f07636f2761b40dacd4929b7ff445343f8a22643afd8bfb22d72",
+        "effective_config.txt":
+            "255cf9bb8264d43f6f16b75d930a86ab6cf319fc73b68fba25c46af3f38a90d9",
+        "hypothesis_report.json":
+            "62e38b84873c53675173d1672ae067765b68b469a378b4702d520eebc2820acb",
+        "run_metadata.json":
+            "3e6ce7971d2c90fe0b72bb12e4396b00ee99ca484292825acefa5b2efcb0115b",
+        "tableaux_summary.csv":
+            "203945697c72f08f2bb6de65dbed9e13b3f2c17e9b8134132f94ababf885e265",
+    },
+    "z-convex": {
+        "density_Z_t0p25.csv":
+            "01f49031d99300ec95fcbb59df25c8a229252e0116245b52344f2320e32fade9",
+        "density_Z_t0p5.csv":
+            "c8c29e85158828272d4a68d457a0dedf64f75c06a233fccf0c1b29b921855b68",
+        "density_Z_t0p75.csv":
+            "65813696685b1471fc1830e7ba7c1d68b624d135c96cfb1464a1b3354deee915",
+        "density_meta.json":
+            "53c904934ad4b2ff88f37adf570a520713bb617ed391388aafa04f9854e862f4",
+        "effective_config.txt":
+            "d541b846f9cf11e68deb5964d436063d6f728ce9e89e87e1f9368e00bade622c",
+        "gest_Z_t0p25.csv":
+            "ef567e7027e8fd29bf0c2de9ae7974f05fe6409757165f98baf5a4350fef2af9",
+        "gest_Z_t0p5.csv":
+            "8c6f60b1e2592773ec8f1cf2f6cafce808d672b52ac17b22604efc8adde177a9",
+        "gest_Z_t0p75.csv":
+            "0c99019618756c7a41f79f7323d00250eaca9727aa9cb051193015890244e41b",
+        "hypothesis_report.json":
+            "041fa0f2bfbb6c424d9fd6c8fc7a7ba03d822581f5946fe0c9c7a2f889bd4718",
+        "positivity_report.json":
+            "b9c08e4c48af86699bf43f96412c122c406b53fb959fd374c574c1cc3f7d5eb4",
+        "run_metadata.json":
+            "1910b14dc4ee4b73ddc08e4033cdfa1fca342bd5f49b38c91d08f4ec73f0b342",
+        "tableaux_summary.csv":
+            "54070a8ab0a218b46f6da48f95e89180341d47e891c1442a0c73e1485995d774",
+    },
+    "nonlinear-xt-gest-yz": {
+        "density_Y_t0p25.csv":
+            "deae53cef13079b5139209bf27b875b79b9029dfece971d080ae75da92cea4b5",
+        "density_Y_t0p5.csv":
+            "0b1b1806fd176f42a9463897567b3948f18deb309d198e4ad97645fbe0f9eeb5",
+        "density_Y_t0p75.csv":
+            "b41e7ef1c22375376dcd3ab3a8706d52a2558450e4ad8691e90d61a81e81424b",
+        "density_meta.json":
+            "3a19e22007bb54f966865fff7800a35b6bfead64a3bec0ba18a311826d97d50c",
+        "effective_config.txt":
+            "ad6eea7ad33ac25eac39f9d766001f3af37d8902af02c36a55b0e4562b1c199e",
+        "gest_Y_t0p25.csv":
+            "4d3864483064548e2057b327fc26975ab4418a2252f13c160d4ce1d7ab64b412",
+        "gest_Y_t0p5.csv":
+            "5104a85e809c457cfab289945b4d78fec8b8b6a3920db383442981309beb8b6f",
+        "gest_Y_t0p75.csv":
+            "f29d0420e0b557c200054ea2fed7e2045c8c9e875a126690912b0bf9a7fd9428",
+        "hypothesis_report.json":
+            "62e38b84873c53675173d1672ae067765b68b469a378b4702d520eebc2820acb",
+        "run_metadata.json":
+            "e0bfc500ce11dc3263a9c0a912a5fc4eeed723e8e029f4357eab99e838689d34",
+        "tableaux_summary.csv":
+            "203945697c72f08f2bb6de65dbed9e13b3f2c17e9b8134132f94ababf885e265",
+    },
+    "nonlinear-xt-simulate": {
+        "effective_config.txt":
+            "255cf9bb8264d43f6f16b75d930a86ab6cf319fc73b68fba25c46af3f38a90d9",
+        "ensemble.bin":
+            "5e874e2a9c8903edaa2c6f3a83048bcf5b5e4cd9db520d182a39e921d2dc89fb",
+        "hypothesis_report.json":
+            "62e38b84873c53675173d1672ae067765b68b469a378b4702d520eebc2820acb",
+    },
+}
+
+
+def test_artifact_bytes_pinned(tmp_path):
+    """Every artifact of the tiny reference runs at seed 20240801 has the
+    pinned sha256, so a change that should keep the bytes is checked by the
+    tier-1 suite itself; the simulate-stage run pins ``ensemble.bin``.
+
+    A change that moves bytes on purpose regenerates ``PINNED_SHA256`` (the
+    failure message prints each run's new digests) and lists every changed
+    file with its cause.
+    """
+    import hashlib
+
+    changed = {}
+    for label, (text, stage) in PINNED_CONFIGS.items():
+        cfg = parse_config(_write(tmp_path, text + _TINY, f"{label}.txt"))
+        out = tmp_path / label
+        Experiment(cfg, out_dir=str(out), seed=20240801).run(stage)
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in sorted(out.iterdir())}
+        if digests != PINNED_SHA256.get(label):
+            changed[label] = digests
+    assert not changed, f"artifact bytes moved; new digests: {changed}"
