@@ -256,20 +256,35 @@ def girsanov_reduce(problem: ProblemSpec) -> tuple[ProblemSpec, DriftShift]:
     return reduced, DriftShift(alpha)
 
 
+def _declared_entry(kept: dict, t_idx: int, what: str):
+    if t_idx not in kept:
+        raise OrderingError(f"t index {t_idx} was not declared; this {what} keeps {sorted(kept)}")
+    return kept[t_idx]
+
+
 @dataclass
 class BackwardSolution:
     """LSMC solution of the backward equation on a simulated ensemble, with
-    the Y/Z tableau of the same sweep when it was given a forward tableau."""
+    the Y/Z tableau of the same sweep when it was given a forward tableau.
+    ``kept`` maps each declared t index to its (Y_t, Z_t) columns, the only
+    ones kept; :meth:`y_at` / :meth:`z_at` refuse any other index."""
 
     problem: ProblemSpec
     reduced: ProblemSpec
     shift: DriftShift
     basis: RegressionBasis
     ridge_used: float
-    Y: np.ndarray
-    Z: np.ndarray
+    kept: dict[int, tuple[np.ndarray, np.ndarray]]
     records: list[dict] = field(default_factory=list)
     tableau: BackwardTableau | None = None
+
+    def y_at(self, t_idx: int) -> np.ndarray:
+        """Y at the declared step ``t_idx``, shape (n_paths,)."""
+        return _declared_entry(self.kept, t_idx, "solution")[0]
+
+    def z_at(self, t_idx: int) -> np.ndarray:
+        """The sweep's regression Z at the declared step ``t_idx``."""
+        return _declared_entry(self.kept, t_idx, "solution")[1]
 
 
 def terminal_values(problem: ProblemSpec, ens: PathEnsemble) -> np.ndarray:
@@ -308,12 +323,11 @@ def solve_bsde(
     the Y_0 estimator degrades to the raw Monte Carlo average of the
     (weighted) terminal payoff.
 
-    Given ``forward_tab``, the sweep also builds the Y/Z tableau (returned
-    as ``tableau``) keeping the rows at ``t_indices``: once Y_i is known,
-    step i advances it on the same design, down to the smallest index.
+    The sweep carries Y_{i+1} as one vector and keeps the Y and Z columns at
+    ``t_indices`` only.  Given ``forward_tab``, it also builds the Y/Z tableau
+    (returned as ``tableau``) with rows at the same indices: once Y_i is
+    known, step i advances it on the same design, down to the smallest index.
     """
-    if forward_tab is None and tuple(t_indices):
-        raise OrderingError("declared t indices need the forward tableau")
     reduced, shift = girsanov_reduce(problem)
     grid = ens.grid
     n = grid.n_steps
@@ -321,17 +335,20 @@ def solve_bsde(
     N = ens.n_paths
     ridge = basis.ridge if basis.ridge is not None else 1e-8 * N
     driver = reduced.driver
+    declared = {int(t) for t in t_indices}
+    if not declared <= set(range(n + 1)) or not declared and forward_tab is not None:
+        raise OrderingError(f"declared t indices {sorted(declared)} must be a subset "
+                            f"of 0..{n}, non-empty for a tableau")
 
-    Y = np.empty((N, n + 1))
-    Z = np.empty((N, n + 1))
-    Y[:, n] = terminal_values(reduced, ens)
-    Z[:, n] = _terminal_z(reduced, ens)
-    _require_finite(Y[:, n], "terminal value Y_T", n)
-    _require_finite(Z[:, n], "terminal value Z_T", n)
+    y_next = terminal_values(reduced, ens)
+    z_T = _terminal_z(reduced, ens)
+    _require_finite(y_next, "terminal value Y_T", n)
+    _require_finite(z_T, "terminal value Z_T", n)
+    kept = {n: (y_next, z_T)} if n in declared else {}
     tab = None
     if forward_tab is not None:
-        tab = BackwardTableau(ens, reduced, shift, basis, forward_tab, t_indices)
-        tab.step(n, None, Y[:, n])
+        tab = BackwardTableau(ens, reduced, shift, basis, forward_tab, declared)
+        tab.step(n, None, y_next)
 
     lam = shift.step_weights(ens)
     dW_tilde = shift.shifted_increments(ens)
@@ -343,19 +360,18 @@ def solve_bsde(
             basis, ens.X[:, i], ens.W[:, i] if need_w else None, ridge, i
         )
         w_i = lam[:, i] if lam is not None else None
-        ty = Y[:, i + 1] if w_i is None else w_i * Y[:, i + 1]
+        ty = y_next if w_i is None else w_i * y_next
         cfit, coef_y = design.fit(ty)
-        tz = (Y[:, i + 1] - cfit) * dW_tilde[:, i] / dt
+        tz = (y_next - cfit) * dW_tilde[:, i] / dt
         if w_i is not None:
             tz = w_i * tz
         zfit, coef_z = design.fit(tz)
-        Z[:, i] = zfit
         if z_control_variate:
             # cross-fitted z keeps the control variate exactly mean-zero
             # conditionally; the in-sample zfit would feed its own increment
             # noise back into Y and bias the variance of (Y, Z)
             zcv = design.fit_cross(tz)
-            ty2 = Y[:, i + 1] - zcv * dW_tilde[:, i]
+            ty2 = y_next - zcv * dW_tilde[:, i]
             if w_i is not None:
                 ty2 = w_i * ty2
             cfit, coef_y = design.fit(ty2)
@@ -371,9 +387,10 @@ def solve_bsde(
                 y = y_new
                 if delta <= _PICARD_TOL:
                     break
-        Y[:, i] = y
         _require_finite(y, "Y", i)
         _require_finite(zfit, "Z", i)
+        if i in declared:
+            kept[i] = (y, zfit)
         records[i] = {
             "step": i,
             "coeffs_y": coef_y,
@@ -382,7 +399,8 @@ def solve_bsde(
             **design.meta,
         }
         if tab is not None and i >= tab.lowest:
-            tab.step(i, design, Y[:, i])
+            tab.step(i, design, y)
+        y_next = y
 
     return BackwardSolution(
         problem=problem,
@@ -390,8 +408,7 @@ def solve_bsde(
         shift=shift,
         basis=basis,
         ridge_used=ridge,
-        Y=Y,
-        Z=Z,
+        kept=kept,
         records=records,  # type: ignore[arg-type]
         tableau=tab,
     )
@@ -458,7 +475,7 @@ class BackwardTableau:
         shift: DriftShift,
         basis: RegressionBasis,
         forward_tab: MalliavinTableau,
-        t_indices: Iterable[int],
+        t_indices: set[int],
     ):
         self.ens = ens
         self.ftab = ftab = forward_tab
@@ -467,13 +484,8 @@ class BackwardTableau:
         self.basis = basis
         self.n = n = ens.grid.n_steps
         self.dt = ens.grid.dt
-        declared = {int(t) for t in t_indices}
-        if not declared or min(declared) < 0 or max(declared) > n:
-            raise OrderingError(
-                f"declared t indices {sorted(declared)} must be a non-empty subset of 0..{n}"
-            )
-        self._declared = declared
-        self.lowest = min(declared)
+        self._declared = t_indices  # a non-empty subset of 0..n (solve_bsde checks)
+        self.lowest = min(t_indices)
         self._rows: dict[int, _Row] = {}
         drv = problem.driver
         self._has_fy = drv.f_of_y is not None or drv.cross_x is not None
@@ -594,12 +606,7 @@ class BackwardTableau:
             del self._d2y_tail, self._dz_tail, self._z_tail
 
     def _row(self, t_idx: int) -> _Row:
-        try:
-            return self._rows[t_idx]
-        except KeyError:
-            raise OrderingError(
-                f"t index {t_idx} was not declared; this tableau keeps {sorted(self._rows)}"
-            ) from None
+        return _declared_entry(self._rows, t_idx, "tableau")
 
     def _check_row(self, theta_idx: int, t_idx: int) -> None:
         if not (0 <= theta_idx <= self.n and 0 <= t_idx <= self.n):

@@ -157,7 +157,7 @@ class Experiment:
     def _component(self, name: str, t_idx: int):
         """(samples, D_theta row) of component ``name`` at step ``t_idx``."""
         if name == "Y":
-            samples = self.sol.Y[:, t_idx]
+            samples = self.sol.y_at(t_idx)
             deriv = self.btab.dy_matrix(t_idx)
         else:
             # density work uses the Clark-Ocone representation of Z_t, the
@@ -254,10 +254,10 @@ class Experiment:
                 checks[name] = (est, env)
             # tableau summary rows over a fixed theta sub-grid
             theta_picks = sorted({0, t_idx // 4, t_idx // 2, (3 * t_idx) // 4, t_idx})
-            for th in theta_picks:
+            for th, dx in zip(theta_picks, self.btab.ftab.first_x_all(theta_picks, t_idx)):
                 summary_rows["t"].append(t)
                 summary_rows["theta"].append(th * self.grid.dt)
-                for label, col in (("dx", self.btab.ftab.first_x_all(th, t_idx)),
+                for label, col in (("dx", dx),
                                    ("dy", self.btab.dy_all(th, t_idx)),
                                    ("dz", self.btab.dz_all(th, t_idx))):
                     summary_rows[f"{label}_mean"].append(float(col.mean()))
@@ -293,14 +293,14 @@ class Experiment:
             phi = make_phi_row(self.btab, t_idx, name)
         except SolverError as exc:
             raise SolverError(f"g-estimate at eval time {t:g}: {exc}") from exc
-        values = self.sol.Y if name == "Y" else self.sol.Z
-        samples = values[:n_outer, t_idx]
+        values = self.sol.y_at(t_idx) if name == "Y" else self.sol.z_at(t_idx)
+        samples = values[:n_outer]
         spread = float(samples.std())
         x_grid = np.linspace(-2.0 * spread, 2.0 * spread, self.cfg["gest.n_x_grid"])
         theta_w = np.full(t_idx + 1, self.grid.dt)
         theta_w[0] = theta_w[-1] = 0.5 * self.grid.dt
         return GTarget(samples, phi, x_grid, theta_w,
-                       mean_f=float(values[:, t_idx].mean()))
+                       mean_f=float(values.mean()))
 
     def _g_estimate(self, jobs: list[tuple[float, int, str, dict, GTarget]]) -> None:
         """Estimate every target's g from one set of replay sweeps, cut at

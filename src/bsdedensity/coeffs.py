@@ -634,20 +634,20 @@ def check_hypotheses(
         raise CoefficientError("n_grid must be at least 2")
 
     grid = np.linspace(lo, hi, n_grid)
-    gx, gy = np.meshgrid(grid, grid, indexing="ij")
 
     def at(i: int) -> float:
         return float(grid[i])
 
     def at_xy(i: int) -> tuple[float, float]:
-        return float(gx.flat[i]), float(gy.flat[i])
+        return tuple(float(grid[k]) for k in divmod(i, n_grid))
 
     def ends(values: np.ndarray) -> tuple[float, float]:
         # the entries at argmin/argmax keep the sign of a zero extremum
         return float(values[values.argmin()]), float(values[values.argmax()])
 
     pts = Points(grid)  # every family below shares sin/cos(grid)
-    px, py = Points(gx), Points(gy)
+    # x down the rows, y along the columns: the driver partials broadcast to the mesh
+    px, py = Points(grid[:, None]), Points(grid[None, :])
     sigma = problem.sigma
     sign_normalized = False
     if np.max(eval_derivative(sigma, 0, pts)) < 0.0:

@@ -116,7 +116,9 @@ class PathEnsemble:
 
 def _draw_increments(master_seed: int, n_paths: int, n_steps: int, dt: float) -> np.ndarray:
     rng = np.random.default_rng(np.random.PCG64(master_seed))
-    return rng.standard_normal((n_paths, n_steps)) * np.sqrt(dt)
+    dW = rng.standard_normal((n_paths, n_steps))
+    dW *= np.sqrt(dt)
+    return dW
 
 
 def _euler_lamperti(
@@ -160,7 +162,8 @@ def simulate_forward(
 
     Paths whose U leaves the image of the certified box are clamped, flagged
     and excluded from the returned ensemble; if more than 1% of paths are
-    flagged the run fails.
+    flagged the run fails.  With no path flagged the ensemble holds the
+    sweep's own matrices: nothing is copied.
     """
     if n_paths < 1:
         raise SimulationError("n_paths must be >= 1")
@@ -176,14 +179,16 @@ def simulate_forward(
             "enlarge the working box or shorten the horizon"
         )
     keep = ~flagged
+    if n_flagged:
+        dW, W, X = dW[keep], W[keep], X[keep]
     return PathEnsemble(
         grid=grid,
-        n_paths=int(keep.sum()),
+        n_paths=n_paths - n_flagged,
         master_seed=seed,
         x0=problem.x0,
-        dW=dW[keep],
-        W=W[keep],
-        X=X[keep],
+        dW=dW,
+        W=W,
+        X=X,
         path_ids=np.nonzero(keep)[0].astype(np.uint64),
         n_flagged=n_flagged,
         n_requested=n_paths,
@@ -212,8 +217,11 @@ def log_derivative_integral(lmap: LampertiMap, X: np.ndarray, dt: float) -> np.n
     """A, the cumulative trapezoid of (beta o g^-1)'(X) along each path of ``X``.
 
     Built in blocks of paths; the cumulative sum runs along each path, so a
-    prefix of the columns of X gives the same prefix of A.
+    prefix of the columns of X gives the same prefix of A.  When sigma and b
+    are constant families, beta o g^-1 is constant and A a read-only zero view.
     """
+    if lmap.sigma.family == lmap.b.family == "constant":
+        return np.broadcast_to(0.0, X.shape)
     A = np.empty_like(X)
     for rows in _row_blocks(len(X)):
         A[rows] = _cumtrapz(lmap.beta_prime_sigma(Points(X[rows])), dt)
@@ -224,7 +232,9 @@ def second_order_integral(
     lmap: LampertiMap, X: np.ndarray, A: np.ndarray, dt: float
 ) -> np.ndarray:
     """B, the cumulative trapezoid of (beta o g^-1)''(X) e^A along each path,
-    built in blocks of paths like :func:`log_derivative_integral`."""
+    built in blocks of paths, and a zero view, like :func:`log_derivative_integral`."""
+    if lmap.sigma.family == lmap.b.family == "constant":
+        return np.broadcast_to(0.0, X.shape)
     B = np.empty_like(X)
     for rows in _row_blocks(len(X)):
         B[rows] = _cumtrapz(lmap.beta_comp_second(X[rows]) * np.exp(A[rows]), dt)
@@ -237,7 +247,8 @@ class MalliavinTableau:
     Logical layout is the lower-triangular grid DU[theta_i][t_j] (theta <= t)
     per path, with second-order slices indexed by (theta, t, s); physically
     everything derives from the cumulative integrals A and B described in the
-    module docstring.  The accessor reads grid indices and rejects
+    module docstring; under a constant drift (sigma and b constant families)
+    both are zero views.  The accessor reads grid indices and rejects
     theta > t; sigma is evaluated at the states it reads, never stored as a
     path matrix.
     """
@@ -271,11 +282,13 @@ class MalliavinTableau:
 
     # -- vector accessor -----------------------------------------------------
 
-    def first_x_all(self, theta_idx: int, t_idx: int) -> np.ndarray:
-        """D_theta X_t across paths, shape (n_paths,)."""
-        self._check_pair(theta_idx, t_idx)
+    def first_x_all(self, theta_idx, t_idx: int) -> np.ndarray:
+        """D_theta X_t across paths, shape (n_paths,); a list of k theta
+        indices gives shape (k, n_paths) and evaluates sigma(X_t) once."""
+        for th in np.atleast_1d(theta_idx):
+            self._check_pair(int(th), t_idx)
         sig = eval_derivative(self.problem.sigma, 0, self.ens.X[:, t_idx])
-        return sig * np.exp(self.A[:, t_idx] - self.A[:, theta_idx])
+        return sig * np.exp(self.A[:, t_idx] - self.A.T[theta_idx])
 
 
 # ---------------------------------------------------------------------------

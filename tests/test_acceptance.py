@@ -86,7 +86,7 @@ def test_criterion_01_brownian_oracle(big_ens, unit_lmap):
     sol = solve_bsde(big_ens, prob, RegressionBasis("polynomial-in-x", 4),
                      forward_tab=ftab, t_indices=[i])
     btab = sol.tableau
-    samples = sol.Y[:, i]
+    samples = sol.y_at(i)
     grid = np.linspace(samples.min() - 0.1, samples.max() + 0.1, 321)
     est = kde(samples, grid)
     lo, hi = np.quantile(samples, [0.025, 0.975])
@@ -178,7 +178,7 @@ def test_criterion_05_linear_driver(unit_lmap):
     for t in (0.25, 0.5, 0.75):
         j = grid.index_of(t)
         target = t * np.exp(2 * a * (1 - t))
-        var_errs.append(abs(sol.Y[:, j].var() / target - 1))
+        var_errs.append(abs(sol.y_at(j).var() / target - 1))
         dy = btab.dy_all(grid.index_of(t / 2), j)
         dy_errs.append(float(np.abs(dy / np.exp(a * (1 - t)) - 1).max()))
     ok = max(var_errs) < 0.02 and max(dy_errs) < 0.02
@@ -211,8 +211,8 @@ def test_criterion_07_girsanov_reduction():
     prob = _unit_problem(affine(a=0, b=1), driver=Driver(alpha=alpha))
     grid = TimeGrid(1.0, 100)
     ens = simulate_forward(prob, grid, 200000, seed=MASTER_SEED)
-    sol = solve_bsde(ens, prob, RegressionBasis("polynomial-in-x", 2))
-    y0 = float(sol.Y[0, 0])
+    sol = solve_bsde(ens, prob, RegressionBasis("polynomial-in-x", 2), t_indices=[0])
+    y0 = float(sol.y_at(0)[0])
     rel = abs(y0 - alpha * 1.0) / (alpha * 1.0)
     ok = rel < 0.01
     _report(7, ok, f"Y_0 = {y0:.5f} vs 0.3, rel err {rel:.4f} < 0.01")

@@ -25,6 +25,7 @@ from bsdedensity.forward import (
     PathEnsemble,
     TimeGrid,
     _cumtrapz,
+    log_derivative_integral,
     simulate_forward,
 )
 from bsdedensity.lamperti import LampertiMap
@@ -52,6 +53,11 @@ def lmap():
     return LampertiMap(constant(1), constant(0), (-12, 12))
 
 
+def _matrix(column, indices):
+    """The path matrix of the kept columns ``column(i)`` at ``indices``."""
+    return np.column_stack([column(i) for i in indices])
+
+
 def _tableau(ens, lmap, prob, t_indices, basis=BASIS, **kw):
     sol = solve_bsde(ens, prob, basis, forward_tab=MalliavinTableau(ens, lmap, prob),
                      t_indices=t_indices, **kw)
@@ -60,17 +66,17 @@ def _tableau(ens, lmap, prob, t_indices, basis=BASIS, **kw):
 
 def test_terminal_exactness_bitwise(ens):
     prob = _problem(trig_affine(c=1))  # xi = sin W_T
-    sol = solve_bsde(ens, prob, BASIS)
-    assert np.array_equal(sol.Y[:, -1], np.sin(ens.W[:, -1]))
+    sol = solve_bsde(ens, prob, BASIS, t_indices=[GRID.n_steps])
+    assert np.array_equal(sol.y_at(GRID.n_steps), np.sin(ens.W[:, -1]))
 
 
 def test_martingale_case(ens, lmap):
     prob = _problem(affine(a=0, b=1))
     i = GRID.index_of(0.5)
     sol, tab = _tableau(ens, lmap, prob, [i])
-    err = sol.Y[:, i] - ens.W[:, i]
+    err = sol.y_at(i) - ens.W[:, i]
     assert np.sqrt((err**2).mean()) < 0.02 * ens.W[:, i].std()
-    assert abs(sol.Z[:, i].mean() - 1.0) < 0.02
+    assert abs(sol.z_at(i).mean() - 1.0) < 0.02
     # D xi = 1 and the driver vanishes: every representation is exact
     assert np.abs(tab.dy_all(GRID.index_of(0.2), i) - 1.0).max() < 1e-10
     assert abs(tab.dy_all(GRID.index_of(0.2), i)[3] - 1.0) < 1e-10
@@ -82,19 +88,20 @@ def test_martingale_case(ens, lmap):
 
 def test_constant_terminal(ens):
     prob = _problem(constant(2.5))
-    sol = solve_bsde(ens, prob, BASIS)
-    assert np.abs(sol.Y - 2.5).max() < 1e-9
-    assert np.abs(sol.Z[:, :-1]).max() < 1e-9
+    sol = solve_bsde(ens, prob, BASIS, t_indices=range(GRID.n_steps + 1))
+    assert np.abs(_matrix(sol.y_at, range(GRID.n_steps + 1)) - 2.5).max() < 1e-9
+    assert np.abs(_matrix(sol.z_at, range(GRID.n_steps))).max() < 1e-9
 
 
 def test_linear_driver_closed_form(ens, lmap):
     a = 0.5
     prob = _problem(affine(a=0, b=1), driver=Driver(f_of_y=affine(b=a)))
-    sol, tab = _tableau(ens, lmap, prob, [GRID.index_of(0.5), GRID.index_of(0.7)])
+    sol, tab = _tableau(ens, lmap, prob,
+                        [GRID.index_of(t) for t in (0.25, 0.5, 0.7, 0.75)])
     for t in (0.25, 0.5, 0.75):
         j = GRID.index_of(t)
         target = t * np.exp(2 * a * (1 - t))
-        assert abs(sol.Y[:, j].var() / target - 1) < 0.02
+        assert abs(sol.y_at(j).var() / target - 1) < 0.02
     # deterministic exponent: the DY representation is exact
     j = GRID.index_of(0.5)
     dy = tab.dy_all(GRID.index_of(0.3), j)
@@ -117,7 +124,7 @@ def test_quadratic_terminal_second_order(ens, lmap):
     # solver Z and Clark-Ocone Z both track W_t
     zc = tab.z_clark_all(i)
     assert np.sqrt(((zc - ens.W[:, i]) ** 2).mean()) < 0.05
-    assert np.sqrt(((sol.Z[:, i] - ens.W[:, i]) ** 2).mean()) < 0.08
+    assert np.sqrt(((sol.z_at(i) - ens.W[:, i]) ** 2).mean()) < 0.08
 
 
 def test_girsanov_reduction(ens):
@@ -138,11 +145,11 @@ def test_girsanov_reduction(ens):
 
 def test_girsanov_solution(ens):
     prob = _problem(affine(a=0, b=1), driver=Driver(alpha=0.3))
-    sol = solve_bsde(ens, prob, RegressionBasis("polynomial-in-x", 2))
     j = GRID.index_of(0.5)
+    sol = solve_bsde(ens, prob, RegressionBasis("polynomial-in-x", 2), t_indices=[0, j])
     oracle = ens.W[:, j] + 0.3 * 0.5
-    assert np.sqrt(((sol.Y[:, j] - oracle) ** 2).mean()) < 0.01
-    assert abs(sol.Y[0, 0] - 0.3) < 0.005
+    assert np.sqrt(((sol.y_at(j) - oracle) ** 2).mean()) < 0.01
+    assert abs(sol.y_at(0)[0] - 0.3) < 0.005
 
 
 def test_clark_ocone_sin_terminal(ens, lmap):
@@ -166,7 +173,7 @@ def test_cross_estimator_agreement(ens, lmap):
     ):
         j = GRID.index_of(0.5)
         sol, tab = _tableau(ens, lmap, prob, [j])
-        diff = tab.z_clark_all(j) - sol.Z[:, j]
+        diff = tab.z_clark_all(j) - sol.z_at(j)
         assert np.sqrt((diff**2).mean()) < 0.03 * scale
 
 
@@ -206,7 +213,8 @@ def test_adaptedness_future_shuffle(ens, lmap):
     bit-identical (the control variate, which deliberately uses increments,
     is switched off)."""
     prob = _problem(affine(a=0, b=1))
-    base = solve_bsde(ens, prob, BASIS, z_control_variate=False)
+    every = range(GRID.n_steps + 1)
+    base = solve_bsde(ens, prob, BASIS, z_control_variate=False, t_indices=every)
     i_cut = 100
     rng = np.random.default_rng(0)
     perm = rng.permutation(ens.n_paths)
@@ -217,14 +225,15 @@ def test_adaptedness_future_shuffle(ens, lmap):
         x0=ens.x0, dW=dW2, W=ens.W, X=ens.X,
         path_ids=ens.path_ids, n_flagged=0, n_requested=ens.n_requested,
     )
-    shuffled = solve_bsde(tampered, prob, BASIS, z_control_variate=False)
-    assert np.array_equal(base.Y, shuffled.Y)
+    shuffled = solve_bsde(tampered, prob, BASIS, z_control_variate=False, t_indices=every)
+    assert np.array_equal(_matrix(base.y_at, every), _matrix(shuffled.y_at, every))
     for i in range(GRID.n_steps):
         assert np.array_equal(
             base.records[i]["coeffs_y"], shuffled.records[i]["coeffs_y"]
         )
     # Z at steps past the cut does change (it reads the shuffled increments)
-    assert not np.array_equal(base.Z[:, i_cut:], shuffled.Z[:, i_cut:])
+    assert not np.array_equal(_matrix(base.z_at, every[i_cut:]),
+                              _matrix(shuffled.z_at, every[i_cut:]))
 
 
 def test_rank_deficiency_error():
@@ -240,9 +249,9 @@ def test_xw_basis_runs(ens, lmap):
     prob = _problem(trig_affine(c=1), b=affine(b=-0.5))
     prob_map = LampertiMap(prob.sigma, prob.b, prob.box)
     e2 = simulate_forward(prob, TimeGrid(1.0, 50), 4000, seed=3)
-    sol = solve_bsde(e2, prob, RegressionBasis("polynomial-in-xw", 3))
-    assert np.array_equal(sol.Y[:, -1], np.sin(e2.W[:, -1]))
-    assert abs(sol.Y[0, 0] - np.sin(0) * np.exp(-0.5)) < 0.05
+    sol = solve_bsde(e2, prob, RegressionBasis("polynomial-in-xw", 3), t_indices=[0, 50])
+    assert np.array_equal(sol.y_at(50), np.sin(e2.W[:, -1]))
+    assert abs(sol.y_at(0)[0] - np.sin(0) * np.exp(-0.5)) < 0.05
 
 
 def test_ordering_errors(ens, lmap):
@@ -260,6 +269,12 @@ def test_ordering_errors(ens, lmap):
             row(21)
     with pytest.raises(OrderingError, match="not declared"):
         tab.dy_all(10, 21)
+    # the solution keeps Y and Z at the same declared indices only
+    for column in (sol.y_at, sol.z_at):
+        with pytest.raises(OrderingError, match="not declared"):
+            column(21)
+    with pytest.raises(OrderingError, match="declared t indices"):
+        solve_bsde(ens, prob, BASIS, t_indices=[GRID.n_steps + 1])
     for bad in ([], [GRID.n_steps + 1], [-1, 20]):
         with pytest.raises(OrderingError, match="declared t indices"):
             solve_bsde(ens, prob, BASIS, forward_tab=tab.ftab, t_indices=bad)
@@ -289,12 +304,47 @@ def test_non_finite_values_fail_loud(lmap):
                       driver=Driver(f_of_x=affine(b=0.1), f_of_y=trig_affine(c=0.2)))
     ftab = MalliavinTableau(small, lmap, curved)
     ftab.B  # built first: B integrates e^A, so it would carry the NaN to later steps
+    ftab.A = ftab.A.copy()  # sigma and b are constant: A is a read-only zero view
     ftab.A[3, 5] = np.nan
     with np.errstate(invalid="ignore"):
         with pytest.raises(SolverError, match="non-finite D_theta Y row at time step 2"):
             solve_bsde(small, curved, BASIS, forward_tab=ftab, t_indices=[2])
         # rows after the NaN stay clean
         solve_bsde(small, curved, BASIS, forward_tab=ftab, t_indices=[6])
+
+
+def test_constant_drift_integrals_are_zero_views():
+    """Constant sigma and b: A and B are read-only zero views in the forward
+    tableau and in a replay sweep, and every row is bitwise the one built on
+    a materialised zero A and B; a non-constant b still gets a computed A."""
+    prob = _problem(quadratic(b=1, c=0.1), terminal="phi-of-xt", b=constant(0.3),
+                    driver=Driver(f_of_x=affine(b=0.1), f_of_y=trig_affine(c=0.2)))
+    grid = TimeGrid(1.0, 20)
+    ens = simulate_forward(prob, grid, 2000, seed=3)
+    pmap = LampertiMap(prob.sigma, prob.b, prob.box)
+    rows = [5, 10]
+    tabs = []
+    for materialise in (False, True):
+        ftab = MalliavinTableau(ens, pmap, prob)
+        if materialise:
+            ftab.A, ftab._B = np.zeros(ens.X.shape), np.zeros(ens.X.shape)
+        else:
+            assert ftab.A.strides == ftab.B.strides == (0, 0)
+        tabs.append(solve_bsde(ens, prob, BASIS, forward_tab=ftab, t_indices=rows).tableau)
+    view, dense = tabs
+    for i in rows:
+        for row in (view.dy_matrix, view.d2y_fits, view.z_clark_all, view.dz_matrix):
+            assert np.array_equal(row(i), getattr(dense, row.__name__)(i))
+    sweep = backward.ReplaySweep(prob, grid, pmap, ens.dW[:300], 10)
+    phi = backward.make_phi_row(view, 10, "Z")
+    got = phi(sweep)
+    assert sweep.A.strides == sweep.B.strides == (0, 0)
+    sweep.A, sweep._B = np.zeros(sweep.X.shape), np.zeros(sweep.X.shape)
+    assert np.array_equal(phi(sweep), got)
+    ou = LampertiMap(constant(1), affine(b=-0.5), prob.box)
+    A = log_derivative_integral(ou, ens.X, grid.dt)
+    assert A.flags.writeable and A.strides != (0, 0)
+    assert np.allclose(A, -0.5 * grid.nodes, atol=1e-12)
 
 
 def _s2_problem():
@@ -321,7 +371,8 @@ def test_tableau_memory_stays_linear_in_paths():
         retained, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert retained - sol.Y.nbytes - sol.Z.nbytes < 4 * ens.X.nbytes
+    kept = sum(sol.y_at(i).nbytes + sol.z_at(i).nbytes for i in rows)
+    assert retained - kept < 4 * ens.X.nbytes
 
 
 def test_dy_row_peak_is_two_rows():
@@ -424,7 +475,8 @@ def _phi_T(tab, order):
 def _int_fy(sol):
     """Cumulative trapezoid E_s = int_0^s f_y per path."""
     tab = sol.tableau
-    return _cumtrapz(tab.problem.driver.fy(tab.ens.X, sol.Y), tab.dt)
+    Y = _matrix(sol.y_at, range(tab.n + 1))
+    return _cumtrapz(tab.problem.driver.fy(tab.ens.X, Y), tab.dt)
 
 
 def _direct_dy(sol, theta, t):
@@ -438,7 +490,7 @@ def _direct_dy(sol, theta, t):
     ens, ftab = tab.ens, tab.ftab
     n, dt = tab.n, tab.dt
     E = _int_fy(sol)
-    fx = tab.problem.driver.fx(ens.X, sol.Y)
+    fx = tab.problem.driver.fx(ens.X, _matrix(sol.y_at, range(n + 1)))
     sigX = eval_derivative(tab.problem.sigma, 0, ens.X)
     dx_free = sigX * np.exp(ftab.A)  # DX(theta, s) = dx_free * e^{-A_theta}
     integrand = np.exp(E - E[:, t][:, None]) * fx * dx_free
@@ -463,7 +515,7 @@ def _direct_d2y(sol, theta, t, s):
     tab = sol.tableau
     ens, ftab = tab.ens, tab.ftab
     n, dt = tab.n, tab.dt
-    X, Y = ens.X, sol.Y
+    X, Y = ens.X, _matrix(sol.y_at, range(n + 1))
     drv = tab.problem.driver
     N = ens.n_paths
     E = _int_fy(sol)
@@ -570,7 +622,7 @@ def test_dz_factorization_matches_direct_assembly():
         tab = sol.tableau
         ftab = tab.ftab
         n, dt = tab.n, tab.dt
-        X, Y = tab.ens.X, sol.Y
+        X, Y = tab.ens.X, _matrix(sol.y_at, range(n + 1))
         drv = tab.problem.driver
         A, B = ftab.A, ftab.B
         fy = drv.fy(X, Y)

@@ -120,6 +120,8 @@ def test_triangularity_errors(driftless):
         second_u(tab.A, tab.B, 0, 50, 100, 80)  # s < max(theta, t)
     with pytest.raises(OrderingError):
         first_x(tab.A, ens.X, prob.sigma, 0, 0, grid.n_steps + 1)
+    with pytest.raises(OrderingError):
+        tab.first_x_all([0, 50], 40)
 
 
 def test_second_order_zero_cases(driftless):
@@ -190,6 +192,21 @@ def test_second_order_nonnegative_under_h6():
         p = int(rng.integers(0, 20))
         assert second_u(tab.A, tab.B, p, th, tt, s) >= -eps
         assert second_x(tab.A, tab.B, ens.X, prob.sigma, p, th, tt, s) >= -eps
+
+
+def test_unflagged_simulation_keeps_one_copy_of_the_ensemble():
+    """With no path flagged the ensemble holds the sweep's own dW, W and X:
+    the peak is those three matrices and per-step vectors, no masked copy."""
+    prob = _problem(trig_affine(c=0.3), trig_affine(a=2, b=0.5))
+    lmap = LampertiMap(prob.sigma, prob.b, prob.box)
+    tracemalloc.start()
+    try:
+        ens = simulate_forward(prob, TimeGrid(1.0, 200), 2000, seed=5, lamperti_map=lmap)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ens.n_flagged == 0
+    assert peak < 4 * ens.X.nbytes  # a masked copy would make it 6
 
 
 def test_flagged_paths_excluded_and_error():
@@ -299,6 +316,10 @@ def test_tableau_integrals_in_path_blocks_match_whole_matrix():
     for t_idx in (3, grid.n_steps):
         expect = sigX[:, t_idx] * np.exp(A[:, t_idx] - A[:, 2])
         assert np.array_equal(tab.first_x_all(2, t_idx), expect)
+        # a sequence of thetas gives the rows of the single-theta calls
+        thetas = [0, 2, t_idx]
+        assert np.array_equal(tab.first_x_all(thetas, t_idx),
+                              [tab.first_x_all(th, t_idx) for th in thetas])
     assert np.array_equal(tab.A, A)
     assert np.array_equal(tab.B, B)
     assert np.abs(B).max() > 0

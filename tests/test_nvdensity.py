@@ -202,12 +202,12 @@ def _cli_targets(sol, n_outer):
     for t_idx in FROZEN_ROWS:
         theta_w = np.full(t_idx + 1, dt)
         theta_w[0] = theta_w[-1] = 0.5 * dt
-        for comp, values in (("Y", sol.Y), ("Z", sol.Z)):
-            samples = values[:n_outer, t_idx]
+        for comp, values in (("Y", sol.y_at(t_idx)), ("Z", sol.z_at(t_idx))):
+            samples = values[:n_outer]
             spread = float(samples.std())
             target = GTarget(samples, make_phi_row(btab, t_idx, comp),
                              np.linspace(-2 * spread, 2 * spread, 9), theta_w,
-                             mean_f=float(values[:, t_idx].mean()))
+                             mean_f=float(values.mean()))
             out.append((target, reference_phi_sampler(btab, t_idx, comp)))
     return out
 
