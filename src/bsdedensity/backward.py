@@ -622,9 +622,11 @@ class BackwardTableau:
         """Fitted pair (c1, c2) with D_theta Y_t = c1 + exp(-A_theta) c2."""
         return self._row(t_idx).dy
 
-    def dy_matrix(self, t_idx: int) -> np.ndarray:
-        """D_theta Y_t for all theta <= t: shape (n_paths, t_idx + 1)."""
-        return _dy_row(*self.dy_fits(t_idx), np.exp(-self.ftab.A[:, : t_idx + 1]))
+    def dy_matrix(self, t_idx: int, rows: slice = slice(None)) -> np.ndarray:
+        """D_theta Y_t for all theta <= t on the paths ``rows``; a row depends
+        on its path alone, so a block has the bits of the whole matrix."""
+        c1, c2 = self.dy_fits(t_idx)
+        return _dy_row(c1[rows], c2[rows], np.exp(-self.ftab.A[rows, : t_idx + 1]))
 
     def dy_all(self, theta_idx: int, t_idx: int) -> np.ndarray:
         self._check_row(theta_idx, t_idx)
@@ -680,16 +682,18 @@ class BackwardTableau:
         """
         return self._row(t_idx).dz
 
-    def _dz_inner(self, fd: np.ndarray, fe: np.ndarray, t_idx: int) -> np.ndarray:
+    def _dz_inner(self, fd: np.ndarray, fe: np.ndarray, t_idx: int, rows: slice):
+        # fe is tested whole, so a block of paths takes the whole row's branch
         if fe.any():  # building B is expensive; fe == 0 whenever f_x vanishes
-            return fd - self.ftab.B[:, t_idx] * fe
-        return fd
+            return fd[rows] - self.ftab.B[rows, t_idx] * fe[rows]
+        return fd[rows]
 
-    def dz_matrix(self, t_idx: int) -> np.ndarray:
-        """D_theta Z_t for all theta <= t: shape (n_paths, t_idx + 1)."""
+    def dz_matrix(self, t_idx: int, rows: slice = slice(None)) -> np.ndarray:
+        """D_theta Z_t for all theta <= t on the paths ``rows``, as
+        :meth:`dy_matrix`."""
         fa, fbc, fd, fe = self.dz_fits(t_idx)
-        A = self.ftab.A
-        return _dz_row(fa, fbc, self._dz_inner(fd, fe, t_idx),
+        A = self.ftab.A[rows]
+        return _dz_row(fa[rows], fbc[rows], self._dz_inner(fd, fe, t_idx, rows),
                        np.exp(-A[:, : t_idx + 1]), np.exp(-A[:, t_idx]))
 
     def dz_all(self, theta_idx: int, t_idx: int) -> np.ndarray:
@@ -697,7 +701,8 @@ class BackwardTableau:
         fa, fbc, fd, fe = self.dz_fits(t_idx)
         ea_th = np.exp(-self.ftab.A[:, theta_idx])
         ea_t = np.exp(-self.ftab.A[:, t_idx])
-        return fa + (ea_th + ea_t) * fbc + ea_th * ea_t * self._dz_inner(fd, fe, t_idx)
+        inner = self._dz_inner(fd, fe, t_idx, slice(None))
+        return fa + (ea_th + ea_t) * fbc + ea_th * ea_t * inner
 
 
 def _fit(design: _StepDesign, lam: np.ndarray | None,

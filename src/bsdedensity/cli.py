@@ -24,6 +24,7 @@ from .errors import BsdeDensityError, ConfigError, SolverError, StageError
 from .forward import (
     MalliavinTableau,
     TimeGrid,
+    _row_blocks,
     dump_ensemble,
     load_ensemble,
     simulate_forward,
@@ -31,11 +32,12 @@ from .forward import (
 from .lamperti import LampertiMap
 from .nvdensity import (
     GTarget,
+    RowStatistics,
     derivative_bound_constants,
     estimate_g,
     gaussian_envelopes,
 )
-from .verify import PositivityCounts, envelope_check, kde, positivity_report
+from .verify import envelope_check, kde, positivity_report
 
 STAGES = ("hypotheses", "simulate", "density", "verify")
 
@@ -154,28 +156,29 @@ class Experiment:
         pad = 0.05 * (hi - lo + 1e-300)
         return np.linspace(lo - pad, hi + pad, self.cfg["verify.z_grid_points"])
 
-    def _component(self, name: str, t_idx: int):
-        """(samples, D_theta row) of component ``name`` at step ``t_idx``."""
+    def _component(self, name: str, t_idx: int) -> tuple[np.ndarray, RowStatistics]:
+        """(samples, statistics of the D_theta row, read in path blocks) at ``t_idx``."""
         if name == "Y":
-            samples = self.sol.y_at(t_idx)
-            deriv = self.btab.dy_matrix(t_idx)
+            samples, row = self.sol.y_at(t_idx), self.btab.dy_matrix
         else:
             # density work uses the Clark-Ocone representation of Z_t, the
             # lower-noise of the two estimators; the sweep's Z stays available
             # for cross-checks
-            samples = self.btab.z_clark_all(t_idx)
-            deriv = self.btab.dz_matrix(t_idx)
-        return samples, deriv
+            samples, row = self.btab.z_clark_all(t_idx), self.btab.dz_matrix
+        stats = RowStatistics(self.ens.n_paths, t_idx + 1)
+        for rows in _row_blocks(self.ens.n_paths):
+            stats.add(row(t_idx, rows))
+        return samples, stats
 
     @staticmethod
-    def _is_degenerate(samples: np.ndarray, deriv: np.ndarray, dt: float) -> bool:
+    def _is_degenerate(samples: np.ndarray, norms_sq: np.ndarray, dt: float) -> bool:
         """A component with (numerically) vanishing Malliavin derivative has no
         density; its sample spread is regression noise, not a law."""
         mean = float(samples.mean())
         std = float(samples.std())
         if std <= _DEGENERATE_STD * (1.0 + abs(mean)):
             return True
-        norm_sq = float(np.median((deriv * deriv).sum(axis=1) * dt))
+        norm_sq = float(np.median(norms_sq * dt))
         scale = max(1.0, mean * mean)
         return norm_sq <= 1e-12 * scale
 
@@ -214,19 +217,18 @@ class Experiment:
                 if not applicable[name]:
                     entry[name] = {"status": "hypotheses-not-met"}
                     continue
-                samples, deriv = self._component(name, t_idx)
+                samples, stats = self._component(name, t_idx)
                 comp: dict = {}
                 comp["mean"] = float(samples.mean())
                 comp["std"] = float(samples.std())
-                if self._is_degenerate(samples, deriv, self.grid.dt):
+                if self._is_degenerate(samples, stats.norms_sq, self.grid.dt):
                     comp["status"] = "degenerate"
                     entry[name] = comp
                     continue
                 comp["status"] = "ok"
-                consts = derivative_bound_constants(deriv, t_snapped)
+                consts = derivative_bound_constants(stats, t_snapped)
                 if name == "Z":
-                    checks["positivity"] = PositivityCounts.of(deriv)
-                del deriv
+                    checks["positivity"] = stats.positivity
                 comp["constants"] = {
                     "c_hat": consts.c_hat,
                     "C_hat": consts.C_hat,

@@ -206,7 +206,7 @@ def _cumtrapz(values: np.ndarray, dt: float) -> np.ndarray:
 # the transcendentals a block shares stay block-sized, and a row block of a
 # C-ordered matrix is contiguous, so every value is bitwise the one a
 # whole-matrix evaluation gives
-_ROW_BLOCK = 4096
+_ROW_BLOCK = 1024
 
 
 def _row_blocks(n_rows: int):

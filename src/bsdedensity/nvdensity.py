@@ -32,6 +32,7 @@ __all__ = [
     "GTarget",
     "Envelope",
     "BoundConstants",
+    "RowStatistics",
     "mehler_shift",
     "estimate_g",
     "derivative_bound_constants",
@@ -44,6 +45,7 @@ _U_CAP = 40.0
 # standard errors come from this many batch means
 _MIN_EFFECTIVE = 30
 _N_BATCHES = 20
+_N_WITNESSES = 20
 
 
 def mehler_shift(increments: np.ndarray, increments_prime: np.ndarray, u: float) -> np.ndarray:
@@ -253,34 +255,118 @@ class BoundConstants:
     n_nonpositive: int
 
 
+@dataclass(frozen=True)
+class PositivityCounts:
+    """What the positivity report needs of a D_theta Z sample: its size, its
+    non-positive count and minimum and the first non-positive positions.
+
+    ``a + b`` describes the samples of ``a`` followed by those of ``b``, so a
+    pool of rows, or a row read in blocks of paths, is reported on without
+    keeping the rows.  A non-finite sample raises DomainError.
+    """
+
+    n_samples: int
+    n_nonpositive: int
+    min_value: float
+    witness_indices: tuple[int, ...]
+
+    @classmethod
+    def of(cls, samples: np.ndarray) -> PositivityCounts:
+        flat = np.asarray(samples, dtype=float).ravel()
+        if not np.isfinite(flat).all():
+            raise DomainError("non-finite derivative sample")
+        nonpos = flat <= 0.0
+        witnesses = np.nonzero(nonpos)[0][:_N_WITNESSES]
+        return cls(int(flat.size), int(nonpos.sum()), float(flat.min(initial=np.inf)),
+                   tuple(int(i) for i in witnesses))
+
+    def __add__(self, other: PositivityCounts) -> PositivityCounts:
+        shifted = tuple(self.n_samples + i for i in other.witness_indices)
+        return PositivityCounts(
+            self.n_samples + other.n_samples,
+            self.n_nonpositive + other.n_nonpositive,
+            float(np.minimum(self.min_value, other.min_value)),
+            (self.witness_indices + shifted)[:_N_WITNESSES],
+        )
+
+
+def _extremes(values: np.ndarray, k_lo: int, k_hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k_lo smallest and the k_hi largest of ``values``, unordered."""
+    n = values.size
+    kth = [k for k in (k_lo - 1, n - k_hi) if 0 <= k < n]
+    part = np.partition(values, kth) if kth else values
+    return part[:k_lo], part[max(n - k_hi, 0):]
+
+
+class RowStatistics:
+    """What the density stage takes from an n_paths x n_theta D_theta row,
+    added as blocks of paths in order: each path's sum of D^2 over theta, the
+    :class:`PositivityCounts`, the smallest positive value and the robust
+    quantiles.  ``np.quantile`` "lower" at q ("higher" at 1 - q) is the
+    element of sorted rank floor((N - 1) q) (ceil((N - 1)(1 - q))); the k_lo
+    smallest (k_hi largest) values seen so far hold it, so the quantiles are
+    exact selections, up to the sign of zeros of both signs tied at the rank.
+    """
+
+    def __init__(self, n_paths: int, n_theta: int, robust_quantile: float = 0.001):
+        size = n_paths * n_theta
+        if size == 0:
+            raise DomainError("empty derivative sample set")
+        if not 0 <= robust_quantile < 0.5:
+            raise DomainError("robust_quantile must lie in [0, 0.5)")
+        self.quantile = robust_quantile
+        self._k_lo = int(np.floor((size - 1) * robust_quantile)) + 1
+        self._k_hi = size - int(np.ceil((size - 1) * (1.0 - robust_quantile)))
+        self._lo = self._hi = np.empty(0)
+        self.norms_sq, self.n_rows, self.smallest_positive = np.empty(n_paths), 0, np.inf
+        self.positivity = PositivityCounts(0, 0, np.inf, ())
+
+    def add(self, block: np.ndarray) -> None:
+        """Take the next (rows, n_theta) block; a non-finite value raises DomainError."""
+        self.positivity += PositivityCounts.of(block)
+        self.norms_sq[self.n_rows:self.n_rows + len(block)] = (block * block).sum(axis=1)
+        self.n_rows += len(block)
+        flat = block.ravel()
+        positive_min = float(flat.min(where=flat > 0.0, initial=np.inf))
+        self.smallest_positive = min(self.smallest_positive, positive_min)
+        lo, hi = _extremes(flat, self._k_lo, self._k_hi)
+        self._lo = _extremes(np.concatenate([self._lo, lo]), self._k_lo, 0)[0]
+        self._hi = _extremes(np.concatenate([self._hi, hi]), 0, self._k_hi)[1]
+
+    def order_statistics(self) -> tuple[float, float]:
+        """The robust lower and upper quantiles of the whole row."""
+        if self.n_rows != len(self.norms_sq):
+            raise DomainError(f"the statistics hold {self.n_rows} of {len(self.norms_sq)} paths")
+        return float(self._lo.max()), float(self._hi.min())
+
+
 def derivative_bound_constants(
-    samples: np.ndarray, t: float, robust_quantile: float = 0.001
+    samples: np.ndarray | RowStatistics, t: float, robust_quantile: float = 0.001
 ) -> BoundConstants:
     """Envelope constants gamma_min^2 = c^2 t, gamma_max^2 = C^2 t.
 
     c and C are robust lower/upper quantiles of the sampled derivative values
     over theta <= t and paths (quantiles rather than raw extrema, to suppress
-    regression-noise outliers).  Non-positive samples are counted and c is
-    clamped to the smallest positive sample so the constants stay usable.
+    regression-noise outliers) of an array or a :class:`RowStatistics`.
+    Non-positive samples are counted and c is clamped to the smallest positive
+    sample so the constants stay usable; a non-finite sample raises DomainError.
     """
-    flat = np.asarray(samples, dtype=float).ravel()
-    if flat.size == 0:
-        raise DomainError("empty derivative sample set")
+    if not isinstance(samples, RowStatistics):
+        flat = np.asarray(samples, dtype=float).ravel()
+        samples = RowStatistics(1, flat.size, robust_quantile)
+        samples.add(flat[None, :])
+    elif samples.quantile != robust_quantile:
+        raise DomainError(f"the statistics were gathered at quantile {samples.quantile}")
     if t <= 0:
         raise DomainError("t must be positive")
-    if not 0 <= robust_quantile < 0.5:
-        raise DomainError("robust_quantile must lie in [0, 0.5)")
-    c_hat = float(np.quantile(flat, robust_quantile, method="lower"))
-    c_max = float(np.quantile(flat, 1.0 - robust_quantile, method="higher"))
-    n_nonpos = int(np.count_nonzero(flat <= 0.0))
+    c_hat, c_max = samples.order_statistics()
     if c_hat <= 0.0:
-        positive = flat[flat > 0.0]
-        if positive.size == 0:
+        if samples.smallest_positive == np.inf:
             raise DomainError(
                 "no positive derivative samples: the positivity needed for the "
                 "lower envelope fails everywhere"
             )
-        c_hat = float(positive.min())
+        c_hat = samples.smallest_positive
     return BoundConstants(
         gamma_min_sq=c_hat * c_hat * t,
         gamma_max_sq=c_max * c_max * t,
@@ -288,7 +374,7 @@ def derivative_bound_constants(
         C_hat=c_max,
         t=t,
         quantile=robust_quantile,
-        n_nonpositive=n_nonpos,
+        n_nonpositive=samples.positivity.n_nonpositive,
     )
 
 

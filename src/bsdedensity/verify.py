@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .nvdensity import Envelope
+from .nvdensity import Envelope, PositivityCounts
 
 __all__ = [
     "DensityEstimate",
@@ -29,7 +29,6 @@ __all__ = [
 
 _GAUSS_NORM = 1.0 / np.sqrt(2.0 * np.pi)
 _ROUGHNESS = 1.0 / (2.0 * np.sqrt(np.pi))  # integral of the squared Gaussian kernel
-_N_WITNESSES = 20
 # elements of one (grid points x samples) kernel block: 512 KiB per buffer
 _KERNEL_BLOCK = 1 << 16
 
@@ -265,38 +264,6 @@ class BouleauHirschReport:
             "n_samples": self.n_samples,
             "noise_floor": self.noise_floor,
         }
-
-
-@dataclass(frozen=True)
-class PositivityCounts:
-    """What the positivity report needs of a D_theta Z sample: its size, its
-    non-positive count and minimum and the first non-positive positions.
-
-    ``a + b`` describes the samples of ``a`` followed by those of ``b``, so a
-    pool of rows is reported on without keeping the rows.
-    """
-
-    n_samples: int
-    n_nonpositive: int
-    min_value: float
-    witness_indices: tuple[int, ...]
-
-    @classmethod
-    def of(cls, samples: np.ndarray) -> PositivityCounts:
-        flat = np.asarray(samples, dtype=float).ravel()
-        nonpos = flat <= 0.0
-        witnesses = np.nonzero(nonpos)[0][:_N_WITNESSES]
-        return cls(int(flat.size), int(nonpos.sum()), float(flat.min(initial=np.inf)),
-                   tuple(int(i) for i in witnesses))
-
-    def __add__(self, other: PositivityCounts) -> PositivityCounts:
-        shifted = tuple(self.n_samples + i for i in other.witness_indices)
-        return PositivityCounts(
-            self.n_samples + other.n_samples,
-            self.n_nonpositive + other.n_nonpositive,
-            float(np.minimum(self.min_value, other.min_value)),
-            (self.witness_indices + shifted)[:_N_WITNESSES],
-        )
 
 
 def positivity_report(dz_samples: np.ndarray | PositivityCounts,

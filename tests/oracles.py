@@ -361,6 +361,27 @@ def reference_estimate_g(f_sampler, phi_sampler, x_grid, n_outer, n_inner, *,
     return g_vals, se, n_eff
 
 
+def reference_bound_constants(samples, t: float, robust_quantile: float = 0.001) -> dict:
+    """derivative_bound_constants on the whole sample at once: two
+    ``np.quantile`` selections over every value, the non-positive count and
+    the smallest positive value (when there is one), each a pass of its own."""
+    flat = np.asarray(samples, dtype=float).ravel()
+    c_hat = float(np.quantile(flat, robust_quantile, method="lower"))
+    c_max = float(np.quantile(flat, 1.0 - robust_quantile, method="higher"))
+    n_nonpos = int(np.count_nonzero(flat <= 0.0))
+    raw_c_hat = c_hat
+    if c_hat <= 0.0 and (flat > 0.0).any():
+        c_hat = float(flat[flat > 0.0].min())
+    return {
+        "raw_c_hat": raw_c_hat,
+        "c_hat": c_hat,
+        "C_hat": c_max,
+        "gamma_min_sq": c_hat * c_hat * t,
+        "gamma_max_sq": c_max * c_max * t,
+        "n_nonpositive": n_nonpos,
+    }
+
+
 # ---------------------------------------------------------------------------
 # Reference hypothesis checker: H1..H8 as eight hand-written blocks, each with
 # its own grid minimum, witness and inequality string.  The production checker

@@ -2,6 +2,7 @@ import json
 import os
 import re
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from bsdedensity.cli import Experiment, main
 from bsdedensity.config import config_echo, parse_config
 from bsdedensity.errors import ConfigError
+from bsdedensity.forward import _ROW_BLOCK
 
 SMALL_CFG = """\
 model.b = constant(c=0)
@@ -602,9 +604,36 @@ def test_artifact_bytes_pinned(tmp_path):
     for label, (text, stage) in PINNED_CONFIGS.items():
         cfg = parse_config(_write(tmp_path, text + _TINY, f"{label}.txt"))
         out = tmp_path / label
-        Experiment(cfg, out_dir=str(out), seed=20240801).run(stage)
+        exp = Experiment(cfg, out_dir=str(out), seed=20240801)
+        exp.run(stage)
+        # the paths span two blocks and a short last one: the digests pin
+        # the block seams of A, B, the dump and the D_theta row statistics
+        assert exp.ens.n_paths > _ROW_BLOCK and exp.ens.n_paths % _ROW_BLOCK
         digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                    for p in sorted(out.iterdir())}
         if digests != PINNED_SHA256.get(label):
             changed[label] = digests
     assert not changed, f"artifact bytes moved; new digests: {changed}"
+
+
+def test_density_row_statistics_peak_below_one_row(tmp_path):
+    """The density stage reads each D_theta row in blocks of paths: at
+    z-convex with 8000 paths x 40 steps, one component's row statistics
+    allocate less than one (n_paths, t_idx + 1) row above the live state."""
+    text = ("model.phi = quadratic(c=0.5)\ngest.enabled = false\n"
+            "mc.n_paths = 8000\ngrid.n_steps = 40\n")
+    cfg = parse_config(_write(tmp_path, text))
+    exp = Experiment(cfg, out_dir=str(tmp_path / "o"), seed=20240801)
+    exp.run("density")
+    for t in cfg["eval.times"]:
+        t_idx = exp.grid.index_of(t)
+        row_bytes = exp.ens.n_paths * (t_idx + 1) * 8
+        for name in ("Y", "Z"):
+            tracemalloc.start()
+            try:
+                before, _ = tracemalloc.get_traced_memory()
+                exp._component(name, t_idx)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak - before < row_bytes, (name, t, (peak - before) / row_bytes)

@@ -14,6 +14,7 @@ from bsdedensity.forward import MalliavinTableau, TimeGrid, _draw_increments, si
 from bsdedensity.lamperti import LampertiMap
 from bsdedensity.nvdensity import (
     GTarget,
+    RowStatistics,
     derivative_bound_constants,
     estimate_g,
     gaussian_envelopes,
@@ -21,7 +22,12 @@ from bsdedensity.nvdensity import (
     silverman_bandwidth,
 )
 
-from oracles import ensemble_from_increments, reference_estimate_g, reference_phi_sampler
+from oracles import (
+    ensemble_from_increments,
+    reference_bound_constants,
+    reference_estimate_g,
+    reference_phi_sampler,
+)
 
 
 def test_mehler_endpoints():
@@ -370,6 +376,117 @@ def test_derivative_bound_constants_clamping():
         derivative_bound_constants(np.array([]), 1.0)
     with pytest.raises(DomainError):
         derivative_bound_constants(np.ones(5), -1.0)
+
+
+def _bits(*values) -> list[int]:
+    return np.array(values, dtype=float).view(np.uint64).tolist()
+
+
+def _row_statistics(D: np.ndarray, block: int, q: float = 0.001) -> RowStatistics:
+    stats = RowStatistics(*D.shape, robust_quantile=q)
+    for lo in range(0, len(D), block):
+        stats.add(D[lo:lo + block])
+    return stats
+
+
+def _assert_matches_whole_matrix(D: np.ndarray, stats: RowStatistics, q: float) -> None:
+    """Order statistics, constants and per-path norms bitwise those of the
+    whole-matrix reference."""
+    ref = reference_bound_constants(D, 0.5, q)
+    assert _bits(*stats.order_statistics()) == _bits(ref["raw_c_hat"], ref["C_hat"])
+    if (D > 0).any():
+        c = derivative_bound_constants(stats, 0.5, q)
+        assert _bits(c.c_hat, c.C_hat, c.gamma_min_sq, c.gamma_max_sq) == _bits(
+            ref["c_hat"], ref["C_hat"], ref["gamma_min_sq"], ref["gamma_max_sq"])
+        assert c.n_nonpositive == ref["n_nonpositive"]
+    assert _bits(*stats.norms_sq) == _bits(*(D * D).sum(axis=1))
+
+
+# blocks of one path, of three paths, of 40 paths (a short last block of 17)
+# and one block for the whole row
+@pytest.mark.parametrize("block", [1, 3, 40, 97])
+@pytest.mark.parametrize("q", [0.0, 0.001, 0.05, 0.3])
+def test_row_statistics_match_whole_matrix(block, q):
+    rng = np.random.default_rng(11)
+    rows = {
+        "normal": 1.0 + rng.standard_normal((97, 13)),
+        "ties": rng.integers(-2, 4, (97, 13)).astype(float),
+        "cauchy": rng.standard_cauchy((97, 13)),
+    }
+    for D in rows.values():
+        _assert_matches_whole_matrix(D, _row_statistics(D, block, q), q)
+
+
+def test_row_statistics_randomized_against_whole_matrix():
+    rng = np.random.default_rng(12)
+    for case in range(600):
+        shape = (int(rng.integers(1, 40)), int(rng.integers(1, 9)))
+        D = (rng.standard_normal(shape), rng.integers(-1, 3, shape).astype(float),
+             rng.standard_cauchy(shape))[case % 3]
+        q = float(rng.choice([0.0, 0.001, 0.1, 0.499, 0.5 * rng.random()]))
+        block = int(rng.integers(1, shape[0] + 2))
+        _assert_matches_whole_matrix(D, _row_statistics(D, block, q), q)
+
+
+def test_row_statistics_single_value():
+    one = np.array([[2.5]])
+    for q in (0.0, 0.001, 0.3):
+        _assert_matches_whole_matrix(one, _row_statistics(one, 1, q), q)
+        stats = _row_statistics(np.array([[-1.0]]), 1, q)
+        assert stats.order_statistics() == (-1.0, -1.0)
+        with pytest.raises(DomainError, match="no positive"):
+            derivative_bound_constants(stats, 1.0, q)
+
+
+def test_row_statistics_signed_zeros_at_the_rank():
+    """Zeros of both signs tied at the selected rank: the selection is a zero
+    equal to np.quantile's, but its sign is not pinned (which zero a
+    partition leaves at a rank depends on its pivots).  The sign does not
+    reach the constants: a zero c is clamped to the smallest positive value,
+    and a zero C gives gamma_max^2 = +0, which the envelopes refuse."""
+    D = np.array([[-0.0, 0.0, 1.0], [0.0, -0.0, 2.0], [-0.0, 3.0, 0.0]])
+    z = np.linspace(-1.0, 1.0, 5)
+    for block in (1, 2, 3):
+        for q in (0.0, 0.2, 0.4):
+            stats = _row_statistics(D, block, q)
+            ref = reference_bound_constants(D, 1.0, q)
+            lo, hi = stats.order_statistics()
+            assert lo == ref["raw_c_hat"] == 0.0 and hi == ref["C_hat"]
+            c = derivative_bound_constants(stats, 1.0, q)
+            assert _bits(c.c_hat, c.gamma_min_sq, c.gamma_max_sq) == _bits(
+                ref["c_hat"], ref["gamma_min_sq"], ref["gamma_max_sq"])
+            if hi == 0.0:  # q = 0.4 selects a zero at the upper rank too
+                with pytest.raises(DomainError, match="positive"):
+                    gaussian_envelopes(0.0, 1.0, c.gamma_min_sq, c.gamma_max_sq, z)
+            else:
+                assert _bits(c.C_hat) == _bits(ref["C_hat"])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_derivative_bound_constants_refuse_non_finite(bad):
+    samples = np.linspace(0.5, 2.0, 1000)
+    samples[517] = bad
+    with pytest.raises(DomainError, match="non-finite"):
+        derivative_bound_constants(samples, 1.0)
+    # read in blocks, the block that holds the value raises
+    D = samples.reshape(100, 10)
+    stats = RowStatistics(100, 10)
+    stats.add(D[:40])
+    with pytest.raises(DomainError, match="non-finite"):
+        stats.add(D[40:80])
+
+
+def test_row_statistics_refuse_a_partial_row_and_another_quantile():
+    stats = RowStatistics(10, 3)
+    stats.add(np.ones((4, 3)))
+    with pytest.raises(DomainError, match="4 of 10 paths"):
+        derivative_bound_constants(stats, 1.0)
+    stats.add(np.ones((6, 3)))
+    assert derivative_bound_constants(stats, 1.0).gamma_min_sq == 1.0
+    with pytest.raises(DomainError, match="quantile"):
+        derivative_bound_constants(stats, 1.0, robust_quantile=0.01)
+    with pytest.raises(DomainError, match="empty"):
+        RowStatistics(0, 3)
 
 
 def test_gaussian_envelopes_identity():

@@ -6,7 +6,7 @@ import pytest
 from scipy.stats import norm
 
 from bsdedensity.errors import DomainError
-from bsdedensity.nvdensity import gaussian_envelopes
+from bsdedensity.nvdensity import RowStatistics, gaussian_envelopes
 from bsdedensity import verify
 from bsdedensity.verify import PositivityCounts, envelope_check, kde, positivity_report
 
@@ -179,6 +179,34 @@ def test_positivity_counts_pool_rows_in_order():
     assert rep.nonpositive_fraction == float(nonpos.mean())
     assert rep.min_value == float(flat.min())
     assert rep.verdict == "fail"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_positivity_report_refuses_non_finite(bad):
+    with pytest.raises(DomainError, match="non-finite"):
+        positivity_report(np.array([1.0, bad, 2.0]))
+    with pytest.raises(DomainError, match="non-finite"):
+        PositivityCounts.of(np.array([[1.0, 2.0], [bad, 3.0]]))
+
+
+@pytest.mark.parametrize("block", [1, 3, 7, 50])
+def test_positivity_counts_of_path_blocks_equal_the_whole_row(block):
+    # non-positive values in the first and last column of pairs of rows that
+    # straddle seams of blocks of 3 paths (2|3, 20|21) and of 7 paths (all
+    # six pairs), more of them than the report lists
+    rng = np.random.default_rng(8)
+    D = 1.0 + 0.1 * rng.standard_normal((50, 9))
+    for r in (2, 3, 6, 7, 13, 14, 20, 21, 27, 28, 48, 49):
+        D[r, [0, -1]] = -rng.random(2)
+    stats = RowStatistics(*D.shape)
+    for lo in range(0, len(D), block):
+        stats.add(D[lo:lo + block])
+    whole = PositivityCounts.of(D)
+    assert whole.n_nonpositive == 24
+    assert stats.positivity == whole
+    assert np.float64(stats.positivity.min_value).view(np.uint64) == np.float64(
+        whole.min_value).view(np.uint64)
+    assert positivity_report(stats.positivity) == positivity_report(D)
 
 
 def test_bias_estimate_on_the_mask_only(normal_samples):
