@@ -36,9 +36,8 @@ from .forward import (
     MalliavinTableau,
     PathEnsemble,
     TimeGrid,
+    _check_triangular,
     _euler_lamperti,
-    log_derivative_integral,
-    second_order_integral,
 )
 from .lamperti import LampertiMap
 
@@ -47,7 +46,6 @@ __all__ = [
     "DriftShift",
     "BackwardSolution",
     "BackwardTableau",
-    "ReplaySweep",
     "girsanov_reduce",
     "make_phi_row",
     "make_replay_sweep",
@@ -608,14 +606,6 @@ class BackwardTableau:
     def _row(self, t_idx: int) -> _Row:
         return _declared_entry(self._rows, t_idx, "tableau")
 
-    def _check_row(self, theta_idx: int, t_idx: int) -> None:
-        if not (0 <= theta_idx <= self.n and 0 <= t_idx <= self.n):
-            raise OrderingError(f"indices ({theta_idx}, {t_idx}) outside 0..{self.n}")
-        if theta_idx > t_idx:
-            raise OrderingError(
-                f"theta index {theta_idx} > t index {t_idx} in a triangular tableau"
-            )
-
     # -- D_theta Y_t ------------------------------------------------------------
 
     def dy_fits(self, t_idx: int) -> tuple[np.ndarray, np.ndarray]:
@@ -629,9 +619,10 @@ class BackwardTableau:
         return _dy_row(c1[rows], c2[rows], np.exp(-self.ftab.A[rows, : t_idx + 1]))
 
     def dy_all(self, theta_idx: int, t_idx: int) -> np.ndarray:
-        self._check_row(theta_idx, t_idx)
+        """Column ``theta_idx`` of :meth:`dy_matrix`, by the same formula."""
+        _check_triangular(theta_idx, t_idx, self.n)
         c1, c2 = self.dy_fits(t_idx)
-        return c1 + np.exp(-self.ftab.A[:, theta_idx]) * c2
+        return _dy_row(c1, c2, np.exp(-self.ftab.A[:, theta_idx, None]))[:, 0]
 
     # -- D2_{theta,t} Y_s ---------------------------------------------------------
 
@@ -697,12 +688,12 @@ class BackwardTableau:
                        np.exp(-A[:, : t_idx + 1]), np.exp(-A[:, t_idx]))
 
     def dz_all(self, theta_idx: int, t_idx: int) -> np.ndarray:
-        self._check_row(theta_idx, t_idx)
+        """Column ``theta_idx`` of :meth:`dz_matrix`, by the same formula."""
+        _check_triangular(theta_idx, t_idx, self.n)
         fa, fbc, fd, fe = self.dz_fits(t_idx)
-        ea_th = np.exp(-self.ftab.A[:, theta_idx])
-        ea_t = np.exp(-self.ftab.A[:, t_idx])
-        inner = self._dz_inner(fd, fe, t_idx, slice(None))
-        return fa + (ea_th + ea_t) * fbc + ea_th * ea_t * inner
+        A = self.ftab.A
+        return _dz_row(fa, fbc, self._dz_inner(fd, fe, t_idx, slice(None)),
+                       np.exp(-A[:, theta_idx, None]), np.exp(-A[:, t_idx]))[:, 0]
 
 
 def _fit(design: _StepDesign, lam: np.ndarray | None,
@@ -770,44 +761,22 @@ def _dz_row(fa: np.ndarray, fbc: np.ndarray, inner: np.ndarray, ea_th: np.ndarra
 # ---------------------------------------------------------------------------
 
 
-class ReplaySweep:
-    """The forward sweep of one increment matrix up to step ``t_max``: the
-    state every Phi row of the g-estimator reads.
+def make_replay_sweep(problem: ProblemSpec, grid: TimeGrid, lmap: LampertiMap, t_max: int):
+    """``sweep(increments) -> MalliavinTableau``: the forward sweep of one
+    increment matrix up to step ``t_max`` on the main run's forward model,
+    the state every Phi row of the g-estimator reads.
 
     Escaping paths are clamped to the working box instead of dropped, so the
-    rows stay aligned with the unshifted ensemble; ``n_clamped`` counts the
-    clamp events up to ``t_max``.  ``exp_neg_A`` = e^{-A} is computed once on
-    the whole contiguous matrix and sliced by each row; B is built on first
-    use.
+    rows stay aligned with the unshifted ensemble; the ``n_clamped``
+    attribute sums the clamp events up to ``t_max`` of all its sweeps.  Each
+    row slices the tableau's ``exp_neg_A``, computed once on the whole
+    contiguous matrix; B is built on first use.
     """
 
-    def __init__(self, problem: ProblemSpec, grid: TimeGrid, lmap: LampertiMap,
-                 increments: np.ndarray, t_max: int):
-        self.W, self.X, hits = _euler_lamperti(
-            problem, grid, increments[:, :t_max], lmap
-        )
-        self.n_clamped = int(hits.sum())
-        self.lmap, self.dt = lmap, grid.dt
-        self.A = log_derivative_integral(lmap, self.X, grid.dt)
-        self.exp_neg_A = np.exp(-self.A)
-        self._B: np.ndarray | None = None
-
-    @property
-    def B(self) -> np.ndarray:
-        if self._B is None:
-            self._B = second_order_integral(self.lmap, self.X, self.A, self.dt)
-        return self._B
-
-
-def make_replay_sweep(btab: BackwardTableau, t_max: int):
-    """``sweep(increments) -> ReplaySweep`` on the main run's forward model,
-    cut at step ``t_max``; its ``n_clamped`` attribute sums the clamp events
-    of all its sweeps."""
-
-    def sweep(increments: np.ndarray) -> ReplaySweep:
-        state = ReplaySweep(btab.problem, btab.ens.grid, btab.ftab.lmap, increments, t_max)
-        sweep.n_clamped += state.n_clamped
-        return state
+    def sweep(increments: np.ndarray) -> MalliavinTableau:
+        W, X, hits = _euler_lamperti(problem, grid, increments[:, :t_max], lmap)
+        sweep.n_clamped += int(hits.sum())
+        return MalliavinTableau(W, X, lmap, grid.dt)
 
     sweep.n_clamped = 0
     return sweep
@@ -815,7 +784,7 @@ def make_replay_sweep(btab: BackwardTableau, t_max: int):
 
 def make_phi_row(btab: BackwardTableau, t_idx: int, component: str):
     """``phi(state)``: theta -> D_theta Y_t or D_theta Z_t on the paths of a
-    :class:`ReplaySweep` that reaches ``t_idx``; ``component`` is "Y" or "Z".
+    replay :class:`MalliavinTableau` that reaches ``t_idx``; ``component`` is "Y" or "Z".
 
     By the Markov property the coefficients of the row (c1, c2 for Y, the
     quadruple for Z) are deterministic functions of the time-t state, and
@@ -840,7 +809,7 @@ def make_phi_row(btab: BackwardTableau, t_idx: int, component: str):
     coeffs = row.dy_coeffs if component == "Y" else row.dz_coeffs
     uses_b = component == "Z" and bool(coeffs[:, 3].any())
 
-    def phi(state: ReplaySweep) -> np.ndarray:
+    def phi(state: MalliavinTableau) -> np.ndarray:
         fits = design.evaluate(coeffs, state.X[:, t_idx], state.W[:, t_idx])
         ea_th = state.exp_neg_A[:, : t_idx + 1]
         if component == "Y":

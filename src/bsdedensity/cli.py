@@ -185,7 +185,7 @@ class Experiment:
     def stage_density(self) -> None:
         cfg = self.cfg
         # the deterministic backward sweep: solution and tableau rows
-        ftab = MalliavinTableau(self.ens, self._ensure_lamperti(), self.problem)
+        ftab = MalliavinTableau(self.ens.W, self.ens.X, self._ensure_lamperti(), self.grid.dt)
         t_indices = [self.grid.index_of(t) for t in cfg["eval.times"]]
         self.sol = solve_bsde(self.ens, self.problem, self.basis,
                               forward_tab=ftab, t_indices=t_indices)
@@ -310,7 +310,8 @@ class Experiment:
         each band check in its component's entry."""
         cfg = self.cfg
         n_outer = self._n_outer()
-        sweep = make_replay_sweep(self.btab, max(t_idx for _, t_idx, *_ in jobs))
+        sweep = make_replay_sweep(self.problem, self.grid, self.lmap,
+                                  max(t_idx for _, t_idx, *_ in jobs))
         estimates = estimate_g(
             [target for *_, target in jobs],
             sweep,

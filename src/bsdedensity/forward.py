@@ -241,44 +241,51 @@ def second_order_integral(
     return B
 
 
+def _check_triangular(theta_idx: int, t_idx: int, n: int) -> None:
+    """Refuse a (theta, t) index pair outside 0..n or with theta > t."""
+    if not (0 <= theta_idx <= n and 0 <= t_idx <= n):
+        raise OrderingError(f"indices ({theta_idx}, {t_idx}) outside 0..{n}")
+    if theta_idx > t_idx:
+        raise OrderingError(
+            f"tableau is triangular: theta index {theta_idx} > t index {t_idx}"
+        )
+
+
 class MalliavinTableau:
-    """First and second order Malliavin derivatives of U and X along paths.
+    """First and second order Malliavin derivatives of U and X along the paths
+    of one forward sweep: the main run's ensemble or a g-estimator replay.
 
     Logical layout is the lower-triangular grid DU[theta_i][t_j] (theta <= t)
     per path, with second-order slices indexed by (theta, t, s); physically
     everything derives from the cumulative integrals A and B described in the
     module docstring; under a constant drift (sigma and b constant families)
-    both are zero views.  The accessor reads grid indices and rejects
-    theta > t; sigma is evaluated at the states it reads, never stored as a
-    path matrix.
+    both are zero views.  B and e^{-A} (which only the replay rows read, each
+    slicing it) are built on first use.  The accessor reads grid indices and
+    rejects theta > t; sigma is evaluated at the states it reads, never stored
+    as a path matrix.
     """
 
-    def __init__(self, ens: PathEnsemble, lmap: LampertiMap, problem: ProblemSpec):
-        self.ens = ens
-        self.lmap = lmap
-        self.problem = problem
-        self.A = log_derivative_integral(lmap, ens.X, ens.grid.dt)
+    def __init__(self, W: np.ndarray, X: np.ndarray, lmap: LampertiMap, dt: float):
+        self.W, self.X = W, X
+        self.lmap, self.dt = lmap, dt
+        self.n = X.shape[1] - 1
+        self.A = log_derivative_integral(lmap, X, dt)
         self._B: np.ndarray | None = None
+        self._exp_neg_A: np.ndarray | None = None
 
-    # -- lazy second-order machinery ----------------------------------------
+    # -- lazy machinery --------------------------------------------------------
 
     @property
     def B(self) -> np.ndarray:
         if self._B is None:
-            self._B = second_order_integral(self.lmap, self.ens.X, self.A,
-                                            self.ens.grid.dt)
+            self._B = second_order_integral(self.lmap, self.X, self.A, self.dt)
         return self._B
 
-    # -- guards --------------------------------------------------------------
-
-    def _check_pair(self, theta_idx: int, t_idx: int) -> None:
-        n = self.ens.grid.n_steps
-        if not (0 <= theta_idx <= n and 0 <= t_idx <= n):
-            raise OrderingError(f"indices ({theta_idx}, {t_idx}) outside 0..{n}")
-        if theta_idx > t_idx:
-            raise OrderingError(
-                f"tableau is triangular: theta index {theta_idx} > t index {t_idx}"
-            )
+    @property
+    def exp_neg_A(self) -> np.ndarray:
+        if self._exp_neg_A is None:
+            self._exp_neg_A = np.exp(-self.A)
+        return self._exp_neg_A
 
     # -- vector accessor -----------------------------------------------------
 
@@ -286,8 +293,8 @@ class MalliavinTableau:
         """D_theta X_t across paths, shape (n_paths,); a list of k theta
         indices gives shape (k, n_paths) and evaluates sigma(X_t) once."""
         for th in np.atleast_1d(theta_idx):
-            self._check_pair(int(th), t_idx)
-        sig = eval_derivative(self.problem.sigma, 0, self.ens.X[:, t_idx])
+            _check_triangular(int(th), t_idx, self.n)
+        sig = eval_derivative(self.lmap.sigma, 0, self.X[:, t_idx])
         return sig * np.exp(self.A[:, t_idx] - self.A.T[theta_idx])
 
 

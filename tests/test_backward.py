@@ -21,6 +21,7 @@ from bsdedensity.backward import (
 )
 from bsdedensity.errors import OrderingError, SolverError
 from bsdedensity.forward import (
+    _ROW_BLOCK,
     MalliavinTableau,
     PathEnsemble,
     TimeGrid,
@@ -59,8 +60,8 @@ def _matrix(column, indices):
 
 
 def _tableau(ens, lmap, prob, t_indices, basis=BASIS, **kw):
-    sol = solve_bsde(ens, prob, basis, forward_tab=MalliavinTableau(ens, lmap, prob),
-                     t_indices=t_indices, **kw)
+    ftab = MalliavinTableau(ens.W, ens.X, lmap, ens.grid.dt)
+    sol = solve_bsde(ens, prob, basis, forward_tab=ftab, t_indices=t_indices, **kw)
     return sol, sol.tableau
 
 
@@ -302,7 +303,7 @@ def test_non_finite_values_fail_loud(lmap):
     # a NaN reaching a kept tableau row through the f_x integrand at step 5
     curved = _problem(affine(a=0, b=1),
                       driver=Driver(f_of_x=affine(b=0.1), f_of_y=trig_affine(c=0.2)))
-    ftab = MalliavinTableau(small, lmap, curved)
+    ftab = MalliavinTableau(small.W, small.X, lmap, small.grid.dt)
     ftab.B  # built first: B integrates e^A, so it would carry the NaN to later steps
     ftab.A = ftab.A.copy()  # sigma and b are constant: A is a read-only zero view
     ftab.A[3, 5] = np.nan
@@ -325,7 +326,7 @@ def test_constant_drift_integrals_are_zero_views():
     rows = [5, 10]
     tabs = []
     for materialise in (False, True):
-        ftab = MalliavinTableau(ens, pmap, prob)
+        ftab = MalliavinTableau(ens.W, ens.X, pmap, ens.grid.dt)
         if materialise:
             ftab.A, ftab._B = np.zeros(ens.X.shape), np.zeros(ens.X.shape)
         else:
@@ -335,7 +336,7 @@ def test_constant_drift_integrals_are_zero_views():
     for i in rows:
         for row in (view.dy_matrix, view.d2y_fits, view.z_clark_all, view.dz_matrix):
             assert np.array_equal(row(i), getattr(dense, row.__name__)(i))
-    sweep = backward.ReplaySweep(prob, grid, pmap, ens.dW[:300], 10)
+    sweep = backward.make_replay_sweep(prob, grid, pmap, 10)(ens.dW[:300])
     phi = backward.make_phi_row(view, 10, "Z")
     got = phi(sweep)
     assert sweep.A.strides == sweep.B.strides == (0, 0)
@@ -355,12 +356,66 @@ def _s2_problem():
     )
 
 
+def _constant_drift_problem():
+    return _problem(quadratic(b=1, c=0.1), terminal="phi-of-xt", b=constant(0.3),
+                    driver=Driver(f_of_x=affine(b=0.1), f_of_y=trig_affine(c=0.2)))
+
+
+BITWISE_CASES = {"s2": _s2_problem, "constant-drift": _constant_drift_problem}
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+@pytest.mark.parametrize("case", sorted(BITWISE_CASES))
+def test_replay_sweep_is_the_main_run_tableau(case):
+    """One forward-tableau build serves both runs: a replay of the main run's
+    own increments holds the prefix of its tableau bit for bit, B included
+    (read on S2, where sigma is non-constant; zero views under constant drift)."""
+    prob = BITWISE_CASES[case]()
+    grid = TimeGrid(1.0, 20)
+    ens = simulate_forward(prob, grid, 1500, seed=5)
+    assert ens.n_flagged == 0 and ens.n_paths > _ROW_BLOCK
+    pmap = LampertiMap(prob.sigma, prob.b, prob.box)
+    main = MalliavinTableau(ens.W, ens.X, pmap, grid.dt)
+    t_max = 12
+    replay = backward.make_replay_sweep(prob, grid, pmap, t_max)(ens.dW)
+    for name in ("W", "X", "A", "B"):
+        assert np.array_equal(_bits(getattr(replay, name)),
+                              _bits(getattr(main, name)[:, : t_max + 1])), name
+    zero_views = case == "constant-drift"
+    for tab in (main, replay):
+        assert (tab.A.strides == tab.B.strides == (0, 0)) == zero_views
+    assert zero_views or np.abs(replay.B).max() > 0
+
+
+@pytest.mark.parametrize("case", sorted(BITWISE_CASES))
+def test_row_columns_are_matrix_columns(case):
+    """dy_all / dz_all assemble one theta column with the row formula of
+    dy_matrix / dz_matrix: every column is bitwise the matrix column."""
+    prob = BITWISE_CASES[case]()
+    grid = TimeGrid(1.0, 20)
+    ens = simulate_forward(prob, grid, 1500, seed=5)
+    pmap = LampertiMap(prob.sigma, prob.b, prob.box)
+    ftab = MalliavinTableau(ens.W, ens.X, pmap, grid.dt)
+    rows = [5, 12, grid.n_steps]
+    tab = solve_bsde(ens, prob, BASIS, forward_tab=ftab, t_indices=rows).tableau
+    for t in rows:
+        dy, dz = tab.dy_matrix(t), tab.dz_matrix(t)
+        assert np.abs(tab.dz_fits(t)[3]).max() > 0  # dz reads B_t
+        for theta in range(t + 1):
+            assert np.array_equal(_bits(tab.dy_all(theta, t)), _bits(dy[:, theta]))
+            assert np.array_equal(_bits(tab.dz_all(theta, t)), _bits(dz[:, theta]))
+
+
 def test_tableau_memory_stays_linear_in_paths():
     """Beyond its Y/Z outputs the sweep keeps O(n_paths) running state and the
     declared rows; of the path matrices only the forward tableau's B is built."""
     prob = _s2_problem()
     ens = simulate_forward(prob, GRID, 4000, seed=5)
-    ftab = MalliavinTableau(ens, LampertiMap(prob.sigma, prob.b, prob.box), prob)
+    pmap = LampertiMap(prob.sigma, prob.b, prob.box)
+    ftab = MalliavinTableau(ens.W, ens.X, pmap, ens.grid.dt)
     rows = [GRID.index_of(t) for t in (0.25, 0.5, 0.75)]
     tracemalloc.start()
     try:
@@ -380,7 +435,8 @@ def test_dy_row_peak_is_two_rows():
     stage's peak on the default configuration is set by this row."""
     prob = _s2_problem()
     ens = simulate_forward(prob, GRID, 4000, seed=5)
-    ftab = MalliavinTableau(ens, LampertiMap(prob.sigma, prob.b, prob.box), prob)
+    pmap = LampertiMap(prob.sigma, prob.b, prob.box)
+    ftab = MalliavinTableau(ens.W, ens.X, pmap, ens.grid.dt)
     t_idx = GRID.index_of(0.75)
     tab = solve_bsde(ens, prob, BASIS, forward_tab=ftab, t_indices=[t_idx]).tableau
     row_bytes = ens.n_paths * (t_idx + 1) * 8
@@ -428,7 +484,8 @@ def test_one_design_per_step(monkeypatch):
     prob = _s2_problem()
     grid = TimeGrid(1.0, 40)
     ens = simulate_forward(prob, grid, 2000, seed=5)
-    ftab = MalliavinTableau(ens, LampertiMap(prob.sigma, prob.b, prob.box), prob)
+    pmap = LampertiMap(prob.sigma, prob.b, prob.box)
+    ftab = MalliavinTableau(ens.W, ens.X, pmap, ens.grid.dt)
     sol = solve_bsde(ens, prob, BASIS, forward_tab=ftab, t_indices=[10, 20, 30])
     assert len(built) == grid.n_steps
     assert sorted(sol.tableau._rows) == [10, 20, 30]
@@ -442,7 +499,7 @@ def test_terminal_phi_of_xt(lmap):
     )
     pmap = LampertiMap(prob.sigma, prob.b, prob.box)
     e = simulate_forward(prob, TimeGrid(1.0, 100), 5000, seed=11)
-    ftab = MalliavinTableau(e, pmap, prob)
+    ftab = MalliavinTableau(e.W, e.X, pmap, e.grid.dt)
     n = e.grid.n_steps
     tab = solve_bsde(e, prob, BASIS, forward_tab=ftab, t_indices=[n]).tableau
     # at t = T the row is the exact pathwise derivative
@@ -593,7 +650,8 @@ def _oracle_tableau(alpha):
     )
     grid = TimeGrid(0.5, 40)
     ens = simulate_forward(prob, grid, 800, seed=17)
-    ftab = MalliavinTableau(ens, LampertiMap(prob.sigma, prob.b, prob.box), prob)
+    pmap = LampertiMap(prob.sigma, prob.b, prob.box)
+    ftab = MalliavinTableau(ens.W, ens.X, pmap, ens.grid.dt)
     return solve_bsde(ens, prob, RegressionBasis("polynomial-in-x", 3),
                       forward_tab=ftab, t_indices=range(grid.n_steps + 1))
 

@@ -73,7 +73,7 @@ def test_tableau_ou_exact():
     grid = TimeGrid(1.0, 1000)
     ens = simulate_forward(prob, grid, 50, seed=3)
     lmap = LampertiMap(prob.sigma, prob.b, prob.box)
-    tab = MalliavinTableau(ens, lmap, prob)
+    tab = MalliavinTableau(ens.W, ens.X, lmap, ens.grid.dt)
     th, ti = grid.index_of(0.2), grid.index_of(1.0)
     # (beta' sigma) = -kappa exactly, so the tableau quadrature is exact
     assert first_u(tab.A, 0, th, ti) == pytest.approx(np.exp(-0.4), abs=1e-12)
@@ -87,7 +87,7 @@ def test_tableau_constant_coefficients(driftless):
     grid = TimeGrid(1.0, 50)
     ens = simulate_forward(prob, grid, 30, seed=5)
     lmap = LampertiMap(prob.sigma, prob.b, prob.box)
-    tab = MalliavinTableau(ens, lmap, prob)
+    tab = MalliavinTableau(ens.W, ens.X, lmap, ens.grid.dt)
     assert first_u(tab.A, 0, 10, 40) == 1.0
     assert first_x(tab.A, ens.X, prob.sigma, 0, 10, 40) == 2.0
     assert second_u(tab.A, tab.B, 0, 5, 20, 45) == 0.0
@@ -99,7 +99,7 @@ def test_du_positive_and_log_additive():
     grid = TimeGrid(1.0, 200)
     ens = simulate_forward(prob, grid, 40, seed=9)
     lmap = LampertiMap(prob.sigma, prob.b, prob.box)
-    tab = MalliavinTableau(ens, lmap, prob)
+    tab = MalliavinTableau(ens.W, ens.X, lmap, ens.grid.dt)
     n = grid.n_steps
     mat = np.exp(tab.A[:, n : n + 1] - tab.A)  # D_theta U_T for every theta
     assert np.all(mat > 0)
@@ -113,7 +113,7 @@ def test_du_positive_and_log_additive():
 def test_triangularity_errors(driftless):
     prob, grid, ens = driftless
     lmap = LampertiMap(prob.sigma, prob.b, prob.box)
-    tab = MalliavinTableau(ens, lmap, prob)
+    tab = MalliavinTableau(ens.W, ens.X, lmap, ens.grid.dt)
     with pytest.raises(OrderingError):
         first_u(tab.A, 0, 10, 5)
     with pytest.raises(OrderingError):
@@ -127,7 +127,7 @@ def test_triangularity_errors(driftless):
 def test_second_order_zero_cases(driftless):
     prob, grid, ens = driftless
     lmap = LampertiMap(prob.sigma, prob.b, prob.box)
-    tab = MalliavinTableau(ens, lmap, prob)
+    tab = MalliavinTableau(ens.W, ens.X, lmap, ens.grid.dt)
     # t = s gives an empty integral
     assert second_u(tab.A, tab.B, 0, 10, 50, 50) == 0.0
 
@@ -137,7 +137,7 @@ def test_second_order_symmetry_under_swap():
     grid = TimeGrid(0.25, 200)
     ens = simulate_forward(prob, grid, 10, seed=123)
     lmap = LampertiMap(prob.sigma, prob.b, prob.box)
-    tab = MalliavinTableau(ens, lmap, prob)
+    tab = MalliavinTableau(ens.W, ens.X, lmap, ens.grid.dt)
     a = second_x(tab.A, tab.B, ens.X, prob.sigma, 2, 40, 100, 180)
     b = second_x(tab.A, tab.B, ens.X, prob.sigma, 2, 100, 40, 180)
     assert a == b
@@ -148,7 +148,7 @@ def test_second_order_finite_difference_oracle():
     grid = TimeGrid(0.25, 500)
     ens = simulate_forward(prob, grid, 3, seed=123)
     lmap = LampertiMap(prob.sigma, prob.b, prob.box)
-    tab = MalliavinTableau(ens, lmap, prob)
+    tab = MalliavinTableau(ens.W, ens.X, lmap, ens.grid.dt)
     p, thi, tti, ssi = 0, 100, 250, 500
     eps = 1e-4
     base = ens.dW[p].copy()
@@ -170,7 +170,7 @@ def test_dx_bounds_under_h3():
     grid = TimeGrid(1.0, 100)
     ens = simulate_forward(prob, grid, 100, seed=21)
     lmap = LampertiMap(prob.sigma, prob.b, prob.box)
-    tab = MalliavinTableau(ens, lmap, prob)
+    tab = MalliavinTableau(ens.W, ens.X, lmap, ens.grid.dt)
     cap = 1.0 * np.exp(0.5 * 1.0)  # (max sigma) * exp(max|beta' sigma| T)
     for t_idx in (25, 50, 100):
         mat = np.column_stack([tab.first_x_all(th, t_idx) for th in range(t_idx + 1)])
@@ -183,7 +183,7 @@ def test_second_order_nonnegative_under_h6():
     grid = TimeGrid(0.25, 100)
     ens = simulate_forward(prob, grid, 20, seed=2)
     lmap = LampertiMap(prob.sigma, prob.b, prob.box)
-    tab = MalliavinTableau(ens, lmap, prob)
+    tab = MalliavinTableau(ens.W, ens.X, lmap, ens.grid.dt)
     eps = 10 * grid.dt
     rng = np.random.default_rng(0)
     for _ in range(60):
@@ -311,7 +311,7 @@ def test_tableau_integrals_in_path_blocks_match_whole_matrix():
     ens = simulate_forward(prob, grid, n_paths, seed=5)
     assert ens.n_paths % _ROW_BLOCK and ens.n_paths > _ROW_BLOCK
     lmap = LampertiMap(prob.sigma, prob.b, prob.box)
-    tab = MalliavinTableau(ens, lmap, prob)
+    tab = MalliavinTableau(ens.W, ens.X, lmap, ens.grid.dt)
     sigX, A, B = reference_tableau_integrals(lmap, ens.X, grid.dt)
     for t_idx in (3, grid.n_steps):
         expect = sigX[:, t_idx] * np.exp(A[:, t_idx] - A[:, 2])

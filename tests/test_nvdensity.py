@@ -4,7 +4,6 @@ import pytest
 from bsdedensity.coeffs import Driver, ProblemSpec, affine, constant, quadratic, trig_affine
 from bsdedensity.backward import (
     RegressionBasis,
-    ReplaySweep,
     make_phi_row,
     make_replay_sweep,
     solve_bsde,
@@ -85,8 +84,14 @@ def test_estimate_g_flat_phi_exact():
 
 
 def _solve(prob, ens, basis, t_indices):
-    ftab = MalliavinTableau(ens, LampertiMap(prob.sigma, prob.b, prob.box), prob)
+    lmap = LampertiMap(prob.sigma, prob.b, prob.box)
+    ftab = MalliavinTableau(ens.W, ens.X, lmap, ens.grid.dt)
     return solve_bsde(ens, prob, basis, forward_tab=ftab, t_indices=t_indices)
+
+
+def _replay_sweep(btab, t_max):
+    """The replay sweep of the main run's forward model, cut at ``t_max``."""
+    return make_replay_sweep(btab.problem, btab.ens.grid, btab.ftab.lmap, t_max)
 
 
 def _brownian_tableau(incs, grid, t_indices):
@@ -106,7 +111,7 @@ def test_estimate_g_pipeline_reduction():
     theta_w[0] = theta_w[-1] = 0.5 * grid.dt
     xg = np.linspace(-1.2, 1.2, 11)
     target = GTarget(incs[:, :t_idx].sum(axis=1), make_phi_row(btab, t_idx, "Y"), xg, theta_w)
-    (est,) = estimate_g([target], make_replay_sweep(btab, t_idx), 3000, 1,
+    (est,) = estimate_g([target], _replay_sweep(btab, t_idx), 3000, 1,
                         base_increments=incs, increment_scale=np.sqrt(grid.dt),
                         wprime_seed=11)
     ok = est.reliable
@@ -181,7 +186,7 @@ def test_frozen_sampler_reproduces_main_run_rows(frozen_case, component):
     m = 500
     phi = make_phi_row(btab, t_idx, component)
     ref = (btab.dy_matrix if component == "Y" else btab.dz_matrix)(t_idx)[:m]
-    got = phi(make_replay_sweep(btab, t_idx)(ens.dW[:m]))
+    got = phi(_replay_sweep(btab, t_idx)(ens.dW[:m]))
     assert got.shape == ref.shape
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -196,7 +201,7 @@ def test_frozen_sampler_is_row_wise(frozen_case, component):
                         * np.sqrt(FROZEN_GRID.dt), 0.7)
     rows = np.array([3, 17, 5, 400, 0, 499, 250])
     t_idx = FROZEN_GRID.index_of(0.5)
-    phi, sweep = make_phi_row(btab, t_idx, component), make_replay_sweep(btab, t_idx)
+    phi, sweep = make_phi_row(btab, t_idx, component), _replay_sweep(btab, t_idx)
     assert np.array_equal(phi(sweep(incs[rows])), phi(sweep(incs))[rows])
 
 
@@ -225,7 +230,7 @@ def test_shared_sweep_matches_single_target_reference(frozen_case):
     ens, sol = frozen_case
     n_outer, n_inner, n_nodes = 400, 2, 6
     pairs = _cli_targets(sol, n_outer)
-    sweep = make_replay_sweep(sol.tableau, max(FROZEN_ROWS))
+    sweep = _replay_sweep(sol.tableau, max(FROZEN_ROWS))
     states = []
 
     def counted(incs):
@@ -258,8 +263,8 @@ def test_replay_sweep_cut_at_t_max():
     grid = TimeGrid(1.0, 20)
     lmap = LampertiMap(prob.sigma, prob.b, prob.box)
     incs = _draw_increments(9, 300, 20, grid.dt)
-    full = ReplaySweep(prob, grid, lmap, incs, 20)
-    cut = ReplaySweep(prob, grid, lmap, incs, 12)
+    full = make_replay_sweep(prob, grid, lmap, 20)(incs)
+    cut = make_replay_sweep(prob, grid, lmap, 12)(incs)
     for name in ("W", "X", "A", "exp_neg_A", "B"):
         assert np.array_equal(getattr(cut, name), getattr(full, name)[:, :13])
     # a box barely wider than the paths' reach makes clamps happen late
@@ -267,7 +272,12 @@ def test_replay_sweep_cut_at_t_max():
                         affine(a=0, b=1), box=(-1.5, 1.5))
     tl = LampertiMap(tight.sigma, tight.b, tight.box)
     wide = 3.0 * incs
-    early, late = (ReplaySweep(tight, grid, tl, wide, t).n_clamped for t in (5, 20))
+    counts = []
+    for t in (5, 20):
+        sweep = make_replay_sweep(tight, grid, tl, t)
+        sweep(wide)
+        counts.append(sweep.n_clamped)
+    early, late = counts
     assert 0 < early < late
     assert late == ensemble_from_increments(tight, grid, wide, tl).n_flagged
 
