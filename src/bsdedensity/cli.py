@@ -157,13 +157,14 @@ class Experiment:
         return np.linspace(lo - pad, hi + pad, self.cfg["verify.z_grid_points"])
 
     def _component(self, name: str, t_idx: int) -> tuple[np.ndarray, RowStatistics]:
-        """(samples, statistics of the D_theta row, read in path blocks) at ``t_idx``."""
+        """(samples, statistics of the D_theta row, read in path blocks) at
+        ``t_idx``: the one place that picks each component's estimator."""
         if name == "Y":
             samples, row = self.sol.y_at(t_idx), self.btab.dy_matrix
         else:
-            # density work uses the Clark-Ocone representation of Z_t, the
-            # lower-noise of the two estimators; the sweep's Z stays available
-            # for cross-checks
+            # density, constants and g-target use the Clark-Ocone
+            # representation of Z_t, the lower-noise of the two estimators;
+            # the sweep's regression Z stays available for cross-checks
             samples, row = self.btab.z_clark_all(t_idx), self.btab.dz_matrix
         stats = RowStatistics(self.ens.n_paths, t_idx + 1)
         for rows in _row_blocks(self.ens.n_paths):
@@ -254,6 +255,9 @@ class Experiment:
                 comp["kde_bandwidth"] = est.bandwidth
                 entry[name] = comp
                 checks[name] = (est, env)
+                if cfg["gest.enabled"] and name.lower() in gest_targets:
+                    target = self._g_target(name, t, t_idx, samples)
+                    gest_jobs.append((t, t_idx, name, comp, target))
             # tableau summary rows over a fixed theta sub-grid
             theta_picks = sorted({0, t_idx // 4, t_idx // 2, (3 * t_idx) // 4, t_idx})
             for th, dx in zip(theta_picks, self.btab.ftab.first_x_all(theta_picks, t_idx)):
@@ -265,15 +269,6 @@ class Experiment:
                     summary_rows[f"{label}_mean"].append(float(col.mean()))
                     summary_rows[f"{label}_min"].append(float(col.min()))
                     summary_rows[f"{label}_max"].append(float(col.max()))
-            if cfg["gest.enabled"]:
-                for name in ("Y", "Z"):
-                    if name.lower() not in gest_targets:
-                        continue
-                    if entry[name]["status"] != "ok":
-                        continue
-                    gest_jobs.append(
-                        (t, t_idx, name, entry[name], self._g_target(name, t, t_idx))
-                    )
             meta["per_t"][key] = entry
         if gest_jobs:
             self._g_estimate(gest_jobs)
@@ -288,21 +283,19 @@ class Experiment:
     def _n_outer(self) -> int:
         return min(self.cfg["gest.n_outer"], self.ens.n_paths)
 
-    def _g_target(self, name: str, t: float, t_idx: int) -> GTarget:
-        """The g-estimator target of component ``name`` at step ``t_idx``."""
-        n_outer = self._n_outer()
+    def _g_target(self, name: str, t: float, t_idx: int, samples: np.ndarray) -> GTarget:
+        """The g-estimator target of component ``name`` at step ``t_idx``, on
+        the ``samples`` that :meth:`_component` picked for it."""
         try:
             phi = make_phi_row(self.btab, t_idx, name)
         except SolverError as exc:
             raise SolverError(f"g-estimate at eval time {t:g}: {exc}") from exc
-        values = self.sol.y_at(t_idx) if name == "Y" else self.sol.z_at(t_idx)
-        samples = values[:n_outer]
-        spread = float(samples.std())
+        outer = samples[: self._n_outer()]
+        spread = float(outer.std())
         x_grid = np.linspace(-2.0 * spread, 2.0 * spread, self.cfg["gest.n_x_grid"])
         theta_w = np.full(t_idx + 1, self.grid.dt)
         theta_w[0] = theta_w[-1] = 0.5 * self.grid.dt
-        return GTarget(samples, phi, x_grid, theta_w,
-                       mean_f=float(values.mean()))
+        return GTarget(outer, phi, x_grid, theta_w, mean_f=float(samples.mean()))
 
     def _g_estimate(self, jobs: list[tuple[float, int, str, dict, GTarget]]) -> None:
         """Estimate every target's g from one set of replay sweeps, cut at

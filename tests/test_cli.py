@@ -536,21 +536,21 @@ PINNED_SHA256 = {
         "density_Z_t0p75.csv":
             "65813696685b1471fc1830e7ba7c1d68b624d135c96cfb1464a1b3354deee915",
         "density_meta.json":
-            "53c904934ad4b2ff88f37adf570a520713bb617ed391388aafa04f9854e862f4",
+            "91d6e33b51fb78ca8ebefa93c3cc31fa39c332206cc21925590f8ad31d6bc641",
         "effective_config.txt":
             "d541b846f9cf11e68deb5964d436063d6f728ce9e89e87e1f9368e00bade622c",
         "gest_Z_t0p25.csv":
-            "ef567e7027e8fd29bf0c2de9ae7974f05fe6409757165f98baf5a4350fef2af9",
+            "860c5ab6f8ecfe73653556a96f3b304e686d0e557436a4f16b27e79f6318b3a0",
         "gest_Z_t0p5.csv":
-            "8c6f60b1e2592773ec8f1cf2f6cafce808d672b52ac17b22604efc8adde177a9",
+            "e88dd9934359b5f3fd1c1f65b4d37ebdf360ac77ff83bfd30fb4240685c898f3",
         "gest_Z_t0p75.csv":
-            "0c99019618756c7a41f79f7323d00250eaca9727aa9cb051193015890244e41b",
+            "5f60788fd723d3c53eb2307f140c07e4d92f5551d4aed7d346c86e121bd6b678",
         "hypothesis_report.json":
             "041fa0f2bfbb6c424d9fd6c8fc7a7ba03d822581f5946fe0c9c7a2f889bd4718",
         "positivity_report.json":
             "b9c08e4c48af86699bf43f96412c122c406b53fb959fd374c574c1cc3f7d5eb4",
         "run_metadata.json":
-            "1910b14dc4ee4b73ddc08e4033cdfa1fca342bd5f49b38c91d08f4ec73f0b342",
+            "e6f01b4a0b666ec7ba78741c3d83449d5475083b038a747e2ca15a123a04340e",
         "tableaux_summary.csv":
             "54070a8ab0a218b46f6da48f95e89180341d47e891c1442a0c73e1485995d774",
     },
@@ -614,6 +614,24 @@ def test_artifact_bytes_pinned(tmp_path):
         if digests != PINNED_SHA256.get(label):
             changed[label] = digests
     assert not changed, f"artifact bytes moved; new digests: {changed}"
+
+
+def test_z_g_target_is_clark_ocone(tmp_path, monkeypatch):
+    """The Z g-target conditions on the Clark-Ocone Z that the density, the
+    constants and the band check use: its samples are the first n_outer
+    paths of ``btab.z_clark_all(t_idx)`` and its mean_f their whole mean."""
+    text = PINNED_CONFIGS["z-convex"][0] + _TINY
+    cfg = parse_config(_write(tmp_path, text))
+    exp = Experiment(cfg, out_dir=str(tmp_path / "o"), seed=20240801)
+    jobs = []
+    monkeypatch.setattr(Experiment, "_g_estimate", lambda self, js: jobs.extend(js))
+    exp.run("density")
+    z_jobs = [(t_idx, target) for _, t_idx, name, _, target in jobs if name == "Z"]
+    assert len(z_jobs) == len(cfg["eval.times"])
+    for t_idx, target in z_jobs:
+        z = exp.btab.z_clark_all(t_idx)
+        assert np.array_equal(target.samples, z[: cfg["gest.n_outer"]])
+        assert target.mean_f == float(z.mean())
 
 
 def test_density_row_statistics_peak_below_one_row(tmp_path):

@@ -213,7 +213,7 @@ def _cli_targets(sol, n_outer):
     for t_idx in FROZEN_ROWS:
         theta_w = np.full(t_idx + 1, dt)
         theta_w[0] = theta_w[-1] = 0.5 * dt
-        for comp, values in (("Y", sol.y_at(t_idx)), ("Z", sol.z_at(t_idx))):
+        for comp, values in (("Y", sol.y_at(t_idx)), ("Z", btab.z_clark_all(t_idx))):
             samples = values[:n_outer]
             spread = float(samples.std())
             target = GTarget(samples, make_phi_row(btab, t_idx, comp),
