@@ -483,6 +483,12 @@ PINNED_CONFIGS = {
     "z-convex": ("model.phi = quadratic(c=0.5)\ngest.targets = y, z\n", "verify"),
     "nonlinear-xt-gest-yz": (_NONLINEAR_XT + "gest.targets = y, z\n", "verify"),
     "nonlinear-xt-simulate": (_NONLINEAR_XT + "gest.enabled = false\n", "simulate"),
+    # the Girsanov path of a driver with a linear z-term
+    "nonlinear-xt-alpha": (_NONLINEAR_XT + "model.alpha = 0.3\ngest.targets = y, z\n",
+                           "verify"),
+    # exits 1 at this size (density_Z_t0.5 fails); its bytes are still fixed
+    "z-convex-alpha": ("model.phi = quadratic(c=0.5)\nmodel.alpha = 0.3\n"
+                       "gest.targets = y, z\n", "verify"),
 }
 # sha256 of each artifact, generated by this test's runs
 PINNED_SHA256 = {
@@ -585,6 +591,56 @@ PINNED_SHA256 = {
             "5e874e2a9c8903edaa2c6f3a83048bcf5b5e4cd9db520d182a39e921d2dc89fb",
         "hypothesis_report.json":
             "62e38b84873c53675173d1672ae067765b68b469a378b4702d520eebc2820acb",
+    },
+    "nonlinear-xt-alpha": {
+        "density_Y_t0p25.csv":
+            "0ed4077812012c89809d978f1cebf4550d96eb1074a2a6aa43484bdc9113705a",
+        "density_Y_t0p5.csv":
+            "41814fe2d837b94b49453724cea372d8e75e4a293e18660b12bdac7ec859f2a9",
+        "density_Y_t0p75.csv":
+            "183e52291f4029a2fb96337d1ec204dd17bf805d5c0285997c75e98260144ad9",
+        "density_meta.json":
+            "4e0400735aa5ca3d958bb3386efa06e20aa673ce82de3eee31d1ec78872ca2c8",
+        "effective_config.txt":
+            "7456885884e59826199633cf399902ea45ed778f4f8eccc9c8976f456997c69c",
+        "gest_Y_t0p25.csv":
+            "6219c8f3bdc4c0d1ae2ef6d77041b1a6b1ba3cce9c1e50d188f93edda1de7c4d",
+        "gest_Y_t0p5.csv":
+            "b2ab971ef5aa4fde64d918d71854463725c80e7ab5ab0935ef7dc7a66089d8b1",
+        "gest_Y_t0p75.csv":
+            "f0c946b9541aa9a12119b43213f061a981e076a0c707cfe6f6a3f8a7c33816b0",
+        "hypothesis_report.json":
+            "62e38b84873c53675173d1672ae067765b68b469a378b4702d520eebc2820acb",
+        "run_metadata.json":
+            "6d683dbdb74b46644052984997073f8c6d4b5ffb511275ad20ae150546fc6186",
+        "tableaux_summary.csv":
+            "b93529b138a6743f37c71c7eb921ab1ab403a04e3d809f30e15634df389b4ebb",
+    },
+    "z-convex-alpha": {
+        "density_Z_t0p25.csv":
+            "22a584826c4f1e7e0bd3f7bbb7512eea3cba0b9ba93b4457eeae05a40ec97590",
+        "density_Z_t0p5.csv":
+            "63ae124493e3fc176940ebf909fcaf72ef40a937df9a609b6895b8f7a75d0f6b",
+        "density_Z_t0p75.csv":
+            "117db47e8d2a9ca06324365cacbf7a464fd5910001174d39755c598e2e28ba28",
+        "density_meta.json":
+            "806be7891a9916610b9672f1087ae5304ac8f75fa934a8a92bc04c35a9542f4e",
+        "effective_config.txt":
+            "cd5b41b07fab1fc326b14f512b8039fd4cc3b53c77b19ce4b55ff18f7da266a2",
+        "gest_Z_t0p25.csv":
+            "58cbcff3fb9fc8ac52a0c612faf4abf34c3e44f65c6c038c84b698668970e521",
+        "gest_Z_t0p5.csv":
+            "9dec9befc0e7d7330a5c16e63eab32c9e2ef5031294c76952cd85b545f3a2863",
+        "gest_Z_t0p75.csv":
+            "60a4958f442e7f13854c5675794ac891dbe4eee0918e6add1b4a191e0b0d6776",
+        "hypothesis_report.json":
+            "041fa0f2bfbb6c424d9fd6c8fc7a7ba03d822581f5946fe0c9c7a2f889bd4718",
+        "positivity_report.json":
+            "20cd0d1578f20d19a4a08aa039a78d14515054b0455026900c4c2ca36d9aa0a1",
+        "run_metadata.json":
+            "c6b38130e8835a6a04cb410e66a0a8b5d00ba9b3d3b39b2225b53243cd3a4264",
+        "tableaux_summary.csv":
+            "ac9413a9eddd026c384f0472f127ebd3d133b318fb62d14916db145ba253d932",
     },
 }
 
