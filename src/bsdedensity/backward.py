@@ -9,7 +9,7 @@ measure change: with constant f_z = alpha the shifted process
 W~_t = W_t - alpha t is a Brownian motion under an equivalent measure, and
 conditional expectations under that measure are computed by regressing
 payoffs multiplied by the explicit one-step density factors
-exp(alpha dW - alpha^2 dt / 2).
+exp(alpha dW_i - alpha^2 dt / 2), each built from its own increment column.
 
 The derivative representations implemented here are conditional expectations
 of path functionals built from the forward tableau:
@@ -43,7 +43,6 @@ from .lamperti import LampertiMap
 
 __all__ = [
     "RegressionBasis",
-    "DriftShift",
     "BackwardSolution",
     "BackwardTableau",
     "girsanov_reduce",
@@ -204,54 +203,27 @@ class _StepDesign:
         return out
 
 
-@dataclass(frozen=True)
-class DriftShift:
-    """Descriptor of the Girsanov drift shift W~ = W - alpha t.
-
-    For alpha = 0 every method degenerates to the identity/no-op.
-    """
-
-    alpha: float
-
-    @property
-    def is_identity(self) -> bool:
-        return self.alpha == 0.0
-
-    def shifted_increments(self, ens: PathEnsemble) -> np.ndarray:
-        """dW~_i = dW_i - alpha dt."""
-        if self.is_identity:
-            return ens.dW
-        return ens.dW - self.alpha * ens.grid.dt
-
-    def step_weights(self, ens: PathEnsemble) -> np.ndarray | None:
-        """One-step density factors exp(alpha dW - alpha^2 dt / 2)."""
-        if self.is_identity:
-            return None
-        return np.exp(self.alpha * ens.dW - 0.5 * self.alpha**2 * ens.grid.dt)
-
-    def weight_to_horizon(self, ens: PathEnsemble, t_idx: int) -> np.ndarray | None:
-        """Density factor over [t, T]: exp(alpha (W_T - W_t) - alpha^2 (T-t)/2)."""
-        if self.is_identity:
-            return None
-        n = ens.grid.n_steps
-        tau = (n - t_idx) * ens.grid.dt
-        return np.exp(
-            self.alpha * (ens.W[:, n] - ens.W[:, t_idx]) - 0.5 * self.alpha**2 * tau
-        )
-
-
-def girsanov_reduce(problem: ProblemSpec) -> tuple[ProblemSpec, DriftShift]:
+def girsanov_reduce(problem: ProblemSpec) -> tuple[ProblemSpec, float]:
     """Remove the linear z-term from the driver via a constant drift shift.
 
-    Returns the problem with alpha = 0 together with the shift descriptor;
-    downstream conditional expectations apply the descriptor's density
-    factors.  For alpha = 0 the reduction is the identity.
+    Returns the problem with alpha = 0 together with alpha; downstream
+    conditional expectations apply the density factors of
+    :func:`_girsanov_weight`.  For alpha = 0 the reduction is the identity
+    (the same problem object).
     """
     alpha = problem.driver.alpha
     if alpha == 0.0:
-        return problem, DriftShift(0.0)
-    reduced = replace(problem, driver=replace(problem.driver, alpha=0.0))
-    return reduced, DriftShift(alpha)
+        return problem, 0.0
+    return replace(problem, driver=replace(problem.driver, alpha=0.0)), alpha
+
+
+def _girsanov_weight(alpha: float, dw: np.ndarray, tau: float) -> np.ndarray | None:
+    """Density factor exp(alpha dw - alpha^2 tau / 2) of the drift shift
+    W~ = W - alpha t over a time span tau in which W moves by dw: one step
+    (tau = dt) or [t, T].  None, meaning unweighted, for alpha = 0."""
+    if alpha == 0.0:
+        return None
+    return np.exp(alpha * dw - 0.5 * alpha**2 * tau)
 
 
 def _declared_entry(kept: dict, t_idx: int, what: str):
@@ -269,7 +241,6 @@ class BackwardSolution:
 
     problem: ProblemSpec
     reduced: ProblemSpec
-    shift: DriftShift
     basis: RegressionBasis
     ridge_used: float
     kept: dict[int, tuple[np.ndarray, np.ndarray]]
@@ -285,17 +256,31 @@ class BackwardSolution:
         return _declared_entry(self.kept, t_idx, "solution")[1]
 
 
-def terminal_values(problem: ProblemSpec, ens: PathEnsemble) -> np.ndarray:
-    arg = ens.W[:, -1] if problem.terminal == "phi-of-wt" else ens.X[:, -1]
-    return eval_derivative(problem.phi, 0, arg)
+def _terminal(problem: ProblemSpec, w_T: np.ndarray, x_T: Points,
+              forward_tab: MalliavinTableau | None):
+    """(xi, Z_T, tableau data) on one point set of the terminal argument.
 
-
-def _terminal_z(problem: ProblemSpec, ens: PathEnsemble) -> np.ndarray:
-    """D_T xi: phi'(W_T), or phi'(X_T) sigma(X_T) via D_T X_T = sigma(X_T)."""
-    if problem.terminal == "phi-of-wt":
-        return eval_derivative(problem.phi, 1, ens.W[:, -1])
-    xT = Points(ens.X[:, -1])
-    return eval_derivative(problem.phi, 1, xT) * eval_derivative(problem.sigma, 0, xT)
+    Z_T = D_T xi is phi'(W_T), or phi'(X_T) sigma(X_T) via D_T X_T =
+    sigma(X_T).  Given the forward tableau, the tableau data are the
+    undiscounted D_theta xi as the (free, exp(-A_theta)) pair and D2 xi as
+    the (a, bc, d, e) quadruple; otherwise None.
+    """
+    wt = problem.terminal == "phi-of-wt"
+    arg = Points(w_T) if wt else x_T
+    xi, phi1 = eval_derivative(problem.phi, 0, arg), eval_derivative(problem.phi, 1, arg)
+    sig = None if wt else eval_derivative(problem.sigma, 0, arg)
+    z_T = phi1 if wt else phi1 * sig
+    if forward_tab is None:
+        return xi, z_T, None
+    zero = np.zeros(len(xi))
+    phi2 = eval_derivative(problem.phi, 2, arg)
+    if wt:
+        return xi, z_T, ((z_T, zero), np.stack([phi2, zero, zero, zero]))
+    eA = np.exp(forward_tab.A[:, -1])
+    sA = sig * eA
+    sig1 = eval_derivative(problem.sigma, 1, arg)
+    d = phi2 * sA**2 + phi1 * sig1 * sig * eA**2 + phi1 * sA * forward_tab.B[:, -1]
+    return xi, z_T, ((zero, z_T * eA), np.stack([zero, zero, d, phi1 * sA]))
 
 
 def solve_bsde(
@@ -322,11 +307,13 @@ def solve_bsde(
     (weighted) terminal payoff.
 
     The sweep carries Y_{i+1} as one vector and keeps the Y and Z columns at
-    ``t_indices`` only.  Given ``forward_tab``, it also builds the Y/Z tableau
-    (returned as ``tableau``) with rows at the same indices: once Y_i is
-    known, step i advances it on the same design, down to the smallest index.
+    ``t_indices`` only.  Given ``forward_tab``, which must hold the
+    ensemble's own W and X arrays (SolverError otherwise), it also builds the
+    Y/Z tableau (returned as ``tableau``) with rows at the same indices: once
+    Y_i is known, step i advances it on the same design, down to the smallest
+    index.
     """
-    reduced, shift = girsanov_reduce(problem)
+    reduced, alpha = girsanov_reduce(problem)
     grid = ens.grid
     n = grid.n_steps
     dt = grid.dt
@@ -337,30 +324,35 @@ def solve_bsde(
     if not declared <= set(range(n + 1)) or not declared and forward_tab is not None:
         raise OrderingError(f"declared t indices {sorted(declared)} must be a subset "
                             f"of 0..{n}, non-empty for a tableau")
+    if forward_tab is not None and (forward_tab.W is not ens.W or forward_tab.X is not ens.X):
+        raise SolverError("forward_tab must be built on this ensemble's own W and X")
 
-    y_next = terminal_values(reduced, ens)
-    z_T = _terminal_z(reduced, ens)
+    # one point set per step: X_i serves the terminal data, the Picard loop
+    # and the tableau step alike
+    x = Points(ens.X[:, n])
+    y_next, z_T, terminal = _terminal(reduced, ens.W[:, n], x, forward_tab)
     _require_finite(y_next, "terminal value Y_T", n)
     _require_finite(z_T, "terminal value Z_T", n)
     kept = {n: (y_next, z_T)} if n in declared else {}
     tab = None
     if forward_tab is not None:
-        tab = BackwardTableau(ens, reduced, shift, basis, forward_tab, declared)
-        tab.step(n, None, y_next)
+        tab = BackwardTableau(problem, basis, forward_tab, declared, terminal)
+        tab.step(n, None, x, y_next)
 
-    lam = shift.step_weights(ens)
-    dW_tilde = shift.shifted_increments(ens)
     need_w = basis.kind == "polynomial-in-xw"
     records: list[dict | None] = [None] * n
 
     for i in range(n - 1, -1, -1):
+        x = Points(ens.X[:, i])
         design = _StepDesign(
             basis, ens.X[:, i], ens.W[:, i] if need_w else None, ridge, i
         )
-        w_i = lam[:, i] if lam is not None else None
+        # the step's Girsanov weight and shifted increment dW~_i = dW_i - alpha dt
+        w_i = _girsanov_weight(alpha, ens.dW[:, i], dt)
+        dW_tilde = ens.dW[:, i] - alpha * dt
         ty = y_next if w_i is None else w_i * y_next
         cfit, coef_y = design.fit(ty)
-        tz = (y_next - cfit) * dW_tilde[:, i] / dt
+        tz = (y_next - cfit) * dW_tilde / dt
         if w_i is not None:
             tz = w_i * tz
         zfit, coef_z = design.fit(tz)
@@ -369,7 +361,7 @@ def solve_bsde(
             # conditionally; the in-sample zfit would feed its own increment
             # noise back into Y and bias the variance of (Y, Z)
             zcv = design.fit_cross(tz)
-            ty2 = y_next - zcv * dW_tilde[:, i]
+            ty2 = y_next - zcv * dW_tilde
             if w_i is not None:
                 ty2 = w_i * ty2
             cfit, coef_y = design.fit(ty2)
@@ -378,7 +370,7 @@ def solve_bsde(
             iters = 0
         else:
             y = cfit
-            f_i = driver.f_given_x(ens.X[:, i])
+            f_i = driver.f_given_x(x)
             for iters in range(1, _MAX_PICARD + 1):
                 y_new = cfit + f_i(y) * dt
                 delta = float(np.max(np.abs(y_new - y)))
@@ -397,13 +389,12 @@ def solve_bsde(
             **design.meta,
         }
         if tab is not None and i >= tab.lowest:
-            tab.step(i, design, y)
+            tab.step(i, design, x, y)
         y_next = y
 
     return BackwardSolution(
         problem=problem,
         reduced=reduced,
-        shift=shift,
         basis=basis,
         ridge_used=ridge,
         kept=kept,
@@ -464,24 +455,27 @@ class BackwardTableau:
     ``t_indices`` are kept; a row yields the entries for every theta <= t at
     once because each target is affine in exp(-A_theta).  An undeclared
     index raises OrderingError, a non-finite kept row SolverError.
+
+    W, X, A, B, n and dt come from ``forward_tab`` alone.  A linear
+    z-term alpha of ``problem``'s driver enters only through the Girsanov
+    weights over [t, T] (the driver partials do not see it), and
+    ``terminal`` is the (D_theta xi, D2 xi) data of :func:`_terminal`.
     """
 
     def __init__(
         self,
-        ens: PathEnsemble,
         problem: ProblemSpec,
-        shift: DriftShift,
         basis: RegressionBasis,
         forward_tab: MalliavinTableau,
         t_indices: set[int],
+        terminal: tuple[tuple[np.ndarray, np.ndarray], np.ndarray],
     ):
-        self.ens = ens
         self.ftab = ftab = forward_tab
         self.problem = problem
-        self.shift = shift
+        self.alpha = problem.driver.alpha
         self.basis = basis
-        self.n = n = ens.grid.n_steps
-        self.dt = ens.grid.dt
+        self.n = ftab.n
+        self.dt = ftab.dt
         self._declared = t_indices  # a non-empty subset of 0..n (solve_bsde checks)
         self.lowest = min(t_indices)
         self._rows: dict[int, _Row] = {}
@@ -490,54 +484,35 @@ class BackwardTableau:
         self._has_fx = drv.f_of_x is not None or drv.cross_x is not None
         self._active = not drv.is_zero  # a zero driver keeps every tail zero
 
-        # terminal data, undiscounted: D_T xi as the (free, exp(-A_theta))
-        # pair, D2 xi as the (a, bc, d, e) quadruple
-        N = ens.n_paths
-        zero = np.zeros(N)
-        if problem.terminal == "phi-of-wt":
-            wT = ens.W[:, n]
-            dxi = (eval_derivative(problem.phi, 1, wT), zero)
-            d2xi = np.stack([eval_derivative(problem.phi, 2, wT), zero, zero, zero])
-        else:
-            xT = Points(ens.X[:, n])
-            phi1 = eval_derivative(problem.phi, 1, xT)
-            sig, eA = eval_derivative(problem.sigma, 0, xT), np.exp(ftab.A[:, n])
-            sA = sig * eA
-            sig1 = eval_derivative(problem.sigma, 1, xT)
-            dxi = (zero, phi1 * sig * eA)
-            d2xi = np.stack([
-                zero,
-                zero,
-                eval_derivative(problem.phi, 2, xT) * sA**2
-                + phi1 * sig1 * sig * eA**2 + phi1 * sA * ftab.B[:, n],
-                phi1 * sA,
-            ])
         # running state between two steps, O(n_paths) each; _above holds
         # (f_y, h, h + f_y F, Clark-Ocone integrand) of step s + 1
-        self._dxi, self._d2xi, self._above = dxi, d2xi, None
+        (self._dxi, self._d2xi), self._above = terminal, None
+        N = len(ftab.X)
         self._d2y_tail = np.zeros((4, N))  # discounted tail of h
         self._dz_tail = np.zeros((4, N))   # plain tail of h + f_y F
         self._z_tail = np.zeros((2, N))    # plain tail of (f_y G1, f_x se + f_y G2)
         self._discount = 1.0               # exp(int_s^T f_y)
 
-    def step(self, s: int, design: _StepDesign | None, y: np.ndarray) -> None:
-        """Advance the pass from s + 1 to s, given Y_s and the solver's design
-        at s (None at s = n, where nothing is fitted)."""
+    def step(self, s: int, design: _StepDesign | None, x: Points, y: np.ndarray) -> None:
+        """Advance the pass from s + 1 to s, given the solver's point set of
+        X_s, Y_s and its design at s (None at s = n, where nothing is fitted)."""
         keep = s in self._declared
         if not (keep or self._active):
             return
         drv, ftab, A = self.problem.driver, self.ftab, self.ftab.A
         has_fy, has_fx = self._has_fy, self._has_fx
         wt = self.problem.terminal == "phi-of-wt"
-        N = self.ens.n_paths
+        N = len(ftab.X)
         half = 0.5 * self.dt
         zero = np.zeros(N)
         # the driver partials, sigma and sigma' share each transcendental of X_s, Y_s
-        x, y = Points(self.ens.X[:, s]), Points(y)
+        y = Points(y)
         fitted = keep or has_fy
         carry = self._active and s < self.n
-        lam = (self.shift.weight_to_horizon(self.ens, s)
-               if fitted and design is not None else None)
+        lam = None
+        if fitted and design is not None:  # the Girsanov weight over [s, T]
+            lam = _girsanov_weight(self.alpha, ftab.W[:, self.n] - ftab.W[:, s],
+                                   (self.n - s) * self.dt)
 
         fy = drv.fy(x, y) if has_fy else None
         h = np.zeros((4, N))

@@ -22,7 +22,7 @@ from bsdedensity.coeffs import (
     lie_bracket,
 )
 from bsdedensity.errors import CoefficientError, GlobalDomainError, OrderingError
-from bsdedensity.forward import PathEnsemble, _cumtrapz, _euler_lamperti
+from bsdedensity.forward import PathEnsemble, TimeGrid, _cumtrapz, _euler_lamperti
 from bsdedensity.lamperti import _ROOT_TOLERANCE, LampertiMap
 from bsdedensity.nvdensity import mehler_shift, silverman_bandwidth
 
@@ -295,7 +295,7 @@ def reference_phi_sampler(btab, t_idx, component):
     increment matrix: a full-horizon forward sweep, the main run's frozen
     fits at the new time-t states and whole-matrix A and B.  ``n_clamped``
     sums the clamp events of all calls."""
-    grid, lmap, problem = btab.ens.grid, btab.ftab.lmap, btab.problem
+    grid, lmap, problem = TimeGrid(btab.problem.T, btab.n), btab.ftab.lmap, btab.problem
     row = btab._row(t_idx)
     coeffs = row.dy_coeffs if component == "Y" else row.dz_coeffs
 

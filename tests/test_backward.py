@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -130,18 +131,20 @@ def test_quadratic_terminal_second_order(ens, lmap):
 
 def test_girsanov_reduction(ens):
     prob = _problem(affine(a=0, b=1), driver=Driver(alpha=0.3))
-    reduced, shift = girsanov_reduce(prob)
+    reduced, alpha = girsanov_reduce(prob)
     assert reduced.driver.alpha == 0.0
-    assert not shift.is_identity
-    # telescoping bookkeeping
-    delta = shift.shifted_increments(ens) - ens.dW
-    assert np.allclose(delta.sum(axis=1), -0.3 * 1.0, atol=1e-12)
+    assert alpha == 0.3
+    # telescoping bookkeeping: the one-step weights multiply to the weight over [0, T]
+    steps = [backward._girsanov_weight(alpha, ens.dW[:, i], GRID.dt)
+             for i in range(GRID.n_steps)]
+    horizon = backward._girsanov_weight(alpha, ens.W[:, -1] - ens.W[:, 0], 1.0)
+    assert np.allclose(np.prod(steps, axis=0), horizon, rtol=1e-10, atol=0)
     # identity reduction at alpha = 0
     prob0 = _problem(affine(a=0, b=1))
-    red0, shift0 = girsanov_reduce(prob0)
+    red0, alpha0 = girsanov_reduce(prob0)
     assert red0 is prob0
-    assert shift0.is_identity
-    assert shift0.step_weights(ens) is None
+    assert alpha0 == 0.0
+    assert backward._girsanov_weight(alpha0, ens.dW[:, 0], GRID.dt) is None
 
 
 def test_girsanov_solution(ens):
@@ -151,6 +154,43 @@ def test_girsanov_solution(ens):
     oracle = ens.W[:, j] + 0.3 * 0.5
     assert np.sqrt(((sol.y_at(j) - oracle) ** 2).mean()) < 0.01
     assert abs(sol.y_at(0)[0] - 0.3) < 0.005
+
+
+def test_girsanov_weights_add_no_path_matrix(lmap):
+    """A linear z-term costs one weight column per step, no path matrix: the
+    traced peak of solve_bsde at alpha = 0.3 stays within a quarter of a dW
+    matrix of the peak at alpha = 0, with and without a forward tableau."""
+    grid = TimeGrid(1.0, 40)
+    base = _problem(quadratic(c=0.5), driver=Driver(f_of_y=trig_affine(c=0.2)))
+    ens = simulate_forward(base, grid, 4000, seed=5)
+
+    def peak(alpha, with_tableau):
+        prob = replace(base, driver=replace(base.driver, alpha=alpha))
+        ftab = MalliavinTableau(ens.W, ens.X, lmap, grid.dt) if with_tableau else None
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            solve_bsde(ens, prob, BASIS, forward_tab=ftab, t_indices=[10, 20, 30])
+            _, top = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return top - before
+
+    for with_tableau in (False, True):
+        gap = (peak(0.3, with_tableau) - peak(0.0, with_tableau)) / ens.dW.nbytes
+        assert gap < 0.25, (with_tableau, gap)
+
+
+def test_forward_tableau_of_another_ensemble_is_refused(ens, lmap):
+    """solve_bsde reads the paths of ``ens`` and the tableau reads those of
+    ``forward_tab``: a tableau built on other W or X arrays is refused, even
+    when they hold equal values."""
+    prob = _problem(affine(a=0, b=1))
+    other = simulate_forward(prob, GRID, 500, seed=8)
+    for W, X in ((other.W, other.X), (ens.W, ens.X.copy()), (ens.W.copy(), ens.X)):
+        ftab = MalliavinTableau(W, X, lmap, GRID.dt)
+        with pytest.raises(SolverError, match="this ensemble's own W and X"):
+            solve_bsde(ens, prob, BASIS, forward_tab=ftab, t_indices=[100])
 
 
 def test_clark_ocone_sin_terminal(ens, lmap):
@@ -515,17 +555,18 @@ def test_terminal_phi_of_xt(lmap):
 
 def _fit_at(sol, t, target):
     tab = sol.tableau
-    lam = tab.shift.weight_to_horizon(tab.ens, t)
+    W = tab.ftab.W
+    lam = backward._girsanov_weight(tab.alpha, W[:, tab.n] - W[:, t], (tab.n - t) * tab.dt)
     if lam is not None:
         target = target * lam
-    w = tab.ens.W[:, t] if tab.basis.kind == "polynomial-in-xw" else None
-    design = _StepDesign(tab.basis, tab.ens.X[:, t], w, sol.ridge_used, t)
+    w = W[:, t] if tab.basis.kind == "polynomial-in-xw" else None
+    design = _StepDesign(tab.basis, tab.ftab.X[:, t], w, sol.ridge_used, t)
     fitted, _ = design.fit(target)
     return fitted
 
 
 def _phi_T(tab, order):
-    arg = tab.ens.W[:, -1] if tab.problem.terminal == "phi-of-wt" else tab.ens.X[:, -1]
+    arg = tab.ftab.W[:, -1] if tab.problem.terminal == "phi-of-wt" else tab.ftab.X[:, -1]
     return eval_derivative(tab.problem.phi, order, arg)
 
 
@@ -533,7 +574,7 @@ def _int_fy(sol):
     """Cumulative trapezoid E_s = int_0^s f_y per path."""
     tab = sol.tableau
     Y = _matrix(sol.y_at, range(tab.n + 1))
-    return _cumtrapz(tab.problem.driver.fy(tab.ens.X, Y), tab.dt)
+    return _cumtrapz(tab.problem.driver.fy(tab.ftab.X, Y), tab.dt)
 
 
 def _direct_dy(sol, theta, t):
@@ -544,11 +585,11 @@ def _direct_dy(sol, theta, t):
     expectation; the assembly here uses explicit trapezoids instead of
     cumulative differences, so it cross-checks the factorization algebra."""
     tab = sol.tableau
-    ens, ftab = tab.ens, tab.ftab
+    ftab = tab.ftab
     n, dt = tab.n, tab.dt
     E = _int_fy(sol)
-    fx = tab.problem.driver.fx(ens.X, _matrix(sol.y_at, range(n + 1)))
-    sigX = eval_derivative(tab.problem.sigma, 0, ens.X)
+    fx = tab.problem.driver.fx(ftab.X, _matrix(sol.y_at, range(n + 1)))
+    sigX = eval_derivative(tab.problem.sigma, 0, ftab.X)
     dx_free = sigX * np.exp(ftab.A)  # DX(theta, s) = dx_free * e^{-A_theta}
     integrand = np.exp(E - E[:, t][:, None]) * fx * dx_free
     w = np.full(n + 1 - t, dt)
@@ -558,7 +599,7 @@ def _direct_dy(sol, theta, t):
     if tab.problem.terminal == "phi-of-wt":
         part1 = np.exp(E[:, n] - E[:, t]) * phi1
     else:
-        part1 = np.zeros(ens.n_paths)
+        part1 = np.zeros(len(ftab.X))
         part2 = part2 + np.exp(E[:, n] - E[:, t]) * phi1 * dx_free[:, n]
     return _fit_at(sol, t, part1) + np.exp(-ftab.A[:, theta]) * _fit_at(sol, t, part2)
 
@@ -570,11 +611,11 @@ def _direct_d2y(sol, theta, t, s):
     out of each regression pathwise; the theta/t-free targets are assembled
     by explicit trapezoids."""
     tab = sol.tableau
-    ens, ftab = tab.ens, tab.ftab
+    ftab = tab.ftab
     n, dt = tab.n, tab.dt
-    X, Y = ens.X, _matrix(sol.y_at, range(n + 1))
+    X, Y = ftab.X, _matrix(sol.y_at, range(n + 1))
     drv = tab.problem.driver
-    N = ens.n_paths
+    N = len(X)
     E = _int_fy(sol)
     A, B = ftab.A, ftab.B
     ea_th = np.exp(-A[:, theta])
@@ -680,7 +721,7 @@ def test_dz_factorization_matches_direct_assembly():
         tab = sol.tableau
         ftab = tab.ftab
         n, dt = tab.n, tab.dt
-        X, Y = tab.ens.X, _matrix(sol.y_at, range(n + 1))
+        X, Y = ftab.X, _matrix(sol.y_at, range(n + 1))
         drv = tab.problem.driver
         A, B = ftab.A, ftab.B
         fy = drv.fy(X, Y)

@@ -91,7 +91,8 @@ def _solve(prob, ens, basis, t_indices):
 
 def _replay_sweep(btab, t_max):
     """The replay sweep of the main run's forward model, cut at ``t_max``."""
-    return make_replay_sweep(btab.problem, btab.ens.grid, btab.ftab.lmap, t_max)
+    return make_replay_sweep(btab.problem, TimeGrid(btab.problem.T, btab.n), btab.ftab.lmap,
+                             t_max)
 
 
 def _brownian_tableau(incs, grid, t_indices):
