@@ -381,6 +381,7 @@ def test_constant_drift_integrals_are_zero_views():
     got = phi(sweep)
     assert sweep.A.strides == sweep.B.strides == (0, 0)
     sweep.A, sweep._B = np.zeros(sweep.X.shape), np.zeros(sweep.X.shape)
+    sweep._exp_neg_A = None  # the first call cached exp(-A) of the zero view
     assert np.array_equal(phi(sweep), got)
     ou = LampertiMap(constant(1), affine(b=-0.5), prob.box)
     A = log_derivative_integral(ou, ens.X, grid.dt)
