@@ -276,9 +276,16 @@ class PositivityCounts:
         if not np.isfinite(flat).all():
             raise DomainError("non-finite derivative sample")
         nonpos = flat <= 0.0
-        witnesses = np.nonzero(nonpos)[0][:_N_WITNESSES]
-        return cls(int(flat.size), int(nonpos.sum()), float(flat.min(initial=np.inf)),
-                   tuple(int(i) for i in witnesses))
+        n_nonpositive = int(nonpos.sum())
+        # argmax stops at the next non-positive sample, so the witnesses cost
+        # at most one pass and no index array of the whole block
+        witnesses, lo = [], 0
+        for _ in range(min(n_nonpositive, _N_WITNESSES)):
+            lo += int(np.argmax(nonpos[lo:]))
+            witnesses.append(lo)
+            lo += 1
+        return cls(int(flat.size), n_nonpositive, float(flat.min(initial=np.inf)),
+                   tuple(witnesses))
 
     def __add__(self, other: PositivityCounts) -> PositivityCounts:
         shifted = tuple(self.n_samples + i for i in other.witness_indices)

@@ -181,6 +181,37 @@ def test_positivity_counts_pool_rows_in_order():
     assert rep.verdict == "fail"
 
 
+@pytest.mark.parametrize("case", ["all-non-positive", "sparse", "late-dense", "none", "empty"])
+def test_positivity_witnesses_are_the_first_twenty(case):
+    rng = np.random.default_rng(5)
+    samples = {
+        "all-non-positive": -rng.random((40, 30)),
+        "sparse": np.where(rng.random((40, 30)) < 0.01, -1.0, 1.0),
+        "late-dense": np.concatenate([np.ones(1000), -np.ones(500)]),
+        "none": 1.0 + rng.random(1200),
+        "empty": np.empty((0, 3)),
+    }[case]
+    nonpos = samples.ravel() <= 0.0
+    counts = PositivityCounts.of(samples)
+    assert counts.witness_indices == tuple(int(i) for i in np.nonzero(nonpos)[0][:20])
+    assert counts.n_nonpositive == int(nonpos.sum())
+
+
+def test_positivity_witnesses_need_no_block_sized_index_array():
+    # an index array over a block of non-positive samples is as large as the
+    # block; the counts allocate only boolean masks of it
+    samples = -np.ones(10**6)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        counts = PositivityCounts.of(samples)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert counts.witness_indices == tuple(range(20))
+    assert peak - before < 0.5 * samples.nbytes
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_positivity_report_refuses_non_finite(bad):
     with pytest.raises(DomainError, match="non-finite"):
