@@ -472,7 +472,6 @@ class BackwardTableau:
     ):
         self.ftab = ftab = forward_tab
         self.problem = problem
-        self.alpha = problem.driver.alpha
         self.basis = basis
         self.n = ftab.n
         self.dt = ftab.dt
@@ -511,7 +510,7 @@ class BackwardTableau:
         carry = self._active and s < self.n
         lam = None
         if fitted and design is not None:  # the Girsanov weight over [s, T]
-            lam = _girsanov_weight(self.alpha, ftab.W[:, self.n] - ftab.W[:, s],
+            lam = _girsanov_weight(drv.alpha, ftab.W[:, self.n] - ftab.W[:, s],
                                    (self.n - s) * self.dt)
 
         fy = drv.fy(x, y) if has_fy else None

@@ -557,7 +557,8 @@ def test_terminal_phi_of_xt(lmap):
 def _fit_at(sol, t, target):
     tab = sol.tableau
     W = tab.ftab.W
-    lam = backward._girsanov_weight(tab.alpha, W[:, tab.n] - W[:, t], (tab.n - t) * tab.dt)
+    lam = backward._girsanov_weight(tab.problem.driver.alpha, W[:, tab.n] - W[:, t],
+                                    (tab.n - t) * tab.dt)
     if lam is not None:
         target = target * lam
     w = W[:, t] if tab.basis.kind == "polynomial-in-xw" else None
