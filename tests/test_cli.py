@@ -489,6 +489,10 @@ PINNED_CONFIGS = {
     # exits 1 at this size (density_Z_t0.5 fails); its bytes are still fixed
     "z-convex-alpha": ("model.phi = quadratic(c=0.5)\nmodel.alpha = 0.3\n"
                        "gest.targets = y, z\n", "verify"),
+    # the one basis that reads every W column, with the Girsanov weights over
+    # [t, T] and the replay rows' W column
+    "nonlinear-xt-xw-alpha": (_NONLINEAR_XT + "basis.kind = polynomial-in-xw\n"
+                              "model.alpha = 0.3\ngest.targets = y, z\n", "verify"),
 }
 # sha256 of each artifact, generated by this test's runs
 PINNED_SHA256 = {
@@ -641,6 +645,30 @@ PINNED_SHA256 = {
             "c6b38130e8835a6a04cb410e66a0a8b5d00ba9b3d3b39b2225b53243cd3a4264",
         "tableaux_summary.csv":
             "ac9413a9eddd026c384f0472f127ebd3d133b318fb62d14916db145ba253d932",
+    },
+    "nonlinear-xt-xw-alpha": {
+        "density_Y_t0p25.csv":
+            "fc79ffcdf51fe3ba1c61431a25a03364064b8c30fbdfab62f40e88da40afeee4",
+        "density_Y_t0p5.csv":
+            "9ff9b1826a8814025f6b43211dd317f26a527bf5940d2dd7d691bc9388911794",
+        "density_Y_t0p75.csv":
+            "d4b0c67da0a0039fd08d306687f9fcd74e3eae57d8eae3ce74328ef8a60f9237",
+        "density_meta.json":
+            "0854120e430a4078ce0b5b4f69b6d13872cb67e4e8c724b67cd5c740643a7156",
+        "effective_config.txt":
+            "cbbdddba61e8e2798329158abea9f234ba8d2410a9c0bab73cd42fa7e44c56ee",
+        "gest_Y_t0p25.csv":
+            "f08657a8f5c5eb0522ac9d0a73f5d8c30982c9c69d9997ece8761e97142c25bb",
+        "gest_Y_t0p5.csv":
+            "36e0ab30f8e33bd93d67809142e534be43a71a9aced9b487bed27bd87464aa3d",
+        "gest_Y_t0p75.csv":
+            "b92002e01907618af6d43b04fce76c44daa74b7cb15be907e54a22cf590fc6d7",
+        "hypothesis_report.json":
+            "62e38b84873c53675173d1672ae067765b68b469a378b4702d520eebc2820acb",
+        "run_metadata.json":
+            "9b719b3ce87ba1fb3c0fc1bbd7500d550613a04066454d59da356d7250f8eec7",
+        "tableaux_summary.csv":
+            "4a08d7f408b8d6c7f13834f66ca4219828b598c26d75cec91dfe9e36abf04f68",
     },
 }
 
