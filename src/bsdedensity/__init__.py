@@ -24,7 +24,6 @@ from .backward import (
     RegressionBasis,
     BackwardSolution,
     BackwardTableau,
-    girsanov_reduce,
     solve_bsde,
 )
 from .nvdensity import (

@@ -25,8 +25,9 @@ number of regressions independent of theta.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable
-from dataclasses import dataclass, replace, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from .forward import (
     MalliavinTableau,
     PathEnsemble,
     TimeGrid,
+    _brownian_columns,
     _check_triangular,
     _euler_lamperti,
 )
@@ -45,7 +47,6 @@ __all__ = [
     "RegressionBasis",
     "BackwardSolution",
     "BackwardTableau",
-    "girsanov_reduce",
     "make_phi_row",
     "make_replay_sweep",
     "solve_bsde",
@@ -203,20 +204,6 @@ class _StepDesign:
         return out
 
 
-def girsanov_reduce(problem: ProblemSpec) -> tuple[ProblemSpec, float]:
-    """Remove the linear z-term from the driver via a constant drift shift.
-
-    Returns the problem with alpha = 0 together with alpha; downstream
-    conditional expectations apply the density factors of
-    :func:`_girsanov_weight`.  For alpha = 0 the reduction is the identity
-    (the same problem object).
-    """
-    alpha = problem.driver.alpha
-    if alpha == 0.0:
-        return problem, 0.0
-    return replace(problem, driver=replace(problem.driver, alpha=0.0)), alpha
-
-
 def _girsanov_weight(alpha: float, dw: np.ndarray, tau: float) -> np.ndarray | None:
     """Density factor exp(alpha dw - alpha^2 tau / 2) of the drift shift
     W~ = W - alpha t over a time span tau in which W moves by dw: one step
@@ -240,7 +227,6 @@ class BackwardSolution:
     ones kept; :meth:`y_at` / :meth:`z_at` refuse any other index."""
 
     problem: ProblemSpec
-    reduced: ProblemSpec
     basis: RegressionBasis
     ridge_used: float
     kept: dict[int, tuple[np.ndarray, np.ndarray]]
@@ -256,17 +242,18 @@ class BackwardSolution:
         return _declared_entry(self.kept, t_idx, "solution")[1]
 
 
-def _terminal(problem: ProblemSpec, w_T: np.ndarray, x_T: Points,
+def _terminal(problem: ProblemSpec, dW: np.ndarray, x_T: Points,
               forward_tab: MalliavinTableau | None):
     """(xi, Z_T, tableau data) on one point set of the terminal argument.
 
     Z_T = D_T xi is phi'(W_T), or phi'(X_T) sigma(X_T) via D_T X_T =
-    sigma(X_T).  Given the forward tableau, the tableau data are the
+    sigma(X_T); W_T is built from the increments ``dW`` only for a
+    phi-of-wt terminal.  Given the forward tableau, the tableau data are the
     undiscounted D_theta xi as the (free, exp(-A_theta)) pair and D2 xi as
     the (a, bc, d, e) quadruple; otherwise None.
     """
     wt = problem.terminal == "phi-of-wt"
-    arg = Points(w_T) if wt else x_T
+    arg = Points(_brownian_columns(dW, dW.shape[1])) if wt else x_T
     xi, phi1 = eval_derivative(problem.phi, 0, arg), eval_derivative(problem.phi, 1, arg)
     sig = None if wt else eval_derivative(problem.sigma, 0, arg)
     z_T = phi1 if wt else phi1 * sig
@@ -307,30 +294,27 @@ def solve_bsde(
     (weighted) terminal payoff.
 
     The sweep carries Y_{i+1} as one vector and keeps the Y and Z columns at
-    ``t_indices`` only.  Given ``forward_tab``, which must hold the
-    ensemble's own W and X arrays (SolverError otherwise), it also builds the
-    Y/Z tableau (returned as ``tableau``) with rows at the same indices: once
-    Y_i is known, step i advances it on the same design, down to the smallest
-    index.
+    ``t_indices`` only (Z is fitted there only).  Given ``forward_tab``, which
+    must hold the ensemble's own dW and X arrays (SolverError otherwise), it
+    also builds the Y/Z tableau (returned as ``tableau``) with rows at the
+    same indices: once Y_i is known, step i advances it on the same design,
+    down to the smallest index.  Alpha is read from ``problem.driver``.
     """
-    reduced, alpha = girsanov_reduce(problem)
-    grid = ens.grid
-    n = grid.n_steps
-    dt = grid.dt
-    N = ens.n_paths
+    n, dt, N = ens.grid.n_steps, ens.grid.dt, ens.n_paths
     ridge = basis.ridge if basis.ridge is not None else 1e-8 * N
-    driver = reduced.driver
+    driver = problem.driver
+    alpha = driver.alpha
     declared = {int(t) for t in t_indices}
     if not declared <= set(range(n + 1)) or not declared and forward_tab is not None:
         raise OrderingError(f"declared t indices {sorted(declared)} must be a subset "
                             f"of 0..{n}, non-empty for a tableau")
-    if forward_tab is not None and (forward_tab.W is not ens.W or forward_tab.X is not ens.X):
-        raise SolverError("forward_tab must be built on this ensemble's own W and X")
+    if forward_tab is not None and (forward_tab.dW is not ens.dW or forward_tab.X is not ens.X):
+        raise SolverError("forward_tab must be built on this ensemble's own dW and X")
 
     # one point set per step: X_i serves the terminal data, the Picard loop
     # and the tableau step alike
     x = Points(ens.X[:, n])
-    y_next, z_T, terminal = _terminal(reduced, ens.W[:, n], x, forward_tab)
+    y_next, z_T, terminal = _terminal(problem, ens.dW, x, forward_tab)
     _require_finite(y_next, "terminal value Y_T", n)
     _require_finite(z_T, "terminal value Z_T", n)
     kept = {n: (y_next, z_T)} if n in declared else {}
@@ -339,14 +323,13 @@ def solve_bsde(
         tab = BackwardTableau(problem, basis, forward_tab, declared, terminal)
         tab.step(n, None, x, y_next)
 
-    need_w = basis.kind == "polynomial-in-xw"
+    # the one basis that reads W reads every column of it
+    W = _brownian_columns(ens.dW) if basis.kind == "polynomial-in-xw" else None
     records: list[dict | None] = [None] * n
 
     for i in range(n - 1, -1, -1):
         x = Points(ens.X[:, i])
-        design = _StepDesign(
-            basis, ens.X[:, i], ens.W[:, i] if need_w else None, ridge, i
-        )
+        design = _StepDesign(basis, ens.X[:, i], None if W is None else W[:, i], ridge, i)
         # the step's Girsanov weight and shifted increment dW~_i = dW_i - alpha dt
         w_i = _girsanov_weight(alpha, ens.dW[:, i], dt)
         dW_tilde = ens.dW[:, i] - alpha * dt
@@ -355,21 +338,17 @@ def solve_bsde(
         tz = (y_next - cfit) * dW_tilde / dt
         if w_i is not None:
             tz = w_i * tz
-        zfit, coef_z = design.fit(tz)
         if z_control_variate:
             # cross-fitted z keeps the control variate exactly mean-zero
-            # conditionally; the in-sample zfit would feed its own increment
+            # conditionally; an in-sample Z fit would feed its own increment
             # noise back into Y and bias the variance of (Y, Z)
             zcv = design.fit_cross(tz)
             ty2 = y_next - zcv * dW_tilde
             if w_i is not None:
                 ty2 = w_i * ty2
             cfit, coef_y = design.fit(ty2)
-        if driver.is_zero:
-            y = cfit
-            iters = 0
-        else:
-            y = cfit
+        y, iters = cfit, 0
+        if not driver.is_zero:
             f_i = driver.f_given_x(x)
             for iters in range(1, _MAX_PICARD + 1):
                 y_new = cfit + f_i(y) * dt
@@ -378,13 +357,13 @@ def solve_bsde(
                 if delta <= _PICARD_TOL:
                     break
         _require_finite(y, "Y", i)
-        _require_finite(zfit, "Z", i)
         if i in declared:
+            zfit, _ = design.fit(tz)
+            _require_finite(zfit, "Z", i)
             kept[i] = (y, zfit)
         records[i] = {
             "step": i,
             "coeffs_y": coef_y,
-            "coeffs_z": coef_z,
             "picard_iterations": iters,
             **design.meta,
         }
@@ -392,15 +371,8 @@ def solve_bsde(
             tab.step(i, design, x, y)
         y_next = y
 
-    return BackwardSolution(
-        problem=problem,
-        reduced=reduced,
-        basis=basis,
-        ridge_used=ridge,
-        kept=kept,
-        records=records,  # type: ignore[arg-type]
-        tableau=tab,
-    )
+    return BackwardSolution(problem=problem, basis=basis, ridge_used=ridge, kept=kept,
+                            records=records, tableau=tab)  # type: ignore[arg-type]
 
 
 # ---------------------------------------------------------------------------
@@ -456,9 +428,10 @@ class BackwardTableau:
     once because each target is affine in exp(-A_theta).  An undeclared
     index raises OrderingError, a non-finite kept row SolverError.
 
-    W, X, A, B, n and dt come from ``forward_tab`` alone.  A linear
+    dW, X, A, B, n and dt come from ``forward_tab`` alone.  A linear
     z-term alpha of ``problem``'s driver enters only through the Girsanov
-    weights over [t, T] (the driver partials do not see it), and
+    weights over [t, T] (the driver partials do not see it), which read
+    W_T - W_t and are built at alpha != 0 only (see :meth:`_w_at`).
     ``terminal`` is the (D_theta xi, D2 xi) data of :func:`_terminal`.
     """
 
@@ -482,6 +455,13 @@ class BackwardTableau:
         self._has_fy = drv.f_of_y is not None or drv.cross_x is not None
         self._has_fx = drv.f_of_x is not None or drv.cross_x is not None
         self._active = not drv.is_zero  # a zero driver keeps every tail zero
+        # alpha != 0: W at every k-th step from the smallest declared index,
+        # k ~ sqrt of the pass length, and W_T last (see _w_at)
+        self._w_marks = []
+        if drv.alpha:
+            marks = [*range(self.lowest, self.n, math.isqrt(self.n - self.lowest) + 1), self.n]
+            cols = _brownian_columns(ftab.dW, marks)
+            self._w_marks = [(c, cols[:, j].copy()) for j, c in enumerate(marks)]
 
         # running state between two steps, O(n_paths) each; _above holds
         # (f_y, h, h + f_y F, Clark-Ocone integrand) of step s + 1
@@ -509,8 +489,8 @@ class BackwardTableau:
         fitted = keep or has_fy
         carry = self._active and s < self.n
         lam = None
-        if fitted and design is not None:  # the Girsanov weight over [s, T]
-            lam = _girsanov_weight(drv.alpha, ftab.W[:, self.n] - ftab.W[:, s],
+        if fitted and design is not None and self._w_marks:  # the weight over [s, T]
+            lam = _girsanov_weight(drv.alpha, self._w_marks[-1][1] - self._w_at(s),
                                    (self.n - s) * self.dt)
 
         fy = drv.fy(x, y) if has_fy else None
@@ -575,7 +555,20 @@ class BackwardTableau:
             self._rows[s] = _Row(design, G, dy_coeffs, tuple(F), zc, tuple(dz), dz_coeffs)
         if s == self.lowest:  # the pass is complete: drop its running state
             del self._dxi, self._d2xi, self._above, self._discount
-            del self._d2y_tail, self._dz_tail, self._z_tail
+            del self._d2y_tail, self._dz_tail, self._z_tail, self._w_marks
+
+    def _w_at(self, s: int) -> np.ndarray:
+        """W_s on the pass down from n: the running sum of the increments from
+        the kept W column at or below s, bitwise the running sum from W_0, so
+        the pass holds O(sqrt(n)) columns of W, not a W matrix.  A kept column
+        other than W_T is dropped once the pass is below it."""
+        marks = self._w_marks
+        while marks[-2][0] > s:
+            marks.pop(-2)
+        c, w = marks[-2]
+        for j in range(c, s):
+            w = w + self.ftab.dW[:, j]
+        return w
 
     def _row(self, t_idx: int) -> _Row:
         return _declared_entry(self._rows, t_idx, "tableau")
@@ -748,9 +741,10 @@ def make_replay_sweep(problem: ProblemSpec, grid: TimeGrid, lmap: LampertiMap, t
     """
 
     def sweep(increments: np.ndarray) -> MalliavinTableau:
-        W, X, hits = _euler_lamperti(problem, grid, increments[:, :t_max], lmap)
+        dW = increments[:, :t_max]
+        X, hits = _euler_lamperti(problem, grid, dW, lmap)
         sweep.n_clamped += int(hits.sum())
-        return MalliavinTableau(W, X, lmap, grid.dt)
+        return MalliavinTableau(dW, X, lmap, grid.dt)
 
     sweep.n_clamped = 0
     return sweep
@@ -765,10 +759,10 @@ def make_phi_row(btab: BackwardTableau, t_idx: int, component: str):
     ``btab`` has fitted them on the whole main-run ensemble.  The row
     evaluates the frozen fits at the sweep's time-t states and assembles
     itself with the main run's formula, reading B_t only when the fitted
-    e-coefficients are non-zero.  Output row i depends on increment row i
-    only.  The Girsanov weights of a linear z-driver are already inside the
-    fits.  The terminal node has no regression to freeze and is refused with
-    a SolverError.
+    e-coefficients are non-zero and W_t only for the basis in (x, w).
+    Output row i depends on increment row i only.  The Girsanov weights of
+    a linear z-driver are already inside the fits.  The terminal node has no
+    regression to freeze and is refused with a SolverError.
     """
     if component not in ("Y", "Z"):
         raise SolverError(f"component must be 'Y' or 'Z'; got {component!r}")
@@ -782,9 +776,11 @@ def make_phi_row(btab: BackwardTableau, t_idx: int, component: str):
     design = row.design
     coeffs = row.dy_coeffs if component == "Y" else row.dz_coeffs
     uses_b = component == "Z" and bool(coeffs[:, 3].any())
+    uses_w = btab.basis.kind == "polynomial-in-xw"
 
     def phi(state: MalliavinTableau) -> np.ndarray:
-        fits = design.evaluate(coeffs, state.X[:, t_idx], state.W[:, t_idx])
+        w = _brownian_columns(state.dW, t_idx) if uses_w else None
+        fits = design.evaluate(coeffs, state.X[:, t_idx], w)
         ea_th = state.exp_neg_A[:, : t_idx + 1]
         if component == "Y":
             return _dy_row(fits[:, 0], fits[:, 1], ea_th)

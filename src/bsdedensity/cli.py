@@ -186,7 +186,7 @@ class Experiment:
     def stage_density(self) -> None:
         cfg = self.cfg
         # the deterministic backward sweep: solution and tableau rows
-        ftab = MalliavinTableau(self.ens.W, self.ens.X, self._ensure_lamperti(), self.grid.dt)
+        ftab = MalliavinTableau(self.ens.dW, self.ens.X, self._ensure_lamperti(), self.grid.dt)
         t_indices = [self.grid.index_of(t) for t in cfg["eval.times"]]
         self.sol = solve_bsde(self.ens, self.problem, self.basis,
                               forward_tab=ftab, t_indices=t_indices)

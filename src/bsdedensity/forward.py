@@ -87,14 +87,14 @@ class TimeGrid:
 
 @dataclass
 class PathEnsemble:
-    """Seeded Brownian / Lamperti / state paths, one row per surviving path.
+    """Seeded Brownian increments and state paths, one row per surviving path.
 
-    ``dW`` has shape (n_paths, n_steps); W and X have shape
-    (n_paths, n_steps + 1).  Row i of the increment matrix is a pure function
-    of (master_seed, path_id): increments are drawn row-major from a single
-    PCG64 stream, so a row's values depend only on its original index.
-    Paths that left the certified sigma > 0 box are dropped; ``path_ids``
-    maps surviving rows to original indices.
+    ``dW`` has shape (n_paths, n_steps), X (n_paths, n_steps + 1); W is not
+    stored (see :func:`_brownian_columns`).  Row i of the increment matrix is
+    a pure function of (master_seed, path_id): increments are drawn row-major
+    from a single PCG64 stream, so a row's values depend only on its original
+    index.  Paths that left the certified sigma > 0 box are dropped;
+    ``path_ids`` maps surviving rows to original indices.
     """
 
     grid: TimeGrid
@@ -102,7 +102,6 @@ class PathEnsemble:
     master_seed: int
     x0: float
     dW: np.ndarray
-    W: np.ndarray
     X: np.ndarray
     path_ids: np.ndarray
     n_flagged: int
@@ -111,7 +110,7 @@ class PathEnsemble:
     def __post_init__(self) -> None:
         n = self.grid.n_steps
         assert self.dW.shape == (self.n_paths, n)
-        assert self.W.shape == (self.n_paths, n + 1)
+        assert self.X.shape == (self.n_paths, n + 1)
 
 
 def _draw_increments(master_seed: int, n_paths: int, n_steps: int, dt: float) -> np.ndarray:
@@ -123,19 +122,17 @@ def _draw_increments(master_seed: int, n_paths: int, n_steps: int, dt: float) ->
 
 def _euler_lamperti(
     problem: ProblemSpec, grid: TimeGrid, dW: np.ndarray, lmap: LampertiMap
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Euler-Maruyama on U = g(X) driven by the increments ``dW``.
 
     Steps whose U would leave the image of the certified box are clamped just
-    inside it.  Returns W, X and the number of clamp events per path.
+    inside it.  Returns X and the number of clamp events per path.
     """
     n_paths, n = dW.shape
     dt = grid.dt
     glo, ghi = lmap.g_range
     margin = 1e-9 * (ghi - glo)
-    W = np.empty((n_paths, n + 1))
     X = np.empty((n_paths, n + 1))
-    W[:, 0] = 0.0
     u = np.full(n_paths, lmap.transform(problem.x0))
     X[:, 0] = problem.x0
     hits = np.zeros(n_paths, dtype=np.int64)
@@ -146,9 +143,8 @@ def _euler_lamperti(
         if out.any():
             hits += out
             u = np.clip(u, glo + margin, ghi - margin)
-        W[:, i + 1] = W[:, i] + dW[:, i]
         X[:, i + 1] = lmap.inverse_transform(u)
-    return W, X, hits
+    return X, hits
 
 
 def simulate_forward(
@@ -169,7 +165,7 @@ def simulate_forward(
         raise SimulationError("n_paths must be >= 1")
     lmap = lamperti_map or LampertiMap(problem.sigma, problem.b, problem.box)
     dW = _draw_increments(seed, n_paths, grid.n_steps, grid.dt)
-    W, X, hits = _euler_lamperti(problem, grid, dW, lmap)
+    X, hits = _euler_lamperti(problem, grid, dW, lmap)
     flagged = hits > 0
     n_flagged = int(flagged.sum())
     if n_flagged > _MAX_FLAGGED_FRACTION * n_paths:
@@ -180,18 +176,11 @@ def simulate_forward(
         )
     keep = ~flagged
     if n_flagged:
-        dW, W, X = dW[keep], W[keep], X[keep]
+        dW, X = dW[keep], X[keep]
     return PathEnsemble(
-        grid=grid,
-        n_paths=n_paths - n_flagged,
-        master_seed=seed,
-        x0=problem.x0,
-        dW=dW,
-        W=W,
-        X=X,
-        path_ids=np.nonzero(keep)[0].astype(np.uint64),
-        n_flagged=n_flagged,
-        n_requested=n_paths,
+        grid=grid, n_paths=n_paths - n_flagged, master_seed=seed, x0=problem.x0,
+        dW=dW, X=X, path_ids=np.nonzero(keep)[0].astype(np.uint64),
+        n_flagged=n_flagged, n_requested=n_paths,
     )
 
 
@@ -211,6 +200,22 @@ _ROW_BLOCK = 1024
 
 def _row_blocks(n_rows: int):
     return (slice(lo, lo + _ROW_BLOCK) for lo in range(0, n_rows, _ROW_BLOCK))
+
+
+def _brownian_columns(dW: np.ndarray, cols=slice(None)) -> np.ndarray:
+    """Columns ``cols`` (an index, a list or a slice) of the Brownian path
+    W_0 = 0, W_{i+1} = W_i + dW_i: the one place that builds W.  Each block of
+    paths is summed from a leading zero in the order of that running sum, so
+    every column has its bits, and only the asked-for columns are kept."""
+    n_paths, n = dW.shape
+    out = np.empty((n_paths,) + np.empty((0, n + 1))[:, cols].shape[1:])
+    block = np.zeros((min(n_paths, _ROW_BLOCK), n + 1))
+    for rows in _row_blocks(n_paths):
+        part = block[: len(dW[rows])]
+        part[:, 1:] = dW[rows]
+        np.cumsum(part, axis=1, out=part)
+        out[rows] = part[:, cols]
+    return out
 
 
 def log_derivative_integral(lmap: LampertiMap, X: np.ndarray, dt: float) -> np.ndarray:
@@ -262,11 +267,12 @@ class MalliavinTableau:
     both are zero views.  B and e^{-A} (which only the replay rows read, each
     slicing it) are built on first use.  The accessor reads grid indices and
     rejects theta > t; sigma is evaluated at the states it reads, never stored
-    as a path matrix.
+    as a path matrix.  The increments ``dW`` are held as given (the main run's
+    are the ensemble's own), and W is not held.
     """
 
-    def __init__(self, W: np.ndarray, X: np.ndarray, lmap: LampertiMap, dt: float):
-        self.W, self.X = W, X
+    def __init__(self, dW: np.ndarray, X: np.ndarray, lmap: LampertiMap, dt: float):
+        self.dW, self.X = dW, X
         self.lmap, self.dt = lmap, dt
         self.n = X.shape[1] - 1
         self.A = log_derivative_integral(lmap, X, dt)
@@ -304,7 +310,8 @@ class MalliavinTableau:
 
 
 def dump_ensemble(ens: PathEnsemble, path: str | Path) -> None:
-    """Write the ensemble in the documented binary layout, block by block."""
+    """Write the ensemble in the documented binary layout, block by block;
+    each block's W is rebuilt from its increments."""
     header = struct.pack(
         _HEADER_FMT,
         _MAGIC,
@@ -321,12 +328,13 @@ def dump_ensemble(ens: PathEnsemble, path: str | Path) -> None:
         fh.write(header)
         fh.write(np.ascontiguousarray(ens.path_ids, dtype="<u8"))
         for rows in _row_blocks(ens.n_paths):
-            fh.write(np.concatenate([ens.dW[rows], ens.W[rows], ens.X[rows]], axis=1,
-                                    dtype="<f8"))
+            W = _brownian_columns(ens.dW[rows])
+            fh.write(np.concatenate([ens.dW[rows], W, ens.X[rows]], axis=1, dtype="<f8"))
 
 
 def load_ensemble(path: str | Path) -> PathEnsemble:
-    """Read an ensemble written by :func:`dump_ensemble`, block by block."""
+    """Read an ensemble written by :func:`dump_ensemble`, block by block; the
+    W block is read into the scratch buffer and not kept."""
     head_size = struct.calcsize(_HEADER_FMT)
     size = Path(path).stat().st_size
     if size < head_size:
@@ -352,22 +360,13 @@ def load_ensemble(path: str | Path) -> PathEnsemble:
             )
         path_ids = np.empty(n_paths, dtype="<u8")
         fh.readinto(path_ids)
-        dW = np.empty((n_paths, n))
-        W, X = np.empty((n_paths, n + 1)), np.empty((n_paths, n + 1))
+        dW, X = np.empty((n_paths, n)), np.empty((n_paths, n + 1))
         block = np.empty((min(n_paths, _ROW_BLOCK), width), dtype="<f8")
         for rows in _row_blocks(n_paths):
             part = block[: len(dW[rows])]
             fh.readinto(part)
-            dW[rows], W[rows], X[rows] = np.split(part, [n, 2 * n + 1], axis=1)
+            dW[rows], _, X[rows] = np.split(part, [n, 2 * n + 1], axis=1)
     return PathEnsemble(
-        grid=TimeGrid(T, n_steps),
-        n_paths=n_paths,
-        master_seed=int(seed),
-        x0=x0,
-        dW=dW,
-        W=W,
-        X=X,
-        path_ids=path_ids,
-        n_flagged=n_flagged,
-        n_requested=n_requested,
+        grid=TimeGrid(T, n_steps), n_paths=n_paths, master_seed=int(seed), x0=x0,
+        dW=dW, X=X, path_ids=path_ids, n_flagged=n_flagged, n_requested=n_requested,
     )

@@ -268,6 +268,17 @@ def second_x(A, B, X, sigma, path, theta_idx, t_idx, s_idx):
     return float(eval_derivative(sigma, 1, X[path, s_idx]) * sig * du_prod + sig * d2u)
 
 
+def brownian_matrix(dW):
+    """The Brownian path W of the increments ``dW``, shape (n_paths, n + 1),
+    by the explicit running sum W_0 = 0, W_{i+1} = W_i + dW_i."""
+    n_paths, n = dW.shape
+    W = np.empty((n_paths, n + 1))
+    W[:, 0] = 0.0
+    for i in range(n):
+        W[:, i + 1] = W[:, i] + dW[:, i]
+    return W
+
+
 def ensemble_from_increments(problem, grid, increments, lamperti_map=None):
     """An ensemble built from given Brownian increments over the whole grid,
     with escaping paths clamped instead of dropped (``n_flagged`` counts the
@@ -275,14 +286,13 @@ def ensemble_from_increments(problem, grid, increments, lamperti_map=None):
     lmap = lamperti_map or LampertiMap(problem.sigma, problem.b, problem.box)
     n_paths, n = increments.shape
     assert n == grid.n_steps, "increment matrix does not match the grid"
-    W, X, hits = _euler_lamperti(problem, grid, increments, lmap)
+    X, hits = _euler_lamperti(problem, grid, increments, lmap)
     return PathEnsemble(
         grid=grid,
         n_paths=n_paths,
         master_seed=-1,
         x0=problem.x0,
         dW=np.ascontiguousarray(increments),
-        W=W,
         X=X,
         path_ids=np.arange(n_paths, dtype=np.uint64),
         n_flagged=int(hits.sum()),
@@ -303,7 +313,8 @@ def reference_phi_sampler(btab, t_idx, component):
         ens = ensemble_from_increments(problem, grid, increments, lmap)
         sampler.n_clamped += ens.n_flagged
         _, A, B = reference_tableau_integrals(lmap, ens.X, grid.dt)
-        fits = row.design.evaluate(coeffs, ens.X[:, t_idx], ens.W[:, t_idx])
+        fits = row.design.evaluate(coeffs, ens.X[:, t_idx],
+                                   brownian_matrix(ens.dW)[:, t_idx])
         ea_th = np.exp(-A[:, : t_idx + 1])
         if component == "Y":
             return fits[:, 0][:, None] + ea_th * fits[:, 1][:, None]

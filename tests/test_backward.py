@@ -17,7 +17,6 @@ from bsdedensity import backward
 from bsdedensity.backward import (
     RegressionBasis,
     _StepDesign,
-    girsanov_reduce,
     solve_bsde,
 )
 from bsdedensity.errors import OrderingError, SolverError
@@ -31,6 +30,8 @@ from bsdedensity.forward import (
     simulate_forward,
 )
 from bsdedensity.lamperti import LampertiMap
+
+from oracles import brownian_matrix
 
 N_PATHS = 20000
 GRID = TimeGrid(1.0, 200)
@@ -61,7 +62,7 @@ def _matrix(column, indices):
 
 
 def _tableau(ens, lmap, prob, t_indices, basis=BASIS, **kw):
-    ftab = MalliavinTableau(ens.W, ens.X, lmap, ens.grid.dt)
+    ftab = MalliavinTableau(ens.dW, ens.X, lmap, ens.grid.dt)
     sol = solve_bsde(ens, prob, basis, forward_tab=ftab, t_indices=t_indices, **kw)
     return sol, sol.tableau
 
@@ -69,15 +70,16 @@ def _tableau(ens, lmap, prob, t_indices, basis=BASIS, **kw):
 def test_terminal_exactness_bitwise(ens):
     prob = _problem(trig_affine(c=1))  # xi = sin W_T
     sol = solve_bsde(ens, prob, BASIS, t_indices=[GRID.n_steps])
-    assert np.array_equal(sol.y_at(GRID.n_steps), np.sin(ens.W[:, -1]))
+    assert np.array_equal(sol.y_at(GRID.n_steps), np.sin(brownian_matrix(ens.dW)[:, -1]))
 
 
 def test_martingale_case(ens, lmap):
     prob = _problem(affine(a=0, b=1))
     i = GRID.index_of(0.5)
     sol, tab = _tableau(ens, lmap, prob, [i])
-    err = sol.y_at(i) - ens.W[:, i]
-    assert np.sqrt((err**2).mean()) < 0.02 * ens.W[:, i].std()
+    W = brownian_matrix(ens.dW)
+    err = sol.y_at(i) - W[:, i]
+    assert np.sqrt((err**2).mean()) < 0.02 * W[:, i].std()
     assert abs(sol.z_at(i).mean() - 1.0) < 0.02
     # D xi = 1 and the driver vanishes: every representation is exact
     assert np.abs(tab.dy_all(GRID.index_of(0.2), i) - 1.0).max() < 1e-10
@@ -125,33 +127,41 @@ def test_quadratic_terminal_second_order(ens, lmap):
     assert np.abs(dz - 1.0).max() < 1e-10
     # solver Z and Clark-Ocone Z both track W_t
     zc = tab.z_clark_all(i)
-    assert np.sqrt(((zc - ens.W[:, i]) ** 2).mean()) < 0.05
-    assert np.sqrt(((sol.z_at(i) - ens.W[:, i]) ** 2).mean()) < 0.08
+    W = brownian_matrix(ens.dW)
+    assert np.sqrt(((zc - W[:, i]) ** 2).mean()) < 0.05
+    assert np.sqrt(((sol.z_at(i) - W[:, i]) ** 2).mean()) < 0.08
 
 
-def test_girsanov_reduction(ens):
+def test_girsanov_reduction(ens, lmap, monkeypatch):
     prob = _problem(affine(a=0, b=1), driver=Driver(alpha=0.3))
-    reduced, alpha = girsanov_reduce(prob)
-    assert reduced.driver.alpha == 0.0
-    assert alpha == 0.3
+    alpha = prob.driver.alpha
     # telescoping bookkeeping: the one-step weights multiply to the weight over [0, T]
+    W = brownian_matrix(ens.dW)
     steps = [backward._girsanov_weight(alpha, ens.dW[:, i], GRID.dt)
              for i in range(GRID.n_steps)]
-    horizon = backward._girsanov_weight(alpha, ens.W[:, -1] - ens.W[:, 0], 1.0)
+    horizon = backward._girsanov_weight(alpha, W[:, -1] - W[:, 0], 1.0)
     assert np.allclose(np.prod(steps, axis=0), horizon, rtol=1e-10, atol=0)
-    # identity reduction at alpha = 0
-    prob0 = _problem(affine(a=0, b=1))
-    red0, alpha0 = girsanov_reduce(prob0)
-    assert red0 is prob0
-    assert alpha0 == 0.0
-    assert backward._girsanov_weight(alpha0, ens.dW[:, 0], GRID.dt) is None
+    assert backward._girsanov_weight(0.0, ens.dW[:, 0], GRID.dt) is None
+    # solve_bsde and its tableau weight by problem.driver.alpha: every step's
+    # weight and every weight over [t, T]
+    weight = backward._girsanov_weight
+    seen = []
+    monkeypatch.setattr(backward, "_girsanov_weight",
+                        lambda a, dw, tau: seen.append(a) or weight(a, dw, tau))
+    grid = TimeGrid(1.0, 10)
+    for a in (0.3, 0.0):
+        p = _problem(affine(a=0, b=1), driver=Driver(alpha=a))
+        small = simulate_forward(p, grid, 500, seed=4)
+        seen.clear()
+        _tableau(small, lmap, p, [5])
+        assert len(seen) >= grid.n_steps and set(seen) == {p.driver.alpha}
 
 
 def test_girsanov_solution(ens):
     prob = _problem(affine(a=0, b=1), driver=Driver(alpha=0.3))
     j = GRID.index_of(0.5)
     sol = solve_bsde(ens, prob, RegressionBasis("polynomial-in-x", 2), t_indices=[0, j])
-    oracle = ens.W[:, j] + 0.3 * 0.5
+    oracle = brownian_matrix(ens.dW)[:, j] + 0.3 * 0.5
     assert np.sqrt(((sol.y_at(j) - oracle) ** 2).mean()) < 0.01
     assert abs(sol.y_at(0)[0] - 0.3) < 0.005
 
@@ -166,7 +176,7 @@ def test_girsanov_weights_add_no_path_matrix(lmap):
 
     def peak(alpha, with_tableau):
         prob = replace(base, driver=replace(base.driver, alpha=alpha))
-        ftab = MalliavinTableau(ens.W, ens.X, lmap, grid.dt) if with_tableau else None
+        ftab = MalliavinTableau(ens.dW, ens.X, lmap, grid.dt) if with_tableau else None
         tracemalloc.start()
         try:
             before, _ = tracemalloc.get_traced_memory()
@@ -183,13 +193,13 @@ def test_girsanov_weights_add_no_path_matrix(lmap):
 
 def test_forward_tableau_of_another_ensemble_is_refused(ens, lmap):
     """solve_bsde reads the paths of ``ens`` and the tableau reads those of
-    ``forward_tab``: a tableau built on other W or X arrays is refused, even
+    ``forward_tab``: a tableau built on other dW or X arrays is refused, even
     when they hold equal values."""
     prob = _problem(affine(a=0, b=1))
     other = simulate_forward(prob, GRID, 500, seed=8)
-    for W, X in ((other.W, other.X), (ens.W, ens.X.copy()), (ens.W.copy(), ens.X)):
-        ftab = MalliavinTableau(W, X, lmap, GRID.dt)
-        with pytest.raises(SolverError, match="this ensemble's own W and X"):
+    for dW, X in ((other.dW, other.X), (ens.dW, ens.X.copy()), (ens.dW.copy(), ens.X)):
+        ftab = MalliavinTableau(dW, X, lmap, GRID.dt)
+        with pytest.raises(SolverError, match="this ensemble's own dW and X"):
             solve_bsde(ens, prob, BASIS, forward_tab=ftab, t_indices=[100])
 
 
@@ -198,11 +208,12 @@ def test_clark_ocone_sin_terminal(ens, lmap):
     j = GRID.index_of(0.5)
     sol, tab = _tableau(ens, lmap, prob, [j, GRID.n_steps],
                         basis=RegressionBasis("polynomial-in-x", 6))
-    oracle = np.cos(ens.W[:, j]) * np.exp(-0.25)
+    W = brownian_matrix(ens.dW)
+    oracle = np.cos(W[:, j]) * np.exp(-0.25)
     zc = tab.z_clark_all(j)
     assert np.sqrt(((zc - oracle) ** 2).mean()) < 0.03 * oracle.std()
     # t = T short-circuits to D_T xi
-    assert np.array_equal(tab.z_clark_all(GRID.n_steps), np.cos(ens.W[:, -1]))
+    assert np.array_equal(tab.z_clark_all(GRID.n_steps), np.cos(W[:, -1]))
 
 
 def test_cross_estimator_agreement(ens, lmap):
@@ -249,11 +260,11 @@ def test_adaptedness_measurability(ens):
 
 
 def test_adaptedness_future_shuffle(ens, lmap):
-    """With a zero driver the Y-sweep touches increments only through X: a
-    permutation of future increments across paths leaves every Y regression
-    bit-identical (the control variate, which deliberately uses increments,
-    is switched off)."""
-    prob = _problem(affine(a=0, b=1))
+    """With a zero driver and xi = phi(X_T) the Y-sweep touches increments
+    only through X: a permutation of future increments across paths leaves
+    every Y regression bit-identical (the control variate, which
+    deliberately uses increments, is switched off)."""
+    prob = _problem(affine(a=0, b=1), terminal="phi-of-xt")
     every = range(GRID.n_steps + 1)
     base = solve_bsde(ens, prob, BASIS, z_control_variate=False, t_indices=every)
     i_cut = 100
@@ -263,7 +274,7 @@ def test_adaptedness_future_shuffle(ens, lmap):
     dW2[:, i_cut:] = dW2[perm, i_cut:]
     tampered = PathEnsemble(
         grid=ens.grid, n_paths=ens.n_paths, master_seed=ens.master_seed,
-        x0=ens.x0, dW=dW2, W=ens.W, X=ens.X,
+        x0=ens.x0, dW=dW2, X=ens.X,
         path_ids=ens.path_ids, n_flagged=0, n_requested=ens.n_requested,
     )
     shuffled = solve_bsde(tampered, prob, BASIS, z_control_variate=False, t_indices=every)
@@ -291,7 +302,7 @@ def test_xw_basis_runs(ens, lmap):
     prob_map = LampertiMap(prob.sigma, prob.b, prob.box)
     e2 = simulate_forward(prob, TimeGrid(1.0, 50), 4000, seed=3)
     sol = solve_bsde(e2, prob, RegressionBasis("polynomial-in-xw", 3), t_indices=[0, 50])
-    assert np.array_equal(sol.y_at(50), np.sin(e2.W[:, -1]))
+    assert np.array_equal(sol.y_at(50), np.sin(brownian_matrix(e2.dW)[:, -1]))
     assert abs(sol.y_at(0)[0] - np.sin(0) * np.exp(-0.5)) < 0.05
 
 
@@ -330,7 +341,7 @@ def test_non_finite_values_fail_loud(lmap):
     X[7, 4] = np.nan
     bad = PathEnsemble(
         grid=grid, n_paths=small.n_paths, master_seed=small.master_seed,
-        x0=small.x0, dW=small.dW, W=small.W, X=X,
+        x0=small.x0, dW=small.dW, X=X,
         path_ids=small.path_ids, n_flagged=0, n_requested=small.n_requested,
     )
     with pytest.raises(SolverError, match="non-finite x state .* time step 4"):
@@ -343,7 +354,7 @@ def test_non_finite_values_fail_loud(lmap):
     # a NaN reaching a kept tableau row through the f_x integrand at step 5
     curved = _problem(affine(a=0, b=1),
                       driver=Driver(f_of_x=affine(b=0.1), f_of_y=trig_affine(c=0.2)))
-    ftab = MalliavinTableau(small.W, small.X, lmap, small.grid.dt)
+    ftab = MalliavinTableau(small.dW, small.X, lmap, small.grid.dt)
     ftab.B  # built first: B integrates e^A, so it would carry the NaN to later steps
     ftab.A = ftab.A.copy()  # sigma and b are constant: A is a read-only zero view
     ftab.A[3, 5] = np.nan
@@ -366,7 +377,7 @@ def test_constant_drift_integrals_are_zero_views():
     rows = [5, 10]
     tabs = []
     for materialise in (False, True):
-        ftab = MalliavinTableau(ens.W, ens.X, pmap, ens.grid.dt)
+        ftab = MalliavinTableau(ens.dW, ens.X, pmap, ens.grid.dt)
         if materialise:
             ftab.A, ftab._B = np.zeros(ens.X.shape), np.zeros(ens.X.shape)
         else:
@@ -419,10 +430,11 @@ def test_replay_sweep_is_the_main_run_tableau(case):
     ens = simulate_forward(prob, grid, 1500, seed=5)
     assert ens.n_flagged == 0 and ens.n_paths > _ROW_BLOCK
     pmap = LampertiMap(prob.sigma, prob.b, prob.box)
-    main = MalliavinTableau(ens.W, ens.X, pmap, grid.dt)
+    main = MalliavinTableau(ens.dW, ens.X, pmap, grid.dt)
     t_max = 12
     replay = backward.make_replay_sweep(prob, grid, pmap, t_max)(ens.dW)
-    for name in ("W", "X", "A", "B"):
+    assert np.array_equal(_bits(replay.dW), _bits(main.dW[:, :t_max]))
+    for name in ("X", "A", "B"):
         assert np.array_equal(_bits(getattr(replay, name)),
                               _bits(getattr(main, name)[:, : t_max + 1])), name
     zero_views = case == "constant-drift"
@@ -439,7 +451,7 @@ def test_row_columns_are_matrix_columns(case):
     grid = TimeGrid(1.0, 20)
     ens = simulate_forward(prob, grid, 1500, seed=5)
     pmap = LampertiMap(prob.sigma, prob.b, prob.box)
-    ftab = MalliavinTableau(ens.W, ens.X, pmap, grid.dt)
+    ftab = MalliavinTableau(ens.dW, ens.X, pmap, grid.dt)
     rows = [5, 12, grid.n_steps]
     tab = solve_bsde(ens, prob, BASIS, forward_tab=ftab, t_indices=rows).tableau
     for t in rows:
@@ -456,7 +468,7 @@ def test_tableau_memory_stays_linear_in_paths():
     prob = _s2_problem()
     ens = simulate_forward(prob, GRID, 4000, seed=5)
     pmap = LampertiMap(prob.sigma, prob.b, prob.box)
-    ftab = MalliavinTableau(ens.W, ens.X, pmap, ens.grid.dt)
+    ftab = MalliavinTableau(ens.dW, ens.X, pmap, ens.grid.dt)
     rows = [GRID.index_of(t) for t in (0.25, 0.5, 0.75)]
     tracemalloc.start()
     try:
@@ -477,7 +489,7 @@ def test_dy_row_peak_is_two_rows():
     prob = _s2_problem()
     ens = simulate_forward(prob, GRID, 4000, seed=5)
     pmap = LampertiMap(prob.sigma, prob.b, prob.box)
-    ftab = MalliavinTableau(ens.W, ens.X, pmap, ens.grid.dt)
+    ftab = MalliavinTableau(ens.dW, ens.X, pmap, ens.grid.dt)
     t_idx = GRID.index_of(0.75)
     tab = solve_bsde(ens, prob, BASIS, forward_tab=ftab, t_indices=[t_idx]).tableau
     row_bytes = ens.n_paths * (t_idx + 1) * 8
@@ -526,7 +538,7 @@ def test_one_design_per_step(monkeypatch):
     grid = TimeGrid(1.0, 40)
     ens = simulate_forward(prob, grid, 2000, seed=5)
     pmap = LampertiMap(prob.sigma, prob.b, prob.box)
-    ftab = MalliavinTableau(ens.W, ens.X, pmap, ens.grid.dt)
+    ftab = MalliavinTableau(ens.dW, ens.X, pmap, ens.grid.dt)
     sol = solve_bsde(ens, prob, BASIS, forward_tab=ftab, t_indices=[10, 20, 30])
     assert len(built) == grid.n_steps
     assert sorted(sol.tableau._rows) == [10, 20, 30]
@@ -540,7 +552,7 @@ def test_terminal_phi_of_xt(lmap):
     )
     pmap = LampertiMap(prob.sigma, prob.b, prob.box)
     e = simulate_forward(prob, TimeGrid(1.0, 100), 5000, seed=11)
-    ftab = MalliavinTableau(e.W, e.X, pmap, e.grid.dt)
+    ftab = MalliavinTableau(e.dW, e.X, pmap, e.grid.dt)
     n = e.grid.n_steps
     tab = solve_bsde(e, prob, BASIS, forward_tab=ftab, t_indices=[n]).tableau
     # at t = T the row is the exact pathwise derivative
@@ -556,7 +568,7 @@ def test_terminal_phi_of_xt(lmap):
 
 def _fit_at(sol, t, target):
     tab = sol.tableau
-    W = tab.ftab.W
+    W = brownian_matrix(tab.ftab.dW)
     lam = backward._girsanov_weight(tab.problem.driver.alpha, W[:, tab.n] - W[:, t],
                                     (tab.n - t) * tab.dt)
     if lam is not None:
@@ -568,7 +580,8 @@ def _fit_at(sol, t, target):
 
 
 def _phi_T(tab, order):
-    arg = tab.ftab.W[:, -1] if tab.problem.terminal == "phi-of-wt" else tab.ftab.X[:, -1]
+    wt = tab.problem.terminal == "phi-of-wt"
+    arg = brownian_matrix(tab.ftab.dW)[:, -1] if wt else tab.ftab.X[:, -1]
     return eval_derivative(tab.problem.phi, order, arg)
 
 
@@ -694,7 +707,7 @@ def _oracle_tableau(alpha):
     grid = TimeGrid(0.5, 40)
     ens = simulate_forward(prob, grid, 800, seed=17)
     pmap = LampertiMap(prob.sigma, prob.b, prob.box)
-    ftab = MalliavinTableau(ens.W, ens.X, pmap, ens.grid.dt)
+    ftab = MalliavinTableau(ens.dW, ens.X, pmap, ens.grid.dt)
     return solve_bsde(ens, prob, RegressionBasis("polynomial-in-x", 3),
                       forward_tab=ftab, t_indices=range(grid.n_steps + 1))
 

@@ -10,6 +10,7 @@ from bsdedensity.forward import (
     _ROW_BLOCK,
     MalliavinTableau,
     TimeGrid,
+    _brownian_columns,
     dump_ensemble,
     load_ensemble,
     simulate_forward,
@@ -17,6 +18,7 @@ from bsdedensity.forward import (
 from bsdedensity.lamperti import LampertiMap
 
 from oracles import (
+    brownian_matrix,
     euler_u_flow,
     first_u,
     first_x,
@@ -43,13 +45,14 @@ def driftless():
 
 def test_driftless_unit_diffusion_is_brownian(driftless):
     prob, grid, ens = driftless
-    assert np.abs(ens.X - ens.W).max() < 1e-10
+    W = brownian_matrix(ens.dW)
+    assert np.abs(ens.X - W).max() < 1e-10
     n = ens.n_paths
     xT = ens.X[:, -1]
     assert abs(xT.mean()) < 3 * np.sqrt(1.0 / n)
     assert abs(xT.var() - 1.0) < 3.5 * np.sqrt(2.0 / n)
     assert ens.n_flagged == 0
-    assert np.all(ens.W[:, 0] == 0.0)
+    assert np.all(W[:, 0] == 0.0)
     assert np.all(ens.X[:, 0] == 0.0)
 
 
@@ -73,7 +76,7 @@ def test_tableau_ou_exact():
     grid = TimeGrid(1.0, 1000)
     ens = simulate_forward(prob, grid, 50, seed=3)
     lmap = LampertiMap(prob.sigma, prob.b, prob.box)
-    tab = MalliavinTableau(ens.W, ens.X, lmap, ens.grid.dt)
+    tab = MalliavinTableau(ens.dW, ens.X, lmap, ens.grid.dt)
     th, ti = grid.index_of(0.2), grid.index_of(1.0)
     # (beta' sigma) = -kappa exactly, so the tableau quadrature is exact
     assert first_u(tab.A, 0, th, ti) == pytest.approx(np.exp(-0.4), abs=1e-12)
@@ -87,7 +90,7 @@ def test_tableau_constant_coefficients(driftless):
     grid = TimeGrid(1.0, 50)
     ens = simulate_forward(prob, grid, 30, seed=5)
     lmap = LampertiMap(prob.sigma, prob.b, prob.box)
-    tab = MalliavinTableau(ens.W, ens.X, lmap, ens.grid.dt)
+    tab = MalliavinTableau(ens.dW, ens.X, lmap, ens.grid.dt)
     assert first_u(tab.A, 0, 10, 40) == 1.0
     assert first_x(tab.A, ens.X, prob.sigma, 0, 10, 40) == 2.0
     assert second_u(tab.A, tab.B, 0, 5, 20, 45) == 0.0
@@ -99,7 +102,7 @@ def test_du_positive_and_log_additive():
     grid = TimeGrid(1.0, 200)
     ens = simulate_forward(prob, grid, 40, seed=9)
     lmap = LampertiMap(prob.sigma, prob.b, prob.box)
-    tab = MalliavinTableau(ens.W, ens.X, lmap, ens.grid.dt)
+    tab = MalliavinTableau(ens.dW, ens.X, lmap, ens.grid.dt)
     n = grid.n_steps
     mat = np.exp(tab.A[:, n : n + 1] - tab.A)  # D_theta U_T for every theta
     assert np.all(mat > 0)
@@ -113,7 +116,7 @@ def test_du_positive_and_log_additive():
 def test_triangularity_errors(driftless):
     prob, grid, ens = driftless
     lmap = LampertiMap(prob.sigma, prob.b, prob.box)
-    tab = MalliavinTableau(ens.W, ens.X, lmap, ens.grid.dt)
+    tab = MalliavinTableau(ens.dW, ens.X, lmap, ens.grid.dt)
     with pytest.raises(OrderingError):
         first_u(tab.A, 0, 10, 5)
     with pytest.raises(OrderingError):
@@ -127,7 +130,7 @@ def test_triangularity_errors(driftless):
 def test_second_order_zero_cases(driftless):
     prob, grid, ens = driftless
     lmap = LampertiMap(prob.sigma, prob.b, prob.box)
-    tab = MalliavinTableau(ens.W, ens.X, lmap, ens.grid.dt)
+    tab = MalliavinTableau(ens.dW, ens.X, lmap, ens.grid.dt)
     # t = s gives an empty integral
     assert second_u(tab.A, tab.B, 0, 10, 50, 50) == 0.0
 
@@ -137,7 +140,7 @@ def test_second_order_symmetry_under_swap():
     grid = TimeGrid(0.25, 200)
     ens = simulate_forward(prob, grid, 10, seed=123)
     lmap = LampertiMap(prob.sigma, prob.b, prob.box)
-    tab = MalliavinTableau(ens.W, ens.X, lmap, ens.grid.dt)
+    tab = MalliavinTableau(ens.dW, ens.X, lmap, ens.grid.dt)
     a = second_x(tab.A, tab.B, ens.X, prob.sigma, 2, 40, 100, 180)
     b = second_x(tab.A, tab.B, ens.X, prob.sigma, 2, 100, 40, 180)
     assert a == b
@@ -148,7 +151,7 @@ def test_second_order_finite_difference_oracle():
     grid = TimeGrid(0.25, 500)
     ens = simulate_forward(prob, grid, 3, seed=123)
     lmap = LampertiMap(prob.sigma, prob.b, prob.box)
-    tab = MalliavinTableau(ens.W, ens.X, lmap, ens.grid.dt)
+    tab = MalliavinTableau(ens.dW, ens.X, lmap, ens.grid.dt)
     p, thi, tti, ssi = 0, 100, 250, 500
     eps = 1e-4
     base = ens.dW[p].copy()
@@ -170,7 +173,7 @@ def test_dx_bounds_under_h3():
     grid = TimeGrid(1.0, 100)
     ens = simulate_forward(prob, grid, 100, seed=21)
     lmap = LampertiMap(prob.sigma, prob.b, prob.box)
-    tab = MalliavinTableau(ens.W, ens.X, lmap, ens.grid.dt)
+    tab = MalliavinTableau(ens.dW, ens.X, lmap, ens.grid.dt)
     cap = 1.0 * np.exp(0.5 * 1.0)  # (max sigma) * exp(max|beta' sigma| T)
     for t_idx in (25, 50, 100):
         mat = np.column_stack([tab.first_x_all(th, t_idx) for th in range(t_idx + 1)])
@@ -183,7 +186,7 @@ def test_second_order_nonnegative_under_h6():
     grid = TimeGrid(0.25, 100)
     ens = simulate_forward(prob, grid, 20, seed=2)
     lmap = LampertiMap(prob.sigma, prob.b, prob.box)
-    tab = MalliavinTableau(ens.W, ens.X, lmap, ens.grid.dt)
+    tab = MalliavinTableau(ens.dW, ens.X, lmap, ens.grid.dt)
     eps = 10 * grid.dt
     rng = np.random.default_rng(0)
     for _ in range(60):
@@ -195,8 +198,9 @@ def test_second_order_nonnegative_under_h6():
 
 
 def test_unflagged_simulation_keeps_one_copy_of_the_ensemble():
-    """With no path flagged the ensemble holds the sweep's own dW, W and X:
-    the peak is those three matrices and per-step vectors, no masked copy."""
+    """With no path flagged the ensemble holds the sweep's own dW and X, and
+    no W: the peak is those two matrices and per-step vectors, no masked
+    copy."""
     prob = _problem(trig_affine(c=0.3), trig_affine(a=2, b=0.5))
     lmap = LampertiMap(prob.sigma, prob.b, prob.box)
     tracemalloc.start()
@@ -206,7 +210,7 @@ def test_unflagged_simulation_keeps_one_copy_of_the_ensemble():
     finally:
         tracemalloc.stop()
     assert ens.n_flagged == 0
-    assert peak < 4 * ens.X.nbytes  # a masked copy would make it 6
+    assert peak < 3 * ens.X.nbytes  # a masked copy would make it 4
 
 
 def test_flagged_paths_excluded_and_error():
@@ -230,12 +234,12 @@ def test_dump_load_roundtrip(tmp_path, driftless):
         assert small.n_paths == n_paths
         path = tmp_path / "ens.bin"
         dump_ensemble(small, path)
-        per_path = np.concatenate([small.dW, small.W, small.X], axis=1)
+        per_path = np.concatenate([small.dW, brownian_matrix(small.dW), small.X], axis=1)
         assert path.read_bytes()[56:] == (
             small.path_ids.astype("<u8").tobytes() + per_path.astype("<f8").tobytes()
         )
         back = load_ensemble(path)
-        for field in ("dW", "W", "X"):
+        for field in ("dW", "X"):
             assert np.array_equal(getattr(back, field), getattr(small, field))
         assert np.array_equal(back.path_ids, small.path_ids)
         assert back.master_seed == small.master_seed
@@ -249,7 +253,7 @@ def test_dump_load_roundtrip(tmp_path, driftless):
     head = bytearray(path.read_bytes()[:56])
     head[8:12] = struct.pack("<I", 1)
     old = tmp_path / "v1.bin"
-    per_path = np.concatenate([small.dW, small.W, small.X, small.X], axis=1)
+    per_path = np.concatenate([small.dW, brownian_matrix(small.dW), small.X, small.X], axis=1)
     old.write_bytes(bytes(head) + small.path_ids.astype("<u8").tobytes()
                     + per_path.astype("<f8").tobytes())
     with pytest.raises(SimulationError, match="version-1 ensemble dump"):
@@ -271,7 +275,7 @@ def test_dump_and_load_peak_below_one_path_matrix(tmp_path, driftless):
         _, load_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    returned = back.dW.nbytes + back.W.nbytes + back.X.nbytes + back.path_ids.nbytes
+    returned = back.dW.nbytes + back.X.nbytes + back.path_ids.nbytes
     assert dump_peak - before <= ens.X.nbytes
     assert load_peak - before - returned <= ens.X.nbytes
     assert ens.X.shape == (20000, 201)
@@ -311,7 +315,7 @@ def test_tableau_integrals_in_path_blocks_match_whole_matrix():
     ens = simulate_forward(prob, grid, n_paths, seed=5)
     assert ens.n_paths % _ROW_BLOCK and ens.n_paths > _ROW_BLOCK
     lmap = LampertiMap(prob.sigma, prob.b, prob.box)
-    tab = MalliavinTableau(ens.W, ens.X, lmap, ens.grid.dt)
+    tab = MalliavinTableau(ens.dW, ens.X, lmap, ens.grid.dt)
     sigX, A, B = reference_tableau_integrals(lmap, ens.X, grid.dt)
     for t_idx in (3, grid.n_steps):
         expect = sigX[:, t_idx] * np.exp(A[:, t_idx] - A[:, 2])
@@ -323,3 +327,28 @@ def test_tableau_integrals_in_path_blocks_match_whole_matrix():
     assert np.array_equal(tab.A, A)
     assert np.array_equal(tab.B, B)
     assert np.abs(B).max() > 0
+
+
+def test_brownian_columns_are_the_running_sum():
+    """W is rebuilt from the increments bitwise as the explicit running sum
+    from W_0 = 0, across a last block of paths shorter than the others: for
+    every column, for W_T alone, for a scattered subset and on the strided
+    prefix of the increments that a replay sweep reads."""
+    n_paths, n = 2 * _ROW_BLOCK + 37, 30
+    dW = np.random.default_rng(3).standard_normal((n_paths, n)) * np.sqrt(1.0 / n)
+    dW[0, 0] = -0.0  # W_1 = 0 + (-0) is +0
+    W = brownian_matrix(dW)
+
+    def bits(a):
+        return np.ascontiguousarray(a).view(np.uint64)
+
+    assert np.array_equal(bits(_brownian_columns(dW)), bits(W))
+    assert np.array_equal(bits(_brownian_columns(dW, n)), bits(W[:, n]))
+    assert np.array_equal(bits(_brownian_columns(dW, [n])), bits(W[:, [n]]))
+    cols = [17, 0, 4, n, 9]
+    assert np.array_equal(bits(_brownian_columns(dW, cols)), bits(W[:, cols]))
+    assert np.array_equal(bits(_brownian_columns(dW, slice(12, None))), bits(W[:, 12:]))
+    assert np.array_equal(bits(_brownian_columns(dW[:, :12], 12)),
+                          bits(brownian_matrix(dW[:, :12])[:, 12]))
+    assert np.all(_brownian_columns(dW, 0) == 0.0)
+    assert not np.signbit(_brownian_columns(dW, 1)[0])

@@ -85,7 +85,7 @@ def test_estimate_g_flat_phi_exact():
 
 def _solve(prob, ens, basis, t_indices):
     lmap = LampertiMap(prob.sigma, prob.b, prob.box)
-    ftab = MalliavinTableau(ens.W, ens.X, lmap, ens.grid.dt)
+    ftab = MalliavinTableau(ens.dW, ens.X, lmap, ens.grid.dt)
     return solve_bsde(ens, prob, basis, forward_tab=ftab, t_indices=t_indices)
 
 
@@ -266,7 +266,8 @@ def test_replay_sweep_cut_at_t_max():
     incs = _draw_increments(9, 300, 20, grid.dt)
     full = make_replay_sweep(prob, grid, lmap, 20)(incs)
     cut = make_replay_sweep(prob, grid, lmap, 12)(incs)
-    for name in ("W", "X", "A", "exp_neg_A", "B"):
+    assert np.array_equal(cut.dW, full.dW[:, :12])
+    for name in ("X", "A", "exp_neg_A", "B"):
         assert np.array_equal(getattr(cut, name), getattr(full, name)[:, :13])
     # a box barely wider than the paths' reach makes clamps happen late
     tight = ProblemSpec(0.0, 1.0, constant(0), constant(1), Driver(), "phi-of-wt",
