@@ -25,6 +25,7 @@ number of regressions independent of theta.
 
 from __future__ import annotations
 
+import copy
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
@@ -123,6 +124,14 @@ class _StepDesign:
         pen = np.zeros(p)
         pen[1:] = ridge
         self.gram = gram + np.diag(pen)
+
+    def evaluator(self) -> _StepDesign:
+        """A copy without the design matrix and its Gram: what
+        :meth:`evaluate` reads (the powers, the standardization and the
+        column means), for a fitted row that outlives its step."""
+        out = copy.copy(self)
+        del out.D, out.gram
+        return out
 
     def _standardized(self, v: np.ndarray, tag: str) -> np.ndarray:
         mu = self.meta[f"{tag}_mean"]
@@ -243,30 +252,31 @@ class BackwardSolution:
 
 
 def _terminal(problem: ProblemSpec, dW: np.ndarray, x_T: Points,
-              forward_tab: MalliavinTableau | None):
+              tab: BackwardTableau | None):
     """(xi, Z_T, tableau data) on one point set of the terminal argument.
 
     Z_T = D_T xi is phi'(W_T), or phi'(X_T) sigma(X_T) via D_T X_T =
     sigma(X_T); W_T is built from the increments ``dW`` only for a
-    phi-of-wt terminal.  Given the forward tableau, the tableau data are the
+    phi-of-wt terminal.  Given the Y/Z tableau, the tableau data are the
     undiscounted D_theta xi as the (free, exp(-A_theta)) pair and D2 xi as
-    the (a, bc, d, e) quadruple; otherwise None.
+    the (a, bc, d, e) quadruple, with B_n read from the tableau's kept
+    columns; otherwise None.
     """
     wt = problem.terminal == "phi-of-wt"
     arg = Points(_brownian_columns(dW, dW.shape[1])) if wt else x_T
     xi, phi1 = eval_derivative(problem.phi, 0, arg), eval_derivative(problem.phi, 1, arg)
     sig = None if wt else eval_derivative(problem.sigma, 0, arg)
     z_T = phi1 if wt else phi1 * sig
-    if forward_tab is None:
+    if tab is None:
         return xi, z_T, None
     zero = np.zeros(len(xi))
     phi2 = eval_derivative(problem.phi, 2, arg)
     if wt:
         return xi, z_T, ((z_T, zero), np.stack([phi2, zero, zero, zero]))
-    eA = np.exp(forward_tab.A[:, -1])
+    eA = np.exp(tab.ftab.A[:, -1])
     sA = sig * eA
     sig1 = eval_derivative(problem.sigma, 1, arg)
-    d = phi2 * sA**2 + phi1 * sig1 * sig * eA**2 + phi1 * sA * forward_tab.B[:, -1]
+    d = phi2 * sA**2 + phi1 * sig1 * sig * eA**2 + phi1 * sA * tab._b_at(tab.n)
     return xi, z_T, ((zero, z_T * eA), np.stack([zero, zero, d, phi1 * sA]))
 
 
@@ -314,14 +324,15 @@ def solve_bsde(
     # one point set per step: X_i serves the terminal data, the Picard loop
     # and the tableau step alike
     x = Points(ens.X[:, n])
-    y_next, z_T, terminal = _terminal(problem, ens.dW, x, forward_tab)
+    tab = None
+    if forward_tab is not None:
+        tab = BackwardTableau(problem, basis, forward_tab, declared)
+    y_next, z_T, terminal = _terminal(problem, ens.dW, x, tab)
     _require_finite(y_next, "terminal value Y_T", n)
     _require_finite(z_T, "terminal value Z_T", n)
     kept = {n: (y_next, z_T)} if n in declared else {}
-    tab = None
-    if forward_tab is not None:
-        tab = BackwardTableau(problem, basis, forward_tab, declared, terminal)
-        tab.step(n, None, x, y_next)
+    if tab is not None:
+        tab.step(n, None, x, y_next, terminal)
 
     # the one basis that reads W reads every column of it
     W = _brownian_columns(ens.dW) if basis.kind == "polynomial-in-xw" else None
@@ -384,8 +395,10 @@ def solve_bsde(
 class _Row:
     """The fits the tableau keeps at one declared time index.
 
-    ``design`` and the coefficient arrays are None at the terminal node,
-    where conditioning on F_T is the identity and nothing is fitted.
+    ``design`` (its :meth:`_StepDesign.evaluator`) and the coefficient arrays
+    are None at the terminal node, where conditioning on F_T is the identity
+    and nothing is fitted.  ``b`` is the column B_t that the D_theta Z row
+    reads, None when its e-coefficient is zero.
     """
 
     design: _StepDesign | None
@@ -395,6 +408,7 @@ class _Row:
     z_clark: np.ndarray
     dz: tuple[np.ndarray, ...]
     dz_coeffs: np.ndarray | None
+    b: np.ndarray | None
 
 
 class BackwardTableau:
@@ -425,14 +439,16 @@ class BackwardTableau:
     :func:`solve_bsde` builds the tableau and calls :meth:`step` on each of
     its steps down to the smallest declared index.  Only the rows at
     ``t_indices`` are kept; a row yields the entries for every theta <= t at
-    once because each target is affine in exp(-A_theta).  An undeclared
+    once because each target is affine in exp(-A_theta).  A kept row holds
+    its design's evaluator and its B_t column, no path matrix.  An undeclared
     index raises OrderingError, a non-finite kept row SolverError.
 
-    dW, X, A, B, n and dt come from ``forward_tab`` alone.  A linear
+    dW, X, A, B, n and dt come from ``forward_tab`` alone.  B is never held
+    as a matrix: one build keeps its columns at marks, and the pass rebuilds
+    each segment between two marks once (see :meth:`_b_at`).  A linear
     z-term alpha of ``problem``'s driver enters only through the Girsanov
     weights over [t, T] (the driver partials do not see it), which read
     W_T - W_t and are built at alpha != 0 only (see :meth:`_w_at`).
-    ``terminal`` is the (D_theta xi, D2 xi) data of :func:`_terminal`.
     """
 
     def __init__(
@@ -441,7 +457,6 @@ class BackwardTableau:
         basis: RegressionBasis,
         forward_tab: MalliavinTableau,
         t_indices: set[int],
-        terminal: tuple[tuple[np.ndarray, np.ndarray], np.ndarray],
     ):
         self.ftab = ftab = forward_tab
         self.problem = problem
@@ -455,26 +470,41 @@ class BackwardTableau:
         self._has_fy = drv.f_of_y is not None or drv.cross_x is not None
         self._has_fx = drv.f_of_x is not None or drv.cross_x is not None
         self._active = not drv.is_zero  # a zero driver keeps every tail zero
-        # alpha != 0: W at every k-th step from the smallest declared index,
-        # k ~ sqrt of the pass length, and W_T last (see _w_at)
+        # the marks: every k-th step from the smallest declared index, k ~
+        # sqrt of the pass length, and n last
+        marks = [*range(self.lowest, self.n, math.isqrt(self.n - self.lowest) + 1), self.n]
+        # alpha != 0: W at the marks (see _w_at)
         self._w_marks = []
         if drv.alpha:
-            marks = [*range(self.lowest, self.n, math.isqrt(self.n - self.lowest) + 1), self.n]
             cols = _brownian_columns(ftab.dW, marks)
             self._w_marks = [(c, cols[:, j].copy()) for j, c in enumerate(marks)]
+        # B, read by the f_x integrand at every step and by an X_T terminal at
+        # the declared rows and at n: one build keeps it at the marks, or at
+        # the declared indices and n when f_x is absent (see _b_at)
+        self._b_marks, self._b_seg = [], {}
+        if self._has_fx or problem.terminal == "phi-of-xt":
+            if not self._has_fx:
+                marks = sorted(t_indices | {self.n})
+            cols = ftab.B(marks)
+            self._b_marks = [(c, cols[:, j].copy()) for j, c in enumerate(marks)]
 
         # running state between two steps, O(n_paths) each; _above holds
         # (f_y, h, h + f_y F, Clark-Ocone integrand) of step s + 1
-        (self._dxi, self._d2xi), self._above = terminal, None
+        self._above = None
         N = len(ftab.X)
         self._d2y_tail = np.zeros((4, N))  # discounted tail of h
         self._dz_tail = np.zeros((4, N))   # plain tail of h + f_y F
         self._z_tail = np.zeros((2, N))    # plain tail of (f_y G1, f_x se + f_y G2)
         self._discount = 1.0               # exp(int_s^T f_y)
 
-    def step(self, s: int, design: _StepDesign | None, x: Points, y: np.ndarray) -> None:
+    def step(self, s: int, design: _StepDesign | None, x: Points, y: np.ndarray,
+             terminal: tuple | None = None) -> None:
         """Advance the pass from s + 1 to s, given the solver's point set of
-        X_s, Y_s and its design at s (None at s = n, where nothing is fitted)."""
+        X_s, Y_s and its design at s.  The pass starts at s = n, where
+        nothing is fitted (``design`` is None) and ``terminal`` is the
+        (D_theta xi, D2 xi) data of :func:`_terminal`."""
+        if s == self.n:
+            self._dxi, self._d2xi = terminal
         keep = s in self._declared
         if not (keep or self._active):
             return
@@ -501,9 +531,9 @@ class BackwardTableau:
             se = sig * eA
             h[3] = fx * se
             h[2] = drv.fxx(x, y) * se**2
-            if fx.any():  # B is built only when f_x is non-zero
+            if fx.any():  # B is read only when f_x is non-zero
                 sig1 = eval_derivative(self.problem.sigma, 1, x)
-                h[2] += h[3] * (sig1 * eA + ftab.B[:, s])
+                h[2] += h[3] * (sig1 * eA + self._b_at(s))
         if carry:
             fy_above, h_above, p_above, c_above = self._above
             d = np.exp(half * (fy + fy_above)) if has_fy else 1.0
@@ -552,10 +582,14 @@ class BackwardTableau:
             for name, v in (("D_theta Y", G), ("D2 Y", F), ("Clark-Ocone Z", zc),
                             ("D_theta Z", dz)):
                 _require_finite(v, f"{name} row", s)
-            self._rows[s] = _Row(design, G, dy_coeffs, tuple(F), zc, tuple(dz), dz_coeffs)
+            self._rows[s] = _Row(
+                None if design is None else design.evaluator(), G, dy_coeffs, tuple(F),
+                zc, tuple(dz), dz_coeffs, self._b_at(s) if dz[3].any() else None,
+            )
         if s == self.lowest:  # the pass is complete: drop its running state
             del self._dxi, self._d2xi, self._above, self._discount
             del self._d2y_tail, self._dz_tail, self._z_tail, self._w_marks
+            del self._b_marks, self._b_seg
 
     def _w_at(self, s: int) -> np.ndarray:
         """W_s on the pass down from n: the running sum of the increments from
@@ -569,6 +603,22 @@ class BackwardTableau:
         for j in range(c, s):
             w = w + self.ftab.dW[:, j]
         return w
+
+    def _b_at(self, s: int) -> np.ndarray:
+        """B_s on the pass down from n.  When the pass enters the segment
+        between two kept columns, it rebuilds the columns from the kept one
+        at or below s up to s once, as a running trapezoid
+        (:meth:`MalliavinTableau.b_segment`), bitwise the cumulative sum, and
+        drops the kept columns above s; so the pass holds O(sqrt(n)) columns
+        of B, not a B matrix."""
+        if s not in self._b_seg:
+            marks = self._b_marks
+            while marks[-1][0] > s:
+                marks.pop()
+            lo, b = marks[-1]
+            self._b_seg.clear()
+            self._b_seg.update(enumerate(self.ftab.b_segment(lo, b, s), lo))
+        return self._b_seg[s]
 
     def _row(self, t_idx: int) -> _Row:
         return _declared_entry(self._rows, t_idx, "tableau")
@@ -613,7 +663,7 @@ class BackwardTableau:
         eb = np.exp(-A[:, hi])
         out = f0 + (ea + eb) * f12 + ea * eb * f3
         if f4.any():  # building B is expensive; f4 == 0 whenever f_x vanishes
-            out = out - self.ftab.B[:, hi] * ea * eb * f4
+            out = out - self.ftab.B(hi) * ea * eb * f4
         return out
 
     # -- Clark-Ocone Z ------------------------------------------------------------
@@ -641,10 +691,10 @@ class BackwardTableau:
         return self._row(t_idx).dz
 
     def _dz_inner(self, fd: np.ndarray, fe: np.ndarray, t_idx: int, rows: slice):
-        # fe is tested whole, so a block of paths takes the whole row's branch
-        if fe.any():  # building B is expensive; fe == 0 whenever f_x vanishes
-            return fd[rows] - self.ftab.B[rows, t_idx] * fe[rows]
-        return fd[rows]
+        # the row keeps B_t exactly when fe is non-zero somewhere, so a block
+        # of paths takes the whole row's branch
+        b = self._row(t_idx).b
+        return fd[rows] if b is None else fd[rows] - b[rows] * fe[rows]
 
     def dz_matrix(self, t_idx: int, rows: slice = slice(None)) -> np.ndarray:
         """D_theta Z_t for all theta <= t on the paths ``rows``, as
@@ -728,7 +778,8 @@ def _dz_row(fa: np.ndarray, fbc: np.ndarray, inner: np.ndarray, ea_th: np.ndarra
 # ---------------------------------------------------------------------------
 
 
-def make_replay_sweep(problem: ProblemSpec, grid: TimeGrid, lmap: LampertiMap, t_max: int):
+def make_replay_sweep(problem: ProblemSpec, grid: TimeGrid, lmap: LampertiMap, t_max: int,
+                      reads_w: bool = False):
     """``sweep(increments) -> MalliavinTableau``: the forward sweep of one
     increment matrix up to step ``t_max`` on the main run's forward model,
     the state every Phi row of the g-estimator reads.
@@ -737,14 +788,17 @@ def make_replay_sweep(problem: ProblemSpec, grid: TimeGrid, lmap: LampertiMap, t
     rows stay aligned with the unshifted ensemble; the ``n_clamped``
     attribute sums the clamp events up to ``t_max`` of all its sweeps.  Each
     row slices the tableau's ``exp_neg_A``, computed once on the whole
-    contiguous matrix; B is built on first use.
+    contiguous matrix, and builds the one column of B it reads.  The state
+    holds the increments (a view of ``increments``) only when ``reads_w``,
+    for the basis in (x, w); otherwise its dW is None, so a shifted increment
+    matrix is freed once the sweep returns.
     """
 
     def sweep(increments: np.ndarray) -> MalliavinTableau:
         dW = increments[:, :t_max]
         X, hits = _euler_lamperti(problem, grid, dW, lmap)
         sweep.n_clamped += int(hits.sum())
-        return MalliavinTableau(dW, X, lmap, grid.dt)
+        return MalliavinTableau(dW if reads_w else None, X, lmap, grid.dt)
 
     sweep.n_clamped = 0
     return sweep
@@ -759,7 +813,8 @@ def make_phi_row(btab: BackwardTableau, t_idx: int, component: str):
     ``btab`` has fitted them on the whole main-run ensemble.  The row
     evaluates the frozen fits at the sweep's time-t states and assembles
     itself with the main run's formula, reading B_t only when the fitted
-    e-coefficients are non-zero and W_t only for the basis in (x, w).
+    e-coefficients are non-zero and W_t only for the basis in (x, w), whose
+    sweep must hold its increments (``make_replay_sweep(..., reads_w=True)``).
     Output row i depends on increment row i only.  The Girsanov weights of
     a linear z-driver are already inside the fits.  The terminal node has no
     regression to freeze and is refused with a SolverError.
@@ -779,6 +834,8 @@ def make_phi_row(btab: BackwardTableau, t_idx: int, component: str):
     uses_w = btab.basis.kind == "polynomial-in-xw"
 
     def phi(state: MalliavinTableau) -> np.ndarray:
+        if uses_w and state.dW is None:
+            raise SolverError("the (x, w) basis reads W_t: the replay sweep must hold dW")
         w = _brownian_columns(state.dW, t_idx) if uses_w else None
         fits = design.evaluate(coeffs, state.X[:, t_idx], w)
         ea_th = state.exp_neg_A[:, : t_idx + 1]
@@ -786,7 +843,7 @@ def make_phi_row(btab: BackwardTableau, t_idx: int, component: str):
             return _dy_row(fits[:, 0], fits[:, 1], ea_th)
         inner = fits[:, 2]
         if uses_b:
-            inner = inner - state.B[:, t_idx] * fits[:, 3]
+            inner = inner - state.B(t_idx) * fits[:, 3]
         return _dz_row(fits[:, 0], fits[:, 1], inner, ea_th, state.exp_neg_A[:, t_idx])
 
     return phi

@@ -258,17 +258,7 @@ class Experiment:
                 if cfg["gest.enabled"] and name.lower() in gest_targets:
                     target = self._g_target(name, t, t_idx, samples)
                     gest_jobs.append((t, t_idx, name, comp, target))
-            # tableau summary rows over a fixed theta sub-grid
-            theta_picks = sorted({0, t_idx // 4, t_idx // 2, (3 * t_idx) // 4, t_idx})
-            for th, dx in zip(theta_picks, self.btab.ftab.first_x_all(theta_picks, t_idx)):
-                summary_rows["t"].append(t)
-                summary_rows["theta"].append(th * self.grid.dt)
-                for label, col in (("dx", dx),
-                                   ("dy", self.btab.dy_all(th, t_idx)),
-                                   ("dz", self.btab.dz_all(th, t_idx))):
-                    summary_rows[f"{label}_mean"].append(float(col.mean()))
-                    summary_rows[f"{label}_min"].append(float(col.min()))
-                    summary_rows[f"{label}_max"].append(float(col.max()))
+            self._summarize_tableaux(summary_rows, t, t_idx)
             meta["per_t"][key] = entry
         if gest_jobs:
             self._g_estimate(gest_jobs)
@@ -279,6 +269,20 @@ class Experiment:
         )
         self.density_meta = meta
         _write_json(self.out / "density_meta.json", meta)
+
+    def _summarize_tableaux(self, rows: dict[str, list], t: float, t_idx: int) -> None:
+        """Append the tableau summary rows of eval time ``t`` over a fixed
+        theta sub-grid; the (k, n_paths) D_theta X block dies on return."""
+        theta_picks = sorted({0, t_idx // 4, t_idx // 2, (3 * t_idx) // 4, t_idx})
+        for th, dx in zip(theta_picks, self.btab.ftab.first_x_all(theta_picks, t_idx)):
+            rows["t"].append(t)
+            rows["theta"].append(th * self.grid.dt)
+            for label, col in (("dx", dx),
+                               ("dy", self.btab.dy_all(th, t_idx)),
+                               ("dz", self.btab.dz_all(th, t_idx))):
+                rows[f"{label}_mean"].append(float(col.mean()))
+                rows[f"{label}_min"].append(float(col.min()))
+                rows[f"{label}_max"].append(float(col.max()))
 
     def _n_outer(self) -> int:
         return min(self.cfg["gest.n_outer"], self.ens.n_paths)
@@ -304,7 +308,8 @@ class Experiment:
         cfg = self.cfg
         n_outer = self._n_outer()
         sweep = make_replay_sweep(self.problem, self.grid, self.lmap,
-                                  max(t_idx for _, t_idx, *_ in jobs))
+                                  max(t_idx for _, t_idx, *_ in jobs),
+                                  self.basis.kind == "polynomial-in-xw")
         estimates = estimate_g(
             [target for *_, target in jobs],
             sweep,

@@ -22,7 +22,11 @@ whole first-order tableau is represented by one cumulative integral per path
 
 where B is the cumulative trapezoid of (beta o g^-1)''(X_r) exp(A_r).  This
 is exactly the triangular tableau of trapezoid quadratures, stored in O(n)
-per path instead of O(n^2).
+per path instead of O(n^2).  A is held as a path matrix; B is not:
+:meth:`MalliavinTableau.B` builds the columns a reader asks for, and the
+backward pass keeps B at marks about every sqrt(n) steps and rebuilds each
+segment between two marks as a running trapezoid
+(:meth:`MalliavinTableau.b_segment`), bitwise the cumulative sum.
 """
 
 from __future__ import annotations
@@ -42,7 +46,6 @@ __all__ = [
     "PathEnsemble",
     "MalliavinTableau",
     "log_derivative_integral",
-    "second_order_integral",
     "simulate_forward",
     "dump_ensemble",
     "load_ensemble",
@@ -233,19 +236,6 @@ def log_derivative_integral(lmap: LampertiMap, X: np.ndarray, dt: float) -> np.n
     return A
 
 
-def second_order_integral(
-    lmap: LampertiMap, X: np.ndarray, A: np.ndarray, dt: float
-) -> np.ndarray:
-    """B, the cumulative trapezoid of (beta o g^-1)''(X) e^A along each path,
-    built in blocks of paths, and a zero view, like :func:`log_derivative_integral`."""
-    if lmap.sigma.family == lmap.b.family == "constant":
-        return np.broadcast_to(0.0, X.shape)
-    B = np.empty_like(X)
-    for rows in _row_blocks(len(X)):
-        B[rows] = _cumtrapz(lmap.beta_comp_second(X[rows]) * np.exp(A[rows]), dt)
-    return B
-
-
 def _check_triangular(theta_idx: int, t_idx: int, n: int) -> None:
     """Refuse a (theta, t) index pair outside 0..n or with theta > t."""
     if not (0 <= theta_idx <= n and 0 <= t_idx <= n):
@@ -263,29 +253,72 @@ class MalliavinTableau:
     Logical layout is the lower-triangular grid DU[theta_i][t_j] (theta <= t)
     per path, with second-order slices indexed by (theta, t, s); physically
     everything derives from the cumulative integrals A and B described in the
-    module docstring; under a constant drift (sigma and b constant families)
-    both are zero views.  B and e^{-A} (which only the replay rows read, each
-    slicing it) are built on first use.  The accessor reads grid indices and
+    module docstring; under a constant drift (sigma and b constant families,
+    ``constant_drift``) both are zero views.  A is held; B is not: :meth:`B`
+    builds the columns asked for, and :meth:`b_segment` walks B up from a
+    column the caller holds.  e^{-A} (which only the replay rows read, each
+    slicing it) is built on first use.  The accessor reads grid indices and
     rejects theta > t; sigma is evaluated at the states it reads, never stored
     as a path matrix.  The increments ``dW`` are held as given (the main run's
-    are the ensemble's own), and W is not held.
+    are the ensemble's own; None for a replay whose rows do not read W), and
+    W is not held.
     """
 
-    def __init__(self, dW: np.ndarray, X: np.ndarray, lmap: LampertiMap, dt: float):
+    def __init__(self, dW: np.ndarray | None, X: np.ndarray, lmap: LampertiMap, dt: float):
         self.dW, self.X = dW, X
         self.lmap, self.dt = lmap, dt
         self.n = X.shape[1] - 1
+        self.constant_drift = lmap.sigma.family == lmap.b.family == "constant"
         self.A = log_derivative_integral(lmap, X, dt)
-        self._B: np.ndarray | None = None
         self._exp_neg_A: np.ndarray | None = None
 
-    # -- lazy machinery --------------------------------------------------------
+    # -- the second-order integral B --------------------------------------------
 
-    @property
-    def B(self) -> np.ndarray:
-        if self._B is None:
-            self._B = second_order_integral(self.lmap, self.X, self.A, self.dt)
-        return self._B
+    def _b_integrand(self, x: np.ndarray, a: np.ndarray) -> np.ndarray:
+        """(beta o g^-1)''(x) e^a at states ``x`` of X and values ``a`` of A."""
+        return self.lmap.beta_comp_second(x) * np.exp(a)
+
+    def B(self, cols=slice(None)) -> np.ndarray:
+        """Columns ``cols`` (an index, a list or a slice) of B: the one place
+        that builds B from a leading zero.  Each block of paths is integrated
+        with :func:`_cumtrapz` up to the last asked-for column, and only the
+        asked-for columns are kept; under a constant drift B is a read-only
+        zero view."""
+        idx = np.arange(self.n + 1)[cols]
+        shape = (len(self.X),) + idx.shape
+        if self.constant_drift:
+            return np.broadcast_to(0.0, shape)
+        width = int(np.max(idx, initial=-1)) + 1  # a prefix of B needs a prefix of X
+        out = np.empty(shape)
+        for rows in _row_blocks(len(self.X)):
+            values = self._b_integrand(self.X[rows, :width], self.A[rows, :width])
+            out[rows] = _cumtrapz(values, self.dt)[:, idx]
+        return out
+
+    def b_segment(self, lo: int, b_lo: np.ndarray, hi: int) -> list[np.ndarray]:
+        """Columns lo..hi of B, walked up from its column ``lo`` = ``b_lo`` as
+        the running trapezoid b_{j+1} = b_j + (dt/2) (v_{j+1} + v_j) with
+        v_j = (beta o g^-1)''(X_j) e^{A_j}: bitwise the columns of :meth:`B`.
+        That cumulative sum makes column 1 the first increment itself, so a
+        walk from column 0 does too and a -0.0 increment stays -0.0.  Under a
+        constant drift every column is ``b_lo``, a zero view.  Each column
+        of X and A is copied out once: elementwise kernels are faster on
+        contiguous operands and give the same bits."""
+        if self.constant_drift:
+            return [b_lo] * (hi - lo + 1)
+
+        def v_at(j):
+            return self._b_integrand(np.ascontiguousarray(self.X[:, j]),
+                                     np.ascontiguousarray(self.A[:, j]))
+
+        half = 0.5 * self.dt
+        out, v = [b_lo], v_at(lo)
+        for j in range(lo, hi):
+            v_next = v_at(j + 1)
+            inc = half * (v_next + v)
+            out.append(inc if j == 0 else out[-1] + inc)
+            v = v_next
+        return out
 
     @property
     def exp_neg_A(self) -> np.ndarray:

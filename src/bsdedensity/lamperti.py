@@ -22,7 +22,6 @@ from .coeffs import (
     Points,
     as_points,
     eval_derivative,
-    iterated_bracket,
     lie_bracket,
 )
 from .errors import DomainError
@@ -284,10 +283,14 @@ class LampertiMap:
         """(beta o g^-1)''(g(x)) = [sigma,[sigma,b]]/sigma - ((sigma'' sigma)' sigma)/2.
 
         Parameterized by x in state space; callers compose with X_r, not U_r.
+        The bracket is :func:`~bsdedensity.coeffs.iterated_bracket` written
+        out on the sigma derivatives the formula reads anyway, with its
+        operations in its order: each derivative is evaluated once, and the
+        bits are the bracket's.
         """
         x = as_points(x)
         s = self._sigma_guard(x)
-        s1 = eval_derivative(self.sigma, 1, x)
-        s2 = eval_derivative(self.sigma, 2, x)
-        s3 = eval_derivative(self.sigma, 3, x)
-        return iterated_bracket(self.sigma, self.b, x) / s - 0.5 * (s3 * s + s2 * s1) * s
+        s1, s2, s3 = (eval_derivative(self.sigma, k, x) for k in (1, 2, 3))
+        b0, b1, b2 = (eval_derivative(self.b, k, x) for k in (0, 1, 2))
+        bracket = s * (s * b2 - b0 * s2) - (s * b1 - b0 * s1) * s1
+        return bracket / s - 0.5 * (s3 * s + s2 * s1) * s

@@ -22,7 +22,13 @@ from bsdedensity.coeffs import (
     lie_bracket,
 )
 from bsdedensity.errors import CoefficientError, GlobalDomainError, OrderingError
-from bsdedensity.forward import PathEnsemble, TimeGrid, _cumtrapz, _euler_lamperti
+from bsdedensity.forward import (
+    _ROW_BLOCK,
+    PathEnsemble,
+    TimeGrid,
+    _cumtrapz,
+    _euler_lamperti,
+)
 from bsdedensity.lamperti import _ROOT_TOLERANCE, LampertiMap
 from bsdedensity.nvdensity import mehler_shift, silverman_bandwidth
 
@@ -211,6 +217,19 @@ def reference_tableau_integrals(lmap, X, dt):
     A = _cumtrapz(lmap.beta_prime_sigma(pts), dt)
     B = _cumtrapz(lmap.beta_comp_second(X) * np.exp(A), dt)
     return sigX, A, B
+
+
+def second_order_matrix(lmap, X, A, dt):
+    """The whole matrix B, the cumulative trapezoid of (beta o g^-1)''(X) e^A
+    along each path, built in blocks of paths as the tableau built it when
+    it held B; a read-only zero view when sigma and b are constant families."""
+    if lmap.sigma.family == lmap.b.family == "constant":
+        return np.broadcast_to(0.0, X.shape)
+    B = np.empty_like(X)
+    for lo in range(0, len(X), _ROW_BLOCK):
+        rows = slice(lo, lo + _ROW_BLOCK)
+        B[rows] = _cumtrapz(lmap.beta_comp_second(X[rows]) * np.exp(A[rows]), dt)
+    return B
 
 
 # Scalar tableau entries on one path, from the integrals A and B, the path

@@ -309,7 +309,7 @@ def test_criterion_10_second_order_consistency():
         fd = (vals[(1, 1)] - vals[(1, -1)] - vals[(-1, 1)] + vals[(-1, -1)]) / (
             4 * eps * eps
         )
-        ana = second_u(tab.A, tab.B, 0, thi, tti, ssi)
+        ana = second_u(tab.A, tab.B(), 0, thi, tti, ssi)
         worst = max(worst, abs(ana - fd) / abs(fd))
     ok = worst < 0.05
     _report(10, ok, f"max rel diff vs pathwise FD = {worst:.4f} < 0.05")

@@ -355,7 +355,7 @@ def test_non_finite_values_fail_loud(lmap):
     curved = _problem(affine(a=0, b=1),
                       driver=Driver(f_of_x=affine(b=0.1), f_of_y=trig_affine(c=0.2)))
     ftab = MalliavinTableau(small.dW, small.X, lmap, small.grid.dt)
-    ftab.B  # built first: B integrates e^A, so it would carry the NaN to later steps
+    assert ftab.constant_drift  # B is a zero view whatever A holds: the NaN enters through A
     ftab.A = ftab.A.copy()  # sigma and b are constant: A is a read-only zero view
     ftab.A[3, 5] = np.nan
     with np.errstate(invalid="ignore"):
@@ -378,10 +378,10 @@ def test_constant_drift_integrals_are_zero_views():
     tabs = []
     for materialise in (False, True):
         ftab = MalliavinTableau(ens.dW, ens.X, pmap, ens.grid.dt)
-        if materialise:
-            ftab.A, ftab._B = np.zeros(ens.X.shape), np.zeros(ens.X.shape)
+        if materialise:  # B is integrated from the zero integrand on a dense zero A
+            ftab.A, ftab.constant_drift = np.zeros(ens.X.shape), False
         else:
-            assert ftab.A.strides == ftab.B.strides == (0, 0)
+            assert ftab.A.strides == ftab.B().strides == (0, 0)
         tabs.append(solve_bsde(ens, prob, BASIS, forward_tab=ftab, t_indices=rows).tableau)
     view, dense = tabs
     for i in rows:
@@ -390,8 +390,8 @@ def test_constant_drift_integrals_are_zero_views():
     sweep = backward.make_replay_sweep(prob, grid, pmap, 10)(ens.dW[:300])
     phi = backward.make_phi_row(view, 10, "Z")
     got = phi(sweep)
-    assert sweep.A.strides == sweep.B.strides == (0, 0)
-    sweep.A, sweep._B = np.zeros(sweep.X.shape), np.zeros(sweep.X.shape)
+    assert sweep.A.strides == sweep.B().strides == (0, 0)
+    sweep.A, sweep.constant_drift = np.zeros(sweep.X.shape), False
     sweep._exp_neg_A = None  # the first call cached exp(-A) of the zero view
     assert np.array_equal(phi(sweep), got)
     ou = LampertiMap(constant(1), affine(b=-0.5), prob.box)
@@ -432,15 +432,16 @@ def test_replay_sweep_is_the_main_run_tableau(case):
     pmap = LampertiMap(prob.sigma, prob.b, prob.box)
     main = MalliavinTableau(ens.dW, ens.X, pmap, grid.dt)
     t_max = 12
-    replay = backward.make_replay_sweep(prob, grid, pmap, t_max)(ens.dW)
+    replay = backward.make_replay_sweep(prob, grid, pmap, t_max, reads_w=True)(ens.dW)
     assert np.array_equal(_bits(replay.dW), _bits(main.dW[:, :t_max]))
-    for name in ("X", "A", "B"):
+    for name in ("X", "A"):
         assert np.array_equal(_bits(getattr(replay, name)),
                               _bits(getattr(main, name)[:, : t_max + 1])), name
+    assert np.array_equal(_bits(replay.B()), _bits(main.B()[:, : t_max + 1]))
     zero_views = case == "constant-drift"
     for tab in (main, replay):
-        assert (tab.A.strides == tab.B.strides == (0, 0)) == zero_views
-    assert zero_views or np.abs(replay.B).max() > 0
+        assert (tab.A.strides == tab.B().strides == (0, 0)) == zero_views
+    assert zero_views or np.abs(replay.B()).max() > 0
 
 
 @pytest.mark.parametrize("case", sorted(BITWISE_CASES))
@@ -464,7 +465,7 @@ def test_row_columns_are_matrix_columns(case):
 
 def test_tableau_memory_stays_linear_in_paths():
     """Beyond its Y/Z outputs the sweep keeps O(n_paths) running state and the
-    declared rows; of the path matrices only the forward tableau's B is built."""
+    declared rows; no path matrix is built (B is held as marks)."""
     prob = _s2_problem()
     ens = simulate_forward(prob, GRID, 4000, seed=5)
     pmap = LampertiMap(prob.sigma, prob.b, prob.box)
@@ -481,6 +482,38 @@ def test_tableau_memory_stays_linear_in_paths():
         tracemalloc.stop()
     kept = sum(sol.y_at(i).nbytes + sol.z_at(i).nbytes for i in rows)
     assert retained - kept < 4 * ens.X.nbytes
+
+
+def test_f_x_reads_b_without_a_path_matrix():
+    """B is held as marks about every sqrt(n) steps plus one rebuilt segment:
+    with f_x != 0 the traced peak of solve_bsde stays within 0.6 X matrices
+    of the same solve with f_x = 0, which reads no B (a held B is one X
+    matrix).  A kept row's design holds no (n_paths, p) array."""
+    base = replace(_s2_problem(), terminal="phi-of-wt",
+                   driver=Driver(f_of_y=trig_affine(c=0.2)))
+    grid = TimeGrid(1.0, 40)
+    ens = simulate_forward(base, grid, 8000, seed=5)
+    pmap = LampertiMap(base.sigma, base.b, base.box)
+
+    def peak(prob):
+        ftab = MalliavinTableau(ens.dW, ens.X, pmap, grid.dt)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            tab = solve_bsde(ens, prob, BASIS, forward_tab=ftab, t_indices=[10, 20, 30]).tableau
+            _, top = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return top - before, tab
+
+    with_fx = replace(base, driver=replace(base.driver, f_of_x=affine(b=0.1)))
+    (top_fx, tab), (top, _) = peak(with_fx), peak(base)
+    assert (top_fx - top) / ens.X.nbytes < 0.6
+    for t in (10, 20, 30):
+        row = tab._row(t)
+        assert row.b is not None
+        assert not any(isinstance(v, np.ndarray) and v.shape[0] == ens.n_paths
+                       for v in vars(row.design).values())
 
 
 def test_dy_row_peak_is_two_rows():
@@ -632,7 +665,7 @@ def _direct_d2y(sol, theta, t, s):
     drv = tab.problem.driver
     N = len(X)
     E = _int_fy(sol)
-    A, B = ftab.A, ftab.B
+    A, B = ftab.A, ftab.B()
     ea_th = np.exp(-A[:, theta])
     ea_t = np.exp(-A[:, t])
     Bt = B[:, t]
@@ -738,7 +771,7 @@ def test_dz_factorization_matches_direct_assembly():
         n, dt = tab.n, tab.dt
         X, Y = ftab.X, _matrix(sol.y_at, range(n + 1))
         drv = tab.problem.driver
-        A, B = ftab.A, ftab.B
+        A, B = ftab.A, ftab.B()
         fy = drv.fy(X, Y)
         phi1, phi2 = _phi_T(tab, 1), _phi_T(tab, 2)
 

@@ -1,9 +1,11 @@
 import struct
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from bsdedensity.backward import BackwardTableau, RegressionBasis
 from bsdedensity.coeffs import Driver, ProblemSpec, affine, constant, polynomial, trig_affine
 from bsdedensity.errors import OrderingError, SimulationError
 from bsdedensity.forward import (
@@ -23,6 +25,7 @@ from oracles import (
     first_u,
     first_x,
     reference_tableau_integrals,
+    second_order_matrix,
     second_u,
     second_x,
 )
@@ -93,8 +96,8 @@ def test_tableau_constant_coefficients(driftless):
     tab = MalliavinTableau(ens.dW, ens.X, lmap, ens.grid.dt)
     assert first_u(tab.A, 0, 10, 40) == 1.0
     assert first_x(tab.A, ens.X, prob.sigma, 0, 10, 40) == 2.0
-    assert second_u(tab.A, tab.B, 0, 5, 20, 45) == 0.0
-    assert second_x(tab.A, tab.B, ens.X, prob.sigma, 0, 5, 20, 45) == 0.0
+    assert second_u(tab.A, tab.B(), 0, 5, 20, 45) == 0.0
+    assert second_x(tab.A, tab.B(), ens.X, prob.sigma, 0, 5, 20, 45) == 0.0
 
 
 def test_du_positive_and_log_additive():
@@ -120,7 +123,7 @@ def test_triangularity_errors(driftless):
     with pytest.raises(OrderingError):
         first_u(tab.A, 0, 10, 5)
     with pytest.raises(OrderingError):
-        second_u(tab.A, tab.B, 0, 50, 100, 80)  # s < max(theta, t)
+        second_u(tab.A, tab.B(), 0, 50, 100, 80)  # s < max(theta, t)
     with pytest.raises(OrderingError):
         first_x(tab.A, ens.X, prob.sigma, 0, 0, grid.n_steps + 1)
     with pytest.raises(OrderingError):
@@ -132,7 +135,7 @@ def test_second_order_zero_cases(driftless):
     lmap = LampertiMap(prob.sigma, prob.b, prob.box)
     tab = MalliavinTableau(ens.dW, ens.X, lmap, ens.grid.dt)
     # t = s gives an empty integral
-    assert second_u(tab.A, tab.B, 0, 10, 50, 50) == 0.0
+    assert second_u(tab.A, tab.B(), 0, 10, 50, 50) == 0.0
 
 
 def test_second_order_symmetry_under_swap():
@@ -141,8 +144,8 @@ def test_second_order_symmetry_under_swap():
     ens = simulate_forward(prob, grid, 10, seed=123)
     lmap = LampertiMap(prob.sigma, prob.b, prob.box)
     tab = MalliavinTableau(ens.dW, ens.X, lmap, ens.grid.dt)
-    a = second_x(tab.A, tab.B, ens.X, prob.sigma, 2, 40, 100, 180)
-    b = second_x(tab.A, tab.B, ens.X, prob.sigma, 2, 100, 40, 180)
+    a = second_x(tab.A, tab.B(), ens.X, prob.sigma, 2, 40, 100, 180)
+    b = second_x(tab.A, tab.B(), ens.X, prob.sigma, 2, 100, 40, 180)
     assert a == b
 
 
@@ -163,7 +166,7 @@ def test_second_order_finite_difference_oracle():
             dw[tti - 1] += s2 * eps
             vals[(s1, s2)] = euler_u_flow(dw, lmap, prob.x0, grid.dt)[ssi]
     fd = (vals[(1, 1)] - vals[(1, -1)] - vals[(-1, 1)] + vals[(-1, -1)]) / (4 * eps**2)
-    ana = second_u(tab.A, tab.B, p, thi, tti, ssi)
+    ana = second_u(tab.A, tab.B(), p, thi, tti, ssi)
     assert fd != 0
     assert abs(ana - fd) / abs(fd) < 0.05
 
@@ -193,8 +196,8 @@ def test_second_order_nonnegative_under_h6():
         th, tt = sorted(rng.integers(0, 100, 2))
         s = int(rng.integers(tt, 101))
         p = int(rng.integers(0, 20))
-        assert second_u(tab.A, tab.B, p, th, tt, s) >= -eps
-        assert second_x(tab.A, tab.B, ens.X, prob.sigma, p, th, tt, s) >= -eps
+        assert second_u(tab.A, tab.B(), p, th, tt, s) >= -eps
+        assert second_x(tab.A, tab.B(), ens.X, prob.sigma, p, th, tt, s) >= -eps
 
 
 def test_unflagged_simulation_keeps_one_copy_of_the_ensemble():
@@ -325,7 +328,7 @@ def test_tableau_integrals_in_path_blocks_match_whole_matrix():
         assert np.array_equal(tab.first_x_all(thetas, t_idx),
                               [tab.first_x_all(th, t_idx) for th in thetas])
     assert np.array_equal(tab.A, A)
-    assert np.array_equal(tab.B, B)
+    assert np.array_equal(tab.B(), B)
     assert np.abs(B).max() > 0
 
 
@@ -352,3 +355,54 @@ def test_brownian_columns_are_the_running_sum():
                           bits(brownian_matrix(dW[:, :12])[:, 12]))
     assert np.all(_brownian_columns(dW, 0) == 0.0)
     assert not np.signbit(_brownian_columns(dW, 1)[0])
+
+
+def test_b_columns_are_the_cumulative_trapezoid():
+    """B is built from the tableau's A and X bitwise as the whole-matrix
+    cumulative trapezoid, across a last block of paths shorter than the
+    others: for one column, a scattered list, a slice and the strided prefix
+    of X that a cut sweep reads.  The Y/Z tableau's descending segment walk
+    gives every column from its smallest declared index to n, and a first
+    increment of -0.0 stays -0.0 in both."""
+    prob = _problem(trig_affine(c=0.3), trig_affine(a=2, b=0.5))
+    n = 30
+    grid = TimeGrid(1.0, n)
+    ens = simulate_forward(prob, grid, 2 * _ROW_BLOCK + 37, seed=5)
+    assert ens.n_paths % _ROW_BLOCK and ens.n_paths > _ROW_BLOCK
+    lmap = LampertiMap(prob.sigma, prob.b, prob.box)
+    with_fx = replace(prob, driver=Driver(f_of_x=affine(b=0.1)), terminal="phi-of-xt")
+
+    def bits(a):
+        return np.ascontiguousarray(a).view(np.uint64)
+
+    def walk(tab, lowest):
+        btab = BackwardTableau(with_fx, RegressionBasis(), tab, {lowest, 20})
+        return {s: btab._b_at(s) for s in range(n, lowest - 1, -1)}
+
+    tab = MalliavinTableau(ens.dW, ens.X, lmap, grid.dt)
+    B = second_order_matrix(lmap, ens.X, tab.A, grid.dt)
+    assert np.abs(B).max() > 0
+    assert np.array_equal(bits(tab.B()), bits(B))
+    assert np.array_equal(bits(tab.B(n)), bits(B[:, n]))
+    cols = [17, 0, 4, n, 9]
+    assert np.array_equal(bits(tab.B(cols)), bits(B[:, cols]))
+    assert np.array_equal(bits(tab.B(slice(12, None))), bits(B[:, 12:]))
+    cut = MalliavinTableau(None, ens.X[:, :13], lmap, grid.dt)
+    assert np.array_equal(bits(cut.B(12)), bits(B[:, 12]))
+    for lowest in (0, 7):
+        walked = walk(tab, lowest)
+        assert sorted(walked) == list(range(lowest, n + 1))
+        for s, b in walked.items():
+            assert np.array_equal(bits(b), bits(B[:, s])), (lowest, s)
+
+    # an integrand of -0.0 at the first two nodes of path 0
+    lmap.beta_comp_second = lambda x: x * 1.0
+    X = ens.X.copy()
+    X[0, :2] = -0.0
+    tab = MalliavinTableau(ens.dW, X, lmap, grid.dt)
+    B = second_order_matrix(lmap, X, tab.A, grid.dt)
+    assert np.signbit(B[0, 1]) and B[0, 1] == 0.0
+    assert np.array_equal(bits(tab.B()), bits(B))
+    walked = walk(tab, 0)
+    assert np.signbit(walked[1][0])
+    assert all(np.array_equal(bits(b), bits(B[:, s])) for s, b in walked.items())

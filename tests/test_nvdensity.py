@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -92,7 +94,7 @@ def _solve(prob, ens, basis, t_indices):
 def _replay_sweep(btab, t_max):
     """The replay sweep of the main run's forward model, cut at ``t_max``."""
     return make_replay_sweep(btab.problem, TimeGrid(btab.problem.T, btab.n), btab.ftab.lmap,
-                             t_max)
+                             t_max, btab.basis.kind == "polynomial-in-xw")
 
 
 def _brownian_tableau(incs, grid, t_indices):
@@ -224,7 +226,7 @@ def _cli_targets(sol, n_outer):
     return out
 
 
-def test_shared_sweep_matches_single_target_reference(frozen_case):
+def test_shared_sweep_matches_single_target_reference(frozen_case, monkeypatch):
     # every target reads its Phi rows from one sweep per (copy, u-node), cut
     # at the last eval time, and reproduces the single-target estimator that
     # replays the whole horizon per target bit for bit
@@ -240,6 +242,10 @@ def test_shared_sweep_matches_single_target_reference(frozen_case):
 
     kw = dict(base_increments=ens.dW[:n_outer], increment_scale=np.sqrt(FROZEN_GRID.dt),
               wprime_seed=77, n_u_nodes=n_nodes)
+    reads = []  # the state of every B read
+    real_b = MalliavinTableau.B
+    monkeypatch.setattr(MalliavinTableau, "B",
+                        lambda self, cols=slice(None): reads.append(self) or real_b(self, cols))
     got = estimate_g([t for t, _ in pairs], counted, n_outer, n_inner, **kw)
     assert len(states) == 1 + n_inner * n_nodes  # whatever the number of targets
     for est, (target, ref_sampler) in zip(got, pairs):
@@ -251,10 +257,11 @@ def test_shared_sweep_matches_single_target_reference(frozen_case):
         assert np.array_equal(est.g_values, g)
         assert np.array_equal(est.standard_errors, se)
         assert np.array_equal(est.n_effective, n_eff)
-    # B is built exactly when some Z row has a non-zero e-coefficient (S2)
-    uses_b = any(sol.tableau._row(t).dz_coeffs[:, 3].any() for t in FROZEN_ROWS)
-    assert uses_b == (sol.problem.sigma.family != "constant")
-    assert all((st._B is not None) == uses_b for st in states)
+    # a Z row reads B_t exactly when its e-coefficient is non-zero (S2): one
+    # column of each state per such row
+    b_rows = [t for t in FROZEN_ROWS if sol.tableau._row(t).dz_coeffs[:, 3].any()]
+    assert bool(b_rows) == (sol.problem.sigma.family != "constant")
+    assert all(sum(r is st for r in reads) == len(b_rows) for st in states)
 
 
 def test_replay_sweep_cut_at_t_max():
@@ -264,11 +271,12 @@ def test_replay_sweep_cut_at_t_max():
     grid = TimeGrid(1.0, 20)
     lmap = LampertiMap(prob.sigma, prob.b, prob.box)
     incs = _draw_increments(9, 300, 20, grid.dt)
-    full = make_replay_sweep(prob, grid, lmap, 20)(incs)
-    cut = make_replay_sweep(prob, grid, lmap, 12)(incs)
+    full = make_replay_sweep(prob, grid, lmap, 20, reads_w=True)(incs)
+    cut = make_replay_sweep(prob, grid, lmap, 12, reads_w=True)(incs)
     assert np.array_equal(cut.dW, full.dW[:, :12])
-    for name in ("X", "A", "exp_neg_A", "B"):
+    for name in ("X", "A", "exp_neg_A"):
         assert np.array_equal(getattr(cut, name), getattr(full, name)[:, :13])
+    assert np.array_equal(cut.B(), full.B()[:, :13])
     # a box barely wider than the paths' reach makes clamps happen late
     tight = ProblemSpec(0.0, 1.0, constant(0), constant(1), Driver(), "phi-of-wt",
                         affine(a=0, b=1), box=(-1.5, 1.5))
@@ -282,6 +290,23 @@ def test_replay_sweep_cut_at_t_max():
     early, late = counts
     assert 0 < early < late
     assert late == ensemble_from_increments(tight, grid, wide, tl).n_flagged
+
+
+def test_replay_state_frees_the_shifted_increments():
+    """A replay state holds its increments only for the basis in (x, w),
+    which reads W_t; under the basis in x the Mehler-shifted matrix is freed
+    once the sweep returns."""
+    prob = _s2_problem()
+    grid = TimeGrid(1.0, 20)
+    lmap = LampertiMap(prob.sigma, prob.b, prob.box)
+    incs = _draw_increments(9, 300, 20, grid.dt)
+    for reads_w in (False, True):
+        shifted = mehler_shift(incs, incs[::-1], 0.5)
+        alive = weakref.ref(shifted)
+        state = make_replay_sweep(prob, grid, lmap, 12, reads_w)(shifted)
+        del shifted
+        assert (alive() is not None) == reads_w
+        assert (state.dW is not None) == reads_w
 
 
 def test_estimate_g_validates_before_the_first_sweep():
