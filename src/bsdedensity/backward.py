@@ -481,7 +481,7 @@ class BackwardTableau:
         # B, read by the f_x integrand at every step and by an X_T terminal at
         # the declared rows and at n: one build keeps it at the marks, or at
         # the declared indices and n when f_x is absent (see _b_at)
-        self._b_marks, self._b_seg = [], {}
+        self._b_marks, self._b_lo, self._b_seg = [], 0, np.empty((0, 0))
         if self._has_fx or problem.terminal == "phi-of-xt":
             if not self._has_fx:
                 marks = sorted(t_indices | {self.n})
@@ -584,41 +584,40 @@ class BackwardTableau:
                 _require_finite(v, f"{name} row", s)
             self._rows[s] = _Row(
                 None if design is None else design.evaluator(), G, dy_coeffs, tuple(F),
-                zc, tuple(dz), dz_coeffs, self._b_at(s) if dz[3].any() else None,
+                zc, tuple(dz), dz_coeffs, self._b_at(s).copy() if dz[3].any() else None,
             )
         if s == self.lowest:  # the pass is complete: drop its running state
             del self._dxi, self._d2xi, self._above, self._discount
             del self._d2y_tail, self._dz_tail, self._z_tail, self._w_marks
-            del self._b_marks, self._b_seg
+            del self._b_marks, self._b_lo, self._b_seg
 
     def _w_at(self, s: int) -> np.ndarray:
-        """W_s on the pass down from n: the running sum of the increments from
-        the kept W column at or below s, bitwise the running sum from W_0, so
-        the pass holds O(sqrt(n)) columns of W, not a W matrix.  A kept column
-        other than W_T is dropped once the pass is below it."""
+        """W_s on the pass down from n, walked up from the kept W column at or
+        below s, bitwise the running sum from W_0; so the pass holds
+        O(sqrt(n)) columns of W, not a W matrix.  A kept column other than
+        W_T is dropped once the pass is below it."""
         marks = self._w_marks
         while marks[-2][0] > s:
             marks.pop(-2)
         c, w = marks[-2]
-        for j in range(c, s):
-            w = w + self.ftab.dW[:, j]
-        return w
+        return _brownian_columns(self.ftab.dW, s, c, w)
 
     def _b_at(self, s: int) -> np.ndarray:
-        """B_s on the pass down from n.  When the pass enters the segment
-        between two kept columns, it rebuilds the columns from the kept one
-        at or below s up to s once, as a running trapezoid
-        (:meth:`MalliavinTableau.b_segment`), bitwise the cumulative sum, and
-        drops the kept columns above s; so the pass holds O(sqrt(n)) columns
-        of B, not a B matrix."""
-        if s not in self._b_seg:
+        """B_s on the pass down from n, a column of the segment matrix that
+        the pass builds when it enters the segment between two kept columns:
+        columns lo..s walked up from the kept column lo at or below s
+        (:meth:`MalliavinTableau.B`; from column 0 the build starts from B's
+        leading zero), bitwise the cumulative sum.  The kept columns above s
+        and the previous segment are dropped first; so the pass holds
+        O(sqrt(n)) columns of B, not a B matrix."""
+        if not self._b_lo <= s < self._b_lo + self._b_seg.shape[1]:
             marks = self._b_marks
             while marks[-1][0] > s:
                 marks.pop()
             lo, b = marks[-1]
-            self._b_seg.clear()
-            self._b_seg.update(enumerate(self.ftab.b_segment(lo, b, s), lo))
-        return self._b_seg[s]
+            self._b_seg = None  # drop the previous segment before building this one
+            self._b_lo, self._b_seg = lo, self.ftab.B(slice(lo, s + 1), lo, b if lo else None)
+        return self._b_seg[:, s - self._b_lo]
 
     def _row(self, t_idx: int) -> _Row:
         return _declared_entry(self._rows, t_idx, "tableau")

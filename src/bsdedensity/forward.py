@@ -25,8 +25,10 @@ is exactly the triangular tableau of trapezoid quadratures, stored in O(n)
 per path instead of O(n^2).  A is held as a path matrix; B is not:
 :meth:`MalliavinTableau.B` builds the columns a reader asks for, and the
 backward pass keeps B at marks about every sqrt(n) steps and rebuilds each
-segment between two marks as a running trapezoid
-(:meth:`MalliavinTableau.b_segment`), bitwise the cumulative sum.
+segment between two marks upward from its mark.  A, B and the Brownian path
+W are all running sums along the paths, and one function,
+:func:`_running_columns`, builds every one of them, so a column walked up
+from a held one has the bits of the same column summed from the start.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ __all__ = [
     "TimeGrid",
     "PathEnsemble",
     "MalliavinTableau",
-    "log_derivative_integral",
     "simulate_forward",
     "dump_ensemble",
     "load_ensemble",
@@ -187,13 +188,6 @@ def simulate_forward(
     )
 
 
-def _cumtrapz(values: np.ndarray, dt: float) -> np.ndarray:
-    """Cumulative trapezoid along the last axis, starting at 0."""
-    out = np.zeros_like(values)
-    np.cumsum(0.5 * dt * (values[..., 1:] + values[..., :-1]), axis=-1, out=out[..., 1:])
-    return out
-
-
 # paths per block when a path matrix goes through the coefficient functions:
 # the transcendentals a block shares stay block-sized, and a row block of a
 # C-ordered matrix is contiguous, so every value is bitwise the one a
@@ -205,35 +199,40 @@ def _row_blocks(n_rows: int):
     return (slice(lo, lo + _ROW_BLOCK) for lo in range(0, n_rows, _ROW_BLOCK))
 
 
-def _brownian_columns(dW: np.ndarray, cols=slice(None)) -> np.ndarray:
-    """Columns ``cols`` (an index, a list or a slice) of the Brownian path
-    W_0 = 0, W_{i+1} = W_i + dW_i: the one place that builds W.  Each block of
-    paths is summed from a leading zero in the order of that running sum, so
-    every column has its bits, and only the asked-for columns are kept."""
-    n_paths, n = dW.shape
-    out = np.empty((n_paths,) + np.empty((0, n + 1))[:, cols].shape[1:])
-    block = np.zeros((min(n_paths, _ROW_BLOCK), n + 1))
-    for rows in _row_blocks(n_paths):
-        part = block[: len(dW[rows])]
-        part[:, 1:] = dW[rows]
-        np.cumsum(part, axis=1, out=part)
-        out[rows] = part[:, cols]
+def _running_columns(n_rows: int, n_cols: int, cols, increments, start=None) -> np.ndarray:
+    """Columns ``cols`` (an index, a list or a slice) of the running sums
+    c_0..c_{n_cols - 1} along ``n_rows`` paths: the one place that sums along
+    paths.  ``increments(rows, k)`` gives inc_0..inc_{k-1} on the paths
+    ``rows``; each block of paths is summed with ``np.cumsum`` up to the last
+    asked-for column, and only the asked-for columns are kept.  Given a
+    ``start`` column, c_0 = start and c_{j+1} = c_j + inc_j: W's rule, so
+    W_1 = 0 + dW_0 is +0 after a -0.0.  Without one, c_0 = +0 and c_1 is
+    inc_0 itself: the cumulative trapezoid's rule, so a -0.0 stays -0.0.
+    Either way a walk up from a held column j > 0 has the bits of the sum
+    from column 0."""
+    idx = np.arange(n_cols)[cols]
+    width = int(np.max(idx, initial=-1)) + 1
+    out = np.empty((n_rows,) + idx.shape)
+    block = np.empty((min(n_rows, _ROW_BLOCK), width))
+    first = int(start is None)  # the first column the cumulative sum writes
+    for rows in _row_blocks(n_rows):
+        inc = increments(rows, width - 1)
+        part = block[: len(inc)]
+        part[:, 0], part[:, 1:] = 0.0 if start is None else start[rows], inc
+        np.cumsum(part[:, first:], axis=1, out=part[:, first:])
+        out[rows] = part[:, idx]
     return out
 
 
-def log_derivative_integral(lmap: LampertiMap, X: np.ndarray, dt: float) -> np.ndarray:
-    """A, the cumulative trapezoid of (beta o g^-1)'(X) along each path of ``X``.
-
-    Built in blocks of paths; the cumulative sum runs along each path, so a
-    prefix of the columns of X gives the same prefix of A.  When sigma and b
-    are constant families, beta o g^-1 is constant and A a read-only zero view.
-    """
-    if lmap.sigma.family == lmap.b.family == "constant":
-        return np.broadcast_to(0.0, X.shape)
-    A = np.empty_like(X)
-    for rows in _row_blocks(len(X)):
-        A[rows] = _cumtrapz(lmap.beta_prime_sigma(Points(X[rows])), dt)
-    return A
+def _brownian_columns(dW: np.ndarray, cols=slice(None), lo: int = 0,
+                      w_lo: np.ndarray | None = None) -> np.ndarray:
+    """Columns ``cols`` (an index, a list or a slice, none below ``lo``) of the
+    Brownian path W_0 = 0, W_{i+1} = W_i + dW_i, summed from W_0 or walked up
+    from its column ``lo`` = ``w_lo``."""
+    n_paths, n = dW.shape
+    return _running_columns(n_paths, n + 1 - lo, np.arange(n + 1)[cols] - lo,
+                            lambda rows, k: dW[rows, lo: lo + k],
+                            np.zeros(n_paths) if w_lo is None else w_lo)
 
 
 def _check_triangular(theta_idx: int, t_idx: int, n: int) -> None:
@@ -255,7 +254,7 @@ class MalliavinTableau:
     everything derives from the cumulative integrals A and B described in the
     module docstring; under a constant drift (sigma and b constant families,
     ``constant_drift``) both are zero views.  A is held; B is not: :meth:`B`
-    builds the columns asked for, and :meth:`b_segment` walks B up from a
+    builds the columns asked for, from its leading zero or walked up from a
     column the caller holds.  e^{-A} (which only the replay rows read, each
     slicing it) is built on first use.  The accessor reads grid indices and
     rejects theta > t; sigma is evaluated at the states it reads, never stored
@@ -269,56 +268,37 @@ class MalliavinTableau:
         self.lmap, self.dt = lmap, dt
         self.n = X.shape[1] - 1
         self.constant_drift = lmap.sigma.family == lmap.b.family == "constant"
-        self.A = log_derivative_integral(lmap, X, dt)
+        # A, the cumulative trapezoid of (beta o g^-1)'(X) along each path
+        self.A = self._trapezoid(lambda rows, c: lmap.beta_prime_sigma(Points(X[rows, c])))
         self._exp_neg_A: np.ndarray | None = None
 
-    # -- the second-order integral B --------------------------------------------
-
-    def _b_integrand(self, x: np.ndarray, a: np.ndarray) -> np.ndarray:
-        """(beta o g^-1)''(x) e^a at states ``x`` of X and values ``a`` of A."""
-        return self.lmap.beta_comp_second(x) * np.exp(a)
-
-    def B(self, cols=slice(None)) -> np.ndarray:
-        """Columns ``cols`` (an index, a list or a slice) of B: the one place
-        that builds B from a leading zero.  Each block of paths is integrated
-        with :func:`_cumtrapz` up to the last asked-for column, and only the
-        asked-for columns are kept; under a constant drift B is a read-only
-        zero view."""
+    def _trapezoid(self, integrand, cols=slice(None), lo=0, c_lo=None) -> np.ndarray:
+        """Columns ``cols`` of the cumulative trapezoid of ``integrand(rows,
+        cols)`` along each path, from its leading zero or walked up from its
+        column ``lo`` = ``c_lo``; a prefix of the columns reads a prefix of
+        X and A.  Under a constant drift it is a read-only zero view."""
         idx = np.arange(self.n + 1)[cols]
-        shape = (len(self.X),) + idx.shape
         if self.constant_drift:
-            return np.broadcast_to(0.0, shape)
-        width = int(np.max(idx, initial=-1)) + 1  # a prefix of B needs a prefix of X
-        out = np.empty(shape)
-        for rows in _row_blocks(len(self.X)):
-            values = self._b_integrand(self.X[rows, :width], self.A[rows, :width])
-            out[rows] = _cumtrapz(values, self.dt)[:, idx]
-        return out
+            return np.broadcast_to(0.0, (len(self.X),) + idx.shape)
 
-    def b_segment(self, lo: int, b_lo: np.ndarray, hi: int) -> list[np.ndarray]:
-        """Columns lo..hi of B, walked up from its column ``lo`` = ``b_lo`` as
-        the running trapezoid b_{j+1} = b_j + (dt/2) (v_{j+1} + v_j) with
-        v_j = (beta o g^-1)''(X_j) e^{A_j}: bitwise the columns of :meth:`B`.
-        That cumulative sum makes column 1 the first increment itself, so a
-        walk from column 0 does too and a -0.0 increment stays -0.0.  Under a
-        constant drift every column is ``b_lo``, a zero view.  Each column
-        of X and A is copied out once: elementwise kernels are faster on
-        contiguous operands and give the same bits."""
-        if self.constant_drift:
-            return [b_lo] * (hi - lo + 1)
+        def increments(rows, k):
+            # (dt/2) (v_j + v_{j+1}), written over the integrand v, which stays
+            # alive as their base until the block's sum is written: fresh
+            # block-sized temporaries double the build time of B
+            v = integrand(rows, slice(lo, lo + k + 1))
+            inc = v[:, :-1]
+            inc += v[:, 1:]
+            inc *= 0.5 * self.dt
+            return inc
 
-        def v_at(j):
-            return self._b_integrand(np.ascontiguousarray(self.X[:, j]),
-                                     np.ascontiguousarray(self.A[:, j]))
+        return _running_columns(len(self.X), self.n + 1 - lo, idx - lo, increments, c_lo)
 
-        half = 0.5 * self.dt
-        out, v = [b_lo], v_at(lo)
-        for j in range(lo, hi):
-            v_next = v_at(j + 1)
-            inc = half * (v_next + v)
-            out.append(inc if j == 0 else out[-1] + inc)
-            v = v_next
-        return out
+    def B(self, cols=slice(None), lo: int = 0, b_lo: np.ndarray | None = None) -> np.ndarray:
+        """Columns ``cols`` (an index, a list or a slice, none below ``lo``) of
+        B, the cumulative trapezoid of (beta o g^-1)''(X) e^A, from its
+        leading zero or walked up from its column ``lo`` > 0 = ``b_lo``."""
+        return self._trapezoid(lambda rows, c: self.lmap.beta_comp_second(self.X[rows, c])
+                               * np.exp(self.A[rows, c]), cols, lo, b_lo)
 
     @property
     def exp_neg_A(self) -> np.ndarray:

@@ -26,7 +26,6 @@ from bsdedensity.forward import (
     _ROW_BLOCK,
     PathEnsemble,
     TimeGrid,
-    _cumtrapz,
     _euler_lamperti,
 )
 from bsdedensity.lamperti import _ROOT_TOLERANCE, LampertiMap
@@ -207,6 +206,13 @@ def reference_inverse_transform(lmap, u):
 # blocks of paths and shares one sweep per u-node between all targets, cut at
 # the last eval time; it must agree with these bit for bit.
 # ---------------------------------------------------------------------------
+
+
+def _cumtrapz(values: np.ndarray, dt: float) -> np.ndarray:
+    """Cumulative trapezoid along the last axis, starting at 0."""
+    out = np.zeros_like(values)
+    np.cumsum(0.5 * dt * (values[..., 1:] + values[..., :-1]), axis=-1, out=out[..., 1:])
+    return out
 
 
 def reference_tableau_integrals(lmap, X, dt):

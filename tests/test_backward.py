@@ -25,13 +25,11 @@ from bsdedensity.forward import (
     MalliavinTableau,
     PathEnsemble,
     TimeGrid,
-    _cumtrapz,
-    log_derivative_integral,
     simulate_forward,
 )
 from bsdedensity.lamperti import LampertiMap
 
-from oracles import brownian_matrix
+from oracles import _cumtrapz, brownian_matrix
 
 N_PATHS = 20000
 GRID = TimeGrid(1.0, 200)
@@ -395,7 +393,7 @@ def test_constant_drift_integrals_are_zero_views():
     sweep._exp_neg_A = None  # the first call cached exp(-A) of the zero view
     assert np.array_equal(phi(sweep), got)
     ou = LampertiMap(constant(1), affine(b=-0.5), prob.box)
-    A = log_derivative_integral(ou, ens.X, grid.dt)
+    A = MalliavinTableau(None, ens.X, ou, grid.dt).A
     assert A.flags.writeable and A.strides != (0, 0)
     assert np.allclose(A, -0.5 * grid.nodes, atol=1e-12)
 
@@ -512,6 +510,7 @@ def test_f_x_reads_b_without_a_path_matrix():
     for t in (10, 20, 30):
         row = tab._row(t)
         assert row.b is not None
+        assert row.b.base is None  # a kept B_t column pins no segment matrix
         assert not any(isinstance(v, np.ndarray) and v.shape[0] == ens.n_paths
                        for v in vars(row.design).values())
 
