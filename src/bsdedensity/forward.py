@@ -53,7 +53,7 @@ __all__ = [
 ]
 
 _MAGIC = b"BSDENS01"
-_VERSION = 2
+_VERSION = 3
 _HEADER_FMT = "<8sIIIIddQI4x"
 
 # the share of flagged paths above which a simulation fails
@@ -323,8 +323,7 @@ class MalliavinTableau:
 
 
 def dump_ensemble(ens: PathEnsemble, path: str | Path) -> None:
-    """Write the ensemble in the documented binary layout, block by block;
-    each block's W is rebuilt from its increments."""
+    """Write the ensemble in the documented binary layout, block by block."""
     header = struct.pack(
         _HEADER_FMT,
         _MAGIC,
@@ -341,13 +340,11 @@ def dump_ensemble(ens: PathEnsemble, path: str | Path) -> None:
         fh.write(header)
         fh.write(np.ascontiguousarray(ens.path_ids, dtype="<u8"))
         for rows in _row_blocks(ens.n_paths):
-            W = _brownian_columns(ens.dW[rows])
-            fh.write(np.concatenate([ens.dW[rows], W, ens.X[rows]], axis=1, dtype="<f8"))
+            fh.write(np.concatenate([ens.dW[rows], ens.X[rows]], axis=1, dtype="<f8"))
 
 
 def load_ensemble(path: str | Path) -> PathEnsemble:
-    """Read an ensemble written by :func:`dump_ensemble`, block by block; the
-    W block is read into the scratch buffer and not kept."""
+    """Read an ensemble written by :func:`dump_ensemble`, block by block."""
     head_size = struct.calcsize(_HEADER_FMT)
     size = Path(path).stat().st_size
     if size < head_size:
@@ -364,7 +361,7 @@ def load_ensemble(path: str | Path) -> PathEnsemble:
                 f"version {_VERSION} only, so re-run --stage simulate"
             )
         n = n_steps
-        width = n + 2 * (n + 1)
+        width = 2 * n + 1
         expected = head_size + 8 * n_paths * (1 + width)
         if size != expected:
             raise SimulationError(
@@ -378,7 +375,7 @@ def load_ensemble(path: str | Path) -> PathEnsemble:
         for rows in _row_blocks(n_paths):
             part = block[: len(dW[rows])]
             fh.readinto(part)
-            dW[rows], _, X[rows] = np.split(part, [n, 2 * n + 1], axis=1)
+            dW[rows], X[rows] = part[:, :n], part[:, n:]
     return PathEnsemble(
         grid=TimeGrid(T, n_steps), n_paths=n_paths, master_seed=int(seed), x0=x0,
         dW=dW, X=X, path_ids=path_ids, n_flagged=n_flagged, n_requested=n_requested,

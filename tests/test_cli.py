@@ -592,7 +592,7 @@ PINNED_SHA256 = {
         "effective_config.txt":
             "255cf9bb8264d43f6f16b75d930a86ab6cf319fc73b68fba25c46af3f38a90d9",
         "ensemble.bin":
-            "5e874e2a9c8903edaa2c6f3a83048bcf5b5e4cd9db520d182a39e921d2dc89fb",
+            "dd0ad49a81b772c0aaa586087194a0b74979fceda4e45d6940597d2c8f8d729a",
         "hypothesis_report.json":
             "62e38b84873c53675173d1672ae067765b68b469a378b4702d520eebc2820acb",
     },

@@ -237,7 +237,7 @@ def test_dump_load_roundtrip(tmp_path, driftless):
         assert small.n_paths == n_paths
         path = tmp_path / "ens.bin"
         dump_ensemble(small, path)
-        per_path = np.concatenate([small.dW, brownian_matrix(small.dW), small.X], axis=1)
+        per_path = np.concatenate([small.dW, small.X], axis=1)
         assert path.read_bytes()[56:] == (
             small.path_ids.astype("<u8").tobytes() + per_path.astype("<f8").tobytes()
         )
@@ -260,6 +260,14 @@ def test_dump_load_roundtrip(tmp_path, driftless):
     old.write_bytes(bytes(head) + small.path_ids.astype("<u8").tobytes()
                     + per_path.astype("<f8").tobytes())
     with pytest.raises(SimulationError, match="version-1 ensemble dump"):
+        load_ensemble(old)
+    # so is a version-2 dump (dW, W, X per path)
+    head[8:12] = struct.pack("<I", 2)
+    old = tmp_path / "v2.bin"
+    per_path = np.concatenate([small.dW, brownian_matrix(small.dW), small.X], axis=1)
+    old.write_bytes(bytes(head) + small.path_ids.astype("<u8").tobytes()
+                    + per_path.astype("<f8").tobytes())
+    with pytest.raises(SimulationError, match="version-2 ensemble dump"):
         load_ensemble(old)
 
 
