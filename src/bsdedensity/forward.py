@@ -231,8 +231,8 @@ def _brownian_columns(dW: np.ndarray, cols=slice(None), lo: int = 0,
     from its column ``lo`` = ``w_lo``."""
     n_paths, n = dW.shape
     return _running_columns(n_paths, n + 1 - lo, np.arange(n + 1)[cols] - lo,
-                            lambda rows, k: dW[rows, lo: lo + k],
-                            np.zeros(n_paths) if w_lo is None else w_lo)
+                            lambda rows, k: dW[rows, lo:lo + k],
+                            np.broadcast_to(0.0, n_paths) if w_lo is None else w_lo)
 
 
 def _check_triangular(theta_idx: int, t_idx: int, n: int) -> None:
@@ -284,7 +284,8 @@ class MalliavinTableau:
         def increments(rows, k):
             # (dt/2) (v_j + v_{j+1}), written over the integrand v, which stays
             # alive as their base until the block's sum is written: fresh
-            # block-sized temporaries double the build time of B
+            # block-sized temporaries per block made the B build up to 1.7
+            # times slower through allocator churn
             v = integrand(rows, slice(lo, lo + k + 1))
             inc = v[:, :-1]
             inc += v[:, 1:]
@@ -295,8 +296,9 @@ class MalliavinTableau:
 
     def B(self, cols=slice(None), lo: int = 0, b_lo: np.ndarray | None = None) -> np.ndarray:
         """Columns ``cols`` (an index, a list or a slice, none below ``lo``) of
-        B, the cumulative trapezoid of (beta o g^-1)''(X) e^A, from its
-        leading zero or walked up from its column ``lo`` > 0 = ``b_lo``."""
+        B, the cumulative trapezoid of (beta o g^-1)''(X) e^A: from its
+        leading zero, or walked up from its column ``lo`` > 0 held as
+        ``b_lo`` (a walk from column 0 would turn a -0.0 B_1 into +0)."""
         return self._trapezoid(lambda rows, c: self.lmap.beta_comp_second(self.X[rows, c])
                                * np.exp(self.A[rows, c]), cols, lo, b_lo)
 
