@@ -284,7 +284,7 @@ class MalliavinTableau:
         def increments(rows, k):
             # (dt/2) (v_j + v_{j+1}), written over the integrand v, which stays
             # alive as their base until the block's sum is written: fresh
-            # block-sized temporaries per block made the B build up to 1.7
+            # block-sized temporaries per block made the B build about 1.5
             # times slower through allocator churn
             v = integrand(rows, slice(lo, lo + k + 1))
             inc = v[:, :-1]
