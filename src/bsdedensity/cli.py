@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -230,14 +230,7 @@ class Experiment:
                 consts = derivative_bound_constants(stats, t_snapped)
                 if name == "Z":
                     checks["positivity"] = stats.positivity
-                comp["constants"] = {
-                    "c_hat": consts.c_hat,
-                    "C_hat": consts.C_hat,
-                    "gamma_min_sq": consts.gamma_min_sq,
-                    "gamma_max_sq": consts.gamma_max_sq,
-                    "n_nonpositive": consts.n_nonpositive,
-                    "quantile": consts.quantile,
-                }
+                comp["constants"] = asdict(consts)
                 abs_moment = float(np.abs(samples - samples.mean()).mean())
                 comp["abs_moment"] = abs_moment
                 grid_z = self._z_grid(samples)
@@ -356,18 +349,21 @@ class Experiment:
             tv: dict = {}
             for name in ("Y", "Z"):
                 comp = entry[name]
+                if "gest" in comp:
+                    self.verdicts[f"gband_{name}_t{key}"] = comp["gest"]["band_check"]
                 if comp["status"] != "ok" or not envelope_ok[name]:
                     tv[name] = "not-applicable"
-                    continue
-                est, env = checks[key][name]
-                rep = envelope_check(
-                    est, env,
-                    quantile_range=cfg["verify.quantile_range"],
-                    tol=cfg["verify.tol"],
-                    max_violation_fraction=cfg["verify.max_violation_fraction"],
-                )
-                tv[name] = rep.verdict
-                tv[f"{name}_report"] = rep.to_dict()
+                else:
+                    est, env = checks[key][name]
+                    rep = envelope_check(
+                        est, env,
+                        quantile_range=cfg["verify.quantile_range"],
+                        tol=cfg["verify.tol"],
+                        max_violation_fraction=cfg["verify.max_violation_fraction"],
+                    )
+                    tv[name] = rep.verdict
+                    tv[f"{name}_report"] = asdict(rep)
+                self.verdicts[f"density_{name}_t{key}"] = tv[name]
             if entry["Z"]["status"] == "ok":
                 dz_pool.append(checks[key]["positivity"])
             per_t_verdicts[key] = tv
@@ -376,20 +372,10 @@ class Experiment:
             pos = positivity_report(
                 sum(dz_pool[1:], dz_pool[0]), cfg["verify.positivity_noise_floor"]
             )
-            _write_json(self.out / "positivity_report.json", pos.to_dict())
+            _write_json(self.out / "positivity_report.json", asdict(pos))
             self.verdicts["positivity"] = pos.verdict
         else:
             self.verdicts["positivity"] = "not-applicable"
-
-        for key, tv in per_t_verdicts.items():
-            for name in ("Y", "Z"):
-                self.verdicts[f"density_{name}_t{key}"] = tv[name]
-            gest = meta["per_t"][key].get("Y", {}).get("gest")
-            if gest:
-                self.verdicts[f"gband_Y_t{key}"] = gest["band_check"]
-            gest_z = meta["per_t"][key].get("Z", {}).get("gest")
-            if gest_z:
-                self.verdicts[f"gband_Z_t{key}"] = gest_z["band_check"]
 
         failed = sorted(k for k, v in self.verdicts.items() if v == "fail")
         metadata = {

@@ -42,26 +42,6 @@ __all__ = [
 
 MAX_ORDER = 3
 
-# f(x) = a + b*cos(x) + c*sin(x) + d*x; the linear term lets one family cover
-# sigma = 2 + cos(x) as well as phi(w) = w + 0.1*sin(w).
-_FAMILY_PARAMS: dict[str, tuple[str, ...]] = {
-    "constant": ("c",),
-    "affine": ("a", "b"),
-    "trig-affine": ("a", "b", "c", "d"),
-    "scaled-sigmoid": ("a", "k", "b"),
-    "quadratic": ("a", "b", "c"),
-    "polynomial": ("c0", "c1", "c2", "c3", "c4"),
-}
-
-_FAMILY_DEFAULTS: dict[str, dict[str, float]] = {
-    "constant": {"c": 0.0},
-    "affine": {"a": 0.0, "b": 0.0},
-    "trig-affine": {"a": 0.0, "b": 0.0, "c": 0.0, "d": 0.0},
-    "scaled-sigmoid": {"a": 1.0, "k": 1.0, "b": 0.0},
-    "quadratic": {"a": 0.0, "b": 0.0, "c": 0.0},
-    "polynomial": {"c0": 0.0, "c1": 0.0, "c2": 0.0, "c3": 0.0, "c4": 0.0},
-}
-
 
 def _logistic(x: np.ndarray) -> np.ndarray:
     # numerically stable sigmoid
@@ -216,13 +196,18 @@ def _eval_polynomial(p: dict[str, float], order: int, pts: Points) -> np.ndarray
     return out
 
 
-_EVALUATORS: dict[str, Callable[[dict[str, float], int, Points], np.ndarray]] = {
-    "constant": _eval_constant,
-    "affine": _eval_affine,
-    "trig-affine": _eval_trig_affine,
-    "scaled-sigmoid": _eval_scaled_sigmoid,
-    "quadratic": _eval_quadratic,
-    "polynomial": _eval_polynomial,
+# family -> (evaluator, the parameters' defaults in their canonical order)
+_FAMILIES: dict[str, tuple[Callable[[dict[str, float], int, Points], np.ndarray],
+                           dict[str, float]]] = {
+    "constant": (_eval_constant, {"c": 0.0}),
+    "affine": (_eval_affine, {"a": 0.0, "b": 0.0}),
+    # f(x) = a + b*cos(x) + c*sin(x) + d*x; the linear term lets one family cover
+    # sigma = 2 + cos(x) as well as phi(w) = w + 0.1*sin(w).
+    "trig-affine": (_eval_trig_affine, {"a": 0.0, "b": 0.0, "c": 0.0, "d": 0.0}),
+    "scaled-sigmoid": (_eval_scaled_sigmoid, {"a": 1.0, "k": 1.0, "b": 0.0}),
+    "quadratic": (_eval_quadratic, {"a": 0.0, "b": 0.0, "c": 0.0}),
+    "polynomial": (_eval_polynomial,
+                   {"c0": 0.0, "c1": 0.0, "c2": 0.0, "c3": 0.0, "c4": 0.0}),
 }
 
 
@@ -234,19 +219,19 @@ class CoefficientFamily:
     params: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.family not in _FAMILY_PARAMS:
+        if self.family not in _FAMILIES:
             raise CoefficientError(
                 f"unknown coefficient family {self.family!r}; "
-                f"known: {sorted(_FAMILY_PARAMS)}"
+                f"known: {sorted(_FAMILIES)}"
             )
-        allowed = _FAMILY_PARAMS[self.family]
+        defaults = _FAMILIES[self.family][1]
         for name in self.params:
-            if name not in allowed:
+            if name not in defaults:
                 raise CoefficientError(
                     f"family {self.family!r} has no parameter {name!r}; "
-                    f"allowed: {allowed}"
+                    f"allowed: {tuple(defaults)}"
                 )
-        merged = dict(_FAMILY_DEFAULTS[self.family])
+        merged = dict(defaults)
         merged.update({k: float(v) for k, v in self.params.items()})
         for name, v in merged.items():
             if not math.isfinite(v):
@@ -299,11 +284,10 @@ def format_float(v: float) -> str:
 
 def family_to_string(fam: CoefficientFamily) -> str:
     """Serialize as ``family-id(param=value, ...)``, omitting zero defaults."""
-    defaults = _FAMILY_DEFAULTS[fam.family]
     parts = [
         f"{k}={format_float(fam.params[k])}"
-        for k in _FAMILY_PARAMS[fam.family]
-        if fam.params[k] != defaults[k] or fam.family == "constant" and k == "c"
+        for k, default in _FAMILIES[fam.family][1].items()
+        if fam.params[k] != default or fam.family == "constant" and k == "c"
     ]
     return f"{fam.family}({', '.join(parts)})"
 
@@ -344,7 +328,7 @@ def eval_derivative(fam: CoefficientFamily, order: int, x):
             f"derivative order {order} outside contract 0..{MAX_ORDER}"
         )
     pts = as_points(x)
-    out = _EVALUATORS[fam.family](fam.params, order, pts)
+    out = _FAMILIES[fam.family][0](fam.params, order, pts)
     return float(out) if pts.scalar else out
 
 
@@ -526,9 +510,6 @@ class HypothesisCheck:
     value: float | None = None
     constants: dict[str, float] = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 # the hypotheses each theorem pipeline needs: H1-H3 back the Y-density
 # envelopes, H4-H6 the existence of a density for Z (positivity report), H7-H8
@@ -555,18 +536,9 @@ class HypothesisReport:
         return all(c.status != "fail" for c in self.checks.values())
 
     def to_dict(self) -> dict:
-        return {
-            "box": list(self.box),
-            "n_grid": self.n_grid,
-            "sign_normalized": self.sign_normalized,
-            "all_pass": self.all_pass,
-            "caveats": self.caveats,
-            "checks": {k: c.to_dict() for k, c in sorted(self.checks.items())},
-            "pipelines": {
-                p: all(self.checks[h].status == "pass" for h in hs)
-                for p, hs in PIPELINES.items()
-            },
-        }
+        pipelines = {p: all(self.checks[h].status == "pass" for h in hs)
+                     for p, hs in PIPELINES.items()}
+        return {**asdict(self), "all_pass": self.all_pass, "pipelines": pipelines}
 
 
 def _finite(quantity: str, values: np.ndarray, witness_at) -> np.ndarray:

@@ -90,12 +90,9 @@ class GEstimate:
     standard_errors: np.ndarray
     reliable: np.ndarray
     n_effective: np.ndarray
-    u_nodes: np.ndarray
-    u_weights: np.ndarray
     n_outer: int
     n_inner: int
     bandwidth: float
-    mean_f: float
 
 
 def _nadaraya_watson(
@@ -199,14 +196,10 @@ def estimate_g(
                 p += (wq / n_inner) * ((phi * phi_u) @ target.theta_weights)
             del state  # one sweep state alive at a time
 
-    return [
-        _g_estimate(target, p, u_nodes, u_weights, n_inner)
-        for target, p in zip(targets, P)
-    ]
+    return [_g_estimate(target, p, n_inner) for target, p in zip(targets, P)]
 
 
-def _g_estimate(target: GTarget, P: np.ndarray, u_nodes: np.ndarray,
-                u_weights: np.ndarray, n_inner: int) -> GEstimate:
+def _g_estimate(target: GTarget, P: np.ndarray, n_inner: int) -> GEstimate:
     """Kernel regression of the accumulated inner products P on F - EF, with
     batch-means standard errors."""
     F = np.asarray(target.samples, dtype=float)
@@ -233,12 +226,9 @@ def _g_estimate(target: GTarget, P: np.ndarray, u_nodes: np.ndarray,
         standard_errors=se,
         reliable=n_eff >= _MIN_EFFECTIVE,
         n_effective=n_eff,
-        u_nodes=u_nodes,
-        u_weights=u_weights,
         n_outer=n_outer,
         n_inner=n_inner,
         bandwidth=h,
-        mean_f=ef,
     )
 
 
@@ -250,7 +240,6 @@ class BoundConstants:
     gamma_max_sq: float
     c_hat: float
     C_hat: float
-    t: float
     quantile: float
     n_nonpositive: int
 
@@ -379,7 +368,6 @@ def derivative_bound_constants(
         gamma_max_sq=c_max * c_max * t,
         c_hat=c_hat,
         C_hat=c_max,
-        t=t,
         quantile=robust_quantile,
         n_nonpositive=samples.positivity.n_nonpositive,
     )

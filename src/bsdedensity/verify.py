@@ -10,7 +10,7 @@ positivity of D_theta Z_t.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -159,22 +159,6 @@ class DensityReport:
     lower_max_violation: float
     upper_max_violation: float
     n_compared: int
-    envelope: Envelope = field(repr=False)
-    kde: DensityEstimate = field(repr=False)
-
-    def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "comparison_range": list(self.comparison_range),
-            "quantile_range": self.quantile_range,
-            "tol": self.tol,
-            "max_violation_fraction": self.max_violation_fraction,
-            "lower_violation_fraction": self.lower_violation_fraction,
-            "upper_violation_fraction": self.upper_violation_fraction,
-            "lower_max_violation": self.lower_max_violation,
-            "upper_max_violation": self.upper_max_violation,
-            "n_compared": self.n_compared,
-        }
 
 
 def envelope_check(
@@ -239,8 +223,6 @@ def envelope_check(
         lower_max_violation=low_mag,
         upper_max_violation=high_mag,
         n_compared=int(mask.sum()),
-        envelope=env,
-        kde=kde_est,
     )
 
 
@@ -254,16 +236,6 @@ class BouleauHirschReport:
     witness_indices: list[int]
     n_samples: int
     noise_floor: float
-
-    def to_dict(self) -> dict:
-        return {
-            "min_value": self.min_value,
-            "nonpositive_fraction": self.nonpositive_fraction,
-            "verdict": self.verdict,
-            "witness_indices": self.witness_indices,
-            "n_samples": self.n_samples,
-            "noise_floor": self.noise_floor,
-        }
 
 
 def positivity_report(dz_samples: np.ndarray | PositivityCounts,

@@ -8,6 +8,7 @@ references for the production code that shares them.
 """
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 
@@ -647,7 +648,7 @@ def reference_check_hypotheses(problem, box, n_grid) -> dict:
         "sign_normalized": sign_normalized,
         "all_pass": all(c.status != "fail" for c in checks.values()),
         "caveats": [GRID_CAVEAT, H7_COMPACT_BOX_CAVEAT],
-        "checks": {k: c.to_dict() for k, c in sorted(checks.items())},
+        "checks": {k: asdict(c) for k, c in sorted(checks.items())},
         "pipelines": {
             "y_envelope": ok("H1") and ok("H2") and ok("H3"),
             "z_existence": ok("H4") and ok("H5") and ok("H6"),

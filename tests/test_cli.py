@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -11,6 +12,8 @@ from bsdedensity.cli import Experiment, main
 from bsdedensity.config import config_echo, parse_config
 from bsdedensity.errors import ConfigError
 from bsdedensity.forward import _ROW_BLOCK
+from bsdedensity.nvdensity import BoundConstants
+from bsdedensity.verify import BouleauHirschReport, DensityReport
 
 SMALL_CFG = """\
 model.b = constant(c=0)
@@ -222,6 +225,23 @@ def test_overflowing_coefficient_exits_2(tmp_path, capsys):
         assert "NaN" not in text and "Infinity" not in text, path
 
 
+def _check_block_fields(out) -> set[str]:
+    """Assert that each ``*_report`` of ``per_t_verdicts``, each ``constants``
+    block and ``positivity_report.json`` has exactly the fields of its
+    dataclass; returns the names of the dataclasses met."""
+    meta = json.loads((out / "run_metadata.json").read_text())
+    blocks = [(block, DensityReport) for tv in meta["per_t_verdicts"].values()
+              for key, block in tv.items() if key.endswith("_report")]
+    blocks += [(entry[name]["constants"], BoundConstants) for entry in meta["per_t"].values()
+               for name in ("Y", "Z") if "constants" in entry[name]]
+    if (out / "positivity_report.json").exists():
+        blocks.append((json.loads((out / "positivity_report.json").read_text()),
+                       BouleauHirschReport))
+    for block, cls in blocks:
+        assert set(block) == {f.name for f in dataclasses.fields(cls)}, cls.__name__
+    return {cls.__name__ for _, cls in blocks}
+
+
 def test_check_hypotheses_command(tmp_path):
     cfg_path = _write(tmp_path, SMALL_CFG)
     rc = main(["check-hypotheses", str(cfg_path), "--out", str(tmp_path / "h")])
@@ -246,6 +266,8 @@ def test_convex_terminal_z_pipeline(tmp_path):
     assert pos["nonpositive_fraction"] == 0.0
     assert (out / "density_Z_t0p5.csv").exists()
     assert (out / "gest_Z_t0p5.csv").exists()
+    assert _check_block_fields(out) == {"DensityReport", "BoundConstants",
+                                        "BouleauHirschReport"}
 
 
 def test_y_oracle_passes_at_three_times(tmp_path):
@@ -257,6 +279,7 @@ def test_y_oracle_passes_at_three_times(tmp_path):
     meta = json.loads((out / "run_metadata.json").read_text())
     for t in ("0.25", "0.5", "0.75"):
         assert meta["verdicts"][f"density_Y_t{t}"] == "pass"
+    assert _check_block_fields(out) == {"DensityReport", "BoundConstants"}
 
 
 def test_csv_formatting_17_digits(tmp_path):

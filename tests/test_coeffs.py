@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bsdedensity.coeffs import (
-    _FAMILY_PARAMS,
+    _FAMILIES,
     CoefficientFamily,
     Driver,
     Points,
@@ -394,10 +394,10 @@ def _random_family(rng, positive=False):
     if positive:  # a sigma that stays positive, so H3 reaches its constants
         return trig_affine(a=2.0 + float(rng.random()), b=float(rng.uniform(-1, 1)),
                            c=float(rng.uniform(-0.5, 0.5)))
-    name = str(rng.choice(sorted(_FAMILY_PARAMS)))
+    name = str(rng.choice(sorted(_FAMILIES)))
     return CoefficientFamily(name, {
         k: 0.0 if rng.random() < 0.3 else round(float(rng.uniform(-2.0, 2.0)), 2)
-        for k in _FAMILY_PARAMS[name]
+        for k in _FAMILIES[name][1]
     })
 
 
