@@ -173,11 +173,16 @@ class _StepDesign:
             out = out + np.multiply.outer(col, c)
         return out
 
-    def fit(self, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def fit(self, targets: np.ndarray,
+            weight: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Least squares of targets on the design; returns (fitted, coeffs).
 
-        ``targets`` may be (n,) or (n, k) for simultaneous fits.
+        ``targets`` may be (n,) or (n, k) for simultaneous fits.  ``weight``
+        is a Girsanov density factor that multiplies each path's targets
+        (None: unweighted).
         """
+        if weight is not None:
+            targets = targets * (weight[:, None] if targets.ndim == 2 else weight)
         rhs = self.D.T @ targets
         try:
             coeffs = np.linalg.solve(self.gram, rhs)
@@ -188,13 +193,16 @@ class _StepDesign:
             ) from exc
         return self.D @ coeffs, coeffs
 
-    def fit_cross(self, targets: np.ndarray) -> np.ndarray:
+    def fit_cross(self, targets: np.ndarray, weight: np.ndarray | None = None) -> np.ndarray:
         """Two-fold cross-fitted values: each half predicted by the other.
 
         The prediction for a path never uses that path's own target, so a
         cross-fitted function of time-i regressors is exactly uncorrelated
         with the path's time-i increment (used by the control variate).
+        ``weight`` is as in :meth:`fit`; ``targets`` is (n,).
         """
+        if weight is not None:
+            targets = targets * weight
         # the folds are the even and odd rows, copied so that every BLAS
         # product runs on contiguous operands
         halves = [(self.D[k::2].copy(), targets[k::2].copy()) for k in (0, 1)]
@@ -344,20 +352,14 @@ def solve_bsde(
         # the step's Girsanov weight and shifted increment dW~_i = dW_i - alpha dt
         w_i = _girsanov_weight(alpha, ens.dW[:, i], dt)
         dW_tilde = ens.dW[:, i] - alpha * dt
-        ty = y_next if w_i is None else w_i * y_next
-        cfit, coef_y = design.fit(ty)
+        cfit, coef_y = design.fit(y_next, w_i)
         tz = (y_next - cfit) * dW_tilde / dt
-        if w_i is not None:
-            tz = w_i * tz
         if z_control_variate:
             # cross-fitted z keeps the control variate exactly mean-zero
             # conditionally; an in-sample Z fit would feed its own increment
             # noise back into Y and bias the variance of (Y, Z)
-            zcv = design.fit_cross(tz)
-            ty2 = y_next - zcv * dW_tilde
-            if w_i is not None:
-                ty2 = w_i * ty2
-            cfit, coef_y = design.fit(ty2)
+            zcv = design.fit_cross(tz, w_i)
+            cfit, coef_y = design.fit(y_next - zcv * dW_tilde, w_i)
         y, iters = cfit, 0
         if not driver.is_zero:
             f_i = driver.f_given_x(x)
@@ -369,7 +371,7 @@ def solve_bsde(
                     break
         _require_finite(y, "Y", i)
         if i in declared:
-            zfit, _ = design.fit(tz)
+            zfit, _ = design.fit(tz, w_i)
             _require_finite(zfit, "Z", i)
             kept[i] = (y, zfit)
         records[i] = {
@@ -577,8 +579,7 @@ class BackwardTableau:
             if design is None:
                 zc = free + np.exp(-A[:, s]) * dep
             else:
-                zc = (_fit(design, lam, free)[0]
-                      + np.exp(-A[:, s]) * _fit(design, lam, dep)[0])
+                zc = design.fit(free, lam)[0] + np.exp(-A[:, s]) * design.fit(dep, lam)[0]
             for name, v in (("D_theta Y", G), ("D2 Y", F), ("Clark-Ocone Z", zc),
                             ("D_theta Z", dz)):
                 _require_finite(v, f"{name} row", s)
@@ -712,15 +713,6 @@ class BackwardTableau:
                        np.exp(-A[:, theta_idx, None]), np.exp(-A[:, t_idx]))[:, 0]
 
 
-def _fit(design: _StepDesign, lam: np.ndarray | None,
-         target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(fitted, coeffs) of the regression weighted by the Girsanov density
-    factor ``lam`` over [t, T] (None: unweighted)."""
-    if lam is not None:
-        target = target * (lam[:, None] if target.ndim == 2 else lam)
-    return design.fit(target)
-
-
 def _fit_pair(design: _StepDesign | None, lam: np.ndarray | None,
               c1_t: np.ndarray | None, c2_t: np.ndarray | None,
               zero: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray | None]:
@@ -733,9 +725,9 @@ def _fit_pair(design: _StepDesign | None, lam: np.ndarray | None,
     coeffs = np.zeros((design.gram.shape[0], 2))
     c1, c2 = zero, zero
     if c1_t is not None:
-        c1, coeffs[:, 0] = _fit(design, lam, c1_t)
+        c1, coeffs[:, 0] = design.fit(c1_t, lam)
     if c2_t is not None:
-        c2, coeffs[:, 1] = _fit(design, lam, c2_t)
+        c2, coeffs[:, 1] = design.fit(c2_t, lam)
     return (c1, c2), coeffs
 
 
@@ -745,7 +737,7 @@ def _fit_rows(design: _StepDesign | None, lam: np.ndarray | None,
     fitted values, (p, k) coefficients)."""
     if design is None:
         return targets, None
-    fitted, coeffs = _fit(design, lam, np.column_stack(targets))
+    fitted, coeffs = design.fit(np.column_stack(targets), lam)
     return fitted.T, coeffs
 
 

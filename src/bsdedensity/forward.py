@@ -213,6 +213,8 @@ def _running_columns(n_rows: int, n_cols: int, cols, increments, start=None) -> 
     idx = np.arange(n_cols)[cols]
     width = int(np.max(idx, initial=-1)) + 1
     out = np.empty((n_rows,) + idx.shape)
+    if idx.ndim == 1 and idx.size and (np.diff(idx) == 1).all():
+        idx = slice(idx[0], width)  # a slice copy, not a fancy-index gather
     block = np.empty((min(n_rows, _ROW_BLOCK), width))
     first = int(start is None)  # the first column the cumulative sum writes
     for rows in _row_blocks(n_rows):

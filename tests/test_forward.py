@@ -343,8 +343,9 @@ def test_tableau_integrals_in_path_blocks_match_whole_matrix():
 def test_brownian_columns_are_the_running_sum():
     """W is rebuilt from the increments bitwise as the explicit running sum
     from W_0 = 0, across a last block of paths shorter than the others: for
-    every column, for W_T alone, for a scattered subset and on the strided
-    prefix of the increments that a replay sweep reads."""
+    every column, for W_T alone, for scattered, contiguous and gapped lists of
+    columns and on the strided prefix of the increments that a replay sweep
+    reads."""
     n_paths, n = 2 * _ROW_BLOCK + 37, 30
     dW = np.random.default_rng(3).standard_normal((n_paths, n)) * np.sqrt(1.0 / n)
     dW[0, 0] = -0.0  # W_1 = 0 + (-0) is +0
@@ -356,8 +357,8 @@ def test_brownian_columns_are_the_running_sum():
     assert np.array_equal(bits(_brownian_columns(dW)), bits(W))
     assert np.array_equal(bits(_brownian_columns(dW, n)), bits(W[:, n]))
     assert np.array_equal(bits(_brownian_columns(dW, [n])), bits(W[:, [n]]))
-    cols = [17, 0, 4, n, 9]
-    assert np.array_equal(bits(_brownian_columns(dW, cols)), bits(W[:, cols]))
+    for cols in ([17, 0, 4, n, 9], [4, 5, 6], [4, 6]):
+        assert np.array_equal(bits(_brownian_columns(dW, cols)), bits(W[:, cols]))
     assert np.array_equal(bits(_brownian_columns(dW, slice(12, None))), bits(W[:, 12:]))
     assert np.array_equal(bits(_brownian_columns(dW[:, :12], 12)),
                           bits(brownian_matrix(dW[:, :12])[:, 12]))
@@ -393,10 +394,10 @@ def test_w_walk_is_the_running_sum():
 def test_b_columns_are_the_cumulative_trapezoid():
     """B is built from the tableau's A and X bitwise as the whole-matrix
     cumulative trapezoid, across a last block of paths shorter than the
-    others: for one column, a scattered list, a slice and the strided prefix
-    of X that a cut sweep reads.  The Y/Z tableau's descending segment walk
-    gives every column from its smallest declared index to n, and a first
-    increment of -0.0 stays -0.0 in both."""
+    others: for one column, scattered, contiguous and gapped lists, a slice
+    and the strided prefix of X that a cut sweep reads.  The Y/Z tableau's
+    descending segment walk gives every column from its smallest declared
+    index to n, and a first increment of -0.0 stays -0.0 in both."""
     prob = _problem(trig_affine(c=0.3), trig_affine(a=2, b=0.5))
     n = 30
     grid = TimeGrid(1.0, n)
@@ -417,8 +418,8 @@ def test_b_columns_are_the_cumulative_trapezoid():
     assert np.abs(B).max() > 0
     assert np.array_equal(bits(tab.B()), bits(B))
     assert np.array_equal(bits(tab.B(n)), bits(B[:, n]))
-    cols = [17, 0, 4, n, 9]
-    assert np.array_equal(bits(tab.B(cols)), bits(B[:, cols]))
+    for cols in ([17, 0, 4, n, 9], [4, 5, 6], [4, 6]):
+        assert np.array_equal(bits(tab.B(cols)), bits(B[:, cols]))
     assert np.array_equal(bits(tab.B(slice(12, None))), bits(B[:, 12:]))
     cut = MalliavinTableau(None, ens.X[:, :13], lmap, grid.dt)
     assert np.array_equal(bits(cut.B(12)), bits(B[:, 12]))
