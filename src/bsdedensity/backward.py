@@ -450,7 +450,9 @@ class BackwardTableau:
     each segment between two marks once (see :meth:`_b_at`).  A linear
     z-term alpha of ``problem``'s driver enters only through the Girsanov
     weights over [t, T] (the driver partials do not see it), which read
-    W_T - W_t and are built at alpha != 0 only (see :meth:`_w_at`).
+    W_T - W_s.  At alpha != 0 the pass carries that tail as one vector: zero
+    at s = n, and each step s < n adds dW_s to it; at alpha = 0 it is not
+    built.
     """
 
     def __init__(
@@ -472,19 +474,14 @@ class BackwardTableau:
         self._has_fy = drv.f_of_y is not None or drv.cross_x is not None
         self._has_fx = drv.f_of_x is not None or drv.cross_x is not None
         self._active = not drv.is_zero  # a zero driver keeps every tail zero
-        # the marks: every k-th step from the smallest declared index, k ~
-        # sqrt of the pass length, and n last
-        marks = [*range(self.lowest, self.n, math.isqrt(self.n - self.lowest) + 1), self.n]
-        # alpha != 0: W at the marks (see _w_at)
-        self._w_marks = []
-        if drv.alpha:
-            cols = _brownian_columns(ftab.dW, marks)
-            self._w_marks = [(c, cols[:, j].copy()) for j, c in enumerate(marks)]
         # B, read by the f_x integrand at every step and by an X_T terminal at
-        # the declared rows and at n: one build keeps it at the marks, or at
-        # the declared indices and n when f_x is absent (see _b_at)
+        # the declared rows and at n: one build keeps it at the marks (every
+        # k-th step from the smallest declared index, k ~ sqrt of the pass
+        # length, and n last), or at the declared indices and n when f_x is
+        # absent (see _b_at)
         self._b_marks, self._b_lo, self._b_seg = [], 0, np.empty((0, 0))
         if self._has_fx or problem.terminal == "phi-of-xt":
+            marks = [*range(self.lowest, self.n, math.isqrt(self.n - self.lowest) + 1), self.n]
             if not self._has_fx:
                 marks = sorted(t_indices | {self.n})
             cols = ftab.B(marks)
@@ -494,6 +491,7 @@ class BackwardTableau:
         # (f_y, h, h + f_y F, Clark-Ocone integrand) of step s + 1
         self._above = None
         N = len(ftab.X)
+        self._w_tail = np.zeros(N) if drv.alpha else None  # W_T - W_s
         self._d2y_tail = np.zeros((4, N))  # discounted tail of h
         self._dz_tail = np.zeros((4, N))   # plain tail of h + f_y F
         self._z_tail = np.zeros((2, N))    # plain tail of (f_y G1, f_x se + f_y G2)
@@ -507,6 +505,8 @@ class BackwardTableau:
         (D_theta xi, D2 xi) data of :func:`_terminal`."""
         if s == self.n:
             self._dxi, self._d2xi = terminal
+        elif self._w_tail is not None:
+            self._w_tail += self.ftab.dW[:, s]
         keep = s in self._declared
         if not (keep or self._active):
             return
@@ -521,9 +521,8 @@ class BackwardTableau:
         fitted = keep or has_fy
         carry = self._active and s < self.n
         lam = None
-        if fitted and design is not None and self._w_marks:  # the weight over [s, T]
-            lam = _girsanov_weight(drv.alpha, self._w_marks[-1][1] - self._w_at(s),
-                                   (self.n - s) * self.dt)
+        if fitted and design is not None and self._w_tail is not None:  # the weight over [s, T]
+            lam = _girsanov_weight(drv.alpha, self._w_tail, (self.n - s) * self.dt)
 
         fy = drv.fy(x, y) if has_fy else None
         h = np.zeros((4, N))
@@ -589,19 +588,8 @@ class BackwardTableau:
             )
         if s == self.lowest:  # the pass is complete: drop its running state
             del self._dxi, self._d2xi, self._above, self._discount
-            del self._d2y_tail, self._dz_tail, self._z_tail, self._w_marks
+            del self._d2y_tail, self._dz_tail, self._z_tail, self._w_tail
             del self._b_marks, self._b_lo, self._b_seg
-
-    def _w_at(self, s: int) -> np.ndarray:
-        """W_s on the pass down from n, walked up from the kept W column at or
-        below s, bitwise the running sum from W_0; so the pass holds
-        O(sqrt(n)) columns of W, not a W matrix.  A kept column other than
-        W_T is dropped once the pass is below it."""
-        marks = self._w_marks
-        while marks[-2][0] > s:
-            marks.pop(-2)
-        c, w = marks[-2]
-        return _brownian_columns(self.ftab.dW, s, c, w)
 
     def _b_at(self, s: int) -> np.ndarray:
         """B_s on the pass down from n, a column of the segment matrix that

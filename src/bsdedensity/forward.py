@@ -226,15 +226,14 @@ def _running_columns(n_rows: int, n_cols: int, cols, increments, start=None) -> 
     return out
 
 
-def _brownian_columns(dW: np.ndarray, cols=slice(None), lo: int = 0,
-                      w_lo: np.ndarray | None = None) -> np.ndarray:
-    """Columns ``cols`` (an index, a list or a slice, none below ``lo``) of the
-    Brownian path W_0 = 0, W_{i+1} = W_i + dW_i, summed from W_0 or walked up
-    from its column ``lo`` = ``w_lo``."""
+def _brownian_columns(dW: np.ndarray, cols=slice(None)) -> np.ndarray:
+    """Columns ``cols`` (an index, a list or a slice) of the Brownian path
+    W_0 = 0, W_{i+1} = W_i + dW_i, summed from W_0.  The Girsanov tail
+    W_T - W_s of the backward pass is not built here: the pass sums it down
+    from T, one increment column per step."""
     n_paths, n = dW.shape
-    return _running_columns(n_paths, n + 1 - lo, np.arange(n + 1)[cols] - lo,
-                            lambda rows, k: dW[rows, lo:lo + k],
-                            np.broadcast_to(0.0, n_paths) if w_lo is None else w_lo)
+    return _running_columns(n_paths, n + 1, cols, lambda rows, k: dW[rows, :k],
+                            np.broadcast_to(0.0, n_paths))
 
 
 def _check_triangular(theta_idx: int, t_idx: int, n: int) -> None:

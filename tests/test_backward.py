@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -187,6 +188,34 @@ def test_girsanov_weights_add_no_path_matrix(lmap):
     for with_tableau in (False, True):
         gap = (peak(0.3, with_tableau) - peak(0.0, with_tableau)) / ens.dW.nbytes
         assert gap < 0.25, (with_tableau, gap)
+
+
+def test_girsanov_tail_is_the_reversed_running_sum(lmap, monkeypatch):
+    """At alpha = 0.3 the tableau weights each fitted step s over [s, T] by
+    the tail W_T - W_s that its pass carries down from T: the dw handed to
+    _girsanov_weight is bitwise the running sum dW_{n-1} + ... + dW_s of the
+    reversed increments, at every step from n - 1 down to the smallest
+    declared index."""
+    grid = TimeGrid(1.0, 30)
+    n = grid.n_steps
+    prob = _problem(quadratic(c=0.5), driver=Driver(f_of_y=trig_affine(c=0.2), alpha=0.3))
+    ens = simulate_forward(prob, grid, 1500, seed=5)
+    tails = np.cumsum(ens.dW[:, ::-1], axis=1)
+    weight, seen = backward._girsanov_weight, {}
+
+    def spy(alpha, dw, tau):
+        caller = sys._getframe(1)
+        if caller.f_code is backward.BackwardTableau.step.__code__:
+            seen[caller.f_locals["s"]] = dw.copy()
+        return weight(alpha, dw, tau)
+
+    monkeypatch.setattr(backward, "_girsanov_weight", spy)
+    for lowest in (0, 7):
+        seen.clear()
+        _tableau(ens, lmap, prob, [lowest, 20])
+        assert sorted(seen) == list(range(lowest, n))
+        for s, dw in seen.items():
+            assert np.array_equal(dw.view(np.uint64), tails[:, n - 1 - s].view(np.uint64)), s
 
 
 def test_forward_tableau_of_another_ensemble_is_refused(ens, lmap):

@@ -366,31 +366,6 @@ def test_brownian_columns_are_the_running_sum():
     assert not np.signbit(_brownian_columns(dW, 1)[0])
 
 
-def test_w_walk_is_the_running_sum():
-    """At alpha != 0 the Y/Z tableau's descending W walk, up from its kept
-    columns, gives every column from its smallest declared index to n
-    bitwise as the explicit running sum from W_0 = 0, across a last block of
-    paths shorter than the others; W_1 after a -0.0 first increment is +0."""
-    prob = replace(_problem(constant(0), constant(1)), driver=Driver(alpha=0.3))
-    n = 30
-    grid = TimeGrid(1.0, n)
-    ens = simulate_forward(prob, grid, 2 * _ROW_BLOCK + 37, seed=5)
-    assert ens.n_paths % _ROW_BLOCK and ens.n_paths > _ROW_BLOCK
-    dW = ens.dW.copy()
-    dW[0, 0] = -0.0
-    W = brownian_matrix(dW)
-    assert W[0, 1] == 0.0 and not np.signbit(W[0, 1])
-    tab = MalliavinTableau(dW, ens.X, LampertiMap(prob.sigma, prob.b, prob.box), grid.dt)
-
-    def bits(a):
-        return np.ascontiguousarray(a).view(np.uint64)
-
-    for lowest in (0, 7):
-        btab = BackwardTableau(prob, RegressionBasis(), tab, {lowest, 20})
-        for s in range(n, lowest - 1, -1):
-            assert np.array_equal(bits(btab._w_at(s)), bits(W[:, s])), (lowest, s)
-
-
 def test_b_columns_are_the_cumulative_trapezoid():
     """B is built from the tableau's A and X bitwise as the whole-matrix
     cumulative trapezoid, across a last block of paths shorter than the
