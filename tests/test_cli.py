@@ -621,77 +621,77 @@ PINNED_SHA256 = {
     },
     "nonlinear-xt-alpha": {
         "density_Y_t0p25.csv":
-            "0ed4077812012c89809d978f1cebf4550d96eb1074a2a6aa43484bdc9113705a",
+            "9ba56470bf5f1bc12a220ca1d9c87d5633135b3ffa942026bda370b329846cdb",
         "density_Y_t0p5.csv":
-            "41814fe2d837b94b49453724cea372d8e75e4a293e18660b12bdac7ec859f2a9",
+            "f0ff1c0bdb64dda525e9ac0e3455ad1a44ca03f8546109299c7088e2b871946a",
         "density_Y_t0p75.csv":
-            "183e52291f4029a2fb96337d1ec204dd17bf805d5c0285997c75e98260144ad9",
+            "1b8513be7fc1e741237df2228390c353159711754b57d22871643467c89005a4",
         "density_meta.json":
-            "4e0400735aa5ca3d958bb3386efa06e20aa673ce82de3eee31d1ec78872ca2c8",
+            "0073e12e3dcf46d1064b369966169d276f059d011f555e34a41e65a6404e05c5",
         "effective_config.txt":
             "7456885884e59826199633cf399902ea45ed778f4f8eccc9c8976f456997c69c",
         "gest_Y_t0p25.csv":
-            "6219c8f3bdc4c0d1ae2ef6d77041b1a6b1ba3cce9c1e50d188f93edda1de7c4d",
+            "fce58e536c365662ff1f4d1e1dee2634ef6e638cd0556d0c7d3e90237e990137",
         "gest_Y_t0p5.csv":
-            "b2ab971ef5aa4fde64d918d71854463725c80e7ab5ab0935ef7dc7a66089d8b1",
+            "cd56258dbceb547ffcd85a703a3134a120574a23519ab60466ca0f7d1d2ed39e",
         "gest_Y_t0p75.csv":
-            "f0c946b9541aa9a12119b43213f061a981e076a0c707cfe6f6a3f8a7c33816b0",
+            "2798af6de46851c681141d0fab283f8f624958a1684fe76f45e354fa0a8465a0",
         "hypothesis_report.json":
             "62e38b84873c53675173d1672ae067765b68b469a378b4702d520eebc2820acb",
         "run_metadata.json":
-            "6d683dbdb74b46644052984997073f8c6d4b5ffb511275ad20ae150546fc6186",
+            "f11e3ec69d776718625d6bfd75a4826fe357db18759a279e281bec6587338989",
         "tableaux_summary.csv":
-            "b93529b138a6743f37c71c7eb921ab1ab403a04e3d809f30e15634df389b4ebb",
+            "fff216cac32f9bf6fcd5eb9216b52e841dbef82e1fd0a04f66ceacde978f23f0",
     },
     "z-convex-alpha": {
         "density_Z_t0p25.csv":
-            "22a584826c4f1e7e0bd3f7bbb7512eea3cba0b9ba93b4457eeae05a40ec97590",
+            "c2df0d4caffc7a7b44fd032d041f599a11d96d2bb70ed0ee315d726243874428",
         "density_Z_t0p5.csv":
-            "63ae124493e3fc176940ebf909fcaf72ef40a937df9a609b6895b8f7a75d0f6b",
+            "bb210a284f59364bee680f050c99e488d0d159e69a1aa37b761f34aa677f61d6",
         "density_Z_t0p75.csv":
-            "117db47e8d2a9ca06324365cacbf7a464fd5910001174d39755c598e2e28ba28",
+            "cf18420327898cb5be5d071ca8264b09a660225e48452474b849e3a06b2fd2ca",
         "density_meta.json":
-            "806be7891a9916610b9672f1087ae5304ac8f75fa934a8a92bc04c35a9542f4e",
+            "483a8f1f89299abf16628376565559e8387ffc59a67a88db5145fcf98663a199",
         "effective_config.txt":
             "cd5b41b07fab1fc326b14f512b8039fd4cc3b53c77b19ce4b55ff18f7da266a2",
         "gest_Z_t0p25.csv":
-            "58cbcff3fb9fc8ac52a0c612faf4abf34c3e44f65c6c038c84b698668970e521",
+            "63bf860f80ee6ca25dc58906661e1a32bdf0bf651898bbab6f14360f58518a34",
         "gest_Z_t0p5.csv":
-            "9dec9befc0e7d7330a5c16e63eab32c9e2ef5031294c76952cd85b545f3a2863",
+            "721a677b0c5ff26f453695c9f6c62c9409cb2206ee5e13e1221215d3715a20bd",
         "gest_Z_t0p75.csv":
-            "60a4958f442e7f13854c5675794ac891dbe4eee0918e6add1b4a191e0b0d6776",
+            "1e6307cf7440138f984e4a721cc8b884320751e4a88f1277dbd4c7907b7a5ceb",
         "hypothesis_report.json":
             "041fa0f2bfbb6c424d9fd6c8fc7a7ba03d822581f5946fe0c9c7a2f889bd4718",
         "positivity_report.json":
             "20cd0d1578f20d19a4a08aa039a78d14515054b0455026900c4c2ca36d9aa0a1",
         "run_metadata.json":
-            "c6b38130e8835a6a04cb410e66a0a8b5d00ba9b3d3b39b2225b53243cd3a4264",
+            "90e98c55f12753b8486e958b8557e2c728d0c5f3b0fd5d994b12a652d4a5e41b",
         "tableaux_summary.csv":
-            "ac9413a9eddd026c384f0472f127ebd3d133b318fb62d14916db145ba253d932",
+            "e988b8fe36b9adc219b81bdcb818ca13a8b147befdd722ad0c48fa1e89c28ec3",
     },
     "nonlinear-xt-xw-alpha": {
         "density_Y_t0p25.csv":
-            "fc79ffcdf51fe3ba1c61431a25a03364064b8c30fbdfab62f40e88da40afeee4",
+            "2bb4a9be037ece1ed3c18672c42f35f632a109c0ac5004d6d7cc0bb582119795",
         "density_Y_t0p5.csv":
-            "9ff9b1826a8814025f6b43211dd317f26a527bf5940d2dd7d691bc9388911794",
+            "65a5323fc9735e333a02bd58e9f024d88c02d8ed9764de561b4a2fabd7f986d0",
         "density_Y_t0p75.csv":
-            "d4b0c67da0a0039fd08d306687f9fcd74e3eae57d8eae3ce74328ef8a60f9237",
+            "e5c4d6f43a628ddc754bbdf3862cdfea0378c3fc8ec1c9592ec291bfe027707f",
         "density_meta.json":
-            "0854120e430a4078ce0b5b4f69b6d13872cb67e4e8c724b67cd5c740643a7156",
+            "c151c35bf84697a9be0208dc6ca9e1570eb0981d993ec34217fb1b2476131922",
         "effective_config.txt":
             "cbbdddba61e8e2798329158abea9f234ba8d2410a9c0bab73cd42fa7e44c56ee",
         "gest_Y_t0p25.csv":
-            "f08657a8f5c5eb0522ac9d0a73f5d8c30982c9c69d9997ece8761e97142c25bb",
+            "4d37a65b524513105b91746dff32a4dc474fe9823a67c500a5627560de1fc50f",
         "gest_Y_t0p5.csv":
-            "36e0ab30f8e33bd93d67809142e534be43a71a9aced9b487bed27bd87464aa3d",
+            "0043bef5c3701d79d352375a02b2728ec0aed7cad3874475c838512844254aa4",
         "gest_Y_t0p75.csv":
-            "b92002e01907618af6d43b04fce76c44daa74b7cb15be907e54a22cf590fc6d7",
+            "9e989fe4b3ef4cd94f54b1bd6662fed7e24306bfe9fff9440b3520f2d4ccd6ef",
         "hypothesis_report.json":
             "62e38b84873c53675173d1672ae067765b68b469a378b4702d520eebc2820acb",
         "run_metadata.json":
-            "9b719b3ce87ba1fb3c0fc1bbd7500d550613a04066454d59da356d7250f8eec7",
+            "b1c5fc996226fb1dabd0fd0040eed726dc58e4d32204ea737064b2a35ce19ca9",
         "tableaux_summary.csv":
-            "4a08d7f408b8d6c7f13834f66ca4219828b598c26d75cec91dfe9e36abf04f68",
+            "f9874e3fb20fb76705734f9a6162e8c5685b4cc4a4c1914243bbb69e337975b2",
     },
 }
 
