@@ -524,14 +524,14 @@ class BackwardTableau:
         if fitted and design is not None and self._w_tail is not None:  # the weight over [s, T]
             lam = _girsanov_weight(drv.alpha, self._w_tail, (self.n - s) * self.dt)
 
-        fy = drv.fy(x, y) if has_fy else None
+        fy = drv.partial(0, 1, x, y) if has_fy else None
         h = np.zeros((4, N))
         if has_fx:
-            fx = drv.fx(x, y)
+            fx = drv.partial(1, 0, x, y)
             sig, eA = eval_derivative(self.problem.sigma, 0, x), np.exp(A[:, s])
             se = sig * eA
             h[3] = fx * se
-            h[2] = drv.fxx(x, y) * se**2
+            h[2] = drv.partial(2, 0, x, y) * se**2
             if fx.any():  # B is read only when f_x is non-zero
                 sig1 = eval_derivative(self.problem.sigma, 1, x)
                 h[2] += h[3] * (sig1 * eA + self._b_at(s))
@@ -551,12 +551,12 @@ class BackwardTableau:
             G, dy_coeffs = _fit_pair(design, lam, c1_t, c2_t, zero)
         if has_fy:
             g1, g2 = G
-            fyy = drv.fyy(x, y)
+            fyy = drv.partial(0, 2, x, y)
             h[0] = fyy * g1 * g1
             h[1] = fyy * g1 * g2
             h[2] += fyy * g2 * g2
             if drv.cross_x is not None:
-                fxy_se = drv.fxy(x, y) * se
+                fxy_se = drv.partial(1, 1, x, y) * se
                 h[1] += fxy_se * g1
                 h[2] += 2.0 * fxy_se * g2
         if carry:

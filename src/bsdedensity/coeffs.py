@@ -420,8 +420,8 @@ class Driver:
     def f_given_x(self, x):
         """``y -> f(x, y)`` for arrays or :class:`Points` ``y``: the x-parts
         are evaluated once, and each call adds the y-parts to them.  This is
-        the one place that fixes the order of the value sum; :meth:`f` and
-        ``partial(0, 0, ...)`` call it."""
+        the one place that fixes the order of the value sum;
+        ``partial(0, 0, ...)`` calls it."""
         x = as_points(x)
         base = np.zeros(x.x.shape) + self._part(self.f_of_x, 0, x)
         cx = None if self.cross_x is None else self._part(self.cross_x, 0, x)
@@ -434,24 +434,6 @@ class Driver:
             return out
 
         return f
-
-    def f(self, x, y):
-        return self.partial(0, 0, x, y)
-
-    def fx(self, x, y):
-        return self.partial(1, 0, x, y)
-
-    def fy(self, x, y):
-        return self.partial(0, 1, x, y)
-
-    def fxx(self, x, y):
-        return self.partial(2, 0, x, y)
-
-    def fxy(self, x, y):
-        return self.partial(1, 1, x, y)
-
-    def fyy(self, x, y):
-        return self.partial(0, 2, x, y)
 
 
 @dataclass(frozen=True)

@@ -495,8 +495,8 @@ def reference_check_hypotheses(problem, box, n_grid) -> dict:
     # --- H2: f in C_b^1 and 0 <= f_x <= C ---------------------------------
     gx, gy = np.meshgrid(grid, grid, indexing="ij")
     px, py = Points(gx), Points(gy)
-    fxv = drv.fx(px, py)
-    fyv = drv.fy(px, py)
+    fxv = drv.partial(1, 0, px, py)
+    fyv = drv.partial(0, 1, px, py)
     fxmin = float(fxv.min())
     fxmax = float(fxv.max())
     if fxmin >= 0:
@@ -562,9 +562,9 @@ def reference_check_hypotheses(problem, box, n_grid) -> dict:
     for label, vals in (
         ("f_x", fxv),
         ("f_y", fyv),
-        ("f_xy", drv.fxy(px, py)),
-        ("f_xx", drv.fxx(px, py)),
-        ("f_yy", drv.fyy(px, py)),
+        ("f_xy", drv.partial(1, 1, px, py)),
+        ("f_xx", drv.partial(2, 0, px, py)),
+        ("f_yy", drv.partial(0, 2, px, py)),
     ):
         vmin = float(vals.min())
         if vmin < 0:

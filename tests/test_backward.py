@@ -650,7 +650,7 @@ def _int_fy(sol):
     """Cumulative trapezoid E_s = int_0^s f_y per path."""
     tab = sol.tableau
     Y = _matrix(sol.y_at, range(tab.n + 1))
-    return _cumtrapz(tab.problem.driver.fy(tab.ftab.X, Y), tab.dt)
+    return _cumtrapz(tab.problem.driver.partial(0, 1, tab.ftab.X, Y), tab.dt)
 
 
 def _direct_dy(sol, theta, t):
@@ -664,7 +664,7 @@ def _direct_dy(sol, theta, t):
     ftab = tab.ftab
     n, dt = tab.n, tab.dt
     E = _int_fy(sol)
-    fx = tab.problem.driver.fx(ftab.X, _matrix(sol.y_at, range(n + 1)))
+    fx = tab.problem.driver.partial(1, 0, ftab.X, _matrix(sol.y_at, range(n + 1)))
     sigX = eval_derivative(tab.problem.sigma, 0, ftab.X)
     dx_free = sigX * np.exp(ftab.A)  # DX(theta, s) = dx_free * e^{-A_theta}
     integrand = np.exp(E - E[:, t][:, None]) * fx * dx_free
@@ -711,10 +711,10 @@ def _direct_d2y(sol, theta, t, s):
             return np.zeros(N)
         return (expE * rows)[:, s:] @ w
 
-    fyy = drv.fyy(X, Y)
-    fyx = drv.fxy(X, Y)
-    fxx = drv.fxx(X, Y)
-    fx = drv.fx(X, Y)
+    fyy = drv.partial(0, 2, X, Y)
+    fyx = drv.partial(1, 1, X, Y)
+    fxx = drv.partial(2, 0, X, Y)
+    fx = drv.partial(1, 0, X, Y)
     h0 = integ(fyy * g1 * g1)
     h12 = integ(fyx * dx_free * g1 + fyy * g1 * g2)
     h3 = integ(
@@ -800,7 +800,8 @@ def test_dz_factorization_matches_direct_assembly():
         X, Y = ftab.X, _matrix(sol.y_at, range(n + 1))
         drv = tab.problem.driver
         A, B = ftab.A, ftab.B()
-        fy = drv.fy(X, Y)
+        fy, fx = drv.partial(0, 1, X, Y), drv.partial(1, 0, X, Y)
+        fyy, fxy, fxx = drv.partial(0, 2, X, Y), drv.partial(1, 1, X, Y), drv.partial(2, 0, X, Y)
         phi1, phi2 = _phi_T(tab, 1), _phi_T(tab, 2)
 
         sigX = eval_derivative(tab.problem.sigma, 0, X)
@@ -817,17 +818,17 @@ def test_dz_factorization_matches_direct_assembly():
             def integ(rows):
                 return rows[:, t:] @ w
 
-            ta = integ(drv.fyy(X, Y) * g1 * g1 + fy * F[0])
-            tbc = integ(drv.fxy(X, Y) * dx_free * g1 + drv.fyy(X, Y) * g1 * g2 + fy * F[1])
+            ta = integ(fyy * g1 * g1 + fy * F[0])
+            tbc = integ(fxy * dx_free * g1 + fyy * g1 * g2 + fy * F[1])
             td = integ(
-                2 * drv.fxy(X, Y) * dx_free * g2
-                + drv.fyy(X, Y) * g2 * g2
-                + drv.fxx(X, Y) * dx_free**2
-                + drv.fx(X, Y) * sig1X * sigX * np.exp(2 * A)
-                + drv.fx(X, Y) * sigX * np.exp(A) * B
+                2 * fxy * dx_free * g2
+                + fyy * g2 * g2
+                + fxx * dx_free**2
+                + fx * sig1X * sigX * np.exp(2 * A)
+                + fx * sigX * np.exp(A) * B
                 + fy * F[2]
             )
-            te = integ(drv.fx(X, Y) * sigX * np.exp(A) + fy * F[3])
+            te = integ(fx * sigX * np.exp(A) + fy * F[3])
             td = td + (
                 phi2 * dx_free[:, n] ** 2
                 + phi1 * sig1X[:, n] * sigX[:, n] * np.exp(2 * A[:, n])

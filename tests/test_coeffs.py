@@ -177,7 +177,8 @@ def test_driver_f_given_x_bitwise_equal_f():
             ref = np.zeros(x.shape) + part(drv.f_of_x, x) + part(drv.f_of_y, y)
             if drv.cross_x is not None:
                 ref = ref + part(drv.cross_x, x) * part(drv.cross_y, y)
-            for got in (f(y), f(Points(y)), drv.f(x, y), drv.partial(0, 0, Points(x), y)):
+            for got in (f(y), f(Points(y)), drv.partial(0, 0, x, y),
+                        drv.partial(0, 0, Points(x), y)):
                 assert np.array_equal(_bits(got), _bits(ref))
 
 
@@ -269,15 +270,15 @@ def test_driver_partials_match_finite_differences():
     h = 1e-5
     rng = np.random.default_rng(1)
     for x, y in rng.uniform(-2, 2, (20, 2)):
-        f = lambda a, b: float(drv.f(a, b))  # noqa: E731
+        f = lambda a, b: float(drv.partial(0, 0, a, b))  # noqa: E731
         num_fx = (f(x + h, y) - f(x - h, y)) / (2 * h)
         num_fy = (f(x, y + h) - f(x, y - h)) / (2 * h)
         num_fxy = (
             f(x + h, y + h) - f(x + h, y - h) - f(x - h, y + h) + f(x - h, y - h)
         ) / (4 * h * h)
-        assert abs(float(drv.fx(x, y)) - num_fx) < 1e-8 * (1 + abs(num_fx))
-        assert abs(float(drv.fy(x, y)) - num_fy) < 1e-8 * (1 + abs(num_fy))
-        assert abs(float(drv.fxy(x, y)) - num_fxy) < 1e-5
+        assert abs(float(drv.partial(1, 0, x, y)) - num_fx) < 1e-8 * (1 + abs(num_fx))
+        assert abs(float(drv.partial(0, 1, x, y)) - num_fy) < 1e-8 * (1 + abs(num_fy))
+        assert abs(float(drv.partial(1, 1, x, y)) - num_fxy) < 1e-5
 
 
 def _problem(b, sigma, phi=None, driver=None, terminal="phi-of-wt"):
