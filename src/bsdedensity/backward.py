@@ -617,17 +617,23 @@ class BackwardTableau:
         """Fitted pair (c1, c2) with D_theta Y_t = c1 + exp(-A_theta) c2."""
         return self._row(t_idx).dy
 
-    def dy_matrix(self, t_idx: int, rows: slice = slice(None)) -> np.ndarray:
-        """D_theta Y_t for all theta <= t on the paths ``rows``; a row depends
-        on its path alone, so a block has the bits of the whole matrix."""
-        c1, c2 = self.dy_fits(t_idx)
-        return _dy_row(c1[rows], c2[rows], np.exp(-self.ftab.A[rows, : t_idx + 1]))
+    def _theta_cols(self, t_idx: int, thetas) -> slice | list[int]:
+        """The theta columns of a row at ``t_idx``: every theta <= t, or the
+        indices ``thetas``, each checked to lie in 0..t."""
+        if thetas is None:
+            return slice(t_idx + 1)
+        for th in thetas:
+            _check_triangular(th, t_idx, self.n)
+        return list(thetas)
 
-    def dy_all(self, theta_idx: int, t_idx: int) -> np.ndarray:
-        """Column ``theta_idx`` of :meth:`dy_matrix`, by the same formula."""
-        _check_triangular(theta_idx, t_idx, self.n)
+    def dy_matrix(self, t_idx: int, rows: slice = slice(None), thetas=None) -> np.ndarray:
+        """D_theta Y_t on the paths ``rows``, one column per theta: every
+        theta <= t, or the indices ``thetas``.  A row depends on its path
+        alone, so a block has the bits of the whole matrix, and a theta
+        column does not depend on the others."""
         c1, c2 = self.dy_fits(t_idx)
-        return _dy_row(c1, c2, np.exp(-self.ftab.A[:, theta_idx, None]))[:, 0]
+        ea_th = np.exp(-self.ftab.A[rows, self._theta_cols(t_idx, thetas)])
+        return _dy_row(c1[rows], c2[rows], ea_th)
 
     # -- D2_{theta,t} Y_s ---------------------------------------------------------
 
@@ -678,27 +684,17 @@ class BackwardTableau:
         """
         return self._row(t_idx).dz
 
-    def _dz_inner(self, fd: np.ndarray, fe: np.ndarray, t_idx: int, rows: slice):
+    def dz_matrix(self, t_idx: int, rows: slice = slice(None), thetas=None) -> np.ndarray:
+        """D_theta Z_t on the paths ``rows``, one column per theta, as
+        :meth:`dy_matrix`."""
+        fa, fbc, fd, fe = self.dz_fits(t_idx)
         # the row keeps B_t exactly when fe is non-zero somewhere, so a block
         # of paths takes the whole row's branch
         b = self._row(t_idx).b
-        return fd[rows] if b is None else fd[rows] - b[rows] * fe[rows]
-
-    def dz_matrix(self, t_idx: int, rows: slice = slice(None)) -> np.ndarray:
-        """D_theta Z_t for all theta <= t on the paths ``rows``, as
-        :meth:`dy_matrix`."""
-        fa, fbc, fd, fe = self.dz_fits(t_idx)
+        inner = fd[rows] if b is None else fd[rows] - b[rows] * fe[rows]
         A = self.ftab.A[rows]
-        return _dz_row(fa[rows], fbc[rows], self._dz_inner(fd, fe, t_idx, rows),
-                       np.exp(-A[:, : t_idx + 1]), np.exp(-A[:, t_idx]))
-
-    def dz_all(self, theta_idx: int, t_idx: int) -> np.ndarray:
-        """Column ``theta_idx`` of :meth:`dz_matrix`, by the same formula."""
-        _check_triangular(theta_idx, t_idx, self.n)
-        fa, fbc, fd, fe = self.dz_fits(t_idx)
-        A = self.ftab.A
-        return _dz_row(fa, fbc, self._dz_inner(fd, fe, t_idx, slice(None)),
-                       np.exp(-A[:, theta_idx, None]), np.exp(-A[:, t_idx]))[:, 0]
+        return _dz_row(fa[rows], fbc[rows], inner,
+                       np.exp(-A[:, self._theta_cols(t_idx, thetas)]), np.exp(-A[:, t_idx]))
 
 
 def _fit_pair(design: _StepDesign | None, lam: np.ndarray | None,

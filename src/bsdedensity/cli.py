@@ -271,8 +271,8 @@ class Experiment:
             rows["t"].append(t)
             rows["theta"].append(th * self.grid.dt)
             for label, col in (("dx", dx),
-                               ("dy", self.btab.dy_all(th, t_idx)),
-                               ("dz", self.btab.dz_all(th, t_idx))):
+                               ("dy", self.btab.dy_matrix(t_idx, thetas=[th])[:, 0]),
+                               ("dz", self.btab.dz_matrix(t_idx, thetas=[th])[:, 0])):
                 rows[f"{label}_mean"].append(float(col.mean()))
                 rows[f"{label}_min"].append(float(col.min()))
                 rows[f"{label}_max"].append(float(col.max()))

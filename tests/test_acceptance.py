@@ -179,7 +179,7 @@ def test_criterion_05_linear_driver(unit_lmap):
         j = grid.index_of(t)
         target = t * np.exp(2 * a * (1 - t))
         var_errs.append(abs(sol.y_at(j).var() / target - 1))
-        dy = btab.dy_all(grid.index_of(t / 2), j)
+        dy = btab.dy_matrix(j, thetas=[grid.index_of(t / 2)])[:, 0]
         dy_errs.append(float(np.abs(dy / np.exp(a * (1 - t)) - 1).max()))
     ok = max(var_errs) < 0.02 and max(dy_errs) < 0.02
     _report(5, ok, f"max Var rel err {max(var_errs):.4f} < 0.02; "
@@ -233,7 +233,7 @@ def test_criterion_08_z_pipeline(big_ens, unit_lmap):
     dz_err = 0.0
     pool = []
     for (th, tt) in ((0.1, 0.25), (0.2, 0.5), (0.3, 0.5), (0.5, 0.75)):
-        dz = btab.dz_all(BIG_GRID.index_of(th), BIG_GRID.index_of(tt))
+        dz = btab.dz_matrix(BIG_GRID.index_of(tt), thetas=[BIG_GRID.index_of(th)])[:, 0]
         se = max(float(dz.std() / np.sqrt(len(dz))), 1e-12)
         dz_err = max(dz_err, float(np.abs(dz.mean() - 1.0) / se) if se > 1e-12 else 0.0)
         pool.append(dz)

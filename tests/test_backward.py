@@ -81,12 +81,12 @@ def test_martingale_case(ens, lmap):
     assert np.sqrt((err**2).mean()) < 0.02 * W[:, i].std()
     assert abs(sol.z_at(i).mean() - 1.0) < 0.02
     # D xi = 1 and the driver vanishes: every representation is exact
-    assert np.abs(tab.dy_all(GRID.index_of(0.2), i) - 1.0).max() < 1e-10
-    assert abs(tab.dy_all(GRID.index_of(0.2), i)[3] - 1.0) < 1e-10
+    assert np.abs(tab.dy_matrix(i, thetas=[GRID.index_of(0.2)])[:, 0] - 1.0).max() < 1e-10
+    assert abs(tab.dy_matrix(i, thetas=[GRID.index_of(0.2)])[3, 0] - 1.0) < 1e-10
     assert np.abs(tab.z_clark_all(i) - 1.0).max() < 1e-10
-    assert np.abs(tab.dz_all(GRID.index_of(0.2), i)).max() < 1e-10
+    assert np.abs(tab.dz_matrix(i, thetas=[GRID.index_of(0.2)])[:, 0]).max() < 1e-10
     assert abs(tab.z_clark_all(i)[5] - 1.0) < 1e-10
-    assert abs(tab.dz_all(GRID.index_of(0.2), i)[5]) < 1e-10
+    assert abs(tab.dz_matrix(i, thetas=[GRID.index_of(0.2)])[5, 0]) < 1e-10
 
 
 def test_constant_terminal(ens):
@@ -107,7 +107,7 @@ def test_linear_driver_closed_form(ens, lmap):
         assert abs(sol.y_at(j).var() / target - 1) < 0.02
     # deterministic exponent: the DY representation is exact
     j = GRID.index_of(0.5)
-    dy = tab.dy_all(GRID.index_of(0.3), j)
+    dy = tab.dy_matrix(j, thetas=[GRID.index_of(0.3)])[:, 0]
     assert np.abs(dy - np.exp(a * 0.5)).max() < 1e-9
     # D2Y vanishes identically (all second partials and D2 xi are zero)
     d2 = tab.d2y_all(GRID.index_of(0.2), GRID.index_of(0.4), GRID.index_of(0.7))
@@ -122,7 +122,7 @@ def test_quadratic_terminal_second_order(ens, lmap):
     assert np.abs(d2 - 1.0).max() < 1e-10
     assert abs(tab.d2y_all(GRID.index_of(0.2), GRID.index_of(0.4),
                            GRID.index_of(0.6))[7] - 1.0) < 1e-10
-    dz = tab.dz_all(GRID.index_of(0.2), i)
+    dz = tab.dz_matrix(i, thetas=[GRID.index_of(0.2)])[:, 0]
     assert np.abs(dz - 1.0).max() < 1e-10
     # solver Z and Clark-Ocone Z both track W_t
     zc = tab.z_clark_all(i)
@@ -337,17 +337,17 @@ def test_ordering_errors(ens, lmap):
     prob = _problem(affine(a=0, b=1))
     sol, tab = _tableau(ens, lmap, prob, [20, 30, 40])
     with pytest.raises(OrderingError):
-        tab.dy_all(50, 20)
+        tab.dy_matrix(20, thetas=[50])
     with pytest.raises(OrderingError):
         tab.d2y_all(10, 60, 40)
     with pytest.raises(OrderingError):
-        tab.dz_all(80, 30)
+        tab.dz_matrix(30, thetas=[80])
     # only declared rows are kept
     for row in (tab.dy_matrix, tab.d2y_fits, tab.z_clark_all, tab.dz_matrix):
         with pytest.raises(OrderingError, match="not declared"):
             row(21)
     with pytest.raises(OrderingError, match="not declared"):
-        tab.dy_all(10, 21)
+        tab.dy_matrix(21, thetas=[10])
     # the solution keeps Y and Z at the same declared indices only
     for column in (sol.y_at, sol.z_at):
         with pytest.raises(OrderingError, match="not declared"):
@@ -473,8 +473,9 @@ def test_replay_sweep_is_the_main_run_tableau(case):
 
 @pytest.mark.parametrize("case", sorted(BITWISE_CASES))
 def test_row_columns_are_matrix_columns(case):
-    """dy_all / dz_all assemble one theta column with the row formula of
-    dy_matrix / dz_matrix: every column is bitwise the matrix column."""
+    """dy_matrix / dz_matrix given a theta list assemble those columns with
+    the whole row's formula: every single-theta column, and an unordered
+    list of them, is bitwise the whole matrix's columns."""
     prob = BITWISE_CASES[case]()
     grid = TimeGrid(1.0, 20)
     ens = simulate_forward(prob, grid, 1500, seed=5)
@@ -483,11 +484,14 @@ def test_row_columns_are_matrix_columns(case):
     rows = [5, 12, grid.n_steps]
     tab = solve_bsde(ens, prob, BASIS, forward_tab=ftab, t_indices=rows).tableau
     for t in rows:
-        dy, dz = tab.dy_matrix(t), tab.dz_matrix(t)
         assert np.abs(tab.dz_fits(t)[3]).max() > 0  # dz reads B_t
-        for theta in range(t + 1):
-            assert np.array_equal(_bits(tab.dy_all(theta, t)), _bits(dy[:, theta]))
-            assert np.array_equal(_bits(tab.dz_all(theta, t)), _bits(dz[:, theta]))
+        for matrix in (tab.dy_matrix, tab.dz_matrix):
+            whole = matrix(t)
+            for theta in range(t + 1):
+                assert np.array_equal(_bits(matrix(t, thetas=[theta])[:, 0]),
+                                      _bits(whole[:, theta]))
+            picks = [t, 0, t // 2]
+            assert np.array_equal(_bits(matrix(t, thetas=picks)), _bits(whole[:, picks]))
 
 
 def test_tableau_memory_stays_linear_in_paths():
@@ -617,7 +621,7 @@ def test_terminal_phi_of_xt(lmap):
     n = e.grid.n_steps
     tab = solve_bsde(e, prob, BASIS, forward_tab=ftab, t_indices=[n]).tableau
     # at t = T the row is the exact pathwise derivative
-    dy_T = tab.dy_all(GRID.index_of(0.3), n)
+    dy_T = tab.dy_matrix(n, thetas=[GRID.index_of(0.3)])[:, 0]
     expect = (1 + 0.2 * e.X[:, -1]) * ftab.first_x_all(GRID.index_of(0.3), n)
     assert np.allclose(dy_T, expect, atol=1e-12)
 
@@ -780,7 +784,7 @@ def test_factorized_rows_match_direct_assembly():
         sol = _oracle_tableau(alpha)
         tab = sol.tableau
         for theta, t in ((4, 12), (10, 25), (0, 30)):
-            fact = tab.dy_all(theta, t)
+            fact = tab.dy_matrix(t, thetas=[theta])[:, 0]
             direct = _direct_dy(sol, theta, t)
             assert np.allclose(fact, direct, rtol=1e-9, atol=1e-12)
 
@@ -843,7 +847,7 @@ def test_dz_factorization_matches_direct_assembly():
                 + (ea_th + ea_t) * fits[1]
                 + ea_th * ea_t * (fits[2] - B[:, t] * fits[3])
             )
-            fact = tab.dz_all(theta, t)
+            fact = tab.dz_matrix(t, thetas=[theta])[:, 0]
             assert np.allclose(fact, direct, rtol=1e-8, atol=1e-10)
 
 
@@ -852,7 +856,7 @@ def test_girsanov_derivative_representations(ens, lmap):
     prob = _problem(quadratic(c=0.5), driver=Driver(alpha=0.3))
     j = GRID.index_of(0.5)
     _, tab = _tableau(ens, lmap, prob, [j])
-    dz = tab.dz_all(GRID.index_of(0.2), j)
+    dz = tab.dz_matrix(j, thetas=[GRID.index_of(0.2)])[:, 0]
     # D2 xi = 1 deterministic, but the weighted regression adds MC noise
     assert abs(dz.mean() - 1.0) < 0.01
     assert dz.std() < 0.05
