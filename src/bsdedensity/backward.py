@@ -82,6 +82,11 @@ class RegressionBasis:
         if self.ridge is not None and self.ridge < 0:
             raise SolverError("ridge must be >= 0")
 
+    @property
+    def reads_w(self) -> bool:
+        """Whether the basis reads the Brownian path W: the basis in (x, w)."""
+        return self.kind == "polynomial-in-xw"
+
 
 def _require_finite(values, what: str, step: int) -> None:
     if not np.isfinite(values).all():
@@ -99,7 +104,7 @@ class _StepDesign:
                  w: np.ndarray | None, ridge: float, step: int):
         self.step = step
         self.ridge = ridge
-        if basis.kind == "polynomial-in-x":
+        if not basis.reads_w:
             self.powers = [(p, 0) for p in range(1, basis.degree + 1)]
             w = None
         else:
@@ -343,7 +348,7 @@ def solve_bsde(
         tab.step(n, None, x, y_next, terminal)
 
     # the one basis that reads W reads every column of it
-    W = _brownian_columns(ens.dW) if basis.kind == "polynomial-in-xw" else None
+    W = _brownian_columns(ens.dW) if basis.reads_w else None
     records: list[dict | None] = [None] * n
 
     for i in range(n - 1, -1, -1):
@@ -806,7 +811,7 @@ def make_phi_row(btab: BackwardTableau, t_idx: int, component: str):
     design = row.design
     coeffs = row.dy_coeffs if component == "Y" else row.dz_coeffs
     uses_b = component == "Z" and bool(coeffs[:, 3].any())
-    uses_w = btab.basis.kind == "polynomial-in-xw"
+    uses_w = btab.basis.reads_w
 
     def phi(state: MalliavinTableau) -> np.ndarray:
         if uses_w and state.dW is None:

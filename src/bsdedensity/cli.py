@@ -302,7 +302,7 @@ class Experiment:
         n_outer = self._n_outer()
         sweep = make_replay_sweep(self.problem, self.grid, self.lmap,
                                   max(t_idx for _, t_idx, *_ in jobs),
-                                  self.basis.kind == "polynomial-in-xw")
+                                  self.basis.reads_w)
         estimates = estimate_g(
             [target for *_, target in jobs],
             sweep,
@@ -320,13 +320,13 @@ class Experiment:
                 [est.x_grid, est.g_values, est.standard_errors],
             )
             reliable = est.reliable
-            ok = reliable & np.isfinite(est.g_values)
+            g, se = est.g_values[reliable], est.standard_errors[reliable]
             band_lo = comp["constants"]["gamma_min_sq"]
             band_hi = comp["constants"]["gamma_max_sq"]
             eps = 1e-9 * max(1.0, band_hi)
-            within = np.all(
-                (est.g_values[ok] >= band_lo - 3 * est.standard_errors[ok] - eps)
-                & (est.g_values[ok] <= band_hi + 3 * est.standard_errors[ok] + eps)
+            # a check that looks at no point, or at a NaN, does not pass
+            within = reliable.any() and np.all(
+                np.isfinite(g) & (g >= band_lo - 3 * se - eps) & (g <= band_hi + 3 * se + eps)
             )
             comp["gest"] = {
                 "n_outer": est.n_outer,

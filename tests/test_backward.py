@@ -638,7 +638,7 @@ def _fit_at(sol, t, target):
                                     (tab.n - t) * tab.dt)
     if lam is not None:
         target = target * lam
-    w = W[:, t] if tab.basis.kind == "polynomial-in-xw" else None
+    w = W[:, t] if tab.basis.reads_w else None
     design = _StepDesign(tab.basis, tab.ftab.X[:, t], w, sol.ridge_used, t)
     fitted, _ = design.fit(target)
     return fitted

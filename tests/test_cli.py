@@ -78,6 +78,14 @@ def test_validation_messages(tmp_path):
         parse_config(_write(tmp_path, "model.phi = affine(a=zz)\n"))
 
 
+@pytest.mark.parametrize("times", ["0.5, 0.5", "0.5, 0.5000001"])
+def test_eval_times_sharing_a_key_refused(tmp_path, times):
+    """Each eval time files its artifacts under its 6-significant-digit key,
+    so two times that share a key are refused."""
+    with pytest.raises(ConfigError, match="share the artifact key 0.5"):
+        parse_config(_write(tmp_path, f"eval.times = {times}\n"))
+
+
 def test_run_y_oracle_exit_zero(tmp_path):
     cfg = parse_config(_write(tmp_path, SMALL_CFG))
     out = tmp_path / "out"
@@ -721,6 +729,20 @@ def test_artifact_bytes_pinned(tmp_path):
         if digests != PINNED_SHA256.get(label):
             changed[label] = digests
     assert not changed, f"artifact bytes moved; new digests: {changed}"
+
+
+def test_gband_check_of_no_reliable_point_fails(tmp_path):
+    """A g-band check that looks at no point does not pass: with 20 outer
+    paths no grid point of the package defaults' g-estimate is reliable, so
+    every band check fails and so does the run."""
+    text = _TINY.replace("gest.n_outer = 200", "gest.n_outer = 20")
+    cfg = parse_config(_write(tmp_path, text))
+    out = tmp_path / "o"
+    assert Experiment(cfg, out_dir=str(out), seed=20240801).run() == 1
+    meta = json.loads((out / "run_metadata.json").read_text())
+    for key in ("0.25", "0.5", "0.75"):
+        assert meta["per_t"][key]["Y"]["gest"]["n_reliable"] == 0
+        assert meta["verdicts"][f"gband_Y_t{key}"] == "fail"
 
 
 def test_z_g_target_is_clark_ocone(tmp_path, monkeypatch):

@@ -94,7 +94,7 @@ def _solve(prob, ens, basis, t_indices):
 def _replay_sweep(btab, t_max):
     """The replay sweep of the main run's forward model, cut at ``t_max``."""
     return make_replay_sweep(btab.problem, TimeGrid(btab.problem.T, btab.n), btab.ftab.lmap,
-                             t_max, btab.basis.kind == "polynomial-in-xw")
+                             t_max, btab.basis.reads_w)
 
 
 def _brownian_tableau(incs, grid, t_indices):
