@@ -454,10 +454,9 @@ class BackwardTableau:
     as a matrix: one build keeps its columns at marks, and the pass rebuilds
     each segment between two marks once (see :meth:`_b_at`).  A linear
     z-term alpha of ``problem``'s driver enters only through the Girsanov
-    weights over [t, T] (the driver partials do not see it), which read
-    W_T - W_s.  At alpha != 0 the pass carries that tail as one vector: zero
-    at s = n, and each step s < n adds dW_s to it; at alpha = 0 it is not
-    built.
+    weights over [t, T] (the driver partials do not see it), which read the
+    tail W_T - W_s: at alpha != 0 only, one vector that starts at zero at
+    s = n and adds dW_s at each step s < n.
     """
 
     def __init__(
@@ -526,7 +525,7 @@ class BackwardTableau:
         fitted = keep or has_fy
         carry = self._active and s < self.n
         lam = None
-        if fitted and design is not None and self._w_tail is not None:  # the weight over [s, T]
+        if fitted and design is not None:  # the weight over [s, T]; None at alpha = 0
             lam = _girsanov_weight(drv.alpha, self._w_tail, (self.n - s) * self.dt)
 
         fy = drv.partial(0, 1, x, y) if has_fy else None
@@ -623,19 +622,16 @@ class BackwardTableau:
         return self._row(t_idx).dy
 
     def _theta_cols(self, t_idx: int, thetas) -> slice | list[int]:
-        """The theta columns of a row at ``t_idx``: every theta <= t, or the
-        indices ``thetas``, each checked to lie in 0..t."""
+        """Every theta column <= t of a row, or the checked list ``thetas``."""
         if thetas is None:
             return slice(t_idx + 1)
-        for th in thetas:
-            _check_triangular(th, t_idx, self.n)
+        _check_triangular(thetas, t_idx, self.n)
         return list(thetas)
 
     def dy_matrix(self, t_idx: int, rows: slice = slice(None), thetas=None) -> np.ndarray:
-        """D_theta Y_t on the paths ``rows``, one column per theta: every
-        theta <= t, or the indices ``thetas``.  A row depends on its path
-        alone, so a block has the bits of the whole matrix, and a theta
-        column does not depend on the others."""
+        """D_theta Y_t on the paths ``rows`` for every theta <= t, or for the
+        indices ``thetas``.  An entry depends on its path and theta alone, so
+        a block or a theta list has the bits of the whole matrix."""
         c1, c2 = self.dy_fits(t_idx)
         ea_th = np.exp(-self.ftab.A[rows, self._theta_cols(t_idx, thetas)])
         return _dy_row(c1[rows], c2[rows], ea_th)
@@ -690,8 +686,7 @@ class BackwardTableau:
         return self._row(t_idx).dz
 
     def dz_matrix(self, t_idx: int, rows: slice = slice(None), thetas=None) -> np.ndarray:
-        """D_theta Z_t on the paths ``rows``, one column per theta, as
-        :meth:`dy_matrix`."""
+        """D_theta Z_t on the paths ``rows``, as :meth:`dy_matrix`."""
         fa, fbc, fd, fe = self.dz_fits(t_idx)
         # the row keeps B_t exactly when fe is non-zero somewhere, so a block
         # of paths takes the whole row's branch

@@ -185,16 +185,14 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("mc.master_seed must lie in [0, 2**64)")
     if not v["eval.times"]:
         raise ConfigError("eval.times must list at least one time")
-    keys = set()  # the density stage files each time's artifacts under f"{t:g}"
     for t in v["eval.times"]:
         if not 0 < t < v["model.T"]:
             raise ConfigError(
                 f"eval.times entries must lie strictly inside (0, T); got {t:g}"
             )
-        if f"{t:g}" in keys:
-            raise ConfigError(f"eval.times entries share the artifact key {t:g}; "
-                              "each time must differ in its first 6 significant digits")
-        keys.add(f"{t:g}")
+    keys = [f"{t:g}" for t in v["eval.times"]]  # the key of each time's artifacts
+    if len(set(keys)) < len(keys):
+        raise ConfigError(f"eval.times entries share an artifact key: {', '.join(keys)}")
     if not v["model.box"][0] < v["model.box"][1]:
         raise ConfigError("model.box must satisfy lo < hi")
     if not v["hypotheses.box"][0] < v["hypotheses.box"][1]:

@@ -26,9 +26,9 @@ per path instead of O(n^2).  A is held as a path matrix; B is not:
 :meth:`MalliavinTableau.B` builds the columns a reader asks for, and the
 backward pass keeps B at marks about every sqrt(n) steps and rebuilds each
 segment between two marks upward from its mark.  A, B and the Brownian path
-W are all running sums along the paths, and one function,
-:func:`_running_columns`, builds every one of them, so a column walked up
-from a held one has the bits of the same column summed from the start.
+W are running sums from column 0, all built by :func:`_running_columns`, so
+a B column walked up from a held one has the bits of the sum from 0.  The
+Girsanov tail W_T - W_s is summed down from T by the backward pass itself.
 """
 
 from __future__ import annotations
@@ -236,14 +236,16 @@ def _brownian_columns(dW: np.ndarray, cols=slice(None)) -> np.ndarray:
                             np.broadcast_to(0.0, n_paths))
 
 
-def _check_triangular(theta_idx: int, t_idx: int, n: int) -> None:
-    """Refuse a (theta, t) index pair outside 0..n or with theta > t."""
-    if not (0 <= theta_idx <= n and 0 <= t_idx <= n):
-        raise OrderingError(f"indices ({theta_idx}, {t_idx}) outside 0..{n}")
-    if theta_idx > t_idx:
-        raise OrderingError(
-            f"tableau is triangular: theta index {theta_idx} > t index {t_idx}"
-        )
+def _check_triangular(thetas, t_idx: int, n: int) -> None:
+    """Refuse a (theta, t) index pair outside 0..n or with theta > t, for
+    each index of ``thetas`` (one index or a list)."""
+    for theta_idx in np.atleast_1d(thetas):
+        if not (0 <= theta_idx <= n and 0 <= t_idx <= n):
+            raise OrderingError(f"indices ({theta_idx}, {t_idx}) outside 0..{n}")
+        if theta_idx > t_idx:
+            raise OrderingError(
+                f"tableau is triangular: theta index {theta_idx} > t index {t_idx}"
+            )
 
 
 class MalliavinTableau:
@@ -314,8 +316,7 @@ class MalliavinTableau:
     def first_x_all(self, theta_idx, t_idx: int) -> np.ndarray:
         """D_theta X_t across paths, shape (n_paths,); a list of k theta
         indices gives shape (k, n_paths) and evaluates sigma(X_t) once."""
-        for th in np.atleast_1d(theta_idx):
-            _check_triangular(int(th), t_idx, self.n)
+        _check_triangular(theta_idx, t_idx, self.n)
         sig = eval_derivative(self.lmap.sigma, 0, self.X[:, t_idx])
         return sig * np.exp(self.A[:, t_idx] - self.A.T[theta_idx])
 

@@ -82,7 +82,7 @@ def test_validation_messages(tmp_path):
 def test_eval_times_sharing_a_key_refused(tmp_path, times):
     """Each eval time files its artifacts under its 6-significant-digit key,
     so two times that share a key are refused."""
-    with pytest.raises(ConfigError, match="share the artifact key 0.5"):
+    with pytest.raises(ConfigError, match="share an artifact key: 0.5, 0.5"):
         parse_config(_write(tmp_path, f"eval.times = {times}\n"))
 
 
