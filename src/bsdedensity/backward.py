@@ -122,8 +122,11 @@ class _StepDesign:
                 _require_finite(v, f"{tag} state entering the regression", step)
                 self.meta[f"{tag}_mean"] = float(v.mean())
                 self.meta[f"{tag}_std"] = float(v.std())
-        cols, self.col_means = self._columns(x, w)
-        self.D = np.column_stack(cols)
+        # the C-order (N, p) array of np.column_stack, one column at a time
+        self.col_means: list[float] = []
+        self.D = np.empty((len(x), len(self.powers) + 1))
+        for j, col in enumerate(self._columns(x, w, self.col_means)):
+            self.D[:, j] = col
         gram = self.D.T @ self.D
         p = gram.shape[0]
         pen = np.zeros(p)
@@ -143,25 +146,25 @@ class _StepDesign:
         sd = self.meta[f"{tag}_std"]
         return (v - mu) / sd if sd > 0 else np.zeros_like(v)
 
-    def _columns(self, x: np.ndarray, w: np.ndarray | None,
-                 col_means: list[float] | None = None) -> tuple[list[np.ndarray], list[float]]:
-        """Intercept and centered monomial columns at the states (x, w).
+    def _columns(self, x: np.ndarray, w: np.ndarray | None, col_means: list[float]):
+        """The intercept and centered monomial columns at the states (x, w),
+        one at a time.
 
-        The column means are taken from these states unless ``col_means``
-        supplies the fitting sample's.  ``w`` is ignored by a basis in x only.
+        ``col_means`` holds the fitting sample's column means; an empty list
+        is filled with these states' means.  ``w`` is ignored by a basis in x
+        only.
         """
         xs = self._standardized(x, "x")
         ws = self._standardized(w, "w") if "w_std" in self.meta else None
-        cols = [np.ones_like(x)]
-        means = []
+        fill = not col_means
+        yield np.ones_like(x)
         for k, (p, q) in enumerate(self.powers):
             col = xs**p if p else np.ones_like(xs)
             if q:
                 col = col * ws**q
-            m = float(col.mean()) if col_means is None else col_means[k]
-            means.append(m)
-            cols.append(col - m)  # centered: the intercept reproduces constants exactly
-        return cols, means
+            if fill:
+                col_means.append(float(col.mean()))
+            yield col - col_means[k]  # centered: the intercept reproduces constants exactly
 
     def evaluate(self, coeffs: np.ndarray, x: np.ndarray,
                  w: np.ndarray | None) -> np.ndarray:
@@ -172,9 +175,8 @@ class _StepDesign:
         row depends on its own state only; a BLAS matrix product may change
         its summation order with the number of rows.
         """
-        cols, _ = self._columns(x, w, self.col_means)
         out = 0.0
-        for col, c in zip(cols, coeffs):
+        for col, c in zip(self._columns(x, w, self.col_means), coeffs):
             out = out + np.multiply.outer(col, c)
         return out
 
@@ -282,7 +284,7 @@ def _terminal(problem: ProblemSpec, dW: np.ndarray, x_T: Points,
     z_T = phi1 if wt else phi1 * sig
     if tab is None:
         return xi, z_T, None
-    zero = np.zeros(len(xi))
+    zero = tab._zero
     phi2 = eval_derivative(problem.phi, 2, arg)
     if wt:
         return xi, z_T, ((z_T, zero), np.stack([phi2, zero, zero, zero]))
@@ -492,21 +494,25 @@ class BackwardTableau:
             self._b_marks = [(c, cols[:, j].copy()) for j, c in enumerate(marks)]
 
         # running state between two steps, O(n_paths) each; _above holds
-        # (f_y, h, h + f_y F, Clark-Ocone integrand) of step s + 1
+        # (f_y, h + f_y F, Clark-Ocone integrand) of step s + 1.  A tail starts
+        # as 0.0 (x + 0.0 has the bits of x + zeros): a zero driver holds none
         self._above = None
         N = len(ftab.X)
+        self._zero = np.zeros(N)  # read-only, shared by every step and kept row
+        self._zero.flags.writeable = False
         self._w_tail = np.zeros(N) if drv.alpha else None  # W_T - W_s
-        self._d2y_tail = np.zeros((4, N))  # discounted tail of h
-        self._dz_tail = np.zeros((4, N))   # plain tail of h + f_y F
-        self._z_tail = np.zeros((2, N))    # plain tail of (f_y G1, f_x se + f_y G2)
-        self._discount = 1.0               # exp(int_s^T f_y)
+        self._d2y_tail = 0.0   # discounted tail of h, plus dt/2 h_s between steps
+        self._dz_tail = 0.0    # plain tail of h + f_y F
+        self._z_tail = 0.0     # plain tail of (f_y G1, f_x se + f_y G2)
+        self._discount = 1.0   # exp(int_s^T f_y)
 
     def step(self, s: int, design: _StepDesign | None, x: Points, y: np.ndarray,
              terminal: tuple | None = None) -> None:
         """Advance the pass from s + 1 to s, given the solver's point set of
         X_s, Y_s and its design at s.  The pass starts at s = n, where
         nothing is fitted (``design`` is None) and ``terminal`` is the
-        (D_theta xi, D2 xi) data of :func:`_terminal`."""
+        (D_theta xi, D2 xi) data of :func:`_terminal`.  The running state is
+        updated in place, with the operands of the plain sums and products."""
         if s == self.n:
             self._dxi, self._d2xi = terminal
         elif self._w_tail is not None:
@@ -514,12 +520,10 @@ class BackwardTableau:
         keep = s in self._declared
         if not (keep or self._active):
             return
-        drv, ftab, A = self.problem.driver, self.ftab, self.ftab.A
+        drv, A, zero = self.problem.driver, self.ftab.A, self._zero
         has_fy, has_fx = self._has_fy, self._has_fx
         wt = self.problem.terminal == "phi-of-wt"
-        N = len(ftab.X)
         half = 0.5 * self.dt
-        zero = np.zeros(N)
         # the driver partials, sigma and sigma' share each transcendental of X_s, Y_s
         y = Points(y)
         fitted = keep or has_fy
@@ -529,30 +533,31 @@ class BackwardTableau:
             lam = _girsanov_weight(drv.alpha, self._w_tail, (self.n - s) * self.dt)
 
         fy = drv.partial(0, 1, x, y) if has_fy else None
-        h = np.zeros((4, N))
+        h = np.zeros((4, len(zero)))
         if has_fx:
             fx = drv.partial(1, 0, x, y)
-            sig, eA = eval_derivative(self.problem.sigma, 0, x), np.exp(A[:, s])
-            se = sig * eA
+            se = eval_derivative(self.problem.sigma, 0, x) * np.exp(A[:, s])  # sigma e^A
             h[3] = fx * se
             h[2] = drv.partial(2, 0, x, y) * se**2
             if fx.any():  # B is read only when f_x is non-zero
-                sig1 = eval_derivative(self.problem.sigma, 1, x)
-                h[2] += h[3] * (sig1 * eA + self._b_at(s))
+                h[2] += h[3] * (eval_derivative(self.problem.sigma, 1, x) * np.exp(A[:, s])
+                                + self._b_at(s))
         if carry:
-            fy_above, h_above, p_above, c_above = self._above
-            d = np.exp(half * (fy + fy_above)) if has_fy else 1.0
-            self._discount = d * self._discount
-            carried = d * (self._d2y_tail + half * h_above)
+            fy_above, p_above, c_above = self._above
+            if has_fy:  # the local discount, in the buffer of f_y(s + 1); 1 otherwise
+                d = np.exp(np.multiply(half, fy + fy_above, out=fy_above), out=fy_above)
+                self._discount *= d
+                self._d2y_tail *= d
 
         G = None
         if fitted:
             c1_t = self._discount * self._dxi[0] if wt else None
             c2_t = None if wt else self._discount * self._dxi[1]
             if has_fx:
-                integral = carried[3] + half * h[3] if carry else zero
+                integral = self._d2y_tail[3] + half * h[3] if carry else zero
                 c2_t = integral if c2_t is None else c2_t + integral
             G, dy_coeffs = _fit_pair(design, lam, c1_t, c2_t, zero)
+            c1_t = c2_t = integral = None  # the targets die before the F fit
         if has_fy:
             g1, g2 = G
             fyy = drv.partial(0, 2, x, y)
@@ -564,21 +569,23 @@ class BackwardTableau:
                 h[1] += fxy_se * g1
                 h[2] += 2.0 * fxy_se * g2
         if carry:
-            self._d2y_tail = carried + half * h
+            self._d2y_tail += half * h  # T_s
 
         if fitted:
-            F, _ = _fit_rows(design, lam, self._discount * self._d2xi + self._d2y_tail)
+            F, _ = _fit_rows(design, lam, self._d2xi, self._d2y_tail, self._discount)
         if self._active:
-            p = h + fy * F if has_fy else h
+            self._d2y_tail += half * h  # T_s + dt/2 h_s
             c = np.stack([fy * g1, h[3] + fy * g2]) if has_fy else np.stack([zero, h[3]])
-            if carry:
-                self._dz_tail = self._dz_tail + half * (p_above + p)
-                self._z_tail = self._z_tail + half * (c_above + c)
-            self._above = (fy, h, p, c)
+            for h_k, F_k in zip(h, F) if has_fy else ():  # p = h + f_y F, in h
+                h_k += fy * F_k
+            if carry:  # dt/2 (above + p) in the buffers of step s + 1
+                self._dz_tail += np.multiply(half, np.add(p_above, h, out=p_above), out=p_above)
+                self._z_tail += np.multiply(half, np.add(c_above, c, out=c_above), out=c_above)
+            self._above = (fy, h, c)
 
         if keep:
-            dz, dz_coeffs = _fit_rows(design, lam, self._d2xi + self._dz_tail)
-            free, dep = self._dxi[0] + self._z_tail[0], self._dxi[1] + self._z_tail[1]
+            dz, dz_coeffs = _fit_rows(design, lam, self._d2xi, self._dz_tail)
+            free, dep = np.add(self._dxi, self._z_tail)
             if design is None:
                 zc = free + np.exp(-A[:, s]) * dep
             else:
@@ -715,13 +722,17 @@ def _fit_pair(design: _StepDesign | None, lam: np.ndarray | None,
     return (c1, c2), coeffs
 
 
-def _fit_rows(design: _StepDesign | None, lam: np.ndarray | None,
-              targets: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """One simultaneous fit of the (k, n_paths) targets: ((k, n_paths)
-    fitted values, (p, k) coefficients)."""
+def _fit_rows(design: _StepDesign | None, lam: np.ndarray | None, a: np.ndarray,
+              b, scale=1.0) -> tuple[np.ndarray, np.ndarray | None]:
+    """One simultaneous fit of the (k, n_paths) targets scale * a + b:
+    ((k, n_paths) fitted values, (p, k) coefficients).  The targets are
+    written straight into the C-order (n_paths, k) layout of np.column_stack."""
+    targets = np.empty(a.shape[::-1]).T
+    np.multiply(scale, a, out=targets)
+    targets += b
     if design is None:
         return targets, None
-    fitted, coeffs = design.fit(np.column_stack(targets), lam)
+    fitted, coeffs = design.fit(targets.T, lam)
     return fitted.T, coeffs
 
 
