@@ -536,17 +536,23 @@ def _finite(quantity: str, values: np.ndarray, witness_at) -> np.ndarray:
     return values
 
 
+def _extrema(values: np.ndarray) -> tuple[int, float, float]:
+    """(flat index of the first minimum, the minimum, the maximum)."""
+    i = int(np.argmin(values))
+    return i, float(values.flat[i]), float(values.max())
+
+
 def _first_violation(conditions, witness_at):
     """The first broken one of ``(inequality, values, strict)`` conditions.
 
     Each condition asks ``values > 0`` (strict) or ``values >= 0`` on the
-    whole grid.  Returns ``(inequality, witness, value)`` with the grid
-    minimum as the value, or None when every condition holds; ``witness_at``
-    maps a flat grid index to its point (or its ``(x, y)`` pair).
+    whole grid; ``values`` may also be given as their :func:`_extrema`.
+    Returns ``(inequality, witness, value)`` with the grid minimum as the
+    value, or None when every condition holds; ``witness_at`` maps a flat
+    grid index to its point (or its ``(x, y)`` pair).
     """
     for inequality, values, strict in conditions:
-        i = int(np.argmin(values))
-        value = float(values.flat[i])
+        i, value, _ = values if isinstance(values, tuple) else _extrema(values)
         if value < 0 or strict and value == 0:
             return inequality, witness_at(i), value
     return None
@@ -627,7 +633,9 @@ def check_hypotheses(
         ("[b,sigma]", lie_bracket(b, sigma, pts)),
         ("[sigma,[sigma,b]]", iterated_bracket(sigma, b, pts)),
     )}
-    f = {q: _finite(q, drv.partial(dx, dy, px, py), at_xy) for q, dx, dy in (
+    # each (n_grid, n_grid) partial is reduced to its extrema, all that H2 and
+    # H5 read, before the next one is built
+    f = {q: _extrema(_finite(q, drv.partial(dx, dy, px, py), at_xy)) for q, dx, dy in (
         ("f_x", 1, 0), ("f_y", 0, 1), ("f_xy", 1, 1), ("f_xx", 2, 0), ("f_yy", 0, 2),
     )}
     phi1, phi2, sig = g["phi'"], g["phi''"], g["sigma"]
@@ -646,7 +654,7 @@ def check_hypotheses(
     # H2: f in C_b^1 and 0 <= f_x <= C
     checks["H2"] = _verdict(
         "H2", _first_violation([("f_x(x, y) >= 0", f["f_x"], False)], at_xy),
-        {"C": float(f["f_x"].max()), "sup|f_y|": float(np.abs(f["f_y"]).max())},
+        {"C": f["f_x"][2], "sup|f_y|": max(abs(f["f_y"][1]), abs(f["f_y"][2]))},
     )
 
     # H3: 0 <= sigma <= C and |[b, sigma]| <= M sigma
