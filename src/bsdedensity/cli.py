@@ -97,6 +97,7 @@ class Experiment:
         self.ens = None
         self.sol = None
         self.btab = None
+        self.base_increments = None  # the g-estimator's n_outer rows of dW
         self.density_meta: dict | None = None
         # per eval-time key: each checked component's (KDE, envelope) and the
         # positivity counts of its D_theta Z row, kept for the verify stage
@@ -191,6 +192,12 @@ class Experiment:
         self.sol = solve_bsde(self.ens, self.problem, self.basis,
                               forward_tab=ftab, t_indices=t_indices)
         self.btab = self.sol.tableau
+        # the increments die with the pass: the rows read fits and A,
+        # first_x_all reads X and A, verify reads n_paths and n_flagged, and
+        # only the g-estimator reads dW, its n_outer base rows
+        if cfg["gest.enabled"]:
+            self.base_increments = self.ens.dW[: self._n_outer()].copy()
+        self.ens.dW = ftab.dW = None
         meta: dict = {"per_t": {}}
         summary_rows: dict[str, list] = {
             "t": [], "theta": [],
@@ -308,7 +315,7 @@ class Experiment:
             sweep,
             n_outer,
             cfg["gest.n_inner"],
-            base_increments=self.ens.dW[:n_outer],
+            base_increments=self.base_increments,
             increment_scale=np.sqrt(self.grid.dt),
             wprime_seed=self.seed + 0x5754,
             n_u_nodes=cfg["gest.n_u_nodes"],

@@ -98,7 +98,8 @@ class PathEnsemble:
     a pure function of (master_seed, path_id): increments are drawn row-major
     from a single PCG64 stream, so a row's values depend only on its original
     index.  Paths that left the certified sigma > 0 box are dropped;
-    ``path_ids`` maps surviving rows to original indices.
+    ``path_ids`` maps surviving rows to original indices.  The density stage
+    of the CLI sets ``dW`` to None once the backward pass has read it.
     """
 
     grid: TimeGrid
