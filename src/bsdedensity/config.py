@@ -25,6 +25,7 @@ from .coeffs import (
     parse_family,
 )
 from .errors import CoefficientError, ConfigError
+from .forward import TimeGrid
 
 __all__ = ["ExperimentConfig", "parse_config", "config_echo"]
 
@@ -193,6 +194,11 @@ def _validate(cfg: ExperimentConfig) -> None:
     keys = [f"{t:g}" for t in v["eval.times"]]  # the key of each time's artifacts
     if len(set(keys)) < len(keys):
         raise ConfigError(f"eval.times entries share an artifact key: {', '.join(keys)}")
+    grid, nodes = TimeGrid(v["model.T"], v["grid.n_steps"]), {}
+    for t in v["eval.times"]:  # each time's density work is done on its grid node
+        if (first := nodes.setdefault(grid.index_of(t), t)) != t:
+            raise ConfigError(f"eval.times {first:g} and {t:g} both snap to grid node "
+                              f"{grid.index_of(t)} of grid.n_steps = {grid.n_steps}")
     if not v["model.box"][0] < v["model.box"][1]:
         raise ConfigError("model.box must satisfy lo < hi")
     if not v["hypotheses.box"][0] < v["hypotheses.box"][1]:
