@@ -8,6 +8,7 @@ references for the production code that shares them.
 """
 
 import math
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -34,6 +35,28 @@ from bsdedensity.nvdensity import mehler_shift, silverman_bandwidth
 
 # roundoff/truncation balanced steps per derivative order
 FD_STEPS = {1: 1e-5, 2: 6e-4, 3: 2e-2}
+
+
+def traced(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` under tracemalloc: ``(result, peak, retained)``,
+    the peak and the retained traced memory above the call's entry, in bytes.
+
+    Called inside another trace (say a ``traced`` call wrapping a function
+    that calls this one), it resets that trace's peak instead of starting its
+    own, so blocks allocated before the call and freed within it count too.
+    """
+    outer = tracemalloc.is_tracing()
+    if not outer:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        result = fn(*args, **kwargs)
+        now, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not outer:
+            tracemalloc.stop()
+    return result, peak - before, now - before
 
 
 def central_diff(f, x: float, order: int, h: float | None = None) -> float:

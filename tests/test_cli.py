@@ -3,7 +3,7 @@ import json
 import os
 import re
 import shutil
-import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -14,6 +14,8 @@ from bsdedensity.errors import ConfigError
 from bsdedensity.forward import _ROW_BLOCK
 from bsdedensity.nvdensity import BoundConstants
 from bsdedensity.verify import BouleauHirschReport, DensityReport
+
+from oracles import traced
 
 SMALL_CFG = """\
 model.b = constant(c=0)
@@ -84,6 +86,20 @@ def test_eval_times_sharing_a_key_refused(tmp_path, times):
     so two times that share a key are refused."""
     with pytest.raises(ConfigError, match="share an artifact key: 0.5, 0.5"):
         parse_config(_write(tmp_path, f"eval.times = {times}\n"))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("eval.times = 0.5, 0.51\ngrid.n_steps = 8\n", "0.5 and 0.51 both snap to grid node 4"),
+    ("grid.n_steps = 3\n", "0.5 and 0.75 both snap to grid node 2"),
+])
+def test_eval_times_on_one_grid_node_refused(tmp_path, text, message):
+    """The density work of an eval time is done on its grid node, so two
+    times that snap to one node would repeat it and write byte-identical
+    artifacts: refused with exit 2, naming both times and the node."""
+    path = _write(tmp_path, text)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config(path)
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
 
 
 def test_run_y_oracle_exit_zero(tmp_path):
@@ -763,6 +779,20 @@ def test_z_g_target_is_clark_ocone(tmp_path, monkeypatch):
         assert target.mean_f == float(z.mean())
 
 
+@pytest.mark.parametrize("gest", ["true", "false"])
+def test_density_stage_releases_the_increments(tmp_path, gest):
+    """After the backward pass only the g-estimator reads increments, from a
+    copy of its n_outer base rows: the simulated dW is freed once
+    stage_density returns, with the g-estimator on and off."""
+    cfg = parse_config(_write(tmp_path, _TINY + f"gest.enabled = {gest}\n"))
+    exp = Experiment(cfg, out_dir=str(tmp_path / "o"), seed=20240801)
+    exp.run("simulate")
+    dW = weakref.ref(exp.ens.dW)
+    exp.stage_density()
+    assert dW() is None
+    assert (tmp_path / "o" / "gest_Y_t0p5.csv").exists() == (gest == "true")
+
+
 def test_density_row_statistics_peak_below_one_row(tmp_path):
     """The density stage reads each D_theta row in blocks of paths: at
     z-convex with 8000 paths x 40 steps, one component's row statistics
@@ -776,11 +806,5 @@ def test_density_row_statistics_peak_below_one_row(tmp_path):
         t_idx = exp.grid.index_of(t)
         row_bytes = exp.ens.n_paths * (t_idx + 1) * 8
         for name in ("Y", "Z"):
-            tracemalloc.start()
-            try:
-                before, _ = tracemalloc.get_traced_memory()
-                exp._component(name, t_idx)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert peak - before < row_bytes, (name, t, (peak - before) / row_bytes)
+            _, peak, _ = traced(exp._component, name, t_idx)
+            assert peak < row_bytes, (name, t, peak / row_bytes)

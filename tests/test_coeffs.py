@@ -30,6 +30,7 @@ from oracles import (
     central_diff,
     reference_check_hypotheses,
     reference_derivative,
+    traced,
 )
 
 ALL_FAMILIES = [
@@ -412,6 +413,21 @@ def _random_driver(rng):
         return Driver(f_of_x=_random_family(rng), f_of_y=_random_family(rng))
     return Driver(f_of_x=_random_family(rng), cross_x=_random_family(rng),
                   cross_y=_random_family(rng))
+
+
+def test_check_hypotheses_reduces_the_mesh_one_partial_at_a_time():
+    """Each (n_grid, n_grid) driver partial is checked and reduced to its
+    extrema before the next is built: on the S2 model (nonlinear f(x, y))
+    at n_grid = 801 the checker peaks within 2.5 mesh arrays above its entry
+    (holding the five partials at once took six)."""
+    prob = ProblemSpec(
+        x0=0.0, T=1.0, b=trig_affine(c=0.3), sigma=trig_affine(a=2, b=0.5),
+        driver=Driver(f_of_x=affine(b=0.1), f_of_y=trig_affine(c=0.2)),
+        terminal="phi-of-xt", phi=trig_affine(c=0.1, d=1), box=(-12, 12),
+    )
+    report, peak, _ = traced(check_hypotheses, prob, (-12.0, 12.0), 801)
+    assert report.checks["H2"].status == "pass"
+    assert peak / (8 * 801**2) <= 2.5
 
 
 def test_check_hypotheses_matches_reference_on_random_models():

@@ -1,5 +1,4 @@
 import struct
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -28,6 +27,7 @@ from oracles import (
     second_order_matrix,
     second_u,
     second_x,
+    traced,
 )
 
 
@@ -206,12 +206,8 @@ def test_unflagged_simulation_keeps_one_copy_of_the_ensemble():
     copy."""
     prob = _problem(trig_affine(c=0.3), trig_affine(a=2, b=0.5))
     lmap = LampertiMap(prob.sigma, prob.b, prob.box)
-    tracemalloc.start()
-    try:
-        ens = simulate_forward(prob, TimeGrid(1.0, 200), 2000, seed=5, lamperti_map=lmap)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    ens, peak, _ = traced(simulate_forward, prob, TimeGrid(1.0, 200), 2000, seed=5,
+                          lamperti_map=lmap)
     assert ens.n_flagged == 0
     assert peak < 3 * ens.X.nbytes  # a masked copy would make it 4
 
@@ -276,19 +272,11 @@ def test_dump_and_load_peak_below_one_path_matrix(tmp_path, driftless):
     each call returns, neither holds a whole-ensemble temporary."""
     _, _, ens = driftless
     path = tmp_path / "ens.bin"
-    tracemalloc.start()
-    try:
-        before, _ = tracemalloc.get_traced_memory()
-        dump_ensemble(ens, path)
-        _, dump_peak = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        back = load_ensemble(path)
-        _, load_peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, dump_peak, _ = traced(dump_ensemble, ens, path)
+    back, load_peak, _ = traced(load_ensemble, path)
     returned = back.dW.nbytes + back.X.nbytes + back.path_ids.nbytes
-    assert dump_peak - before <= ens.X.nbytes
-    assert load_peak - before - returned <= ens.X.nbytes
+    assert dump_peak <= ens.X.nbytes
+    assert load_peak - returned <= ens.X.nbytes
     assert ens.X.shape == (20000, 201)
 
 

@@ -1,4 +1,3 @@
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +8,8 @@ from bsdedensity.errors import DomainError
 from bsdedensity.nvdensity import RowStatistics, gaussian_envelopes
 from bsdedensity import verify
 from bsdedensity.verify import PositivityCounts, envelope_check, kde, positivity_report
+
+from oracles import traced
 
 
 @pytest.fixture(scope="module")
@@ -201,15 +202,9 @@ def test_positivity_witnesses_need_no_block_sized_index_array():
     # an index array over a block of non-positive samples is as large as the
     # block; the counts allocate only boolean masks of it
     samples = -np.ones(10**6)
-    tracemalloc.start()
-    try:
-        before, _ = tracemalloc.get_traced_memory()
-        counts = PositivityCounts.of(samples)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    counts, peak, _ = traced(PositivityCounts.of, samples)
     assert counts.witness_indices == tuple(range(20))
-    assert peak - before < 0.5 * samples.nbytes
+    assert peak < 0.5 * samples.nbytes
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -256,13 +251,12 @@ def test_kernel_blocks_bound_memory_and_keep_values(normal_samples):
     whole-matrix evaluation."""
     x = normal_samples[:20000]
     grid = np.linspace(-4, 4, 321)
-    tracemalloc.start()
-    try:
+
+    def kde_and_bias():
         est = kde(x, grid)
-        bias = est.bias_estimate()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+        return est, est.bias_estimate()
+
+    (est, bias), peak, _ = traced(kde_and_bias)
     assert peak < 16 * 2**20
     h = est.bandwidth
     u = (grid[::8, None] - x[None, :]) / h
