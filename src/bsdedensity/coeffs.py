@@ -408,13 +408,13 @@ class Driver:
             return self.f_given_x(x)(y)
         x = as_points(x)
         y = as_points(y)
-        out = np.zeros(np.broadcast(x.x, y.x).shape)
+        out = np.zeros(np.broadcast(x.x, y.x).shape)  # each part is added in place
         if dy == 0:
-            out = out + self._part(self.f_of_x, dx, x)
+            out += self._part(self.f_of_x, dx, x)
         if dx == 0:
-            out = out + self._part(self.f_of_y, dy, y)
+            out += self._part(self.f_of_y, dy, y)
         if self.cross_x is not None:
-            out = out + self._part(self.cross_x, dx, x) * self._part(self.cross_y, dy, y)
+            out += self._part(self.cross_x, dx, x) * self._part(self.cross_y, dy, y)
         return out
 
     def f_given_x(self, x):
