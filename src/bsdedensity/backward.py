@@ -723,7 +723,7 @@ def _fit_pair(design: _StepDesign | None, lam: np.ndarray | None,
 
 
 def _fit_rows(design: _StepDesign | None, lam: np.ndarray | None, a: np.ndarray,
-              b, scale=1.0) -> tuple[np.ndarray, np.ndarray | None]:
+              b: np.ndarray | float, scale=1.0) -> tuple[np.ndarray, np.ndarray | None]:
     """One simultaneous fit of the (k, n_paths) targets scale * a + b:
     ((k, n_paths) fitted values, (p, k) coefficients).  The targets are
     written straight into the C-order (n_paths, k) layout of np.column_stack."""

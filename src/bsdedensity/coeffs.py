@@ -408,7 +408,7 @@ class Driver:
             return self.f_given_x(x)(y)
         x = as_points(x)
         y = as_points(y)
-        out = np.zeros(np.broadcast(x.x, y.x).shape)  # each part is added in place
+        out = np.zeros(np.broadcast(x.x, y.x).shape)
         if dy == 0:
             out += self._part(self.f_of_x, dx, x)
         if dx == 0:
