@@ -97,7 +97,6 @@ class Experiment:
         self.ens = None
         self.sol = None
         self.btab = None
-        self.base_increments = None  # the g-estimator's n_outer rows of dW
         self.density_meta: dict | None = None
         # per eval-time key: each checked component's (KDE, envelope) and the
         # positivity counts of its D_theta Z row, kept for the verify stage
@@ -195,8 +194,7 @@ class Experiment:
         # the increments die with the pass: the rows read fits and A,
         # first_x_all reads X and A, verify reads n_paths and n_flagged, and
         # only the g-estimator reads dW, its n_outer base rows
-        if cfg["gest.enabled"]:
-            self.base_increments = self.ens.dW[: self._n_outer()].copy()
+        base_increments = self.ens.dW[: self._n_outer()].copy() if cfg["gest.enabled"] else None
         self.ens.dW = ftab.dW = None
         meta: dict = {"per_t": {}}
         summary_rows: dict[str, list] = {
@@ -261,7 +259,7 @@ class Experiment:
             self._summarize_tableaux(summary_rows, t, t_idx)
             meta["per_t"][key] = entry
         if gest_jobs:
-            self._g_estimate(gest_jobs)
+            self._g_estimate(gest_jobs, base_increments)
         _write_csv(
             self.out / "tableaux_summary.csv",
             list(summary_rows.keys()),
@@ -301,10 +299,12 @@ class Experiment:
         theta_w[0] = theta_w[-1] = 0.5 * self.grid.dt
         return GTarget(outer, phi, x_grid, theta_w, mean_f=float(samples.mean()))
 
-    def _g_estimate(self, jobs: list[tuple[float, int, str, dict, GTarget]]) -> None:
+    def _g_estimate(self, jobs: list[tuple[float, int, str, dict, GTarget]],
+                    base_increments: np.ndarray) -> None:
         """Estimate every target's g from one set of replay sweeps, cut at
-        the last eval time a target reads; write each gest CSV and record
-        each band check in its component's entry."""
+        the last eval time a target reads, over the main run's first n_outer
+        rows of dW, ``base_increments``; write each gest CSV and record each
+        band check in its component's entry."""
         cfg = self.cfg
         n_outer = self._n_outer()
         sweep = make_replay_sweep(self.problem, self.grid, self.lmap,
@@ -315,7 +315,7 @@ class Experiment:
             sweep,
             n_outer,
             cfg["gest.n_inner"],
-            base_increments=self.base_increments,
+            base_increments=base_increments,
             increment_scale=np.sqrt(self.grid.dt),
             wprime_seed=self.seed + 0x5754,
             n_u_nodes=cfg["gest.n_u_nodes"],

@@ -543,16 +543,15 @@ def _extrema(values: np.ndarray) -> tuple[int, float, float]:
 
 
 def _first_violation(conditions, witness_at):
-    """The first broken one of ``(inequality, values, strict)`` conditions.
+    """The first broken one of ``(inequality, extrema, strict)`` conditions.
 
     Each condition asks ``values > 0`` (strict) or ``values >= 0`` on the
-    whole grid; ``values`` may also be given as their :func:`_extrema`.
-    Returns ``(inequality, witness, value)`` with the grid minimum as the
-    value, or None when every condition holds; ``witness_at`` maps a flat
-    grid index to its point (or its ``(x, y)`` pair).
+    whole grid, given the values' :func:`_extrema`.  Returns ``(inequality,
+    witness, value)`` with the grid minimum as the value, or None when every
+    condition holds; ``witness_at`` maps a flat grid index to its point (or
+    its ``(x, y)`` pair).
     """
-    for inequality, values, strict in conditions:
-        i, value, _ = values if isinstance(values, tuple) else _extrema(values)
+    for inequality, (i, value, _), strict in conditions:
         if value < 0 or strict and value == 0:
             return inequality, witness_at(i), value
     return None
@@ -648,7 +647,7 @@ def check_hypotheses(
     # the checkable content is phi' > 0.
     h1 = {"c": p1min, "C": p1max}
     checks["H1"] = _verdict(
-        "H1", _first_violation([("phi'(x) > 0", phi1, True)], at), h1, h1
+        "H1", _first_violation([("phi'(x) > 0", _extrema(phi1), True)], at), h1, h1
     )
 
     # H2: f in C_b^1 and 0 <= f_x <= C
@@ -661,7 +660,7 @@ def check_hypotheses(
     smin, smax = ends(sig)
     bracket = np.abs(g["[b,sigma]"])
     h3 = {"sigma_min": smin, "sigma_max": smax}
-    violation = _first_violation([("sigma(x) >= 0", sig, False)], at)
+    violation = _first_violation([("sigma(x) >= 0", _extrema(sig), False)], at)
     if smin == 0 and bracket.max() > 0:
         violation = ("|[b,sigma]| <= M sigma with sigma(x) = 0",
                      at(sig.argmin()), float(bracket.max()))
@@ -674,7 +673,7 @@ def check_hypotheses(
 
     # H4: D_theta xi >= 0 and D^2 xi > 0
     checks["H4"] = _verdict("H4", _first_violation(
-        [("phi'(x) >= 0", phi1, False), ("phi''(x) > 0", phi2, True)], at
+        [("phi'(x) >= 0", _extrema(phi1), False), ("phi''(x) > 0", _extrema(phi2), True)], at
     ), {"phi''_min": p2min, "phi''_max": p2max})
 
     # H5: f_x, f_y, f_xy, f_xx, f_yy >= 0
@@ -684,14 +683,14 @@ def check_hypotheses(
 
     # H6: sigma, sigma', -sigma'', -sigma''' >= 0 and [s,[s,b]] >= 0
     checks["H6"] = _verdict("H6", _first_violation([
-        (f"{q}(x) >= 0", g[q], False)
+        (f"{q}(x) >= 0", _extrema(g[q]), False)
         for q in ("sigma", "sigma'", "-sigma''", "-sigma'''", "[sigma,[sigma,b]]")
     ], at))
 
     # H7: phi in C_b^2 and phi'' >= c > 0 (phi-of-WT models only)
     if problem.terminal == "phi-of-wt":
         checks["H7"] = _verdict(
-            "H7", _first_violation([("phi''(w) >= c > 0", phi2, True)], at),
+            "H7", _first_violation([("phi''(w) >= c > 0", _extrema(phi2), True)], at),
             {"c": p2min, "C": p2max},
         )
     else:
@@ -706,7 +705,7 @@ def check_hypotheses(
         d1 = _finite("f'", eval_derivative(drv.f_of_y, 1, pts), at)
         d2 = _finite("f''", eval_derivative(drv.f_of_y, 2, pts), at)
         checks["H8"] = _verdict("H8", _first_violation(
-            [("f'(y) >= 0", d1, False), ("f''(y) >= 0", d2, False)], at
+            [("f'(y) >= 0", _extrema(d1), False), ("f''(y) >= 0", _extrema(d2), False)], at
         ), {"sup|f'|": float(np.abs(d1).max()), "sup|f''|": float(np.abs(d2).max())})
 
     return HypothesisReport(

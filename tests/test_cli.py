@@ -769,7 +769,7 @@ def test_z_g_target_is_clark_ocone(tmp_path, monkeypatch):
     cfg = parse_config(_write(tmp_path, text))
     exp = Experiment(cfg, out_dir=str(tmp_path / "o"), seed=20240801)
     jobs = []
-    monkeypatch.setattr(Experiment, "_g_estimate", lambda self, js: jobs.extend(js))
+    monkeypatch.setattr(Experiment, "_g_estimate", lambda self, js, base: jobs.extend(js))
     exp.run("density")
     z_jobs = [(t_idx, target) for _, t_idx, name, _, target in jobs if name == "Z"]
     assert len(z_jobs) == len(cfg["eval.times"])
