@@ -40,6 +40,7 @@ from .forward import (
     TimeGrid,
     _brownian_columns,
     _check_triangular,
+    _check_unconsumed,
     _euler_lamperti,
 )
 from .lamperti import LampertiMap
@@ -266,19 +267,19 @@ class BackwardSolution:
         return _declared_entry(self.kept, t_idx, "solution")[1]
 
 
-def _terminal(problem: ProblemSpec, dW: np.ndarray, x_T: Points,
+def _terminal(problem: ProblemSpec, dW: list[np.ndarray], x_T: Points,
               tab: BackwardTableau | None):
     """(xi, Z_T, tableau data) on one point set of the terminal argument.
 
     Z_T = D_T xi is phi'(W_T), or phi'(X_T) sigma(X_T) via D_T X_T =
-    sigma(X_T); W_T is built from the increments ``dW`` only for a
-    phi-of-wt terminal.  Given the Y/Z tableau, the tableau data are the
+    sigma(X_T); W_T is built from the step-first increments ``dW`` only for
+    a phi-of-wt terminal.  Given the Y/Z tableau, the tableau data are the
     undiscounted D_theta xi as the (free, exp(-A_theta)) pair and D2 xi as
     the (a, bc, d, e) quadruple, with B_n read from the tableau's kept
     columns; otherwise None.
     """
     wt = problem.terminal == "phi-of-wt"
-    arg = Points(_brownian_columns(dW, dW.shape[1])) if wt else x_T
+    arg = Points(_brownian_columns(dW, len(x_T.x), len(dW))) if wt else x_T
     xi, phi1 = eval_derivative(problem.phi, 0, arg), eval_derivative(problem.phi, 1, arg)
     sig = None if wt else eval_derivative(problem.sigma, 0, arg)
     z_T = phi1 if wt else phi1 * sig
@@ -324,6 +325,14 @@ def solve_bsde(
     also builds the Y/Z tableau (returned as ``tableau``) with rows at the
     same indices: once Y_i is known, step i advances it on the same design,
     down to the smallest index.  Alpha is read from ``problem.driver``.
+
+    The pass consumes the ensemble, whose paths are stored one array per
+    step: once step i is done it sets ``ens.dW[i]`` to None, and ``ens.X[i]``
+    too unless i is declared, so each step is freed once it has been read.
+    The rows read A and fits, the B segments only steps not yet done, and
+    the Girsanov tail each dW_s before its release.  After the pass only the
+    declared steps of X remain; a second pass, a forward tableau or a dump
+    of the ensemble raises SolverError.
     """
     n, dt, N = ens.grid.n_steps, ens.grid.dt, ens.n_paths
     ridge = basis.ridge if basis.ridge is not None else 1e-8 * N
@@ -335,30 +344,35 @@ def solve_bsde(
                             f"of 0..{n}, non-empty for a tableau")
     if forward_tab is not None and (forward_tab.dW is not ens.dW or forward_tab.X is not ens.X):
         raise SolverError("forward_tab must be built on this ensemble's own dW and X")
+    dW, X = ens.dW, ens.X
+    _check_unconsumed(dW, "dW")
+    _check_unconsumed(X, "X")
 
     # one point set per step: X_i serves the terminal data, the Picard loop
     # and the tableau step alike
-    x = Points(ens.X[:, n])
+    x = Points(X[n])
     tab = None
     if forward_tab is not None:
         tab = BackwardTableau(problem, basis, forward_tab, declared)
-    y_next, z_T, terminal = _terminal(problem, ens.dW, x, tab)
+    y_next, z_T, terminal = _terminal(problem, dW, x, tab)
     _require_finite(y_next, "terminal value Y_T", n)
     _require_finite(z_T, "terminal value Z_T", n)
     kept = {n: (y_next, z_T)} if n in declared else {}
     if tab is not None:
         tab.step(n, None, x, y_next, terminal)
+    if n not in declared:  # X_n is read: release it
+        X[n] = None
 
     # the one basis that reads W reads every column of it
-    W = _brownian_columns(ens.dW) if basis.reads_w else None
+    W = _brownian_columns(dW, N) if basis.reads_w else None
     records: list[dict | None] = [None] * n
 
     for i in range(n - 1, -1, -1):
-        x = Points(ens.X[:, i])
-        design = _StepDesign(basis, ens.X[:, i], None if W is None else W[:, i], ridge, i)
+        x = Points(X[i])
+        design = _StepDesign(basis, X[i], None if W is None else W[:, i], ridge, i)
         # the step's Girsanov weight and shifted increment dW~_i = dW_i - alpha dt
-        w_i = _girsanov_weight(alpha, ens.dW[:, i], dt)
-        dW_tilde = ens.dW[:, i] - alpha * dt
+        w_i = _girsanov_weight(alpha, dW[i], dt)
+        dW_tilde = dW[i] - alpha * dt
         cfit, coef_y = design.fit(y_next, w_i)
         tz = (y_next - cfit) * dW_tilde / dt
         if z_control_variate:
@@ -387,9 +401,14 @@ def solve_bsde(
             "picard_iterations": iters,
             **design.meta,
         }
+        # the fit targets die before the tableau step, which peaks above them
+        y_next = cfit = tz = zcv = dW_tilde = w_i = f_i = None
         if tab is not None and i >= tab.lowest:
             tab.step(i, design, x, y)
         y_next = y
+        dW[i] = None  # step i is read: release it
+        if i not in declared:
+            X[i] = None
 
     return BackwardSolution(problem=problem, basis=basis, ridge_used=ridge, kept=kept,
                             records=records, tableau=tab)  # type: ignore[arg-type]
@@ -497,7 +516,7 @@ class BackwardTableau:
         # (f_y, h + f_y F, Clark-Ocone integrand) of step s + 1.  A tail starts
         # as 0.0 (x + 0.0 has the bits of x + zeros): a zero driver holds none
         self._above = None
-        N = len(ftab.X)
+        N = ftab.n_paths
         self._zero = np.zeros(N)  # read-only, shared by every step and kept row
         self._zero.flags.writeable = False
         self._w_tail = np.zeros(N) if drv.alpha else None  # W_T - W_s
@@ -516,7 +535,7 @@ class BackwardTableau:
         if s == self.n:
             self._dxi, self._d2xi = terminal
         elif self._w_tail is not None:
-            self._w_tail += self.ftab.dW[:, s]
+            self._w_tail += self.ftab.dW[s]
         keep = s in self._declared
         if not (keep or self._active):
             return
@@ -774,17 +793,18 @@ def make_replay_sweep(problem: ProblemSpec, grid: TimeGrid, lmap: LampertiMap, t
     rows stay aligned with the unshifted ensemble; the ``n_clamped``
     attribute sums the clamp events up to ``t_max`` of all its sweeps.  Each
     row slices the tableau's ``exp_neg_A``, computed once on the whole
-    contiguous matrix, and builds the one column of B it reads.  The state
-    holds the increments (a view of ``increments``) only when ``reads_w``,
-    for the basis in (x, w); otherwise its dW is None, so a shifted increment
-    matrix is freed once the sweep returns.
+    contiguous matrix, and builds the one column of B it reads.  The Euler
+    loop reads the increments step first through the transposed view of
+    ``increments``.  The state holds that view's first ``t_max`` steps only
+    when ``reads_w``, for the basis in (x, w); otherwise its dW is None, so
+    a shifted increment matrix is freed once the sweep returns.
     """
 
     def sweep(increments: np.ndarray) -> MalliavinTableau:
-        dW = increments[:, :t_max]
-        X, hits = _euler_lamperti(problem, grid, dW, lmap)
+        steps = increments.T  # a view whose rows are the steps: nothing is copied
+        X, hits = _euler_lamperti(problem, grid, steps, lmap, t_max)
         sweep.n_clamped += int(hits.sum())
-        return MalliavinTableau(dW if reads_w else None, X, lmap, grid.dt)
+        return MalliavinTableau(steps[:t_max] if reads_w else None, X, lmap, grid.dt)
 
     sweep.n_clamped = 0
     return sweep
@@ -822,8 +842,8 @@ def make_phi_row(btab: BackwardTableau, t_idx: int, component: str):
     def phi(state: MalliavinTableau) -> np.ndarray:
         if uses_w and state.dW is None:
             raise SolverError("the (x, w) basis reads W_t: the replay sweep must hold dW")
-        w = _brownian_columns(state.dW, t_idx) if uses_w else None
-        fits = design.evaluate(coeffs, state.X[:, t_idx], w)
+        w = _brownian_columns(state.dW, state.n_paths, t_idx) if uses_w else None
+        fits = design.evaluate(coeffs, state.X[t_idx], w)
         ea_th = state.exp_neg_A[:, : t_idx + 1]
         if component == "Y":
             return _dy_row(fits[:, 0], fits[:, 1], ea_th)

@@ -188,14 +188,17 @@ class Experiment:
         # the deterministic backward sweep: solution and tableau rows
         ftab = MalliavinTableau(self.ens.dW, self.ens.X, self._ensure_lamperti(), self.grid.dt)
         t_indices = [self.grid.index_of(t) for t in cfg["eval.times"]]
+        # the pass consumes the ensemble, one step at a time: the rows read
+        # fits and A, first_x_all the declared steps of X and A, verify
+        # n_paths and n_flagged; only the g-estimator reads dW, the path-major
+        # matrix of its n_outer base rows, copied first
+        base_increments = None
+        if cfg["gest.enabled"]:
+            n_outer = self._n_outer()
+            base_increments = np.stack([step[:n_outer] for step in self.ens.dW], axis=1)
         self.sol = solve_bsde(self.ens, self.problem, self.basis,
                               forward_tab=ftab, t_indices=t_indices)
         self.btab = self.sol.tableau
-        # the increments die with the pass: the rows read fits and A,
-        # first_x_all reads X and A, verify reads n_paths and n_flagged, and
-        # only the g-estimator reads dW, its n_outer base rows
-        base_increments = self.ens.dW[: self._n_outer()].copy() if cfg["gest.enabled"] else None
-        self.ens.dW = ftab.dW = None
         meta: dict = {"per_t": {}}
         summary_rows: dict[str, list] = {
             "t": [], "theta": [],

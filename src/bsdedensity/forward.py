@@ -26,9 +26,16 @@ per path instead of O(n^2).  A is held as a path matrix; B is not:
 :meth:`MalliavinTableau.B` builds the columns a reader asks for, and the
 backward pass keeps B at marks about every sqrt(n) steps and rebuilds each
 segment between two marks upward from its mark.  A, B and the Brownian path
-W are running sums from column 0, all built by :func:`_running_columns`, so
-a B column walked up from a held one has the bits of the sum from 0.  The
-Girsanov tail W_T - W_s is summed down from T by the backward pass itself.
+W are running sums from column 0, all built one step at a time by
+:func:`_running_columns`, so a B column walked up from a held one has the
+bits of the sum from 0.  The Girsanov tail W_T - W_s is summed down from T
+by the backward pass itself.
+
+Every path set is indexed step first: ``dW[i]`` and ``X[i]`` hold step i
+across paths.  The main run's ensemble holds a list of separate contiguous
+arrays, one per step, so the backward pass can release each step once it
+has read it; a replay sweep hands the Euler loop the transpose of its
+increment matrix, a view whose rows are the steps.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ from pathlib import Path
 import numpy as np
 
 from .coeffs import Points, ProblemSpec, eval_derivative
-from .errors import OrderingError, SimulationError
+from .errors import OrderingError, SimulationError, SolverError
 from .lamperti import LampertiMap
 
 __all__ = [
@@ -91,31 +98,42 @@ class TimeGrid:
 
 @dataclass
 class PathEnsemble:
-    """Seeded Brownian increments and state paths, one row per surviving path.
+    """Seeded Brownian increments and state paths of the surviving paths,
+    stored step-major.
 
-    ``dW`` has shape (n_paths, n_steps), X (n_paths, n_steps + 1); W is not
-    stored (see :func:`_brownian_columns`).  Row i of the increment matrix is
-    a pure function of (master_seed, path_id): increments are drawn row-major
-    from a single PCG64 stream, so a row's values depend only on its original
-    index.  Paths that left the certified sigma > 0 box are dropped;
-    ``path_ids`` maps surviving rows to original indices.  The density stage
-    of the CLI sets ``dW`` to None once the backward pass has read it.
+    ``dW`` is a list of n_steps arrays and ``X`` a list of n_steps + 1, each
+    a separate contiguous (n_paths,) array: ``dW[i]`` and ``X[i]`` hold step
+    i across paths.  W is not stored (see :func:`_brownian_columns`).  Path
+    p's increments are a pure function of (master_seed, path_id): they are
+    drawn row-major from a single PCG64 stream, so they depend only on the
+    path's original index.  Paths that left the certified sigma > 0 box are
+    dropped; ``path_ids`` maps surviving paths to original indices.
+
+    :func:`backward.solve_bsde` consumes the ensemble: it sets each step of
+    ``dW`` to None once it has read it, and each step of ``X`` except at the
+    declared indices.  A reader that meets a released step raises SolverError.
     """
 
     grid: TimeGrid
     n_paths: int
     master_seed: int
     x0: float
-    dW: np.ndarray
-    X: np.ndarray
+    dW: list[np.ndarray | None]
+    X: list[np.ndarray | None]
     path_ids: np.ndarray
     n_flagged: int
     n_requested: int
 
     def __post_init__(self) -> None:
         n = self.grid.n_steps
-        assert self.dW.shape == (self.n_paths, n)
-        assert self.X.shape == (self.n_paths, n + 1)
+        for name, steps, count in (("dW", self.dW, n), ("X", self.X, n + 1)):
+            if len(steps) != count:
+                raise SimulationError(
+                    f"{name} holds {len(steps)} steps; n_steps = {n} needs {count}")
+            for i, step in enumerate(steps):
+                if np.shape(step) != (self.n_paths,):
+                    raise SimulationError(f"step {i} of {name} has shape "
+                                          f"{np.shape(step)}, not ({self.n_paths},)")
 
 
 def _draw_increments(master_seed: int, n_paths: int, n_steps: int, dt: float) -> np.ndarray:
@@ -126,29 +144,32 @@ def _draw_increments(master_seed: int, n_paths: int, n_steps: int, dt: float) ->
 
 
 def _euler_lamperti(
-    problem: ProblemSpec, grid: TimeGrid, dW: np.ndarray, lmap: LampertiMap
-) -> tuple[np.ndarray, np.ndarray]:
-    """Euler-Maruyama on U = g(X) driven by the increments ``dW``.
+    problem: ProblemSpec, grid: TimeGrid, dW, lmap: LampertiMap, n: int | None = None
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Euler-Maruyama on U = g(X) driven by the increments ``dW``, indexed
+    step first (``dW[i]`` holds step i across paths), for its first ``n``
+    steps (default: all of them).
 
     Steps whose U would leave the image of the certified box are clamped just
-    inside it.  Returns X and the number of clamp events per path.
+    inside it.  Returns X, a list of n + 1 step arrays (X_{i+1} is the array
+    the inverse transform returns), and the number of clamp events per path.
     """
-    n_paths, n = dW.shape
+    n = len(dW) if n is None else n
+    n_paths = len(dW[0])
     dt = grid.dt
     glo, ghi = lmap.g_range
     margin = 1e-9 * (ghi - glo)
-    X = np.empty((n_paths, n + 1))
+    X = [np.full(n_paths, problem.x0)]
     u = np.full(n_paths, lmap.transform(problem.x0))
-    X[:, 0] = problem.x0
     hits = np.zeros(n_paths, dtype=np.int64)
     for i in range(n):
-        drift = lmap.beta(X[:, i])
-        u = u + drift * dt + dW[:, i]
+        drift = lmap.beta(X[i])
+        u = u + drift * dt + dW[i]
         out = (u < glo + margin) | (u > ghi - margin)
         if out.any():
             hits += out
             u = np.clip(u, glo + margin, ghi - margin)
-        X[:, i + 1] = lmap.inverse_transform(u)
+        X.append(lmap.inverse_transform(u))
     return X, hits
 
 
@@ -163,13 +184,17 @@ def simulate_forward(
 
     Paths whose U leaves the image of the certified box are clamped, flagged
     and excluded from the returned ensemble; if more than 1% of paths are
-    flagged the run fails.  With no path flagged the ensemble holds the
-    sweep's own matrices: nothing is copied.
+    flagged the run fails.  The increments are drawn as one (n_paths,
+    n_steps) matrix, so the stream is that of a row-major draw, and each
+    column is copied into its own step array before the matrix is dropped.
+    With no path flagged the ensemble holds the sweep's own step arrays;
+    otherwise each step is replaced by its kept paths in turn.
     """
     if n_paths < 1:
         raise SimulationError("n_paths must be >= 1")
     lmap = lamperti_map or LampertiMap(problem.sigma, problem.b, problem.box)
     dW = _draw_increments(seed, n_paths, grid.n_steps, grid.dt)
+    dW = [dW[:, i].copy() for i in range(grid.n_steps)]
     X, hits = _euler_lamperti(problem, grid, dW, lmap)
     flagged = hits > 0
     n_flagged = int(flagged.sum())
@@ -181,7 +206,9 @@ def simulate_forward(
         )
     keep = ~flagged
     if n_flagged:
-        dW, X = dW[keep], X[keep]
+        for steps in (dW, X):
+            for i, step in enumerate(steps):
+                steps[i] = step[keep]
     return PathEnsemble(
         grid=grid, n_paths=n_paths - n_flagged, master_seed=seed, x0=problem.x0,
         dW=dW, X=X, path_ids=np.nonzero(keep)[0].astype(np.uint64),
@@ -189,10 +216,9 @@ def simulate_forward(
     )
 
 
-# paths per block when a path matrix goes through the coefficient functions:
-# the transcendentals a block shares stay block-sized, and a row block of a
-# C-ordered matrix is contiguous, so every value is bitwise the one a
-# whole-matrix evaluation gives
+# paths per block where a whole row of paths is read or written at once
+# (the dump, the load, the D_theta row statistics): the temporaries stay
+# block-sized, and a row block of a C-ordered matrix is contiguous
 _ROW_BLOCK = 1024
 
 
@@ -200,41 +226,58 @@ def _row_blocks(n_rows: int):
     return (slice(lo, lo + _ROW_BLOCK) for lo in range(0, n_rows, _ROW_BLOCK))
 
 
-def _running_columns(n_rows: int, n_cols: int, cols, increments, start=None) -> np.ndarray:
+def _running_columns(n_rows: int, n_cols: int, cols, increment, start=None) -> np.ndarray:
     """Columns ``cols`` (an index, a list or a slice) of the running sums
-    c_0..c_{n_cols - 1} along ``n_rows`` paths: the one place that sums along
-    paths.  ``increments(rows, k)`` gives inc_0..inc_{k-1} on the paths
-    ``rows``; each block of paths is summed with ``np.cumsum`` up to the last
-    asked-for column, and only the asked-for columns are kept.  Given a
-    ``start`` column, c_0 = start and c_{j+1} = c_j + inc_j: W's rule, so
-    W_1 = 0 + dW_0 is +0 after a -0.0.  Without one, c_0 = +0 and c_1 is
-    inc_0 itself: the cumulative trapezoid's rule, so a -0.0 stays -0.0.
-    Either way a walk up from a held column j > 0 has the bits of the sum
-    from column 0."""
+    c_0..c_{n_cols - 1} along ``n_rows`` paths, as a path-major (n_rows, k)
+    matrix, or (n_rows,) for an index: the one place that sums along paths.
+    ``increment(j)`` gives inc_j on every path; the sum reads one step at a
+    time, up to the last asked-for column.  Given a ``start`` column,
+    c_0 = start and c_{j+1} = c_j + inc_j: W's rule, so W_1 = 0 + dW_0 is +0
+    after a -0.0.  Without one, c_0 = +0 and c_1 is inc_0 itself (so
+    ``increment`` must then return a fresh array): the cumulative
+    trapezoid's rule, so a -0.0 stays -0.0.  Either way a walk up from a
+    held column j > 0 has the bits of the sum from column 0."""
     idx = np.arange(n_cols)[cols]
-    width = int(np.max(idx, initial=-1)) + 1
     out = np.empty((n_rows,) + idx.shape)
-    if idx.ndim == 1 and idx.size and (np.diff(idx) == 1).all():
-        idx = slice(idx[0], width)  # a slice copy, not a fancy-index gather
-    block = np.empty((min(n_rows, _ROW_BLOCK), width))
-    first = int(start is None)  # the first column the cumulative sum writes
-    for rows in _row_blocks(n_rows):
-        inc = increments(rows, width - 1)
-        part = block[: len(inc)]
-        part[:, 0], part[:, 1:] = 0.0 if start is None else start[rows], inc
-        np.cumsum(part[:, first:], axis=1, out=part[:, first:])
-        out[rows] = part[:, idx]
+    dest = out.reshape(n_rows, idx.size)  # a view: one column per asked-for index
+    where: dict[int, list[int]] = {}
+    for k, j in enumerate(idx.ravel()):
+        where.setdefault(int(j), []).append(k)
+    c = np.zeros(n_rows) if start is None else start
+    for j in range(max(where, default=-1) + 1):
+        if j == 1:
+            inc = increment(0)
+            c = inc if start is None else start + inc
+        elif j:
+            c += increment(j - 1)
+        for k in where.get(j, ()):
+            dest[:, k] = c
     return out
 
 
-def _brownian_columns(dW: np.ndarray, cols=slice(None)) -> np.ndarray:
+def _brownian_columns(dW, n_paths: int, cols=slice(None)) -> np.ndarray:
     """Columns ``cols`` (an index, a list or a slice) of the Brownian path
-    W_0 = 0, W_{i+1} = W_i + dW_i, summed from W_0.  The Girsanov tail
-    W_T - W_s of the backward pass is not built here: the pass sums it down
-    from T, one increment column per step."""
-    n_paths, n = dW.shape
-    return _running_columns(n_paths, n + 1, cols, lambda rows, k: dW[rows, :k],
+    W_0 = 0, W_{i+1} = W_i + dW_i on ``n_paths`` paths, summed from W_0 over
+    the step-first increments ``dW``.  The Girsanov tail W_T - W_s of the
+    backward pass is not built here: the pass sums it down from T, one
+    increment step at a time."""
+    return _running_columns(n_paths, len(dW) + 1, cols, lambda j: dW[j],
                             np.broadcast_to(0.0, n_paths))
+
+
+def _step(steps, i: int, name: str) -> np.ndarray:
+    """Step i of the path set ``name``, refused once a backward pass has
+    released it."""
+    if steps[i] is None:
+        raise SolverError(f"step {i} of {name} was released: a backward pass "
+                          "consumed this ensemble; simulate or load it again")
+    return steps[i]
+
+
+def _check_unconsumed(steps, name: str) -> None:
+    """Refuse a path set with a step that a backward pass has released."""
+    for i in range(len(steps)):
+        _step(steps, i, name)
 
 
 def _check_triangular(thetas, t_idx: int, n: int) -> None:
@@ -262,49 +305,60 @@ class MalliavinTableau:
     column the caller holds.  e^{-A} (which only the replay rows read, each
     slicing it) is built on first use.  The accessor reads grid indices and
     rejects theta > t; sigma is evaluated at the states it reads, never stored
-    as a path matrix.  The increments ``dW`` are held as given (the main run's
-    are the ensemble's own; None for a replay whose rows do not read W), and
-    W is not held.
+    as a path matrix.  ``dW`` and ``X`` are indexed step first and held as
+    given: the main run's are the ensemble's own lists, which the backward
+    pass consumes step by step; a replay's are a view of its increments (None
+    when its rows do not read W) and the Euler loop's list.  W is not held.
+    A path set with a released step is refused (SolverError).
     """
 
-    def __init__(self, dW: np.ndarray | None, X: np.ndarray, lmap: LampertiMap, dt: float):
+    def __init__(self, dW, X, lmap: LampertiMap, dt: float):
+        if dW is not None:
+            _check_unconsumed(dW, "dW")
+        _check_unconsumed(X, "X")
         self.dW, self.X = dW, X
         self.lmap, self.dt = lmap, dt
-        self.n = X.shape[1] - 1
+        self.n = len(X) - 1
+        self.n_paths = len(X[0])
         self.constant_drift = lmap.sigma.family == lmap.b.family == "constant"
         # A, the cumulative trapezoid of (beta o g^-1)'(X) along each path
-        self.A = self._trapezoid(lambda rows, c: lmap.beta_prime_sigma(Points(X[rows, c])))
+        self.A = self._trapezoid(lambda c: lmap.beta_prime_sigma(Points(X[c])))
         self._exp_neg_A: np.ndarray | None = None
 
     def _trapezoid(self, integrand, cols=slice(None), lo=0, c_lo=None) -> np.ndarray:
-        """Columns ``cols`` of the cumulative trapezoid of ``integrand(rows,
-        cols)`` along each path, from its leading zero or walked up from its
-        column ``lo`` = ``c_lo``; a prefix of the columns reads a prefix of
-        X and A.  Under a constant drift it is a read-only zero view."""
+        """Columns ``cols`` of the cumulative trapezoid of ``integrand(c)``,
+        the integrand at step c on every path, from its leading zero or
+        walked up from its column ``lo`` = ``c_lo``; a prefix of the columns
+        reads a prefix of X and A.  Under a constant drift it is a read-only
+        zero view."""
         idx = np.arange(self.n + 1)[cols]
         if self.constant_drift:
-            return np.broadcast_to(0.0, (len(self.X),) + idx.shape)
+            return np.broadcast_to(0.0, (self.n_paths,) + idx.shape)
+        half = 0.5 * self.dt
+        left = None  # the integrand at the left node of the next increment
 
-        def increments(rows, k):
-            # (dt/2) (v_j + v_{j+1}), written over the integrand v, which stays
-            # alive as their base until the block's sum is written: fresh
-            # block-sized temporaries per block made the B build about 1.5
-            # times slower through allocator churn
-            v = integrand(rows, slice(lo, lo + k + 1))
-            inc = v[:, :-1]
-            inc += v[:, 1:]
-            inc *= 0.5 * self.dt
+        def increment(j):
+            # (v_j + v_{j+1}) (dt/2) between the steps lo + j and lo + j + 1
+            nonlocal left
+            if left is None:
+                left = integrand(lo)
+            right = integrand(lo + j + 1)
+            inc = left + right
+            inc *= half
+            left = right
             return inc
 
-        return _running_columns(len(self.X), self.n + 1 - lo, idx - lo, increments, c_lo)
+        return _running_columns(self.n_paths, self.n + 1 - lo, idx - lo, increment, c_lo)
 
     def B(self, cols=slice(None), lo: int = 0, b_lo: np.ndarray | None = None) -> np.ndarray:
         """Columns ``cols`` (an index, a list or a slice, none below ``lo``) of
         B, the cumulative trapezoid of (beta o g^-1)''(X) e^A: from its
         leading zero, or walked up from its column ``lo`` > 0 held as
-        ``b_lo`` (a walk from column 0 would turn a -0.0 B_1 into +0)."""
-        return self._trapezoid(lambda rows, c: self.lmap.beta_comp_second(self.X[rows, c])
-                               * np.exp(self.A[rows, c]), cols, lo, b_lo)
+        ``b_lo`` (a walk from column 0 would turn a -0.0 B_1 into +0).  It
+        reads the steps of X from ``lo`` up; one that a backward pass has
+        released raises SolverError."""
+        return self._trapezoid(lambda c: self.lmap.beta_comp_second(_step(self.X, c, "X"))
+                               * np.exp(self.A[:, c]), cols, lo, b_lo)
 
     @property
     def exp_neg_A(self) -> np.ndarray:
@@ -318,7 +372,7 @@ class MalliavinTableau:
         """D_theta X_t across paths, shape (n_paths,); a list of k theta
         indices gives shape (k, n_paths) and evaluates sigma(X_t) once."""
         _check_triangular(theta_idx, t_idx, self.n)
-        sig = eval_derivative(self.lmap.sigma, 0, self.X[:, t_idx])
+        sig = eval_derivative(self.lmap.sigma, 0, _step(self.X, t_idx, "X"))
         return sig * np.exp(self.A[:, t_idx] - self.A.T[theta_idx])
 
 
@@ -328,7 +382,13 @@ class MalliavinTableau:
 
 
 def dump_ensemble(ens: PathEnsemble, path: str | Path) -> None:
-    """Write the ensemble in the documented binary layout, block by block."""
+    """Write the ensemble in the documented binary layout, block by block:
+    each block of paths is gathered from the step arrays into path-major
+    rows (dW, then X), so the file holds the bytes of the path-major
+    matrices.  An ensemble that a backward pass has consumed is refused."""
+    _check_unconsumed(ens.dW, "dW")
+    _check_unconsumed(ens.X, "X")
+    steps = [*ens.dW, *ens.X]
     header = struct.pack(
         _HEADER_FMT,
         _MAGIC,
@@ -344,12 +404,17 @@ def dump_ensemble(ens: PathEnsemble, path: str | Path) -> None:
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(np.ascontiguousarray(ens.path_ids, dtype="<u8"))
+        block = np.empty((min(ens.n_paths, _ROW_BLOCK), len(steps)), dtype="<f8")
         for rows in _row_blocks(ens.n_paths):
-            fh.write(np.concatenate([ens.dW[rows], ens.X[rows]], axis=1, dtype="<f8"))
+            part = block[: len(ens.path_ids[rows])]
+            for j, step in enumerate(steps):
+                part[:, j] = step[rows]
+            fh.write(part)
 
 
 def load_ensemble(path: str | Path) -> PathEnsemble:
-    """Read an ensemble written by :func:`dump_ensemble`, block by block."""
+    """Read an ensemble written by :func:`dump_ensemble`, block by block,
+    scattering each block into freshly allocated step arrays."""
     head_size = struct.calcsize(_HEADER_FMT)
     size = Path(path).stat().st_size
     if size < head_size:
@@ -375,12 +440,14 @@ def load_ensemble(path: str | Path) -> PathEnsemble:
             )
         path_ids = np.empty(n_paths, dtype="<u8")
         fh.readinto(path_ids)
-        dW, X = np.empty((n_paths, n)), np.empty((n_paths, n + 1))
+        dW = [np.empty(n_paths) for _ in range(n)]
+        X = [np.empty(n_paths) for _ in range(n + 1)]
         block = np.empty((min(n_paths, _ROW_BLOCK), width), dtype="<f8")
         for rows in _row_blocks(n_paths):
-            part = block[: len(dW[rows])]
+            part = block[: len(path_ids[rows])]
             fh.readinto(part)
-            dW[rows], X[rows] = part[:, :n], part[:, n:]
+            for step, col in zip(dW + X, part.T):
+                step[rows] = col
     return PathEnsemble(
         grid=TimeGrid(T, n_steps), n_paths=n_paths, master_seed=int(seed), x0=x0,
         dW=dW, X=X, path_ids=path_ids, n_flagged=n_flagged, n_requested=n_requested,

@@ -9,7 +9,7 @@ references for the production code that shares them.
 
 import math
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -317,6 +317,21 @@ def second_x(A, B, X, sigma, path, theta_idx, t_idx, s_idx):
     return float(eval_derivative(sigma, 1, X[path, s_idx]) * sig * du_prod + sig * d2u)
 
 
+def path_matrices(ens):
+    """Path-major copies of the ensemble's step-major paths: ``(dW, X)`` of
+    shapes (n_paths, n) and (n_paths, n + 1), the layout the reference
+    oracles read.  A backward pass consumes the ensemble, so a test that
+    reads the paths after a pass takes its copy first."""
+    return np.stack(ens.dW, axis=1), np.stack(ens.X, axis=1)
+
+
+def step_lists(ens):
+    """The ensemble with new step lists over the same step arrays: a backward
+    pass releases steps from the copy's lists only, so ``ens`` stays whole
+    for the next pass (a module-scoped fixture serves many)."""
+    return replace(ens, dW=list(ens.dW), X=list(ens.X))
+
+
 def brownian_matrix(dW):
     """The Brownian path W of the increments ``dW``, shape (n_paths, n + 1),
     by the explicit running sum W_0 = 0, W_{i+1} = W_i + dW_i."""
@@ -335,13 +350,14 @@ def ensemble_from_increments(problem, grid, increments, lamperti_map=None):
     lmap = lamperti_map or LampertiMap(problem.sigma, problem.b, problem.box)
     n_paths, n = increments.shape
     assert n == grid.n_steps, "increment matrix does not match the grid"
-    X, hits = _euler_lamperti(problem, grid, increments, lmap)
+    dW = [increments[:, i].copy() for i in range(n)]
+    X, hits = _euler_lamperti(problem, grid, dW, lmap)
     return PathEnsemble(
         grid=grid,
         n_paths=n_paths,
         master_seed=-1,
         x0=problem.x0,
-        dW=np.ascontiguousarray(increments),
+        dW=dW,
         X=X,
         path_ids=np.arange(n_paths, dtype=np.uint64),
         n_flagged=int(hits.sum()),
@@ -361,9 +377,9 @@ def reference_phi_sampler(btab, t_idx, component):
     def sampler(increments):
         ens = ensemble_from_increments(problem, grid, increments, lmap)
         sampler.n_clamped += ens.n_flagged
-        _, A, B = reference_tableau_integrals(lmap, ens.X, grid.dt)
-        fits = row.design.evaluate(coeffs, ens.X[:, t_idx],
-                                   brownian_matrix(ens.dW)[:, t_idx])
+        dW, X = path_matrices(ens)
+        _, A, B = reference_tableau_integrals(lmap, X, grid.dt)
+        fits = row.design.evaluate(coeffs, ens.X[t_idx], brownian_matrix(dW)[:, t_idx])
         ea_th = np.exp(-A[:, : t_idx + 1])
         if component == "Y":
             return fits[:, 0][:, None] + ea_th * fits[:, 1][:, None]

@@ -45,7 +45,15 @@ from bsdedensity.nvdensity import (
 )
 from bsdedensity.verify import envelope_check, kde, positivity_report
 
-from oracles import FD_STEPS, brownian_matrix, central_diff, euler_u_flow, second_u
+from oracles import (
+    FD_STEPS,
+    brownian_matrix,
+    central_diff,
+    euler_u_flow,
+    path_matrices,
+    second_u,
+    step_lists,
+)
 
 MASTER_SEED = 20240801
 BIG_N = 200000
@@ -81,9 +89,10 @@ def unit_lmap():
 def test_criterion_01_brownian_oracle(big_ens, unit_lmap):
     """KDE of Y_0.5 vs N(0, 0.5); envelope check from tableau constants."""
     prob = _unit_problem(affine(a=0, b=1))
-    ftab = MalliavinTableau(big_ens.dW, big_ens.X, unit_lmap, big_ens.grid.dt)
+    ens = step_lists(big_ens)  # the pass consumes the copy's step lists only
+    ftab = MalliavinTableau(ens.dW, ens.X, unit_lmap, ens.grid.dt)
     i = BIG_GRID.index_of(0.5)
-    sol = solve_bsde(big_ens, prob, RegressionBasis("polynomial-in-x", 4),
+    sol = solve_bsde(ens, prob, RegressionBasis("polynomial-in-x", 4),
                      forward_tab=ftab, t_indices=[i])
     btab = sol.tableau
     samples = sol.y_at(i)
@@ -191,13 +200,15 @@ def test_criterion_05_linear_driver(unit_lmap):
 def test_criterion_06_clark_ocone_oracle(big_ens, unit_lmap):
     """Z_0.5 for xi = sin W_T vs cos(W_0.5) e^{-0.25}, degree-6 basis."""
     prob = _unit_problem(trig_affine(c=1))
-    ftab = MalliavinTableau(big_ens.dW, big_ens.X, unit_lmap, big_ens.grid.dt)
+    ens = step_lists(big_ens)  # the pass consumes the copy's step lists only
+    ftab = MalliavinTableau(ens.dW, ens.X, unit_lmap, ens.grid.dt)
     j = BIG_GRID.index_of(0.5)
-    sol = solve_bsde(big_ens, prob, RegressionBasis("polynomial-in-x", 6),
+    sol = solve_bsde(ens, prob, RegressionBasis("polynomial-in-x", 6),
                      forward_tab=ftab, t_indices=[j])
     btab = sol.tableau
     z = btab.z_clark_all(j)
-    oracle = np.cos(brownian_matrix(big_ens.dW)[:, j]) * np.exp(-0.25)
+    dW = np.stack(big_ens.dW[:j], axis=1)  # the increments W_j reads, path-major
+    oracle = np.cos(brownian_matrix(dW)[:, j]) * np.exp(-0.25)
     rmse = float(np.sqrt(((z - oracle) ** 2).mean()))
     ok = rmse < 0.02 * oracle.std()
     _report(6, ok, f"pathwise RMSE {rmse:.5f} < 2% of std {oracle.std():.4f}")
@@ -223,10 +234,11 @@ def test_criterion_07_girsanov_reduction():
 def test_criterion_08_z_pipeline(big_ens, unit_lmap):
     """Convex terminal phi = w^2/2: DZ == 1, positivity, Z-envelope."""
     prob = _unit_problem(quadratic(c=0.5))
-    ftab = MalliavinTableau(big_ens.dW, big_ens.X, unit_lmap, big_ens.grid.dt)
+    ens = step_lists(big_ens)  # the pass consumes the copy's step lists only
+    ftab = MalliavinTableau(ens.dW, ens.X, unit_lmap, ens.grid.dt)
     i = BIG_GRID.index_of(0.5)
     rows = [BIG_GRID.index_of(t) for t in (0.25, 0.5, 0.75)]
-    sol = solve_bsde(big_ens, prob, RegressionBasis("polynomial-in-x", 4),
+    sol = solve_bsde(ens, prob, RegressionBasis("polynomial-in-x", 4),
                      forward_tab=ftab, t_indices=rows)
     btab = sol.tableau
 
@@ -298,7 +310,7 @@ def test_criterion_10_second_order_consistency():
     eps = 1e-4
     worst = 0.0
     for (thi, tti, ssi) in ((100, 250, 500), (50, 200, 400), (150, 300, 450)):
-        base = ens.dW[0].copy()
+        base = path_matrices(ens)[0][0].copy()
         vals = {}
         for s1 in (1, -1):
             for s2 in (1, -1):

@@ -1,4 +1,6 @@
 import sys
+import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -25,11 +27,13 @@ from bsdedensity.forward import (
     MalliavinTableau,
     PathEnsemble,
     TimeGrid,
+    dump_ensemble,
+    load_ensemble,
     simulate_forward,
 )
 from bsdedensity.lamperti import LampertiMap
 
-from oracles import _cumtrapz, brownian_matrix, traced
+from oracles import _cumtrapz, brownian_matrix, path_matrices, step_lists, traced
 
 N_PATHS = 20000
 GRID = TimeGrid(1.0, 200)
@@ -60,6 +64,8 @@ def _matrix(column, indices):
 
 
 def _tableau(ens, lmap, prob, t_indices, basis=BASIS, **kw):
+    """A pass with a tableau over new step lists of ``ens``, which it leaves whole."""
+    ens = step_lists(ens)
     ftab = MalliavinTableau(ens.dW, ens.X, lmap, ens.grid.dt)
     sol = solve_bsde(ens, prob, basis, forward_tab=ftab, t_indices=t_indices, **kw)
     return sol, sol.tableau
@@ -67,15 +73,16 @@ def _tableau(ens, lmap, prob, t_indices, basis=BASIS, **kw):
 
 def test_terminal_exactness_bitwise(ens):
     prob = _problem(trig_affine(c=1))  # xi = sin W_T
-    sol = solve_bsde(ens, prob, BASIS, t_indices=[GRID.n_steps])
-    assert np.array_equal(sol.y_at(GRID.n_steps), np.sin(brownian_matrix(ens.dW)[:, -1]))
+    sol = solve_bsde(step_lists(ens), prob, BASIS, t_indices=[GRID.n_steps])
+    dW = path_matrices(ens)[0]
+    assert np.array_equal(sol.y_at(GRID.n_steps), np.sin(brownian_matrix(dW)[:, -1]))
 
 
 def test_martingale_case(ens, lmap):
     prob = _problem(affine(a=0, b=1))
     i = GRID.index_of(0.5)
     sol, tab = _tableau(ens, lmap, prob, [i])
-    W = brownian_matrix(ens.dW)
+    W = brownian_matrix(path_matrices(ens)[0])
     err = sol.y_at(i) - W[:, i]
     assert np.sqrt((err**2).mean()) < 0.02 * W[:, i].std()
     assert abs(sol.z_at(i).mean() - 1.0) < 0.02
@@ -90,7 +97,7 @@ def test_martingale_case(ens, lmap):
 
 def test_constant_terminal(ens):
     prob = _problem(constant(2.5))
-    sol = solve_bsde(ens, prob, BASIS, t_indices=range(GRID.n_steps + 1))
+    sol = solve_bsde(step_lists(ens), prob, BASIS, t_indices=range(GRID.n_steps + 1))
     assert np.abs(_matrix(sol.y_at, range(GRID.n_steps + 1)) - 2.5).max() < 1e-9
     assert np.abs(_matrix(sol.z_at, range(GRID.n_steps))).max() < 1e-9
 
@@ -125,7 +132,7 @@ def test_quadratic_terminal_second_order(ens, lmap):
     assert np.abs(dz - 1.0).max() < 1e-10
     # solver Z and Clark-Ocone Z both track W_t
     zc = tab.z_clark_all(i)
-    W = brownian_matrix(ens.dW)
+    W = brownian_matrix(path_matrices(ens)[0])
     assert np.sqrt(((zc - W[:, i]) ** 2).mean()) < 0.05
     assert np.sqrt(((sol.z_at(i) - W[:, i]) ** 2).mean()) < 0.08
 
@@ -134,12 +141,12 @@ def test_girsanov_reduction(ens, lmap, monkeypatch):
     prob = _problem(affine(a=0, b=1), driver=Driver(alpha=0.3))
     alpha = prob.driver.alpha
     # telescoping bookkeeping: the one-step weights multiply to the weight over [0, T]
-    W = brownian_matrix(ens.dW)
-    steps = [backward._girsanov_weight(alpha, ens.dW[:, i], GRID.dt)
+    W = brownian_matrix(path_matrices(ens)[0])
+    steps = [backward._girsanov_weight(alpha, ens.dW[i], GRID.dt)
              for i in range(GRID.n_steps)]
     horizon = backward._girsanov_weight(alpha, W[:, -1] - W[:, 0], 1.0)
     assert np.allclose(np.prod(steps, axis=0), horizon, rtol=1e-10, atol=0)
-    assert backward._girsanov_weight(0.0, ens.dW[:, 0], GRID.dt) is None
+    assert backward._girsanov_weight(0.0, ens.dW[0], GRID.dt) is None
     # solve_bsde and its tableau weight by problem.driver.alpha: every step's
     # weight and every weight over [t, T]
     weight = backward._girsanov_weight
@@ -158,8 +165,9 @@ def test_girsanov_reduction(ens, lmap, monkeypatch):
 def test_girsanov_solution(ens):
     prob = _problem(affine(a=0, b=1), driver=Driver(alpha=0.3))
     j = GRID.index_of(0.5)
-    sol = solve_bsde(ens, prob, RegressionBasis("polynomial-in-x", 2), t_indices=[0, j])
-    oracle = brownian_matrix(ens.dW)[:, j] + 0.3 * 0.5
+    sol = solve_bsde(step_lists(ens), prob, RegressionBasis("polynomial-in-x", 2),
+                     t_indices=[0, j])
+    oracle = brownian_matrix(path_matrices(ens)[0])[:, j] + 0.3 * 0.5
     assert np.sqrt(((sol.y_at(j) - oracle) ** 2).mean()) < 0.01
     assert abs(sol.y_at(0)[0] - 0.3) < 0.005
 
@@ -174,11 +182,13 @@ def test_girsanov_weights_add_no_path_matrix(lmap):
 
     def peak(alpha, with_tableau):
         prob = replace(base, driver=replace(base.driver, alpha=alpha))
-        ftab = MalliavinTableau(ens.dW, ens.X, lmap, grid.dt) if with_tableau else None
-        return traced(solve_bsde, ens, prob, BASIS, forward_tab=ftab, t_indices=[10, 20, 30])[1]
+        e = step_lists(ens)
+        ftab = MalliavinTableau(e.dW, e.X, lmap, grid.dt) if with_tableau else None
+        return traced(solve_bsde, e, prob, BASIS, forward_tab=ftab, t_indices=[10, 20, 30])[1]
 
+    dw_bytes = 8 * ens.n_paths * grid.n_steps  # one path matrix of dW
     for with_tableau in (False, True):
-        gap = (peak(0.3, with_tableau) - peak(0.0, with_tableau)) / ens.dW.nbytes
+        gap = (peak(0.3, with_tableau) - peak(0.0, with_tableau)) / dw_bytes
         assert gap < 0.25, (with_tableau, gap)
 
 
@@ -192,7 +202,7 @@ def test_girsanov_tail_is_the_reversed_running_sum(lmap, monkeypatch):
     n = grid.n_steps
     prob = _problem(quadratic(c=0.5), driver=Driver(f_of_y=trig_affine(c=0.2), alpha=0.3))
     ens = simulate_forward(prob, grid, 1500, seed=5)
-    tails = np.cumsum(ens.dW[:, ::-1], axis=1)
+    tails = np.cumsum(path_matrices(ens)[0][:, ::-1], axis=1)
     weight, seen = backward._girsanov_weight, {}
 
     def spy(alpha, dw, tau):
@@ -216,7 +226,8 @@ def test_forward_tableau_of_another_ensemble_is_refused(ens, lmap):
     when they hold equal values."""
     prob = _problem(affine(a=0, b=1))
     other = simulate_forward(prob, GRID, 500, seed=8)
-    for dW, X in ((other.dW, other.X), (ens.dW, ens.X.copy()), (ens.dW.copy(), ens.X)):
+    copy = [step.copy() for step in ens.dW], [step.copy() for step in ens.X]
+    for dW, X in ((other.dW, other.X), (ens.dW, copy[1]), (copy[0], ens.X)):
         ftab = MalliavinTableau(dW, X, lmap, GRID.dt)
         with pytest.raises(SolverError, match="this ensemble's own dW and X"):
             solve_bsde(ens, prob, BASIS, forward_tab=ftab, t_indices=[100])
@@ -227,7 +238,7 @@ def test_clark_ocone_sin_terminal(ens, lmap):
     j = GRID.index_of(0.5)
     sol, tab = _tableau(ens, lmap, prob, [j, GRID.n_steps],
                         basis=RegressionBasis("polynomial-in-x", 6))
-    W = brownian_matrix(ens.dW)
+    W = brownian_matrix(path_matrices(ens)[0])
     oracle = np.cos(W[:, j]) * np.exp(-0.25)
     zc = tab.z_clark_all(j)
     assert np.sqrt(((zc - oracle) ** 2).mean()) < 0.03 * oracle.std()
@@ -272,7 +283,7 @@ def test_dz_convex_terminal_chain_bounds(ens, lmap):
 def test_adaptedness_measurability(ens):
     """Y_t is an exact function of the stored time-t regression output."""
     prob = _problem(affine(a=0, b=1))
-    sol = solve_bsde(ens, prob, BASIS)
+    sol = solve_bsde(step_lists(ens), prob, BASIS)
     rec = sol.records[100]
     assert rec["step"] == 100
     assert "coeffs_y" in rec and "x_mean" in rec
@@ -285,15 +296,14 @@ def test_adaptedness_future_shuffle(ens, lmap):
     deliberately uses increments, is switched off)."""
     prob = _problem(affine(a=0, b=1), terminal="phi-of-xt")
     every = range(GRID.n_steps + 1)
-    base = solve_bsde(ens, prob, BASIS, z_control_variate=False, t_indices=every)
+    base = solve_bsde(step_lists(ens), prob, BASIS, z_control_variate=False, t_indices=every)
     i_cut = 100
     rng = np.random.default_rng(0)
     perm = rng.permutation(ens.n_paths)
-    dW2 = ens.dW.copy()
-    dW2[:, i_cut:] = dW2[perm, i_cut:]
+    dW2 = [step[perm] if i >= i_cut else step for i, step in enumerate(ens.dW)]
     tampered = PathEnsemble(
         grid=ens.grid, n_paths=ens.n_paths, master_seed=ens.master_seed,
-        x0=ens.x0, dW=dW2, X=ens.X,
+        x0=ens.x0, dW=dW2, X=list(ens.X),
         path_ids=ens.path_ids, n_flagged=0, n_requested=ens.n_requested,
     )
     shuffled = solve_bsde(tampered, prob, BASIS, z_control_variate=False, t_indices=every)
@@ -320,8 +330,9 @@ def test_xw_basis_runs(ens, lmap):
     prob = _problem(trig_affine(c=1), b=affine(b=-0.5))
     prob_map = LampertiMap(prob.sigma, prob.b, prob.box)
     e2 = simulate_forward(prob, TimeGrid(1.0, 50), 4000, seed=3)
+    dW = path_matrices(e2)[0]
     sol = solve_bsde(e2, prob, RegressionBasis("polynomial-in-xw", 3), t_indices=[0, 50])
-    assert np.array_equal(sol.y_at(50), np.sin(brownian_matrix(e2.dW)[:, -1]))
+    assert np.array_equal(sol.y_at(50), np.sin(brownian_matrix(dW)[:, -1]))
     assert abs(sol.y_at(0)[0] - np.sin(0) * np.exp(-0.5)) < 0.05
 
 
@@ -356,11 +367,12 @@ def test_non_finite_values_fail_loud(lmap):
     grid = TimeGrid(1.0, 10)
     small = simulate_forward(prob, grid, 500, seed=1)
     # a NaN state must not become an all-zero regression column
-    X = small.X.copy()
-    X[7, 4] = np.nan
+    X = list(small.X)
+    X[4] = X[4].copy()
+    X[4][7] = np.nan
     bad = PathEnsemble(
         grid=grid, n_paths=small.n_paths, master_seed=small.master_seed,
-        x0=small.x0, dW=small.dW, X=X,
+        x0=small.x0, dW=list(small.dW), X=X,
         path_ids=small.path_ids, n_flagged=0, n_requested=small.n_requested,
     )
     with pytest.raises(SolverError, match="non-finite x state .* time step 4"):
@@ -369,19 +381,24 @@ def test_non_finite_values_fail_loud(lmap):
     huge = _problem(affine(a=0, b=1), driver=Driver(f_of_y=affine(b=1e308)))
     with pytest.raises(SolverError, match="non-finite Y at time step 9"), \
             np.errstate(over="ignore", invalid="ignore"):
-        solve_bsde(small, huge, BASIS)
+        solve_bsde(step_lists(small), huge, BASIS)
     # a NaN reaching a kept tableau row through the f_x integrand at step 5
     curved = _problem(affine(a=0, b=1),
                       driver=Driver(f_of_x=affine(b=0.1), f_of_y=trig_affine(c=0.2)))
-    ftab = MalliavinTableau(small.dW, small.X, lmap, small.grid.dt)
-    assert ftab.constant_drift  # B is a zero view whatever A holds: the NaN enters through A
-    ftab.A = ftab.A.copy()  # sigma and b are constant: A is a read-only zero view
-    ftab.A[3, 5] = np.nan
+
+    def solve_with_nan(t_indices):
+        e = step_lists(small)
+        ftab = MalliavinTableau(e.dW, e.X, lmap, small.grid.dt)
+        assert ftab.constant_drift  # B is a zero view whatever A holds: the NaN enters through A
+        ftab.A = ftab.A.copy()  # sigma and b are constant: A is a read-only zero view
+        ftab.A[3, 5] = np.nan
+        return solve_bsde(e, curved, BASIS, forward_tab=ftab, t_indices=t_indices)
+
     with np.errstate(invalid="ignore"):
         with pytest.raises(SolverError, match="non-finite D_theta Y row at time step 2"):
-            solve_bsde(small, curved, BASIS, forward_tab=ftab, t_indices=[2])
+            solve_with_nan([2])
         # rows after the NaN stay clean
-        solve_bsde(small, curved, BASIS, forward_tab=ftab, t_indices=[6])
+        solve_with_nan([6])
 
 
 def test_constant_drift_integrals_are_zero_views():
@@ -396,21 +413,22 @@ def test_constant_drift_integrals_are_zero_views():
     rows = [5, 10]
     tabs = []
     for materialise in (False, True):
-        ftab = MalliavinTableau(ens.dW, ens.X, pmap, ens.grid.dt)
+        e = step_lists(ens)
+        ftab = MalliavinTableau(e.dW, e.X, pmap, ens.grid.dt)
         if materialise:  # B is integrated from the zero integrand on a dense zero A
-            ftab.A, ftab.constant_drift = np.zeros(ens.X.shape), False
+            ftab.A, ftab.constant_drift = np.zeros((ens.n_paths, len(ens.X))), False
         else:
             assert ftab.A.strides == ftab.B().strides == (0, 0)
-        tabs.append(solve_bsde(ens, prob, BASIS, forward_tab=ftab, t_indices=rows).tableau)
+        tabs.append(solve_bsde(e, prob, BASIS, forward_tab=ftab, t_indices=rows).tableau)
     view, dense = tabs
     for i in rows:
         for row in (view.dy_matrix, view.d2y_fits, view.z_clark_all, view.dz_matrix):
             assert np.array_equal(row(i), getattr(dense, row.__name__)(i))
-    sweep = backward.make_replay_sweep(prob, grid, pmap, 10)(ens.dW[:300])
+    sweep = backward.make_replay_sweep(prob, grid, pmap, 10)(path_matrices(ens)[0][:300])
     phi = backward.make_phi_row(view, 10, "Z")
     got = phi(sweep)
     assert sweep.A.strides == sweep.B().strides == (0, 0)
-    sweep.A, sweep.constant_drift = np.zeros(sweep.X.shape), False
+    sweep.A, sweep.constant_drift = np.zeros((sweep.n_paths, len(sweep.X))), False
     sweep._exp_neg_A = None  # the first call cached exp(-A) of the zero view
     assert np.array_equal(phi(sweep), got)
     ou = LampertiMap(constant(1), affine(b=-0.5), prob.box)
@@ -451,11 +469,12 @@ def test_replay_sweep_is_the_main_run_tableau(case):
     pmap = LampertiMap(prob.sigma, prob.b, prob.box)
     main = MalliavinTableau(ens.dW, ens.X, pmap, grid.dt)
     t_max = 12
-    replay = backward.make_replay_sweep(prob, grid, pmap, t_max, reads_w=True)(ens.dW)
-    assert np.array_equal(_bits(replay.dW), _bits(main.dW[:, :t_max]))
-    for name in ("X", "A"):
-        assert np.array_equal(_bits(getattr(replay, name)),
-                              _bits(getattr(main, name)[:, : t_max + 1])), name
+    replay = backward.make_replay_sweep(prob, grid, pmap, t_max,
+                                        reads_w=True)(path_matrices(ens)[0])
+    # dW and X are indexed step first, A path first
+    assert np.array_equal(_bits(replay.dW), _bits(main.dW[:t_max]))
+    assert np.array_equal(_bits(replay.X), _bits(main.X[: t_max + 1])), "X"
+    assert np.array_equal(_bits(replay.A), _bits(main.A[:, : t_max + 1])), "A"
     assert np.array_equal(_bits(replay.B()), _bits(main.B()[:, : t_max + 1]))
     zero_views = case == "constant-drift"
     for tab in (main, replay):
@@ -504,7 +523,8 @@ def test_tableau_memory_stays_linear_in_paths():
 
     sol, _, retained = traced(solve_and_read_rows)
     kept = sum(sol.y_at(i).nbytes + sol.z_at(i).nbytes for i in rows)
-    assert retained - kept < 4 * ens.X.nbytes
+    x_bytes = 8 * ens.n_paths * (GRID.n_steps + 1)  # one path matrix of X
+    assert retained - kept < 4 * x_bytes
 
 
 def test_f_x_reads_b_without_a_path_matrix():
@@ -519,20 +539,94 @@ def test_f_x_reads_b_without_a_path_matrix():
     pmap = LampertiMap(base.sigma, base.b, base.box)
 
     def peak(prob):
-        ftab = MalliavinTableau(ens.dW, ens.X, pmap, grid.dt)
-        sol, top, _ = traced(solve_bsde, ens, prob, BASIS, forward_tab=ftab,
+        e = step_lists(ens)
+        ftab = MalliavinTableau(e.dW, e.X, pmap, grid.dt)
+        sol, top, _ = traced(solve_bsde, e, prob, BASIS, forward_tab=ftab,
                              t_indices=[10, 20, 30])
         return top, sol.tableau
 
     with_fx = replace(base, driver=replace(base.driver, f_of_x=affine(b=0.1)))
     (top_fx, tab), (top, _) = peak(with_fx), peak(base)
-    assert (top_fx - top) / ens.X.nbytes < 0.6
+    x_bytes = 8 * ens.n_paths * (grid.n_steps + 1)  # one path matrix of X
+    assert (top_fx - top) / x_bytes < 0.6
     for t in (10, 20, 30):
         row = tab._row(t)
         assert row.b is not None
         assert row.b.base is None  # a kept B_t column pins no segment matrix
         assert not any(isinstance(v, np.ndarray) and v.shape[0] == ens.n_paths
                        for v in vars(row.design).values())
+
+
+@pytest.mark.parametrize("source", ["simulated", "loaded"])
+def test_pass_frees_each_step_it_has_read(tmp_path, source):
+    """solve_bsde consumes its ensemble: once it returns, every step of dW
+    and every undeclared step of X is freed, for a simulated ensemble and
+    for one loaded from a dump; the declared steps of X stay, bitwise the
+    simulated ones."""
+    prob = _s2_problem()
+    grid = TimeGrid(1.0, 20)
+    ens = simulate_forward(prob, grid, 1500, seed=5)
+    X = path_matrices(ens)[1]
+    if source == "loaded":
+        dump_ensemble(ens, tmp_path / "ens.bin")
+        ens = load_ensemble(tmp_path / "ens.bin")
+    rows = [5, 12]
+    dW_refs = [weakref.ref(step) for step in ens.dW]
+    X_refs = [weakref.ref(step) for step in ens.X]
+    ftab = MalliavinTableau(ens.dW, ens.X, LampertiMap(prob.sigma, prob.b, prob.box), grid.dt)
+    sol = solve_bsde(ens, prob, BASIS, forward_tab=ftab, t_indices=rows)
+    assert sorted(sol.tableau._rows) == rows
+    assert all(ref() is None for ref in dW_refs)
+    assert [i for i, ref in enumerate(X_refs) if ref() is not None] == rows
+    for i in rows:
+        assert ens.X[i] is X_refs[i]()
+        assert np.array_equal(_bits(ens.X[i]), _bits(X[:, i]))
+
+
+def test_pass_peak_falls_as_it_frees_steps():
+    """The pass frees each step of dW and X once it has read it, so its
+    traced peak above its entry no longer reaches its lowest declared row
+    with both path sets whole: on the S2 model at 20000 x 40 with rows
+    10/20/30 it is 1.51 X path matrices, against 2.44 when every step was
+    held to the end of the pass.  Tracing starts before the simulation, so
+    the freed steps count."""
+    prob = _s2_problem()
+    grid = TimeGrid(1.0, 40)
+    tracemalloc.start()
+    try:
+        ens = simulate_forward(prob, grid, 20000, seed=5)
+        lmap = LampertiMap(prob.sigma, prob.b, prob.box)
+        ftab = MalliavinTableau(ens.dW, ens.X, lmap, grid.dt)
+        _, peak, _ = traced(solve_bsde, ens, prob, BASIS, forward_tab=ftab,
+                            t_indices=[10, 20, 30])
+    finally:
+        tracemalloc.stop()
+    x_bytes = 8 * ens.n_paths * (grid.n_steps + 1)  # one path matrix of X
+    assert peak / x_bytes < 2.0
+
+
+def _consumed_s2():
+    """A small S2 ensemble after a pass declared at step 5 only."""
+    prob = _s2_problem()
+    grid = TimeGrid(1.0, 10)
+    ens = simulate_forward(prob, grid, 500, seed=5)
+    solve_bsde(ens, prob, BASIS, t_indices=[5])
+    return prob, ens
+
+
+def test_second_pass_on_a_consumed_ensemble_fails_loud():
+    prob, ens = _consumed_s2()
+    with pytest.raises(SolverError, match="step 0 of dW was released: a backward pass consumed"):
+        solve_bsde(ens, prob, BASIS, t_indices=[5])
+
+
+def test_forward_tableau_of_a_consumed_ensemble_fails_loud():
+    prob, ens = _consumed_s2()
+    lmap = LampertiMap(prob.sigma, prob.b, prob.box)
+    with pytest.raises(SolverError, match="step 0 of dW was released: a backward pass consumed"):
+        MalliavinTableau(ens.dW, ens.X, lmap, ens.grid.dt)
+    with pytest.raises(SolverError, match="step 0 of X was released: a backward pass consumed"):
+        MalliavinTableau(None, ens.X, lmap, ens.grid.dt)
 
 
 def test_tableau_step_holds_one_steps_working_set(monkeypatch):
@@ -618,7 +712,7 @@ def test_terminal_phi_of_xt(lmap):
     tab = solve_bsde(e, prob, BASIS, forward_tab=ftab, t_indices=[n]).tableau
     # at t = T the row is the exact pathwise derivative
     dy_T = tab.dy_matrix(n, thetas=[GRID.index_of(0.3)])[:, 0]
-    expect = (1 + 0.2 * e.X[:, -1]) * ftab.first_x_all(GRID.index_of(0.3), n)
+    expect = (1 + 0.2 * e.X[-1]) * ftab.first_x_all(GRID.index_of(0.3), n)
     assert np.allclose(dy_T, expect, atol=1e-12)
 
 
@@ -627,33 +721,35 @@ def test_terminal_phi_of_xt(lmap):
 # ---------------------------------------------------------------------------
 
 
-def _fit_at(sol, t, target):
+def _fit_at(sol, paths, t, target):
     tab = sol.tableau
-    W = brownian_matrix(tab.ftab.dW)
+    dW, X = paths
+    W = brownian_matrix(dW)
     lam = backward._girsanov_weight(tab.problem.driver.alpha, W[:, tab.n] - W[:, t],
                                     (tab.n - t) * tab.dt)
     if lam is not None:
         target = target * lam
     w = W[:, t] if tab.basis.reads_w else None
-    design = _StepDesign(tab.basis, tab.ftab.X[:, t], w, sol.ridge_used, t)
+    design = _StepDesign(tab.basis, X[:, t], w, sol.ridge_used, t)
     fitted, _ = design.fit(target)
     return fitted
 
 
-def _phi_T(tab, order):
+def _phi_T(tab, paths, order):
     wt = tab.problem.terminal == "phi-of-wt"
-    arg = brownian_matrix(tab.ftab.dW)[:, -1] if wt else tab.ftab.X[:, -1]
+    dW, X = paths
+    arg = brownian_matrix(dW)[:, -1] if wt else X[:, -1]
     return eval_derivative(tab.problem.phi, order, arg)
 
 
-def _int_fy(sol):
+def _int_fy(sol, X):
     """Cumulative trapezoid E_s = int_0^s f_y per path."""
     tab = sol.tableau
     Y = _matrix(sol.y_at, range(tab.n + 1))
-    return _cumtrapz(tab.problem.driver.partial(0, 1, tab.ftab.X, Y), tab.dt)
+    return _cumtrapz(tab.problem.driver.partial(0, 1, X, Y), tab.dt)
 
 
-def _direct_dy(sol, theta, t):
+def _direct_dy(sol, paths, theta, t):
     """Direct per-theta assembly of the two DY conditional parts.
 
     The history factor exp(-A_theta) is F_t-measurable and multiplies
@@ -662,25 +758,27 @@ def _direct_dy(sol, theta, t):
     cumulative differences, so it cross-checks the factorization algebra."""
     tab = sol.tableau
     ftab = tab.ftab
+    X = paths[1]
     n, dt = tab.n, tab.dt
-    E = _int_fy(sol)
-    fx = tab.problem.driver.partial(1, 0, ftab.X, _matrix(sol.y_at, range(n + 1)))
-    sigX = eval_derivative(tab.problem.sigma, 0, ftab.X)
+    E = _int_fy(sol, X)
+    fx = tab.problem.driver.partial(1, 0, X, _matrix(sol.y_at, range(n + 1)))
+    sigX = eval_derivative(tab.problem.sigma, 0, X)
     dx_free = sigX * np.exp(ftab.A)  # DX(theta, s) = dx_free * e^{-A_theta}
     integrand = np.exp(E - E[:, t][:, None]) * fx * dx_free
     w = np.full(n + 1 - t, dt)
     w[0] = w[-1] = 0.5 * dt
     part2 = integrand[:, t:] @ w
-    phi1 = _phi_T(tab, 1)
+    phi1 = _phi_T(tab, paths, 1)
     if tab.problem.terminal == "phi-of-wt":
         part1 = np.exp(E[:, n] - E[:, t]) * phi1
     else:
-        part1 = np.zeros(len(ftab.X))
+        part1 = np.zeros(len(X))
         part2 = part2 + np.exp(E[:, n] - E[:, t]) * phi1 * dx_free[:, n]
-    return _fit_at(sol, t, part1) + np.exp(-ftab.A[:, theta]) * _fit_at(sol, t, part2)
+    return (_fit_at(sol, paths, t, part1)
+            + np.exp(-ftab.A[:, theta]) * _fit_at(sol, paths, t, part2))
 
 
-def _direct_d2y(sol, theta, t, s):
+def _direct_d2y(sol, paths, theta, t, s):
     """Direct assembly of the D2Y conditional parts for fixed (theta, t).
 
     The F_s-measurable multipliers (exp(-A_theta), exp(-A_t), B_t) are pulled
@@ -689,10 +787,10 @@ def _direct_d2y(sol, theta, t, s):
     tab = sol.tableau
     ftab = tab.ftab
     n, dt = tab.n, tab.dt
-    X, Y = ftab.X, _matrix(sol.y_at, range(n + 1))
+    X, Y = paths[1], _matrix(sol.y_at, range(n + 1))
     drv = tab.problem.driver
     N = len(X)
-    E = _int_fy(sol)
+    E = _int_fy(sol, X)
     A, B = ftab.A, ftab.B()
     ea_th = np.exp(-A[:, theta])
     ea_t = np.exp(-A[:, t])
@@ -726,7 +824,7 @@ def _direct_d2y(sol, theta, t, s):
     )
     h4 = integ(fx * sigX * np.exp(A))
     tail = np.exp(E[:, n] - E[:, s])
-    phi1, phi2 = _phi_T(tab, 1), _phi_T(tab, 2)
+    phi1, phi2 = _phi_T(tab, paths, 1), _phi_T(tab, paths, 2)
     if tab.problem.terminal == "phi-of-wt":
         h0 = h0 + tail * phi2
     else:
@@ -739,17 +837,18 @@ def _direct_d2y(sol, theta, t, s):
     if s == n:
         f0, f12, f3, f4 = h0, h12, h3, h4
     else:
-        f0 = _fit_at(sol, s, h0)
-        f12 = _fit_at(sol, s, h12)
-        f3 = _fit_at(sol, s, h3)
-        f4 = _fit_at(sol, s, h4)
+        f0 = _fit_at(sol, paths, s, h0)
+        f12 = _fit_at(sol, paths, s, h12)
+        f3 = _fit_at(sol, paths, s, h3)
+        f4 = _fit_at(sol, paths, s, h4)
     return f0 + (ea_th + ea_t) * f12 + ea_th * ea_t * f3 - Bt * ea_th * ea_t * f4
 
 
 def _oracle_tableau(alpha):
     """Every index declared, on a problem exercising every term: non-constant
     sigma, x/y/cross driver parts, X_T terminal and, for alpha != 0, the
-    Girsanov weights."""
+    Girsanov weights.  Returns the solution and the path matrices of its
+    ensemble, copied before the pass consumed the increments."""
     prob = ProblemSpec(
         x0=0.3, T=0.5,
         b=trig_affine(c=0.3),
@@ -769,40 +868,41 @@ def _oracle_tableau(alpha):
     ens = simulate_forward(prob, grid, 800, seed=17)
     pmap = LampertiMap(prob.sigma, prob.b, prob.box)
     ftab = MalliavinTableau(ens.dW, ens.X, pmap, ens.grid.dt)
+    paths = path_matrices(ens)
     return solve_bsde(ens, prob, RegressionBasis("polynomial-in-x", 3),
-                      forward_tab=ftab, t_indices=range(grid.n_steps + 1))
+                      forward_tab=ftab, t_indices=range(grid.n_steps + 1)), paths
 
 
 def test_factorized_rows_match_direct_assembly():
     """The affine-in-exp(-A_theta) row factorization must agree with a direct
     per-theta assembly of the same conditional-expectation targets."""
     for alpha in (0.0, 0.3):
-        sol = _oracle_tableau(alpha)
+        sol, paths = _oracle_tableau(alpha)
         tab = sol.tableau
         for theta, t in ((4, 12), (10, 25), (0, 30)):
             fact = tab.dy_matrix(t, thetas=[theta])[:, 0]
-            direct = _direct_dy(sol, theta, t)
+            direct = _direct_dy(sol, paths, theta, t)
             assert np.allclose(fact, direct, rtol=1e-9, atol=1e-12)
 
         for theta, t, s in ((4, 12, 20), (10, 25, 32), (5, 18, 40)):
             fact = tab.d2y_all(theta, t, s)
-            direct = _direct_d2y(sol, theta, t, s)
+            direct = _direct_d2y(sol, paths, theta, t, s)
             assert np.allclose(fact, direct, rtol=1e-8, atol=1e-10)
 
 
 def test_dz_factorization_matches_direct_assembly():
     """D_theta Z_t via the kept fit quadruple vs a one-shot direct regression."""
     for alpha in (0.0, 0.3):
-        sol = _oracle_tableau(alpha)
+        sol, paths = _oracle_tableau(alpha)
         tab = sol.tableau
         ftab = tab.ftab
         n, dt = tab.n, tab.dt
-        X, Y = ftab.X, _matrix(sol.y_at, range(n + 1))
+        X, Y = paths[1], _matrix(sol.y_at, range(n + 1))
         drv = tab.problem.driver
         A, B = ftab.A, ftab.B()
         fy, fx = drv.partial(0, 1, X, Y), drv.partial(1, 0, X, Y)
         fyy, fxy, fxx = drv.partial(0, 2, X, Y), drv.partial(1, 1, X, Y), drv.partial(2, 0, X, Y)
-        phi1, phi2 = _phi_T(tab, 1), _phi_T(tab, 2)
+        phi1, phi2 = _phi_T(tab, paths, 1), _phi_T(tab, paths, 2)
 
         sigX = eval_derivative(tab.problem.sigma, 0, X)
         sig1X = eval_derivative(tab.problem.sigma, 1, X)
@@ -835,7 +935,7 @@ def test_dz_factorization_matches_direct_assembly():
                 + phi1 * dx_free[:, n] * B[:, n]
             )
             te = te + phi1 * dx_free[:, n]
-            fits = [_fit_at(sol, t, tt) for tt in (ta, tbc, td, te)]
+            fits = [_fit_at(sol, paths, t, tt) for tt in (ta, tbc, td, te)]
             ea_th = np.exp(-A[:, theta])
             ea_t = np.exp(-A[:, t])
             direct = (

@@ -787,9 +787,9 @@ def test_density_stage_releases_the_increments(tmp_path, gest):
     cfg = parse_config(_write(tmp_path, _TINY + f"gest.enabled = {gest}\n"))
     exp = Experiment(cfg, out_dir=str(tmp_path / "o"), seed=20240801)
     exp.run("simulate")
-    dW = weakref.ref(exp.ens.dW)
+    dW = [weakref.ref(step) for step in exp.ens.dW]
     exp.stage_density()
-    assert dW() is None
+    assert all(step() is None for step in dW)
     assert (tmp_path / "o" / "gest_Y_t0p5.csv").exists() == (gest == "true")
 
 

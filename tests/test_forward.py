@@ -4,12 +4,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bsdedensity.backward import BackwardTableau, RegressionBasis
+from bsdedensity.backward import BackwardTableau, RegressionBasis, solve_bsde
 from bsdedensity.coeffs import Driver, ProblemSpec, affine, constant, polynomial, trig_affine
-from bsdedensity.errors import OrderingError, SimulationError
+from bsdedensity.errors import OrderingError, SimulationError, SolverError
 from bsdedensity.forward import (
     _ROW_BLOCK,
     MalliavinTableau,
+    PathEnsemble,
     TimeGrid,
     _brownian_columns,
     dump_ensemble,
@@ -23,6 +24,7 @@ from oracles import (
     euler_u_flow,
     first_u,
     first_x,
+    path_matrices,
     reference_tableau_integrals,
     second_order_matrix,
     second_u,
@@ -48,23 +50,46 @@ def driftless():
 
 def test_driftless_unit_diffusion_is_brownian(driftless):
     prob, grid, ens = driftless
-    W = brownian_matrix(ens.dW)
-    assert np.abs(ens.X - W).max() < 1e-10
+    dW, X = path_matrices(ens)
+    W = brownian_matrix(dW)
+    assert np.abs(X - W).max() < 1e-10
     n = ens.n_paths
-    xT = ens.X[:, -1]
+    xT = X[:, -1]
     assert abs(xT.mean()) < 3 * np.sqrt(1.0 / n)
     assert abs(xT.var() - 1.0) < 3.5 * np.sqrt(2.0 / n)
     assert ens.n_flagged == 0
     assert np.all(W[:, 0] == 0.0)
-    assert np.all(ens.X[:, 0] == 0.0)
+    assert np.all(X[:, 0] == 0.0)
 
 
 def test_constant_drift_mean(driftless):
     prob = _problem(constant(1), constant(2), box=(-25, 25))
     grid = TimeGrid(1.0, 100)
     ens = simulate_forward(prob, grid, 20000, seed=11)
-    m = ens.X[:, -1].mean()
+    m = ens.X[-1].mean()
     assert abs(m - 1.0) < 3 * 2.0 / np.sqrt(ens.n_paths)
+
+
+def test_path_ensemble_refuses_mismatched_steps(driftless):
+    """The ensemble checks its step-major layout with real errors, not
+    asserts that vanish under python -O: a step count that disagrees with
+    n_steps, or a step whose length disagrees with n_paths, names the field
+    and the step."""
+    _, grid, ens = driftless
+    fields = dict(grid=grid, n_paths=ens.n_paths, master_seed=7, x0=0.0,
+                  path_ids=ens.path_ids, n_flagged=0, n_requested=ens.n_paths)
+    PathEnsemble(dW=list(ens.dW), X=list(ens.X), **fields)
+    with pytest.raises(SimulationError, match="dW holds 199 steps; n_steps = 200 needs 200"):
+        PathEnsemble(dW=ens.dW[:-1], X=ens.X, **fields)
+    with pytest.raises(SimulationError, match="X holds 200 steps; n_steps = 200 needs 201"):
+        PathEnsemble(dW=ens.dW, X=ens.X[1:], **fields)
+    # a path-major matrix has one entry per path, not per step
+    with pytest.raises(SimulationError, match="dW holds 20000 steps"):
+        PathEnsemble(dW=np.stack(ens.dW, axis=1), X=ens.X, **fields)
+    short = list(ens.X)
+    short[7] = short[7][:-1]
+    with pytest.raises(SimulationError, match=r"step 7 of X has shape \(19999,\), not \(20000,\)"):
+        PathEnsemble(dW=ens.dW, X=short, **fields)
 
 
 def test_determinism(driftless):
@@ -83,7 +108,7 @@ def test_tableau_ou_exact():
     th, ti = grid.index_of(0.2), grid.index_of(1.0)
     # (beta' sigma) = -kappa exactly, so the tableau quadrature is exact
     assert first_u(tab.A, 0, th, ti) == pytest.approx(np.exp(-0.4), abs=1e-12)
-    dx = first_x(tab.A, ens.X, prob.sigma, 3, th, ti)
+    dx = first_x(tab.A, path_matrices(ens)[1], prob.sigma, 3, th, ti)
     assert dx == pytest.approx(np.exp(-0.4), abs=1e-12)
     assert first_u(tab.A, 0, 300, 300) == 1.0
 
@@ -95,9 +120,10 @@ def test_tableau_constant_coefficients(driftless):
     lmap = LampertiMap(prob.sigma, prob.b, prob.box)
     tab = MalliavinTableau(ens.dW, ens.X, lmap, ens.grid.dt)
     assert first_u(tab.A, 0, 10, 40) == 1.0
-    assert first_x(tab.A, ens.X, prob.sigma, 0, 10, 40) == 2.0
+    X = path_matrices(ens)[1]
+    assert first_x(tab.A, X, prob.sigma, 0, 10, 40) == 2.0
     assert second_u(tab.A, tab.B(), 0, 5, 20, 45) == 0.0
-    assert second_x(tab.A, tab.B(), ens.X, prob.sigma, 0, 5, 20, 45) == 0.0
+    assert second_x(tab.A, tab.B(), X, prob.sigma, 0, 5, 20, 45) == 0.0
 
 
 def test_du_positive_and_log_additive():
@@ -144,8 +170,9 @@ def test_second_order_symmetry_under_swap():
     ens = simulate_forward(prob, grid, 10, seed=123)
     lmap = LampertiMap(prob.sigma, prob.b, prob.box)
     tab = MalliavinTableau(ens.dW, ens.X, lmap, ens.grid.dt)
-    a = second_x(tab.A, tab.B(), ens.X, prob.sigma, 2, 40, 100, 180)
-    b = second_x(tab.A, tab.B(), ens.X, prob.sigma, 2, 100, 40, 180)
+    X = path_matrices(ens)[1]
+    a = second_x(tab.A, tab.B(), X, prob.sigma, 2, 40, 100, 180)
+    b = second_x(tab.A, tab.B(), X, prob.sigma, 2, 100, 40, 180)
     assert a == b
 
 
@@ -157,7 +184,7 @@ def test_second_order_finite_difference_oracle():
     tab = MalliavinTableau(ens.dW, ens.X, lmap, ens.grid.dt)
     p, thi, tti, ssi = 0, 100, 250, 500
     eps = 1e-4
-    base = ens.dW[p].copy()
+    base = path_matrices(ens)[0][p].copy()
     vals = {}
     for s1 in (1, -1):
         for s2 in (1, -1):
@@ -191,13 +218,14 @@ def test_second_order_nonnegative_under_h6():
     lmap = LampertiMap(prob.sigma, prob.b, prob.box)
     tab = MalliavinTableau(ens.dW, ens.X, lmap, ens.grid.dt)
     eps = 10 * grid.dt
+    X = path_matrices(ens)[1]
     rng = np.random.default_rng(0)
     for _ in range(60):
         th, tt = sorted(rng.integers(0, 100, 2))
         s = int(rng.integers(tt, 101))
         p = int(rng.integers(0, 20))
         assert second_u(tab.A, tab.B(), p, th, tt, s) >= -eps
-        assert second_x(tab.A, tab.B(), ens.X, prob.sigma, p, th, tt, s) >= -eps
+        assert second_x(tab.A, tab.B(), X, prob.sigma, p, th, tt, s) >= -eps
 
 
 def test_unflagged_simulation_keeps_one_copy_of_the_ensemble():
@@ -209,7 +237,8 @@ def test_unflagged_simulation_keeps_one_copy_of_the_ensemble():
     ens, peak, _ = traced(simulate_forward, prob, TimeGrid(1.0, 200), 2000, seed=5,
                           lamperti_map=lmap)
     assert ens.n_flagged == 0
-    assert peak < 3 * ens.X.nbytes  # a masked copy would make it 4
+    x_bytes = 8 * ens.n_paths * (ens.grid.n_steps + 1)  # one path matrix of X
+    assert peak < 3 * x_bytes  # a masked copy would make it 4
 
 
 def test_flagged_paths_excluded_and_error():
@@ -233,7 +262,7 @@ def test_dump_load_roundtrip(tmp_path, driftless):
         assert small.n_paths == n_paths
         path = tmp_path / "ens.bin"
         dump_ensemble(small, path)
-        per_path = np.concatenate([small.dW, small.X], axis=1)
+        per_path = np.concatenate(path_matrices(small), axis=1)
         assert path.read_bytes()[56:] == (
             small.path_ids.astype("<u8").tobytes() + per_path.astype("<f8").tobytes()
         )
@@ -250,9 +279,10 @@ def test_dump_load_roundtrip(tmp_path, driftless):
     # a version-1 dump (dW, W, U, X per path; U = X for unit sigma) is
     # refused, not misread
     head = bytearray(path.read_bytes()[:56])
+    dW, X = path_matrices(small)
     head[8:12] = struct.pack("<I", 1)
     old = tmp_path / "v1.bin"
-    per_path = np.concatenate([small.dW, brownian_matrix(small.dW), small.X, small.X], axis=1)
+    per_path = np.concatenate([dW, brownian_matrix(dW), X, X], axis=1)
     old.write_bytes(bytes(head) + small.path_ids.astype("<u8").tobytes()
                     + per_path.astype("<f8").tobytes())
     with pytest.raises(SimulationError, match="version-1 ensemble dump"):
@@ -260,7 +290,7 @@ def test_dump_load_roundtrip(tmp_path, driftless):
     # so is a version-2 dump (dW, W, X per path)
     head[8:12] = struct.pack("<I", 2)
     old = tmp_path / "v2.bin"
-    per_path = np.concatenate([small.dW, brownian_matrix(small.dW), small.X], axis=1)
+    per_path = np.concatenate([dW, brownian_matrix(dW), X], axis=1)
     old.write_bytes(bytes(head) + small.path_ids.astype("<u8").tobytes()
                     + per_path.astype("<f8").tobytes())
     with pytest.raises(SimulationError, match="version-2 ensemble dump"):
@@ -274,11 +304,24 @@ def test_dump_and_load_peak_below_one_path_matrix(tmp_path, driftless):
     path = tmp_path / "ens.bin"
     _, dump_peak, dump_kept = traced(dump_ensemble, ens, path)
     back, load_peak, _ = traced(load_ensemble, path)
-    returned = back.dW.nbytes + back.X.nbytes + back.path_ids.nbytes
-    assert dump_peak <= ens.X.nbytes
+    returned = sum(step.nbytes for step in back.dW + back.X) + back.path_ids.nbytes
+    x_bytes = 8 * ens.n_paths * (ens.grid.n_steps + 1)  # one path matrix of X
+    assert dump_peak <= x_bytes
     # what the dump kept counts against the load's bound, as from the dump's entry
-    assert dump_kept + load_peak - returned <= ens.X.nbytes
-    assert ens.X.shape == (20000, 201)
+    assert dump_kept + load_peak - returned <= x_bytes
+    assert (ens.n_paths, len(ens.X)) == (20000, 201)
+
+
+def test_dump_of_a_consumed_ensemble_fails_loud(tmp_path):
+    """A backward pass consumes its ensemble, so a dump after it is refused
+    before any byte is written."""
+    prob = _problem(constant(0), constant(1))
+    ens = simulate_forward(prob, TimeGrid(1.0, 10), 200, seed=3)
+    solve_bsde(ens, prob, RegressionBasis(), t_indices=[4])
+    path = tmp_path / "ens.bin"
+    with pytest.raises(SolverError, match="step 0 of dW was released: a backward pass consumed"):
+        dump_ensemble(ens, path)
+    assert not path.exists()
 
 
 def test_truncated_dump_rejected(tmp_path):
@@ -316,7 +359,7 @@ def test_tableau_integrals_in_path_blocks_match_whole_matrix():
     assert ens.n_paths % _ROW_BLOCK and ens.n_paths > _ROW_BLOCK
     lmap = LampertiMap(prob.sigma, prob.b, prob.box)
     tab = MalliavinTableau(ens.dW, ens.X, lmap, ens.grid.dt)
-    sigX, A, B = reference_tableau_integrals(lmap, ens.X, grid.dt)
+    sigX, A, B = reference_tableau_integrals(lmap, path_matrices(ens)[1], grid.dt)
     for t_idx in (3, grid.n_steps):
         expect = sigX[:, t_idx] * np.exp(A[:, t_idx] - A[:, 2])
         assert np.array_equal(tab.first_x_all(2, t_idx), expect)
@@ -343,16 +386,18 @@ def test_brownian_columns_are_the_running_sum():
     def bits(a):
         return np.ascontiguousarray(a).view(np.uint64)
 
-    assert np.array_equal(bits(_brownian_columns(dW)), bits(W))
-    assert np.array_equal(bits(_brownian_columns(dW, n)), bits(W[:, n]))
-    assert np.array_equal(bits(_brownian_columns(dW, [n])), bits(W[:, [n]]))
+    steps = dW.T  # step-first, as the package reads increments
+    assert np.array_equal(bits(_brownian_columns(steps, n_paths)), bits(W))
+    assert np.array_equal(bits(_brownian_columns(steps, n_paths, n)), bits(W[:, n]))
+    assert np.array_equal(bits(_brownian_columns(steps, n_paths, [n])), bits(W[:, [n]]))
     for cols in ([17, 0, 4, n, 9], [4, 5, 6], [4, 6]):
-        assert np.array_equal(bits(_brownian_columns(dW, cols)), bits(W[:, cols]))
-    assert np.array_equal(bits(_brownian_columns(dW, slice(12, None))), bits(W[:, 12:]))
-    assert np.array_equal(bits(_brownian_columns(dW[:, :12], 12)),
+        assert np.array_equal(bits(_brownian_columns(steps, n_paths, cols)), bits(W[:, cols]))
+    assert np.array_equal(bits(_brownian_columns(steps, n_paths, slice(12, None))),
+                          bits(W[:, 12:]))
+    assert np.array_equal(bits(_brownian_columns(steps[:12], n_paths, 12)),
                           bits(brownian_matrix(dW[:, :12])[:, 12]))
-    assert np.all(_brownian_columns(dW, 0) == 0.0)
-    assert not np.signbit(_brownian_columns(dW, 1)[0])
+    assert np.all(_brownian_columns(steps, n_paths, 0) == 0.0)
+    assert not np.signbit(_brownian_columns(steps, n_paths, 1)[0])
 
 
 def test_b_columns_are_the_cumulative_trapezoid():
@@ -378,14 +423,14 @@ def test_b_columns_are_the_cumulative_trapezoid():
         return {s: btab._b_at(s) for s in range(n, lowest - 1, -1)}
 
     tab = MalliavinTableau(ens.dW, ens.X, lmap, grid.dt)
-    B = second_order_matrix(lmap, ens.X, tab.A, grid.dt)
+    B = second_order_matrix(lmap, path_matrices(ens)[1], tab.A, grid.dt)
     assert np.abs(B).max() > 0
     assert np.array_equal(bits(tab.B()), bits(B))
     assert np.array_equal(bits(tab.B(n)), bits(B[:, n]))
     for cols in ([17, 0, 4, n, 9], [4, 5, 6], [4, 6]):
         assert np.array_equal(bits(tab.B(cols)), bits(B[:, cols]))
     assert np.array_equal(bits(tab.B(slice(12, None))), bits(B[:, 12:]))
-    cut = MalliavinTableau(None, ens.X[:, :13], lmap, grid.dt)
+    cut = MalliavinTableau(None, ens.X[:13], lmap, grid.dt)
     assert np.array_equal(bits(cut.B(12)), bits(B[:, 12]))
     for lowest in (0, 7):
         walked = walk(tab, lowest)
@@ -395,10 +440,10 @@ def test_b_columns_are_the_cumulative_trapezoid():
 
     # an integrand of -0.0 at the first two nodes of path 0
     lmap.beta_comp_second = lambda x: x * 1.0
-    X = ens.X.copy()
-    X[0, :2] = -0.0
+    X = [step.copy() for step in ens.X]
+    X[0][0] = X[1][0] = -0.0  # path 0 at steps 0 and 1
     tab = MalliavinTableau(ens.dW, X, lmap, grid.dt)
-    B = second_order_matrix(lmap, X, tab.A, grid.dt)
+    B = second_order_matrix(lmap, np.stack(X, axis=1), tab.A, grid.dt)
     assert np.signbit(B[0, 1]) and B[0, 1] == 0.0
     assert np.array_equal(bits(tab.B()), bits(B))
     walked = walk(tab, 0)

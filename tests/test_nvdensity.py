@@ -25,9 +25,11 @@ from bsdedensity.nvdensity import (
 
 from oracles import (
     ensemble_from_increments,
+    path_matrices,
     reference_bound_constants,
     reference_estimate_g,
     reference_phi_sampler,
+    step_lists,
 )
 
 
@@ -160,7 +162,7 @@ FROZEN_ROWS = [5, 10, 15]
 def frozen_case(request):
     prob, basis = FROZEN_CASES[request.param]
     ens = simulate_forward(prob, FROZEN_GRID, 4000, 3)
-    return ens, _solve(prob, ens, basis, FROZEN_ROWS)
+    return ens, _solve(prob, step_lists(ens), basis, FROZEN_ROWS)
 
 
 def test_kept_row_independent_of_declared_set(frozen_case):
@@ -169,8 +171,9 @@ def test_kept_row_independent_of_declared_set(frozen_case):
     ens, sol = frozen_case
     btab = sol.tableau
     for t_idx in FROZEN_ROWS:
-        alone = solve_bsde(ens, sol.problem, sol.basis, forward_tab=btab.ftab,
-                           t_indices=[t_idx]).tableau
+        # a pass consumes its ensemble: each runs on new step lists, with a
+        # forward tableau built on them
+        alone = _solve(sol.problem, step_lists(ens), sol.basis, [t_idx]).tableau
         assert list(alone._rows) == [t_idx]
         for method in ("dy_fits", "d2y_fits", "dz_fits"):
             for a, b in zip(getattr(alone, method)(t_idx), getattr(btab, method)(t_idx)):
@@ -189,7 +192,7 @@ def test_frozen_sampler_reproduces_main_run_rows(frozen_case, component):
     m = 500
     phi = make_phi_row(btab, t_idx, component)
     ref = (btab.dy_matrix if component == "Y" else btab.dz_matrix)(t_idx)[:m]
-    got = phi(_replay_sweep(btab, t_idx)(ens.dW[:m]))
+    got = phi(_replay_sweep(btab, t_idx)(path_matrices(ens)[0][:m]))
     assert got.shape == ref.shape
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -200,7 +203,7 @@ def test_frozen_sampler_is_row_wise(frozen_case, component):
     btab = sol.tableau
     m = 500
     rng = np.random.default_rng(8)
-    incs = mehler_shift(ens.dW[:m], rng.standard_normal((m, FROZEN_GRID.n_steps))
+    incs = mehler_shift(path_matrices(ens)[0][:m], rng.standard_normal((m, FROZEN_GRID.n_steps))
                         * np.sqrt(FROZEN_GRID.dt), 0.7)
     rows = np.array([3, 17, 5, 400, 0, 499, 250])
     t_idx = FROZEN_GRID.index_of(0.5)
@@ -240,7 +243,7 @@ def test_shared_sweep_matches_single_target_reference(frozen_case, monkeypatch):
         states.append(sweep(incs))
         return states[-1]
 
-    kw = dict(base_increments=ens.dW[:n_outer], increment_scale=np.sqrt(FROZEN_GRID.dt),
+    kw = dict(base_increments=path_matrices(ens)[0][:n_outer], increment_scale=np.sqrt(FROZEN_GRID.dt),
               wprime_seed=77, n_u_nodes=n_nodes)
     reads = []  # the state of every B read
     real_b = MalliavinTableau.B
@@ -273,8 +276,10 @@ def test_replay_sweep_cut_at_t_max():
     incs = _draw_increments(9, 300, 20, grid.dt)
     full = make_replay_sweep(prob, grid, lmap, 20, reads_w=True)(incs)
     cut = make_replay_sweep(prob, grid, lmap, 12, reads_w=True)(incs)
-    assert np.array_equal(cut.dW, full.dW[:, :12])
-    for name in ("X", "A", "exp_neg_A"):
+    # dW and X are indexed step first, A and exp_neg_A path first
+    assert np.array_equal(cut.dW, full.dW[:12])
+    assert np.array_equal(cut.X, full.X[:13])
+    for name in ("A", "exp_neg_A"):
         assert np.array_equal(getattr(cut, name), getattr(full, name)[:, :13])
     assert np.array_equal(cut.B(), full.B()[:, :13])
     # a box barely wider than the paths' reach makes clamps happen late
