@@ -239,19 +239,15 @@ def _running_columns(n_rows: int, n_cols: int, cols, increment, start=None) -> n
     held column j > 0 has the bits of the sum from column 0."""
     idx = np.arange(n_cols)[cols]
     out = np.empty((n_rows,) + idx.shape)
-    dest = out.reshape(n_rows, idx.size)  # a view: one column per asked-for index
-    where: dict[int, list[int]] = {}
-    for k, j in enumerate(idx.ravel()):
-        where.setdefault(int(j), []).append(k)
+    dest, flat = out.reshape(n_rows, idx.size), idx.ravel()  # one column per index
     c = np.zeros(n_rows) if start is None else start
-    for j in range(max(where, default=-1) + 1):
+    for j in range(int(flat.max(initial=-1)) + 1):
         if j == 1:
             inc = increment(0)
             c = inc if start is None else start + inc
         elif j:
             c += increment(j - 1)
-        for k in where.get(j, ()):
-            dest[:, k] = c
+        dest[:, flat == j] = c[:, None]
     return out
 
 
