@@ -425,8 +425,8 @@ class _Row:
 
     ``design`` (its :meth:`_StepDesign.evaluator`) and the coefficient arrays
     are None at the terminal node, where conditioning on F_T is the identity
-    and nothing is fitted.  ``b`` is the column B_t that the D_theta Z row
-    reads, None when its e-coefficient is zero.
+    and nothing is fitted.  ``b`` is the column B_t that the D2Y and D_theta
+    Z rows read, None when its D2Y f4 and its D_theta Z e are both zero.
     """
 
     design: _StepDesign | None
@@ -614,7 +614,8 @@ class BackwardTableau:
                 _require_finite(v, f"{name} row", s)
             self._rows[s] = _Row(
                 None if design is None else design.evaluator(), G, dy_coeffs, tuple(F),
-                zc, tuple(dz), dz_coeffs, self._b_at(s).copy() if dz[3].any() else None,
+                zc, tuple(dz), dz_coeffs,
+                self._b_at(s).copy() if F[3].any() or dz[3].any() else None,
             )
         if s == self.lowest:  # the pass is complete: drop its running state
             del self._dxi, self._d2xi, self._above, self._discount
@@ -673,6 +674,11 @@ class BackwardTableau:
         return self._row(s_idx).d2y
 
     def d2y_all(self, theta_idx: int, t_idx: int, s_idx: int) -> np.ndarray:
+        """D2_{theta,t} Y_s across paths, from the quadruple kept at s (see
+        :meth:`d2y_fits`).  With f4 non-zero somewhere it reads B at
+        max(theta, t) from the row kept there, since the pass has released
+        the steps of X that a rebuild of B would read: that index must have
+        been declared as well, or OrderingError names it."""
         lo, hi = min(theta_idx, t_idx), max(theta_idx, t_idx)
         if s_idx < hi or s_idx > self.n:
             raise OrderingError(
@@ -683,8 +689,8 @@ class BackwardTableau:
         ea = np.exp(-A[:, lo])
         eb = np.exp(-A[:, hi])
         out = f0 + (ea + eb) * f12 + ea * eb * f3
-        if f4.any():  # building B is expensive; f4 == 0 whenever f_x vanishes
-            out = out - self.ftab.B(hi) * ea * eb * f4
+        if f4.any():  # f4 == 0 whenever f_x vanishes and xi is not phi(X_T)
+            out = out - self._row(hi).b * ea * eb * f4
         return out
 
     # -- Clark-Ocone Z ------------------------------------------------------------
@@ -714,10 +720,10 @@ class BackwardTableau:
     def dz_matrix(self, t_idx: int, rows: slice = slice(None), thetas=None) -> np.ndarray:
         """D_theta Z_t on the paths ``rows``, as :meth:`dy_matrix`."""
         fa, fbc, fd, fe = self.dz_fits(t_idx)
-        # the row keeps B_t exactly when fe is non-zero somewhere, so a block
-        # of paths takes the whole row's branch
+        # the branch follows fe on the whole row, so a block of paths takes
+        # the whole row's branch
         b = self._row(t_idx).b
-        inner = fd[rows] if b is None else fd[rows] - b[rows] * fe[rows]
+        inner = fd[rows] - b[rows] * fe[rows] if fe.any() else fd[rows]
         A = self.ftab.A[rows]
         return _dz_row(fa[rows], fbc[rows], inner,
                        np.exp(-A[:, self._theta_cols(t_idx, thetas)]), np.exp(-A[:, t_idx]))

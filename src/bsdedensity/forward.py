@@ -60,7 +60,7 @@ __all__ = [
 ]
 
 _MAGIC = b"BSDENS01"
-_VERSION = 3
+_VERSION = 4
 _HEADER_FMT = "<8sIIIIddQI4x"
 
 # the share of flagged paths above which a simulation fails
@@ -216,8 +216,8 @@ def simulate_forward(
     )
 
 
-# paths per block where a whole row of paths is read or written at once
-# (the dump, the load, the D_theta row statistics): the temporaries stay
+# paths per block of the D_theta row statistics (cli.Experiment._component),
+# the one reader of a whole row of paths at once: its temporaries stay
 # block-sized, and a row block of a C-ordered matrix is contiguous
 _ROW_BLOCK = 1024
 
@@ -378,39 +378,23 @@ class MalliavinTableau:
 
 
 def dump_ensemble(ens: PathEnsemble, path: str | Path) -> None:
-    """Write the ensemble in the documented binary layout, block by block:
-    each block of paths is gathered from the step arrays into path-major
-    rows (dW, then X), so the file holds the bytes of the path-major
-    matrices.  An ensemble that a backward pass has consumed is refused."""
+    """Write the ensemble in the documented binary layout: after the header
+    and the path ids, each step array as it is held, dW_0..dW_{n-1} and then
+    X_0..X_n.  An ensemble that a backward pass has consumed is refused."""
     _check_unconsumed(ens.dW, "dW")
     _check_unconsumed(ens.X, "X")
-    steps = [*ens.dW, *ens.X]
-    header = struct.pack(
-        _HEADER_FMT,
-        _MAGIC,
-        _VERSION,
-        ens.grid.n_steps,
-        ens.n_paths,
-        ens.n_requested,
-        ens.grid.T,
-        ens.x0,
-        ens.master_seed,
-        ens.n_flagged,
-    )
+    header = struct.pack(_HEADER_FMT, _MAGIC, _VERSION, ens.grid.n_steps, ens.n_paths,
+                         ens.n_requested, ens.grid.T, ens.x0, ens.master_seed, ens.n_flagged)
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(np.ascontiguousarray(ens.path_ids, dtype="<u8"))
-        block = np.empty((min(ens.n_paths, _ROW_BLOCK), len(steps)), dtype="<f8")
-        for rows in _row_blocks(ens.n_paths):
-            part = block[: len(ens.path_ids[rows])]
-            for j, step in enumerate(steps):
-                part[:, j] = step[rows]
-            fh.write(part)
+        for step in [*ens.dW, *ens.X]:
+            fh.write(np.ascontiguousarray(step, dtype="<f8"))
 
 
 def load_ensemble(path: str | Path) -> PathEnsemble:
-    """Read an ensemble written by :func:`dump_ensemble`, block by block,
-    scattering each block into freshly allocated step arrays."""
+    """Read an ensemble written by :func:`dump_ensemble`, each step straight
+    into a freshly allocated step array."""
     head_size = struct.calcsize(_HEADER_FMT)
     size = Path(path).stat().st_size
     if size < head_size:
@@ -426,9 +410,7 @@ def load_ensemble(path: str | Path) -> PathEnsemble:
                 f"{path} is a version-{version} ensemble dump; this version reads "
                 f"version {_VERSION} only, so re-run --stage simulate"
             )
-        n = n_steps
-        width = 2 * n + 1
-        expected = head_size + 8 * n_paths * (1 + width)
+        expected = head_size + 8 * n_paths * (2 + 2 * n_steps)
         if size != expected:
             raise SimulationError(
                 f"{path} holds {size} bytes; a dump of {n_paths} paths x "
@@ -436,15 +418,11 @@ def load_ensemble(path: str | Path) -> PathEnsemble:
             )
         path_ids = np.empty(n_paths, dtype="<u8")
         fh.readinto(path_ids)
-        dW = [np.empty(n_paths) for _ in range(n)]
-        X = [np.empty(n_paths) for _ in range(n + 1)]
-        block = np.empty((min(n_paths, _ROW_BLOCK), width), dtype="<f8")
-        for rows in _row_blocks(n_paths):
-            part = block[: len(path_ids[rows])]
-            fh.readinto(part)
-            for step, col in zip(dW + X, part.T):
-                step[rows] = col
+        steps = [np.empty(n_paths, dtype="<f8") for _ in range(2 * n_steps + 1)]
+        for step in steps:
+            fh.readinto(step)
     return PathEnsemble(
         grid=TimeGrid(T, n_steps), n_paths=n_paths, master_seed=int(seed), x0=x0,
-        dW=dW, X=X, path_ids=path_ids, n_flagged=n_flagged, n_requested=n_requested,
+        dW=steps[:n_steps], X=steps[n_steps:], path_ids=path_ids, n_flagged=n_flagged,
+        n_requested=n_requested,
     )

@@ -557,6 +557,23 @@ def test_f_x_reads_b_without_a_path_matrix():
                        for v in vars(row.design).values())
 
 
+def test_d2y_reads_b_from_a_declared_row():
+    """After the pass, D2Y with a non-zero f4 reads B at max(theta, t) from
+    the row kept there, not from the steps of X the pass has released: on
+    S2 with rows 20 and 30 it has the bits of a pass that declares every
+    index, and an undeclared max(theta, t) raises OrderingError naming it."""
+    prob = _s2_problem()
+    ens = simulate_forward(prob, TimeGrid(1.0, 40), 2000, seed=5)
+    pmap = LampertiMap(prob.sigma, prob.b, prob.box)
+    _, some = _tableau(ens, pmap, prob, [20, 30])
+    _, every = _tableau(ens, pmap, prob, range(41))
+    assert some.d2y_fits(30)[3].any()
+    got, want = some.d2y_all(10, 20, 30), every.d2y_all(10, 20, 30)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    with pytest.raises(OrderingError, match="t index 25 was not declared"):
+        some.d2y_all(10, 25, 30)
+
+
 @pytest.mark.parametrize("source", ["simulated", "loaded"])
 def test_pass_frees_each_step_it_has_read(tmp_path, source):
     """solve_bsde consumes its ensemble: once it returns, every step of dW

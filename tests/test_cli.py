@@ -738,7 +738,7 @@ def test_artifact_bytes_pinned(tmp_path):
         exp = Experiment(cfg, out_dir=str(out), seed=20240801)
         exp.run(stage)
         # the paths span two blocks and a short last one: the digests pin
-        # the block seams of A, B, the dump and the D_theta row statistics
+        # the block seams of the D_theta row statistics
         assert exp.ens.n_paths > _ROW_BLOCK and exp.ens.n_paths % _ROW_BLOCK
         digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                    for p in sorted(out.iterdir())}

@@ -255,17 +255,15 @@ def test_flagged_paths_excluded_and_error():
 
 def test_dump_load_roundtrip(tmp_path, driftless):
     prob, grid, ens = driftless
-    # the dump goes out and comes back in blocks of paths: a last block
-    # shorter than the others keeps the one-shot layout byte for byte
+    # version 4: after the header and the path ids, each step as it is
+    # held, the dW steps and then the X steps
     for n_paths in (50, 2 * _ROW_BLOCK + 37):
         small = simulate_forward(prob, TimeGrid(1.0, 30), n_paths, seed=99)
         assert small.n_paths == n_paths
         path = tmp_path / "ens.bin"
         dump_ensemble(small, path)
-        per_path = np.concatenate(path_matrices(small), axis=1)
-        assert path.read_bytes()[56:] == (
-            small.path_ids.astype("<u8").tobytes() + per_path.astype("<f8").tobytes()
-        )
+        assert path.read_bytes()[56:] == small.path_ids.astype("<u8").tobytes() + b"".join(
+            step.astype("<f8").tobytes() for step in small.dW + small.X)
         back = load_ensemble(path)
         for field in ("dW", "X"):
             assert np.array_equal(getattr(back, field), getattr(small, field))
@@ -295,11 +293,39 @@ def test_dump_load_roundtrip(tmp_path, driftless):
                     + per_path.astype("<f8").tobytes())
     with pytest.raises(SimulationError, match="version-2 ensemble dump"):
         load_ensemble(old)
+    # and a version-3 dump (dW, X per path), although its size is that of
+    # a version-4 one
+    head[8:12] = struct.pack("<I", 3)
+    old = tmp_path / "v3.bin"
+    per_path = np.concatenate([dW, X], axis=1)
+    old.write_bytes(bytes(head) + small.path_ids.astype("<u8").tobytes()
+                    + per_path.astype("<f8").tobytes())
+    assert old.stat().st_size == path.stat().st_size
+    with pytest.raises(SimulationError, match="version-3 ensemble dump"):
+        load_ensemble(old)
+
+
+def test_dump_load_roundtrip_of_a_flagged_ensemble(tmp_path):
+    """An ensemble with flagged paths comes back bitwise: its gapped path
+    ids and its counts as well as its steps."""
+    prob = _problem(constant(0), constant(1), box=(-3.2, 3.2))
+    ens = simulate_forward(prob, TimeGrid(1.0, 100), 3000, seed=13)
+    assert ens.n_flagged > 0
+    assert not np.array_equal(ens.path_ids, np.arange(ens.n_paths))  # gapped
+    path = tmp_path / "ens.bin"
+    dump_ensemble(ens, path)
+    back = load_ensemble(path)
+    for field in ("n_paths", "n_flagged", "n_requested", "master_seed", "x0", "grid"):
+        assert getattr(back, field) == getattr(ens, field)
+    assert np.array_equal(back.path_ids, ens.path_ids)
+    assert len(back.dW) == len(ens.dW) and len(back.X) == len(ens.X)
+    for mine, theirs in zip(back.dW + back.X, ens.dW + ens.X):
+        assert np.array_equal(mine.view(np.uint64), theirs.view(np.uint64))
 
 
 def test_dump_and_load_peak_below_one_path_matrix(tmp_path, driftless):
-    """Dump and load go through one block of paths at a time: beyond what
-    each call returns, neither holds a whole-ensemble temporary."""
+    """Dump and load write and read each step array as it is held: beyond
+    what each call returns, neither holds a whole-ensemble temporary."""
     _, _, ens = driftless
     path = tmp_path / "ens.bin"
     _, dump_peak, dump_kept = traced(dump_ensemble, ens, path)
@@ -348,9 +374,8 @@ def test_time_grid():
 
 
 def test_tableau_integrals_in_path_blocks_match_whole_matrix():
-    # A and B are built in blocks of paths; a row block is contiguous, so
-    # every value is bitwise the whole-matrix one, also in a last block
-    # shorter than the others; sigma(X) on one column is bitwise its
+    # A and B are built one step at a time along every path, so every value
+    # is bitwise the whole-matrix one; sigma(X) on one column is bitwise its
     # whole-matrix value too; S2's sigma and b
     prob = _problem(trig_affine(c=0.3), trig_affine(a=2, b=0.5))
     grid = TimeGrid(1.0, 8)
@@ -374,10 +399,9 @@ def test_tableau_integrals_in_path_blocks_match_whole_matrix():
 
 def test_brownian_columns_are_the_running_sum():
     """W is rebuilt from the increments bitwise as the explicit running sum
-    from W_0 = 0, across a last block of paths shorter than the others: for
-    every column, for W_T alone, for scattered, contiguous and gapped lists of
-    columns and on the strided prefix of the increments that a replay sweep
-    reads."""
+    from W_0 = 0: for every column, for W_T alone, for scattered, contiguous
+    and gapped lists of columns and on the strided prefix of the increments
+    that a replay sweep reads."""
     n_paths, n = 2 * _ROW_BLOCK + 37, 30
     dW = np.random.default_rng(3).standard_normal((n_paths, n)) * np.sqrt(1.0 / n)
     dW[0, 0] = -0.0  # W_1 = 0 + (-0) is +0
@@ -402,11 +426,11 @@ def test_brownian_columns_are_the_running_sum():
 
 def test_b_columns_are_the_cumulative_trapezoid():
     """B is built from the tableau's A and X bitwise as the whole-matrix
-    cumulative trapezoid, across a last block of paths shorter than the
-    others: for one column, scattered, contiguous and gapped lists, a slice
-    and the strided prefix of X that a cut sweep reads.  The Y/Z tableau's
-    descending segment walk gives every column from its smallest declared
-    index to n, and a first increment of -0.0 stays -0.0 in both."""
+    cumulative trapezoid: for one column, scattered, contiguous and gapped
+    lists, a slice and the strided prefix of X that a cut sweep reads.  The
+    Y/Z tableau's descending segment walk gives every column from its
+    smallest declared index to n, and a first increment of -0.0 stays -0.0
+    in both."""
     prob = _problem(trig_affine(c=0.3), trig_affine(a=2, b=0.5))
     n = 30
     grid = TimeGrid(1.0, n)
