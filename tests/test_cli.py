@@ -639,7 +639,7 @@ PINNED_SHA256 = {
         "effective_config.txt":
             "255cf9bb8264d43f6f16b75d930a86ab6cf319fc73b68fba25c46af3f38a90d9",
         "ensemble.bin":
-            "dd0ad49a81b772c0aaa586087194a0b74979fceda4e45d6940597d2c8f8d729a",
+            "b78e089a2d85d159a6166b9dc646bd1e339a10aeb2ac53b815b4dcf813ae2ea2",
         "hypothesis_report.json":
             "62e38b84873c53675173d1672ae067765b68b469a378b4702d520eebc2820acb",
     },
