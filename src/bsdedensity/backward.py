@@ -29,6 +29,7 @@ import copy
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -38,10 +39,11 @@ from .forward import (
     MalliavinTableau,
     PathEnsemble,
     TimeGrid,
-    _brownian_columns,
     _check_triangular,
     _check_unconsumed,
     _euler_lamperti,
+    _exp_neg,
+    _running_sums,
 )
 from .lamperti import LampertiMap
 
@@ -272,14 +274,14 @@ def _terminal(problem: ProblemSpec, dW: list[np.ndarray], x_T: Points,
     """(xi, Z_T, tableau data) on one point set of the terminal argument.
 
     Z_T = D_T xi is phi'(W_T), or phi'(X_T) sigma(X_T) via D_T X_T =
-    sigma(X_T); W_T is built from the step-first increments ``dW`` only for
-    a phi-of-wt terminal.  Given the Y/Z tableau, the tableau data are the
-    undiscounted D_theta xi as the (free, exp(-A_theta)) pair and D2 xi as
-    the (a, bc, d, e) quadruple, with B_n read from the tableau's kept
-    columns; otherwise None.
+    sigma(X_T); W_T is summed from the step-first increments ``dW``, one step
+    at a time, only for a phi-of-wt terminal.  Given the Y/Z tableau, the
+    tableau data are the undiscounted D_theta xi as the (free, exp(-A_theta))
+    pair and D2 xi as the (a, bc, d, e) quadruple, with B_n read from the
+    tableau's kept steps; otherwise None.
     """
-    wt = problem.terminal == "phi-of-wt"
-    arg = Points(_brownian_columns(dW, len(x_T.x), len(dW))) if wt else x_T
+    wt, N = problem.terminal == "phi-of-wt", len(x_T.x)
+    arg = Points(next(islice(_running_sums(N, dW, np.zeros(N)), len(dW), None))) if wt else x_T
     xi, phi1 = eval_derivative(problem.phi, 0, arg), eval_derivative(problem.phi, 1, arg)
     sig = None if wt else eval_derivative(problem.sigma, 0, arg)
     z_T = phi1 if wt else phi1 * sig
@@ -289,7 +291,7 @@ def _terminal(problem: ProblemSpec, dW: list[np.ndarray], x_T: Points,
     phi2 = eval_derivative(problem.phi, 2, arg)
     if wt:
         return xi, z_T, ((z_T, zero), np.stack([phi2, zero, zero, zero]))
-    eA = np.exp(tab.ftab.A[:, -1])
+    eA = np.exp(tab.ftab.A[-1])
     sA = sig * eA
     sig1 = eval_derivative(problem.sigma, 1, arg)
     d = phi2 * sA**2 + phi1 * sig1 * sig * eA**2 + phi1 * sA * tab._b_at(tab.n)
@@ -321,18 +323,19 @@ def solve_bsde(
 
     The sweep carries Y_{i+1} as one vector and keeps the Y and Z columns at
     ``t_indices`` only (Z is fitted there only).  Given ``forward_tab``, which
-    must hold the ensemble's own dW and X arrays (SolverError otherwise), it
-    also builds the Y/Z tableau (returned as ``tableau``) with rows at the
+    must hold the ensemble's own X list (SolverError otherwise), it also
+    builds the Y/Z tableau (returned as ``tableau``) with rows at the
     same indices: once Y_i is known, step i advances it on the same design,
     down to the smallest index.  Alpha is read from ``problem.driver``.
 
     The pass consumes the ensemble, whose paths are stored one array per
     step: once step i is done it sets ``ens.dW[i]`` to None, and ``ens.X[i]``
-    too unless i is declared, so each step is freed once it has been read.
-    The rows read A and fits, the B segments only steps not yet done, and
-    the Girsanov tail each dW_s before its release.  After the pass only the
-    declared steps of X remain; a second pass, a forward tableau or a dump
-    of the ensemble raises SolverError.
+    too unless i is declared (and W_i, which the basis in (x, w) sums before
+    the sweep), so each step is freed once it has been read.  The rows read
+    A and fits, the B segments only steps not yet done, and the tableau's
+    Girsanov tail each dW_s, handed to its step before the release.  After
+    the pass only the declared steps of X remain; a second pass, a forward
+    tableau or a dump of the ensemble raises SolverError.
     """
     n, dt, N = ens.grid.n_steps, ens.grid.dt, ens.n_paths
     ridge = basis.ridge if basis.ridge is not None else 1e-8 * N
@@ -342,8 +345,8 @@ def solve_bsde(
     if not declared <= set(range(n + 1)) or not declared and forward_tab is not None:
         raise OrderingError(f"declared t indices {sorted(declared)} must be a subset "
                             f"of 0..{n}, non-empty for a tableau")
-    if forward_tab is not None and (forward_tab.dW is not ens.dW or forward_tab.X is not ens.X):
-        raise SolverError("forward_tab must be built on this ensemble's own dW and X")
+    if forward_tab is not None and forward_tab.X is not ens.X:
+        raise SolverError("forward_tab must be built on this ensemble's own X")
     dW, X = ens.dW, ens.X
     _check_unconsumed(dW, "dW")
     _check_unconsumed(X, "X")
@@ -359,17 +362,17 @@ def solve_bsde(
     _require_finite(z_T, "terminal value Z_T", n)
     kept = {n: (y_next, z_T)} if n in declared else {}
     if tab is not None:
-        tab.step(n, None, x, y_next, terminal)
+        tab.step(n, None, x, y_next, None, terminal)
     if n not in declared:  # X_n is read: release it
         X[n] = None
 
-    # the one basis that reads W reads every column of it
-    W = _brownian_columns(dW, N) if basis.reads_w else None
+    # the one basis that reads W reads each of its steps below n once
+    W = list(islice(_running_sums(N, dW, np.zeros(N)), n)) if basis.reads_w else [None] * n
     records: list[dict | None] = [None] * n
 
     for i in range(n - 1, -1, -1):
         x = Points(X[i])
-        design = _StepDesign(basis, X[i], None if W is None else W[:, i], ridge, i)
+        design = _StepDesign(basis, X[i], W[i], ridge, i)
         # the step's Girsanov weight and shifted increment dW~_i = dW_i - alpha dt
         w_i = _girsanov_weight(alpha, dW[i], dt)
         dW_tilde = dW[i] - alpha * dt
@@ -404,9 +407,9 @@ def solve_bsde(
         # the fit targets die before the tableau step, which peaks above them
         y_next = cfit = tz = zcv = dW_tilde = w_i = f_i = None
         if tab is not None and i >= tab.lowest:
-            tab.step(i, design, x, y)
+            tab.step(i, design, x, y, dW[i])
         y_next = y
-        dW[i] = None  # step i is read: release it
+        dW[i] = W[i] = None  # step i is read: release it
         if i not in declared:
             X[i] = None
 
@@ -468,16 +471,16 @@ class BackwardTableau:
     its steps down to the smallest declared index.  Only the rows at
     ``t_indices`` are kept; a row yields the entries for every theta <= t at
     once because each target is affine in exp(-A_theta).  A kept row holds
-    its design's evaluator and its B_t column, no path matrix.  An undeclared
+    its design's evaluator and its B_t step, no path matrix.  An undeclared
     index raises OrderingError, a non-finite kept row SolverError.
 
-    dW, X, A, B, n and dt come from ``forward_tab`` alone.  B is never held
-    as a matrix: one build keeps its columns at marks, and the pass rebuilds
-    each segment between two marks once (see :meth:`_b_at`).  A linear
-    z-term alpha of ``problem``'s driver enters only through the Girsanov
-    weights over [t, T] (the driver partials do not see it), which read the
-    tail W_T - W_s: at alpha != 0 only, one vector that starts at zero at
-    s = n and adds dW_s at each step s < n.
+    X, A, B, n and dt come from ``forward_tab``, each dW_s from the pass.
+    B is never held whole: one build keeps its steps at marks, and the pass
+    rebuilds each segment between two marks once (see :meth:`_b_at`).  A
+    linear z-term alpha of ``problem``'s driver enters only through the
+    Girsanov weights over [t, T] (the driver partials do not see it), which
+    read the tail W_T - W_s: at alpha != 0 only, one vector that starts at
+    zero at s = n and adds dW_s at each step s < n.
     """
 
     def __init__(
@@ -504,13 +507,12 @@ class BackwardTableau:
         # k-th step from the smallest declared index, k ~ sqrt of the pass
         # length, and n last), or at the declared indices and n when f_x is
         # absent (see _b_at)
-        self._b_marks, self._b_lo, self._b_seg = [], 0, np.empty((0, 0))
+        self._b_marks, self._b_lo, self._b_seg = [], 0, []
         if self._has_fx or problem.terminal == "phi-of-xt":
             marks = [*range(self.lowest, self.n, math.isqrt(self.n - self.lowest) + 1), self.n]
             if not self._has_fx:
                 marks = sorted(t_indices | {self.n})
-            cols = ftab.B(marks)
-            self._b_marks = [(c, cols[:, j].copy()) for j, c in enumerate(marks)]
+            self._b_marks = list(zip(marks, ftab.B(marks)))
 
         # running state between two steps, O(n_paths) each; _above holds
         # (f_y, h + f_y F, Clark-Ocone integrand) of step s + 1.  A tail starts
@@ -526,16 +528,16 @@ class BackwardTableau:
         self._discount = 1.0   # exp(int_s^T f_y)
 
     def step(self, s: int, design: _StepDesign | None, x: Points, y: np.ndarray,
-             terminal: tuple | None = None) -> None:
+             dw: np.ndarray | None = None, terminal: tuple | None = None) -> None:
         """Advance the pass from s + 1 to s, given the solver's point set of
-        X_s, Y_s and its design at s.  The pass starts at s = n, where
-        nothing is fitted (``design`` is None) and ``terminal`` is the
-        (D_theta xi, D2 xi) data of :func:`_terminal`.  The running state is
-        updated in place, with the operands of the plain sums and products."""
+        X_s, Y_s, its design at s and ``dw`` = dW_s.  The pass starts at
+        s = n, where nothing is fitted (``design`` and ``dw`` are None) and
+        ``terminal`` is the (D_theta xi, D2 xi) data of :func:`_terminal`.
+        The running state is updated in place, with the plain operands."""
         if s == self.n:
             self._dxi, self._d2xi = terminal
         elif self._w_tail is not None:
-            self._w_tail += self.ftab.dW[s]
+            self._w_tail += dw
         keep = s in self._declared
         if not (keep or self._active):
             return
@@ -555,11 +557,11 @@ class BackwardTableau:
         h = np.zeros((4, len(zero)))
         if has_fx:
             fx = drv.partial(1, 0, x, y)
-            se = eval_derivative(self.problem.sigma, 0, x) * np.exp(A[:, s])  # sigma e^A
+            se = eval_derivative(self.problem.sigma, 0, x) * np.exp(A[s])  # sigma e^A
             h[3] = fx * se
             h[2] = drv.partial(2, 0, x, y) * se**2
             if fx.any():  # B is read only when f_x is non-zero
-                h[2] += h[3] * (eval_derivative(self.problem.sigma, 1, x) * np.exp(A[:, s])
+                h[2] += h[3] * (eval_derivative(self.problem.sigma, 1, x) * np.exp(A[s])
                                 + self._b_at(s))
         if carry:
             fy_above, p_above, c_above = self._above
@@ -606,9 +608,9 @@ class BackwardTableau:
             dz, dz_coeffs = _fit_rows(design, lam, self._d2xi, self._dz_tail)
             free, dep = np.add(self._dxi, self._z_tail)
             if design is None:
-                zc = free + np.exp(-A[:, s]) * dep
+                zc = free + np.exp(-A[s]) * dep
             else:
-                zc = design.fit(free, lam)[0] + np.exp(-A[:, s]) * design.fit(dep, lam)[0]
+                zc = design.fit(free, lam)[0] + np.exp(-A[s]) * design.fit(dep, lam)[0]
             for name, v in (("D_theta Y", G), ("D2 Y", F), ("Clark-Ocone Z", zc),
                             ("D_theta Z", dz)):
                 _require_finite(v, f"{name} row", s)
@@ -623,21 +625,21 @@ class BackwardTableau:
             del self._b_marks, self._b_lo, self._b_seg
 
     def _b_at(self, s: int) -> np.ndarray:
-        """B_s on the pass down from n, a column of the segment matrix that
-        the pass builds when it enters the segment between two kept columns:
-        columns lo..s walked up from the kept column lo at or below s
-        (:meth:`MalliavinTableau.B`; from column 0 the build starts from B's
-        leading zero), bitwise the cumulative sum.  The kept columns above s
+        """B_s on the pass down from n, a step of the segment that the pass
+        builds when it enters the segment between two kept steps: steps
+        lo..s walked up from the kept step lo at or below s
+        (:meth:`MalliavinTableau.B`; from step 0 the build starts from B's
+        leading zero), bitwise the cumulative sum.  The kept steps above s
         and the previous segment are dropped first; so the pass holds
-        O(sqrt(n)) columns of B, not a B matrix."""
-        if not self._b_lo <= s < self._b_lo + self._b_seg.shape[1]:
+        O(sqrt(n)) steps of B, not all of them."""
+        if not self._b_lo <= s < self._b_lo + len(self._b_seg):
             marks = self._b_marks
             while marks[-1][0] > s:
                 marks.pop()
             lo, b = marks[-1]
             self._b_seg = None  # drop the previous segment before building this one
             self._b_lo, self._b_seg = lo, self.ftab.B(slice(lo, s + 1), lo, b if lo else None)
-        return self._b_seg[:, s - self._b_lo]
+        return self._b_seg[s - self._b_lo]
 
     def _row(self, t_idx: int) -> _Row:
         return _declared_entry(self._rows, t_idx, "tableau")
@@ -648,20 +650,21 @@ class BackwardTableau:
         """Fitted pair (c1, c2) with D_theta Y_t = c1 + exp(-A_theta) c2."""
         return self._row(t_idx).dy
 
-    def _theta_cols(self, t_idx: int, thetas) -> slice | list[int]:
-        """Every theta column <= t of a row, or the checked list ``thetas``."""
+    def _exp_neg_a_theta(self, t_idx: int, rows: slice, thetas) -> np.ndarray:
+        """e^{-A_theta} on the paths ``rows`` as a C-order (rows, k) block,
+        for every theta <= t of a row, or for the checked list ``thetas``."""
         if thetas is None:
-            return slice(t_idx + 1)
-        _check_triangular(thetas, t_idx, self.n)
-        return list(thetas)
+            thetas = range(t_idx + 1)
+        else:
+            _check_triangular(thetas, t_idx, self.n)
+        return _exp_neg([self.ftab.A[th][rows] for th in thetas])
 
     def dy_matrix(self, t_idx: int, rows: slice = slice(None), thetas=None) -> np.ndarray:
         """D_theta Y_t on the paths ``rows`` for every theta <= t, or for the
         indices ``thetas``.  An entry depends on its path and theta alone, so
         a block or a theta list has the bits of the whole matrix."""
         c1, c2 = self.dy_fits(t_idx)
-        ea_th = np.exp(-self.ftab.A[rows, self._theta_cols(t_idx, thetas)])
-        return _dy_row(c1[rows], c2[rows], ea_th)
+        return _dy_row(c1[rows], c2[rows], self._exp_neg_a_theta(t_idx, rows, thetas))
 
     # -- D2_{theta,t} Y_s ---------------------------------------------------------
 
@@ -685,9 +688,7 @@ class BackwardTableau:
                 f"D2Y needs max(theta, t) <= s <= n; got ({theta_idx}, {t_idx}, {s_idx})"
             )
         f0, f12, f3, f4 = self.d2y_fits(s_idx)
-        A = self.ftab.A
-        ea = np.exp(-A[:, lo])
-        eb = np.exp(-A[:, hi])
+        ea, eb = np.exp(-self.ftab.A[lo]), np.exp(-self.ftab.A[hi])
         out = f0 + (ea + eb) * f12 + ea * eb * f3
         if f4.any():  # f4 == 0 whenever f_x vanishes and xi is not phi(X_T)
             out = out - self._row(hi).b * ea * eb * f4
@@ -724,9 +725,8 @@ class BackwardTableau:
         # the whole row's branch
         b = self._row(t_idx).b
         inner = fd[rows] - b[rows] * fe[rows] if fe.any() else fd[rows]
-        A = self.ftab.A[rows]
-        return _dz_row(fa[rows], fbc[rows], inner,
-                       np.exp(-A[:, self._theta_cols(t_idx, thetas)]), np.exp(-A[:, t_idx]))
+        return _dz_row(fa[rows], fbc[rows], inner, self._exp_neg_a_theta(t_idx, rows, thetas),
+                       np.exp(-self.ftab.A[t_idx][rows]))
 
 
 def _fit_pair(design: _StepDesign | None, lam: np.ndarray | None,
@@ -798,8 +798,8 @@ def make_replay_sweep(problem: ProblemSpec, grid: TimeGrid, lmap: LampertiMap, t
     Escaping paths are clamped to the working box instead of dropped, so the
     rows stay aligned with the unshifted ensemble; the ``n_clamped``
     attribute sums the clamp events up to ``t_max`` of all its sweeps.  Each
-    row slices the tableau's ``exp_neg_A``, computed once on the whole
-    contiguous matrix, and builds the one column of B it reads.  The Euler
+    row slices the tableau's ``exp_neg_A``, one path-major matrix gathered
+    from the steps of A, and builds the one step of B it reads.  The Euler
     loop reads the increments step first through the transposed view of
     ``increments``.  The state holds that view's first ``t_max`` steps only
     when ``reads_w``, for the basis in (x, w); otherwise its dW is None, so
@@ -848,7 +848,8 @@ def make_phi_row(btab: BackwardTableau, t_idx: int, component: str):
     def phi(state: MalliavinTableau) -> np.ndarray:
         if uses_w and state.dW is None:
             raise SolverError("the (x, w) basis reads W_t: the replay sweep must hold dW")
-        w = _brownian_columns(state.dW, state.n_paths, t_idx) if uses_w else None
+        w = (next(islice(_running_sums(state.n_paths, state.dW, np.zeros(state.n_paths)),
+                         t_idx, None)) if uses_w else None)  # W_t, one step at a time
         fits = design.evaluate(coeffs, state.X[t_idx], w)
         ea_th = state.exp_neg_A[:, : t_idx + 1]
         if component == "Y":

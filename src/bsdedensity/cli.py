@@ -186,7 +186,7 @@ class Experiment:
     def stage_density(self) -> None:
         cfg = self.cfg
         # the deterministic backward sweep: solution and tableau rows
-        ftab = MalliavinTableau(self.ens.dW, self.ens.X, self._ensure_lamperti(), self.grid.dt)
+        ftab = MalliavinTableau(None, self.ens.X, self._ensure_lamperti(), self.grid.dt)
         t_indices = [self.grid.index_of(t) for t in cfg["eval.times"]]
         # the pass consumes the ensemble, one step at a time: the rows read
         # fits and A, first_x_all the declared steps of X and A, verify

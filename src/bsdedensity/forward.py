@@ -22,26 +22,26 @@ whole first-order tableau is represented by one cumulative integral per path
 
 where B is the cumulative trapezoid of (beta o g^-1)''(X_r) exp(A_r).  This
 is exactly the triangular tableau of trapezoid quadratures, stored in O(n)
-per path instead of O(n^2).  A is held as a path matrix; B is not:
-:meth:`MalliavinTableau.B` builds the columns a reader asks for, and the
-backward pass keeps B at marks about every sqrt(n) steps and rebuilds each
-segment between two marks upward from its mark.  A, B and the Brownian path
-W are running sums from column 0, all built one step at a time by
-:func:`_running_columns`, so a B column walked up from a held one has the
-bits of the sum from 0.  The Girsanov tail W_T - W_s is summed down from T
-by the backward pass itself.
+per path instead of O(n^2).  A is held; B is not: :meth:`MalliavinTableau.B`
+builds the steps a reader asks for, and the backward pass keeps B at marks
+about every sqrt(n) steps and rebuilds each segment upward from its mark.
+A, B and the Brownian path W (summed where it is read) are running sums from
+step 0, yielded one step at a time by :func:`_running_sums`, so a B step
+walked up from a held one has the bits of the sum from 0.
 
-Every path set is indexed step first: ``dW[i]`` and ``X[i]`` hold step i
-across paths.  The main run's ensemble holds a list of separate contiguous
-arrays, one per step, so the backward pass can release each step once it
-has read it; a replay sweep hands the Euler loop the transpose of its
-increment matrix, a view whose rows are the steps.
+Every path set is indexed step first: ``dW[i]``, ``X[i]`` and ``A[i]`` are
+separate contiguous arrays holding step i across paths, so the backward pass
+can release each step once it has read it; a replay sweep hands the Euler
+loop the transpose of its increment matrix, a view whose rows are the steps.
+A reader of a block of paths by steps (the D_theta rows, a replay's e^{-A})
+gathers those steps into one C-order matrix.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from itertools import count, pairwise
 from pathlib import Path
 
 import numpy as np
@@ -103,7 +103,7 @@ class PathEnsemble:
 
     ``dW`` is a list of n_steps arrays and ``X`` a list of n_steps + 1, each
     a separate contiguous (n_paths,) array: ``dW[i]`` and ``X[i]`` hold step
-    i across paths.  W is not stored (see :func:`_brownian_columns`).  Path
+    i across paths.  W is not stored: its readers sum it from dW.  Path
     p's increments are a pure function of (master_seed, path_id): they are
     drawn row-major from a single PCG64 stream, so they depend only on the
     path's original index.  Paths that left the certified sigma > 0 box are
@@ -218,7 +218,8 @@ def simulate_forward(
 
 # paths per block of the D_theta row statistics (cli.Experiment._component),
 # the one reader of a whole row of paths at once: its temporaries stay
-# block-sized, and a row block of a C-ordered matrix is contiguous
+# block-sized, and each block gathers the steps it reads into a C-ordered
+# (rows, k) matrix
 _ROW_BLOCK = 1024
 
 
@@ -226,39 +227,28 @@ def _row_blocks(n_rows: int):
     return (slice(lo, lo + _ROW_BLOCK) for lo in range(0, n_rows, _ROW_BLOCK))
 
 
-def _running_columns(n_rows: int, n_cols: int, cols, increment, start=None) -> np.ndarray:
-    """Columns ``cols`` (an index, a list or a slice) of the running sums
-    c_0..c_{n_cols - 1} along ``n_rows`` paths, as a path-major (n_rows, k)
-    matrix, or (n_rows,) for an index: the one place that sums along paths.
-    ``increment(j)`` gives inc_j on every path; the sum reads one step at a
-    time, up to the last asked-for column.  Given a ``start`` column,
-    c_0 = start and c_{j+1} = c_j + inc_j: W's rule, so W_1 = 0 + dW_0 is +0
-    after a -0.0.  Without one, c_0 = +0 and c_1 is inc_0 itself (so
-    ``increment`` must then return a fresh array): the cumulative
-    trapezoid's rule, so a -0.0 stays -0.0.  Either way a walk up from a
-    held column j > 0 has the bits of the sum from column 0."""
-    idx = np.arange(n_cols)[cols]
-    out = np.empty((n_rows,) + idx.shape)
-    dest, flat = out.reshape(n_rows, idx.size), idx.ravel()  # one column per index
+def _exp_neg(steps) -> np.ndarray:
+    """e^{-c} of the step arrays ``steps`` as one C-order (n_rows, k) matrix,
+    one column per step, computed in the buffer the steps are gathered in."""
+    out = np.stack(steps, axis=1)
+    return np.exp(np.negative(out, out=out), out=out)
+
+
+def _running_sums(n_rows: int, increments, start=None):
+    """The running sums c_0, c_1, ... of ``increments`` (inc_0, inc_1, ...,
+    each on every path) along ``n_rows`` paths, yielded one (n_rows,) step at
+    a time: the one place that sums along paths.  inc_j is drawn only once
+    c_{j+1} is asked for.  Given a ``start`` step, c_0 = start and
+    c_{j+1} = c_j + inc_j: W's rule, so W_1 = 0 + dW_0 is +0 after a -0.0.
+    Without one, c_0 = +0 and c_1 is inc_0 itself (which must then be a
+    fresh array): the cumulative trapezoid's rule, so a -0.0 stays -0.0.
+    Later steps are fresh arrays; a walk up from a held step j > 0 has the
+    bits of the sum from step 0."""
     c = np.zeros(n_rows) if start is None else start
-    for j in range(int(flat.max(initial=-1)) + 1):
-        if j == 1:
-            inc = increment(0)
-            c = inc if start is None else start + inc
-        elif j:
-            c += increment(j - 1)
-        dest[:, flat == j] = c[:, None]
-    return out
-
-
-def _brownian_columns(dW, n_paths: int, cols=slice(None)) -> np.ndarray:
-    """Columns ``cols`` (an index, a list or a slice) of the Brownian path
-    W_0 = 0, W_{i+1} = W_i + dW_i on ``n_paths`` paths, summed from W_0 over
-    the step-first increments ``dW``.  The Girsanov tail W_T - W_s of the
-    backward pass is not built here: the pass sums it down from T, one
-    increment step at a time."""
-    return _running_columns(n_paths, len(dW) + 1, cols, lambda j: dW[j],
-                            np.broadcast_to(0.0, n_paths))
+    yield c
+    for j, inc in enumerate(increments):
+        c = inc if j == 0 and start is None else c + inc
+        yield c
 
 
 def _step(steps, i: int, name: str) -> np.ndarray:
@@ -296,16 +286,18 @@ class MalliavinTableau:
     per path, with second-order slices indexed by (theta, t, s); physically
     everything derives from the cumulative integrals A and B described in the
     module docstring; under a constant drift (sigma and b constant families,
-    ``constant_drift``) both are zero views.  A is held; B is not: :meth:`B`
-    builds the columns asked for, from its leading zero or walked up from a
-    column the caller holds.  e^{-A} (which only the replay rows read, each
-    slicing it) is built on first use.  The accessor reads grid indices and
-    rejects theta > t; sigma is evaluated at the states it reads, never stored
-    as a path matrix.  ``dW`` and ``X`` are indexed step first and held as
-    given: the main run's are the ensemble's own lists, which the backward
-    pass consumes step by step; a replay's are a view of its increments (None
-    when its rows do not read W) and the Euler loop's list.  W is not held.
-    A path set with a released step is refused (SolverError).
+    ``constant_drift``) every step of both is one read-only zero view.  A is
+    held as a list of n + 1 step arrays; B is not: :meth:`B` builds the steps
+    asked for, from its leading zero or walked up from a step the caller
+    holds.  e^{-A} (which only the replay rows read, each slicing it) is
+    built on first use, as one path-major matrix.  The accessor reads grid
+    indices and rejects theta > t; sigma is evaluated at the states it reads.
+    ``dW`` and ``X`` are indexed step first and held as given: the main run's
+    are None (the pass hands each dW_s to the Y/Z tableau) and the
+    ensemble's own X, which the backward pass consumes step by step; a
+    replay's are a view of its increments (None when its rows do not read W)
+    and the Euler loop's list.  A path set with a released step is refused
+    (SolverError).
     """
 
     def __init__(self, dW, X, lmap: LampertiMap, dt: float):
@@ -321,45 +313,44 @@ class MalliavinTableau:
         self.A = self._trapezoid(lambda c: lmap.beta_prime_sigma(Points(X[c])))
         self._exp_neg_A: np.ndarray | None = None
 
-    def _trapezoid(self, integrand, cols=slice(None), lo=0, c_lo=None) -> np.ndarray:
-        """Columns ``cols`` of the cumulative trapezoid of ``integrand(c)``,
-        the integrand at step c on every path, from its leading zero or
-        walked up from its column ``lo`` = ``c_lo``; a prefix of the columns
-        reads a prefix of X and A.  Under a constant drift it is a read-only
-        zero view."""
+    def _trapezoid(self, integrand, cols=slice(None), lo=0, c_lo=None):
+        """Steps ``cols`` (an index, a list or a slice) of the cumulative
+        trapezoid of ``integrand(c)``, the integrand at step c on every path,
+        from its leading zero or walked up from its step ``lo`` = ``c_lo``:
+        an (n_paths,) array for an index, a list of them otherwise.  It reads
+        X and A up to the last asked-for step and keeps only the asked-for
+        ones.  Under a constant drift every step is one read-only zero view."""
         idx = np.arange(self.n + 1)[cols]
         if self.constant_drift:
-            return np.broadcast_to(0.0, (self.n_paths,) + idx.shape)
+            zero = np.broadcast_to(0.0, self.n_paths)
+            return zero if idx.ndim == 0 else [zero] * idx.size
         half = 0.5 * self.dt
-        left = None  # the integrand at the left node of the next increment
 
-        def increment(j):
-            # (v_j + v_{j+1}) (dt/2) between the steps lo + j and lo + j + 1
-            nonlocal left
-            if left is None:
-                left = integrand(lo)
-            right = integrand(lo + j + 1)
-            inc = left + right
-            inc *= half
-            left = right
-            return inc
+        def increments():  # (v_c + v_{c+1}) (dt/2) between the steps c and c + 1
+            for left, right in pairwise(map(integrand, count(lo))):
+                inc = left + right
+                inc *= half
+                yield inc
 
-        return _running_columns(self.n_paths, self.n + 1 - lo, idx - lo, increment, c_lo)
+        last = idx.max(initial=lo - 1)
+        sums = zip(range(lo, last + 1), _running_sums(self.n_paths, increments(), c_lo))
+        held = {c: step for c, step in sums if np.any(idx == c)}
+        return held[int(idx)] if idx.ndim == 0 else [held[c] for c in idx]
 
-    def B(self, cols=slice(None), lo: int = 0, b_lo: np.ndarray | None = None) -> np.ndarray:
-        """Columns ``cols`` (an index, a list or a slice, none below ``lo``) of
+    def B(self, cols=slice(None), lo: int = 0, b_lo: np.ndarray | None = None):
+        """Steps ``cols`` (an index, a list or a slice, none below ``lo``) of
         B, the cumulative trapezoid of (beta o g^-1)''(X) e^A: from its
-        leading zero, or walked up from its column ``lo`` > 0 held as
-        ``b_lo`` (a walk from column 0 would turn a -0.0 B_1 into +0).  It
-        reads the steps of X from ``lo`` up; one that a backward pass has
-        released raises SolverError."""
+        leading zero, or walked up from its step ``lo`` > 0 held as ``b_lo``
+        (a walk from step 0 would turn a -0.0 B_1 into +0).  One step array
+        for an index, a list of them otherwise.  It reads the steps of X from
+        ``lo`` up; one that a backward pass has released raises SolverError."""
         return self._trapezoid(lambda c: self.lmap.beta_comp_second(_step(self.X, c, "X"))
-                               * np.exp(self.A[:, c]), cols, lo, b_lo)
+                               * np.exp(self.A[c]), cols, lo, b_lo)
 
     @property
     def exp_neg_A(self) -> np.ndarray:
         if self._exp_neg_A is None:
-            self._exp_neg_A = np.exp(-self.A)
+            self._exp_neg_A = _exp_neg(self.A)
         return self._exp_neg_A
 
     # -- vector accessor -----------------------------------------------------
@@ -369,7 +360,9 @@ class MalliavinTableau:
         indices gives shape (k, n_paths) and evaluates sigma(X_t) once."""
         _check_triangular(theta_idx, t_idx, self.n)
         sig = eval_derivative(self.lmap.sigma, 0, _step(self.X, t_idx, "X"))
-        return sig * np.exp(self.A[:, t_idx] - self.A.T[theta_idx])
+        A = self.A
+        a_theta = np.stack([A[th] for th in theta_idx]) if np.ndim(theta_idx) else A[theta_idx]
+        return sig * np.exp(A[t_idx] - a_theta)
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +403,10 @@ def load_ensemble(path: str | Path) -> PathEnsemble:
                 f"{path} is a version-{version} ensemble dump; this version reads "
                 f"version {_VERSION} only, so re-run --stage simulate"
             )
+        for field, value in (("n_steps", n_steps), ("n_paths", n_paths), ("T", T)):
+            if not (np.isfinite(value) and value > 0):
+                raise SimulationError(f"{path} has {field} = {value} in its header; "
+                                      "a dump needs a positive, finite value")
         expected = head_size + 8 * n_paths * (2 + 2 * n_steps)
         if size != expected:
             raise SimulationError(

@@ -226,8 +226,8 @@ def reference_inverse_transform(lmap, u):
 # ---------------------------------------------------------------------------
 # Reference tableau integrals and the single-target g-estimator: whole-matrix
 # evaluations, and one target whose Phi-sampler re-runs the forward sweep over
-# the whole horizon on every call.  The production code builds A and B in
-# blocks of paths and shares one sweep per u-node between all targets, cut at
+# the whole horizon on every call.  The production code builds A and B one
+# step at a time and shares one sweep per u-node between all targets, cut at
 # the last eval time; it must agree with these bit for bit.
 # ---------------------------------------------------------------------------
 

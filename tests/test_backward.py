@@ -221,16 +221,27 @@ def test_girsanov_tail_is_the_reversed_running_sum(lmap, monkeypatch):
 
 
 def test_forward_tableau_of_another_ensemble_is_refused(ens, lmap):
-    """solve_bsde reads the paths of ``ens`` and the tableau reads those of
-    ``forward_tab``: a tableau built on other dW or X arrays is refused, even
-    when they hold equal values."""
+    """solve_bsde reads the paths of ``ens`` and the tableau reads the X of
+    ``forward_tab``: a tableau built on other X arrays is refused, even when
+    they hold equal values.  The pass hands each dW_s to the tableau's step,
+    so the tableau's own dW is never read: at alpha = 0.3, a tableau built on
+    other increments gives the rows of one built on none."""
     prob = _problem(affine(a=0, b=1))
     other = simulate_forward(prob, GRID, 500, seed=8)
-    copy = [step.copy() for step in ens.dW], [step.copy() for step in ens.X]
-    for dW, X in ((other.dW, other.X), (ens.dW, copy[1]), (copy[0], ens.X)):
+    copy = [step.copy() for step in ens.X]
+    for dW, X in ((other.dW, other.X), (ens.dW, copy), (None, copy)):
         ftab = MalliavinTableau(dW, X, lmap, GRID.dt)
-        with pytest.raises(SolverError, match="this ensemble's own dW and X"):
+        with pytest.raises(SolverError, match="this ensemble's own X"):
             solve_bsde(ens, prob, BASIS, forward_tab=ftab, t_indices=[100])
+    girsanov = _problem(affine(a=0, b=1), driver=Driver(f_of_y=trig_affine(c=0.2), alpha=0.3))
+    rows = []
+    for dW in (None, ens.dW):
+        e = step_lists(other)
+        ftab = MalliavinTableau(dW, e.X, lmap, GRID.dt)
+        tab = solve_bsde(e, girsanov, BASIS, forward_tab=ftab, t_indices=[100]).tableau
+        rows.append((tab.dy_matrix(100), tab.dz_matrix(100)))
+    for a, b in zip(*rows):
+        assert np.array_equal(a, b)
 
 
 def test_clark_ocone_sin_terminal(ens, lmap):
@@ -390,8 +401,8 @@ def test_non_finite_values_fail_loud(lmap):
         e = step_lists(small)
         ftab = MalliavinTableau(e.dW, e.X, lmap, small.grid.dt)
         assert ftab.constant_drift  # B is a zero view whatever A holds: the NaN enters through A
-        ftab.A = ftab.A.copy()  # sigma and b are constant: A is a read-only zero view
-        ftab.A[3, 5] = np.nan
+        ftab.A = [a.copy() for a in ftab.A]  # sigma and b are constant: A is read-only zero views
+        ftab.A[5][3] = np.nan
         return solve_bsde(e, curved, BASIS, forward_tab=ftab, t_indices=t_indices)
 
     with np.errstate(invalid="ignore"):
@@ -416,9 +427,9 @@ def test_constant_drift_integrals_are_zero_views():
         e = step_lists(ens)
         ftab = MalliavinTableau(e.dW, e.X, pmap, ens.grid.dt)
         if materialise:  # B is integrated from the zero integrand on a dense zero A
-            ftab.A, ftab.constant_drift = np.zeros((ens.n_paths, len(ens.X))), False
+            ftab.A, ftab.constant_drift = [np.zeros(ens.n_paths) for _ in ens.X], False
         else:
-            assert ftab.A.strides == ftab.B().strides == (0, 0)
+            assert all(a.strides == b.strides == (0,) for a, b in zip(ftab.A, ftab.B()))
         tabs.append(solve_bsde(e, prob, BASIS, forward_tab=ftab, t_indices=rows).tableau)
     view, dense = tabs
     for i in rows:
@@ -427,14 +438,14 @@ def test_constant_drift_integrals_are_zero_views():
     sweep = backward.make_replay_sweep(prob, grid, pmap, 10)(path_matrices(ens)[0][:300])
     phi = backward.make_phi_row(view, 10, "Z")
     got = phi(sweep)
-    assert sweep.A.strides == sweep.B().strides == (0, 0)
-    sweep.A, sweep.constant_drift = np.zeros((sweep.n_paths, len(sweep.X))), False
+    assert all(a.strides == b.strides == (0,) for a, b in zip(sweep.A, sweep.B()))
+    sweep.A, sweep.constant_drift = [np.zeros(sweep.n_paths) for _ in sweep.X], False
     sweep._exp_neg_A = None  # the first call cached exp(-A) of the zero view
     assert np.array_equal(phi(sweep), got)
     ou = LampertiMap(constant(1), affine(b=-0.5), prob.box)
     A = MalliavinTableau(None, ens.X, ou, grid.dt).A
-    assert A.flags.writeable and A.strides != (0, 0)
-    assert np.allclose(A, -0.5 * grid.nodes, atol=1e-12)
+    assert all(a.flags.writeable and a.strides != (0,) for a in A)
+    assert np.allclose(np.stack(A, axis=1), -0.5 * grid.nodes, atol=1e-12)
 
 
 def _s2_problem():
@@ -471,14 +482,15 @@ def test_replay_sweep_is_the_main_run_tableau(case):
     t_max = 12
     replay = backward.make_replay_sweep(prob, grid, pmap, t_max,
                                         reads_w=True)(path_matrices(ens)[0])
-    # dW and X are indexed step first, A path first
+    # dW, X, A and B are indexed step first
     assert np.array_equal(_bits(replay.dW), _bits(main.dW[:t_max]))
     assert np.array_equal(_bits(replay.X), _bits(main.X[: t_max + 1])), "X"
-    assert np.array_equal(_bits(replay.A), _bits(main.A[:, : t_max + 1])), "A"
-    assert np.array_equal(_bits(replay.B()), _bits(main.B()[:, : t_max + 1]))
+    assert np.array_equal(_bits(replay.A), _bits(main.A[: t_max + 1])), "A"
+    assert np.array_equal(_bits(replay.B()), _bits(main.B()[: t_max + 1]))
     zero_views = case == "constant-drift"
     for tab in (main, replay):
-        assert (tab.A.strides == tab.B().strides == (0, 0)) == zero_views
+        assert all(a.strides == b.strides == (0,)
+                   for a, b in zip(tab.A, tab.B())) == zero_views
     assert zero_views or np.abs(replay.B()).max() > 0
 
 
@@ -598,6 +610,29 @@ def test_pass_frees_each_step_it_has_read(tmp_path, source):
     for i in rows:
         assert ens.X[i] is X_refs[i]()
         assert np.array_equal(_bits(ens.X[i]), _bits(X[:, i]))
+
+
+def test_xw_pass_frees_each_w_step_it_has_read(monkeypatch):
+    """The basis in (x, w) reads W_i at step i only, and the pass frees it
+    with dW_i: when the design of step i - 1 is built, no W step that an
+    earlier design read is alive.  The weakref is taken to the array that
+    owns the step's memory, so a column view of a W matrix counts as the
+    matrix."""
+    prob = _s2_problem()
+    grid = TimeGrid(1.0, 20)
+    ens = simulate_forward(prob, grid, 1500, seed=5)
+    init, refs, alive = _StepDesign.__init__, {}, {}
+
+    def spy(self, basis, x, w, ridge, step):
+        alive[step] = [i for i, ref in refs.items() if ref() is not None]
+        refs[step] = weakref.ref(w if w.base is None else w.base)
+        init(self, basis, x, w, ridge, step)
+
+    monkeypatch.setattr(_StepDesign, "__init__", spy)
+    solve_bsde(ens, prob, RegressionBasis("polynomial-in-xw", 2), t_indices=[5, 12])
+    assert sorted(refs) == list(range(grid.n_steps))
+    assert all(not held for held in alive.values()), alive
+    assert all(ref() is None for ref in refs.values())
 
 
 def test_pass_peak_falls_as_it_frees_steps():
@@ -780,7 +815,8 @@ def _direct_dy(sol, paths, theta, t):
     E = _int_fy(sol, X)
     fx = tab.problem.driver.partial(1, 0, X, _matrix(sol.y_at, range(n + 1)))
     sigX = eval_derivative(tab.problem.sigma, 0, X)
-    dx_free = sigX * np.exp(ftab.A)  # DX(theta, s) = dx_free * e^{-A_theta}
+    A = np.stack(ftab.A, axis=1)
+    dx_free = sigX * np.exp(A)  # DX(theta, s) = dx_free * e^{-A_theta}
     integrand = np.exp(E - E[:, t][:, None]) * fx * dx_free
     w = np.full(n + 1 - t, dt)
     w[0] = w[-1] = 0.5 * dt
@@ -792,7 +828,7 @@ def _direct_dy(sol, paths, theta, t):
         part1 = np.zeros(len(X))
         part2 = part2 + np.exp(E[:, n] - E[:, t]) * phi1 * dx_free[:, n]
     return (_fit_at(sol, paths, t, part1)
-            + np.exp(-ftab.A[:, theta]) * _fit_at(sol, paths, t, part2))
+            + np.exp(-A[:, theta]) * _fit_at(sol, paths, t, part2))
 
 
 def _direct_d2y(sol, paths, theta, t, s):
@@ -808,7 +844,7 @@ def _direct_d2y(sol, paths, theta, t, s):
     drv = tab.problem.driver
     N = len(X)
     E = _int_fy(sol, X)
-    A, B = ftab.A, ftab.B()
+    A, B = np.stack(ftab.A, axis=1), np.stack(ftab.B(), axis=1)
     ea_th = np.exp(-A[:, theta])
     ea_t = np.exp(-A[:, t])
     Bt = B[:, t]
@@ -916,7 +952,7 @@ def test_dz_factorization_matches_direct_assembly():
         n, dt = tab.n, tab.dt
         X, Y = paths[1], _matrix(sol.y_at, range(n + 1))
         drv = tab.problem.driver
-        A, B = ftab.A, ftab.B()
+        A, B = np.stack(ftab.A, axis=1), np.stack(ftab.B(), axis=1)
         fy, fx = drv.partial(0, 1, X, Y), drv.partial(1, 0, X, Y)
         fyy, fxy, fxx = drv.partial(0, 2, X, Y), drv.partial(1, 1, X, Y), drv.partial(2, 0, X, Y)
         phi1, phi2 = _phi_T(tab, paths, 1), _phi_T(tab, paths, 2)

@@ -3,6 +3,7 @@ import json
 import os
 import re
 import shutil
+import struct
 import weakref
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from bsdedensity.cli import Experiment, main
 from bsdedensity.config import config_echo, parse_config
 from bsdedensity.errors import ConfigError
-from bsdedensity.forward import _ROW_BLOCK
+from bsdedensity.forward import _HEADER_FMT, _ROW_BLOCK
 from bsdedensity.nvdensity import BoundConstants
 from bsdedensity.verify import BouleauHirschReport, DensityReport
 
@@ -449,6 +450,30 @@ def test_staged_run_refuses_version_1_dump(tmp_path, capsys):
     assert main(args + ["--stage", "density"]) == 2
     err = capsys.readouterr().err
     assert "error:" in err and "version-1 ensemble dump" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("field, value", [("n_steps", 0), ("n_paths", 0), ("T", -1.0)])
+def test_staged_run_refuses_a_malformed_header(tmp_path, capsys, field, value):
+    # a header with no steps, no paths or a T that is not finite and positive
+    # is refused with exit 2, naming the file and the field; the dump is cut
+    # to the size its header announces, so that check alone does not refuse it
+    cfg_path = _write(tmp_path, SMALL_CFG)
+    out = tmp_path / "o"
+    args = ["run", str(cfg_path), "--out", str(out)]
+    assert main(args + ["--stage", "simulate"]) == 0
+    dump = out / "ensemble.bin"
+    raw, head_size = dump.read_bytes(), struct.calcsize(_HEADER_FMT)
+    names = ("magic", "version", "n_steps", "n_paths", "n_requested", "T", "x0", "seed",
+             "n_flagged")
+    head = dict(zip(names, struct.unpack_from(_HEADER_FMT, raw)))
+    head[field] = value
+    size = head_size + 8 * head["n_paths"] * (2 + 2 * head["n_steps"])
+    dump.write_bytes(struct.pack(_HEADER_FMT, *head.values()) + raw[head_size:size])
+    capsys.readouterr()
+    assert main(args + ["--stage", "density"]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and f"ensemble.bin has {field} = {value} in its header" in err
     assert "Traceback" not in err
 
 

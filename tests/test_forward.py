@@ -1,5 +1,6 @@
 import struct
 from dataclasses import replace
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from bsdedensity.forward import (
     MalliavinTableau,
     PathEnsemble,
     TimeGrid,
-    _brownian_columns,
+    _running_sums,
     dump_ensemble,
     load_ensemble,
     simulate_forward,
@@ -105,12 +106,13 @@ def test_tableau_ou_exact():
     ens = simulate_forward(prob, grid, 50, seed=3)
     lmap = LampertiMap(prob.sigma, prob.b, prob.box)
     tab = MalliavinTableau(ens.dW, ens.X, lmap, ens.grid.dt)
+    A = np.stack(tab.A, axis=1)
     th, ti = grid.index_of(0.2), grid.index_of(1.0)
     # (beta' sigma) = -kappa exactly, so the tableau quadrature is exact
-    assert first_u(tab.A, 0, th, ti) == pytest.approx(np.exp(-0.4), abs=1e-12)
-    dx = first_x(tab.A, path_matrices(ens)[1], prob.sigma, 3, th, ti)
+    assert first_u(A, 0, th, ti) == pytest.approx(np.exp(-0.4), abs=1e-12)
+    dx = first_x(A, path_matrices(ens)[1], prob.sigma, 3, th, ti)
     assert dx == pytest.approx(np.exp(-0.4), abs=1e-12)
-    assert first_u(tab.A, 0, 300, 300) == 1.0
+    assert first_u(A, 0, 300, 300) == 1.0
 
 
 def test_tableau_constant_coefficients(driftless):
@@ -119,11 +121,12 @@ def test_tableau_constant_coefficients(driftless):
     ens = simulate_forward(prob, grid, 30, seed=5)
     lmap = LampertiMap(prob.sigma, prob.b, prob.box)
     tab = MalliavinTableau(ens.dW, ens.X, lmap, ens.grid.dt)
-    assert first_u(tab.A, 0, 10, 40) == 1.0
+    A, B = np.stack(tab.A, axis=1), np.stack(tab.B(), axis=1)
+    assert first_u(A, 0, 10, 40) == 1.0
     X = path_matrices(ens)[1]
-    assert first_x(tab.A, X, prob.sigma, 0, 10, 40) == 2.0
-    assert second_u(tab.A, tab.B(), 0, 5, 20, 45) == 0.0
-    assert second_x(tab.A, tab.B(), X, prob.sigma, 0, 5, 20, 45) == 0.0
+    assert first_x(A, X, prob.sigma, 0, 10, 40) == 2.0
+    assert second_u(A, B, 0, 5, 20, 45) == 0.0
+    assert second_x(A, B, X, prob.sigma, 0, 5, 20, 45) == 0.0
 
 
 def test_du_positive_and_log_additive():
@@ -133,12 +136,13 @@ def test_du_positive_and_log_additive():
     lmap = LampertiMap(prob.sigma, prob.b, prob.box)
     tab = MalliavinTableau(ens.dW, ens.X, lmap, ens.grid.dt)
     n = grid.n_steps
-    mat = np.exp(tab.A[:, n : n + 1] - tab.A)  # D_theta U_T for every theta
+    A = np.stack(tab.A, axis=1)
+    mat = np.exp(A[:, n : n + 1] - A)  # D_theta U_T for every theta
     assert np.all(mat > 0)
     for p in (0, 17):
-        a = first_u(tab.A, p, 20, 80)
-        b = first_u(tab.A, p, 80, 150)
-        c = first_u(tab.A, p, 20, 150)
+        a = first_u(A, p, 20, 80)
+        b = first_u(A, p, 80, 150)
+        c = first_u(A, p, 20, 150)
         assert a * b == pytest.approx(c, rel=1e-12)
 
 
@@ -146,12 +150,13 @@ def test_triangularity_errors(driftless):
     prob, grid, ens = driftless
     lmap = LampertiMap(prob.sigma, prob.b, prob.box)
     tab = MalliavinTableau(ens.dW, ens.X, lmap, ens.grid.dt)
+    A, B = np.stack(tab.A, axis=1), np.stack(tab.B(), axis=1)
     with pytest.raises(OrderingError):
-        first_u(tab.A, 0, 10, 5)
+        first_u(A, 0, 10, 5)
     with pytest.raises(OrderingError):
-        second_u(tab.A, tab.B(), 0, 50, 100, 80)  # s < max(theta, t)
+        second_u(A, B, 0, 50, 100, 80)  # s < max(theta, t)
     with pytest.raises(OrderingError):
-        first_x(tab.A, ens.X, prob.sigma, 0, 0, grid.n_steps + 1)
+        first_x(A, ens.X, prob.sigma, 0, 0, grid.n_steps + 1)
     with pytest.raises(OrderingError):
         tab.first_x_all([0, 50], 40)
 
@@ -161,7 +166,7 @@ def test_second_order_zero_cases(driftless):
     lmap = LampertiMap(prob.sigma, prob.b, prob.box)
     tab = MalliavinTableau(ens.dW, ens.X, lmap, ens.grid.dt)
     # t = s gives an empty integral
-    assert second_u(tab.A, tab.B(), 0, 10, 50, 50) == 0.0
+    assert second_u(np.stack(tab.A, axis=1), np.stack(tab.B(), axis=1), 0, 10, 50, 50) == 0.0
 
 
 def test_second_order_symmetry_under_swap():
@@ -171,8 +176,9 @@ def test_second_order_symmetry_under_swap():
     lmap = LampertiMap(prob.sigma, prob.b, prob.box)
     tab = MalliavinTableau(ens.dW, ens.X, lmap, ens.grid.dt)
     X = path_matrices(ens)[1]
-    a = second_x(tab.A, tab.B(), X, prob.sigma, 2, 40, 100, 180)
-    b = second_x(tab.A, tab.B(), X, prob.sigma, 2, 100, 40, 180)
+    A, B = np.stack(tab.A, axis=1), np.stack(tab.B(), axis=1)
+    a = second_x(A, B, X, prob.sigma, 2, 40, 100, 180)
+    b = second_x(A, B, X, prob.sigma, 2, 100, 40, 180)
     assert a == b
 
 
@@ -193,7 +199,7 @@ def test_second_order_finite_difference_oracle():
             dw[tti - 1] += s2 * eps
             vals[(s1, s2)] = euler_u_flow(dw, lmap, prob.x0, grid.dt)[ssi]
     fd = (vals[(1, 1)] - vals[(1, -1)] - vals[(-1, 1)] + vals[(-1, -1)]) / (4 * eps**2)
-    ana = second_u(tab.A, tab.B(), p, thi, tti, ssi)
+    ana = second_u(np.stack(tab.A, axis=1), np.stack(tab.B(), axis=1), p, thi, tti, ssi)
     assert fd != 0
     assert abs(ana - fd) / abs(fd) < 0.05
 
@@ -219,13 +225,14 @@ def test_second_order_nonnegative_under_h6():
     tab = MalliavinTableau(ens.dW, ens.X, lmap, ens.grid.dt)
     eps = 10 * grid.dt
     X = path_matrices(ens)[1]
+    A, B = np.stack(tab.A, axis=1), np.stack(tab.B(), axis=1)
     rng = np.random.default_rng(0)
     for _ in range(60):
         th, tt = sorted(rng.integers(0, 100, 2))
         s = int(rng.integers(tt, 101))
         p = int(rng.integers(0, 20))
-        assert second_u(tab.A, tab.B(), p, th, tt, s) >= -eps
-        assert second_x(tab.A, tab.B(), X, prob.sigma, p, th, tt, s) >= -eps
+        assert second_u(A, B, p, th, tt, s) >= -eps
+        assert second_x(A, B, X, prob.sigma, p, th, tt, s) >= -eps
 
 
 def test_unflagged_simulation_keeps_one_copy_of_the_ensemble():
@@ -392,16 +399,17 @@ def test_tableau_integrals_in_path_blocks_match_whole_matrix():
         thetas = [0, 2, t_idx]
         assert np.array_equal(tab.first_x_all(thetas, t_idx),
                               [tab.first_x_all(th, t_idx) for th in thetas])
-    assert np.array_equal(tab.A, A)
-    assert np.array_equal(tab.B(), B)
+    assert np.array_equal(np.stack(tab.A, axis=1), A)
+    assert np.array_equal(np.stack(tab.B(), axis=1), B)
     assert np.abs(B).max() > 0
 
 
 def test_brownian_columns_are_the_running_sum():
-    """W is rebuilt from the increments bitwise as the explicit running sum
-    from W_0 = 0: for every column, for W_T alone, for scattered, contiguous
-    and gapped lists of columns and on the strided prefix of the increments
-    that a replay sweep reads."""
+    """W is summed from the increments by the running-sum generator bitwise
+    as the explicit running sum from W_0 = 0 and as np.cumsum (apart from
+    the sign of a zero W_1): every step, a fresh contiguous array, up to W_n
+    where the increments end; W_T alone, read one step at a time; and on the
+    strided prefix of the increments that a replay sweep reads."""
     n_paths, n = 2 * _ROW_BLOCK + 37, 30
     dW = np.random.default_rng(3).standard_normal((n_paths, n)) * np.sqrt(1.0 / n)
     dW[0, 0] = -0.0  # W_1 = 0 + (-0) is +0
@@ -410,27 +418,33 @@ def test_brownian_columns_are_the_running_sum():
     def bits(a):
         return np.ascontiguousarray(a).view(np.uint64)
 
-    steps = dW.T  # step-first, as the package reads increments
-    assert np.array_equal(bits(_brownian_columns(steps, n_paths)), bits(W))
-    assert np.array_equal(bits(_brownian_columns(steps, n_paths, n)), bits(W[:, n]))
-    assert np.array_equal(bits(_brownian_columns(steps, n_paths, [n])), bits(W[:, [n]]))
-    for cols in ([17, 0, 4, n, 9], [4, 5, 6], [4, 6]):
-        assert np.array_equal(bits(_brownian_columns(steps, n_paths, cols)), bits(W[:, cols]))
-    assert np.array_equal(bits(_brownian_columns(steps, n_paths, slice(12, None))),
-                          bits(W[:, 12:]))
-    assert np.array_equal(bits(_brownian_columns(steps[:12], n_paths, 12)),
+    def w_steps(steps):  # step-first, as the package reads increments
+        return _running_sums(n_paths, steps, np.zeros(n_paths))
+
+    steps = dW.T
+    got = list(w_steps(steps))
+    assert len(got) == n + 1
+    assert all(w.flags.c_contiguous and w.base is None for w in got)
+    assert len({id(w) for w in got}) == n + 1
+    assert np.array_equal(bits(np.stack(got, axis=1)), bits(W))
+    summed = np.cumsum(dW, axis=1)
+    assert np.signbit(summed[0, 0]) and summed[0, 0] == 0.0
+    summed[0, 0] = 0.0
+    assert np.array_equal(bits(summed), bits(W[:, 1:]))
+    assert np.array_equal(bits(next(islice(w_steps(steps), n, None))), bits(W[:, n]))
+    assert np.array_equal(bits(next(islice(w_steps(steps[:12]), 12, None))),
                           bits(brownian_matrix(dW[:, :12])[:, 12]))
-    assert np.all(_brownian_columns(steps, n_paths, 0) == 0.0)
-    assert not np.signbit(_brownian_columns(steps, n_paths, 1)[0])
+    assert np.all(got[0] == 0.0)
+    assert not np.signbit(got[1][0])
 
 
 def test_b_columns_are_the_cumulative_trapezoid():
     """B is built from the tableau's A and X bitwise as the whole-matrix
-    cumulative trapezoid: for one column, scattered, contiguous and gapped
-    lists, a slice and the strided prefix of X that a cut sweep reads.  The
-    Y/Z tableau's descending segment walk gives every column from its
-    smallest declared index to n, and a first increment of -0.0 stays -0.0
-    in both."""
+    cumulative trapezoid: for one step, scattered, contiguous and gapped
+    lists, a slice and the prefix of X that a cut sweep reads, each step a
+    fresh contiguous array.  The Y/Z tableau's descending segment walk gives
+    every step from its smallest declared index to n, and a first increment
+    of -0.0 stays -0.0 in both."""
     prob = _problem(trig_affine(c=0.3), trig_affine(a=2, b=0.5))
     n = 30
     grid = TimeGrid(1.0, n)
@@ -447,13 +461,16 @@ def test_b_columns_are_the_cumulative_trapezoid():
         return {s: btab._b_at(s) for s in range(n, lowest - 1, -1)}
 
     tab = MalliavinTableau(ens.dW, ens.X, lmap, grid.dt)
-    B = second_order_matrix(lmap, path_matrices(ens)[1], tab.A, grid.dt)
+    B = second_order_matrix(lmap, path_matrices(ens)[1], np.stack(tab.A, axis=1), grid.dt)
     assert np.abs(B).max() > 0
-    assert np.array_equal(bits(tab.B()), bits(B))
+    steps = tab.B()
+    assert all(b.flags.c_contiguous and b.base is None for b in steps)
+    assert len({id(b) for b in steps}) == n + 1
+    assert np.array_equal(bits(np.stack(steps, axis=1)), bits(B))
     assert np.array_equal(bits(tab.B(n)), bits(B[:, n]))
     for cols in ([17, 0, 4, n, 9], [4, 5, 6], [4, 6]):
-        assert np.array_equal(bits(tab.B(cols)), bits(B[:, cols]))
-    assert np.array_equal(bits(tab.B(slice(12, None))), bits(B[:, 12:]))
+        assert np.array_equal(bits(np.stack(tab.B(cols), axis=1)), bits(B[:, cols]))
+    assert np.array_equal(bits(np.stack(tab.B(slice(12, None)), axis=1)), bits(B[:, 12:]))
     cut = MalliavinTableau(None, ens.X[:13], lmap, grid.dt)
     assert np.array_equal(bits(cut.B(12)), bits(B[:, 12]))
     for lowest in (0, 7):
@@ -467,9 +484,9 @@ def test_b_columns_are_the_cumulative_trapezoid():
     X = [step.copy() for step in ens.X]
     X[0][0] = X[1][0] = -0.0  # path 0 at steps 0 and 1
     tab = MalliavinTableau(ens.dW, X, lmap, grid.dt)
-    B = second_order_matrix(lmap, np.stack(X, axis=1), tab.A, grid.dt)
+    B = second_order_matrix(lmap, np.stack(X, axis=1), np.stack(tab.A, axis=1), grid.dt)
     assert np.signbit(B[0, 1]) and B[0, 1] == 0.0
-    assert np.array_equal(bits(tab.B()), bits(B))
+    assert np.array_equal(bits(np.stack(tab.B(), axis=1)), bits(B))
     walked = walk(tab, 0)
     assert np.signbit(walked[1][0])
     assert all(np.array_equal(bits(b), bits(B[:, s])) for s, b in walked.items())

@@ -276,12 +276,12 @@ def test_replay_sweep_cut_at_t_max():
     incs = _draw_increments(9, 300, 20, grid.dt)
     full = make_replay_sweep(prob, grid, lmap, 20, reads_w=True)(incs)
     cut = make_replay_sweep(prob, grid, lmap, 12, reads_w=True)(incs)
-    # dW and X are indexed step first, A and exp_neg_A path first
+    # dW, X, A and B are indexed step first, exp_neg_A path first
     assert np.array_equal(cut.dW, full.dW[:12])
     assert np.array_equal(cut.X, full.X[:13])
-    for name in ("A", "exp_neg_A"):
-        assert np.array_equal(getattr(cut, name), getattr(full, name)[:, :13])
-    assert np.array_equal(cut.B(), full.B()[:, :13])
+    assert np.array_equal(cut.A, full.A[:13])
+    assert np.array_equal(cut.exp_neg_A, full.exp_neg_A[:, :13])
+    assert np.array_equal(cut.B(), full.B()[:13])
     # a box barely wider than the paths' reach makes clamps happen late
     tight = ProblemSpec(0.0, 1.0, constant(0), constant(1), Driver(), "phi-of-wt",
                         affine(a=0, b=1), box=(-1.5, 1.5))
