@@ -29,7 +29,7 @@ import copy
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import accumulate, chain, islice, repeat
 
 import numpy as np
 
@@ -105,34 +105,26 @@ class _StepDesign:
 
     def __init__(self, basis: RegressionBasis, x: np.ndarray,
                  w: np.ndarray | None, ridge: float, step: int):
-        self.step = step
-        self.ridge = ridge
+        self.step, self.ridge, self.degree = step, ridge, basis.degree
         if not basis.reads_w:
             self.powers = [(p, 0) for p in range(1, basis.degree + 1)]
             w = None
         else:
             if w is None:
                 raise SolverError("polynomial-in-xw basis needs the W path")
-            self.powers = [
-                (p, q)
-                for total in range(1, basis.degree + 1)
-                for p in range(total + 1)
-                if (q := total - p) >= 0
-            ]
+            self.powers = [(p, total - p) for total in range(1, basis.degree + 1)
+                           for p in range(total + 1)]
         self.meta: dict[str, float] = {}
         for tag, v in (("x", x), ("w", w)):
             if v is not None:
                 _require_finite(v, f"{tag} state entering the regression", step)
                 self.meta[f"{tag}_mean"] = float(v.mean())
                 self.meta[f"{tag}_std"] = float(v.std())
-        # the C-order (N, p) array of np.column_stack, one column at a time
+        # the C-order (N, p) array of np.column_stack
         self.col_means: list[float] = []
-        self.D = np.empty((len(x), len(self.powers) + 1))
-        for j, col in enumerate(self._columns(x, w, self.col_means)):
-            self.D[:, j] = col
+        self.D = self._columns(x, w, self.col_means, np.empty((len(x), len(self.powers) + 1)))
         gram = self.D.T @ self.D
-        p = gram.shape[0]
-        pen = np.zeros(p)
+        pen = np.zeros(gram.shape[0])
         pen[1:] = ridge
         self.gram = gram + np.diag(pen)
 
@@ -149,37 +141,45 @@ class _StepDesign:
         sd = self.meta[f"{tag}_std"]
         return (v - mu) / sd if sd > 0 else np.zeros_like(v)
 
-    def _columns(self, x: np.ndarray, w: np.ndarray | None, col_means: list[float]):
-        """The intercept and centered monomial columns at the states (x, w),
-        one at a time.
+    def _columns(self, x: np.ndarray, w: np.ndarray | None, col_means: list[float],
+                 out: np.ndarray) -> np.ndarray:
+        """Fill ``out`` (N, p) with the intercept and the centered monomial
+        columns at the states (x, w), and return it.
 
-        ``col_means`` holds the fitting sample's column means; an empty list
-        is filled with these states' means.  ``w`` is ignored by a basis in x
-        only.
+        A power is a running product (``xs*xs*xs`` for p = 3; a monomial in
+        (x, w) is its x power times its w power), within a few ulps of
+        ``np.power``; the basis in x holds one power at a time.  ``col_means``
+        holds the fitting sample's column means; an empty list is filled with
+        these states' means.  ``w`` is ignored by a basis in x only.
         """
         xs = self._standardized(x, "x")
-        ws = self._standardized(w, "w") if "w_std" in self.meta else None
+        cols = accumulate(repeat(xs, self.degree), np.multiply, initial=np.ones_like(xs))
+        if "w_std" in self.meta:
+            xp, ws = list(cols), self._standardized(w, "w")
+            wp = list(accumulate(repeat(ws, self.degree), np.multiply, initial=xp[0]))
+            cols = chain(xp[:1], (xp[p] * wp[q] for p, q in self.powers))
+        out[:, 0] = next(cols)
         fill = not col_means
-        yield np.ones_like(x)
-        for k, (p, q) in enumerate(self.powers):
-            col = xs**p if p else np.ones_like(xs)
-            if q:
-                col = col * ws**q
+        for j, col in enumerate(cols, 1):
             if fill:
                 col_means.append(float(col.mean()))
-            yield col - col_means[k]  # centered: the intercept reproduces constants exactly
+            # centered: the intercept reproduces constants exactly
+            np.subtract(col, col_means[j - 1], out=out[:, j])
+        return out
 
     def evaluate(self, coeffs: np.ndarray, x: np.ndarray,
                  w: np.ndarray | None) -> np.ndarray:
         """The fitted function with coefficients ``coeffs`` ((p,) or (p, k))
         at new states, through the fitting sample's standardization.
 
-        The columns are accumulated by elementwise products, so each output
-        row depends on its own state only; a BLAS matrix product may change
-        its summation order with the number of rows.
+        The columns are the design's running products (:meth:`_columns`), so
+        on the fitting sample they are ``D`` bit for bit.  They are summed by
+        elementwise products, so each output row depends on its own state
+        only; a BLAS matrix product may change its order with the row count.
         """
+        cols = self._columns(x, w, self.col_means, np.empty((len(x), len(coeffs))))
         out = 0.0
-        for col, c in zip(self._columns(x, w, self.col_means), coeffs):
+        for col, c in zip(cols.T, coeffs):
             out = out + np.multiply.outer(col, c)
         return out
 

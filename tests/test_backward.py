@@ -337,6 +337,56 @@ def test_rank_deficiency_error():
     assert "time step" in str(err.value)
 
 
+def _running_power(v, p):
+    """v * v * ... * v (p factors, left to right); ones for p = 0."""
+    out = np.ones_like(v)
+    for _ in range(p):
+        out = out * v
+    return out
+
+
+def _product_design(kind, degree):
+    """A degree-``degree`` design on 10k normal draws of (x, w) and its
+    monomials by running products of the standardized states, with their
+    powers (p, q)."""
+    rng = np.random.default_rng(11)
+    x, w = rng.standard_normal(10_000), 2.0 + 0.5 * rng.standard_normal(10_000)
+    design = _StepDesign(RegressionBasis(kind, degree), x, w, 0.0, 0)
+    xs = (x - float(x.mean())) / float(x.std())
+    ws = (w - float(w.mean())) / float(w.std())
+    monomials = [_running_power(xs, p) * _running_power(ws, q) for p, q in design.powers]
+    return design, x, w, xs, ws, monomials
+
+
+@pytest.mark.parametrize("kind", ["polynomial-in-x", "polynomial-in-xw"])
+def test_design_columns_are_running_products(kind):
+    """Each design column is the running product of the standardized state
+    (``xs*xs*xs``; an x power times a w power in (x, w)) less its mean, bit
+    for bit, and the product is within 2 p eps of ``np.power``, relative,
+    for a monomial of degree p."""
+    design, _, _, xs, ws, monomials = _product_design(kind, 6)
+    assert design.D.shape == (10_000, len(monomials) + 1)
+    assert np.array_equal(design.D[:, 0], np.ones(10_000))
+    for j, ((p, q), mono) in enumerate(zip(design.powers, monomials), 1):
+        np.testing.assert_array_equal(design.D[:, j], mono - float(mono.mean()),
+                                      err_msg=f"column {(p, q)}")
+        exact = xs**p * ws**q
+        assert np.all(np.abs(mono - exact) <= 2 * (p + q) * np.finfo(float).eps * np.abs(exact))
+
+
+@pytest.mark.parametrize("kind", ["polynomial-in-x", "polynomial-in-xw"])
+def test_evaluate_builds_the_design_columns(kind):
+    """On the fitting sample ``evaluate`` builds the design's columns by the
+    same running products: with identity coefficients it returns ``D`` and
+    the product columns less their means, bit for bit."""
+    design, x, w, _, _, monomials = _product_design(kind, 6)
+    k = len(monomials) + 1
+    cols = design.evaluator().evaluate(np.eye(k), x, w)
+    np.testing.assert_array_equal(cols, design.D)
+    for j, mono in enumerate(monomials, 1):
+        np.testing.assert_array_equal(cols[:, j], mono - float(mono.mean()))
+
+
 def test_xw_basis_runs(ens, lmap):
     prob = _problem(trig_affine(c=1), b=affine(b=-0.5))
     prob_map = LampertiMap(prob.sigma, prob.b, prob.box)
