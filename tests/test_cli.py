@@ -751,8 +751,9 @@ def test_artifact_bytes_pinned(tmp_path):
     tier-1 suite itself; the simulate-stage run pins ``ensemble.bin``.
 
     A change that moves bytes on purpose regenerates ``PINNED_SHA256`` (the
-    failure message prints each run's new digests) and lists every changed
-    file with its cause.
+    failure message prints, per run, each file whose digest differs from
+    the pin, with its new digest or None for a missing file) and lists
+    every changed file with its cause.
     """
     import hashlib
 
@@ -767,9 +768,12 @@ def test_artifact_bytes_pinned(tmp_path):
         assert exp.ens.n_paths > _ROW_BLOCK and exp.ens.n_paths % _ROW_BLOCK
         digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                    for p in sorted(out.iterdir())}
-        if digests != PINNED_SHA256.get(label):
-            changed[label] = digests
-    assert not changed, f"artifact bytes moved; new digests: {changed}"
+        pinned = PINNED_SHA256.get(label, {})
+        moved = {name: digests.get(name) for name in sorted(digests.keys() | pinned.keys())
+                 if digests.get(name) != pinned.get(name)}
+        if moved:
+            changed[label] = moved
+    assert not changed, f"artifact bytes moved; the files whose digests differ: {changed}"
 
 
 def test_gband_check_of_no_reliable_point_fails(tmp_path):
