@@ -570,95 +570,95 @@ PINNED_CONFIGS = {
 PINNED_SHA256 = {
     "defaults": {
         "density_Y_t0p25.csv":
-            "63bafa104b71027eaa4c6a565d5fae912e6a48647b02e1ed6bd754fe19d0f88f",
+            "a03611b19fd2e13833b9ba7a9de55799a3995757e8364b765f9ccbe9bf91b290",
         "density_Y_t0p5.csv":
-            "97f90cccb9472db441fcb8132453c15b8cd1ad13776bf80ba04b5c202d5fbfc0",
+            "c7f1da9a1aace3c2a7f4e6846bb462d5698175291a8c89cd71098df76113c7f0",
         "density_Y_t0p75.csv":
-            "454a10233023a7559e86464efcc6e41047431bfbeb1a95f866c4a2b99bff2304",
+            "7aedaef3881d1d66312e50760abc70d91a596136128c1a24fbf04d206db7749e",
         "density_meta.json":
-            "170c52ae00784180fc008ff1737a732f37a6d2acf6f477760d14a4edb629554f",
+            "d312df1612ae9126a38e5de637d09f85b925327c06babdc1316419035b007c28",
         "effective_config.txt":
             "4aea12c2dd31fecb88a593a14e6b34aeab664d3ab909b0a0e6a8a9ec97983c20",
         "gest_Y_t0p25.csv":
-            "9ff7e40c472c0db9c4bf29ccc8fe8fc3b2b5ae07c7649bfc33bf26901616d11b",
+            "df02a193a38948fbd0836e27e7232833dcd4b5f2443ce708d3e6442038b5a145",
         "gest_Y_t0p5.csv":
-            "2e539b03ccb66eda420eeac194d4b12af963c969b9c4cb42ecfd21e4087de62d",
+            "337cd178f7357a0648ea6d3d98f3f6a31717f8be397b6a8180273ebc733bac57",
         "gest_Y_t0p75.csv":
-            "edfb8b0bee4eb2e4588eea6270094fdcdd4b2363458ba42727015d638e44226e",
+            "63e5aed553628d388a96b368ba6979b8e7777eeea702677c404ca784f57ec2f1",
         "hypothesis_report.json":
             "e32c65345eb69fe445f8993a7b1e41aa491cbbd56bab4149d5a38f056f78da85",
         "run_metadata.json":
-            "869ad90e4c9e22d4adac0594e168320d125c4a3d6b21c6ff91fd0d17b0d9a717",
+            "5746aeae53a524f272659ad4e424b0bd4421ba54697e64f09e884f415a621d1c",
         "tableaux_summary.csv":
-            "1d95fa551aaa67e973b35c27ccb289f80fe4cb0bf1e72dc80f9dd33de732a89d",
+            "01c114d405d0dbbc260da3fe5b0af623384bc3cf0c0389432331ee4381060ffd",
     },
     "nonlinear-xt": {
         "density_Y_t0p25.csv":
-            "deae53cef13079b5139209bf27b875b79b9029dfece971d080ae75da92cea4b5",
+            "8d0eecccfc3c81aea604af0057095f030e05a49b21c366196a3fc902b05cf4b0",
         "density_Y_t0p5.csv":
-            "0b1b1806fd176f42a9463897567b3948f18deb309d198e4ad97645fbe0f9eeb5",
+            "d60f2f2f547292ce27690296bd415a74d497181194b99b2d27574285375e2699",
         "density_Y_t0p75.csv":
-            "b41e7ef1c22375376dcd3ab3a8706d52a2558450e4ad8691e90d61a81e81424b",
+            "31c56e6ffd4df607b241cce6865a9724ca94f126688b517efa6337980b39f2f8",
         "density_meta.json":
-            "6a49a859c253f07636f2761b40dacd4929b7ff445343f8a22643afd8bfb22d72",
+            "d5eea65411c61404f716c00e9d03f7e9bb4aa4c51ca1a80e449c2c1dcc583864",
         "effective_config.txt":
             "255cf9bb8264d43f6f16b75d930a86ab6cf319fc73b68fba25c46af3f38a90d9",
         "hypothesis_report.json":
             "62e38b84873c53675173d1672ae067765b68b469a378b4702d520eebc2820acb",
         "run_metadata.json":
-            "3e6ce7971d2c90fe0b72bb12e4396b00ee99ca484292825acefa5b2efcb0115b",
+            "1318c90171b6d1a8c429918c5ad140b67d42c5ce66591ffc596587a27c5569ad",
         "tableaux_summary.csv":
-            "203945697c72f08f2bb6de65dbed9e13b3f2c17e9b8134132f94ababf885e265",
+            "dcaed8bc02dedaade71789ed0cfdec39d10642e56a26f1eadb3ce217f584a214",
     },
     "z-convex": {
         "density_Z_t0p25.csv":
-            "01f49031d99300ec95fcbb59df25c8a229252e0116245b52344f2320e32fade9",
+            "167b78bc8903ea9d18638467528fda6455880cc6befd0d41402ec40df9278d1a",
         "density_Z_t0p5.csv":
-            "c8c29e85158828272d4a68d457a0dedf64f75c06a233fccf0c1b29b921855b68",
+            "36e4bc672d6222f05e11ee022f9f405d4df00fe7751e2b3adaffcd22e754a065",
         "density_Z_t0p75.csv":
-            "65813696685b1471fc1830e7ba7c1d68b624d135c96cfb1464a1b3354deee915",
+            "f6a309adbfbcd21cce3d42f36b5a9d6601413df4af1a30a27dfe6cb5685859bb",
         "density_meta.json":
-            "91d6e33b51fb78ca8ebefa93c3cc31fa39c332206cc21925590f8ad31d6bc641",
+            "73d25d80a1246cbd5ee9313dc3e6140778a86455f842cc06ad3ea99d5f210b21",
         "effective_config.txt":
             "d541b846f9cf11e68deb5964d436063d6f728ce9e89e87e1f9368e00bade622c",
         "gest_Z_t0p25.csv":
-            "860c5ab6f8ecfe73653556a96f3b304e686d0e557436a4f16b27e79f6318b3a0",
+            "888ce3e150546038ac8a07770c9091c8ac82d77715f23691978d54b3d89ce0bd",
         "gest_Z_t0p5.csv":
-            "e88dd9934359b5f3fd1c1f65b4d37ebdf360ac77ff83bfd30fb4240685c898f3",
+            "4c104773cbc07b2bb09855737521a5866ec4da306eee5a99462f1418c8bf6ccf",
         "gest_Z_t0p75.csv":
-            "5f60788fd723d3c53eb2307f140c07e4d92f5551d4aed7d346c86e121bd6b678",
+            "18aae7687ed254e07dc5d5bf4fb1744e35ad5c8ed87d23cc4acb6aeb3066b9e0",
         "hypothesis_report.json":
             "041fa0f2bfbb6c424d9fd6c8fc7a7ba03d822581f5946fe0c9c7a2f889bd4718",
         "positivity_report.json":
-            "b9c08e4c48af86699bf43f96412c122c406b53fb959fd374c574c1cc3f7d5eb4",
+            "f2aa9b1a770f08fbcb54f5d64bff72910c2a9fa34db5d193a4407a351f16446b",
         "run_metadata.json":
-            "e6f01b4a0b666ec7ba78741c3d83449d5475083b038a747e2ca15a123a04340e",
+            "8dd15121936b4ddb6e62e3a09dbc70b7300480f220a042c8d7ae608ca37f105f",
         "tableaux_summary.csv":
-            "54070a8ab0a218b46f6da48f95e89180341d47e891c1442a0c73e1485995d774",
+            "94dbbefbfa14b51e943ad5065195dc511345d8878947da1e3c8e269184a9fe5f",
     },
     "nonlinear-xt-gest-yz": {
         "density_Y_t0p25.csv":
-            "deae53cef13079b5139209bf27b875b79b9029dfece971d080ae75da92cea4b5",
+            "8d0eecccfc3c81aea604af0057095f030e05a49b21c366196a3fc902b05cf4b0",
         "density_Y_t0p5.csv":
-            "0b1b1806fd176f42a9463897567b3948f18deb309d198e4ad97645fbe0f9eeb5",
+            "d60f2f2f547292ce27690296bd415a74d497181194b99b2d27574285375e2699",
         "density_Y_t0p75.csv":
-            "b41e7ef1c22375376dcd3ab3a8706d52a2558450e4ad8691e90d61a81e81424b",
+            "31c56e6ffd4df607b241cce6865a9724ca94f126688b517efa6337980b39f2f8",
         "density_meta.json":
-            "3a19e22007bb54f966865fff7800a35b6bfead64a3bec0ba18a311826d97d50c",
+            "d148286493248a0d9020bfb9be571fa5cd030ff33581282a8d369e843d1aa2e3",
         "effective_config.txt":
             "ad6eea7ad33ac25eac39f9d766001f3af37d8902af02c36a55b0e4562b1c199e",
         "gest_Y_t0p25.csv":
-            "4d3864483064548e2057b327fc26975ab4418a2252f13c160d4ce1d7ab64b412",
+            "238f60589895053db80423c4c7bb5cc4f45f4a621434f933ad555a7fb2709b4b",
         "gest_Y_t0p5.csv":
-            "5104a85e809c457cfab289945b4d78fec8b8b6a3920db383442981309beb8b6f",
+            "798d55bd8a9010ed4ae93972d20e420e8ae2726dc69074e6e9764e80249c3e6e",
         "gest_Y_t0p75.csv":
-            "f29d0420e0b557c200054ea2fed7e2045c8c9e875a126690912b0bf9a7fd9428",
+            "35920e6c297946b1d70df4855aad6f989a5383f4a4e7cc61033f05b3ef41f812",
         "hypothesis_report.json":
             "62e38b84873c53675173d1672ae067765b68b469a378b4702d520eebc2820acb",
         "run_metadata.json":
-            "e0bfc500ce11dc3263a9c0a912a5fc4eeed723e8e029f4357eab99e838689d34",
+            "b571a9073502d262a0e743e2a5171d5dc12279d1e24dfcd84505d4fd1c46d874",
         "tableaux_summary.csv":
-            "203945697c72f08f2bb6de65dbed9e13b3f2c17e9b8134132f94ababf885e265",
+            "dcaed8bc02dedaade71789ed0cfdec39d10642e56a26f1eadb3ce217f584a214",
     },
     "nonlinear-xt-simulate": {
         "effective_config.txt":
@@ -670,77 +670,77 @@ PINNED_SHA256 = {
     },
     "nonlinear-xt-alpha": {
         "density_Y_t0p25.csv":
-            "9ba56470bf5f1bc12a220ca1d9c87d5633135b3ffa942026bda370b329846cdb",
+            "ae8b992a1fcc2fe6943df6a59dae6f47853c44731dfc6c85e0f8ff8553833951",
         "density_Y_t0p5.csv":
-            "f0ff1c0bdb64dda525e9ac0e3455ad1a44ca03f8546109299c7088e2b871946a",
+            "504921b17a188f57d812511b959cd60fc80b3eb7e025b919fb9e91fd79c68908",
         "density_Y_t0p75.csv":
-            "1b8513be7fc1e741237df2228390c353159711754b57d22871643467c89005a4",
+            "fba60026cf14ffe2644d2e13ed8a1f6be44f992f78def09e9b3af724a30b6620",
         "density_meta.json":
-            "0073e12e3dcf46d1064b369966169d276f059d011f555e34a41e65a6404e05c5",
+            "2bd1092109a53080c47cc1eca9a6d1138d73bf3606ba164af08f61a065e5d493",
         "effective_config.txt":
             "7456885884e59826199633cf399902ea45ed778f4f8eccc9c8976f456997c69c",
         "gest_Y_t0p25.csv":
-            "fce58e536c365662ff1f4d1e1dee2634ef6e638cd0556d0c7d3e90237e990137",
+            "43fea7f847393a8690e547ad4266aa1e32f277b2f31f4f23db096a3e0482aca3",
         "gest_Y_t0p5.csv":
-            "cd56258dbceb547ffcd85a703a3134a120574a23519ab60466ca0f7d1d2ed39e",
+            "605f1053e9745c282a86c51cb82523fd73d53ebf86579c59322c5ab125dcd1fe",
         "gest_Y_t0p75.csv":
-            "2798af6de46851c681141d0fab283f8f624958a1684fe76f45e354fa0a8465a0",
+            "45dd78dc7cffc67b303523f073cc854690c94c3a9e2bb336890379584e8d940a",
         "hypothesis_report.json":
             "62e38b84873c53675173d1672ae067765b68b469a378b4702d520eebc2820acb",
         "run_metadata.json":
-            "f11e3ec69d776718625d6bfd75a4826fe357db18759a279e281bec6587338989",
+            "582b5b815425266573ceaa08e54e31892c4a5d0c67e4c6c017b7e478de9c2d0c",
         "tableaux_summary.csv":
-            "fff216cac32f9bf6fcd5eb9216b52e841dbef82e1fd0a04f66ceacde978f23f0",
+            "e5ba4c0a6d5f18081d3e63e202463c88d4cb3c4621df0ea944f623b548d06521",
     },
     "z-convex-alpha": {
         "density_Z_t0p25.csv":
-            "c2df0d4caffc7a7b44fd032d041f599a11d96d2bb70ed0ee315d726243874428",
+            "e4e777f463e90f2980b54cc71230d36d75a4e62b05d29741336c64950cf59ff3",
         "density_Z_t0p5.csv":
-            "bb210a284f59364bee680f050c99e488d0d159e69a1aa37b761f34aa677f61d6",
+            "f36f030e44e34db377fe930fb65211572bf6bc90ec6d52632be7b94c6d903c99",
         "density_Z_t0p75.csv":
-            "cf18420327898cb5be5d071ca8264b09a660225e48452474b849e3a06b2fd2ca",
+            "fbd83d959a6a8fa22f26ae799aecc5c6b5651b2e6ad7ddeacd6d2a8feb574fd9",
         "density_meta.json":
-            "483a8f1f89299abf16628376565559e8387ffc59a67a88db5145fcf98663a199",
+            "f9c0280099e63932d33031fb64d00a33ae2b6aab0506cf9f7e05f19d940f45a0",
         "effective_config.txt":
             "cd5b41b07fab1fc326b14f512b8039fd4cc3b53c77b19ce4b55ff18f7da266a2",
         "gest_Z_t0p25.csv":
-            "63bf860f80ee6ca25dc58906661e1a32bdf0bf651898bbab6f14360f58518a34",
+            "c51b924c2140df2c26f1f50b025db90815e7d663a43aced2a68c797c1ebe2c8b",
         "gest_Z_t0p5.csv":
-            "721a677b0c5ff26f453695c9f6c62c9409cb2206ee5e13e1221215d3715a20bd",
+            "c525cdadffd130a041de98bdee50db6142b12d13c0df3cd85762732d1fce42cf",
         "gest_Z_t0p75.csv":
-            "1e6307cf7440138f984e4a721cc8b884320751e4a88f1277dbd4c7907b7a5ceb",
+            "74768f276206cdd4d3f4212fc2e5cbf4fdc3b6bba366f1889304f8fca5bc6c54",
         "hypothesis_report.json":
             "041fa0f2bfbb6c424d9fd6c8fc7a7ba03d822581f5946fe0c9c7a2f889bd4718",
         "positivity_report.json":
             "20cd0d1578f20d19a4a08aa039a78d14515054b0455026900c4c2ca36d9aa0a1",
         "run_metadata.json":
-            "90e98c55f12753b8486e958b8557e2c728d0c5f3b0fd5d994b12a652d4a5e41b",
+            "03071801024d93196f22a0610f6ef915184c380b7ec125c545c7fc2b1032ce91",
         "tableaux_summary.csv":
-            "e988b8fe36b9adc219b81bdcb818ca13a8b147befdd722ad0c48fa1e89c28ec3",
+            "96f8309ade7c20b97a9944c867117556ba518699961a9ead485c792cb6c1769b",
     },
     "nonlinear-xt-xw-alpha": {
         "density_Y_t0p25.csv":
-            "2bb4a9be037ece1ed3c18672c42f35f632a109c0ac5004d6d7cc0bb582119795",
+            "df9a2e16bc9a4e70b045f5c829b7344041f74d1372f2d3e2e09e68b49bb412fe",
         "density_Y_t0p5.csv":
-            "65a5323fc9735e333a02bd58e9f024d88c02d8ed9764de561b4a2fabd7f986d0",
+            "18f80893c4f59aecd062b17d62da910402f8750575478727ec29d844dea7fa93",
         "density_Y_t0p75.csv":
-            "e5c4d6f43a628ddc754bbdf3862cdfea0378c3fc8ec1c9592ec291bfe027707f",
+            "2c55068df0120e26f8ecbfe1c76fbcb628027321254f9eeb1372e452430a8661",
         "density_meta.json":
-            "c151c35bf84697a9be0208dc6ca9e1570eb0981d993ec34217fb1b2476131922",
+            "2ee4d13f8e1a17575b4d07fc633187ca93da6aecbdbe8cfb38f99fed5fdf10b1",
         "effective_config.txt":
             "cbbdddba61e8e2798329158abea9f234ba8d2410a9c0bab73cd42fa7e44c56ee",
         "gest_Y_t0p25.csv":
-            "4d37a65b524513105b91746dff32a4dc474fe9823a67c500a5627560de1fc50f",
+            "b0ec6da80d8cbbd020ba63e093c344671d71584171038e1af12ae76757c520e6",
         "gest_Y_t0p5.csv":
-            "0043bef5c3701d79d352375a02b2728ec0aed7cad3874475c838512844254aa4",
+            "48ab936006c66e328829bf093ce2feabf5d271226003e397fada3fcd2e4828a3",
         "gest_Y_t0p75.csv":
-            "9e989fe4b3ef4cd94f54b1bd6662fed7e24306bfe9fff9440b3520f2d4ccd6ef",
+            "d096390d97035f26f06829eb455e966bd78ded9fd576f905c678780b34ec9740",
         "hypothesis_report.json":
             "62e38b84873c53675173d1672ae067765b68b469a378b4702d520eebc2820acb",
         "run_metadata.json":
-            "b1c5fc996226fb1dabd0fd0040eed726dc58e4d32204ea737064b2a35ce19ca9",
+            "c9dcdd514a97dd43a0615f5693d6d75b6b79cbd2780926de08cea6a4aea5c798",
         "tableaux_summary.csv":
-            "f9874e3fb20fb76705734f9a6162e8c5685b4cc4a4c1914243bbb69e337975b2",
+            "086099696ca25b7caba5ebb69e4fa41dfaf4962451584450fb7e805e217c4daa",
     },
 }
 
