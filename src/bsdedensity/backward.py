@@ -91,9 +91,9 @@ class RegressionBasis:
         return self.kind == "polynomial-in-xw"
 
 
-def _require_finite(values, what: str, step: int) -> None:
+def _require_finite(values, what: str, step: int, hint: str = "") -> None:
     if not np.isfinite(values).all():
-        raise SolverError(f"non-finite {what} at time step {step}")
+        raise SolverError(f"non-finite {what} at time step {step}{hint}")
 
 
 class _StepDesign:
@@ -120,10 +120,13 @@ class _StepDesign:
                 _require_finite(v, f"{tag} state entering the regression", step)
                 self.meta[f"{tag}_mean"] = float(v.mean())
                 self.meta[f"{tag}_std"] = float(v.std())
-        # the C-order (N, p) array of np.column_stack
+        # the C-order (N, p) array of np.column_stack; a basis that overflows
+        # leaves a non-finite Gram, refused below
         self.col_means: list[float] = []
-        self.D = self._columns(x, w, self.col_means, np.empty((len(x), len(self.powers) + 1)))
-        gram = self.D.T @ self.D
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.D = self._columns(x, w, self.col_means, np.empty((len(x), len(self.powers) + 1)))
+            gram = self.D.T @ self.D
+        _require_finite(gram, "regression Gram", step, "; reduce basis.degree")
         pen = np.zeros(gram.shape[0])
         pen[1:] = ridge
         self.gram = gram + np.diag(pen)
@@ -220,7 +223,9 @@ class _StepDesign:
         pen[1:] = self.ridge * 0.5
         out = np.empty(self.D.shape[0])
         for k, (D_f, t_f) in enumerate(halves):
-            gram_f = D_f.T @ D_f + np.diag(pen)
+            with np.errstate(over="ignore", invalid="ignore"):
+                gram_f = D_f.T @ D_f + np.diag(pen)
+            _require_finite(gram_f, "cross-fit Gram", self.step, "; reduce basis.degree")
             try:
                 coeffs = np.linalg.solve(gram_f, D_f.T @ t_f)
             except np.linalg.LinAlgError as exc:

@@ -390,6 +390,16 @@ def test_overflowing_payoff_exits_2(tmp_path, capsys):
     assert "non-finite terminal value Y_T at time step 40" in capsys.readouterr().err
 
 
+def test_overflowing_design_exits_2(tmp_path, capsys):
+    """A basis degree whose design Gram overflows fails at its first step
+    with an error that names it, without a RuntimeWarning (which this suite
+    raises as an error)."""
+    text = "mc.n_paths = 3000\ngrid.n_steps = 8\nbasis.degree = 400\ngest.n_outer = 300\n"
+    assert main(["run", str(_write(tmp_path, text)), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "non-finite regression Gram at time step 7; reduce basis.degree" in err
+
+
 def test_non_finite_family_parameter_exits_2(tmp_path, capsys):
     text = SMALL_CFG.replace("model.phi = affine(a=0, b=1)",
                              "model.phi = trig-affine(c=nan, d=1)")
