@@ -180,7 +180,7 @@ class _StepDesign:
         elementwise products, so each output row depends on its own state
         only; a BLAS matrix product may change its order with the row count.
         """
-        cols = self._columns(x, w, self.col_means, np.empty((len(x), len(coeffs))))
+        cols = self._columns(x, w, self.col_means, np.empty((len(x), len(self.powers) + 1)))
         out = 0.0
         for col, c in zip(cols.T, coeffs):
             out = out + np.multiply.outer(col, c)
