@@ -370,8 +370,9 @@ def test_design_columns_are_running_products(kind):
     for j, ((p, q), mono) in enumerate(zip(design.powers, monomials), 1):
         np.testing.assert_array_equal(design.D[:, j], mono - float(mono.mean()),
                                       err_msg=f"column {(p, q)}")
-        exact = xs**p * ws**q
-        assert np.all(np.abs(mono - exact) <= 2 * (p + q) * np.finfo(float).eps * np.abs(exact))
+        by_power = xs**p * ws**q
+        bound = 2 * (p + q) * np.finfo(float).eps * np.abs(by_power)
+        assert np.all(np.abs(mono - by_power) <= bound), (p, q)
 
 
 @pytest.mark.parametrize("kind", ["polynomial-in-x", "polynomial-in-xw"])
