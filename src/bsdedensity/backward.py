@@ -29,7 +29,7 @@ import copy
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, islice, repeat
 
 import numpy as np
 
@@ -105,29 +105,33 @@ class _StepDesign:
 
     def __init__(self, basis: RegressionBasis, x: np.ndarray,
                  w: np.ndarray | None, ridge: float, step: int):
-        self.step, self.ridge, self.degree = step, ridge, basis.degree
+        self.step = step
+        self.ridge = ridge
         if not basis.reads_w:
             self.powers = [(p, 0) for p in range(1, basis.degree + 1)]
             w = None
         else:
             if w is None:
                 raise SolverError("polynomial-in-xw basis needs the W path")
-            self.powers = [(p, total - p) for total in range(1, basis.degree + 1)
-                           for p in range(total + 1)]
+            self.powers = [
+                (p, total - p)
+                for total in range(1, basis.degree + 1)
+                for p in range(total + 1)
+            ]
         self.meta: dict[str, float] = {}
         for tag, v in (("x", x), ("w", w)):
             if v is not None:
                 _require_finite(v, f"{tag} state entering the regression", step)
                 self.meta[f"{tag}_mean"] = float(v.mean())
                 self.meta[f"{tag}_std"] = float(v.std())
-        # the C-order (N, p) array of np.column_stack; a basis that overflows
-        # leaves a non-finite Gram, refused below
+        # a basis that overflows leaves a non-finite Gram, refused below
         self.col_means: list[float] = []
         with np.errstate(over="ignore", invalid="ignore"):
-            self.D = self._columns(x, w, self.col_means, np.empty((len(x), len(self.powers) + 1)))
+            self.D = self._columns(x, w, self.col_means)
             gram = self.D.T @ self.D
         _require_finite(gram, "regression Gram", step, "; reduce basis.degree")
-        pen = np.zeros(gram.shape[0])
+        p = gram.shape[0]
+        pen = np.zeros(p)
         pen[1:] = ridge
         self.gram = gram + np.diag(pen)
 
@@ -144,24 +148,25 @@ class _StepDesign:
         sd = self.meta[f"{tag}_std"]
         return (v - mu) / sd if sd > 0 else np.zeros_like(v)
 
-    def _columns(self, x: np.ndarray, w: np.ndarray | None, col_means: list[float],
-                 out: np.ndarray) -> np.ndarray:
-        """Fill ``out`` (N, p) with the intercept and the centered monomial
-        columns at the states (x, w), and return it.
+    def _columns(self, x: np.ndarray, w: np.ndarray | None,
+                 col_means: list[float]) -> np.ndarray:
+        """The (N, p) array of the intercept and the centered monomials at the
+        states (x, w).
 
-        A power is a running product (``xs*xs*xs`` for p = 3; a monomial in
-        (x, w) is its x power times its w power), within a few ulps of
-        ``np.power``; the basis in x holds one power at a time.  ``col_means``
-        holds the fitting sample's column means; an empty list is filled with
-        these states' means.  ``w`` is ignored by a basis in x only.
+        A power of x is a running product (``xs*xs*xs``), a few ulps from
+        ``np.power``; the basis in (x, w) keeps ``xs**p * ws**q`` (ROADMAP,
+        item 2).  ``col_means`` holds the fitting sample's column means; an
+        empty list is filled with these states' means.  ``w`` is ignored by a
+        basis in x only.
         """
         xs = self._standardized(x, "x")
-        cols = accumulate(repeat(xs, self.degree), np.multiply, initial=np.ones_like(xs))
         if "w_std" in self.meta:
-            xp, ws = list(cols), self._standardized(w, "w")
-            wp = list(accumulate(repeat(ws, self.degree), np.multiply, initial=xp[0]))
-            cols = chain(xp[:1], (xp[p] * wp[q] for p, q in self.powers))
-        out[:, 0] = next(cols)
+            ws = self._standardized(w, "w")
+            cols = (xs**p * ws**q for p, q in self.powers)
+        else:  # one running power at a time
+            cols = islice(accumulate(repeat(xs), np.multiply), len(self.powers))
+        out = np.empty((len(x), len(self.powers) + 1))
+        out[:, 0] = 1.0
         fill = not col_means
         for j, col in enumerate(cols, 1):
             if fill:
@@ -175,14 +180,13 @@ class _StepDesign:
         """The fitted function with coefficients ``coeffs`` ((p,) or (p, k))
         at new states, through the fitting sample's standardization.
 
-        The columns are the design's running products (:meth:`_columns`), so
-        on the fitting sample they are ``D`` bit for bit.  They are summed by
-        elementwise products, so each output row depends on its own state
-        only; a BLAS matrix product may change its order with the row count.
+        The columns are :meth:`_columns`', so on the fitting sample they are
+        ``D`` bit for bit.  They are summed by elementwise products, so each
+        output row depends on its own state only; a BLAS matrix product may
+        change its summation order with the number of rows.
         """
-        cols = self._columns(x, w, self.col_means, np.empty((len(x), len(self.powers) + 1)))
         out = 0.0
-        for col, c in zip(cols.T, coeffs):
+        for col, c in zip(self._columns(x, w, self.col_means).T, coeffs):
             out = out + np.multiply.outer(col, c)
         return out
 
@@ -223,9 +227,7 @@ class _StepDesign:
         pen[1:] = self.ridge * 0.5
         out = np.empty(self.D.shape[0])
         for k, (D_f, t_f) in enumerate(halves):
-            with np.errstate(over="ignore", invalid="ignore"):
-                gram_f = D_f.T @ D_f + np.diag(pen)
-            _require_finite(gram_f, "cross-fit Gram", self.step, "; reduce basis.degree")
+            gram_f = D_f.T @ D_f + np.diag(pen)
             try:
                 coeffs = np.linalg.solve(gram_f, D_f.T @ t_f)
             except np.linalg.LinAlgError as exc:

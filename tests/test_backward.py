@@ -345,47 +345,56 @@ def _running_power(v, p):
     return out
 
 
-def _product_design(kind, degree):
-    """A degree-``degree`` design on 10k normal draws of (x, w) and its
-    monomials by running products of the standardized states, with their
-    powers (p, q)."""
+def _design(kind, degree):
+    """A degree-``degree`` design on 10k normal draws of (x, w), with the
+    standardized states and the monomials of its rule, less their means: a
+    running product in x, ``xs**p * ws**q`` in (x, w)."""
     rng = np.random.default_rng(11)
     x, w = rng.standard_normal(10_000), 2.0 + 0.5 * rng.standard_normal(10_000)
     design = _StepDesign(RegressionBasis(kind, degree), x, w, 0.0, 0)
     xs = (x - float(x.mean())) / float(x.std())
     ws = (w - float(w.mean())) / float(w.std())
-    monomials = [_running_power(xs, p) * _running_power(ws, q) for p, q in design.powers]
-    return design, x, w, xs, ws, monomials
+    if kind == "polynomial-in-x":
+        monomials = [_running_power(xs, p) for p, _ in design.powers]
+    else:
+        monomials = [xs**p * ws**q for p, q in design.powers]
+    return design, x, w, xs, [m - float(m.mean()) for m in monomials]
 
 
-@pytest.mark.parametrize("kind", ["polynomial-in-x", "polynomial-in-xw"])
-def test_design_columns_are_running_products(kind):
-    """Each design column is the running product of the standardized state
-    (``xs*xs*xs``; an x power times a w power in (x, w)) less its mean, bit
-    for bit, and the product is within 2 p eps of ``np.power``, relative,
-    for a monomial of degree p."""
-    design, _, _, xs, ws, monomials = _product_design(kind, 6)
-    assert design.D.shape == (10_000, len(monomials) + 1)
+def test_design_columns_are_running_products():
+    """In the basis in x each design column is the running product of the
+    standardized state (``xs*xs*xs``) less its mean, bit for bit, and the
+    product is within 2 p eps of ``np.power``, relative."""
+    design, _, _, xs, centered = _design("polynomial-in-x", 6)
+    assert design.D.shape == (10_000, 7)
     assert np.array_equal(design.D[:, 0], np.ones(10_000))
-    for j, ((p, q), mono) in enumerate(zip(design.powers, monomials), 1):
-        np.testing.assert_array_equal(design.D[:, j], mono - float(mono.mean()),
-                                      err_msg=f"column {(p, q)}")
-        by_power = xs**p * ws**q
-        bound = 2 * (p + q) * np.finfo(float).eps * np.abs(by_power)
-        assert np.all(np.abs(mono - by_power) <= bound), (p, q)
+    for j, ((p, _), col) in enumerate(zip(design.powers, centered), 1):
+        np.testing.assert_array_equal(design.D[:, j], col, err_msg=f"power {p}")
+        product, by_power = _running_power(xs, p), xs**p
+        bound = 2 * p * np.finfo(float).eps * np.abs(by_power)
+        assert np.all(np.abs(product - by_power) <= bound), p
+
+
+def test_xw_design_columns_are_powers():
+    """The basis in (x, w) keeps ``xs**p * ws**q`` less its mean, bit for
+    bit: its design is ill-conditioned enough that an ulp move of a column
+    moves the fits far beyond one."""
+    design, _, _, _, centered = _design("polynomial-in-xw", 6)
+    assert design.D.shape == (10_000, len(centered) + 1)
+    for j, ((p, q), col) in enumerate(zip(design.powers, centered), 1):
+        np.testing.assert_array_equal(design.D[:, j], col, err_msg=f"column {(p, q)}")
 
 
 @pytest.mark.parametrize("kind", ["polynomial-in-x", "polynomial-in-xw"])
 def test_evaluate_builds_the_design_columns(kind):
     """On the fitting sample ``evaluate`` builds the design's columns by the
-    same running products: with identity coefficients it returns ``D`` and
-    the product columns less their means, bit for bit."""
-    design, x, w, _, _, monomials = _product_design(kind, 6)
-    k = len(monomials) + 1
-    cols = design.evaluator().evaluate(np.eye(k), x, w)
+    design's rule: with identity coefficients it returns ``D`` and the rule's
+    columns less their means, bit for bit."""
+    design, x, w, _, centered = _design(kind, 6)
+    cols = design.evaluator().evaluate(np.eye(len(centered) + 1), x, w)
     np.testing.assert_array_equal(cols, design.D)
-    for j, mono in enumerate(monomials, 1):
-        np.testing.assert_array_equal(cols[:, j], mono - float(mono.mean()))
+    for j, col in enumerate(centered, 1):
+        np.testing.assert_array_equal(cols[:, j], col)
 
 
 def test_xw_basis_runs(ens, lmap):
