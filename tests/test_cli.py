@@ -730,27 +730,27 @@ PINNED_SHA256 = {
     },
     "nonlinear-xt-xw-alpha": {
         "density_Y_t0p25.csv":
-            "df9a2e16bc9a4e70b045f5c829b7344041f74d1372f2d3e2e09e68b49bb412fe",
+            "2bb4a9be037ece1ed3c18672c42f35f632a109c0ac5004d6d7cc0bb582119795",
         "density_Y_t0p5.csv":
-            "18f80893c4f59aecd062b17d62da910402f8750575478727ec29d844dea7fa93",
+            "65a5323fc9735e333a02bd58e9f024d88c02d8ed9764de561b4a2fabd7f986d0",
         "density_Y_t0p75.csv":
-            "2c55068df0120e26f8ecbfe1c76fbcb628027321254f9eeb1372e452430a8661",
+            "e5c4d6f43a628ddc754bbdf3862cdfea0378c3fc8ec1c9592ec291bfe027707f",
         "density_meta.json":
-            "2ee4d13f8e1a17575b4d07fc633187ca93da6aecbdbe8cfb38f99fed5fdf10b1",
+            "c151c35bf84697a9be0208dc6ca9e1570eb0981d993ec34217fb1b2476131922",
         "effective_config.txt":
             "cbbdddba61e8e2798329158abea9f234ba8d2410a9c0bab73cd42fa7e44c56ee",
         "gest_Y_t0p25.csv":
-            "b0ec6da80d8cbbd020ba63e093c344671d71584171038e1af12ae76757c520e6",
+            "4d37a65b524513105b91746dff32a4dc474fe9823a67c500a5627560de1fc50f",
         "gest_Y_t0p5.csv":
-            "48ab936006c66e328829bf093ce2feabf5d271226003e397fada3fcd2e4828a3",
+            "0043bef5c3701d79d352375a02b2728ec0aed7cad3874475c838512844254aa4",
         "gest_Y_t0p75.csv":
-            "d096390d97035f26f06829eb455e966bd78ded9fd576f905c678780b34ec9740",
+            "9e989fe4b3ef4cd94f54b1bd6662fed7e24306bfe9fff9440b3520f2d4ccd6ef",
         "hypothesis_report.json":
             "62e38b84873c53675173d1672ae067765b68b469a378b4702d520eebc2820acb",
         "run_metadata.json":
-            "c9dcdd514a97dd43a0615f5693d6d75b6b79cbd2780926de08cea6a4aea5c798",
+            "b1c5fc996226fb1dabd0fd0040eed726dc58e4d32204ea737064b2a35ce19ca9",
         "tableaux_summary.csv":
-            "086099696ca25b7caba5ebb69e4fa41dfaf4962451584450fb7e805e217c4daa",
+            "f9874e3fb20fb76705734f9a6162e8c5685b4cc4a4c1914243bbb69e337975b2",
     },
 }
 
