@@ -180,10 +180,10 @@ class _StepDesign:
         """The fitted function with coefficients ``coeffs`` ((p,) or (p, k))
         at new states, through the fitting sample's standardization.
 
-        The columns are :meth:`_columns`', so on the fitting sample they are
-        ``D`` bit for bit.  They are summed by elementwise products, so each
-        output row depends on its own state only; a BLAS matrix product may
-        change its summation order with the number of rows.
+        The columns are built by :meth:`_columns`, so on the fitting sample
+        they are ``D`` bit for bit.  They are summed by elementwise products,
+        so each output row depends on its own state only; a BLAS matrix
+        product may change its summation order with the number of rows.
         """
         out = 0.0
         for col, c in zip(self._columns(x, w, self.col_means).T, coeffs):
