@@ -9,7 +9,10 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import glob
 import json
+import os
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -64,6 +67,27 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def _tag(t: float) -> str:
     return f"{t:g}".replace(".", "p").replace("-", "m")
+
+
+def _single_blas_thread() -> None:
+    """Run numpy's bundled OpenBLAS on one thread, unless the environment
+    sets a thread count.
+
+    The regression products are narrow (one column per basis monomial), so
+    a second BLAS thread saves nothing; its hand-offs cost time and make a
+    run's time depend on what else holds the other core.  The artifacts are
+    the same bytes on one thread or several.
+    """
+    if "OPENBLAS_NUM_THREADS" in os.environ or "OMP_NUM_THREADS" in os.environ:
+        return
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for lib in glob.glob(os.path.join(libs, "*openblas*")):
+        handle = ctypes.CDLL(lib)
+        for symbol in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                       "openblas_set_num_threads"):
+            if hasattr(handle, symbol):
+                getattr(handle, symbol)(1)
+                return
 
 
 def _first_differing_key(old: str, new: str) -> str:
@@ -476,6 +500,7 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("--out", default=None)
 
     args = parser.parse_args(argv)
+    _single_blas_thread()
     try:
         cfg = parse_config(args.config)
         status = Experiment(cfg, out_dir=args.out, seed=args.seed).run(args.stage)

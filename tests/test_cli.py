@@ -9,6 +9,7 @@ import weakref
 import numpy as np
 import pytest
 
+from bsdedensity import cli
 from bsdedensity.cli import Experiment, main
 from bsdedensity.config import config_echo, parse_config
 from bsdedensity.errors import ConfigError
@@ -847,3 +848,35 @@ def test_density_row_statistics_peak_below_one_row(tmp_path):
         for name in ("Y", "Z"):
             _, peak, _ = traced(exp._component, name, t_idx)
             assert peak < row_bytes, (name, t, peak / row_bytes)
+
+
+def _openblas_thread_count():
+    """numpy's bundled OpenBLAS thread getter and setter, or a skip."""
+    import ctypes
+    import glob
+
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for lib in glob.glob(os.path.join(libs, "*openblas*")):
+        handle = ctypes.CDLL(lib)
+        for prefix in ("scipy_openblas_", "openblas_"):
+            for suffix in ("64_", ""):
+                get = getattr(handle, f"{prefix}get_num_threads{suffix}", None)
+                put = getattr(handle, f"{prefix}set_num_threads{suffix}", None)
+                if get is not None and put is not None:
+                    return get, put
+    pytest.skip("numpy does not bundle OpenBLAS here")
+
+
+def test_cli_runs_blas_on_one_thread(monkeypatch):
+    """A CLI run sets numpy's OpenBLAS to one thread, unless the environment
+    names a thread count."""
+    get, put = _openblas_thread_count()
+    put(2)
+    n_before = get()
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    cli._single_blas_thread()
+    assert get() == n_before
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    cli._single_blas_thread()
+    assert get() == 1
