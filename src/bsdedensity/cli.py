@@ -9,17 +9,26 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
-import ctypes
-import glob
 import json
 import os
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
+
+# OpenBLAS fixes its thread count when numpy loads it.  The regression products
+# are narrow, so a second thread only costs its start and hand-offs.  The variable
+# is scoped to the load; a caller that loaded numpy first keeps its own settings.
+if "numpy" in sys.modules or {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
+    import numpy as np
+else:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy as np
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
 from .backward import make_phi_row, make_replay_sweep, solve_bsde
 from .config import ExperimentConfig, config_echo, parse_config
 from .coeffs import check_hypotheses
@@ -67,27 +76,6 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def _tag(t: float) -> str:
     return f"{t:g}".replace(".", "p").replace("-", "m")
-
-
-def _single_blas_thread() -> None:
-    """Run numpy's bundled OpenBLAS on one thread, unless the environment
-    sets a thread count.
-
-    The regression products are narrow (one column per basis monomial), so
-    a second BLAS thread saves nothing; its hand-offs cost time and make a
-    run's time depend on what else holds the other core.  The artifacts are
-    the same bytes on one thread or several.
-    """
-    if "OPENBLAS_NUM_THREADS" in os.environ or "OMP_NUM_THREADS" in os.environ:
-        return
-    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    for lib in glob.glob(os.path.join(libs, "*openblas*")):
-        handle = ctypes.CDLL(lib)
-        for symbol in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
-                       "openblas_set_num_threads"):
-            if hasattr(handle, symbol):
-                getattr(handle, symbol)(1)
-                return
 
 
 def _first_differing_key(old: str, new: str) -> str:
@@ -442,7 +430,10 @@ class Experiment:
             raise StageError(f"unknown stage {upto!r}; choose from {STAGES}")
         last = STAGES.index(upto)
         staged = upto != "verify"
-        self.out.mkdir(parents=True, exist_ok=True)
+        try:
+            self.out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot use {self.out} as the output directory: {exc}") from exc
         echo_path = self.out / "effective_config.txt"
         echo = config_echo(self.cfg)
         old = echo_path.read_text(encoding="utf-8") if echo_path.exists() else echo
@@ -500,7 +491,6 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("--out", default=None)
 
     args = parser.parse_args(argv)
-    _single_blas_thread()
     try:
         cfg = parse_config(args.config)
         status = Experiment(cfg, out_dir=args.out, seed=args.seed).run(args.stage)

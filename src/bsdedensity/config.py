@@ -226,11 +226,13 @@ def _validate(cfg: ExperimentConfig) -> None:
 def parse_config(path: str | Path) -> ExperimentConfig:
     """Parse and validate a config file; defaults fill the omitted keys."""
     p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file {p} does not exist")
     values = {key: default for key, (_, default) in _SCHEMA.items()}
     seen: set[str] = set()
-    for lineno, raw in enumerate(p.read_text(encoding="utf-8").splitlines(), start=1):
+    try:
+        text = p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file {p} cannot be read: {exc}") from exc
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

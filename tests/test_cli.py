@@ -4,7 +4,10 @@ import os
 import re
 import shutil
 import struct
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -546,6 +549,24 @@ def test_seed_outside_64_bits_exits_2(tmp_path, capsys, line, flags):
     assert not (out / "hypothesis_report.json").exists()
 
 
+@pytest.mark.parametrize("case", ["config-is-a-directory", "config-not-utf8", "out-is-a-file",
+                                  "out-under-a-file"])
+def test_unreadable_config_or_unusable_out_exits_2(tmp_path, capsys, case):
+    cfg_path = _write(tmp_path, SMALL_CFG)
+    a_file = _write(tmp_path, "", name="a_file")
+    config, out = {
+        "config-is-a-directory": (tmp_path, tmp_path / "o"),
+        "config-not-utf8": (tmp_path / "latin1.txt", tmp_path / "o"),
+        "out-is-a-file": (cfg_path, a_file),
+        "out-under-a-file": (cfg_path, a_file / "o"),
+    }[case]
+    (tmp_path / "latin1.txt").write_bytes("# r\xe9sum\xe9\n".encode("latin-1"))
+    assert main(["run", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+    assert str(config if case.startswith("config") else out) in err
+
+
 
 # tiny versions of the reference configurations: the package defaults (the
 # gest-default workload differs from them only in size, so at this size the
@@ -850,33 +871,57 @@ def test_density_row_statistics_peak_below_one_row(tmp_path):
             assert peak < row_bytes, (name, t, peak / row_bytes)
 
 
-def _openblas_thread_count():
-    """numpy's bundled OpenBLAS thread getter and setter, or a skip."""
-    import ctypes
-    import glob
+# OpenBLAS fixes its thread count when numpy loads, so each probe is a fresh
+# interpreter; it prints the count and the thread variables after ``imports``.
+_BLAS_PROBE = """\
+import ctypes, glob, json, os
+{imports}
+import numpy as np
+libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+threads = None
+for lib in glob.glob(os.path.join(libs, "*openblas*")):
+    handle = ctypes.CDLL(lib)
+    for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                   "openblas_get_num_threads"):
+        get = getattr(handle, symbol, None)
+        if get is not None:
+            get.restype = ctypes.c_int
+            threads = get()
+            break
+env = {{k: os.environ[k] for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS") if k in os.environ}}
+print(json.dumps({{"threads": threads, "env": env}}))
+"""
 
-    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    for lib in glob.glob(os.path.join(libs, "*openblas*")):
-        handle = ctypes.CDLL(lib)
-        for prefix in ("scipy_openblas_", "openblas_"):
-            for suffix in ("64_", ""):
-                get = getattr(handle, f"{prefix}get_num_threads{suffix}", None)
-                put = getattr(handle, f"{prefix}set_num_threads{suffix}", None)
-                if get is not None and put is not None:
-                    return get, put
-    pytest.skip("numpy does not bundle OpenBLAS here")
+
+def _fresh_python(code, **env_vars):
+    """stdout of ``code`` in a fresh interpreter that imports this package,
+    with no BLAS thread variable set but ``env_vars``."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+    got = subprocess.run([sys.executable, "-c", code], env={**env, **env_vars},
+                         capture_output=True, text=True, check=True, timeout=120)
+    return got.stdout
 
 
-def test_cli_runs_blas_on_one_thread(monkeypatch):
-    """A CLI run sets numpy's OpenBLAS to one thread, unless the environment
-    names a thread count."""
-    get, put = _openblas_thread_count()
-    put(2)
-    n_before = get()
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
-    cli._single_blas_thread()
-    assert get() == n_before
-    monkeypatch.delenv("OPENBLAS_NUM_THREADS")
-    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-    cli._single_blas_thread()
-    assert get() == 1
+def _blas_probe(imports="import bsdedensity.cli", **env_vars):
+    result = json.loads(_fresh_python(_BLAS_PROBE.format(imports=imports), **env_vars))
+    if result["threads"] is None:
+        pytest.skip("numpy does not bundle OpenBLAS here")
+    return result
+
+
+def test_import_bsdedensity_loads_no_numpy():
+    code = "import sys, bsdedensity; print('numpy' in sys.modules)"
+    assert _fresh_python(code).strip() == "False"
+
+
+def test_cli_loads_blas_on_one_thread():
+    """The CLI module loads numpy's OpenBLAS on one thread and leaves no
+    variable behind, unless the environment names a thread count or numpy
+    was loaded first."""
+    default = _blas_probe("import numpy")["threads"]
+    assert _blas_probe() == {"threads": 1, "env": {}}
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        assert _blas_probe(**{var: "2"}) == {"threads": min(2, default), "env": {var: "2"}}
+    assert _blas_probe("import numpy\nimport bsdedensity.cli") == {"threads": default, "env": {}}
