@@ -51,6 +51,7 @@ __all__ = [
     "RegressionBasis",
     "BackwardSolution",
     "BackwardTableau",
+    "b_marks",
     "make_phi_row",
     "make_replay_sweep",
     "solve_bsde",
@@ -391,14 +392,15 @@ def solve_bsde(
             # noise back into Y and bias the variance of (Y, Z)
             zcv = design.fit_cross(tz, w_i)
             cfit, coef_y = design.fit(y_next - zcv * dW_tilde, w_i)
-        y, iters = cfit, 0
+        y, iters, converged = cfit, 0, True
         if not driver.is_zero:
             f_i = driver.f_given_x(x)
             for iters in range(1, _MAX_PICARD + 1):
                 y_new = cfit + f_i(y) * dt
                 delta = float(np.max(np.abs(y_new - y)))
                 y = y_new
-                if delta <= _PICARD_TOL:
+                converged = delta <= _PICARD_TOL
+                if converged:
                     break
         _require_finite(y, "Y", i)
         if i in declared:
@@ -409,6 +411,7 @@ def solve_bsde(
             "step": i,
             "coeffs_y": coef_y,
             "picard_iterations": iters,
+            "picard_converged": converged,
             **design.meta,
         }
         # the fit targets die before the tableau step, which peaks above them
@@ -427,6 +430,23 @@ def solve_bsde(
 # ---------------------------------------------------------------------------
 # Malliavin tableau for Y and Z
 # ---------------------------------------------------------------------------
+
+
+def b_marks(problem: ProblemSpec, n: int, t_indices) -> list[int]:
+    """The steps at which the Y/Z tableau of a pass over n steps with rows
+    at ``t_indices`` keeps B: every k-th step from the smallest declared
+    index, k ~ sqrt of the pass length, and n last, when the f_x integrand
+    reads B at every step; the declared indices and n when only an X_T
+    terminal reads it; none when nothing reads B.  The forward sweep builds
+    them (:func:`forward.simulate_forward`), and the pass rebuilds each
+    segment between two of them once (see :meth:`BackwardTableau._b_at`)."""
+    drv = problem.driver
+    if drv.f_of_x is not None or drv.cross_x is not None:
+        lowest = min(t_indices)
+        return [*range(lowest, n, math.isqrt(n - lowest) + 1), n]
+    if problem.terminal == "phi-of-xt":
+        return sorted({*t_indices, n})
+    return []
 
 
 @dataclass(frozen=True)
@@ -482,11 +502,12 @@ class BackwardTableau:
     index raises OrderingError, a non-finite kept row SolverError.
 
     X, A, B, n and dt come from ``forward_tab``, each dW_s from the pass.
-    B is never held whole: one build keeps its steps at marks, and the pass
-    rebuilds each segment between two marks once (see :meth:`_b_at`).  A
-    linear z-term alpha of ``problem``'s driver enters only through the
-    Girsanov weights over [t, T] (the driver partials do not see it), which
-    read the tail W_T - W_s: at alpha != 0 only, one vector that starts at
+    B is never held whole: the pass takes over the forward tableau's B steps
+    at :func:`b_marks` (built by the forward sweep, or in one walk for a
+    tableau that lacks them) and rebuilds each segment between two marks
+    once (see :meth:`_b_at`).  A linear z-term alpha of ``problem``'s
+    driver enters only through the Girsanov weights over [t, T] (the driver
+    partials do not see it), which read the tail W_T - W_s: at alpha != 0 only, one vector that starts at
     zero at s = n and adds dW_s at each step s < n.
     """
 
@@ -510,16 +531,13 @@ class BackwardTableau:
         self._has_fx = drv.f_of_x is not None or drv.cross_x is not None
         self._active = not drv.is_zero  # a zero driver keeps every tail zero
         # B, read by the f_x integrand at every step and by an X_T terminal at
-        # the declared rows and at n: one build keeps it at the marks (every
-        # k-th step from the smallest declared index, k ~ sqrt of the pass
-        # length, and n last), or at the declared indices and n when f_x is
-        # absent (see _b_at)
-        self._b_marks, self._b_lo, self._b_seg = [], 0, []
-        if self._has_fx or problem.terminal == "phi-of-xt":
-            marks = [*range(self.lowest, self.n, math.isqrt(self.n - self.lowest) + 1), self.n]
-            if not self._has_fx:
-                marks = sorted(t_indices | {self.n})
-            self._b_marks = list(zip(marks, ftab.B(marks)))
+        # the declared rows and at n: the pass takes over the forward
+        # tableau's steps at the marks, building any it lacks in one walk
+        # (see b_marks and _b_at)
+        marks, held = b_marks(problem, self.n, t_indices), ftab.b_marks
+        missing = [m for m in marks if m not in held]
+        held.update(zip(missing, ftab.B(missing)))
+        self._b_marks, self._b_lo, self._b_seg = [(m, held.pop(m)) for m in marks], 0, []
 
         # running state between two steps, O(n_paths) each; _above holds
         # (f_y, h + f_y F, Clark-Ocone integrand) of step s + 1.  A tail starts
@@ -564,12 +582,12 @@ class BackwardTableau:
         h = np.zeros((4, len(zero)))
         if has_fx:
             fx = drv.partial(1, 0, x, y)
-            se = eval_derivative(self.problem.sigma, 0, x) * np.exp(A[s])  # sigma e^A
+            e_a = np.exp(A[s])
+            se = eval_derivative(self.problem.sigma, 0, x) * e_a  # sigma e^A
             h[3] = fx * se
             h[2] = drv.partial(2, 0, x, y) * se**2
             if fx.any():  # B is read only when f_x is non-zero
-                h[2] += h[3] * (eval_derivative(self.problem.sigma, 1, x) * np.exp(A[s])
-                                + self._b_at(s))
+                h[2] += h[3] * (eval_derivative(self.problem.sigma, 1, x) * e_a + self._b_at(s))
         if carry:
             fy_above, p_above, c_above = self._above
             if has_fy:  # the local discount, in the buffer of f_y(s + 1); 1 otherwise
@@ -804,20 +822,21 @@ def make_replay_sweep(problem: ProblemSpec, grid: TimeGrid, lmap: LampertiMap, t
 
     Escaping paths are clamped to the working box instead of dropped, so the
     rows stay aligned with the unshifted ensemble; the ``n_clamped``
-    attribute sums the clamp events up to ``t_max`` of all its sweeps.  Each
-    row slices the tableau's ``exp_neg_A``, one path-major matrix gathered
-    from the steps of A, and builds the one step of B it reads.  The Euler
-    loop reads the increments step first through the transposed view of
-    ``increments``.  The state holds that view's first ``t_max`` steps only
+    attribute sums the clamp events up to ``t_max`` of all its sweeps.  The
+    Euler loop builds A from its own point sets, reading the increments
+    step first through the transposed view of ``increments``; each row
+    slices the tableau's ``exp_neg_A``, one path-major matrix gathered from
+    the steps of A, and builds the one step of B it reads.  The state holds that view's first ``t_max`` steps only
     when ``reads_w``, for the basis in (x, w); otherwise its dW is None, so
     a shifted increment matrix is freed once the sweep returns.
     """
 
     def sweep(increments: np.ndarray) -> MalliavinTableau:
         steps = increments.T  # a view whose rows are the steps: nothing is copied
-        X, hits = _euler_lamperti(problem, grid, steps, lmap, t_max)
+        X, hits, sums = _euler_lamperti(problem, grid, steps, lmap, t_max, b_marks=())
         sweep.n_clamped += int(hits.sum())
-        return MalliavinTableau(steps[:t_max] if reads_w else None, X, lmap, grid.dt)
+        return MalliavinTableau(steps[:t_max] if reads_w else None, X, lmap, grid.dt,
+                                sums=sums)
 
     sweep.n_clamped = 0
     return sweep

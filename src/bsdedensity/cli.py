@@ -29,7 +29,7 @@ else:
     finally:
         del os.environ["OPENBLAS_NUM_THREADS"]
 
-from .backward import make_phi_row, make_replay_sweep, solve_bsde
+from .backward import b_marks, make_phi_row, make_replay_sweep, solve_bsde
 from .config import ExperimentConfig, config_echo, parse_config
 from .coeffs import check_hypotheses
 from .errors import BsdeDensityError, ConfigError, SolverError, StageError
@@ -105,6 +105,7 @@ class Experiment:
         self.problem = cfg.problem()
         self.basis = cfg.basis()
         self.grid = TimeGrid(self.problem.T, cfg["grid.n_steps"])
+        self.t_indices = [self.grid.index_of(t) for t in cfg["eval.times"]]
         self.lmap: LampertiMap | None = None
         self.ens = None
         self.sol = None
@@ -133,12 +134,18 @@ class Experiment:
             self.lmap = LampertiMap(self.problem.sigma, self.problem.b, self.problem.box)
         return self.lmap
 
-    def stage_simulate(self, persist: bool) -> None:
-        """The forward sweep, dumped when ``persist`` or the config asks."""
+    def _b_marks(self) -> list[int]:
+        return b_marks(self.problem, self.grid.n_steps, self.t_indices)
+
+    def stage_simulate(self, persist: bool, tableau: bool = True) -> None:
+        """The forward sweep, dumped when ``persist`` or the config asks;
+        with ``tableau`` its Euler loop also builds A and the B marks that
+        the density stage reads."""
         cfg = self.cfg
         lmap = self._ensure_lamperti()
         self.ens = simulate_forward(
-            self.problem, self.grid, cfg["mc.n_paths"], self.seed, lamperti_map=lmap
+            self.problem, self.grid, cfg["mc.n_paths"], self.seed, lamperti_map=lmap,
+            b_marks=self._b_marks() if tableau else None,
         )
         if persist or cfg["run.dump_ensemble"]:
             dump_ensemble(self.ens, self.out / "ensemble.bin")
@@ -197,9 +204,11 @@ class Experiment:
 
     def stage_density(self) -> None:
         cfg = self.cfg
-        # the deterministic backward sweep: solution and tableau rows
-        ftab = MalliavinTableau(None, self.ens.X, self._ensure_lamperti(), self.grid.dt)
-        t_indices = [self.grid.index_of(t) for t in cfg["eval.times"]]
+        # the deterministic backward sweep: solution and tableau rows, on A and
+        # the B marks of the Euler loop, or of one walk over a loaded X
+        ftab = MalliavinTableau(None, self.ens.X, self._ensure_lamperti(), self.grid.dt,
+                                self._b_marks(), self.ens.sums)
+        self.ens.sums = None  # the tableau holds A; the pass takes over the marks
         # the pass consumes the ensemble, one step at a time: the rows read
         # fits and A, first_x_all the declared steps of X and A, verify
         # n_paths and n_flagged; only the g-estimator reads dW, the path-major
@@ -209,7 +218,7 @@ class Experiment:
             n_outer = self._n_outer()
             base_increments = np.stack([step[:n_outer] for step in self.ens.dW], axis=1)
         self.sol = solve_bsde(self.ens, self.problem, self.basis,
-                              forward_tab=ftab, t_indices=t_indices)
+                              forward_tab=ftab, t_indices=self.t_indices)
         self.btab = self.sol.tableau
         meta: dict = {"per_t": {}}
         summary_rows: dict[str, list] = {
@@ -458,7 +467,7 @@ class Experiment:
             return 0
 
         if not (staged and self._load_simulate()):
-            self.stage_simulate(persist=staged)
+            self.stage_simulate(persist=staged, tableau=last >= 2)
         if last < 2:
             return 0
 

@@ -22,12 +22,20 @@ whole first-order tableau is represented by one cumulative integral per path
 
 where B is the cumulative trapezoid of (beta o g^-1)''(X_r) exp(A_r).  This
 is exactly the triangular tableau of trapezoid quadratures, stored in O(n)
-per path instead of O(n^2).  A is held; B is not: :meth:`MalliavinTableau.B`
-builds the steps a reader asks for, and the backward pass keeps B at marks
-about every sqrt(n) steps and rebuilds each segment upward from its mark.
-A, B and the Brownian path W (summed where it is read) are running sums from
-step 0, yielded one step at a time by :func:`_running_sums`, so a B step
-walked up from a held one has the bits of the sum from 0.
+per path instead of O(n^2).  A is held; B is not: the backward pass keeps B
+at marks about every sqrt(n) steps and rebuilds each segment upward from its
+mark, and :meth:`MalliavinTableau.B` builds the steps a reader asks for.
+
+One accumulator, :class:`_TableauSums`, states the per-step arithmetic of A
+and B: fed the point set of X one step at a time, it sums A as a running
+trapezoid from step 0 and B up to its last mark, so a B step walked up from a
+held one has the bits of the sum from 0.  The Euler loop feeds it the point
+set whose sin and cos it has already computed for the drift (the inverse
+transform hands it back with sigma's evaluated), so a forward sweep builds
+A and the B marks with no transcendental of its own; an ensemble loaded from
+a dump, or a tableau built on a given X, feeds it one walk over X.  The
+Brownian path W is a running sum too, summed where it is read by
+:func:`_running_sums`.
 
 Every path set is indexed step first: ``dW[i]``, ``X[i]`` and ``A[i]`` are
 separate contiguous arrays holding step i across paths, so the backward pass
@@ -41,7 +49,6 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from itertools import count, pairwise
 from pathlib import Path
 
 import numpy as np
@@ -109,6 +116,10 @@ class PathEnsemble:
     path's original index.  Paths that left the certified sigma > 0 box are
     dropped; ``path_ids`` maps surviving paths to original indices.
 
+    ``sums`` holds A and the B marks of the forward tableau when
+    :func:`simulate_forward` was asked to build them in its Euler loop (None
+    otherwise, and for a loaded dump, which holds dW and X only).
+
     :func:`backward.solve_bsde` consumes the ensemble: it sets each step of
     ``dW`` to None once it has read it, and each step of ``X`` except at the
     declared indices.  A reader that meets a released step raises SolverError.
@@ -123,6 +134,7 @@ class PathEnsemble:
     path_ids: np.ndarray
     n_flagged: int
     n_requested: int
+    sums: _TableauSums | None = None
 
     def __post_init__(self) -> None:
         n = self.grid.n_steps
@@ -144,33 +156,45 @@ def _draw_increments(master_seed: int, n_paths: int, n_steps: int, dt: float) ->
 
 
 def _euler_lamperti(
-    problem: ProblemSpec, grid: TimeGrid, dW, lmap: LampertiMap, n: int | None = None
-) -> tuple[list[np.ndarray], np.ndarray]:
+    problem: ProblemSpec, grid: TimeGrid, dW, lmap: LampertiMap, n: int | None = None,
+    b_marks=None,
+) -> tuple[list[np.ndarray], np.ndarray, _TableauSums | None]:
     """Euler-Maruyama on U = g(X) driven by the increments ``dW``, indexed
     step first (``dW[i]`` holds step i across paths), for its first ``n``
     steps (default: all of them).
 
     Steps whose U would leave the image of the certified box are clamped just
     inside it.  Returns X, a list of n + 1 step arrays (X_{i+1} is the array
-    the inverse transform returns), and the number of clamp events per path.
+    the inverse transform returns), the number of clamp events per path and,
+    given ``b_marks`` (a list of steps, possibly empty), the
+    :class:`_TableauSums` holding A and B at those steps, fed with each step's
+    point set (None without).  One point set per step serves the drift and
+    the sums, starting with the inverse transform's own.
     """
     n = len(dW) if n is None else n
     n_paths = len(dW[0])
     dt = grid.dt
     glo, ghi = lmap.g_range
     margin = 1e-9 * (ghi - glo)
-    X = [np.full(n_paths, problem.x0)]
+    x = Points(np.full(n_paths, problem.x0))
+    X = [x.x]
+    sums = None if b_marks is None else _TableauSums(lmap, dt, n_paths, b_marks)
     u = np.full(n_paths, lmap.transform(problem.x0))
     hits = np.zeros(n_paths, dtype=np.int64)
     for i in range(n):
-        drift = lmap.beta(X[i])
+        drift = lmap.beta(x)
+        if sums is not None:
+            sums.add(x)
         u = u + drift * dt + dW[i]
         out = (u < glo + margin) | (u > ghi - margin)
         if out.any():
             hits += out
             u = np.clip(u, glo + margin, ghi - margin)
-        X.append(lmap.inverse_transform(u))
-    return X, hits
+        x = lmap.inverse_transform(u, points=True)
+        X.append(x.x)
+    if sums is not None:
+        sums.add(x)
+    return X, hits, sums
 
 
 def simulate_forward(
@@ -179,6 +203,7 @@ def simulate_forward(
     n_paths: int,
     seed: int,
     lamperti_map: LampertiMap | None = None,
+    b_marks=None,
 ) -> PathEnsemble:
     """Simulate the forward diffusion by Euler-Maruyama on U = g(X).
 
@@ -187,15 +212,18 @@ def simulate_forward(
     flagged the run fails.  The increments are drawn as one (n_paths,
     n_steps) matrix, so the stream is that of a row-major draw, and each
     column is copied into its own step array before the matrix is dropped.
-    With no path flagged the ensemble holds the sweep's own step arrays;
-    otherwise each step is replaced by its kept paths in turn.
+    Given ``b_marks`` (the steps at which the backward pass keeps B, see
+    :func:`backward.b_marks`), the Euler loop also builds A and those B steps
+    (the ensemble's ``sums``).  With no path flagged the ensemble holds the
+    sweep's own step arrays; otherwise each step is replaced by its kept
+    paths in turn, A and the marks as well.
     """
     if n_paths < 1:
         raise SimulationError("n_paths must be >= 1")
     lmap = lamperti_map or LampertiMap(problem.sigma, problem.b, problem.box)
     dW = _draw_increments(seed, n_paths, grid.n_steps, grid.dt)
     dW = [dW[:, i].copy() for i in range(grid.n_steps)]
-    X, hits = _euler_lamperti(problem, grid, dW, lmap)
+    X, hits, sums = _euler_lamperti(problem, grid, dW, lmap, b_marks=b_marks)
     flagged = hits > 0
     n_flagged = int(flagged.sum())
     if n_flagged > _MAX_FLAGGED_FRACTION * n_paths:
@@ -209,10 +237,12 @@ def simulate_forward(
         for steps in (dW, X):
             for i, step in enumerate(steps):
                 steps[i] = step[keep]
+        if sums is not None:
+            sums.keep(keep)
     return PathEnsemble(
         grid=grid, n_paths=n_paths - n_flagged, master_seed=seed, x0=problem.x0,
         dW=dW, X=X, path_ids=np.nonzero(keep)[0].astype(np.uint64),
-        n_flagged=n_flagged, n_requested=n_paths,
+        n_flagged=n_flagged, n_requested=n_paths, sums=sums,
     )
 
 
@@ -237,18 +267,107 @@ def _exp_neg(steps) -> np.ndarray:
 def _running_sums(n_rows: int, increments, start=None):
     """The running sums c_0, c_1, ... of ``increments`` (inc_0, inc_1, ...,
     each on every path) along ``n_rows`` paths, yielded one (n_rows,) step at
-    a time: the one place that sums along paths.  inc_j is drawn only once
-    c_{j+1} is asked for.  Given a ``start`` step, c_0 = start and
-    c_{j+1} = c_j + inc_j: W's rule, so W_1 = 0 + dW_0 is +0 after a -0.0.
-    Without one, c_0 = +0 and c_1 is inc_0 itself (which must then be a
-    fresh array): the cumulative trapezoid's rule, so a -0.0 stays -0.0.
-    Later steps are fresh arrays; a walk up from a held step j > 0 has the
-    bits of the sum from step 0."""
+    a time: c_0 = ``start`` (default a fresh +0) and c_{j+1} = c_j + inc_j,
+    so W_1 = 0 + dW_0 is +0 after a -0.0.  inc_j is drawn only once c_{j+1}
+    is asked for, and every later step is a fresh array."""
     c = np.zeros(n_rows) if start is None else start
     yield c
-    for j, inc in enumerate(increments):
-        c = inc if j == 0 and start is None else c + inc
+    for inc in increments:
+        c = c + inc
         yield c
+
+
+class _Trapezoid:
+    """The cumulative trapezoid of an integrand fed one step at a time: the
+    sum s_lo at the first step fed is ``start``, or a fresh +0 without one;
+    then s_{c+1} = s_c + (v_c + v_{c+1}) dt/2.  From +0 the first sum is the
+    increment itself, so a -0.0 stays -0.0; from a held step j > 0 a walk up
+    has the bits of the sum from step 0.  Every sum after the first is a
+    fresh array."""
+
+    __slots__ = ("total", "_half", "_v", "_replace")
+
+    def __init__(self, n_rows: int, half: float, start=None):
+        self.total = np.zeros(n_rows) if start is None else start
+        self._half, self._v, self._replace = half, None, start is None
+
+    def add(self, v: np.ndarray | None) -> np.ndarray:
+        """Feed the integrand at the next step (None where no increment
+        reads it: the only step of a walk); return the sum there."""
+        if self._v is not None:
+            inc = self._v + v
+            inc *= self._half
+            self.total = inc if self._replace else self.total + inc
+            self._replace = False
+        self._v = v
+        return self.total
+
+
+def _constant_drift(lmap: LampertiMap) -> bool:
+    """Whether sigma and b are constant families, so A and B vanish."""
+    return lmap.sigma.family == lmap.b.family == "constant"
+
+
+class _TableauSums:
+    """A and B of one forward sweep, fed the point set of X one step at a
+    time from step ``lo``: the one statement of their per-step arithmetic.
+
+    A is the cumulative trapezoid of (beta o g^-1)'(X), built from step 0
+    into the list ``A`` unless a held ``A`` is given; B is that of
+    (beta o g^-1)''(X) e^A, built from its leading zero or walked up from a
+    held step ``lo`` = ``b_lo``, up to the last of ``marks`` and kept only
+    there, in ``b_marks``.  Under a ``constant`` drift (default: sigma and b
+    constant families) every step of both is one read-only zero view and
+    nothing is evaluated.
+    """
+
+    def __init__(self, lmap: LampertiMap, dt: float, n_paths: int, marks=(), A=None,
+                 lo: int = 0, b_lo: np.ndarray | None = None, constant: bool | None = None):
+        self.lmap = lmap
+        self.A = [] if A is None else A
+        self.b_marks: dict[int, np.ndarray] = {}
+        self._build_a = A is None
+        self._marks = set(marks)
+        self._lo = self._c = lo
+        self._last = max(self._marks, default=lo - 1)
+        if _constant_drift(lmap) if constant is None else constant:
+            self._zero = np.broadcast_to(0.0, n_paths)
+        else:
+            self._zero = None
+            self._a = _Trapezoid(n_paths, 0.5 * dt)
+            self._b = _Trapezoid(n_paths, 0.5 * dt, b_lo)
+
+    def add(self, x: Points) -> None:
+        """Feed the point set of X at the next step c: append A_c (when A is
+        built) and keep B_c at a mark."""
+        c, self._c = self._c, self._c + 1
+        zero = self._zero
+        if self._build_a:
+            self.A.append(zero if zero is not None
+                          else self._a.add(self.lmap.beta_prime_sigma(x)))
+        if c > self._last:
+            return
+        if zero is not None:
+            b = zero
+        else:  # no increment reads the integrand at a walk's only step
+            v = (self.lmap.beta_comp_second(x) * np.exp(self.A[c])
+                 if self._lo < c or c < self._last else None)
+            b = self._b.add(v)
+        if c in self._marks:
+            self.b_marks[c] = b
+
+    def keep(self, rows: np.ndarray) -> None:
+        """Keep the paths ``rows`` (a boolean mask) of A and of the marks,
+        each step replaced in turn; a zero view stays one."""
+        if self._zero is not None:
+            zero = self._zero = np.broadcast_to(0.0, int(rows.sum()))
+            self.A[:] = [zero] * len(self.A)
+            self.b_marks = dict.fromkeys(self.b_marks, zero)
+            return
+        for i, a in enumerate(self.A):
+            self.A[i] = a[rows]
+        for c, b in self.b_marks.items():
+            self.b_marks[c] = b[rows]
 
 
 def _step(steps, i: int, name: str) -> np.ndarray:
@@ -287,20 +406,24 @@ class MalliavinTableau:
     everything derives from the cumulative integrals A and B described in the
     module docstring; under a constant drift (sigma and b constant families,
     ``constant_drift``) every step of both is one read-only zero view.  A is
-    held as a list of n + 1 step arrays; B is not: :meth:`B` builds the steps
-    asked for, from its leading zero or walked up from a step the caller
-    holds.  e^{-A} (which only the replay rows read, each slicing it) is
-    built on first use, as one path-major matrix.  The accessor reads grid
-    indices and rejects theta > t; sigma is evaluated at the states it reads.
-    ``dW`` and ``X`` are indexed step first and held as given: the main run's
-    are None (the pass hands each dW_s to the Y/Z tableau) and the
-    ensemble's own X, which the backward pass consumes step by step; a
-    replay's are a view of its increments (None when its rows do not read W)
-    and the Euler loop's list.  A path set with a released step is refused
-    (SolverError).
+    held as a list of n + 1 step arrays; B only at the steps ``b_marks``
+    (a dict from step to step array, which the backward pass takes over):
+    :meth:`B` builds the steps asked for, from its leading zero or walked up
+    from a step the caller holds.  A and the marks come from ``sums``, the
+    Euler loop's :class:`_TableauSums` fed with this X; without it one walk
+    over X builds A and the B steps ``b_marks`` together.  e^{-A} (which
+    only the replay rows read, each slicing it) is built on first use, as
+    one path-major matrix.  The accessor reads grid indices and rejects
+    theta > t; sigma is evaluated at the states it reads.  ``dW`` and ``X``
+    are indexed step first and held as given: the main run's are None (the
+    pass hands each dW_s to the Y/Z tableau) and the ensemble's own X, which
+    the backward pass consumes step by step; a replay's are a view of its
+    increments (None when its rows do not read W) and the Euler loop's list.
+    A path set with a released step is refused (SolverError).
     """
 
-    def __init__(self, dW, X, lmap: LampertiMap, dt: float):
+    def __init__(self, dW, X, lmap: LampertiMap, dt: float, b_marks=(),
+                 sums: _TableauSums | None = None):
         if dW is not None:
             _check_unconsumed(dW, "dW")
         _check_unconsumed(X, "X")
@@ -308,44 +431,30 @@ class MalliavinTableau:
         self.lmap, self.dt = lmap, dt
         self.n = len(X) - 1
         self.n_paths = len(X[0])
-        self.constant_drift = lmap.sigma.family == lmap.b.family == "constant"
-        # A, the cumulative trapezoid of (beta o g^-1)'(X) along each path
-        self.A = self._trapezoid(lambda c: lmap.beta_prime_sigma(Points(X[c])))
+        self.constant_drift = _constant_drift(lmap)
+        if sums is None:
+            sums = _TableauSums(lmap, dt, self.n_paths, b_marks)
+            for step in X:
+                sums.add(Points(step))
+        self.A, self.b_marks = sums.A, sums.b_marks
         self._exp_neg_A: np.ndarray | None = None
-
-    def _trapezoid(self, integrand, cols=slice(None), lo=0, c_lo=None):
-        """Steps ``cols`` (an index, a list or a slice) of the cumulative
-        trapezoid of ``integrand(c)``, the integrand at step c on every path,
-        from its leading zero or walked up from its step ``lo`` = ``c_lo``:
-        an (n_paths,) array for an index, a list of them otherwise.  It reads
-        X and A up to the last asked-for step and keeps only the asked-for
-        ones.  Under a constant drift every step is one read-only zero view."""
-        idx = np.arange(self.n + 1)[cols]
-        if self.constant_drift:
-            zero = np.broadcast_to(0.0, self.n_paths)
-            return zero if idx.ndim == 0 else [zero] * idx.size
-        half = 0.5 * self.dt
-
-        def increments():  # (v_c + v_{c+1}) (dt/2) between the steps c and c + 1
-            for left, right in pairwise(map(integrand, count(lo))):
-                inc = left + right
-                inc *= half
-                yield inc
-
-        last = idx.max(initial=lo - 1)
-        sums = zip(range(lo, last + 1), _running_sums(self.n_paths, increments(), c_lo))
-        held = {c: step for c, step in sums if np.any(idx == c)}
-        return held[int(idx)] if idx.ndim == 0 else [held[c] for c in idx]
 
     def B(self, cols=slice(None), lo: int = 0, b_lo: np.ndarray | None = None):
         """Steps ``cols`` (an index, a list or a slice, none below ``lo``) of
         B, the cumulative trapezoid of (beta o g^-1)''(X) e^A: from its
         leading zero, or walked up from its step ``lo`` > 0 held as ``b_lo``
         (a walk from step 0 would turn a -0.0 B_1 into +0).  One step array
-        for an index, a list of them otherwise.  It reads the steps of X from
-        ``lo`` up; one that a backward pass has released raises SolverError."""
-        return self._trapezoid(lambda c: self.lmap.beta_comp_second(_step(self.X, c, "X"))
-                               * np.exp(self.A[c]), cols, lo, b_lo)
+        for an index, a list of them otherwise; under a constant drift each
+        is one read-only zero view.  It reads the steps of X from ``lo``
+        up to the last asked-for one; one that a backward pass has released
+        raises SolverError."""
+        idx = np.arange(self.n + 1)[cols]
+        sums = _TableauSums(self.lmap, self.dt, self.n_paths, idx.ravel().tolist(), self.A,
+                            lo, b_lo, self.constant_drift)
+        for c in range(lo, idx.max(initial=lo - 1) + 1):
+            sums.add(None if self.constant_drift else Points(_step(self.X, c, "X")))
+        held = sums.b_marks
+        return held[int(idx)] if idx.ndim == 0 else [held[c] for c in idx]
 
     @property
     def exp_neg_A(self) -> np.ndarray:

@@ -212,8 +212,12 @@ class LampertiMap:
             out = self._g[k] + self._simpson(self._nodes[k], arr)
         return float(out[0]) if scalar else out
 
-    def inverse_transform(self, u):
-        """g^-1(u) by monotone bracketing with Newton steps (g^-1)' = sigma o g^-1."""
+    def inverse_transform(self, u, points: bool = False):
+        """g^-1(u) by monotone bracketing with Newton steps (g^-1)' = sigma o g^-1.
+
+        With ``points`` (array input only) the result is the :class:`Points`
+        of the returned iterate: the iteration stops right after evaluating
+        sigma there, so a non-constant sigma's transcendentals come cached."""
         arr = np.asarray(u, dtype=float)
         scalar = arr.ndim == 0
         arr = np.atleast_1d(arr).astype(float)
@@ -221,7 +225,7 @@ class LampertiMap:
                           "the image of the certified interval under g")
         if self._const_sigma is not None:
             out = arr * self._const_sigma
-            return float(out[0]) if scalar else out
+            return Points(out) if points else float(out[0]) if scalar else out
         nodes, g = self._nodes, self._g
         last = len(nodes) - 2
         k = self._cell(arr)
@@ -238,7 +242,8 @@ class LampertiMap:
             # sigma(x) with the Newton slope
             kx = np.minimum(k + (x >= nodes[k + 1]), last)
             a = nodes[kx]
-            sx = eval_derivative(self.sigma, 0, x)
+            xp = Points(x)
+            sx = eval_derivative(self.sigma, 0, xp)
             fm = 1.0 / eval_derivative(self.sigma, 0, 0.5 * (a + x))
             simpson = (x - a) / 6.0 * (self._inv_sigma_nodes[kx] + 4.0 * fm + 1.0 / sx)
             r = g[kx] + simpson - arr
@@ -253,7 +258,7 @@ class LampertiMap:
             x = np.where(outside, 0.5 * (blo + bhi), xn)
         else:
             raise DomainError("inverse Lamperti iteration failed to converge")
-        return float(x[0]) if scalar else x
+        return xp if points else float(x[0]) if scalar else x
 
     def _sigma_guard(self, x: Points) -> np.ndarray:
         s = eval_derivative(self.sigma, 0, x)

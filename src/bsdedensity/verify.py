@@ -33,31 +33,14 @@ _ROUGHNESS = 1.0 / (2.0 * np.sqrt(np.pi))  # integral of the squared Gaussian ke
 _KERNEL_BLOCK = 1 << 16
 
 
-def _gauss(u: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """exp(-0.5 * u * u), written into ``e``."""
-    np.multiply(u, -0.5, out=e)
-    e *= u
-    return np.exp(e, out=e)
-
-
-def _gauss_second(u: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """(u * u - 1) * exp(-0.5 * u * u), written into ``u`` (``e`` is work)."""
-    _gauss(u, e)
-    u *= u
-    u -= 1.0
-    u *= e
-    return u
-
-
-def _kernel_means(z: np.ndarray, x: np.ndarray, h: float, kernel) -> np.ndarray:
-    """Mean over the samples ``x`` of the kernel of (z_j - x) / h at each grid
-    point z_j, evaluated a block of grid points at a time in two
-    preallocated buffers; ``kernel(u, e)`` is :func:`_gauss` or
-    :func:`_gauss_second`.
-
-    Each point's mean runs over its own row, so the values do not depend on
-    the block size."""
-    out = np.empty_like(z)
+def _kernel_means(z: np.ndarray, x: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Means over the samples ``x`` of the Gaussian kernel exp(-u^2 / 2) and
+    of its second derivative (u^2 - 1) exp(-u^2 / 2), u = (z_j - x) / h, at
+    each grid point z_j: one u and one exp serve both.  A block of grid
+    points is evaluated at a time in two preallocated buffers, and each
+    point's means run over its own row, so the values do not depend on the
+    block size."""
+    dens, curv = np.empty_like(z), np.empty_like(z)
     chunk = max(1, _KERNEL_BLOCK // max(x.size, 1))
     u_buf = np.empty((min(chunk, len(z)), x.size))
     e_buf = np.empty_like(u_buf)
@@ -66,8 +49,15 @@ def _kernel_means(z: np.ndarray, x: np.ndarray, h: float, kernel) -> np.ndarray:
         u, e = u_buf[: len(zb)], e_buf[: len(zb)]
         np.subtract(zb, x[None, :], out=u)
         u /= h
-        out[start : start + chunk] = kernel(u, e).mean(axis=1)
-    return out
+        np.multiply(u, -0.5, out=e)
+        e *= u
+        np.exp(e, out=e)
+        dens[start : start + chunk] = e.mean(axis=1)
+        u *= u
+        u -= 1.0
+        u *= e
+        curv[start : start + chunk] = u.mean(axis=1)
+    return dens, curv
 
 
 @dataclass
@@ -79,6 +69,9 @@ class DensityEstimate:
     bandwidth: float
     n_samples: int
     samples_sorted: np.ndarray
+    # the mean Gaussian-kernel second derivative at each grid point, from
+    # the kernel pass of the density (unscaled)
+    curvature: np.ndarray
 
     def standard_error(self) -> np.ndarray:
         """Pointwise KDE standard error sqrt(rho R(K) / (n h))."""
@@ -92,15 +85,12 @@ class DensityEstimate:
 
         rho'' is the exact second derivative of the kernel estimate
         (mean of Gaussian-kernel second derivatives), which tracks the
-        curvature of the underlying density to O(h^2).  Each point's mean
-        runs over the same sorted samples, so a masked value is bitwise the
-        unmasked one."""
+        curvature of the underlying density to O(h^2).  The means are the
+        ones the density's kernel pass computed, so a masked value is
+        bitwise the unmasked one."""
         h = self.bandwidth
-        x = self.samples_sorted
-        z = self.z_grid if mask is None else self.z_grid[mask]
-        d2 = _kernel_means(z, x, h, _gauss_second)
-        d2 *= _GAUSS_NORM / h**3
-        return 0.5 * h * h * np.abs(d2)
+        d2 = self.curvature if mask is None else self.curvature[mask]
+        return 0.5 * h * h * np.abs(d2 * (_GAUSS_NORM / h**3))
 
     def sample_quantile(self, q: float) -> float:
         return float(np.quantile(self.samples_sorted, q))
@@ -134,7 +124,7 @@ def kde(samples: np.ndarray, grid: np.ndarray, bandwidth: float | None = None) -
         bandwidth = 1.06 * sd * n ** (-0.2)
     if not (np.isfinite(bandwidth) and bandwidth > 0):
         raise DomainError(f"bandwidth = {bandwidth} must be finite and positive")
-    dens = _kernel_means(z, x, bandwidth, _gauss)
+    dens, curv = _kernel_means(z, x, bandwidth)
     dens *= _GAUSS_NORM / bandwidth
     return DensityEstimate(
         z_grid=z,
@@ -142,6 +132,7 @@ def kde(samples: np.ndarray, grid: np.ndarray, bandwidth: float | None = None) -
         bandwidth=float(bandwidth),
         n_samples=n,
         samples_sorted=np.sort(x),
+        curvature=curv,
     )
 
 

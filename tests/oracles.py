@@ -7,6 +7,7 @@ coefficient formulas with every transcendental computed afresh, as bitwise
 references for the production code that shares them.
 """
 
+import contextlib
 import math
 import tracemalloc
 from dataclasses import asdict, replace
@@ -57,6 +58,37 @@ def traced(fn, *args, **kwargs):
         if not outer:
             tracemalloc.stop()
     return result, peak - before, now - before
+
+
+@contextlib.contextmanager
+def sincos_counter(keep_points: bool = False):
+    """Count the sin and cos elements that :class:`Points` computes while the
+    block runs: each cache miss of ``Points.sin`` or ``Points.cos`` adds the
+    size of its points.  Yields a dict with ``"sin"`` and ``"cos"`` (the
+    elements of each), ``"total"`` (their sum) and, with ``keep_points``,
+    ``"misses"``: a list of (name, points array) per miss, holding the array
+    itself, so a miss on a step array of X is told by identity.  The
+    methods are restored on exit."""
+    counts = {"sin": 0, "cos": 0, "total": 0, "misses": []}
+    originals = {name: getattr(Points, name) for name in ("sin", "cos")}
+
+    def counted(name, method):
+        def wrapper(self):
+            if getattr(self, f"_{name}") is None:
+                counts[name] += self.x.size
+                counts["total"] += self.x.size
+                if keep_points:
+                    counts["misses"].append((name, self.x))
+            return method(self)
+        return wrapper
+
+    for name, method in originals.items():
+        setattr(Points, name, counted(name, method))
+    try:
+        yield counts
+    finally:
+        for name, method in originals.items():
+            setattr(Points, name, method)
 
 
 def central_diff(f, x: float, order: int, h: float | None = None) -> float:
@@ -351,7 +383,7 @@ def ensemble_from_increments(problem, grid, increments, lamperti_map=None):
     n_paths, n = increments.shape
     assert n == grid.n_steps, "increment matrix does not match the grid"
     dW = [increments[:, i].copy() for i in range(n)]
-    X, hits = _euler_lamperti(problem, grid, dW, lmap)
+    X, hits, _ = _euler_lamperti(problem, grid, dW, lmap)
     return PathEnsemble(
         grid=grid,
         n_paths=n_paths,

@@ -1069,3 +1069,22 @@ def test_girsanov_derivative_representations(ens, lmap):
     # D2 xi = 1 deterministic, but the weighted regression adds MC noise
     assert abs(dz.mean() - 1.0) < 0.01
     assert dz.std() < 0.05
+
+
+@pytest.mark.parametrize("n_steps, all_converged", [(8, False), (40, True)])
+def test_picard_convergence_is_recorded(n_steps, all_converged):
+    """Each step's record says whether its Picard iteration met the
+    tolerance.  On the S2 model at the benchmark's 20000 paths, 8 steps
+    leave most steps at the iteration cap short of it (the run still
+    proceeds); the benchmark's 40 steps meet it at every step."""
+    prob = _s2_problem()
+    ens = simulate_forward(prob, TimeGrid(1.0, n_steps), 20000, seed=20240801)
+    records = solve_bsde(ens, prob, BASIS).records
+    converged = [r["picard_converged"] for r in records]
+    assert all(converged) == all_converged
+    for r in records:
+        assert r["picard_converged"] or r["picard_iterations"] == backward._MAX_PICARD
+    # a zero driver takes no iteration and is converged
+    zero = _problem(affine(a=0, b=1))
+    rec = solve_bsde(simulate_forward(zero, TimeGrid(1.0, 4), 500, seed=1), zero, BASIS).records
+    assert all(r["picard_converged"] and r["picard_iterations"] == 0 for r in rec)

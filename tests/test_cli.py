@@ -20,7 +20,7 @@ from bsdedensity.forward import _HEADER_FMT, _ROW_BLOCK
 from bsdedensity.nvdensity import BoundConstants
 from bsdedensity.verify import BouleauHirschReport, DensityReport
 
-from oracles import traced
+from oracles import sincos_counter, traced
 
 SMALL_CFG = """\
 model.b = constant(c=0)
@@ -174,8 +174,11 @@ def test_full_run_ignores_stale_hypothesis_report(tmp_path):
 
 def test_staged_execution_matches_full(tmp_path):
     # the density stage of a staged run re-runs the backward sweep on the
-    # reloaded ensemble; its outputs match the full run's byte for byte
-    for label, text in (("unit", SMALL_CFG), ("s2", S2_CFG)):
+    # reloaded ensemble, with A and the B marks from one walk over its X
+    # where the full run has them from the Euler loop; its outputs match the
+    # full run's byte for byte, also when the box flags paths that both drop
+    for label, text in (("unit", SMALL_CFG), ("s2", S2_CFG),
+                        ("s2-flagged", S2_CFG + "model.box = -6, 6\n")):
         cfg_path = _write(tmp_path, text, f"{label}.txt")
         full = tmp_path / f"{label}-full"
         staged = tmp_path / f"{label}-staged"
@@ -185,6 +188,8 @@ def test_staged_execution_matches_full(tmp_path):
             assert rc == 0
         assert (staged / "ensemble.bin").exists()
         assert not (staged / "solution.npz").exists()
+        flagged = json.loads((full / "run_metadata.json").read_text())["n_flagged"]
+        assert (flagged > 0) == (label == "s2-flagged")
         names = [n for n in os.listdir(full)
                  if n.startswith(("density_", "gest_")) or n == "tableaux_summary.csv"]
         assert "density_meta.json" in names and "tableaux_summary.csv" in names
@@ -806,6 +811,46 @@ def test_artifact_bytes_pinned(tmp_path):
         if moved:
             changed[label] = moved
     assert not changed, f"artifact bytes moved; the files whose digests differ: {changed}"
+
+
+def test_each_x_step_pays_one_sin_and_cos(tmp_path, monkeypatch):
+    """A tiny nonlinear-xt run computes the sin and the cos of each step of
+    X exactly once from the start of the forward sweep to the backward pass:
+    the inverse transform's point set serves the drift, A and the B marks.
+    Over the whole run the sin and cos elements of the X steps stay within
+    what N, n and the marks allow: the forward sweep's 2 per step, the
+    backward pass's 2 per step from the lowest mark up (sigma and sigma' of
+    the tableau step, the X_T terminal at n), its B segment walks' 2 per
+    step below n, and sigma at each declared step for the tableau summary."""
+    cfg = parse_config(_write(tmp_path, PINNED_CONFIGS["nonlinear-xt"][0] + _TINY))
+    exp = Experiment(cfg, out_dir=str(tmp_path / "o"), seed=20240801)
+    window = {}
+    simulate, solve = cli.simulate_forward, cli.solve_bsde
+
+    def simulate_marked(*args, **kwargs):
+        window["start"] = len(counts["misses"])
+        ens = simulate(*args, **kwargs)
+        window["X"] = list(ens.X)
+        return ens
+
+    def solve_marked(*args, **kwargs):
+        window["stop"] = len(counts["misses"])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "simulate_forward", simulate_marked)
+    monkeypatch.setattr(cli, "solve_bsde", solve_marked)
+    with sincos_counter(keep_points=True) as counts:
+        assert exp.run() == 0
+    X, N, n = window["X"], exp.ens.n_paths, exp.grid.n_steps
+    assert exp.ens.n_flagged == 0  # so the ensemble's X steps are the swept arrays
+    forward = counts["misses"][window["start"]:window["stop"]]
+    for name in ("sin", "cos"):
+        per_step = [sum(m == name and x is step for m, x in forward) for step in X]
+        assert per_step == [1] * (n + 1), name
+    lowest = exp._b_marks()[0]
+    bound = N * (2 * (n + 1) + 2 * (n + 1 - lowest) + 2 * (n - lowest) + len(exp.t_indices))
+    on_x = sum(x.size for _, x in counts["misses"] if any(x is step for step in X))
+    assert on_x <= bound
 
 
 def test_gband_check_of_no_reliable_point_fails(tmp_path):

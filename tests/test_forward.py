@@ -5,8 +5,16 @@ from itertools import islice
 import numpy as np
 import pytest
 
-from bsdedensity.backward import BackwardTableau, RegressionBasis, solve_bsde
-from bsdedensity.coeffs import Driver, ProblemSpec, affine, constant, polynomial, trig_affine
+from bsdedensity.backward import BackwardTableau, RegressionBasis, b_marks, solve_bsde
+from bsdedensity.coeffs import (
+    Driver,
+    ProblemSpec,
+    affine,
+    as_points,
+    constant,
+    polynomial,
+    trig_affine,
+)
 from bsdedensity.errors import OrderingError, SimulationError, SolverError
 from bsdedensity.forward import (
     _ROW_BLOCK,
@@ -480,7 +488,7 @@ def test_b_columns_are_the_cumulative_trapezoid():
             assert np.array_equal(bits(b), bits(B[:, s])), (lowest, s)
 
     # an integrand of -0.0 at the first two nodes of path 0
-    lmap.beta_comp_second = lambda x: x * 1.0
+    lmap.beta_comp_second = lambda x: as_points(x).x * 1.0
     X = [step.copy() for step in ens.X]
     X[0][0] = X[1][0] = -0.0  # path 0 at steps 0 and 1
     tab = MalliavinTableau(ens.dW, X, lmap, grid.dt)
@@ -490,3 +498,49 @@ def test_b_columns_are_the_cumulative_trapezoid():
     walked = walk(tab, 0)
     assert np.signbit(walked[1][0])
     assert all(np.array_equal(bits(b), bits(B[:, s])) for s, b in walked.items())
+
+
+_FEEDER_CASES = {
+    # S2 in a box that flags a few paths: both feeders see the kept paths only
+    "flagged": (trig_affine(c=0.3), trig_affine(a=2, b=0.5), (-6, 6)),
+    # constant sigma and b in a box that flags paths: zero views of the kept size
+    "constant-flagged": (constant(0.3), constant(1), (-3, 3)),
+    # (beta o g^-1)' = [sigma, b] / sigma - sigma sigma'' / 2 is -0.0 at every
+    # state, so A_1 = inc_0 itself is -0.0 (and B is computed, not a zero view)
+    "negative-zero": (affine(a=0.3, b=-0.0), constant(1), (-12, 12)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FEEDER_CASES))
+def test_euler_sums_are_the_walk_over_x(case):
+    """The two feeders of A and the B marks agree bit for bit: the Euler
+    loop's sums, fed its own point sets and cut to the kept paths with the
+    ensemble, and one walk over the stored X (a loaded dump, a tableau built
+    on a given X); and the Euler loop's X is the one it gives without sums."""
+    b, sigma, box = _FEEDER_CASES[case]
+    prob = replace(_problem(b, sigma, box), terminal="phi-of-xt",
+                   driver=Driver(f_of_x=affine(b=0.1)))
+    grid = TimeGrid(1.0, 8)
+    lmap = LampertiMap(prob.sigma, prob.b, prob.box)
+    marks = b_marks(prob, grid.n_steps, [2, 4, 6])
+    assert marks == [2, 5, 8]
+    ens = simulate_forward(prob, grid, 4000, seed=20240801, lamperti_map=lmap, b_marks=marks)
+    bare = simulate_forward(prob, grid, 4000, seed=20240801, lamperti_map=lmap)
+    assert bare.sums is None
+    assert np.array_equal(np.stack(ens.X), np.stack(bare.X))
+    walked = MalliavinTableau(None, ens.X, lmap, grid.dt, marks)
+    euler = MalliavinTableau(None, ens.X, lmap, grid.dt, sums=ens.sums)
+    assert (ens.n_flagged > 0) == (case != "negative-zero")
+    assert sorted(euler.b_marks) == sorted(walked.b_marks) == marks
+
+    def bits(steps):
+        return np.stack([np.asarray(s, dtype=float) for s in steps]).view(np.uint64)
+
+    assert np.array_equal(bits(euler.A), bits(walked.A))
+    assert np.array_equal(bits(euler.b_marks.values()), bits(walked.b_marks.values()))
+    for tab in (euler, walked):
+        assert all(a.shape == (ens.n_paths,) for a in [*tab.A, *tab.b_marks.values()])
+        assert all(a.strides == (0,) for a in [*tab.A, *tab.b_marks.values()]) == (
+            case == "constant-flagged")
+    if case == "negative-zero":
+        assert np.all(euler.A[1] == 0.0) and np.all(np.signbit(euler.A[1]))

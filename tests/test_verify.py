@@ -236,8 +236,8 @@ def test_positivity_counts_of_path_blocks_equal_the_whole_row(block):
 
 
 def test_bias_estimate_on_the_mask_only(normal_samples):
-    # the masked bias is computed on the selected grid points alone, in
-    # chunks that start elsewhere, and is bitwise the unmasked one there
+    # the masked bias selects the kernel pass's means at the selected grid
+    # points, and is bitwise the unmasked one there
     grid = np.linspace(-5, 5, 321)
     est = kde(normal_samples, grid)
     for mask in (np.abs(grid) <= 2.5, grid > 1.0, np.zeros(321, dtype=bool),
@@ -246,9 +246,9 @@ def test_bias_estimate_on_the_mask_only(normal_samples):
 
 
 def test_kernel_blocks_bound_memory_and_keep_values(normal_samples):
-    """kde and bias_estimate evaluate the kernel a bounded block of grid
-    points at a time, with per-point means bitwise those of one
-    whole-matrix evaluation."""
+    """kde evaluates the kernel and its second derivative a bounded block of
+    grid points at a time, with per-point means bitwise those of one
+    whole-matrix evaluation in sample order; bias_estimate reads them."""
     x = normal_samples[:20000]
     grid = np.linspace(-4, 4, 321)
 
@@ -262,7 +262,6 @@ def test_kernel_blocks_bound_memory_and_keep_values(normal_samples):
     u = (grid[::8, None] - x[None, :]) / h
     dens = np.exp(-0.5 * u * u).mean(axis=1) * (1.0 / np.sqrt(2.0 * np.pi) / h)
     assert np.array_equal(est.density[::8], dens)
-    u = (grid[::8, None] - est.samples_sorted[None, :]) / h
     d2 = ((u * u - 1.0) * np.exp(-0.5 * u * u)).mean(axis=1)
     d2 *= 1.0 / np.sqrt(2.0 * np.pi) / h**3
     assert np.array_equal(bias[::8], 0.5 * h * h * np.abs(d2))
@@ -277,10 +276,7 @@ def test_kernel_means_bitwise_equal_whole_matrix(block, monkeypatch):
     z = np.linspace(-4.0, 4.0, 41)
     h = 0.21
     u = (z[:, None] - x[None, :]) / h
-    refs = {
-        verify._gauss: np.exp(-0.5 * u * u).mean(axis=1),
-        verify._gauss_second: ((u * u - 1.0) * np.exp(-0.5 * u * u)).mean(axis=1),
-    }
-    for kernel, ref in refs.items():
-        got = verify._kernel_means(z, x, h, kernel)
+    refs = (np.exp(-0.5 * u * u).mean(axis=1),
+            ((u * u - 1.0) * np.exp(-0.5 * u * u)).mean(axis=1))
+    for got, ref in zip(verify._kernel_means(z, x, h), refs):
         assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
