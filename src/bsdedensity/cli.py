@@ -137,7 +137,7 @@ class Experiment:
     def _b_marks(self) -> list[int]:
         return b_marks(self.problem, self.grid.n_steps, self.t_indices)
 
-    def stage_simulate(self, persist: bool, tableau: bool = True) -> None:
+    def stage_simulate(self, persist: bool, tableau: bool) -> None:
         """The forward sweep, dumped when ``persist`` or the config asks;
         with ``tableau`` its Euler loop also builds A and the B marks that
         the density stage reads."""
